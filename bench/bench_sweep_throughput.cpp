@@ -9,8 +9,8 @@
  * produced bit-identical energy results — the determinism contract
  * of the engine.
  *
- * Section 2 isolates the per-scenario setup cost the simulator-reuse
- * path avoids (rebuild vs recycle).
+ * Section 2 isolates the per-scenario setup cost a worker's
+ * Simulator recycling avoids (rebuild vs recycle).
  *
  * Section 3 measures the two-phase memoization on its home turf: a
  * process-node x vdd_scale x cooling sweep, where every scenario of a
@@ -111,8 +111,7 @@ powerAxesSweep()
 
 double
 runOnce(const sim::SweepSpec &spec, unsigned jobs,
-        std::vector<double> &energies_out,
-        bool reuse_simulators = true, bool memoize = true,
+        std::vector<double> &energies_out, bool memoize = true,
         std::size_t *replayed_out = nullptr,
         store::StoreHandle store = nullptr,
         std::size_t *captured_out = nullptr)
@@ -120,12 +119,9 @@ runOnce(const sim::SweepSpec &spec, unsigned jobs,
     // Sweeps go through the public SweepSession entry point, same as
     // the CLI and the service; a fresh session per run keeps the
     // in-memory snapshot cache from bleeding between measurements.
-    sim::SweepSession session(sim::EngineOptions()
-                                  .withJobs(jobs)
-                                  .withReuseSimulators(
-                                      reuse_simulators)
-                                  .withMemoize(memoize),
-                              std::move(store));
+    sim::SweepSession session(
+        sim::EngineOptions().withJobs(jobs).withMemoize(memoize),
+        std::move(store));
     auto t0 = std::chrono::steady_clock::now();
     sim::SweepResult result = session.submit(spec);
     auto t1 = std::chrono::steady_clock::now();
@@ -188,8 +184,7 @@ runBench(FILE *out)
     // engine recycles each worker's Simulator instead of
     // rebuilding GPU + power model per scenario. The per-scenario
     // setup saving is measured in isolation (kernel simulation
-    // time would otherwise drown it), then a real workload-only
-    // sweep cross-checks that both modes are bit-identical.
+    // time would otherwise drown it).
     constexpr int kSetupIters = 500;
     GpuConfig setup_cfg = GpuConfig::gtx580();
     auto s0 = std::chrono::steady_clock::now();
@@ -218,22 +213,6 @@ runBench(FILE *out)
     record("simulator_setup",
            {{"rebuild_us", rebuild_us}, {"recycle_us", recycle_us}});
 
-    sim::SweepSpec wl_spec;
-    wl_spec.configs = {GpuConfig::gt240()};
-    wl_spec.workloads = {"vectoradd", "scalarprod", "matmul",
-                         "blackscholes"};
-    std::vector<double> reuse_e, rebuild_e;
-    // Memoization off: this section isolates the reuse knob.
-    double reuse_s = runOnce(wl_spec, 2, reuse_e, true, false);
-    double rebuild_s = runOnce(wl_spec, 2, rebuild_e, false, false);
-    if (reuse_e != rebuild_e)
-        fatal("simulator reuse changed sweep results");
-    std::fprintf(out,
-                 "workload-only sweep (%zu scenarios): reuse "
-                 "%.3f s vs rebuild %.3f s, results "
-                 "bit-identical\n", wl_spec.size(), reuse_s,
-                 rebuild_s);
-
     // --- 3: two-phase memoization on power-only axes ---
     sim::SweepSpec memo_spec = powerAxesSweep();
     std::size_t memo_n = memo_spec.size();
@@ -243,12 +222,10 @@ runBench(FILE *out)
                  memo_n, memo_spec.workloads.size());
     std::vector<double> memo_e, full_e;
     std::size_t replayed = 0;
-    // Serial workers: the cross-worker cache then memoizes every
-    // possible scenario, making the measured ratio the architecture's
-    // (deterministic) upper bound instead of a race-dependent draw.
-    double memo_s = runOnce(memo_spec, 1, memo_e, true, true,
-                            &replayed);
-    double full_s = runOnce(memo_spec, 1, full_e, true, false);
+    // Serial workers on both sides, so the measured ratio is the
+    // memoization's alone, not a worker-scaling effect.
+    double memo_s = runOnce(memo_spec, 1, memo_e, true, &replayed);
+    double full_s = runOnce(memo_spec, 1, full_e, false);
     if (memo_e != full_e)
         fatal("memoized sweep results differ from full simulation");
     double speedup = full_s / memo_s;
@@ -279,10 +256,10 @@ runBench(FILE *out)
     std::filesystem::remove_all(store_dir);
     std::vector<double> cold_e, warm_e;
     std::size_t cold_captured = 0, warm_captured = 0;
-    double cold_s = runOnce(memo_spec, 1, cold_e, true, true, nullptr,
+    double cold_s = runOnce(memo_spec, 1, cold_e, true, nullptr,
                             store::openStore(store_dir),
                             &cold_captured);
-    double warm_s = runOnce(memo_spec, 1, warm_e, true, true, nullptr,
+    double warm_s = runOnce(memo_spec, 1, warm_e, true, nullptr,
                             store::openStore(store_dir),
                             &warm_captured);
     std::filesystem::remove_all(store_dir);

@@ -315,8 +315,7 @@ struct TracedVariant
 {
     std::unique_ptr<power::GpuPowerModel> model;
     thermal::BlockSet blocks;
-    std::unique_ptr<thermal::ThermalNetwork> exact_net;
-    std::unique_ptr<thermal::ThermalNetwork> euler_net;
+    std::unique_ptr<thermal::ThermalNetwork> net;
     std::vector<BlockPower> bp;
 };
 
@@ -363,12 +362,8 @@ runMetrics(FILE *out)
             TracedVariant v;
             v.model = std::make_unique<power::GpuPowerModel>(vcfg);
             v.blocks = v.model->thermalBlocks();
-            v.exact_net = std::make_unique<thermal::ThermalNetwork>(
+            v.net = std::make_unique<thermal::ThermalNetwork>(
                 v.blocks, vcfg.thermal);
-            ThermalConfig euler_tc = vcfg.thermal;
-            euler_tc.integrator = "euler";
-            v.euler_net = std::make_unique<thermal::ThermalNetwork>(
-                v.blocks, euler_tc);
             v.bp = v.model->blockPowers(snap.perf.activity);
             variants.push_back(std::move(v));
         }
@@ -386,11 +381,11 @@ runMetrics(FILE *out)
             for (double &p : scaled)
                 p *= scale;
             std::vector<double> fast =
-                v.exact_net->solveLinear(scaled);
+                v.net->solveLinear(scaled);
             // lint: thermal-solve-ok(bit-identity gate against the
             // dense oracle before any speedup is reported)
             std::vector<double> ref =
-                v.exact_net->solveLinearReference(scaled);
+                v.net->solveLinearReference(scaled);
             for (std::size_t i = 0; i < fast.size(); ++i)
                 if (fast[i] != ref[i])
                     fatal("factored solve diverged from the dense "
@@ -446,8 +441,7 @@ runMetrics(FILE *out)
         for (std::size_t vi = 0; vi < n_variants; ++vi) {
             const TracedVariant &v = variants[vi];
             const power::CompiledPowerModel &cpm = *cpms[vi];
-            thermal::ThermalNetwork::State st =
-                v.euler_net->ambientState();
+            thermal::ThermalNetwork::State st = v.net->ambientState();
             for (unsigned k = 0; k < stream_kernels; ++k) {
                 for (const ActivitySample &a : snap.samples) {
                     cpm.evaluate(a.delta, ev);
@@ -459,12 +453,15 @@ runMetrics(FILE *out)
                                           leak +
                                           ev.blocks[i].fixed_w;
                     }
-                    v.euler_net->advance(st, block_powers,
-                                         a.t1 - a.t0);
+                    // lint: thermal-solve-ok(pre-PR cost replica:
+                    // the reference side of the speedup gate marches
+                    // forward Euler)
+                    v.net->advanceEulerReference(st, block_powers,
+                                                 a.t1 - a.t0);
                     ref_check[vi] += ev.dynamic_w + ev.dram_w;
                 }
-                thermal::SteadyResult s = coldDenseSteady(
-                    *v.euler_net, *v.model, v.bp, 1.0);
+                thermal::SteadyResult s =
+                    coldDenseSteady(*v.net, *v.model, v.bp, 1.0);
                 GSP_ASSERT(s.converged, "reference steady diverged");
             }
         }
@@ -481,7 +478,7 @@ runMetrics(FILE *out)
     double fast_rate = measureRate([&] {
         fast_check.assign(n_variants, 0.0);
         for (std::size_t vi = 0; vi < n_variants; ++vi) {
-            states[vi] = variants[vi].exact_net->ambientState();
+            states[vi] = variants[vi].net->ambientState();
             warm[vi].clear();
         }
         for (unsigned k = 0; k < stream_kernels; ++k) {
@@ -504,12 +501,12 @@ runMetrics(FILE *out)
                             r.block_dynamic_w[si * n_blocks + i] +
                             leak + fixed;
                     }
-                    v.exact_net->advance(st, block_powers,
+                    v.net->advance(st, block_powers,
                                          a.t1 - a.t0);
                     fast_check[vi] += r.dynamic_w[si] + r.dram_w[si];
                 }
                 thermal::SteadyResult s = warmFactoredSteady(
-                    *v.exact_net, *v.model, v.bp, 1.0, warm[vi]);
+                    *v.net, *v.model, v.bp, 1.0, warm[vi]);
                 GSP_ASSERT(s.converged, "fast steady diverged");
                 fast_tmax[vi] = dieMax(v.blocks, s);
             }
@@ -523,7 +520,7 @@ runMetrics(FILE *out)
         // And the steady solutions agree to the fixed-point
         // tolerance.
         thermal::SteadyResult ref_steady = coldDenseSteady(
-            *variants[vi].euler_net, *variants[vi].model,
+            *variants[vi].net, *variants[vi].model,
             variants[vi].bp, 1.0);
         if (std::fabs(dieMax(variants[vi].blocks, ref_steady) -
                       fast_tmax[vi]) > 1e-2)

@@ -258,7 +258,6 @@ describe(GpuConfig &cfg, ParamIo &io)
         io.param("r_lateral_k_per_w", t.r_lateral_k_per_w);
         io.param("r_dram_k_per_w", t.r_dram_k_per_w);
         io.param("c_dram_j_per_k", t.c_dram_j_per_k);
-        io.param("integrator", t.integrator);
     });
 
     io.section("power_calib", [&] {
@@ -324,9 +323,6 @@ validate(const GpuConfig &cfg)
     if (th.throttle && !th.enabled)
         fatal("thermal throttling requires the thermal subsystem "
               "(thermal enabled)");
-    if (th.integrator != "exact" && th.integrator != "euler")
-        fatal("unknown thermal integrator '", th.integrator,
-              "' (expected exact or euler)");
     cfg.operatingPoint().validate();
 }
 

@@ -322,10 +322,6 @@ struct ThermalConfig
     double r_dram_k_per_w = 5.0;
     /** DRAM devices + board copper heat capacity, J/K. */
     double c_dram_j_per_k = 3.0;
-    /** Transient integration scheme: "exact" (cached LTI propagator,
-     *  the default) or "euler" (historical forward-Euler substepping,
-     *  kept for validation). Steady-state solves are unaffected. */
-    std::string integrator = "exact";
 
     /**
      * Apply a named cooling preset (sets cooling, cooling_scale, and

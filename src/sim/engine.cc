@@ -58,17 +58,18 @@ finalizeScenario(ScenarioResult &result, const Simulator &simulator)
 }
 
 /**
- * Replay one batched work unit from `snapshot`, starting at member
- * index `first`: first == 1 when unit[0] was just captured (and
- * published) by the caller, first == 0 when the snapshot came from an
- * external source (EngineOptions::snapshot_source) and every member
- * replays. All replayed members are power-only variants of the same
- * timing fingerprint. Traced snapshots evaluate all variants'
- * intervals together through the batched matrix evaluator (kernels
- * outer, variants inner: each kernel's activity matrix is packed once
- * and multiplied against the whole coefficient stack); untraced
- * snapshots fall back to the scalar whole-kernel replay per variant,
- * where there is no interval loop to batch.
+ * Replay one work unit from `snapshot`, starting at member index
+ * `first`: first == 1 when unit[0] was just captured (and published)
+ * by the caller, first == 0 when the snapshot came from an external
+ * source (EngineOptions::snapshot_source) and every member replays.
+ * All replayed members are power-only variants of the same timing
+ * fingerprint. Traced snapshots evaluate all variants' intervals
+ * together through the batched matrix evaluator (kernels outer,
+ * variants inner: each kernel's activity matrix is packed once and
+ * multiplied against the whole coefficient stack). Untraced
+ * snapshots have no interval loop to batch, so they replay whole
+ * kernels one variant — one live Simulator — at a time, which keeps
+ * memory flat however wide the group is.
  */
 template <typename Publish>
 void
@@ -298,22 +299,12 @@ SimulationEngine::run(const SweepSpec &spec) const
     obs::Counter &c_captured = reg.counter(
         "engine/scenarios_captured",
         "scenarios that ran timing and captured a snapshot");
-    obs::Counter &c_replayed = reg.counter(
-        "engine/scenarios_replayed",
-        "scenarios replayed from a memoized snapshot");
+    // Counted by replayGroup(), which looks the instrument up by name.
+    reg.counter("engine/scenarios_replayed",
+                "scenarios replayed from a memoized snapshot");
     obs::Counter &c_governed = reg.counter(
         "engine/scenarios_governed",
         "scenarios pinned to full simulation by the governor");
-    obs::Counter &c_cache_hit = reg.counter(
-        "engine/snapshot_cache_hit",
-        "ungrouped-schedule snapshot cache hits");
-    obs::Counter &c_cache_miss = reg.counter(
-        "engine/snapshot_cache_miss",
-        "ungrouped-schedule snapshot cache misses");
-    obs::Counter &c_insert_race = reg.counter(
-        "engine/snapshot_cache_insert_race",
-        "snapshot captures discarded because another worker "
-        "published the key first");
     obs::Counter &c_batch_groups = reg.counter(
         "engine/batch_groups",
         "batched replay groups (work units with replay members)");
@@ -330,7 +321,7 @@ SimulationEngine::run(const SweepSpec &spec) const
         "worker lifetime not spent inside work units");
     obs::Histogram &h_group_size = reg.histogram(
         "engine/batch_group_size",
-        "work-unit sizes of the grouped (batch replay) schedule");
+        "work-unit sizes of the memoized (grouped) schedule");
 
     // Telemetry meters its own window of the process-wide registry.
     const obs::MetricsSnapshot metrics_before = reg.snapshot();
@@ -350,18 +341,16 @@ SimulationEngine::run(const SweepSpec &spec) const
             ++governed;
     c_governed.add(governed);
 
-    // Work units the pool pulls from. With batched group replay each
+    // Work units the pool pulls from. Under memoization each
     // timing-unique Scenario::snapshotKey() becomes one unit: its
-    // first scenario captures the snapshot, every other member
-    // replays through the batched matrix evaluator. Otherwise every
-    // scenario is its own unit and memoization (when on) goes
-    // through the cross-worker snapshot cache below. Grouping also
-    // removes that cache's duplicated-capture race: exactly one
-    // worker ever simulates a key.
-    const bool grouped = _options.memoize && _options.batch_replay;
+    // first scenario captures the snapshot (unless the external
+    // source already has it), every other member replays through
+    // the batched matrix evaluator, and exactly one worker ever
+    // simulates a key. Without memoization, and for governed
+    // scenarios, every scenario is its own full-simulation unit.
     std::vector<std::vector<std::size_t>> units;
     units.reserve(total);
-    if (grouped) {
+    if (_options.memoize) {
         // lint: unordered-ok(lookup/emplace only, never iterated;
         // unit membership order comes from the ascending scenario
         // index loop below, so hash order cannot reach results)
@@ -377,17 +366,14 @@ SimulationEngine::run(const SweepSpec &spec) const
                 units.emplace_back();
             units[ins.first->second].push_back(i);
         }
-    } else {
-        for (std::size_t i = 0; i < total; ++i)
-            units.push_back({i});
-    }
-
-    if (grouped) {
         for (const auto &unit : units) {
             h_group_size.record(unit.size());
             if (unit.size() > 1)
                 c_batch_groups.add(1);
         }
+    } else {
+        for (std::size_t i = 0; i < total; ++i)
+            units.push_back({i});
     }
 
     unsigned workers = _jobs;
@@ -399,23 +385,6 @@ SimulationEngine::run(const SweepSpec &spec) const
     std::atomic<std::size_t> replayed{0};
     std::atomic<std::size_t> captured{0};
     std::mutex progress_mutex;
-
-    // Cross-worker snapshot cache for the ungrouped schedule, scoped
-    // to this run (engine options are uniform within it, so
-    // with_trace/sampling never split the key). The first scenario
-    // of each snapshotKey() publishes its phase-1 snapshot; everyone
-    // after replays it. Two workers racing on the same key both
-    // simulate — wasted work, never wrong — and the first insert
-    // wins. shared_ptr<const> lets replayers read while the map
-    // keeps growing. Unused when grouping already made each key a
-    // single unit.
-    std::mutex snapshot_mutex;
-    // lint: unordered-ok(per-key find/emplace only, never iterated;
-    // results publish into index-addressed SweepResult slots, so the
-    // cache's hash order cannot reach output ordering)
-    std::unordered_map<std::string,
-                       std::shared_ptr<const ActivitySnapshot>>
-        snapshots;
 
     // First-by-index exception: deterministic regardless of which
     // worker hit it or how completion interleaved.
@@ -443,22 +412,15 @@ SimulationEngine::run(const SweepSpec &spec) const
         power::BatchedPowerEvaluator::Workspace batch_ws;
 
         auto acquire = [&](const Scenario &scenario) -> Simulator & {
-            if (_options.reuse_simulators) {
-                std::string fp = scenario.config.toXml();
-                if (cached && cached_fp == fp) {
-                    cached->recycle();
-                    c_recycles.add(1);
-                } else {
-                    cached =
-                        std::make_unique<Simulator>(scenario.config);
-                    c_builds.add(1);
-                }
-                cached_fp = std::move(fp);
+            std::string fp = scenario.config.toXml();
+            if (cached && cached_fp == fp) {
+                cached->recycle();
+                c_recycles.add(1);
             } else {
                 cached = std::make_unique<Simulator>(scenario.config);
                 c_builds.add(1);
-                cached_fp.clear();
             }
+            cached_fp = std::move(fp);
             return *cached;
         };
 
@@ -488,139 +450,53 @@ SimulationEngine::run(const SweepSpec &spec) const
                 }
             };
             try {
-                const bool hooked = static_cast<bool>(
-                    _options.snapshot_source || _options.snapshot_sink);
-                if (unit.size() > 1 ||
-                    (grouped && hooked &&
-                     scenarios[unit.front()].replayable())) {
+                const Scenario &first = scenarios[unit.front()];
+                if (!_options.memoize || !first.replayable()) {
+                    GSP_TRACE_SPAN("engine/scenario");
+                    publish(runScenario(first, acquire(first), nullptr));
+                } else {
                     // One snapshot serves the whole unit: either the
                     // external source already has one for this key
                     // (then every member replays, zero timing cost),
                     // or the unit's first scenario captures it and
-                    // the power-only variants batch-replay. Singleton
-                    // replayable units take this path too when hooks
-                    // are set, so the store sees every key.
+                    // the power-only variants batch-replay.
                     GSP_TRACE_SPAN("engine/batch_group");
-                    const Scenario &first = scenarios[unit.front()];
-
-                    std::shared_ptr<const ActivitySnapshot> external;
+                    std::shared_ptr<const ActivitySnapshot> snapshot;
                     if (_options.snapshot_source)
-                        external = _options.snapshot_source(first);
-                    if (external) {
-                        GSP_TRACE_SPAN("engine/replay");
-                        if (unit.size() == 1) {
-                            publish(replayScenario(first, *external,
-                                                   acquire(first)));
-                            replayed.fetch_add(1);
-                            c_replayed.add(1);
-                        } else {
-                            replayGroup(*this, scenarios, unit, 0,
-                                        *external, batch_ws, publish,
-                                        replayed);
+                        snapshot = _options.snapshot_source(first);
+                    std::size_t replay_from = 0;
+                    if (!snapshot) {
+                        auto captured_snap =
+                            std::make_shared<ActivitySnapshot>();
+                        try {
+                            GSP_TRACE_SPAN("engine/capture");
+                            publish(runScenario(first, acquire(first),
+                                                captured_snap.get()));
+                        } catch (...) {
+                            // A source that registered in-flight
+                            // state on the miss must be released, or
+                            // waiters on this key would block forever.
+                            if (_options.snapshot_sink)
+                                _options.snapshot_sink(first, nullptr);
+                            throw;
                         }
-                        busy_ns += obs::monotonicNs() - t_unit0;
-                        continue;
-                    }
-
-                    auto captured_snap =
-                        std::make_shared<ActivitySnapshot>();
-                    try {
-                        GSP_TRACE_SPAN("engine/capture");
-                        publish(runScenario(first, acquire(first),
-                                            captured_snap.get()));
-                    } catch (...) {
-                        // A source that registered in-flight state on
-                        // the miss must be released, or waiters on
-                        // this key would block forever.
+                        captured.fetch_add(1);
+                        c_captured.add(1);
+                        // Persist before replaying the variants so
+                        // other jobs waiting on this key unblock
+                        // immediately.
                         if (_options.snapshot_sink)
-                            _options.snapshot_sink(first, nullptr);
-                        throw;
+                            _options.snapshot_sink(first, captured_snap);
+                        snapshot = std::move(captured_snap);
+                        replay_from = 1;
                     }
-                    captured.fetch_add(1);
-                    c_captured.add(1);
-                    // Persist before replaying the variants so other
-                    // jobs waiting on this key unblock immediately.
-                    if (_options.snapshot_sink)
-                        _options.snapshot_sink(first, captured_snap);
-                    if (unit.size() > 1) {
+                    if (replay_from < unit.size()) {
                         GSP_TRACE_SPAN("engine/replay");
-                        replayGroup(*this, scenarios, unit, 1,
-                                    *captured_snap, batch_ws, publish,
+                        replayGroup(*this, scenarios, unit, replay_from,
+                                    *snapshot, batch_ws, publish,
                                     replayed);
                     }
-                    busy_ns += obs::monotonicNs() - t_unit0;
-                    continue;
                 }
-
-                GSP_TRACE_SPAN("engine/scenario");
-                const Scenario &scenario = scenarios[unit.front()];
-                // Memoization first: a cache hit skips the timing
-                // run entirely.
-                std::string key;
-                std::shared_ptr<const ActivitySnapshot> snapshot;
-                if (!grouped && _options.memoize &&
-                    scenario.replayable()) {
-                    key = scenario.snapshotKey();
-                    {
-                        std::lock_guard<std::mutex> lock(
-                            snapshot_mutex);
-                        auto it = snapshots.find(key);
-                        if (it != snapshots.end())
-                            snapshot = it->second;
-                        (snapshot ? c_cache_hit : c_cache_miss).add(1);
-                    }
-                    // In-run miss: ask the external source (outside
-                    // the cache mutex — the call may block) and seed
-                    // the run cache with what it returns.
-                    if (!snapshot && _options.snapshot_source) {
-                        snapshot = _options.snapshot_source(scenario);
-                        if (snapshot) {
-                            std::lock_guard<std::mutex> lock(
-                                snapshot_mutex);
-                            snapshots.emplace(key, snapshot);
-                        }
-                    }
-                }
-
-                ScenarioResult result;
-                if (snapshot) {
-                    GSP_TRACE_SPAN("engine/replay");
-                    result = replayScenario(scenario, *snapshot,
-                                            acquire(scenario));
-                    replayed.fetch_add(1);
-                    c_replayed.add(1);
-                } else if (!key.empty()) {
-                    auto captured_snap =
-                        std::make_shared<ActivitySnapshot>();
-                    // acquire() inside the try: once the source has
-                    // declined, a claim may be held, and even a
-                    // Simulator construction failure must release it.
-                    try {
-                        GSP_TRACE_SPAN("engine/capture");
-                        result = runScenario(scenario,
-                                             acquire(scenario),
-                                             captured_snap.get());
-                    } catch (...) {
-                        // Release the source's in-flight claim.
-                        if (_options.snapshot_sink)
-                            _options.snapshot_sink(scenario, nullptr);
-                        throw;
-                    }
-                    captured.fetch_add(1);
-                    c_captured.add(1);
-                    if (_options.snapshot_sink)
-                        _options.snapshot_sink(scenario,
-                                               captured_snap);
-                    std::lock_guard<std::mutex> lock(snapshot_mutex);
-                    if (!snapshots
-                             .emplace(key, std::move(captured_snap))
-                             .second)
-                        c_insert_race.add(1);
-                } else {
-                    result = runScenario(scenario, acquire(scenario),
-                                         nullptr);
-                }
-                publish(std::move(result));
             } catch (...) {
                 // The failed run may have left the Simulator mid-
                 // kernel; never recycle it into another scenario.

@@ -17,19 +17,17 @@
  * of once per scenario. Device state is reset between scenarios, so
  * reuse is observationally identical to a fresh Simulator.
  *
- * On top of that sits the two-phase memoization: the first scenario
- * of each Scenario::snapshotKey() runs timing and publishes its
- * ActivitySnapshot into a cross-worker cache; every later scenario
- * that differs only in power-only axes (process node, vdd_scale,
- * cooling) replays the power phase from that snapshot — bit-identical
- * to a full run, minus the entire timing simulation.
- *
- * With batch_replay (the default) the memoized variants of one
- * snapshot key are scheduled as a single work unit and their traced
- * intervals are evaluated together through the batched matrix
- * evaluator — many intervals x many power variants per pass — which
- * also removes the legacy cache's duplicated-capture race between
- * workers that start the same key concurrently.
+ * On top of that sits the two-phase memoization, which is also the
+ * one schedule: every replayable scenario joins the work unit of its
+ * Scenario::snapshotKey(). A unit's snapshot comes from the external
+ * source (EngineOptions::snapshot_source) or from timing its first
+ * scenario; every other member — a variant that differs only in
+ * power-only axes (process node, vdd_scale, cooling) — replays the
+ * power phase from it, traced intervals evaluated together through
+ * the batched matrix evaluator (many intervals x many power variants
+ * per pass), bit-identical to a full run minus the entire timing
+ * simulation. Without memoization, and for throttle-governed
+ * scenarios, every scenario is a full simulation of its own.
  */
 
 #ifndef GPUSIMPOW_SIM_ENGINE_HH
@@ -69,15 +67,6 @@ struct EngineOptions
     /** Trace sampling period, s. */
     double sample_interval_s = 20e-6;
     /**
-     * Recycle a worker's Simulator (and with it the expensive power
-     * model) across scenarios whose (config, node, operating point)
-     * fingerprints are identical, instead of rebuilding it per
-     * scenario. Results are bit-identical either way — the knob
-     * exists for benchmarking the rebuild cost (bench_sweep_throughput)
-     * and as an escape hatch.
-     */
-    bool reuse_simulators = true;
-    /**
      * Memoize phase-1 activity snapshots across scenarios (and
      * workers): a scenario whose Scenario::snapshotKey() has already
      * been simulated in this run replays its power phase from the
@@ -86,22 +75,10 @@ struct EngineOptions
      * (process node, vdd_scale, cooling). Scenarios under a
      * throttling governor always fall back to full simulation
      * (power-to-timing feedback). Results are bit-identical either
-     * way; `gpusimpow --sweep --no-memo` is the CLI escape hatch.
+     * way; `gpusimpow --sweep --no-memo` is the CLI escape hatch and
+     * the oracle the memoized path is tested against.
      */
     bool memoize = true;
-    /**
-     * Replay all memoized power-only variants of a timing-unique
-     * snapshot together: the engine groups scenarios by
-     * Scenario::snapshotKey(), the first scenario of each group runs
-     * timing once, and the rest evaluate their traced intervals
-     * through the batched matrix evaluator (power/batched.hh) in one
-     * pass instead of re-walking the scalar per-interval loop per
-     * variant. Only scheduling and throughput change — every result
-     * is bit-identical with the knob on or off (the batched
-     * evaluator's contract, asserted by test_batched_power). Ignored
-     * unless memoize is also set.
-     */
-    bool batch_replay = true;
     /**
      * Called after each scenario finishes (from worker threads, but
      * serialized by the engine): finished result, completed count,
@@ -145,17 +122,7 @@ struct EngineOptions
         sample_interval_s = interval_s;
         return *this;
     }
-    EngineOptions &withReuseSimulators(bool on)
-    {
-        reuse_simulators = on;
-        return *this;
-    }
     EngineOptions &withMemoize(bool on) { memoize = on; return *this; }
-    EngineOptions &withBatchReplay(bool on)
-    {
-        batch_replay = on;
-        return *this;
-    }
     EngineOptions &withProgress(
         std::function<void(const ScenarioResult &, std::size_t,
                            std::size_t)> fn)

@@ -29,9 +29,6 @@
  *                               358; requires --cooling)
  *     --throttle                clamp the core clock when a block
  *                               exceeds --t-limit (requires --cooling)
- *     --thermal-integrator X    transient integration scheme,
- *                               exact|euler (default exact; requires
- *                               --cooling)
  *     --stats                   dump raw activity counters
  *     --static-only             print area/static report and exit
  *     --dump-config             print the effective XML and exit
@@ -134,7 +131,6 @@ struct Options
     double t_limit_k = 0.0;
     bool t_limit_set = false;
     bool throttle = false;
-    std::string thermal_integrator;
     bool stats = false;
     bool static_only = false;
     bool dump_config = false;
@@ -159,7 +155,6 @@ usage()
         "                 [--trace FILE.csv] [--sample-us N]\n"
         "                 [--cooling stock|constrained|liquid]\n"
         "                 [--ambient K] [--t-limit K] [--throttle]\n"
-        "                 [--thermal-integrator exact|euler]\n"
         "                 [--stats] [--static-only] [--dump-config]\n"
         "                 [--list]\n"
         "                 [--sweep] [--jobs N] [--no-memo]\n"
@@ -246,13 +241,6 @@ parseArgs(int argc, char **argv)
                       " K out of range (200, 500]");
         } else if (arg == "--throttle") {
             opt.throttle = true;
-        } else if (arg == "--thermal-integrator") {
-            opt.thermal_integrator =
-                need_value("--thermal-integrator");
-            if (opt.thermal_integrator != "exact" &&
-                opt.thermal_integrator != "euler")
-                fatal("--thermal-integrator '", opt.thermal_integrator,
-                      "' (expected exact or euler)");
         } else if (arg == "--stats") {
             opt.stats = true;
         } else if (arg == "--static-only") {
@@ -431,10 +419,8 @@ void
 checkThermalFlagDeps(const Options &opt)
 {
     if (opt.cooling.empty() &&
-        (opt.ambient_set || opt.t_limit_set || opt.throttle ||
-         !opt.thermal_integrator.empty()))
-        fatal("--ambient/--t-limit/--throttle/--thermal-integrator "
-              "require --cooling");
+        (opt.ambient_set || opt.t_limit_set || opt.throttle))
+        fatal("--ambient/--t-limit/--throttle require --cooling");
 }
 
 /** Fold --ambient/--t-limit/--throttle into a config's thermal
@@ -448,8 +434,6 @@ applyThermalScalars(const Options &opt, GpuConfig &cfg)
         cfg.thermal.t_limit_k = opt.t_limit_k;
     if (opt.throttle)
         cfg.thermal.throttle = true;
-    if (!opt.thermal_integrator.empty())
-        cfg.thermal.integrator = opt.thermal_integrator;
     if (cfg.thermal.t_limit_k <= cfg.thermal.ambient_k)
         fatal("--t-limit (", cfg.thermal.t_limit_k,
               " K) must exceed the ambient temperature (",
@@ -516,12 +500,6 @@ checkSweepFlagDeps(const Options &opt, const char *mode)
     if (opt.vdd_scale_set || opt.freq_scale_set)
         fatal("--vdd-scale/--freq-scale apply to single runs; use "
               "--vf V[:F],... to sweep operating points");
-    // The integrator changes no steady-state result, so a sweep axis
-    // for it would only produce duplicate rows; set
-    // thermal.integrator in --config XML to pin it for a sweep.
-    if (!opt.thermal_integrator.empty())
-        fatal("--thermal-integrator applies to single runs; set "
-              "thermal.integrator in --config XML for ", mode);
 }
 
 void

@@ -113,7 +113,7 @@ Simulator::applyFreqScale(double freq_scale)
 }
 
 const power::BatchedKernelPower &
-Simulator::selfBatchRows(const KernelSnapshot &snap)
+Simulator::selfBatchRows(const KernelSnapshot &snap, bool want_blocks)
 {
     if (!_self_batch)
         _self_batch = std::make_unique<SelfBatch>(_power->compiled());
@@ -122,7 +122,7 @@ Simulator::selfBatchRows(const KernelSnapshot &snap)
     sb.acts.reserve(snap.samples.size());
     for (const ActivitySample &a : snap.samples)
         sb.acts.push_back(&a.delta);
-    sb.eval.evaluate(sb.acts, /*want_blocks=*/true, sb.ws, sb.out);
+    sb.eval.evaluate(sb.acts, want_blocks, sb.ws, sb.out);
     return sb.out.front();
 }
 
@@ -170,19 +170,22 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
 {
     KernelRun run;
     run.perf = snap.perf;
-    if (batched) {
-        GSP_ASSERT(batched->n_intervals == snap.samples.size(),
-                   "batched power rows do not match the snapshot");
-    }
 
-    // Per-interval power evaluation runs on the compiled model: a
-    // handful of dot products into a reused workspace, instead of a
-    // PowerNode tree per sample — or, on the batched replay path,
-    // reads the rows a BatchedPowerEvaluator already produced for
-    // this variant (bit-identical by its contract).
-    const power::CompiledPowerModel &cpm = _power->compiled();
+    // Per-interval power is read from BatchedKernelPower rows: the
+    // ones an engine group's multi-variant pass produced for this
+    // variant, or — with no group — one width-1 pass of this
+    // simulator's own compiled model over all intervals. Either way
+    // the loops below only index precomputed rows.
     bool thermal_on = _cfg.thermal.enabled;
+    auto ensureRows = [&](bool want_blocks) {
+        if (!batched && !snap.samples.empty())
+            batched = &selfBatchRows(snap, want_blocks);
+        GSP_ASSERT(snap.samples.empty() ||
+                       batched->n_intervals == snap.samples.size(),
+                   "batched power rows do not match the snapshot");
+    };
     if (snap.with_trace && !thermal_on) {
+        ensureRows(false);
         double static_w = _power->staticPower();
         run.trace.reserve(snap.samples.size());
         for (std::size_t i = 0; i < snap.samples.size(); ++i) {
@@ -190,14 +193,8 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
             PowerSample s;
             s.t0 = a.t0;
             s.t1 = a.t1;
-            if (batched) {
-                s.dynamic_w = batched->dynamic_w[i];
-                s.dram_w = batched->dram_w[i];
-            } else {
-                cpm.evaluate(a.delta, _eval);
-                s.dynamic_w = _eval.dynamic_w;
-                s.dram_w = _eval.dram_w;
-            }
+            s.dynamic_w = batched->dynamic_w[i];
+            s.dram_w = batched->dram_w[i];
             s.static_w = static_w;
             run.trace.push_back(s);
         }
@@ -207,66 +204,41 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
         // the RC network under that interval's block powers, with
         // the leakage share of the next interval re-evaluated at the
         // current transient temperatures — the feedback loop, sampled.
-        // The batched rows carry the per-block dynamic split and the
+        // The rows carry the per-block dynamic split and the
         // nominal-temperature statics, so the temperature-dependent
-        // leakage scale stays a per-interval scalar either way.
+        // leakage scale is a per-interval scalar.
         ensureThermal();
-        // No precomputed rows from an engine group? Batch them
-        // ourselves: all intervals' temperature-independent rows in
-        // one pass, so the loop below never re-runs the scalar
-        // per-interval evaluation. Bit-identical by the batched
-        // evaluator's contract.
-        if (!batched && !snap.samples.empty())
-            batched = &selfBatchRows(snap);
-        if (batched) {
-            GSP_ASSERT(snap.samples.empty() ||
-                           (batched->n_blocks == _blocks.size() &&
-                            !batched->static_blocks.empty()),
-                       "batched power rows lack the per-block split "
-                       "the thermal march needs");
-        }
+        ensureRows(true);
+        GSP_ASSERT(snap.samples.empty() ||
+                       (batched->n_blocks == _blocks.size() &&
+                        !batched->static_blocks.empty()),
+                   "batched power rows lack the per-block split "
+                   "the thermal march needs");
+        const power::CompiledPowerModel &cpm = _power->compiled();
         run.trace.reserve(snap.samples.size());
         run.thermal.trace.reserve(snap.samples.size());
         for (std::size_t si = 0; si < snap.samples.size(); ++si) {
             const ActivitySample &a = snap.samples[si];
-            double dynamic_w, dram_w;
-            const double *block_dyn = nullptr;
-            const power::BlockPower *block_static = nullptr;
-            if (batched) {
-                dynamic_w = batched->dynamic_w[si];
-                dram_w = batched->dram_w[si];
-                block_dyn = batched->block_dynamic_w.data() +
-                            si * batched->n_blocks;
-                block_static = batched->static_blocks.data();
-            } else {
-                cpm.evaluate(a.delta, _eval);
-                dynamic_w = _eval.dynamic_w;
-                dram_w = _eval.dram_w;
-            }
+            double dynamic_w = batched->dynamic_w[si];
+            double dram_w = batched->dram_w[si];
+            const double *block_dyn = batched->block_dynamic_w.data() +
+                                      si * batched->n_blocks;
+            const power::BlockPower *block_static =
+                batched->static_blocks.data();
             if (!_thermal_state.initialized)
                 _thermal_state = _network->ambientState();
             _block_powers.assign(_blocks.size(), 0.0);
             double chip_static = 0.0;
             for (std::size_t i = 0; i < _blocks.size(); ++i) {
-                double dyn, sub, fixed;
-                if (batched) {
-                    dyn = block_dyn[i];
-                    sub = block_static[i].sub_leak_w;
-                    // The DRAM board block's fixed share is the
-                    // per-interval DRAM power (batched rows keep it
-                    // out of the static split).
-                    fixed = i == _blocks.dramIndex()
-                                ? dram_w
-                                : block_static[i].fixed_w;
-                } else {
-                    dyn = _eval.blocks[i].dynamic_w;
-                    sub = _eval.blocks[i].sub_leak_w;
-                    fixed = _eval.blocks[i].fixed_w;
-                }
-                double leak =
-                    sub *
-                    cpm.subLeakScaleAt(_thermal_state.temps_k[i]);
-                _block_powers[i] = dyn + leak + fixed;
+                double leak = block_static[i].sub_leak_w *
+                              cpm.subLeakScaleAt(_thermal_state.temps_k[i]);
+                // The DRAM board block's fixed share is the
+                // per-interval DRAM power (the rows keep it out of
+                // the static split).
+                double fixed = i == _blocks.dramIndex()
+                                   ? dram_w
+                                   : block_static[i].fixed_w;
+                _block_powers[i] = block_dyn[i] + leak + fixed;
                 if (i != _blocks.dramIndex())
                     chip_static += leak + fixed;
             }
@@ -291,12 +263,6 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
 
     run.report = _power->evaluate(run.perf.activity);
     return run;
-}
-
-KernelRun
-Simulator::replayKernel(const KernelSnapshot &snap)
-{
-    return replayKernel(snap, nullptr);
 }
 
 KernelRun

@@ -173,21 +173,18 @@ class Simulator
      * fatal() on throttle-governed configurations: the governor's
      * power-to-clock feedback changes timing, which a replay cannot
      * reproduce; run those kernels in full.
-     */
-    KernelRun replayKernel(const KernelSnapshot &snap);
-
-    /**
-     * replayKernel() with this configuration's per-interval power
-     * already computed by a BatchedPowerEvaluator over the
-     * snapshot's samples (power/batched.hh): the trace loops consume
-     * the precomputed dynamic/DRAM rows instead of re-running the
-     * scalar per-interval evaluation, which is where a multi-variant
-     * sweep replay spends its time. Bit-identical to
-     * replayKernel(snap) by the batched evaluator's contract;
-     * batched == nullptr is exactly replayKernel(snap).
+     *
+     * Traced intervals always read BatchedKernelPower rows: `batched`
+     * when an engine group already evaluated this configuration over
+     * the snapshot's samples in one multi-variant pass
+     * (power/batched.hh), otherwise rows the simulator batches itself
+     * at width 1. Either way the rows are bit-identical to the scalar
+     * CompiledPowerModel::evaluate() by the batched evaluator's
+     * contract.
      */
     KernelRun replayKernel(const KernelSnapshot &snap,
-                           const power::BatchedKernelPower *batched);
+                           const power::BatchedKernelPower *batched =
+                               nullptr);
 
     /**
      * Reset device-visible state so the next workload runs exactly as
@@ -214,10 +211,6 @@ class Simulator
     /** Transient temperatures carried across kernels; reset by
      *  recycle() so simulator reuse stays bit-identical. */
     thermal::ThermalNetwork::State _thermal_state;
-    /** Reusable workspace of the compiled power evaluator: the trace
-     *  loops evaluate thousands of intervals per kernel with zero
-     *  per-interval allocation. */
-    power::CompiledPowerModel::Eval _eval;
     /** Per-block power scratch of the transient thermal march. */
     std::vector<double> _block_powers;
     /** Last converged steady-state block temperatures: the warm
@@ -225,24 +218,25 @@ class Simulator
      *  recycle() clears it with the rest of the thermal state, so
      *  simulator reuse stays deterministic. */
     std::vector<double> _steady_warm;
-    /** Self-batching state of the traced thermal path: a
-     *  single-variant BatchedPowerEvaluator over this simulator's
-     *  compiled model plus its workspace/output buffers, built
-     *  lazily and invalidated when the power model is rebuilt. */
+    /** Self-batching state of the trace loops: a single-variant
+     *  BatchedPowerEvaluator over this simulator's compiled model
+     *  plus its workspace/output buffers, built lazily and
+     *  invalidated when the power model is rebuilt. */
     struct SelfBatch;
     std::unique_ptr<SelfBatch> _self_batch;
 
     void ensureThermal();
     void applyFreqScale(double freq_scale);
     /** Batch-evaluate a snapshot's intervals against this
-     *  simulator's own compiled model (see SelfBatch). */
+     *  simulator's own compiled model (see SelfBatch); want_blocks
+     *  adds the per-block rows the thermal march consumes. */
     const power::BatchedKernelPower &
-    selfBatchRows(const KernelSnapshot &snap);
+    selfBatchRows(const KernelSnapshot &snap, bool want_blocks);
     /** Evaluate the per-interval power (and, with thermal on, march
      *  the transient state) over a snapshot's samples, plus the
-     *  whole-kernel nominal-temperature report. When batched is
-     *  non-null the per-interval values come from its precomputed
-     *  rows instead of the scalar compiled evaluation. */
+     *  whole-kernel nominal-temperature report. The per-interval
+     *  values come from `batched` when non-null, else from
+     *  selfBatchRows(). */
     KernelRun evaluateSamples(const KernelSnapshot &snap,
                               const power::BatchedKernelPower *batched);
     KernelRun runOnce(const perf::KernelProgram &prog,

@@ -53,7 +53,7 @@ struct Scenario
     bool replayable() const;
 
     /**
-     * Key of the engine's cross-worker snapshot cache: the timing
+     * Key of the engine's memoized work units: the timing
      * fingerprint of the configuration plus the workload identity
      * (name, scale, verify). Two scenarios with equal keys produce
      * bit-identical phase-1 results, whatever their process node,

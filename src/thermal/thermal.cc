@@ -33,8 +33,7 @@ constexpr unsigned steady_max_iterations = 1000;
 
 /** Transient substep cap; longer spans snap to the steady solution
  *  (they exceed every time constant by orders of magnitude). Shared
- *  by both integrators so switching them never changes which spans
- *  snap. */
+ *  by advance() and the Euler reference so both snap the same spans. */
 constexpr unsigned max_substeps = 50000;
 
 /** Propagator cache bound: distinct dts come from trace sampling
@@ -195,9 +194,6 @@ ThermalNetwork::ThermalNetwork(const BlockSet &blocks,
     GSP_ASSERT(r_hs > 0.0, "heatsink resistance must be positive");
     _g_amb[hs] = 1.0 / r_hs;
     _c[hs] = tc.c_heatsink_j_per_k;
-
-    _integrator = tc.integrator == "euler" ? Integrator::euler
-                                           : Integrator::exact;
 
     // Forward Euler is stable below 2*C/G per node; keep a 2x
     // margin. The network is immutable, so compute it once here.
@@ -499,11 +495,40 @@ ThermalNetwork::propagatorFor(double dt_s) const
     return *_propagators.back();
 }
 
-void
-ThermalNetwork::advanceExact(State &state,
+bool
+ThermalNetwork::beginAdvance(State &state,
                              const std::vector<double> &powers_w,
                              double dt_s) const
 {
+    GSP_ASSERT(powers_w.size() == _blocks.size(),
+               "power vector does not match block set");
+    if (!state.initialized)
+        state = ambientState();
+    GSP_ASSERT(state.temps_k.size() == _n,
+               "thermal state does not match network");
+    if (dt_s <= 0.0)
+        return false;
+
+    if (dt_s / _max_stable_dt > static_cast<double>(max_substeps)) {
+        // The span dwarfs every time constant: the trajectory has
+        // long since settled at the fixed-power steady solution.
+        // (It also keeps the exact path's squaring count bounded.)
+        solveLinearInto(powers_w, state.scratch);
+        for (std::size_t i = 0; i < _n; ++i)
+            state.temps_k[i] =
+                std::min(state.scratch[i], runaway_cap_k);
+        return false;
+    }
+    return true;
+}
+
+void
+ThermalNetwork::advance(State &state,
+                        const std::vector<double> &powers_w,
+                        double dt_s) const
+{
+    if (!beginAdvance(state, powers_w, dt_s))
+        return;
     const Propagator &prop = propagatorFor(dt_s);
     const std::size_t n = _n;
     assembleRhs(powers_w, state.scratch2);
@@ -522,10 +547,12 @@ ThermalNetwork::advanceExact(State &state,
 }
 
 void
-ThermalNetwork::advanceEuler(State &state,
-                             const std::vector<double> &powers_w,
-                             double dt_s) const
+ThermalNetwork::advanceEulerReference(State &state,
+                                      const std::vector<double> &powers_w,
+                                      double dt_s) const
 {
+    if (!beginAdvance(state, powers_w, dt_s))
+        return;
     double steps_needed = dt_s / _max_stable_dt;
     unsigned steps =
         std::max(1u, static_cast<unsigned>(std::ceil(steps_needed)));
@@ -546,38 +573,6 @@ ThermalNetwork::advanceEuler(State &state,
         }
         state.temps_k.swap(next);
     }
-}
-
-void
-ThermalNetwork::advance(State &state,
-                        const std::vector<double> &powers_w,
-                        double dt_s) const
-{
-    GSP_ASSERT(powers_w.size() == _blocks.size(),
-               "power vector does not match block set");
-    if (!state.initialized)
-        state = ambientState();
-    GSP_ASSERT(state.temps_k.size() == _n,
-               "thermal state does not match network");
-    if (dt_s <= 0.0)
-        return;
-
-    if (dt_s / _max_stable_dt > static_cast<double>(max_substeps)) {
-        // The span dwarfs every time constant: the trajectory has
-        // long since settled at the fixed-power steady solution.
-        // (Shared by both integrators — it also keeps the exact
-        // path's squaring count bounded.)
-        solveLinearInto(powers_w, state.scratch);
-        for (std::size_t i = 0; i < _n; ++i)
-            state.temps_k[i] =
-                std::min(state.scratch[i], runaway_cap_k);
-        return;
-    }
-
-    if (_integrator == Integrator::exact)
-        advanceExact(state, powers_w, dt_s);
-    else
-        advanceEuler(state, powers_w, dt_s);
 }
 
 } // namespace thermal

@@ -18,11 +18,12 @@
  * the constructor factors it once (partial-pivoted LU, performing the
  * elimination in the exact order the historical one-shot dense solve
  * used, so every solution stays bit-identical) and every linear solve
- * afterwards is an O(n^2) substitution. Transients integrate either
- * with the historical forward-Euler substepping or — the default —
- * with an exact LTI propagator per distinct time step (the RC network
- * under piecewise-constant power is linear time-invariant, so
- * T' = P*T + Q*u is exact for any dt), cached keyed on dt.
+ * afterwards is an O(n^2) substitution. Transients integrate with an
+ * exact LTI propagator per distinct time step (the RC network under
+ * piecewise-constant power is linear time-invariant, so
+ * T' = P*T + Q*u is exact for any dt), cached keyed on dt; the
+ * historical forward-Euler substepping survives only as the
+ * advanceEulerReference() oracle.
  *
  * Temperature becomes a simulated *output* instead of the static
  * config constant, which is what lets leakage-temperature compounding
@@ -115,15 +116,6 @@ struct SteadyResult
 class ThermalNetwork
 {
   public:
-    /** Transient integration scheme (ThermalConfig::integrator). */
-    enum class Integrator
-    {
-        /** Historical forward-Euler substepping (validation). */
-        euler,
-        /** Exact LTI propagator per distinct dt (default). */
-        exact,
-    };
-
     /**
      * @param blocks die/board decomposition (names + areas)
      * @param tc cooling parameters; tc.r_heatsink_k_per_w <= 0
@@ -137,8 +129,6 @@ class ThermalNetwork
     double ambient() const { return _ambient_k; }
     /** Effective heatsink-to-ambient resistance in use, K/W. */
     double heatsinkResistance() const { return 1.0 / _g_amb.back(); }
-    /** Transient integration scheme in use. */
-    Integrator integrator() const { return _integrator; }
 
     /**
      * Temperatures for one fixed power assignment (no leakage
@@ -205,13 +195,24 @@ class ThermalNetwork
 
     /**
      * Integrate the network forward by dt_s under constant block
-     * powers. With the exact integrator this is two cached mat-vecs
-     * regardless of dt; with Euler it substeps internally for
-     * stability. Spans much longer than the slowest time constant
-     * snap to the fixed-power steady solution instead.
+     * powers: two cached mat-vecs of the exact propagator, whatever
+     * dt is. Spans much longer than the slowest time constant snap
+     * to the fixed-power steady solution instead.
      */
     void advance(State &state, const std::vector<double> &powers_w,
                  double dt_s) const;
+
+    /**
+     * Accuracy oracle: the historical forward-Euler substepping
+     * (stable substeps of at most maxStableDt()), with the same
+     * state initialization and long-span steady snap as advance().
+     * Kept (only) so tests and benches can bound the exact
+     * propagator against it and price the pre-propagator march;
+     * not a production entry point.
+     */
+    void advanceEulerReference(State &state,
+                               const std::vector<double> &powers_w,
+                               double dt_s) const;
 
     /** Largest externally meaningful Euler step, s (precomputed at
      *  construction). */
@@ -242,7 +243,6 @@ class ThermalNetwork
     std::vector<std::size_t> _pivot;
     /** Hoisted maxStableDt() (the network is immutable). */
     double _max_stable_dt = 0.0;
-    Integrator _integrator = Integrator::exact;
 
     /** Discrete exact update for one dt: T' = P*T + Q*u, with u the
      *  same right-hand side the linear solve uses (block powers plus
@@ -274,11 +274,10 @@ class ThermalNetwork
     void assembleRhs(const std::vector<double> &powers_w,
                      std::vector<double> &b) const;
     const Propagator &propagatorFor(double dt_s) const;
-    void advanceEuler(State &state,
-                      const std::vector<double> &powers_w,
-                      double dt_s) const;
-    void advanceExact(State &state,
-                      const std::vector<double> &powers_w,
+    /** Shared advance() prologue: initialize the state, and settle
+     *  spans that need no integration (dt <= 0, or the long-span
+     *  steady snap). Returns true when the caller must integrate. */
+    bool beginAdvance(State &state, const std::vector<double> &powers_w,
                       double dt_s) const;
 };
 

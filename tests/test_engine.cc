@@ -219,13 +219,11 @@ TEST(Engine, OptionsValidateRejectsIncoherentCombinations)
     // Named setters chain and leave the result coherent.
     EngineOptions chained = EngineOptions()
                                 .withJobs(4)
-                                .withReuseSimulators(false)
-                                .withBatchReplay(false)
+                                .withMemoize(false)
                                 .withTrace(true, 1e-5);
     EXPECT_NO_THROW(chained.validate());
     EXPECT_EQ(chained.jobs, 4u);
-    EXPECT_FALSE(chained.reuse_simulators);
-    EXPECT_FALSE(chained.batch_replay);
+    EXPECT_FALSE(chained.memoize);
     EXPECT_TRUE(chained.with_trace);
     EXPECT_EQ(chained.sample_interval_s, 1e-5);
 }
@@ -285,28 +283,26 @@ TEST(SweepResult, SetIsThreadSafeAndSlotsStayOrdered)
     }
 }
 
-TEST(Engine, SimulatorReuseIsBitIdenticalToRebuildPerScenario)
+TEST(Engine, SimulatorReuseIsBitIdenticalToAFreshSimulator)
 {
     // Workload-only sweep: every scenario shares one fingerprint, so
-    // the reuse path recycles one Simulator per worker. Results must
-    // be indistinguishable from rebuilding per scenario.
+    // each worker recycles one Simulator. Results must be
+    // indistinguishable from a fresh Simulator per scenario.
     SweepSpec spec;
     spec.configs = {GpuConfig::gt240()};
     spec.workloads = {"vectoradd", "matmul", "blackscholes",
                       "scalarprod"};
 
-    EngineOptions reuse_opt;
-    reuse_opt.jobs = 2;
-    reuse_opt.reuse_simulators = true;
-    EngineOptions rebuild_opt = reuse_opt;
-    rebuild_opt.reuse_simulators = false;
-
-    SweepResult reused = SimulationEngine(reuse_opt).run(spec);
-    SweepResult rebuilt = SimulationEngine(rebuild_opt).run(spec);
-    ASSERT_EQ(reused.size(), rebuilt.size());
+    EngineOptions opt;
+    opt.jobs = 2;
+    SimulationEngine engine(opt);
+    SweepResult reused = engine.run(spec);
+    std::vector<Scenario> scenarios = spec.expand();
+    ASSERT_EQ(reused.size(), scenarios.size());
     for (std::size_t i = 0; i < reused.size(); ++i) {
         const ScenarioResult &a = reused.at(i);
-        const ScenarioResult &b = rebuilt.at(i);
+        const ScenarioResult b =
+            SimulationEngine().runScenario(scenarios[i]);
         EXPECT_EQ(a.time_s, b.time_s) << a.scenario.label;
         EXPECT_EQ(a.energy_j, b.energy_j) << a.scenario.label;
         EXPECT_EQ(a.avg_power_w, b.avg_power_w) << a.scenario.label;
@@ -321,8 +317,8 @@ TEST(Engine, SimulatorReuseIsBitIdenticalWithThermalAndThrottling)
     // Thermal state (carried transient temperatures, a live
     // throttling clamp) is exactly the kind of hidden per-Simulator
     // state that could leak across recycled scenarios. A reuse sweep
-    // over throttling scenarios must stay bit-identical to
-    // rebuilding per scenario.
+    // over throttling scenarios must stay bit-identical to a fresh
+    // Simulator per scenario.
     SweepSpec spec;
     GpuConfig cfg = GpuConfig::gtx580();
     cfg.thermal.throttle = true;
@@ -330,19 +326,19 @@ TEST(Engine, SimulatorReuseIsBitIdenticalWithThermalAndThrottling)
     spec.coolings = {"constrained"};
     spec.workloads = {"matmul", "vectoradd", "matmul"};
 
-    EngineOptions reuse_opt;
-    reuse_opt.jobs = 1; // one worker recycles through all three
-    reuse_opt.reuse_simulators = true;
-    EngineOptions rebuild_opt = reuse_opt;
-    rebuild_opt.reuse_simulators = false;
-
-    SweepResult reused = SimulationEngine(reuse_opt).run(spec);
-    SweepResult rebuilt = SimulationEngine(rebuild_opt).run(spec);
-    ASSERT_EQ(reused.size(), rebuilt.size());
+    EngineOptions opt;
+    opt.jobs = 1; // one worker recycles through all three
+    SweepResult reused = SimulationEngine(opt).run(spec);
+    EXPECT_EQ(reused.telemetry().metrics.counter(
+                  "engine/simulator_recycles"),
+              2u);
+    std::vector<Scenario> scenarios = spec.expand();
+    ASSERT_EQ(reused.size(), scenarios.size());
     bool any_throttled = false;
     for (std::size_t i = 0; i < reused.size(); ++i) {
         const ScenarioResult &a = reused.at(i);
-        const ScenarioResult &b = rebuilt.at(i);
+        const ScenarioResult b =
+            SimulationEngine().runScenario(scenarios[i]);
         EXPECT_EQ(a.time_s, b.time_s) << a.scenario.label;
         EXPECT_EQ(a.energy_j, b.energy_j) << a.scenario.label;
         EXPECT_EQ(a.t_max_k, b.t_max_k) << a.scenario.label;
@@ -370,7 +366,6 @@ TEST(Engine, ReuseRecoversAfterAFailedScenario)
     std::vector<ScenarioResult> completed;
     EngineOptions opt;
     opt.jobs = 1; // one worker sees all three in order
-    opt.reuse_simulators = true;
     opt.progress = [&](const ScenarioResult &r, std::size_t,
                        std::size_t) { completed.push_back(r); };
     EXPECT_THROW(SimulationEngine(opt).run(spec), FatalError);

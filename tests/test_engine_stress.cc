@@ -2,12 +2,10 @@
  * @file
  * Concurrency stress tests of the sweep engine, written to be run
  * under ThreadSanitizer (the CI tsan job builds exactly this suite).
- * They hammer the three pieces of cross-worker shared state:
+ * They hammer the cross-worker shared state:
  *
- *   - the memoized snapshot cache (cross-worker map of
- *     ActivitySnapshots keyed on Scenario::snapshotKey()),
- *   - batch-replay grouping (one timing run fanning out into many
- *     batched power evaluations),
+ *   - snapshot-key grouping (one timing run per Scenario::snapshotKey()
+ *     fanning out into many batched power evaluations),
  *   - progress accounting (serialized callback, done/total counters),
  *
  * using sweeps that mix replayable scenarios with governed (thermal
@@ -70,13 +68,11 @@ replaySweep()
 }
 
 SweepResult
-runWith(const SweepSpec &spec, unsigned jobs, bool memoize = true,
-        bool batch_replay = true)
+runWith(const SweepSpec &spec, unsigned jobs, bool memoize = true)
 {
     EngineOptions opt;
     opt.jobs = jobs;
     opt.memoize = memoize;
-    opt.batch_replay = batch_replay;
     return SimulationEngine(opt).run(spec);
 }
 
@@ -146,7 +142,7 @@ TEST(EngineStress, MixedSweepIsDeterministicAcrossWorkerCounts)
         SweepResult parallel = runWith(spec, jobs);
         expectBitIdentical(serial, parallel,
                            ("jobs=" + std::to_string(jobs)).c_str());
-        // Batched replay groups the work units up front, so the
+        // Snapshot-key grouping fixes the work units up front, so the
         // replay count is deterministic whatever the worker count.
         EXPECT_EQ(parallel.replayedScenarios(), expectedReplays(spec))
             << "jobs=" << jobs;
@@ -154,11 +150,11 @@ TEST(EngineStress, MixedSweepIsDeterministicAcrossWorkerCounts)
     EXPECT_EQ(serial.replayedScenarios(), expectedReplays(spec));
 }
 
-TEST(EngineStress, SnapshotCacheContentionKeepsReplayCountExact)
+TEST(EngineStress, GroupedReplayContentionKeepsReplayCountExact)
 {
-    // High fan-out (3 variants per key) with 8 workers racing on the
-    // snapshot cache: grouping must still yield exactly one timing
-    // run per key and bit-identical rows.
+    // High fan-out (3 variants per key) with 8 workers racing
+    // through the groups: grouping must still yield exactly one
+    // timing run per key and bit-identical rows.
     SweepSpec spec = replaySweep();
     SweepResult serial = runWith(spec, 1);
     for (int repeat = 0; repeat < 3; ++repeat) {
@@ -169,19 +165,15 @@ TEST(EngineStress, SnapshotCacheContentionKeepsReplayCountExact)
     }
 }
 
-TEST(EngineStress, MemoizeAndBatchKnobsAreBitIdenticalUnderContention)
+TEST(EngineStress, MemoizeKnobIsBitIdenticalUnderContention)
 {
     SweepSpec spec = mixedSweep();
-    SweepResult batched = runWith(spec, 8, true, true);
-    SweepResult legacy = runWith(spec, 8, true, false);
-    SweepResult unmemoized = runWith(spec, 8, false, false);
+    SweepResult memoized = runWith(spec, 8, true);
+    SweepResult unmemoized = runWith(spec, 8, false);
 
-    expectBitIdentical(batched, legacy, "batch_replay off");
-    expectBitIdentical(batched, unmemoized, "memoize off");
+    expectBitIdentical(memoized, unmemoized, "memoize off");
+    EXPECT_EQ(memoized.replayedScenarios(), expectedReplays(spec));
     EXPECT_EQ(unmemoized.replayedScenarios(), 0u);
-    // The legacy per-scenario cache may lose replays when two workers
-    // start the same key concurrently, but it can never invent them.
-    EXPECT_LE(legacy.replayedScenarios(), expectedReplays(spec));
 }
 
 TEST(EngineStress, ProgressAccountingSurvivesContention)
@@ -214,7 +206,7 @@ TEST(EngineStress, ProgressAccountingSurvivesContention)
 TEST(EngineStress, ConcurrentEnginesDoNotShareState)
 {
     // Two independent engines sweeping concurrently from different
-    // threads: snapshot caches are per-run, so nothing may bleed
+    // threads: snapshot groups are per-run, so nothing may bleed
     // between them (also exercises the lazily-initialized kernel
     // dispatch and logging singletons from multiple pools at once).
     SweepSpec spec;

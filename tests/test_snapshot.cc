@@ -17,6 +17,7 @@
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
+#include "power/compiled.hh"
 #include "sim/engine.hh"
 #include "sim/simulator.hh"
 #include "sim/snapshot.hh"
@@ -122,13 +123,12 @@ powerAxesSweep()
 
 SweepResult
 runSweep(const SweepSpec &spec, unsigned jobs, bool memoize,
-         bool with_trace = false, bool batch_replay = true)
+         bool with_trace = false)
 {
     EngineOptions opt;
     opt.jobs = jobs;
     opt.memoize = memoize;
     opt.with_trace = with_trace;
-    opt.batch_replay = batch_replay;
     return SimulationEngine(opt).run(spec);
 }
 
@@ -190,6 +190,38 @@ TEST(Snapshot, CaptureReplayMatchesRunKernelWithTrace)
     KernelRun replayed = staged.replayKernel(snap);
 
     expectRunsEqual(direct, replayed, "vectoradd");
+}
+
+TEST(Snapshot, TracedRowsMatchTheScalarEvaluatorOnBothChips)
+{
+    // Traced intervals are evaluated as width-1 batched rows when no
+    // engine group supplies them; the scalar compiled evaluator is
+    // the oracle for every interval's dynamic and DRAM power.
+    for (const GpuConfig &cfg : {GpuConfig::gt240(), GpuConfig::gtx580()}) {
+        ASSERT_FALSE(cfg.thermal.enabled);
+        Simulator sim(cfg);
+        const power::CompiledPowerModel &cpm =
+            sim.powerModel().compiled();
+        power::CompiledPowerModel::Eval ev;
+        std::size_t intervals = 0;
+        for (const workloads::KernelLaunch &kl :
+             prepareWorkload(sim, "blackscholes")) {
+            KernelSnapshot snap = sim.capturePerf(
+                kl.prog, kl.launch, /*with_trace=*/true, 5e-7);
+            KernelRun run = sim.replayKernel(snap);
+            ASSERT_EQ(run.trace.size(), snap.samples.size());
+            for (std::size_t i = 0; i < snap.samples.size(); ++i) {
+                cpm.evaluate(snap.samples[i].delta, ev);
+                EXPECT_EQ(run.trace[i].dynamic_w, ev.dynamic_w)
+                    << cfg.name << " " << kl.label << " @" << i;
+                EXPECT_EQ(run.trace[i].dram_w, ev.dram_w)
+                    << cfg.name << " " << kl.label << " @" << i;
+            }
+            intervals += snap.samples.size();
+        }
+        // Several intervals, or the comparison would barely bite.
+        EXPECT_GT(intervals, 8u) << cfg.name;
+    }
 }
 
 TEST(Snapshot, ReplayAcrossNodeAndVddMatchesFullSimulation)
@@ -618,31 +650,28 @@ TEST(Engine, MemoizedSweepWithTracesBitIdentical)
     expectSweepsEqual(memo, full);
 }
 
-TEST(Engine, BatchedReplayBitIdenticalOnAndOff)
+TEST(Engine, BatchedReplayBitIdenticalToNoMemo)
 {
-    // batch_replay changes scheduling and the evaluator (grouped
-    // units + matrix kernels vs. the per-scenario memo cache), but
-    // every published number must stay byte-identical, at one worker
-    // and at several.
+    // Grouped replay changes scheduling and the evaluator (one
+    // capture per key, then multi-variant matrix kernels) against
+    // the --no-memo oracle's per-scenario full simulation with
+    // width-1 rows, but every published number must stay
+    // byte-identical, at one worker and at several.
     SweepSpec spec = powerAxesSweep();
-    SweepResult on1 = runSweep(spec, 1, true, /*with_trace=*/true,
-                               /*batch_replay=*/true);
-    SweepResult off1 = runSweep(spec, 1, true, /*with_trace=*/true,
-                                /*batch_replay=*/false);
-    EXPECT_EQ(on1.replayedScenarios(), spec.size() - 2);
-    EXPECT_EQ(off1.replayedScenarios(), spec.size() - 2);
-    expectSweepsEqual(on1, off1);
+    SweepResult memo1 = runSweep(spec, 1, true, /*with_trace=*/true);
+    SweepResult full1 = runSweep(spec, 1, false, /*with_trace=*/true);
+    EXPECT_EQ(memo1.replayedScenarios(), spec.size() - 2);
+    EXPECT_EQ(full1.replayedScenarios(), 0u);
+    expectSweepsEqual(memo1, full1);
 
-    SweepResult on4 = runSweep(spec, 4, true, /*with_trace=*/true,
-                               /*batch_replay=*/true);
-    SweepResult off4 = runSweep(spec, 4, true, /*with_trace=*/true,
-                                /*batch_replay=*/false);
-    EXPECT_EQ(on4.replayedScenarios(), spec.size() - 2);
-    expectSweepsEqual(on1, on4);
-    expectSweepsEqual(on4, off4);
+    SweepResult memo4 = runSweep(spec, 4, true, /*with_trace=*/true);
+    SweepResult full4 = runSweep(spec, 4, false, /*with_trace=*/true);
+    EXPECT_EQ(memo4.replayedScenarios(), spec.size() - 2);
+    expectSweepsEqual(memo1, memo4);
+    expectSweepsEqual(memo4, full4);
 }
 
-TEST(Engine, BatchedReplayNonThermalTracesBitIdentical)
+TEST(Engine, BatchedReplayNonThermalTracesBitIdenticalToNoMemo)
 {
     // No cooling axis -> thermal disabled: exercises the batched
     // dynamic/dram trace path rather than the per-block march.
@@ -651,15 +680,16 @@ TEST(Engine, BatchedReplayNonThermalTracesBitIdentical)
     spec.tech_nodes = {40u, 28u};
     spec.operating_points = OperatingPoint::parseList("0.9:1,1:1");
     spec.workloads = {"vectoradd"};
-    SweepResult on = runSweep(spec, 1, true, /*with_trace=*/true,
-                              /*batch_replay=*/true);
-    SweepResult off = runSweep(spec, 1, true, /*with_trace=*/true,
-                               /*batch_replay=*/false);
-    // 4 scenarios (2 nodes x 2 vdd points) share one timing key.
-    EXPECT_EQ(on.replayedScenarios(), 3u);
-    ASSERT_FALSE(on.at(0).kernels.empty());
-    EXPECT_FALSE(on.at(0).kernels[0].run.trace.empty());
-    expectSweepsEqual(on, off);
+    for (unsigned jobs : {1u, 4u}) {
+        SweepResult memo = runSweep(spec, jobs, true, /*with_trace=*/true);
+        SweepResult full =
+            runSweep(spec, jobs, false, /*with_trace=*/true);
+        // 4 scenarios (2 nodes x 2 vdd points) share one timing key.
+        EXPECT_EQ(memo.replayedScenarios(), 3u);
+        ASSERT_FALSE(memo.at(0).kernels.empty());
+        EXPECT_FALSE(memo.at(0).kernels[0].run.trace.empty());
+        expectSweepsEqual(memo, full);
+    }
 }
 
 TEST(Engine, FreqScaleScenariosNeverShareSnapshots)

@@ -842,41 +842,22 @@ TEST(ThermalSolver, ExhaustedSteadySolveWarnsAndCounts)
 
 // ---------------------------------------------------- exact propagator
 
-TEST(ThermalIntegrator, ConfigSelectsTheIntegrator)
-{
-    ThermalConfig tc = tinyCooling();
-    EXPECT_EQ(thermal::ThermalNetwork(tinyBlocks(), tc).integrator(),
-              thermal::ThermalNetwork::Integrator::exact);
-    tc.integrator = "euler";
-    EXPECT_EQ(thermal::ThermalNetwork(tinyBlocks(), tc).integrator(),
-              thermal::ThermalNetwork::Integrator::euler);
-
-    GpuConfig cfg = GpuConfig::gt240();
-    cfg.thermal.integrator = "rk4";
-    EXPECT_THROW(GpuConfig::fromXml(cfg.toXml()), FatalError);
-    cfg.thermal.integrator = "euler";
-    EXPECT_NO_THROW(GpuConfig::fromXml(cfg.toXml()));
-}
-
 TEST(ThermalIntegrator, ExactPropagatorConvergesToEulerAsStepsShrink)
 {
-    ThermalConfig exact_tc = tinyCooling();
-    ThermalConfig euler_tc = tinyCooling();
-    euler_tc.integrator = "euler";
-    thermal::ThermalNetwork exact_net(tinyBlocks(), exact_tc);
-    thermal::ThermalNetwork euler_net(tinyBlocks(), euler_tc);
+    thermal::ThermalNetwork net(tinyBlocks(), tinyCooling());
     std::vector<double> powers{25.0, 3.0, 4.0};
 
-    // March both integrators over the same 0.5 s span at two step
-    // sizes. The discrepancy is Euler's O(dt) truncation error: it
-    // must be small at the coarse step and shrink with dt.
+    // March the propagator and the Euler oracle over the same 0.5 s
+    // span at two step sizes. The discrepancy is Euler's O(dt)
+    // truncation error: it must be small at the coarse step and
+    // shrink with dt.
     auto discrepancy = [&](double dt) {
-        thermal::ThermalNetwork::State a = exact_net.ambientState();
-        thermal::ThermalNetwork::State b = euler_net.ambientState();
+        thermal::ThermalNetwork::State a = net.ambientState();
+        thermal::ThermalNetwork::State b = net.ambientState();
         int steps = static_cast<int>(0.5 / dt);
         for (int i = 0; i < steps; ++i) {
-            exact_net.advance(a, powers, dt);
-            euler_net.advance(b, powers, dt);
+            net.advance(a, powers, dt);
+            net.advanceEulerReference(b, powers, dt);
         }
         double err = 0.0;
         for (std::size_t i = 0; i < a.temps_k.size(); ++i)
@@ -917,7 +898,7 @@ TEST(ThermalIntegrator, PropagatorCacheIsConsistentAcrossMixedDts)
 
 TEST(ThermalIntegrator, ExactLandsOnSteadyStateForLongSpans)
 {
-    // The steady-snap shortcut is shared by both integrators, and
+    // The steady-snap shortcut is shared with the Euler oracle, and
     // below it the exact propagator still settles to the linear
     // solution on constant power — no drift from the cached P/Q.
     thermal::ThermalNetwork net(tinyBlocks(), tinyCooling());
@@ -932,32 +913,36 @@ TEST(ThermalIntegrator, ExactLandsOnSteadyStateForLongSpans)
         EXPECT_NEAR(state.temps_k[i], steady[i], 1e-6) << "node " << i;
 }
 
-TEST(ThermalIntegrator, IntegratorChoiceIsInvisibleWhenThermalOff)
+TEST(ThermalIntegrator, EulerReferenceSharesInitAndLongSpanSnap)
 {
-    // With the subsystem off no integrator ever runs: the tables
-    // must be byte-identical between the two settings.
-    GpuConfig exact_cfg = GpuConfig::gt240();
-    GpuConfig euler_cfg = GpuConfig::gt240();
-    euler_cfg.thermal.integrator = "euler";
-    sim::ScenarioResult a = runScenario(exact_cfg, "matmul");
-    sim::ScenarioResult b = runScenario(euler_cfg, "matmul");
-    EXPECT_EQ(a.energy_j, b.energy_j);
-    EXPECT_EQ(a.time_s, b.time_s);
-    EXPECT_EQ(a.avg_power_w, b.avg_power_w);
+    // The Euler oracle differs from advance() only in how it
+    // integrates: an uninitialized state starts at ambient in both,
+    // a non-positive span is a no-op in both, and a span far beyond
+    // every time constant snaps to the same steady solution.
+    thermal::ThermalNetwork net(tinyBlocks(), tinyCooling());
+    std::vector<double> powers{25.0, 3.0, 4.0};
+    thermal::ThermalNetwork::State a, b;
+    net.advance(a, powers, 0.0);
+    net.advanceEulerReference(b, powers, 0.0);
+    EXPECT_EQ(a.temps_k, net.ambientState().temps_k);
+    EXPECT_EQ(b.temps_k, a.temps_k);
+
+    net.advance(a, powers, 1e7);
+    net.advanceEulerReference(b, powers, 1e7);
+    EXPECT_EQ(a.temps_k, net.solveLinear(powers));
+    EXPECT_EQ(b.temps_k, a.temps_k);
 }
 
 TEST(ThermalIntegrator, GovernedClampsAreDeterministicAcrossWorkers)
 {
-    // The governed acceptance sweep pinned to the exact integrator:
-    // 1 worker vs 8 workers must clamp identically, bit for bit.
+    // The governed acceptance sweep: 1 worker vs 8 workers must
+    // clamp identically, bit for bit.
     sim::SweepSpec spec;
     spec.configs = {GpuConfig::gt240(), GpuConfig::gtx580()};
     spec.coolings = {"stock", "constrained"};
     spec.workloads = {"matmul"};
-    for (GpuConfig &cfg : spec.configs) {
+    for (GpuConfig &cfg : spec.configs)
         cfg.thermal.throttle = true;
-        cfg.thermal.integrator = "exact";
-    }
 
     sim::EngineOptions one;
     one.jobs = 1;

@@ -46,9 +46,6 @@ REQUIRED_ENGINE_COUNTERS = (
     "engine/scenarios_replayed",
     "engine/simulator_builds",
     "engine/simulator_recycles",
-    "engine/snapshot_cache_hit",
-    "engine/snapshot_cache_insert_race",
-    "engine/snapshot_cache_miss",
     "engine/worker_busy_ns",
     "engine/worker_idle_ns",
 )

@@ -25,6 +25,13 @@ steadyProbeUnjustified(const std::vector<double> &powers)
     return net.solveLinearReference(powers);
 }
 
+// Forward-Euler oracle march in engine code: must be flagged.
+void
+marchProbe(State &state, const std::vector<double> &powers)
+{
+    net.advanceEulerReference(state, powers, 1e-6);
+}
+
 // Factored production solve: fine anywhere.
 std::vector<double>
 steadyFast(const std::vector<double> &powers)

@@ -10,4 +10,10 @@ oracle(const std::vector<double> &powers)
     return net.solveLinearReference(powers);
 }
 
+void
+eulerOracle(State &state, const std::vector<double> &powers)
+{
+    net.advanceEulerReference(state, powers, 1e-6);
+}
+
 } // namespace gpusimpow

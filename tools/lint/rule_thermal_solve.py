@@ -7,17 +7,22 @@ through ``solveLinear``/``solveLinearInto`` — bit-identical to dense
 elimination by construction. A from-scratch dense elimination outside
 the solver re-pays the O(n^3) factorization per call and, worse,
 forks the arithmetic the bit-identity contract is proven against.
-This rule flags the dense-elimination escape hatches outside their
-sanctioned homes:
+The same holds for transients: production marches go through the
+exact propagator in ``advance``, and the forward-Euler stepper is kept
+only as an accuracy oracle. This rule flags the reference escape
+hatches outside their sanctioned homes:
 
   * ``solveDense`` — the file-local reference eliminator inside
     src/thermal/thermal.cc (nothing else may grow one);
   * ``solveLinearReference`` — its public face, exposed only so tests
     and benchmarks can prove the factored path bit-identical and
-    price the pre-factorization cost.
+    price the pre-factorization cost;
+  * ``advanceEulerReference`` — the forward-Euler oracle, exposed only
+    so tests can bound the exact propagator and benchmarks can price
+    the pre-propagator march.
 
-Sanctioned homes: src/thermal/ owns both; tests/ may call the
-reference oracle freely (that is what it is for).
+Sanctioned homes: src/thermal/ owns all three; tests/ may call the
+reference oracles freely (that is what they are for).
 
 Escape hatch for a deliberate use elsewhere (e.g. a benchmark's
 pre-factorization replica): `// lint: thermal-solve-ok(<reason>)`
@@ -33,9 +38,10 @@ from lint_common import Finding, line_of_offset
 RULE = "thermal-solve"
 KIND = "thermal-solve-ok"
 
-_DENSE_RE = re.compile(r"\b(solveDense|solveLinearReference)\b")
+_REFERENCE_RE = re.compile(
+    r"\b(solveDense|solveLinearReference|advanceEulerReference)\b")
 
-# Directories where dense elimination is the sanctioned idiom.
+# Directories where the reference solvers are the sanctioned idiom.
 _EXEMPT_PREFIXES = ("src/thermal/", "tests/")
 
 
@@ -44,14 +50,14 @@ def check(files):
     for path, sf in sorted(files.items()):
         if path.startswith(_EXEMPT_PREFIXES):
             continue
-        for m in _DENSE_RE.finditer(sf.code):
+        for m in _REFERENCE_RE.finditer(sf.code):
             line = line_of_offset(sf.code, m.start())
             if sf.annotated(KIND, line):
                 continue
             findings.append(Finding(
                 path, line, RULE,
-                "dense thermal elimination (%s) outside src/thermal; "
+                "thermal reference solver (%s) outside src/thermal; "
                 "solve through the factored ThermalNetwork::"
-                "solveLinear, or annotate with lint: "
+                "solveLinear / advance, or annotate with lint: "
                 "thermal-solve-ok(reason)" % m.group(1)))
     return findings
