@@ -4,6 +4,10 @@
  * simulation throughput (shader cycles/second), power-model
  * evaluation rate, and circuit-model construction cost. These guard
  * against performance regressions of the simulator.
+ *
+ * BM_CaptureStallBound is the gate on the event-driven timing core:
+ * a stall-bound capture whose shader_cycles/s collapses by an order
+ * of magnitude if stalled core-cycles are stepped one by one again.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,6 +16,7 @@
 #include "power/chip_power.hh"
 #include "sim/simulator.hh"
 #include "workloads/microbench.hh"
+#include "workloads/workload.hh"
 
 using namespace gpusimpow;
 
@@ -37,6 +42,31 @@ BM_SimulateOccupancyKernel(benchmark::State &state)
         static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimulateOccupancyKernel)->Arg(200)->Arg(1000);
+
+void
+BM_CaptureStallBound(benchmark::State &state)
+{
+    // GTX580 backprop through the Simulator's timing phase: nearly
+    // every resident core-cycle waits on DRAM or the scoreboard.
+    Simulator sim(GpuConfig::gtx580());
+    auto wl = workloads::makeWorkload("backprop");
+    uint64_t cycles = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        sim.gpu().resetDeviceState();
+        std::vector<workloads::KernelLaunch> kernels =
+            wl->prepare(sim.gpu());
+        state.ResumeTiming();
+        for (const auto &k : kernels) {
+            KernelSnapshot snap = sim.capturePerf(k.prog, k.launch);
+            cycles += snap.perf.cycles;
+            benchmark::DoNotOptimize(snap.perf.cycles);
+        }
+    }
+    state.counters["shader_cycles/s"] = benchmark::Counter(
+        static_cast<double>(cycles), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_CaptureStallBound)->Unit(benchmark::kMillisecond);
 
 void
 BM_PowerModelEvaluate(benchmark::State &state)

@@ -16,6 +16,7 @@ namespace {
 constexpr uint32_t no_reconv = 0xffffffffu;
 constexpr unsigned icache_miss_latency = 200;
 constexpr unsigned const_miss_latency = 200;
+constexpr uint64_t never = ~0ull;
 
 float
 asFloat(uint32_t bits)
@@ -41,7 +42,8 @@ Core::Core(const GpuConfig &cfg, unsigned core_id, MemorySystem &memsys,
       _cmem(cmem),
       _icache({cfg.core.icache_bytes, 64, cfg.core.icache_assoc, false}),
       _const_cache({cfg.core.const_cache_bytes, 64,
-                    cfg.core.const_cache_assoc, false})
+                    cfg.core.const_cache_assoc, false}),
+      _greedy_issue(cfg.core.sched_policy == "gto")
 {
     GSP_ASSERT(cfg.core.warp_size <= 64,
                "warp size above 64 not representable in lane masks");
@@ -148,6 +150,7 @@ Core::launchBlock(unsigned cta_x, unsigned cta_y)
     }
     GSP_ASSERT(assigned == _warps_per_block, "warp slot accounting broke");
     ++_resident_blocks;
+    _wake = 0;
 }
 
 unsigned
@@ -170,6 +173,8 @@ Core::resetForKernel()
         _completions.pop();
     _int_free = _fp_free = _sfu_free = _mem_free = 0;
     _fetch_rr = _issue_rr = 0;
+    _wake = 0;
+    _core_steps = _quiet_cycles = 0;
     for (auto &w : _warps)
         w = Warp{};
     for (auto &b : _blocks)
@@ -182,18 +187,46 @@ Core::step(uint64_t cycle)
 {
     if (!busy())
         return;
+    if (cycle < _wake) {
+        skipQuiet(1);
+        return;
+    }
+    ++_core_steps;
     ++_act.cycles_resident;
-    drainCompletions(cycle);
-    issueStage(cycle);
-    fetchStage(cycle);
+    const uint64_t checks_before = _act.scoreboard_checks;
+    _stall_end = never;
+    bool drained = drainCompletions(cycle);
+    bool issued = issueStage(cycle);
+    bool fetched = fetchStage(cycle);
+    if (drained || issued || fetched) {
+        _wake = 0;
+        return;
+    }
+    // Quiet: until the earliest event every step repeats this one.
+    _wake = _stall_end;
+    if (!_completions.empty())
+        _wake = std::min(_wake, _completions.top().when);
+    _quiet_checks = _act.scoreboard_checks - checks_before;
 }
 
 void
+Core::skipQuiet(uint64_t n)
+{
+    _act.cycles_resident += n;
+    _act.issue_arbitrations += n;
+    _act.fetch_arbitrations += n;
+    _act.scoreboard_checks += n * _quiet_checks;
+    _quiet_cycles += n;
+}
+
+bool
 Core::drainCompletions(uint64_t cycle)
 {
+    bool drained = false;
     while (!_completions.empty() && _completions.top().when <= cycle) {
         Completion c = _completions.top();
         _completions.pop();
+        drained = true;
         Warp &warp = _warps[c.warp];
         if (!warp.valid) {
             // Block already retired (e.g. store ack after exit).
@@ -210,9 +243,10 @@ Core::drainCompletions(uint64_t cycle)
         }
         ++_act.writebacks;
     }
+    return drained;
 }
 
-void
+bool
 Core::fetchStage(uint64_t cycle)
 {
     unsigned n = static_cast<unsigned>(_warps.size());
@@ -224,8 +258,10 @@ Core::fetchStage(uint64_t cycle)
             continue;
         if (warp.ibuffer >= _cfg.core.ibuffer_slots)
             continue;
-        if (warp.fetch_ready > cycle || warp.at_barrier ||
-            warp.waiting_mem) {
+        if (warp.at_barrier || warp.waiting_mem)
+            continue;
+        if (warp.fetch_ready > cycle) {
+            _stall_end = std::min(_stall_end, warp.fetch_ready);
             continue;
         }
         ++_act.wst_reads;
@@ -241,26 +277,27 @@ Core::fetchStage(uint64_t cycle)
             ++warp.ibuffer;
         }
         _fetch_rr = (w + 1) % n;
-        return;
+        return true;
     }
+    return false;
 }
 
-void
+bool
 Core::issueStage(uint64_t cycle)
 {
     unsigned n = static_cast<unsigned>(_warps.size());
     unsigned issued = 0;
     ++_act.issue_arbitrations;
-    bool greedy = _cfg.core.sched_policy == "gto";
     for (unsigned i = 0; i < n && issued < _cfg.core.issue_width; ++i) {
         unsigned w = (_issue_rr + i) % n;
         if (tryIssue(w, cycle)) {
             ++issued;
             // Rotating priority moves past the winner; greedy-then-
             // oldest keeps issuing the same warp until it stalls.
-            _issue_rr = greedy ? w : (w + 1) % n;
+            _issue_rr = _greedy_issue ? w : (w + 1) % n;
         }
     }
+    return issued > 0;
 }
 
 bool
@@ -295,25 +332,17 @@ Core::tryIssue(unsigned warp_idx, uint64_t cycle)
     }
 
     UnitClass uc = inst.unitClass();
+    uint64_t unit_free = 0;
     switch (uc) {
-      case UnitClass::Int:
-        if (_int_free > cycle)
-            return false;
-        break;
-      case UnitClass::Fp:
-        if (_fp_free > cycle)
-            return false;
-        break;
-      case UnitClass::Sfu:
-        if (_sfu_free > cycle)
-            return false;
-        break;
-      case UnitClass::Mem:
-        if (_mem_free > cycle)
-            return false;
-        break;
-      case UnitClass::Ctrl:
-        break;
+      case UnitClass::Int: unit_free = _int_free; break;
+      case UnitClass::Fp: unit_free = _fp_free; break;
+      case UnitClass::Sfu: unit_free = _sfu_free; break;
+      case UnitClass::Mem: unit_free = _mem_free; break;
+      case UnitClass::Ctrl: break;
+    }
+    if (unit_free > cycle) {
+        _stall_end = std::min(_stall_end, unit_free);
+        return false;
     }
 
     // --- Issue accepted. ---

@@ -12,6 +12,15 @@
  * its lanes compute real values, so addresses and branch outcomes
  * are exact; timing is modeled with pipeline next-free times and a
  * completion event heap.
+ *
+ * Timing is event-driven. A step that drains no completion, issues
+ * nothing and fetches nothing is quiet: the core then records its
+ * wake() cycle (the completion-heap head, the fetch_ready of every
+ * fetch-eligible warp, and the next-free time of the unit every
+ * otherwise-ready warp waits on) and the scoreboard lookups that step
+ * made. Nothing but the per-cycle counters can change before wake(),
+ * so until then a cycle is accounted in bulk (skipQuiet) instead of
+ * re-scanning the warps — bit-identical to stepping it.
  */
 
 #ifndef GPUSIMPOW_PERF_CORE_HH
@@ -70,8 +79,32 @@ class Core
      */
     void launchBlock(unsigned cta_x, unsigned cta_y);
 
-    /** Advance one shader cycle. */
+    /**
+     * Advance one shader cycle: drain, issue and fetch, or only
+     * account the cycle while the core is quiet (cycle < wake()).
+     */
     void step(uint64_t cycle);
+
+    /**
+     * First cycle whose step can do more than bump the per-cycle
+     * counters; 0 while the core is not quiet. Cleared by
+     * launchBlock() and resetForKernel().
+     */
+    uint64_t wake() const { return _wake; }
+
+    /**
+     * Account n quiet cycles without stepping them: the counters a
+     * quiet step bumps (cycles_resident, issue/fetch arbitrations,
+     * the recorded scoreboard lookups) advance by n steps' worth.
+     * Only legal for cycles before wake().
+     */
+    void skipQuiet(uint64_t n);
+
+    /** Full steps since resetForKernel(). */
+    uint64_t coreSteps() const { return _core_steps; }
+
+    /** Cycles accounted by skipQuiet() since resetForKernel(). */
+    uint64_t quietCycles() const { return _quiet_cycles; }
 
     /** True if any block is resident. */
     bool busy() const { return _resident_blocks > 0; }
@@ -157,6 +190,15 @@ class Core
 
     unsigned _fetch_rr = 0;   // round-robin pointers
     unsigned _issue_rr = 0;
+    bool _greedy_issue;       // sched_policy == "gto"
+
+    // Event-driven stepping (see the file comment).
+    uint64_t _wake = 0;
+    uint64_t _quiet_checks = 0;   // scoreboard lookups per quiet step
+    uint64_t _stall_end = 0;      // earliest fetch_ready / unit free
+                                  // time a warp waited on this step
+    uint64_t _core_steps = 0;
+    uint64_t _quiet_cycles = 0;
 
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>> _completions;
@@ -168,9 +210,9 @@ class Core
     std::vector<uint32_t> _seg_scratch;
 
     // --- stage helpers ---
-    void drainCompletions(uint64_t cycle);
-    void fetchStage(uint64_t cycle);
-    void issueStage(uint64_t cycle);
+    bool drainCompletions(uint64_t cycle);
+    bool fetchStage(uint64_t cycle);
+    bool issueStage(uint64_t cycle);
     bool tryIssue(unsigned warp_idx, uint64_t cycle);
     void executeInstruction(Warp &warp, const Instruction &inst,
                             uint64_t exec_mask, uint64_t cycle);

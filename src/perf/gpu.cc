@@ -25,6 +25,7 @@ Gpu::Gpu(const GpuConfig &cfg)
                                                 _cmem));
     }
     _cluster_busy.assign(_cfg.clusters, 0);
+    _cluster_load.assign(_cfg.clusters, 0);
 }
 
 void
@@ -67,7 +68,7 @@ Gpu::setFreqScale(double freq_scale)
 }
 
 int
-Gpu::pickCoreForBlock() const
+Gpu::pickCoreForBlock()
 {
     // Hardware policy observed in Fig. 4: prefer an idle core in the
     // least-loaded cluster, so clusters light up one by one before
@@ -76,15 +77,15 @@ Gpu::pickCoreForBlock() const
     unsigned best_core_load = ~0u;
     unsigned best_cluster_load = ~0u;
 
-    std::vector<unsigned> cluster_load(_cfg.clusters, 0);
+    std::fill(_cluster_load.begin(), _cluster_load.end(), 0u);
     for (unsigned c = 0; c < _cores.size(); ++c)
-        cluster_load[clusterOf(c)] += _cores[c]->residentBlocks();
+        _cluster_load[clusterOf(c)] += _cores[c]->residentBlocks();
 
     for (unsigned c = 0; c < _cores.size(); ++c) {
         if (!_cores[c]->canAcceptBlock())
             continue;
         unsigned core_load = _cores[c]->residentBlocks();
-        unsigned cl_load = cluster_load[clusterOf(c)];
+        unsigned cl_load = _cluster_load[clusterOf(c)];
         if (core_load < best_core_load ||
             (core_load == best_core_load && cl_load < best_cluster_load)) {
             best = static_cast<int>(c);
@@ -147,9 +148,15 @@ Gpu::run(const KernelProgram &prog, const LaunchConfig &launch,
     ChipActivity prev = snapshot(0);
 
     uint64_t cycle = 0;
+    // Blocks can be placed only on the first cycle and after a core
+    // retired one: nothing else frees core resources.
+    bool dispatch = true;
+    // Cycles this iteration covers: one step, or a clock jump over
+    // cycles in which every busy core is quiet.
+    uint64_t span = 1;
     while (true) {
         // Global scheduler: place as many blocks as fit this cycle.
-        while (next_block < pending.size()) {
+        while (dispatch && next_block < pending.size()) {
             int core = pickCoreForBlock();
             if (core < 0)
                 break;
@@ -158,26 +165,33 @@ Gpu::run(const KernelProgram &prog, const LaunchConfig &launch,
             ++next_block;
             ++_blocks_dispatched;
         }
+        dispatch = false;
 
         bool any_busy = false;
         for (unsigned cl = 0; cl < _cfg.clusters; ++cl) {
             bool cl_busy = false;
             for (unsigned i = 0; i < _cfg.cores_per_cluster; ++i) {
                 Core &core = *_cores[cl * _cfg.cores_per_cluster + i];
-                if (core.busy()) {
-                    cl_busy = true;
-                    core.step(cycle);
+                if (!core.busy())
+                    continue;
+                cl_busy = true;
+                if (span > 1) {
+                    core.skipQuiet(span);
+                    continue;
                 }
+                core.step(cycle);
+                if (core.collectFinishedBlocks() > 0)
+                    dispatch = true;
             }
             if (cl_busy) {
-                ++_cluster_busy[cl];
+                _cluster_busy[cl] += span;
                 any_busy = true;
             }
         }
         if (any_busy || next_block < pending.size())
-            ++_gpu_busy;
+            _gpu_busy += span;
 
-        ++cycle;
+        cycle += span;
 
         if (sample_cycles && cycle % sample_cycles == 0) {
             _memsys.updateDramCounters();
@@ -193,6 +207,24 @@ Gpu::run(const KernelProgram &prog, const LaunchConfig &launch,
         if (cycle > max_shader_cycles)
             GSP_PANIC("kernel ", prog.name, " exceeded ",
                       max_shader_cycles, " shader cycles — livelock?");
+
+        // Clock jump: with no placement pending, every cycle before
+        // the earliest wake() of a busy core only bumps per-cycle
+        // counters. Stop at the next sampling boundary (so intervals
+        // are cut where stepping cuts them) and at the livelock guard.
+        span = 1;
+        if (!dispatch) {
+            uint64_t target = max_shader_cycles + 1;
+            if (sample_cycles)
+                target = std::min(target, (cycle / sample_cycles + 1) *
+                                              sample_cycles);
+            for (const auto &core : _cores) {
+                if (core->busy())
+                    target = std::min(target, core->wake());
+            }
+            if (target > cycle)
+                span = target - cycle;
+        }
     }
 
     _memsys.updateDramCounters();
@@ -210,6 +242,10 @@ Gpu::run(const KernelProgram &prog, const LaunchConfig &launch,
     result.activity = final_act;
     for (const auto &c : final_act.cores)
         result.instructions += c.issued_insts;
+    for (const auto &core : _cores) {
+        result.core_steps += core->coreSteps();
+        result.quiet_core_cycles += core->quietCycles();
+    }
     return result;
 }
 

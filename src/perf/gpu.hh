@@ -7,6 +7,13 @@
  * unoccupied clusters, then to unoccupied cores, then stack up per
  * core — which is exactly what makes cluster power show up as
  * staircase steps.
+ *
+ * The run loop is event-driven: blocks are placed only on the first
+ * cycle and after a core retired a block (the only events that change
+ * where one fits), and while no placement is pending and every busy
+ * core is quiet the clock jumps to the earliest Core::wake(), capped
+ * at the next sampling boundary, with the per-cycle counters
+ * bulk-added — bit-identical to stepping every cycle.
  */
 
 #ifndef GPUSIMPOW_PERF_GPU_HH
@@ -37,6 +44,12 @@ struct RunResult
     ChipActivity activity;
     /** Per-kernel instruction count (all cores). */
     uint64_t instructions = 0;
+    /** Full Core::step calls (all cores); not serialized. */
+    uint64_t core_steps = 0;
+    /** Core-cycles accounted without a step (all cores); not
+     *  serialized. core_steps + quiet_core_cycles is the sum of
+     *  cycles_resident. */
+    uint64_t quiet_core_cycles = 0;
 };
 
 /** A whole GPU card (chip + GDDR5 + host interface). */
@@ -112,6 +125,7 @@ class Gpu
 
     // Run-local scheduler state.
     std::vector<uint64_t> _cluster_busy;
+    std::vector<unsigned> _cluster_load;   // pickCoreForBlock scratch
     uint64_t _gpu_busy = 0;
     uint64_t _blocks_dispatched = 0;
 
@@ -121,7 +135,7 @@ class Gpu
     }
 
     /** Pick the core the hardware scheduler would use, or -1. */
-    int pickCoreForBlock() const;
+    int pickCoreForBlock();
 
     ChipActivity snapshot(uint64_t cycle) const;
 };

@@ -322,6 +322,7 @@ SimulationEngine::run(const SweepSpec &spec) const
     obs::Histogram &h_group_size = reg.histogram(
         "engine/batch_group_size",
         "work-unit sizes of the memoized (grouped) schedule");
+    Simulator::registerPerfCounters();
 
     // Telemetry meters its own window of the process-wide registry.
     const obs::MetricsSnapshot metrics_before = reg.snapshot();

@@ -26,7 +26,32 @@ constexpr double governor_slack_k = 0.25;
  *  optimism would otherwise shave only ~2% per round. */
 constexpr double governor_backoff = 0.9;
 
+obs::Counter &
+perfCoreSteps()
+{
+    static obs::Counter &c = obs::Registry::instance().counter(
+        "perf/core_steps", "full Core::step calls of timing captures");
+    return c;
+}
+
+obs::Counter &
+perfQuietCoreCycles()
+{
+    static obs::Counter &c = obs::Registry::instance().counter(
+        "perf/quiet_core_cycles",
+        "resident core-cycles of timing captures accounted without a "
+        "step (event-driven skip)");
+    return c;
+}
+
 } // namespace
+
+void
+Simulator::registerPerfCounters()
+{
+    perfCoreSteps();
+    perfQuietCoreCycles();
+}
 
 std::string
 ThermalResult::hottestBlock() const
@@ -161,6 +186,8 @@ Simulator::capturePerf(const perf::KernelProgram &prog,
     }
     snap.perf = _gpu->run(prog, launch, sampler,
                           with_trace ? sample_interval_s : 0.0);
+    perfCoreSteps().add(snap.perf.core_steps);
+    perfQuietCoreCycles().add(snap.perf.quiet_core_cycles);
     return snap;
 }
 

@@ -164,6 +164,13 @@ class Simulator
                                double sample_interval_s = 20e-6);
 
     /**
+     * Register the perf/core_steps and perf/quiet_core_cycles
+     * counters capturePerf() adds each kernel's RunResult telemetry
+     * to, so a metrics dump carries them even when nothing captured.
+     */
+    static void registerPerfCounters();
+
+    /**
      * Phase 2: evaluate power (and thermal behavior, when enabled)
      * from a phase-1 snapshot instead of running timing. For any
      * configuration sharing the snapshot's timing fingerprint

@@ -248,7 +248,12 @@ SweepStore::SweepStore(std::filesystem::path dir, StoreOptions options)
               ec.message());
     std::lock_guard<std::mutex> lock(_mutex);
     scanLocked();
-    rewriteManifestLocked();
+    // A fresh, empty store has nothing to index: its manifest comes
+    // with the first put, which keeps opening one to a directory
+    // creation and a scan. A manifest already present is regenerated
+    // even when no entry survived the scan, so it never lists one.
+    if (!_entries.empty() || std::filesystem::exists(_dir / "manifest", ec))
+        rewriteManifestLocked();
     StoreMetrics::instance().entries.set(
         static_cast<int64_t>(_entries.size()));
 }

@@ -112,6 +112,28 @@ TEST(Timing, UncoalescedAccessIsSlower)
     EXPECT_GT(txn_s, 8 * txn_c);
 }
 
+TEST(Timing, StepsAndQuietCyclesPartitionResidency)
+{
+    // A scattered-load kernel on the scoreboarded chip: resident
+    // warps wait on DRAM almost all the time, so most core-cycles
+    // are accounted without a step — and every resident core-cycle
+    // is either a full step or a skipped quiet cycle, never both.
+    GpuConfig cfg = GpuConfig::gtx580();
+    Gpu gpu(cfg);
+    LaunchConfig lc;
+    lc.grid = {32, 1};
+    lc.block = {256, 1};
+    for (double interval_s : {0.0, 1e-6}) {
+        RunResult r = gpu.run(
+            makeStridedLoad(512, 16), lc,
+            [](const ChipActivity &, double, double) {}, interval_s);
+        uint64_t resident =
+            r.activity.sumCores(&CoreActivity::cycles_resident);
+        EXPECT_EQ(r.core_steps + r.quiet_core_cycles, resident);
+        EXPECT_GT(r.quiet_core_cycles, 4 * r.core_steps);
+    }
+}
+
 TEST(Timing, BankConflictsSerializeSmem)
 {
     GpuConfig cfg = GpuConfig::gt240();

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "measure/validation.hh"
+#include "obs/metrics.hh"
 #include "sim/simulator.hh"
 #include "workloads/microbench.hh"
 #include "workloads/workload.hh"
@@ -28,6 +29,25 @@ TEST(SimulatorFacade, RunsAndReports)
     EXPECT_GT(run.report.dram_w, 0.1);
     EXPECT_TRUE(run.trace.empty());
     EXPECT_TRUE(wl->verify(sim.gpu()));
+}
+
+TEST(SimulatorFacade, CaptureFeedsTimingCoreCounters)
+{
+    // capturePerf() adds each kernel's step/skip telemetry to the
+    // perf/* registry counters once.
+    obs::Registry &reg = obs::Registry::instance();
+    Simulator::registerPerfCounters();
+    obs::MetricsSnapshot before = reg.snapshot();
+    Simulator sim(GpuConfig::gtx580());
+    auto wl = workloads::makeWorkload("bfs");
+    auto seq = wl->prepare(sim.gpu());
+    KernelSnapshot snap = sim.capturePerf(seq[0].prog, seq[0].launch);
+    obs::MetricsSnapshot delta = reg.snapshot().deltaFrom(before);
+    EXPECT_GT(snap.perf.core_steps, 0u);
+    EXPECT_GT(snap.perf.quiet_core_cycles, 0u);
+    EXPECT_EQ(delta.counter("perf/core_steps"), snap.perf.core_steps);
+    EXPECT_EQ(delta.counter("perf/quiet_core_cycles"),
+              snap.perf.quiet_core_cycles);
 }
 
 TEST(SimulatorFacade, TraceCoversKernelDuration)

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -247,6 +248,30 @@ TEST(Store, ManifestIsAdvisoryAndRegenerated)
     SweepStore reopened(dir.path);
     EXPECT_EQ(reopened.size(), 1u);
     EXPECT_TRUE(std::filesystem::exists(manifest));
+}
+
+TEST(Store, EmptyStoreWritesItsManifestWithTheFirstPut)
+{
+    ScopedDir dir("manifest_empty");
+    std::filesystem::path manifest = dir.path / "manifest";
+    {
+        SweepStore store(dir.path);
+        EXPECT_FALSE(std::filesystem::exists(manifest));
+        ASSERT_TRUE(store.put("k", makeSnapshot("vectoradd", 1)));
+        EXPECT_TRUE(std::filesystem::exists(manifest));
+    }
+    // A manifest whose entries are all gone is rewritten at open, so
+    // it stops listing them.
+    for (const auto &de : std::filesystem::directory_iterator(dir.path)) {
+        if (de.path().extension() == ".entry")
+            std::filesystem::remove(de.path());
+    }
+    SweepStore reopened(dir.path);
+    EXPECT_EQ(reopened.size(), 0u);
+    std::ifstream in(manifest);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    EXPECT_EQ(text, std::string(SweepStore::manifest_magic) + "\n");
 }
 
 TEST(Session, WarmStoreRepeatSweepCapturesNothing)

@@ -17,8 +17,9 @@ Trace (``--trace FILE``):
 
 Metrics (``--metrics FILE``):
   * schema is ``gpusimpow-metrics-1``;
-  * the full ``engine/*`` counter set is present (the engine registers
-    every instrument up front, so even unused paths report zeros);
+  * the full ``engine/*`` counter set and the timing core's
+    ``perf/*`` counters are present (the engine registers every
+    instrument up front, so even unused paths report zeros);
   * ``--expect name=value`` asserts an exact counter value;
   * ``--expect-min name=value`` asserts a counter is at least value;
   * ``--require-counter NAME`` asserts a counter is present. Unlike
@@ -38,7 +39,7 @@ import sys
 
 # Counters the engine registers unconditionally at the top of every
 # sweep; their absence means the producer and this checker drifted.
-REQUIRED_ENGINE_COUNTERS = (
+REQUIRED_COUNTERS = (
     "engine/batch_groups",
     "engine/scenarios",
     "engine/scenarios_captured",
@@ -48,6 +49,8 @@ REQUIRED_ENGINE_COUNTERS = (
     "engine/simulator_recycles",
     "engine/worker_busy_ns",
     "engine/worker_idle_ns",
+    "perf/core_steps",
+    "perf/quiet_core_cycles",
 )
 
 
@@ -160,7 +163,7 @@ def check_metrics(doc, chk, expectations, min_expectations,
     for section in ("gauges", "histograms"):
         chk.require(isinstance(doc.get(section), dict),
                     "metrics: missing %s object" % section)
-    for name in REQUIRED_ENGINE_COUNTERS:
+    for name in REQUIRED_COUNTERS:
         chk.require(name in counters,
                     "metrics: required counter %r missing" % name)
     for name in require_counters:
