@@ -8,6 +8,9 @@
  * BM_CaptureStallBound is the gate on the event-driven timing core:
  * a stall-bound capture whose shader_cycles/s collapses by an order
  * of magnitude if stalled core-cycles are stepped one by one again.
+ * BM_CaptureIssueBound gates the warp-mask schedulers and active-lane
+ * execution on an issue-bound capture, where almost every core-cycle
+ * issues and the per-step scan and per-lane work set the rate.
  */
 
 #include <benchmark/benchmark.h>
@@ -67,6 +70,31 @@ BM_CaptureStallBound(benchmark::State &state)
         static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_CaptureStallBound)->Unit(benchmark::kMillisecond);
+
+void
+BM_CaptureIssueBound(benchmark::State &state)
+{
+    // GTX580 mergesort through the Simulator's timing phase: its
+    // rank-fixup kernel keeps a warp issuing on most core-cycles.
+    Simulator sim(GpuConfig::gtx580());
+    auto wl = workloads::makeWorkload("mergesort");
+    uint64_t cycles = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        sim.gpu().resetDeviceState();
+        std::vector<workloads::KernelLaunch> kernels =
+            wl->prepare(sim.gpu());
+        state.ResumeTiming();
+        for (const auto &k : kernels) {
+            KernelSnapshot snap = sim.capturePerf(k.prog, k.launch);
+            cycles += snap.perf.cycles;
+            benchmark::DoNotOptimize(snap.perf.cycles);
+        }
+    }
+    state.counters["shader_cycles/s"] = benchmark::Counter(
+        static_cast<double>(cycles), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_CaptureIssueBound)->Unit(benchmark::kMillisecond);
 
 void
 BM_PowerModelEvaluate(benchmark::State &state)

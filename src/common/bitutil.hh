@@ -7,6 +7,7 @@
 #ifndef GPUSIMPOW_COMMON_BITUTIL_HH
 #define GPUSIMPOW_COMMON_BITUTIL_HH
 
+#include <bit>
 #include <cstdint>
 
 namespace gpusimpow {
@@ -18,14 +19,11 @@ isPow2(uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
-/** floor(log2(v)); v must be non-zero. */
+/** floor(log2(v)); v must be non-zero (0 yields 0). */
 constexpr unsigned
 floorLog2(uint64_t v)
 {
-    unsigned l = 0;
-    while (v >>= 1)
-        ++l;
-    return l;
+    return v ? static_cast<unsigned>(std::bit_width(v)) - 1 : 0;
 }
 
 /** ceil(log2(v)); v must be non-zero. */
@@ -53,12 +51,31 @@ divCeil(uint64_t a, uint64_t b)
 constexpr unsigned
 popCount(uint64_t v)
 {
-    unsigned c = 0;
-    while (v) {
-        v &= v - 1;
-        ++c;
-    }
-    return c;
+    return static_cast<unsigned>(std::popcount(v));
+}
+
+/** Index of the lowest set bit; v must be non-zero. */
+constexpr unsigned
+countTrailingZeros(uint64_t v)
+{
+    return static_cast<unsigned>(std::countr_zero(v));
+}
+
+/** Mask of the low n bits, n <= 64. */
+constexpr uint64_t
+lowMask(unsigned n)
+{
+    return n >= 64 ? ~0ull : (1ull << n) - 1;
+}
+
+/**
+ * Rotate the n-bit ring v (bits n and up clear, 0 < n <= 64) right by
+ * s < n: bit k of the result is bit (k + s) % n of v.
+ */
+constexpr uint64_t
+rotateRight(uint64_t v, unsigned s, unsigned n)
+{
+    return s == 0 ? v : ((v >> s) | (v << (n - s))) & lowMask(n);
 }
 
 } // namespace gpusimpow

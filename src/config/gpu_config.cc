@@ -288,6 +288,10 @@ validate(const GpuConfig &cfg)
         fatal("execution unit counts must be positive");
     if (c.warp_size % 8 != 0)
         fatal("warp_size must be a multiple of the 8-address SAGU width");
+    if (c.maxWarps() > 64)
+        fatal("max_threads / warp_size = ", c.maxWarps(),
+              " warps per core; at most 64 are supported (the warp "
+              "schedulers keep one bit per warp in a 64-bit mask)");
     if (c.smem_bytes > c.smem_l1_bytes)
         fatal("smem_bytes cannot exceed the unified smem_l1_bytes");
     if (cfg.l2.present && cfg.l2.total_bytes == 0)

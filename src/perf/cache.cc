@@ -13,15 +13,18 @@ CacheModel::CacheModel(const CacheParams &p) : _p(p)
                "cache smaller than one set");
     _sets = p.size_bytes / (p.line_bytes * p.assoc);
     GSP_ASSERT(isPow2(_sets), "cache set count must be a power of two");
+    _set_bits = floorLog2(_sets);
+    _line_shift = isPow2(p.line_bytes) ? floorLog2(p.line_bytes) : 0;
     _lines.resize(static_cast<size_t>(_sets) * p.assoc);
 }
 
 CacheModel::Line *
 CacheModel::findLine(uint64_t addr, uint64_t &set_base, uint64_t &tag)
 {
-    uint64_t line_addr = addr / _p.line_bytes;
+    uint64_t line_addr =
+        _line_shift ? addr >> _line_shift : addr / _p.line_bytes;
     uint64_t set = line_addr & (_sets - 1);
-    tag = line_addr >> floorLog2(_sets);
+    tag = line_addr >> _set_bits;
     set_base = set * _p.assoc;
     for (unsigned w = 0; w < _p.assoc; ++w) {
         Line &line = _lines[set_base + w];

@@ -61,6 +61,8 @@ class CacheModel
 
     CacheParams _p;
     unsigned _sets;
+    unsigned _set_bits;     // log2(_sets)
+    unsigned _line_shift;   // log2(line_bytes), 0 if not a power of 2
     std::vector<Line> _lines;   // sets x assoc
     uint64_t _tick = 0;
     uint64_t _accesses = 0;

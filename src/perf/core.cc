@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
@@ -34,6 +35,46 @@ asBits(float f)
     return bits;
 }
 
+/** Call f(lane) for every set bit of mask, lowest lane first. */
+template <typename F>
+inline void
+forEachLane(uint64_t mask, F &&f)
+{
+    for (; mask; mask &= mask - 1)
+        f(countTrailingZeros(mask));
+}
+
+/**
+ * Call run(as, cmp) with the operand conversion and comparison
+ * functor of a SETP, so the dispatch happens once per instruction.
+ */
+template <typename Run>
+void
+withComparison(const Instruction &inst, Run &&run)
+{
+    auto with_cmp = [&](auto as) {
+        switch (inst.cmp) {
+          case Cmp::EQ: run(as, std::equal_to<>{}); break;
+          case Cmp::NE: run(as, std::not_equal_to<>{}); break;
+          case Cmp::LT: run(as, std::less<>{}); break;
+          case Cmp::LE: run(as, std::less_equal<>{}); break;
+          case Cmp::GT: run(as, std::greater<>{}); break;
+          case Cmp::GE: run(as, std::greater_equal<>{}); break;
+        }
+    };
+    switch (inst.cmp_type) {
+      case CmpType::I32:
+        with_cmp([](uint32_t x) { return static_cast<int32_t>(x); });
+        break;
+      case CmpType::U32:
+        with_cmp([](uint32_t x) { return x; });
+        break;
+      case CmpType::F32:
+        with_cmp([](uint32_t x) { return asFloat(x); });
+        break;
+    }
+}
+
 } // namespace
 
 Core::Core(const GpuConfig &cfg, unsigned core_id, MemorySystem &memsys,
@@ -47,6 +88,8 @@ Core::Core(const GpuConfig &cfg, unsigned core_id, MemorySystem &memsys,
 {
     GSP_ASSERT(cfg.core.warp_size <= 64,
                "warp size above 64 not representable in lane masks");
+    GSP_ASSERT(cfg.core.maxWarps() <= 64,
+               "more than 64 warps not representable in warp masks");
     _blocks.resize(cfg.core.max_blocks);
     _warps.resize(cfg.core.maxWarps());
     if (cfg.core.lOneDBytes() > 0) {
@@ -68,6 +111,28 @@ Core::setKernel(const KernelProgram *prog, const LaunchConfig *launch)
     GSP_ASSERT(threads > 0 && threads <= _cfg.core.max_threads,
                "block of ", threads, " threads does not fit core");
     _warps_per_block = divCeil(threads, _cfg.core.warp_size);
+    _decoded.clear();
+    for (const Instruction &inst : prog->code) {
+        uint64_t use_mask = 0;
+        for (const Operand *op :
+             {&inst.dst, &inst.src_a, &inst.src_b, &inst.src_c}) {
+            if (op->kind == OperandKind::Reg)
+                use_mask |= 1ull << (op->value & 63);
+        }
+        GSP_ASSERT(inst.guard < static_cast<int>(num_preds) &&
+                       inst.aux < num_preds,
+                   "predicate index out of range in ", prog->name);
+        // A source past the budget would read another warp's
+        // registers; destinations are checked where they are written.
+        for (const Operand *op : {&inst.src_a, &inst.src_b, &inst.src_c}) {
+            GSP_ASSERT(op->kind != OperandKind::Reg ||
+                           op->value < prog->regs_per_thread,
+                       "source register ", op->value, " out of budget in ",
+                       prog->name);
+        }
+        _decoded.push_back({use_mask, inst.unitClass(),
+                            static_cast<uint8_t>(inst.regSources())});
+    }
 }
 
 bool
@@ -123,9 +188,10 @@ Core::launchBlock(unsigned cta_x, unsigned cta_y)
     blk.threads = threads;
     blk.live_warps = _warps_per_block;
     blk.at_barrier = 0;
-    blk.regs.assign(static_cast<size_t>(threads) * _prog->regs_per_thread,
+    blk.regs.assign(static_cast<size_t>(_warps_per_block) *
+                        _prog->regs_per_thread * _cfg.core.warp_size,
                     0);
-    blk.preds.assign(threads, 0);
+    blk.preds.assign(_warps_per_block, {});
     blk.smem = _prog->smem_bytes > 0
                    ? std::make_unique<SharedMemory>(_prog->smem_bytes)
                    : nullptr;
@@ -145,20 +211,13 @@ Core::launchBlock(unsigned cta_x, unsigned cta_y)
                                   threads - warp.base_thread);
         uint64_t mask = lanes >= 64 ? ~0ull : ((1ull << lanes) - 1);
         warp.stack.push_back({no_reconv, 0, mask});
+        refreshWarp(w);
         ++assigned;
         ++_act.wst_writes;   // WST entry initialization
     }
     GSP_ASSERT(assigned == _warps_per_block, "warp slot accounting broke");
     ++_resident_blocks;
     _wake = 0;
-}
-
-unsigned
-Core::collectFinishedBlocks()
-{
-    unsigned n = _finished_blocks;
-    _finished_blocks = 0;
-    return n;
 }
 
 void
@@ -171,10 +230,12 @@ Core::resetForKernel()
     _const_cache.flush();
     while (!_completions.empty())
         _completions.pop();
-    _int_free = _fp_free = _sfu_free = _mem_free = 0;
+    _unit_free.fill(0);
+    _issue_mask = _fetch_mask = 0;
+    _unit_mask.fill(0);
     _fetch_rr = _issue_rr = 0;
     _wake = 0;
-    _core_steps = _quiet_cycles = 0;
+    _core_steps = _quiet_cycles = _issue_attempts = 0;
     for (auto &w : _warps)
         w = Warp{};
     for (auto &b : _blocks)
@@ -183,14 +244,8 @@ Core::resetForKernel()
 }
 
 void
-Core::step(uint64_t cycle)
+Core::fullStep(uint64_t cycle)
 {
-    if (!busy())
-        return;
-    if (cycle < _wake) {
-        skipQuiet(1);
-        return;
-    }
     ++_core_steps;
     ++_act.cycles_resident;
     const uint64_t checks_before = _act.scoreboard_checks;
@@ -207,16 +262,6 @@ Core::step(uint64_t cycle)
     if (!_completions.empty())
         _wake = std::min(_wake, _completions.top().when);
     _quiet_checks = _act.scoreboard_checks - checks_before;
-}
-
-void
-Core::skipQuiet(uint64_t n)
-{
-    _act.cycles_resident += n;
-    _act.issue_arbitrations += n;
-    _act.fetch_arbitrations += n;
-    _act.scoreboard_checks += n * _quiet_checks;
-    _quiet_cycles += n;
 }
 
 bool
@@ -242,24 +287,44 @@ Core::drainCompletions(uint64_t cycle)
             ++_act.scoreboard_writes;  // release update
         }
         ++_act.writebacks;
+        refreshWarp(c.warp);
     }
     return drained;
+}
+
+void
+Core::refreshWarp(unsigned warp_idx)
+{
+    const Warp &warp = _warps[warp_idx];
+    const uint64_t bit = 1ull << warp_idx;
+    const bool runnable = warp.valid && !warp.stack.empty() &&
+                          !warp.at_barrier && !warp.waiting_mem;
+    const bool fetchable =
+        runnable && warp.ibuffer < _cfg.core.ibuffer_slots;
+    const bool issuable = runnable && warp.ibuffer > 0 &&
+                          (_cfg.core.scoreboard || !warp.inflight);
+    _fetch_mask = fetchable ? _fetch_mask | bit : _fetch_mask & ~bit;
+    _issue_mask = issuable ? _issue_mask | bit : _issue_mask & ~bit;
+    for (uint64_t &m : _unit_mask)
+        m &= ~bit;
+    if (issuable) {
+        UnitClass uc = _decoded[warp.stack.back().exec_pc].unit;
+        _unit_mask[static_cast<unsigned>(uc)] |= bit;
+    }
 }
 
 bool
 Core::fetchStage(uint64_t cycle)
 {
-    unsigned n = static_cast<unsigned>(_warps.size());
+    const unsigned n = static_cast<unsigned>(_warps.size());
     ++_act.fetch_arbitrations;
-    for (unsigned i = 0; i < n; ++i) {
-        unsigned w = (_fetch_rr + i) % n;
+    // Fetch-eligible warps in round-robin order from _fetch_rr.
+    for (uint64_t m = rotateRight(_fetch_mask, _fetch_rr, n); m;
+         m &= m - 1) {
+        unsigned w = _fetch_rr + countTrailingZeros(m);
+        if (w >= n)
+            w -= n;
         Warp &warp = _warps[w];
-        if (!warp.valid || warp.stack.empty())
-            continue;
-        if (warp.ibuffer >= _cfg.core.ibuffer_slots)
-            continue;
-        if (warp.at_barrier || warp.waiting_mem)
-            continue;
         if (warp.fetch_ready > cycle) {
             _stall_end = std::min(_stall_end, warp.fetch_ready);
             continue;
@@ -275,6 +340,7 @@ Core::fetchStage(uint64_t cycle)
             ++_act.decodes;
             ++_act.ibuffer_writes;
             ++warp.ibuffer;
+            refreshWarp(w);
         }
         _fetch_rr = (w + 1) % n;
         return true;
@@ -285,16 +351,57 @@ Core::fetchStage(uint64_t cycle)
 bool
 Core::issueStage(uint64_t cycle)
 {
-    unsigned n = static_cast<unsigned>(_warps.size());
+    // Round-robin over offsets 0..n-1 from the live _issue_rr, which
+    // an issue moves: the order a scan over every warp would take.
+    // Only issue-eligible warps whose unit is free are tried; one
+    // whose unit is busy would fail after its scoreboard lookup, so
+    // the lookups of those the scan passes over are added in bulk.
+    const unsigned n = static_cast<unsigned>(_warps.size());
+    const bool scoreboard = _cfg.core.scoreboard;
     unsigned issued = 0;
     ++_act.issue_arbitrations;
-    for (unsigned i = 0; i < n && issued < _cfg.core.issue_width; ++i) {
-        unsigned w = (_issue_rr + i) % n;
-        if (tryIssue(w, cycle)) {
-            ++issued;
-            // Rotating priority moves past the winner; greedy-then-
-            // oldest keeps issuing the same warp until it stalls.
-            _issue_rr = _greedy_issue ? w : (w + 1) % n;
+    unsigned offset = 0;   // next offset the scan reaches
+    while (offset < n && issued < _cfg.core.issue_width) {
+        // Issuing only makes units busier, so recompute after each.
+        uint64_t blocked = 0;
+        for (unsigned u = 0; u < num_units; ++u) {
+            if (_unit_mask[u] && _unit_free[u] > cycle) {
+                blocked |= _unit_mask[u];
+                // A full scan recorded this only for blocked warps
+                // past the scoreboard. Recording it for all can only
+                // make wake() earlier, and an early wake is one more
+                // quiet step, never a missed event.
+                _stall_end = std::min(_stall_end, _unit_free[u]);
+            }
+        }
+        const unsigned base = _issue_rr;
+        const uint64_t ahead = ~lowMask(offset);
+        uint64_t ready =
+            rotateRight(_issue_mask & ~blocked, base, n) & ahead;
+        uint64_t passed =
+            scoreboard ? rotateRight(blocked, base, n) & ahead : 0;
+        bool hit = false;
+        for (; ready && !hit; ready &= ready - 1) {
+            offset = countTrailingZeros(ready);
+            _act.scoreboard_checks += popCount(passed & lowMask(offset));
+            passed &= ~lowMask(offset + 1);
+            unsigned w = base + offset;
+            if (w >= n)
+                w -= n;
+            ++offset;
+            if (tryIssue(w, cycle)) {
+                hit = true;
+                ++issued;
+                refreshWarp(w);
+                // Rotating priority moves past the winner; greedy-
+                // then-oldest keeps issuing the same warp until it
+                // stalls.
+                _issue_rr = _greedy_issue ? w : (w + 1) % n;
+            }
+        }
+        if (!hit) {
+            _act.scoreboard_checks += popCount(passed);
+            break;
         }
     }
     return issued > 0;
@@ -303,46 +410,21 @@ Core::issueStage(uint64_t cycle)
 bool
 Core::tryIssue(unsigned warp_idx, uint64_t cycle)
 {
+    // Callers pass only warps in _issue_mask whose unit is free.
+    ++_issue_attempts;
     Warp &warp = _warps[warp_idx];
-    if (!warp.valid || warp.stack.empty() || warp.ibuffer == 0)
-        return false;
-    if (warp.at_barrier || warp.waiting_mem)
-        return false;
-    if (!_cfg.core.scoreboard && warp.inflight)
-        return false;
-
     StackEntry &tos = warp.stack.back();
     const Instruction &inst = _prog->code[tos.exec_pc];
+    const Decoded &dec = _decoded[tos.exec_pc];
 
     if (_cfg.core.scoreboard) {
         ++_act.scoreboard_checks;
-        uint64_t use_mask = 0;
-        if (inst.dst.kind == OperandKind::Reg)
-            use_mask |= 1ull << (inst.dst.value & 63);
-        for (const Operand *op : {&inst.src_a, &inst.src_b, &inst.src_c}) {
-            if (op->kind == OperandKind::Reg)
-                use_mask |= 1ull << (op->value & 63);
-        }
-        if (warp.pending_reg_mask & use_mask)
+        if (warp.pending_reg_mask & dec.use_mask)
             return false;
         if (inst.writesReg() &&
             warp.pending_count >= _cfg.core.scoreboard_entries) {
             return false;
         }
-    }
-
-    UnitClass uc = inst.unitClass();
-    uint64_t unit_free = 0;
-    switch (uc) {
-      case UnitClass::Int: unit_free = _int_free; break;
-      case UnitClass::Fp: unit_free = _fp_free; break;
-      case UnitClass::Sfu: unit_free = _sfu_free; break;
-      case UnitClass::Mem: unit_free = _mem_free; break;
-      case UnitClass::Ctrl: break;
-    }
-    if (unit_free > cycle) {
-        _stall_end = std::min(_stall_end, unit_free);
-        return false;
     }
 
     // --- Issue accepted. ---
@@ -355,19 +437,15 @@ Core::tryIssue(unsigned warp_idx, uint64_t cycle)
     Block &blk = _blocks[warp.block_slot];
 
     // Guard evaluation: threads whose predicate allows execution.
-    uint64_t exec_mask = 0;
-    for (unsigned lane = 0; lane < _cfg.core.warp_size; ++lane) {
-        if (!(tos.mask >> lane & 1))
-            continue;
-        unsigned tid = warp.base_thread + lane;
-        if (guardPasses(blk, tid, inst))
-            exec_mask |= 1ull << lane;
+    uint64_t exec_mask = tos.mask;
+    if (inst.guard >= 0) {
+        uint64_t pred = blk.preds[warp.warp_in_block][inst.guard];
+        exec_mask &= inst.guard_negated ? ~pred : pred;
     }
-    unsigned active = popCount(tos.mask);
     unsigned enabled = popCount(exec_mask);
 
     // Register file traffic (operand collectors, banks, crossbar).
-    unsigned srcs = inst.regSources();
+    unsigned srcs = dec.reg_sources;
     unsigned per_op = rfAccessesPerOperand(tos.mask);
     _act.rf_bank_reads += srcs * per_op;
     _act.collector_writes += srcs;
@@ -377,10 +455,8 @@ Core::tryIssue(unsigned warp_idx, uint64_t cycle)
     if (inst.writesReg())
         _act.rf_bank_writes += per_op;
 
-    const unsigned warp_size = _cfg.core.warp_size;
-
-    switch (uc) {
-      case UnitClass::Ctrl: {
+    const UnitClass uc = dec.unit;
+    if (uc == UnitClass::Ctrl) {
         ++_act.ctrl_warp_insts;
         if (inst.op == Op::BRA) {
             ++_act.branches;
@@ -406,83 +482,57 @@ Core::tryIssue(unsigned warp_idx, uint64_t cycle)
         }
         finishWarpIfDone(warp_idx);
         return true;
-      }
-      case UnitClass::Int: {
+    }
+
+    // SIMD pipeline: busy for its initiation interval, result after
+    // the latency on top.
+    auto pipeline = [&](unsigned lanes, unsigned latency) {
+        unsigned initiation = divCeil(_cfg.core.warp_size, lanes);
+        _unit_free[static_cast<unsigned>(uc)] = cycle + initiation;
+        executeInstruction(warp, inst, exec_mask);
+        return cycle + latency + initiation;
+    };
+    Completion c{0, warp_idx, -1, 0};
+    switch (uc) {
+      case UnitClass::Int:
         ++_act.int_warp_insts;
         _act.int_lane_ops += enabled;
-        unsigned initiation = divCeil(warp_size, _cfg.core.int_lanes);
-        _int_free = cycle + initiation;
-        executeInstruction(warp, inst, exec_mask, cycle);
-        Completion c{cycle + _cfg.core.int_latency + initiation,
-                     warp_idx, -1, 0};
-        if (_cfg.core.scoreboard && inst.writesReg()) {
-            c.dst_reg = static_cast<int16_t>(inst.dst.value & 63);
-            warp.pending_reg_mask |= 1ull << c.dst_reg;
-            ++warp.pending_count;
-            ++_act.scoreboard_writes;
-        }
-        warp.inflight = true;
-        _completions.push(c);
+        c.when = pipeline(_cfg.core.int_lanes, _cfg.core.int_latency);
         break;
-      }
-      case UnitClass::Fp: {
+      case UnitClass::Fp:
         ++_act.fp_warp_insts;
         _act.fp_lane_ops += enabled;
-        unsigned initiation = divCeil(warp_size, _cfg.core.fp_lanes);
-        _fp_free = cycle + initiation;
-        executeInstruction(warp, inst, exec_mask, cycle);
-        Completion c{cycle + _cfg.core.fp_latency + initiation,
-                     warp_idx, -1, 0};
-        if (_cfg.core.scoreboard && inst.writesReg()) {
-            c.dst_reg = static_cast<int16_t>(inst.dst.value & 63);
-            warp.pending_reg_mask |= 1ull << c.dst_reg;
-            ++warp.pending_count;
-            ++_act.scoreboard_writes;
-        }
-        warp.inflight = true;
-        _completions.push(c);
+        c.when = pipeline(_cfg.core.fp_lanes, _cfg.core.fp_latency);
         break;
-      }
-      case UnitClass::Sfu: {
+      case UnitClass::Sfu:
         ++_act.sfu_warp_insts;
         _act.sfu_lane_ops += enabled;
-        unsigned initiation = divCeil(warp_size, _cfg.core.sfu_units);
-        _sfu_free = cycle + initiation;
-        executeInstruction(warp, inst, exec_mask, cycle);
-        Completion c{cycle + _cfg.core.sfu_latency + initiation,
-                     warp_idx, -1, 0};
-        if (_cfg.core.scoreboard && inst.writesReg()) {
-            c.dst_reg = static_cast<int16_t>(inst.dst.value & 63);
-            warp.pending_reg_mask |= 1ull << c.dst_reg;
-            ++warp.pending_count;
-            ++_act.scoreboard_writes;
-        }
-        warp.inflight = true;
-        _completions.push(c);
+        c.when = pipeline(_cfg.core.sfu_units, _cfg.core.sfu_latency);
         break;
-      }
       case UnitClass::Mem: {
         ++_act.mem_warp_insts;
-        uint64_t done = executeMemory(warp, inst, exec_mask, cycle);
+        c.when = executeMemory(warp, inst, exec_mask, cycle);
         bool is_load = inst.op == Op::LDG || inst.op == Op::LDS ||
                        inst.op == Op::STS || inst.op == Op::LDC ||
                        inst.op == Op::ATOMG_ADD;
         // STS completes like LDS (SMEM round trip); STG is
         // fire-and-forget through the store path.
-        Completion c{done, warp_idx, -1, uint8_t(is_load ? 1 : 0)};
-        if (_cfg.core.scoreboard && inst.writesReg()) {
-            c.dst_reg = static_cast<int16_t>(inst.dst.value & 63);
-            warp.pending_reg_mask |= 1ull << c.dst_reg;
-            ++warp.pending_count;
-            ++_act.scoreboard_writes;
-        }
+        c.kind = is_load ? 1 : 0;
         if (is_load && (inst.op == Op::LDG || inst.op == Op::ATOMG_ADD))
             warp.waiting_mem = true;
-        warp.inflight = true;
-        _completions.push(c);
         break;
       }
+      case UnitClass::Ctrl:
+        break;   // handled above
     }
+    if (_cfg.core.scoreboard && inst.writesReg()) {
+        c.dst_reg = static_cast<int16_t>(inst.dst.value & 63);
+        warp.pending_reg_mask |= 1ull << c.dst_reg;
+        ++warp.pending_count;
+        ++_act.scoreboard_writes;
+    }
+    warp.inflight = true;
+    _completions.push(c);
 
     // Sequential PC advance + reconvergence pop for non-control ops.
     StackEntry &tos2 = warp.stack.back();
@@ -493,7 +543,6 @@ Core::tryIssue(unsigned warp_idx, uint64_t cycle)
         ++_act.reconv_pops;
         warp.ibuffer = 0;
     }
-    (void)active;
     return true;
 }
 
@@ -546,9 +595,11 @@ Core::releaseBarrierIfReady(unsigned block_slot)
     if (blk.live_warps == 0 || blk.at_barrier < blk.live_warps)
         return;
     blk.at_barrier = 0;
-    for (auto &w : _warps) {
-        if (w.valid && w.block_slot == block_slot)
-            w.at_barrier = false;
+    for (unsigned w = 0; w < _warps.size(); ++w) {
+        if (_warps[w].valid && _warps[w].block_slot == block_slot) {
+            _warps[w].at_barrier = false;
+            refreshWarp(w);
+        }
     }
 }
 
@@ -560,6 +611,7 @@ Core::finishWarpIfDone(unsigned warp_idx)
         return;
     unsigned block_slot = warp.block_slot;
     warp.valid = false;
+    refreshWarp(warp_idx);
     Block &blk = _blocks[block_slot];
     GSP_ASSERT(blk.live_warps > 0, "warp accounting broke");
     --blk.live_warps;
@@ -579,18 +631,15 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
                     uint64_t exec_mask, uint64_t cycle)
 {
     Block &blk = _blocks[warp.block_slot];
-    const unsigned warp_size = _cfg.core.warp_size;
+    uint64_t &mem_free = _unit_free[static_cast<unsigned>(UnitClass::Mem)];
 
     // AGU: one address per enabled lane, 8 addresses per SAGU/cycle.
+    const LaneSource base = laneSource(blk, warp, inst.src_a, 0, exec_mask);
     _addr_scratch.clear();
-    for (unsigned lane = 0; lane < warp_size; ++lane) {
-        if (!(exec_mask >> lane & 1))
-            continue;
-        unsigned tid = warp.base_thread + lane;
-        uint32_t base = readOperand(blk, tid, warp, inst.src_a);
-        _addr_scratch.push_back(
-            base + static_cast<uint32_t>(inst.mem_offset));
-    }
+    forEachLane(exec_mask, [&](unsigned lane) {
+        _addr_scratch.push_back(base(lane) +
+                                static_cast<uint32_t>(inst.mem_offset));
+    });
     unsigned enabled = static_cast<unsigned>(_addr_scratch.size());
     _act.agu_addrs += enabled;
     unsigned agu_cycles = std::max(
@@ -598,7 +647,7 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
                 divCeil(enabled, 8 * _cfg.core.sagu_count)));
 
     if (enabled == 0) {
-        _mem_free = cycle + 1;
+        mem_free = cycle + 1;
         return cycle + 1;
     }
 
@@ -613,20 +662,19 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
         _act.smem_conflict_cycles += info.serialization - 1;
         // Functional.
         unsigned idx = 0;
-        for (unsigned lane = 0; lane < warp_size; ++lane) {
-            if (!(exec_mask >> lane & 1))
-                continue;
-            unsigned tid = warp.base_thread + lane;
-            uint32_t addr = _addr_scratch[idx++];
-            if (is_store) {
-                blk.smem->store32(
-                    addr, readOperand(blk, tid, warp, inst.src_b));
-            } else {
-                threadReg(blk, tid, inst.dst.value) =
-                    blk.smem->load32(addr);
-            }
+        if (is_store) {
+            const LaneSource val =
+                laneSource(blk, warp, inst.src_b, 1, exec_mask);
+            forEachLane(exec_mask, [&](unsigned lane) {
+                blk.smem->store32(_addr_scratch[idx++], val(lane));
+            });
+        } else {
+            uint32_t *dst = laneDest(blk, warp, inst.dst.value);
+            forEachLane(exec_mask, [&](unsigned lane) {
+                dst[lane] = blk.smem->load32(_addr_scratch[idx++]);
+            });
         }
-        _mem_free = cycle + agu_cycles + info.serialization;
+        mem_free = cycle + agu_cycles + info.serialization;
         return cycle + _cfg.core.smem_latency + info.serialization;
       }
       case Op::LDC: {
@@ -641,14 +689,11 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
             }
         }
         unsigned idx = 0;
-        for (unsigned lane = 0; lane < warp_size; ++lane) {
-            if (!(exec_mask >> lane & 1))
-                continue;
-            unsigned tid = warp.base_thread + lane;
-            threadReg(blk, tid, inst.dst.value) =
-                _cmem.load32(_addr_scratch[idx++]);
-        }
-        _mem_free = cycle + agu_cycles + d;
+        uint32_t *dst = laneDest(blk, warp, inst.dst.value);
+        forEachLane(exec_mask, [&](unsigned lane) {
+            dst[lane] = _cmem.load32(_addr_scratch[idx++]);
+        });
+        mem_free = cycle + agu_cycles + d;
         return cycle + _cfg.core.l1_latency + d + miss_extra;
       }
       case Op::LDG:
@@ -659,26 +704,29 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
 
         // Functional first (atomics serialize in lane order).
         unsigned idx = 0;
-        for (unsigned lane = 0; lane < warp_size; ++lane) {
-            if (!(exec_mask >> lane & 1))
-                continue;
-            unsigned tid = warp.base_thread + lane;
-            uint32_t addr = _addr_scratch[idx++];
-            if (is_store) {
-                _gmem.store32(addr,
-                              readOperand(blk, tid, warp, inst.src_b));
-            } else if (is_atomic) {
+        if (is_store) {
+            const LaneSource val =
+                laneSource(blk, warp, inst.src_b, 1, exec_mask);
+            forEachLane(exec_mask, [&](unsigned lane) {
+                _gmem.store32(_addr_scratch[idx++], val(lane));
+            });
+        } else if (is_atomic) {
+            const LaneSource val =
+                laneSource(blk, warp, inst.src_b, 1, exec_mask);
+            uint32_t *dst = laneDest(blk, warp, inst.dst.value);
+            forEachLane(exec_mask, [&](unsigned lane) {
+                uint32_t addr = _addr_scratch[idx++];
                 uint32_t old = _gmem.load32(addr);
-                threadReg(blk, tid, inst.dst.value) = old;
-                _gmem.store32(
-                    addr,
-                    old + readOperand(blk, tid, warp, inst.src_b));
-            } else {
-                threadReg(blk, tid, inst.dst.value) =
-                    _gmem.load32(addr);
-            }
+                dst[lane] = old;
+                // Read after the write: src_b may be the destination.
+                _gmem.store32(addr, old + val(lane));
+            });
+        } else {
+            uint32_t *dst = laneDest(blk, warp, inst.dst.value);
+            forEachLane(exec_mask, [&](unsigned lane) {
+                dst[lane] = _gmem.load32(_addr_scratch[idx++]);
+            });
         }
-
         // Coalescing [24].
         ++_act.coalescer_lookups;
         unsigned n_seg;
@@ -733,7 +781,7 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
                 t_done = std::max(t_done, t_seg);
             }
         }
-        _mem_free = cycle + agu_cycles + n_seg;
+        mem_free = cycle + agu_cycles + n_seg;
         if (is_store) {
             // Fire-and-forget: the warp only waits for the LDST
             // unit's own occupancy, not the DRAM round trip.
@@ -748,203 +796,200 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
 
 void
 Core::executeInstruction(Warp &warp, const Instruction &inst,
-                         uint64_t exec_mask, uint64_t cycle)
+                         uint64_t exec_mask)
 {
-    (void)cycle;
+    if (exec_mask == 0)
+        return;
     Block &blk = _blocks[warp.block_slot];
-    const unsigned warp_size = _cfg.core.warp_size;
+    const LaneSource a = laneSource(blk, warp, inst.src_a, 0, exec_mask);
+    const LaneSource b = laneSource(blk, warp, inst.src_b, 1, exec_mask);
+    const LaneSource c = laneSource(blk, warp, inst.src_c, 2, exec_mask);
 
-    for (unsigned lane = 0; lane < warp_size; ++lane) {
-        if (!(exec_mask >> lane & 1))
-            continue;
-        unsigned tid = warp.base_thread + lane;
-        uint32_t a = readOperand(blk, tid, warp, inst.src_a);
-        uint32_t b = readOperand(blk, tid, warp, inst.src_b);
-        uint32_t c = readOperand(blk, tid, warp, inst.src_c);
-        uint32_t result = 0;
-        bool write_result = inst.writesReg();
+    // Value-producing ops: dst = f(lane) on every enabled lane.
+    auto write = [&](auto f) {
+        if (!inst.writesReg())
+            return;
+        uint32_t *dst = laneDest(blk, warp, inst.dst.value);
+        forEachLane(exec_mask, [&](unsigned lane) { dst[lane] = f(lane); });
+    };
 
-        switch (inst.op) {
-          case Op::MOV: result = a; break;
-          case Op::IADD: result = a + b; break;
-          case Op::ISUB: result = a - b; break;
-          case Op::IMUL:
-            result = static_cast<uint32_t>(
-                static_cast<uint64_t>(a) * b);
-            break;
-          case Op::IMAD:
-            result = static_cast<uint32_t>(
-                static_cast<uint64_t>(a) * b + c);
-            break;
-          case Op::ISHL: result = a << (b & 31); break;
-          case Op::ISHR: result = a >> (b & 31); break;
-          case Op::IAND: result = a & b; break;
-          case Op::IOR: result = a | b; break;
-          case Op::IXOR: result = a ^ b; break;
-          case Op::IMIN:
-            result = static_cast<uint32_t>(
-                std::min(static_cast<int32_t>(a),
-                         static_cast<int32_t>(b)));
-            break;
-          case Op::IMAX:
-            result = static_cast<uint32_t>(
-                std::max(static_cast<int32_t>(a),
-                         static_cast<int32_t>(b)));
-            break;
-          case Op::FADD: result = asBits(asFloat(a) + asFloat(b)); break;
-          case Op::FSUB: result = asBits(asFloat(a) - asFloat(b)); break;
-          case Op::FMUL: result = asBits(asFloat(a) * asFloat(b)); break;
-          case Op::FFMA:
-            result = asBits(asFloat(a) * asFloat(b) + asFloat(c));
-            break;
-          case Op::FMIN:
-            result = asBits(std::min(asFloat(a), asFloat(b)));
-            break;
-          case Op::FMAX:
-            result = asBits(std::max(asFloat(a), asFloat(b)));
-            break;
-          case Op::I2F:
-            result = asBits(static_cast<float>(static_cast<int32_t>(a)));
-            break;
-          case Op::F2I:
-            result = static_cast<uint32_t>(
-                static_cast<int32_t>(asFloat(a)));
-            break;
-          case Op::RCP: result = asBits(1.0f / asFloat(a)); break;
-          case Op::RSQRT:
-            result = asBits(1.0f / std::sqrt(asFloat(a)));
-            break;
-          case Op::SQRT: result = asBits(std::sqrt(asFloat(a))); break;
-          case Op::SIN: result = asBits(std::sin(asFloat(a))); break;
-          case Op::COS: result = asBits(std::cos(asFloat(a))); break;
-          case Op::EX2: result = asBits(std::exp2(asFloat(a))); break;
-          case Op::LG2: result = asBits(std::log2(asFloat(a))); break;
-          case Op::SETP: {
-            bool r = false;
-            switch (inst.cmp_type) {
-              case CmpType::I32: {
-                int32_t x = static_cast<int32_t>(a);
-                int32_t y = static_cast<int32_t>(b);
-                switch (inst.cmp) {
-                  case Cmp::EQ: r = x == y; break;
-                  case Cmp::NE: r = x != y; break;
-                  case Cmp::LT: r = x < y; break;
-                  case Cmp::LE: r = x <= y; break;
-                  case Cmp::GT: r = x > y; break;
-                  case Cmp::GE: r = x >= y; break;
-                }
-                break;
-              }
-              case CmpType::U32: {
-                switch (inst.cmp) {
-                  case Cmp::EQ: r = a == b; break;
-                  case Cmp::NE: r = a != b; break;
-                  case Cmp::LT: r = a < b; break;
-                  case Cmp::LE: r = a <= b; break;
-                  case Cmp::GT: r = a > b; break;
-                  case Cmp::GE: r = a >= b; break;
-                }
-                break;
-              }
-              case CmpType::F32: {
-                float x = asFloat(a);
-                float y = asFloat(b);
-                switch (inst.cmp) {
-                  case Cmp::EQ: r = x == y; break;
-                  case Cmp::NE: r = x != y; break;
-                  case Cmp::LT: r = x < y; break;
-                  case Cmp::LE: r = x <= y; break;
-                  case Cmp::GT: r = x > y; break;
-                  case Cmp::GE: r = x >= y; break;
-                }
-                break;
-              }
-            }
-            writePred(blk, tid, inst.aux, r);
-            write_result = false;
-            break;
-          }
-          case Op::SELP:
-            result = readPred(blk, tid, inst.aux) ? a : b;
-            break;
-          case Op::NOP:
-            write_result = false;
-            break;
-          default:
-            GSP_PANIC("executeInstruction on unexpected opcode ",
-                      opName(inst.op));
-        }
-        if (write_result)
-            threadReg(blk, tid, inst.dst.value) = result;
+    auto fa = [&](unsigned l) { return asFloat(a(l)); };
+    auto fb = [&](unsigned l) { return asFloat(b(l)); };
+    auto fc = [&](unsigned l) { return asFloat(c(l)); };
+
+    switch (inst.op) {
+      case Op::MOV: write([&](unsigned l) { return a(l); }); break;
+      case Op::IADD: write([&](unsigned l) { return a(l) + b(l); }); break;
+      case Op::ISUB: write([&](unsigned l) { return a(l) - b(l); }); break;
+      case Op::IMUL:
+        write([&](unsigned l) {
+            return static_cast<uint32_t>(static_cast<uint64_t>(a(l)) *
+                                         b(l));
+        });
+        break;
+      case Op::IMAD:
+        write([&](unsigned l) {
+            return static_cast<uint32_t>(
+                static_cast<uint64_t>(a(l)) * b(l) + c(l));
+        });
+        break;
+      case Op::ISHL:
+        write([&](unsigned l) { return a(l) << (b(l) & 31); });
+        break;
+      case Op::ISHR:
+        write([&](unsigned l) { return a(l) >> (b(l) & 31); });
+        break;
+      case Op::IAND: write([&](unsigned l) { return a(l) & b(l); }); break;
+      case Op::IOR: write([&](unsigned l) { return a(l) | b(l); }); break;
+      case Op::IXOR: write([&](unsigned l) { return a(l) ^ b(l); }); break;
+      case Op::IMIN:
+        write([&](unsigned l) {
+            return static_cast<uint32_t>(
+                std::min(static_cast<int32_t>(a(l)),
+                         static_cast<int32_t>(b(l))));
+        });
+        break;
+      case Op::IMAX:
+        write([&](unsigned l) {
+            return static_cast<uint32_t>(
+                std::max(static_cast<int32_t>(a(l)),
+                         static_cast<int32_t>(b(l))));
+        });
+        break;
+      case Op::FADD:
+        write([&](unsigned l) { return asBits(fa(l) + fb(l)); });
+        break;
+      case Op::FSUB:
+        write([&](unsigned l) { return asBits(fa(l) - fb(l)); });
+        break;
+      case Op::FMUL:
+        write([&](unsigned l) { return asBits(fa(l) * fb(l)); });
+        break;
+      case Op::FFMA:
+        write([&](unsigned l) { return asBits(fa(l) * fb(l) + fc(l)); });
+        break;
+      case Op::FMIN:
+        write([&](unsigned l) { return asBits(std::min(fa(l), fb(l))); });
+        break;
+      case Op::FMAX:
+        write([&](unsigned l) { return asBits(std::max(fa(l), fb(l))); });
+        break;
+      case Op::I2F:
+        write([&](unsigned l) {
+            return asBits(static_cast<float>(static_cast<int32_t>(a(l))));
+        });
+        break;
+      case Op::F2I:
+        write([&](unsigned l) {
+            return static_cast<uint32_t>(static_cast<int32_t>(fa(l)));
+        });
+        break;
+      case Op::RCP:
+        write([&](unsigned l) { return asBits(1.0f / fa(l)); });
+        break;
+      case Op::RSQRT:
+        write([&](unsigned l) { return asBits(1.0f / std::sqrt(fa(l))); });
+        break;
+      case Op::SQRT:
+        write([&](unsigned l) { return asBits(std::sqrt(fa(l))); });
+        break;
+      case Op::SIN:
+        write([&](unsigned l) { return asBits(std::sin(fa(l))); });
+        break;
+      case Op::COS:
+        write([&](unsigned l) { return asBits(std::cos(fa(l))); });
+        break;
+      case Op::EX2:
+        write([&](unsigned l) { return asBits(std::exp2(fa(l))); });
+        break;
+      case Op::LG2:
+        write([&](unsigned l) { return asBits(std::log2(fa(l))); });
+        break;
+      case Op::SETP: {
+        uint64_t result = 0;
+        withComparison(inst, [&](auto as, auto cmp) {
+            forEachLane(exec_mask, [&](unsigned l) {
+                result |= uint64_t(cmp(as(a(l)), as(b(l)))) << l;
+            });
+        });
+        uint64_t &pred = blk.preds[warp.warp_in_block][inst.aux];
+        pred = (pred & ~exec_mask) | result;
+        break;
+      }
+      case Op::SELP: {
+        const uint64_t pred = blk.preds[warp.warp_in_block][inst.aux];
+        write([&](unsigned l) { return (pred >> l & 1) ? a(l) : b(l); });
+        break;
+      }
+      case Op::NOP:
+        break;
+      default:
+        GSP_PANIC("executeInstruction on unexpected opcode ",
+                  opName(inst.op));
     }
 }
 
-uint32_t
-Core::readOperand(const Block &blk, unsigned tid, const Warp &warp,
-                  const Operand &op) const
+Core::LaneSource
+Core::laneSource(const Block &blk, const Warp &warp, const Operand &op,
+                 unsigned slot, uint64_t exec_mask)
 {
+    static const uint32_t zero = 0;
     switch (op.kind) {
       case OperandKind::None:
-        return 0;
+        return {&zero, 0};
       case OperandKind::Imm:
-        return op.value;
+        return {&op.value, 0};
       case OperandKind::Reg:
-        return blk.regs[static_cast<size_t>(tid) *
-                            _prog->regs_per_thread +
-                        op.value];
+        return {regRow(blk, warp, op.value), 1};
       case OperandKind::Special: {
-        const Dim3 &ntid = _launch->block;
-        const Dim3 &nctaid = _launch->grid;
-        switch (static_cast<SpecialReg>(op.value)) {
-          case SpecialReg::TidX: return tid % ntid.x;
-          case SpecialReg::TidY: return tid / ntid.x;
-          case SpecialReg::NTidX: return ntid.x;
-          case SpecialReg::NTidY: return ntid.y;
-          case SpecialReg::CtaIdX: return blk.cta_x;
-          case SpecialReg::CtaIdY: return blk.cta_y;
-          case SpecialReg::NCtaIdX: return nctaid.x;
-          case SpecialReg::NCtaIdY: return nctaid.y;
-          case SpecialReg::LaneId: return tid % _cfg.core.warp_size;
-          case SpecialReg::WarpId: return warp.warp_in_block;
-        }
-        return 0;
+        auto &vals = _special_scratch[slot];
+        const auto reg = static_cast<SpecialReg>(op.value);
+        forEachLane(exec_mask, [&](unsigned lane) {
+            vals[lane] = readSpecial(blk, warp.base_thread + lane, warp, reg);
+        });
+        return {vals.data(), 1};
       }
+    }
+    return {&zero, 0};
+}
+
+uint32_t
+Core::readSpecial(const Block &blk, unsigned tid, const Warp &warp,
+                  SpecialReg reg) const
+{
+    const Dim3 &ntid = _launch->block;
+    const Dim3 &nctaid = _launch->grid;
+    switch (reg) {
+      case SpecialReg::TidX: return tid % ntid.x;
+      case SpecialReg::TidY: return tid / ntid.x;
+      case SpecialReg::NTidX: return ntid.x;
+      case SpecialReg::NTidY: return ntid.y;
+      case SpecialReg::CtaIdX: return blk.cta_x;
+      case SpecialReg::CtaIdY: return blk.cta_y;
+      case SpecialReg::NCtaIdX: return nctaid.x;
+      case SpecialReg::NCtaIdY: return nctaid.y;
+      case SpecialReg::LaneId: return tid % _cfg.core.warp_size;
+      case SpecialReg::WarpId: return warp.warp_in_block;
     }
     return 0;
 }
 
-uint32_t &
-Core::threadReg(Block &blk, unsigned tid, unsigned reg)
+uint32_t *
+Core::laneDest(Block &blk, const Warp &warp, unsigned reg) const
 {
+    // Checked once per instruction, before any lane writes.
     GSP_ASSERT(reg < _prog->regs_per_thread, "register ", reg,
                " out of budget in ", _prog->name);
-    return blk.regs[static_cast<size_t>(tid) * _prog->regs_per_thread +
-                    reg];
+    return const_cast<uint32_t *>(regRow(blk, warp, reg));
 }
 
-bool
-Core::readPred(const Block &blk, unsigned tid, unsigned p) const
+const uint32_t *
+Core::regRow(const Block &blk, const Warp &warp, unsigned reg) const
 {
-    return (blk.preds[tid] >> p) & 1;
-}
-
-void
-Core::writePred(Block &blk, unsigned tid, unsigned p, bool v)
-{
-    if (v)
-        blk.preds[tid] |= static_cast<uint8_t>(1u << p);
-    else
-        blk.preds[tid] &= static_cast<uint8_t>(~(1u << p));
-}
-
-bool
-Core::guardPasses(const Block &blk, unsigned tid,
-                  const Instruction &inst) const
-{
-    if (inst.guard < 0)
-        return true;
-    bool p = readPred(blk, tid, static_cast<unsigned>(inst.guard));
-    return inst.guard_negated ? !p : p;
+    return blk.regs.data() +
+           (static_cast<size_t>(warp.warp_in_block) *
+                _prog->regs_per_thread +
+            reg) * _cfg.core.warp_size;
 }
 
 unsigned

@@ -16,16 +16,29 @@
  * Timing is event-driven. A step that drains no completion, issues
  * nothing and fetches nothing is quiet: the core then records its
  * wake() cycle (the completion-heap head, the fetch_ready of every
- * fetch-eligible warp, and the next-free time of the unit every
- * otherwise-ready warp waits on) and the scoreboard lookups that step
+ * fetch-eligible warp, and the next-free time of every unit an
+ * issue-eligible warp waits on) and the scoreboard lookups that step
  * made. Nothing but the per-cycle counters can change before wake(),
  * so until then a cycle is accounted in bulk (skipQuiet) instead of
  * re-scanning the warps — bit-identical to stepping it.
+ *
+ * The schedulers scan warp masks, not warps. Bit w of the issue
+ * (fetch) mask is set exactly when warp w passes the issue (fetch)
+ * scheduler's static checks; refreshWarp() restores that wherever a
+ * checked field changes. The issue mask is further split by the unit
+ * each warp's next instruction needs, so a step visits only warps
+ * whose unit is free and accounts the scoreboard lookups of the
+ * others in bulk, in the same round-robin order and with the same
+ * counts as a scan over every warp. Instructions are decoded once per
+ * kernel and execute over the set bits of the lane mask only, on a
+ * register file laid out warp x register x lane; predicates are one
+ * lane mask per warp, so a guard is an AND.
  */
 
 #ifndef GPUSIMPOW_PERF_CORE_HH
 #define GPUSIMPOW_PERF_CORE_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <queue>
@@ -83,7 +96,15 @@ class Core
      * Advance one shader cycle: drain, issue and fetch, or only
      * account the cycle while the core is quiet (cycle < wake()).
      */
-    void step(uint64_t cycle);
+    void step(uint64_t cycle)
+    {
+        if (!busy())
+            return;
+        if (cycle < _wake)
+            skipQuiet(1);
+        else
+            fullStep(cycle);
+    }
 
     /**
      * First cycle whose step can do more than bump the per-cycle
@@ -98,13 +119,24 @@ class Core
      * the recorded scoreboard lookups) advance by n steps' worth.
      * Only legal for cycles before wake().
      */
-    void skipQuiet(uint64_t n);
+    void skipQuiet(uint64_t n)
+    {
+        _act.cycles_resident += n;
+        _act.issue_arbitrations += n;
+        _act.fetch_arbitrations += n;
+        _act.scoreboard_checks += n * _quiet_checks;
+        _quiet_cycles += n;
+    }
 
     /** Full steps since resetForKernel(). */
     uint64_t coreSteps() const { return _core_steps; }
 
     /** Cycles accounted by skipQuiet() since resetForKernel(). */
     uint64_t quietCycles() const { return _quiet_cycles; }
+
+    /** Warps the issue scheduler examined (tryIssue calls) since
+     *  resetForKernel(). */
+    uint64_t issueAttempts() const { return _issue_attempts; }
 
     /** True if any block is resident. */
     bool busy() const { return _resident_blocks > 0; }
@@ -113,7 +145,12 @@ class Core
     unsigned residentBlocks() const { return _resident_blocks; }
 
     /** Blocks finished since the last call (and reset the count). */
-    unsigned collectFinishedBlocks();
+    unsigned collectFinishedBlocks()
+    {
+        unsigned n = _finished_blocks;
+        _finished_blocks = 0;
+        return n;
+    }
 
     /** Activity counters (cumulative). */
     const CoreActivity &activity() const { return _act; }
@@ -122,6 +159,9 @@ class Core
     void resetForKernel();
 
   private:
+    /** Predicate registers per thread (KernelBuilder's p0..p3). */
+    static constexpr unsigned num_preds = 4;
+
     /** Resident thread block context. */
     struct Block
     {
@@ -131,8 +171,11 @@ class Core
         unsigned threads = 0;
         unsigned live_warps = 0;
         unsigned at_barrier = 0;
-        std::vector<uint32_t> regs;    // threads x regs_per_thread
-        std::vector<uint8_t> preds;    // threads x 1 (bit per pred)
+        // Register file, warp x register x lane: a warp's lanes of
+        // one register are contiguous.
+        std::vector<uint32_t> regs;
+        // Per warp of the block, the lane mask of each predicate.
+        std::vector<std::array<uint64_t, num_preds>> preds;
         std::unique_ptr<SharedMemory> smem;
     };
 
@@ -173,6 +216,16 @@ class Core
     const LaunchConfig *_launch = nullptr;
     unsigned _warps_per_block = 0;
 
+    /** What the schedulers read of an instruction every cycle,
+     *  decoded once per kernel. */
+    struct Decoded
+    {
+        uint64_t use_mask;      // scoreboard: registers read or written
+        UnitClass unit;
+        uint8_t reg_sources;
+    };
+    std::vector<Decoded> _decoded;   // by pc
+
     std::vector<Block> _blocks;
     std::vector<Warp> _warps;
     unsigned _resident_blocks = 0;
@@ -182,11 +235,18 @@ class Core
     std::unique_ptr<CacheModel> _l1d;   // null when not configured
     CacheModel _const_cache;
 
-    // Pipeline next-free times (shader cycles).
-    uint64_t _int_free = 0;
-    uint64_t _fp_free = 0;
-    uint64_t _sfu_free = 0;
-    uint64_t _mem_free = 0;
+    static constexpr unsigned num_units =
+        static_cast<unsigned>(UnitClass::Ctrl) + 1;
+
+    // Pipeline next-free times (shader cycles) by UnitClass; Ctrl has
+    // no pipeline and stays 0.
+    std::array<uint64_t, num_units> _unit_free{};
+
+    // Warp masks, bit w for _warps[w] (see the file comment).
+    uint64_t _issue_mask = 0;   // tryIssue's static checks pass
+    uint64_t _fetch_mask = 0;   // fetchStage's static checks pass
+    // _issue_mask split by the unit of each warp's next instruction.
+    std::array<uint64_t, num_units> _unit_mask{};
 
     unsigned _fetch_rr = 0;   // round-robin pointers
     unsigned _issue_rr = 0;
@@ -199,6 +259,7 @@ class Core
                                   // time a warp waited on this step
     uint64_t _core_steps = 0;
     uint64_t _quiet_cycles = 0;
+    uint64_t _issue_attempts = 0;
 
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>> _completions;
@@ -208,14 +269,27 @@ class Core
     // Scratch buffers reused across cycles (no hot-path allocation).
     std::vector<uint32_t> _addr_scratch;
     std::vector<uint32_t> _seg_scratch;
+    // Per-lane values of special-register operands (src_a, b, c).
+    std::array<std::array<uint32_t, 64>, 3> _special_scratch;
+
+    /** One source operand's per-lane values: value(lane) is
+     *  p[lane * stride] (stride 0 for immediates). */
+    struct LaneSource
+    {
+        const uint32_t *p;
+        size_t stride;
+        uint32_t operator()(unsigned lane) const { return p[lane * stride]; }
+    };
 
     // --- stage helpers ---
+    void fullStep(uint64_t cycle);
+    void refreshWarp(unsigned warp_idx);
     bool drainCompletions(uint64_t cycle);
     bool fetchStage(uint64_t cycle);
     bool issueStage(uint64_t cycle);
     bool tryIssue(unsigned warp_idx, uint64_t cycle);
     void executeInstruction(Warp &warp, const Instruction &inst,
-                            uint64_t exec_mask, uint64_t cycle);
+                            uint64_t exec_mask);
     uint64_t executeMemory(Warp &warp, const Instruction &inst,
                            uint64_t exec_mask, uint64_t cycle);
     void executeBranch(Warp &warp, const Instruction &inst,
@@ -225,13 +299,14 @@ class Core
     void finishWarpIfDone(unsigned warp_idx);
 
     // --- functional helpers ---
-    uint32_t readOperand(const Block &blk, unsigned tid,
-                         const Warp &warp, const Operand &op) const;
-    uint32_t &threadReg(Block &blk, unsigned tid, unsigned reg);
-    bool readPred(const Block &blk, unsigned tid, unsigned p) const;
-    void writePred(Block &blk, unsigned tid, unsigned p, bool v);
-    bool guardPasses(const Block &blk, unsigned tid,
-                     const Instruction &inst) const;
+    LaneSource laneSource(const Block &blk, const Warp &warp,
+                          const Operand &op, unsigned slot,
+                          uint64_t exec_mask);
+    uint32_t readSpecial(const Block &blk, unsigned tid, const Warp &warp,
+                         SpecialReg reg) const;
+    uint32_t *laneDest(Block &blk, const Warp &warp, unsigned reg) const;
+    const uint32_t *regRow(const Block &blk, const Warp &warp,
+                           unsigned reg) const;
 
     unsigned rfAccessesPerOperand(uint64_t mask) const;
 };

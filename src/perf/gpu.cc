@@ -245,6 +245,7 @@ Gpu::run(const KernelProgram &prog, const LaunchConfig &launch,
     for (const auto &core : _cores) {
         result.core_steps += core->coreSteps();
         result.quiet_core_cycles += core->quietCycles();
+        result.issue_attempts += core->issueAttempts();
     }
     return result;
 }

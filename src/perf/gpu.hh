@@ -50,6 +50,9 @@ struct RunResult
      *  serialized. core_steps + quiet_core_cycles is the sum of
      *  cycles_resident. */
     uint64_t quiet_core_cycles = 0;
+    /** Warps the issue schedulers examined (all cores); not
+     *  serialized. Each issues or fails its scoreboard check. */
+    uint64_t issue_attempts = 0;
 };
 
 /** A whole GPU card (chip + GDDR5 + host interface). */

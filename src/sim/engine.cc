@@ -318,7 +318,11 @@ SimulationEngine::run(const SweepSpec &spec) const
         "engine/worker_busy_ns", "worker time spent inside work units");
     obs::Counter &c_idle = reg.counter(
         "engine/worker_idle_ns",
-        "worker lifetime not spent inside work units");
+        "worker time from pool start to pool join not spent inside "
+        "work units");
+    obs::Counter &c_tail = reg.counter(
+        "engine/tail_idle_ns",
+        "worker time from leaving the work loop to the pool join");
     obs::Histogram &h_group_size = reg.histogram(
         "engine/batch_group_size",
         "work-unit sizes of the memoized (grouped) schedule");
@@ -393,11 +397,15 @@ SimulationEngine::run(const SweepSpec &spec) const
     std::size_t error_index = std::numeric_limits<std::size_t>::max();
     std::exception_ptr error;
 
+    // Idle time runs to the pool join, so a worker that ran out of
+    // units is charged for waiting on the slowest one.
+    std::vector<uint64_t> worker_busy_ns(workers, 0);
+    std::vector<uint64_t> worker_exit_ns(workers, 0);
+
     auto worker_loop = [&](unsigned worker_id) {
         // One trace track per worker. No-op while tracing is off.
         obs::Tracer::instance().labelThread(
             strformat("worker-%u", worker_id));
-        const uint64_t t_worker0 = obs::monotonicNs();
         uint64_t busy_ns = 0;
 
         // Per-worker Simulator cache (single entry), keyed on the
@@ -514,10 +522,11 @@ SimulationEngine::run(const SweepSpec &spec) const
             busy_ns += obs::monotonicNs() - t_unit0;
         }
 
-        c_busy.add(busy_ns);
-        c_idle.add(obs::monotonicNs() - t_worker0 - busy_ns);
+        worker_busy_ns[worker_id - 1] = busy_ns;
+        worker_exit_ns[worker_id - 1] = obs::monotonicNs();
     };
 
+    const uint64_t t_pool0 = obs::monotonicNs();
     if (workers == 1) {
         // Run inline: identical semantics, easier to debug/profile.
         worker_loop(1);
@@ -528,6 +537,12 @@ SimulationEngine::run(const SweepSpec &spec) const
             pool.emplace_back(worker_loop, w + 1);
         for (std::thread &t : pool)
             t.join();
+    }
+    const uint64_t t_join = obs::monotonicNs();
+    for (unsigned w = 0; w < workers; ++w) {
+        c_busy.add(worker_busy_ns[w]);
+        c_idle.add(t_join - t_pool0 - worker_busy_ns[w]);
+        c_tail.add(t_join - worker_exit_ns[w]);
     }
 
     table.setReplayedScenarios(replayed.load());

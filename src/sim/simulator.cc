@@ -44,6 +44,23 @@ perfQuietCoreCycles()
     return c;
 }
 
+obs::Counter &
+perfIssueAttempts()
+{
+    static obs::Counter &c = obs::Registry::instance().counter(
+        "perf/issue_attempts",
+        "warps the issue schedulers of timing captures examined");
+    return c;
+}
+
+obs::Counter &
+perfWarpInsts()
+{
+    static obs::Counter &c = obs::Registry::instance().counter(
+        "perf/warp_insts", "warp instructions issued by timing captures");
+    return c;
+}
+
 } // namespace
 
 void
@@ -51,6 +68,8 @@ Simulator::registerPerfCounters()
 {
     perfCoreSteps();
     perfQuietCoreCycles();
+    perfIssueAttempts();
+    perfWarpInsts();
 }
 
 std::string
@@ -188,6 +207,8 @@ Simulator::capturePerf(const perf::KernelProgram &prog,
                           with_trace ? sample_interval_s : 0.0);
     perfCoreSteps().add(snap.perf.core_steps);
     perfQuietCoreCycles().add(snap.perf.quiet_core_cycles);
+    perfIssueAttempts().add(snap.perf.issue_attempts);
+    perfWarpInsts().add(snap.perf.instructions);
     return snap;
 }
 

@@ -164,9 +164,10 @@ class Simulator
                                double sample_interval_s = 20e-6);
 
     /**
-     * Register the perf/core_steps and perf/quiet_core_cycles
-     * counters capturePerf() adds each kernel's RunResult telemetry
-     * to, so a metrics dump carries them even when nothing captured.
+     * Register the perf/core_steps, perf/quiet_core_cycles,
+     * perf/issue_attempts and perf/warp_insts counters capturePerf()
+     * adds each kernel's RunResult telemetry to, so a metrics dump
+     * carries them even when nothing captured.
      */
     static void registerPerfCounters();
 

@@ -115,6 +115,23 @@ TEST(BitUtil, RoundingAndPopcount)
     EXPECT_EQ(popCount(~0ull), 64u);
 }
 
+TEST(BitUtil, RingMasks)
+{
+    static_assert(popCount(0xF0F0ull) == 8);
+    EXPECT_EQ(countTrailingZeros(1), 0u);
+    EXPECT_EQ(countTrailingZeros(0x8000000000000000ull), 63u);
+    EXPECT_EQ(lowMask(0), 0u);
+    EXPECT_EQ(lowMask(5), 0x1Full);
+    EXPECT_EQ(lowMask(64), ~0ull);
+    // 6-bit ring: bit k of the result is bit (k + s) % 6 of the input.
+    EXPECT_EQ(rotateRight(0b100001, 0, 6), 0b100001ull);
+    EXPECT_EQ(rotateRight(0b100001, 1, 6), 0b110000ull);
+    EXPECT_EQ(rotateRight(0b000100, 2, 6), 0b000001ull);
+    EXPECT_EQ(rotateRight(0b000001, 5, 6), 0b000010ull);
+    EXPECT_EQ(rotateRight(1, 1, 64), 0x8000000000000000ull);
+    EXPECT_EQ(rotateRight(0x8000000000000001ull, 63, 64), 3ull);
+}
+
 TEST(Random, Deterministic)
 {
     SplitMix64 a(42);

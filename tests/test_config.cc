@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/logging.hh"
 #include "config/gpu_config.hh"
 
@@ -107,6 +109,26 @@ TEST(GpuConfig, ValidationCatchesBadGeometry)
     c = GpuConfig::gt240();
     c.core.sched_policy = "magic";
     EXPECT_THROW(GpuConfig::fromXml(c.toXml()), FatalError);
+}
+
+TEST(GpuConfig, ValidationRejectsMoreThan64WarpsPerCore)
+{
+    // The presets sit well under the limit.
+    EXPECT_EQ(GpuConfig::gt240().core.maxWarps(), 24u);
+    EXPECT_EQ(GpuConfig::gtx580().core.maxWarps(), 48u);
+
+    GpuConfig c = GpuConfig::gtx580();
+    c.core.max_threads = 64 * c.core.warp_size;
+    EXPECT_NO_THROW(GpuConfig::fromXml(c.toXml()));
+    c.core.max_threads = 65 * c.core.warp_size;
+    try {
+        GpuConfig::fromXml(c.toXml());
+        FAIL() << "65 warps per core accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("at most 64"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(GpuConfig, ValidationCatchesNonPhysicalTemperature)

@@ -421,6 +421,21 @@ TEST(Exec, LaneIdAndWarpId)
         EXPECT_EQ(out[tid], (tid / 32) * 100 + tid % 32);
 }
 
+TEST(ExecDeathTest, OutOfBudgetRegistersAbort)
+{
+    // A register past regs_per_thread would alias another warp's: a
+    // source is rejected when the kernel is bound, a destination
+    // before its first lane write.
+    KernelBuilder src("bad_src", 4);
+    src.iadd(0, R(4), I(1));
+    EXPECT_DEATH(runKernel(src.finish(), 32, out_base, 1),
+                 "source register 4 out of budget");
+    KernelBuilder dst("bad_dst", 4);
+    dst.mov(4, I(1));
+    EXPECT_DEATH(runKernel(dst.finish(), 32, out_base, 1),
+                 "register 4 out of budget");
+}
+
 TEST(Exec, MultipleBlocksCoverGrid)
 {
     KernelBuilder b("grid", 16);

@@ -283,6 +283,29 @@ TEST(SweepResult, SetIsThreadSafeAndSlotsStayOrdered)
     }
 }
 
+TEST(Engine, IdleTimeRunsToThePoolJoin)
+{
+    // One long unit (kmeans) and one short one (vectoradd) on two
+    // workers: the worker that finishes first waits for the other,
+    // and that wait is idle time.
+    SweepSpec spec;
+    spec.configs = {GpuConfig::gt240()};
+    spec.workloads = {"kmeans", "vectoradd"};
+    SweepResult r = runWithJobs(spec, 2);
+    ASSERT_EQ(r.telemetry().workers, 2u);
+    const obs::MetricsSnapshot &m = r.telemetry().metrics;
+    const uint64_t busy = m.counter("engine/worker_busy_ns");
+    const uint64_t idle = m.counter("engine/worker_idle_ns");
+    const uint64_t tail = m.counter("engine/tail_idle_ns");
+    EXPECT_GT(tail, 0u);
+    EXPECT_GE(idle, tail);
+    // Busy plus idle covers both workers over the pool's lifetime,
+    // which is all of the run's wall time but set-up and tear-down.
+    const double capacity_ns = 2 * r.telemetry().wall_s * 1e9;
+    EXPECT_LE(static_cast<double>(busy + idle), capacity_ns);
+    EXPECT_GE(static_cast<double>(busy + idle), 0.9 * capacity_ns);
+}
+
 TEST(Engine, SimulatorReuseIsBitIdenticalToAFreshSimulator)
 {
     // Workload-only sweep: every scenario shares one fingerprint, so

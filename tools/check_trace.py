@@ -47,10 +47,13 @@ REQUIRED_COUNTERS = (
     "engine/scenarios_replayed",
     "engine/simulator_builds",
     "engine/simulator_recycles",
+    "engine/tail_idle_ns",
     "engine/worker_busy_ns",
     "engine/worker_idle_ns",
     "perf/core_steps",
+    "perf/issue_attempts",
     "perf/quiet_core_cycles",
+    "perf/warp_insts",
 )
 
 
