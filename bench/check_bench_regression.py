@@ -171,27 +171,25 @@ def self_test():
     nonnumeric_baseline = {
         "metrics": {"bench/x:metric": {"baseline": "fast",
                                        "higher_is_better": True}}}
-    # The batched-replay gate as committed: the speedup ratio carries
+    # The memoized-sweep gate as committed: the speedup ratio carries
     # the acceptance floor, the absolute throughput is slack. Both
-    # metrics come from one bench_power_eval JSON.
-    batched_baseline = {
+    # metrics come from one bench_sweep_throughput JSON.
+    memo_baseline = {
         "tolerance": 0.15,
         "metrics": {
-            "power_eval/batched:variant_intervals_per_s": {
-                "baseline": 600000.0, "higher_is_better": True},
-            "power_eval/batched_speedup:speedup": {
-                "baseline": 3.6, "higher_is_better": True},
+            "memo_sweep/replay:scenarios_per_s": {
+                "baseline": 60.0, "higher_is_better": True},
+            "memo_sweep/speedup:speedup": {
+                "baseline": 8.0, "higher_is_better": True},
         },
     }
-    batched_ok = {"benchmarks": [
-        {"name": "power_eval/batched",
-         "variant_intervals_per_s": 2.7e6},
-        {"name": "power_eval/batched_speedup", "speedup": 3.8},
+    memo_ok = {"benchmarks": [
+        {"name": "memo_sweep/replay", "scenarios_per_s": 240.0},
+        {"name": "memo_sweep/speedup", "speedup": 16.8},
     ]}
-    batched_slow = {"benchmarks": [
-        {"name": "power_eval/batched",
-         "variant_intervals_per_s": 2.7e6},
-        {"name": "power_eval/batched_speedup", "speedup": 2.4},
+    memo_slow = {"benchmarks": [
+        {"name": "memo_sweep/replay", "scenarios_per_s": 240.0},
+        {"name": "memo_sweep/speedup", "speedup": 4.5},
     ]}
 
     ok = True
@@ -204,10 +202,10 @@ def self_test():
     ok &= run_case("baseline entry with a non-numeric 'baseline'",
                    nonnumeric_baseline, passing, 2)
     ok &= run_case("empty baseline", {"metrics": {}}, passing, 2)
-    ok &= run_case("batched replay gate passes",
-                   batched_baseline, batched_ok, 0)
-    ok &= run_case("batched speedup below the 3x floor",
-                   batched_baseline, batched_slow, 1)
+    ok &= run_case("memoized sweep gate passes",
+                   memo_baseline, memo_ok, 0)
+    ok &= run_case("memo speedup below the 5x floor",
+                   memo_baseline, memo_slow, 1)
     if not ok:
         print("self-test FAILED", file=sys.stderr)
         return 1

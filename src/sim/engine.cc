@@ -201,19 +201,13 @@ SimulationEngine::runScenario(const Scenario &scenario) const
 
 ScenarioResult
 SimulationEngine::runScenario(const Scenario &scenario,
-                              Simulator &simulator) const
-{
-    return runScenario(scenario, simulator, nullptr);
-}
-
-ScenarioResult
-SimulationEngine::runScenario(const Scenario &scenario,
                               Simulator &simulator,
                               ActivitySnapshot *capture) const
 {
     // A governed scenario cannot be replayed, so capturing one would
     // only poison the cache; drop the request instead.
-    if (capture && !scenario.replayable())
+    const bool replayable = scenario.replayable();
+    if (!replayable)
         capture = nullptr;
 
     ScenarioResult result;
@@ -234,8 +228,8 @@ SimulationEngine::runScenario(const Scenario &scenario,
     result.min_freq_scale = scenario.config.clocks.freq_scale;
     for (const workloads::KernelLaunch &kl : launches) {
         KernelRun run;
-        if (capture) {
-            // Two-phase explicitly: the captured snapshot feeds the
+        if (replayable) {
+            // Two-phase explicitly: a captured snapshot feeds the
             // same replay the cache hits will take, so a memoized
             // result is bit-identical by construction.
             KernelSnapshot snap = simulator.capturePerf(
@@ -244,7 +238,8 @@ SimulationEngine::runScenario(const Scenario &scenario,
             snap.label = kl.label;
             snap.repeatable = kl.repeatable;
             run = simulator.replayKernel(snap);
-            capture->kernels.push_back(std::move(snap));
+            if (capture)
+                capture->kernels.push_back(std::move(snap));
         } else {
             run = simulator.runKernel(kl.prog, kl.launch,
                                       _options.with_trace,
@@ -462,7 +457,7 @@ SimulationEngine::run(const SweepSpec &spec) const
                 const Scenario &first = scenarios[unit.front()];
                 if (!_options.memoize || !first.replayable()) {
                     GSP_TRACE_SPAN("engine/scenario");
-                    publish(runScenario(first, acquire(first), nullptr));
+                    publish(runScenario(first, acquire(first)));
                 } else {
                     // One snapshot serves the whole unit: either the
                     // external source already has one for this key

@@ -166,27 +166,28 @@ class SimulationEngine
     SweepResult run(const SweepSpec &spec) const;
 
     /**
-     * Execute one scenario on the calling thread. Exposed so tests
-     * and tools can compare single-scenario runs against sweep rows.
+     * Execute one scenario on the calling thread, on a fresh
+     * Simulator. Exposed so tests and tools can compare
+     * single-scenario runs against sweep rows.
      */
     ScenarioResult runScenario(const Scenario &scenario) const;
 
     /**
-     * Execute one scenario on a caller-provided Simulator that was
-     * built from an identical configuration (the reuse fast path).
-     */
-    ScenarioResult runScenario(const Scenario &scenario,
-                               Simulator &simulator) const;
-
-    /**
-     * Execute one scenario, additionally capturing its phase-1
-     * activity snapshot for later replay. The scenario must be
-     * replayable(); capture == nullptr behaves like plain
-     * runScenario().
+     * Execute one scenario in full — the one full-run body behind the
+     * engine's capture units and the CLI's single run — on a
+     * caller-provided Simulator built from an identical
+     * configuration. Every kernel of a replayable() scenario runs
+     * its two phases back to back (capturePerf, then replayKernel);
+     * a throttle-governed kernel runs Simulator::runKernel, whose
+     * governor feeds power back into timing.
+     * @param capture when non-null and the scenario is replayable(),
+     *        receives the phase-1 activity snapshot for later replay;
+     *        a governed scenario leaves it untouched (it could never
+     *        be replayed)
      */
     ScenarioResult runScenario(const Scenario &scenario,
                                Simulator &simulator,
-                               ActivitySnapshot *capture) const;
+                               ActivitySnapshot *capture = nullptr) const;
 
     /**
      * Execute one scenario's power phase from a phase-1 snapshot

@@ -727,11 +727,17 @@ runTool(const Options &opt)
         return 0;
     }
 
-    auto wl = workloads::makeWorkload(opt.workload, opt.scale);
-    auto launches = wl->prepare(sim.gpu());
+    sim::Scenario scenario;
+    scenario.config = cfg;
+    scenario.workload = opt.workload;
+    scenario.scale = opt.scale;
+    bool tracing = !opt.trace_file.empty();
+    sim::ScenarioResult result =
+        sim::SimulationEngine(
+            sim::EngineOptions().withTrace(tracing, opt.sample_us * 1e-6))
+            .runScenario(scenario, sim);
 
     std::ofstream trace_out;
-    bool tracing = !opt.trace_file.empty();
     std::vector<std::string> thermal_blocks;
     if (cfg.thermal.enabled)
         thermal_blocks = sim.powerModel().thermalBlocks().names;
@@ -758,18 +764,12 @@ runTool(const Options &opt)
                     cfg.clocks.shaderHz() / 1e6);
     std::printf(")\n\n");
 
-    double total_energy_j = 0.0;
-    double total_time_s = 0.0;
-    for (const auto &kl : launches) {
-        KernelRun run = sim.runKernel(kl.prog, kl.launch, tracing,
-                                      opt.sample_us * 1e-6,
-                                      kl.repeatable);
+    for (const sim::KernelResult &kr : result.kernels) {
+        const KernelRun &run = kr.run;
         double card_w = run.report.totalPower() + run.report.dram_w;
-        total_energy_j += card_w * run.perf.time_s;
-        total_time_s += run.perf.time_s;
         std::printf("kernel %-14s %9lu cycles %9.1f us  dyn %6.2f W  "
                     "total %6.2f W (card %6.2f W)\n",
-                    kl.label.c_str(),
+                    kr.label.c_str(),
                     static_cast<unsigned long>(run.perf.cycles),
                     run.perf.time_s * 1e6, run.report.dynamicPower(),
                     run.report.totalPower(), card_w);
@@ -790,7 +790,7 @@ runTool(const Options &opt)
         if (tracing) {
             for (std::size_t i = 0; i < run.trace.size(); ++i) {
                 const PowerSample &s = run.trace[i];
-                trace_out << kl.label << ',' << s.t0 << ',' << s.t1
+                trace_out << kr.label << ',' << s.t0 << ',' << s.t1
                           << ',' << s.dynamic_w << ',' << s.static_w
                           << ',' << s.dram_w;
                 if (run.thermal.enabled &&
@@ -814,8 +814,8 @@ runTool(const Options &opt)
     }
 
     std::printf("\nbenchmark total: %.3f ms, %.3f mJ, verification %s\n",
-                total_time_s * 1e3, total_energy_j * 1e3,
-                wl->verify(sim.gpu()) ? "PASS" : "FAIL");
+                result.time_s * 1e3, result.energy_j * 1e3,
+                result.verified ? "PASS" : "FAIL");
 
     std::printf("\n%s", "power report of the last kernel:\n");
     // Re-evaluate for a compact chip-level view.

@@ -32,8 +32,8 @@ constexpr double steady_tol_k = 1e-4;
 constexpr unsigned steady_max_iterations = 1000;
 
 /** Transient substep cap; longer spans snap to the steady solution
- *  (they exceed every time constant by orders of magnitude). Shared
- *  by advance() and the Euler reference so both snap the same spans. */
+ *  (they exceed every time constant by orders of magnitude). Applied
+ *  in beginAdvance(), so every march snaps the same spans. */
 constexpr unsigned max_substeps = 50000;
 
 /** Propagator cache bound: distinct dts come from trace sampling
@@ -46,51 +46,6 @@ constexpr std::size_t max_cached_propagators = 64;
  *  ||M*h|| is at most this, where the Taylor series converges in a
  *  handful of terms with no cancellation. */
 constexpr double expm_norm_target = 0.5;
-
-/**
- * Solve the dense symmetric-positive system A*x = b in place with
- * Gaussian elimination + partial pivoting. n is tiny (block count +
- * heatsink, typically <= 10), so O(n^3) is irrelevant. This is the
- * historical one-shot solver the cached factorization replicates —
- * kept as the bit-identity oracle behind solveLinearReference().
- */
-std::vector<double>
-solveDense(std::vector<double> a, std::vector<double> b)
-{
-    const std::size_t n = b.size();
-    GSP_ASSERT(a.size() == n * n, "thermal matrix shape mismatch");
-    for (std::size_t col = 0; col < n; ++col) {
-        std::size_t pivot = col;
-        for (std::size_t row = col + 1; row < n; ++row)
-            if (std::fabs(a[row * n + col]) >
-                std::fabs(a[pivot * n + col]))
-                pivot = row;
-        if (pivot != col) {
-            for (std::size_t k = 0; k < n; ++k)
-                std::swap(a[col * n + k], a[pivot * n + k]);
-            std::swap(b[col], b[pivot]);
-        }
-        double diag = a[col * n + col];
-        GSP_ASSERT(std::fabs(diag) > 1e-30,
-                   "singular thermal network (isolated node?)");
-        for (std::size_t row = col + 1; row < n; ++row) {
-            double f = a[row * n + col] / diag;
-            if (f == 0.0)
-                continue;
-            for (std::size_t k = col; k < n; ++k)
-                a[row * n + k] -= f * a[col * n + k];
-            b[row] -= f * b[col];
-        }
-    }
-    std::vector<double> x(n, 0.0);
-    for (std::size_t row = n; row-- > 0;) {
-        double sum = b[row];
-        for (std::size_t k = row + 1; k < n; ++k)
-            sum -= a[row * n + k] * x[k];
-        x[row] = sum / a[row * n + row];
-    }
-    return x;
-}
 
 /** Infinity norm of a dense row-major n x n matrix. */
 double
@@ -225,7 +180,7 @@ ThermalNetwork::factorize()
     // diag(sum of conductances) - offdiagonal conductances, with the
     // ambient boundary conductance folded into the diagonal. The
     // accumulation order matters — the factorization must reproduce
-    // solveDense bit for bit.
+    // the one-shot dense elimination bit for bit.
     _a_sys.assign(_n * _n, 0.0);
     for (std::size_t i = 0; i < _n; ++i) {
         double diag = _g_amb[i];
@@ -239,7 +194,7 @@ ThermalNetwork::factorize()
         _a_sys[i * _n + i] = diag;
     }
 
-    // Partial-pivoted LU in solveDense's exact elimination order:
+    // Partial-pivoted LU in the one-shot elimination's exact order:
     // same pivot choice, same full-row swaps, same subtraction range
     // (k >= col), same f == 0 skip. Row swaps carry the already
     // stored multipliers with them, which is exactly what makes the
@@ -325,17 +280,6 @@ ThermalNetwork::solveLinear(const std::vector<double> &powers_w) const
     std::vector<double> nodes;
     solveLinearInto(powers_w, nodes);
     return nodes;
-}
-
-std::vector<double>
-ThermalNetwork::solveLinearReference(
-    const std::vector<double> &powers_w) const
-{
-    GSP_ASSERT(powers_w.size() == _blocks.size(),
-               "power vector does not match block set");
-    std::vector<double> b;
-    assembleRhs(powers_w, b);
-    return solveDense(_a_sys, std::move(b));
 }
 
 SteadyResult
@@ -544,35 +488,6 @@ ThermalNetwork::advance(State &state,
         state.scratch[i] = std::min(acc, runaway_cap_k);
     }
     state.temps_k.swap(state.scratch);
-}
-
-void
-ThermalNetwork::advanceEulerReference(State &state,
-                                      const std::vector<double> &powers_w,
-                                      double dt_s) const
-{
-    if (!beginAdvance(state, powers_w, dt_s))
-        return;
-    double steps_needed = dt_s / _max_stable_dt;
-    unsigned steps =
-        std::max(1u, static_cast<unsigned>(std::ceil(steps_needed)));
-    double h = dt_s / steps;
-    state.scratch.resize(_n);
-    std::vector<double> &next = state.scratch;
-    for (unsigned s = 0; s < steps; ++s) {
-        for (std::size_t i = 0; i < _n; ++i) {
-            double flow =
-                (i < powers_w.size() ? powers_w[i] : 0.0) +
-                _g_amb[i] * (_ambient_k - state.temps_k[i]);
-            for (std::size_t j = 0; j < _n; ++j)
-                if (j != i)
-                    flow += conductance(i, j) *
-                            (state.temps_k[j] - state.temps_k[i]);
-            next[i] = std::min(state.temps_k[i] + h * flow / _c[i],
-                               runaway_cap_k);
-        }
-        state.temps_k.swap(next);
-    }
 }
 
 } // namespace thermal

@@ -21,9 +21,9 @@
  * afterwards is an O(n^2) substitution. Transients integrate with an
  * exact LTI propagator per distinct time step (the RC network under
  * piecewise-constant power is linear time-invariant, so
- * T' = P*T + Q*u is exact for any dt), cached keyed on dt; the
- * historical forward-Euler substepping survives only as the
- * advanceEulerReference() oracle.
+ * T' = P*T + Q*u is exact for any dt), cached keyed on dt. The
+ * historical dense elimination and forward-Euler substepping survive
+ * only as test oracles (tests/thermal_reference.hh).
  *
  * Temperature becomes a simulated *output* instead of the static
  * config constant, which is what lets leakage-temperature compounding
@@ -148,17 +148,6 @@ class ThermalNetwork
                          std::vector<double> &nodes_out) const;
 
     /**
-     * Bit-identity oracle: the historical one-shot path — assemble
-     * the dense system and eliminate it from scratch with partial
-     * pivoting, exactly as every solve did before the factorization
-     * was hoisted to construction. Kept (only) so tests and benches
-     * can prove solveLinear() bit-identical to it and measure the
-     * factored path against it; not a production entry point.
-     */
-    std::vector<double>
-    solveLinearReference(const std::vector<double> &powers_w) const;
-
-    /**
      * Closed-loop steady state: iterate temperature -> power until
      * the hottest block moves < tol_k between iterations.
      * @param power_at callback mapping block temperatures (BlockSet
@@ -202,18 +191,6 @@ class ThermalNetwork
     void advance(State &state, const std::vector<double> &powers_w,
                  double dt_s) const;
 
-    /**
-     * Accuracy oracle: the historical forward-Euler substepping
-     * (stable substeps of at most maxStableDt()), with the same
-     * state initialization and long-span steady snap as advance().
-     * Kept (only) so tests and benches can bound the exact
-     * propagator against it and price the pre-propagator march;
-     * not a production entry point.
-     */
-    void advanceEulerReference(State &state,
-                               const std::vector<double> &powers_w,
-                               double dt_s) const;
-
     /** Largest externally meaningful Euler step, s (precomputed at
      *  construction). */
     double maxStableDt() const { return _max_stable_dt; }
@@ -222,6 +199,10 @@ class ThermalNetwork
     static constexpr double runaway_cap_k = 500.0;
 
   private:
+    /** The test-side oracles replay the historical dense solve and
+     *  Euler march on this network's own assembled system. */
+    friend struct ThermalReference;
+
     BlockSet _blocks;
     double _ambient_k;
     std::size_t _n; // block nodes + heatsink

@@ -21,9 +21,11 @@
 #include "sim/engine.hh"
 #include "tech/tech.hh"
 #include "thermal/thermal.hh"
+#include "thermal_reference.hh"
 #include "workloads/workload.hh"
 
 using namespace gpusimpow;
+using thermal::ThermalReference;
 
 namespace {
 
@@ -654,6 +656,43 @@ TEST(ThermalThrottle, RecycleRestoresClampAndThermalState)
     EXPECT_EQ(first.energy_j, fresh.energy_j);
 }
 
+TEST(ThermalThrottle, GovernorWarmStartsItsProbes)
+{
+    // The governor's bisection solves the steady state once per
+    // probe at nearby clocks; each solve must start from the last
+    // converged solution, not from ambient. Counted, not timed: the
+    // governed GTX580 matmul makes 85 solves, 83 of them
+    // warm-started, in 2140 fixed-point iterations (25.2 per solve).
+    // With every probe cold-started it takes 9201 (108 per solve).
+    GpuConfig cfg = GpuConfig::gtx580();
+    cfg.thermal.applyCooling("constrained");
+    cfg.thermal.throttle = true;
+
+    obs::Registry &reg = obs::Registry::instance();
+    obs::Counter &solves = reg.counter("thermal/steady_solves");
+    obs::Counter &warm = reg.counter("thermal/steady_warm_starts");
+    obs::Counter &iters = reg.counter("thermal/steady_iterations");
+    const uint64_t solves0 = solves.value();
+    const uint64_t warm0 = warm.value();
+    const uint64_t iters0 = iters.value();
+    sim::ScenarioResult r = runScenario(cfg, "matmul");
+    const uint64_t n_solves = solves.value() - solves0;
+    const uint64_t n_warm = warm.value() - warm0;
+    const uint64_t n_iters = iters.value() - iters0;
+
+    ASSERT_TRUE(r.throttled);
+    ASSERT_GT(n_solves, 40u) << "the governor bisected too little";
+    // Only the first two solves start cold: the full-clock solve
+    // runs away under constrained cooling and leaves no converged
+    // solution to start the first probe from.
+    EXPECT_GE(n_warm * 10, n_solves * 9)
+        << n_warm << " of " << n_solves << " solves warm-started";
+    EXPECT_LT(static_cast<double>(n_iters) /
+                  static_cast<double>(n_solves),
+              30.0)
+        << n_iters << " iterations over " << n_solves << " solves";
+}
+
 // ------------------------------------------------------------ sweep axis
 
 TEST(ThermalSweep, CoolingAxisExpandsBetweenOperatingPointAndWorkload)
@@ -758,7 +797,8 @@ TEST(ThermalSolver, FactoredSolveIsBitIdenticalToDenseReference)
         cases.push_back(ramp);
         for (const std::vector<double> &powers : cases) {
             std::vector<double> fast = net.solveLinear(powers);
-            std::vector<double> ref = net.solveLinearReference(powers);
+            std::vector<double> ref =
+                ThermalReference::solveLinearReference(net, powers);
             ASSERT_EQ(fast.size(), ref.size());
             for (std::size_t i = 0; i < fast.size(); ++i)
                 EXPECT_EQ(fast[i], ref[i]) << "node " << i;
@@ -816,6 +856,64 @@ TEST(ThermalSolver, WarmStartConvergesToTheSameFixedPoint)
     EXPECT_TRUE(fallback.converged);
     EXPECT_EQ(fallback.iterations, cold.iterations);
     EXPECT_EQ(warm_ctr.value(), warm_before + 1);
+
+    // The same on the real networks, driven by a measured matmul
+    // power split at the clock ratios a governor probes: a restart
+    // at the cold solution stays on it to the 2e-4 K above. A solve
+    // warm-started from the previous ratio's solution, the
+    // governor's regime, lands on the cold fixed point to 1e-2 K:
+    // the stop criterion bounds the last step, not the error, so on
+    // the slowly contracting constrained GTX580 network the two can
+    // end ~2e-4 K apart. Where that network runs away at full clock,
+    // every solve runs away alike.
+    for (const GpuConfig &base :
+         {GpuConfig::gt240(), GpuConfig::gtx580()}) {
+        Simulator sim(base);
+        auto wl = workloads::makeWorkload("matmul", 1);
+        auto launches = wl->prepare(sim.gpu());
+        KernelSnapshot snap =
+            sim.capturePerf(launches[0].prog, launches[0].launch);
+        for (const char *cooling : {"stock", "constrained"}) {
+            GpuConfig cfg = base;
+            cfg.thermal.applyCooling(cooling);
+            power::GpuPowerModel model(cfg);
+            thermal::ThermalNetwork real(model.thermalBlocks(),
+                                         cfg.thermal);
+            std::vector<power::BlockPower> bp =
+                model.blockPowers(snap.perf.activity);
+            std::vector<double> prev;
+            for (double ratio : {1.0, 0.8, 0.6, 0.5, 0.4}) {
+                auto at = [&](const std::vector<double> &temps) {
+                    std::vector<double> p(bp.size(), 0.0);
+                    for (std::size_t i = 0; i < bp.size(); ++i)
+                        p[i] = bp[i].dynamic_w * ratio +
+                               bp[i].sub_leak_w *
+                                   model.subLeakScaleAt(temps[i]) +
+                               bp[i].fixed_w;
+                    return p;
+                };
+                SCOPED_TRACE(::testing::Message()
+                             << base.name << " " << cooling
+                             << " ratio " << ratio);
+                thermal::SteadyResult c = real.solveSteady(at);
+                thermal::SteadyResult restart =
+                    real.solveSteady(at, &c.temps_k);
+                thermal::SteadyResult probe = real.solveSteady(
+                    at, prev.empty() ? nullptr : &prev);
+                EXPECT_EQ(restart.converged, c.converged);
+                EXPECT_EQ(probe.converged, c.converged);
+                EXPECT_LE(restart.iterations, 2u);
+                for (std::size_t i = 0; i < c.temps_k.size(); ++i) {
+                    EXPECT_NEAR(restart.temps_k[i], c.temps_k[i], 2e-4)
+                        << "block " << i;
+                    EXPECT_NEAR(probe.temps_k[i], c.temps_k[i], 1e-2)
+                        << "block " << i;
+                }
+                if (probe.converged)
+                    prev = probe.temps_k;
+            }
+        }
+    }
 }
 
 TEST(ThermalSolver, ExhaustedSteadySolveWarnsAndCounts)
@@ -857,7 +955,7 @@ TEST(ThermalIntegrator, ExactPropagatorConvergesToEulerAsStepsShrink)
         int steps = static_cast<int>(0.5 / dt);
         for (int i = 0; i < steps; ++i) {
             net.advance(a, powers, dt);
-            net.advanceEulerReference(b, powers, dt);
+            ThermalReference::advanceEulerReference(net, b, powers, dt);
         }
         double err = 0.0;
         for (std::size_t i = 0; i < a.temps_k.size(); ++i)
@@ -923,12 +1021,12 @@ TEST(ThermalIntegrator, EulerReferenceSharesInitAndLongSpanSnap)
     std::vector<double> powers{25.0, 3.0, 4.0};
     thermal::ThermalNetwork::State a, b;
     net.advance(a, powers, 0.0);
-    net.advanceEulerReference(b, powers, 0.0);
+    ThermalReference::advanceEulerReference(net, b, powers, 0.0);
     EXPECT_EQ(a.temps_k, net.ambientState().temps_k);
     EXPECT_EQ(b.temps_k, a.temps_k);
 
     net.advance(a, powers, 1e7);
-    net.advanceEulerReference(b, powers, 1e7);
+    ThermalReference::advanceEulerReference(net, b, powers, 1e7);
     EXPECT_EQ(a.temps_k, net.solveLinear(powers));
     EXPECT_EQ(b.temps_k, a.temps_k);
 }

@@ -17,14 +17,6 @@ solveDense(std::vector<double> &a, std::vector<double> &b)
     (void)b;
 }
 
-// Annotation without a reason does not bless the call.
-// lint: thermal-solve-ok()
-std::vector<double>
-steadyProbeUnjustified(const std::vector<double> &powers)
-{
-    return net.solveLinearReference(powers);
-}
-
 // Forward-Euler oracle march in engine code: must be flagged.
 void
 marchProbe(State &state, const std::vector<double> &powers)

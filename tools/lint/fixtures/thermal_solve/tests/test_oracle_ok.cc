@@ -2,8 +2,8 @@
 
 namespace gpusimpow {
 
-// tests/ may call the reference oracle freely: this is exactly what
-// it is exposed for (bit-identity proofs against the factored path).
+// tests/ is the reference oracles' home: they exist for the
+// bit-identity and accuracy proofs against the production paths.
 std::vector<double>
 oracle(const std::vector<double> &powers)
 {

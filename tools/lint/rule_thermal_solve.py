@@ -4,29 +4,22 @@ The thermal network's conductance matrix is constant for a network's
 lifetime, so ThermalNetwork factors it once (partial-pivoted LU in
 the constructor) and every production solve is an O(n^2) substitution
 through ``solveLinear``/``solveLinearInto`` — bit-identical to dense
-elimination by construction. A from-scratch dense elimination outside
-the solver re-pays the O(n^3) factorization per call and, worse,
-forks the arithmetic the bit-identity contract is proven against.
-The same holds for transients: production marches go through the
-exact propagator in ``advance``, and the forward-Euler stepper is kept
-only as an accuracy oracle. This rule flags the reference escape
-hatches outside their sanctioned homes:
+elimination by construction. A from-scratch dense elimination re-pays
+the O(n^3) factorization per call and, worse, forks the arithmetic the
+bit-identity contract is proven against. The same holds for
+transients: production marches go through the exact propagator in
+``advance``, and the forward-Euler stepper is only an accuracy oracle.
 
-  * ``solveDense`` — the file-local reference eliminator inside
-    src/thermal/thermal.cc (nothing else may grow one);
-  * ``solveLinearReference`` — its public face, exposed only so tests
-    and benchmarks can prove the factored path bit-identical and
-    price the pre-factorization cost;
-  * ``advanceEulerReference`` — the forward-Euler oracle, exposed only
-    so tests can bound the exact propagator and benchmarks can price
-    the pre-propagator march.
+The historical solvers live in tests/thermal_reference.hh as test
+oracles, and this rule flags their names anywhere else — the library
+(src/thermal/ included), benchmarks and examples alike:
 
-Sanctioned homes: src/thermal/ owns all three; tests/ may call the
-reference oracles freely (that is what they are for).
+  * ``solveDense`` — the one-shot dense eliminator;
+  * ``solveLinearReference`` — the bit-identity oracle of
+    ``solveLinear``;
+  * ``advanceEulerReference`` — the accuracy oracle of ``advance``.
 
-Escape hatch for a deliberate use elsewhere (e.g. a benchmark's
-pre-factorization replica): `// lint: thermal-solve-ok(<reason>)`
-above the line.
+Sanctioned home: tests/ only. There is no annotation escape hatch.
 """
 
 from __future__ import annotations
@@ -36,28 +29,23 @@ import re
 from lint_common import Finding, line_of_offset
 
 RULE = "thermal-solve"
-KIND = "thermal-solve-ok"
 
 _REFERENCE_RE = re.compile(
     r"\b(solveDense|solveLinearReference|advanceEulerReference)\b")
 
-# Directories where the reference solvers are the sanctioned idiom.
-_EXEMPT_PREFIXES = ("src/thermal/", "tests/")
+# The only directory where the reference solvers may appear.
+_EXEMPT_PREFIX = "tests/"
 
 
 def check(files):
     findings = []
     for path, sf in sorted(files.items()):
-        if path.startswith(_EXEMPT_PREFIXES):
+        if path.startswith(_EXEMPT_PREFIX):
             continue
         for m in _REFERENCE_RE.finditer(sf.code):
-            line = line_of_offset(sf.code, m.start())
-            if sf.annotated(KIND, line):
-                continue
             findings.append(Finding(
-                path, line, RULE,
-                "thermal reference solver (%s) outside src/thermal; "
-                "solve through the factored ThermalNetwork::"
-                "solveLinear / advance, or annotate with lint: "
-                "thermal-solve-ok(reason)" % m.group(1)))
+                path, line_of_offset(sf.code, m.start()), RULE,
+                "thermal reference solver (%s) outside tests/; solve "
+                "through the factored ThermalNetwork::solveLinear / "
+                "advance" % m.group(1)))
     return findings
