@@ -103,6 +103,8 @@ struct ClockConfig
     {
         return uncore_hz * freq_scale * shader_to_uncore;
     }
+
+    bool operator==(const ClockConfig &) const = default;
 };
 
 /** Per-core (streaming multiprocessor) structure sizes. */
@@ -191,6 +193,8 @@ struct CoreConfig
     {
         return smem_l1_bytes > smem_bytes ? smem_l1_bytes - smem_bytes : 0;
     }
+
+    bool operator==(const CoreConfig &) const = default;
 };
 
 /** Shared L2 cache (absent on Tesla-class parts, Table II). */
@@ -208,6 +212,8 @@ struct L2Config
     unsigned line_bytes = 128;
     /** Access latency in uncore cycles. */
     unsigned latency = 40;
+
+    bool operator==(const L2Config &) const = default;
 };
 
 /** Network-on-chip connecting cores to L2/MC (crossbar model). */
@@ -217,6 +223,8 @@ struct NocConfig
     unsigned link_bits = 256;
     /** Per-hop latency in uncore cycles. */
     unsigned latency = 8;
+
+    bool operator==(const NocConfig &) const = default;
 };
 
 /** GDDR5 device and channel configuration. */
@@ -259,6 +267,8 @@ struct DramConfig
     double t_rfc = 90e-9;
     /** Output-driver / ODT termination energy per bit, J. */
     double term_pj_per_bit = 5.5;
+
+    bool operator==(const DramConfig &) const = default;
 };
 
 /** PCI Express interface controller. */
@@ -268,6 +278,8 @@ struct PcieConfig
     unsigned lanes = 16;
     /** Per-lane line rate, bit/s (Gen2: 5 GT/s). */
     double gbps_per_lane = 5.0;
+
+    bool operator==(const PcieConfig &) const = default;
 };
 
 /** Process-technology selection (feeds the tech layer). */
@@ -282,6 +294,8 @@ struct TechConfig
     /** Nominal junction temperature in Kelvin used for leakage when
      *  the closed-loop thermal solve is disabled. */
     double temperature = 350.0;
+
+    bool operator==(const TechConfig &) const = default;
 };
 
 /**
@@ -332,6 +346,8 @@ struct ThermalConfig
 
     /** Names applyCooling() accepts. */
     static std::vector<std::string> coolingPresets();
+
+    bool operator==(const ThermalConfig &) const = default;
 };
 
 /**
@@ -363,6 +379,8 @@ struct PowerCalibConfig
     double undiff_core_area_mm2 = 4.5;
     /** Fraction of dynamic power added as short-circuit power. */
     double short_circuit_frac = 0.10;
+
+    bool operator==(const PowerCalibConfig &) const = default;
 };
 
 /** Complete description of one simulated GPU card. */
@@ -411,6 +429,10 @@ struct GpuConfig
 
     /** Preset: NVIDIA GeForce GTX580 (GF110, Fermi-class), Table II. */
     static GpuConfig gtx580();
+
+    /** Field-for-field equality, every section included (the
+     *  engine compares configurations without serializing them). */
+    bool operator==(const GpuConfig &) const = default;
 };
 
 } // namespace gpusimpow

@@ -117,6 +117,13 @@ CompiledPowerModel::evaluateAt(const perf::ChipActivity &act,
 }
 
 void
+CompiledPowerModel::rescaleLeakageAt(
+    const std::vector<double> &block_temps_k, Eval &ev) const
+{
+    leakageAt(&block_temps_k, ev);
+}
+
+void
 CompiledPowerModel::evaluateImpl(const perf::ChipActivity &act,
                                  const std::vector<double> *temps,
                                  Eval &out) const
@@ -142,21 +149,12 @@ CompiledPowerModel::evaluateImpl(const perf::ChipActivity &act,
                         kCoreComponents);
     out.core_sub.resize(static_cast<std::size_t>(_n_cores) *
                         kCoreComponents);
-    out.sub_scale.assign(_blocks.size(), 1.0);
-    if (temps && !temps->empty()) {
-        GSP_ASSERT(temps->size() == _blocks.size(),
-                   "temperature vector does not match block set");
-        for (std::size_t b = 0; b < _blocks.size(); ++b)
-            out.sub_scale[b] = subLeakScaleAt((*temps)[b]);
-    }
-    double r_l2 = _l2_present ? out.sub_scale[_l2_block] : 1.0;
-    double r_uncore = out.sub_scale[_uncore_block];
 
     double mem_counters[perf::mem_activity_fields];
     perf::countersToArray(act.mem, mem_counters);
 
-    // Folded per-core L2 shares at the L2 block's temperature (the
-    // share is reported under each LDSTU but heats the L2 block).
+    // Folded per-core L2 shares (reported under each LDSTU, but they
+    // heat the L2 block).
     double l2_dyn_share =
         _l2_present
             ? perf::dotCountersRow(mem_counters,
@@ -164,21 +162,17 @@ CompiledPowerModel::evaluateImpl(const perf::ChipActivity &act,
                                    perf::mem_activity_fields) /
                   elapsed
             : 0.0;
-    double l2_sub_share = _l2_share.sub_leakage_w * r_l2;
     double l2_gate_share = _l2_share.gate_leakage_w;
 
     // --- cores: four dot products each, accumulated in the exact
     // traversal order of the report tree so the flat totals are
     // bit-identical to an assembled PowerReport ---
     double cores_dyn = 0.0;    // "Cores" subtree dynamic total
-    double chip_static = 0.0;  // totalStatic() traversal order
     double analytic_dyn = 0.0; // short-circuit base (Eq. 1 share)
     double *cd = out.core_dyn.data();
-    double *cs = out.core_sub.data();
     double counters[perf::core_activity_fields];
     for (unsigned i = 0; i < _n_cores; ++i) {
         const perf::CoreActivity &a = act.cores[i];
-        double rc = out.sub_scale[coreBlock(i)];
         double resident_frac = std::min(
             1.0, static_cast<double>(a.cycles_resident) / cycles);
         double base =
@@ -208,22 +202,7 @@ CompiledPowerModel::evaluateImpl(const perf::ChipActivity &act,
         cd[kCoreLdst] = ldst;
         cd[kCoreUndiff] = 0.0;
 
-        // Thermal leakage feedback as a scale of the static vector.
-        double wcu_s = _core_statics[kCoreWcu].sub_leakage_w * rc;
-        double rf_s = _core_statics[kCoreRf].sub_leakage_w * rc;
-        double eu_s = _core_statics[kCoreEu].sub_leakage_w * rc;
-        double ldst_s =
-            _core_statics[kCoreLdst].sub_leakage_w * rc + l2_sub_share;
-        double undiff_s =
-            _core_statics[kCoreUndiff].sub_leakage_w * rc;
-        cs[kCoreBase] = 0.0;
-        cs[kCoreWcu] = wcu_s;
-        cs[kCoreRf] = rf_s;
-        cs[kCoreEu] = eu_s;
-        cs[kCoreLdst] = ldst_s;
-        cs[kCoreUndiff] = undiff_s;
-
-        // Per-core totals in PowerNode traversal order.
+        // Per-core total in PowerNode traversal order.
         double core_dyn_total = 0.0;
         core_dyn_total += base;
         core_dyn_total += wcu;
@@ -231,25 +210,6 @@ CompiledPowerModel::evaluateImpl(const perf::ChipActivity &act,
         core_dyn_total += eu;
         core_dyn_total += ldst;
         core_dyn_total += 0.0; // Undiff. Core
-
-        double core_sub_total = 0.0;
-        core_sub_total += 0.0; // Base Power
-        core_sub_total += wcu_s;
-        core_sub_total += rf_s;
-        core_sub_total += eu_s;
-        core_sub_total += ldst_s;
-        core_sub_total += undiff_s;
-
-        double core_static_total = 0.0;
-        core_static_total += 0.0; // Base Power
-        core_static_total +=
-            wcu_s + _core_statics[kCoreWcu].gate_leakage_w;
-        core_static_total +=
-            rf_s + _core_statics[kCoreRf].gate_leakage_w;
-        core_static_total +=
-            eu_s + _core_statics[kCoreEu].gate_leakage_w;
-        core_static_total += ldst_s + _ldst_node_gate;
-        core_static_total += undiff_s + 0.0;
 
         // Analytic components feeding the short-circuit share
         // (second term of Eq. 1): WCU, RF, LDSTU.
@@ -261,13 +221,10 @@ CompiledPowerModel::evaluateImpl(const perf::ChipActivity &act,
         // with the folded L2 shares moved back to the L2 block.
         BlockPower &cluster = out.blocks[coreBlock(i)];
         cluster.dynamic_w += core_dyn_total - l2_dyn_share;
-        cluster.sub_leak_w += core_sub_total - l2_sub_share;
         cluster.fixed_w += _core_gate_total - l2_gate_share;
 
         cores_dyn += core_dyn_total;
-        chip_static += core_static_total;
         cd += kCoreComponents;
-        cs += kCoreComponents;
     }
 
     // Cluster activation and the global work-distribution engine
@@ -306,10 +263,6 @@ CompiledPowerModel::evaluateImpl(const perf::ChipActivity &act,
                              perf::mem_activity_fields) /
             elapsed;
     out.uncore_dyn = {noc_dyn, mc_dyn, pcie_dyn};
-    out.uncore_sub = {
-        _uncore_statics[kUncoreNoc].sub_leakage_w * r_uncore,
-        _uncore_statics[kUncoreMc].sub_leakage_w * r_uncore,
-        _uncore_statics[kUncorePcie].sub_leakage_w * r_uncore};
 
     out.short_circuit_w = _short_circuit_frac /
                           (1.0 + _short_circuit_frac) * analytic_dyn;
@@ -322,19 +275,10 @@ CompiledPowerModel::evaluateImpl(const perf::ChipActivity &act,
     dynamic += pcie_dyn;
     out.dynamic_w = dynamic;
 
-    chip_static += out.uncore_sub[kUncoreNoc] +
-                   _uncore_statics[kUncoreNoc].gate_leakage_w;
-    chip_static += out.uncore_sub[kUncoreMc] +
-                   _uncore_statics[kUncoreMc].gate_leakage_w;
-    chip_static += out.uncore_sub[kUncorePcie] +
-                   _uncore_statics[kUncorePcie].gate_leakage_w;
-    out.static_w = chip_static;
-
     // --- remaining block splits (legacy blockPowers order) ---
     if (_l2_present) {
         BlockPower &l2 = out.blocks[_l2_block];
         l2.dynamic_w = l2_dyn_share * _n_cores;
-        l2.sub_leak_w = l2_sub_share * _n_cores;
         l2.fixed_w = l2_gate_share * _n_cores;
     }
     // Cluster activation lands in the cluster that earned it; the
@@ -349,7 +293,6 @@ CompiledPowerModel::evaluateImpl(const perf::ChipActivity &act,
     uncore.dynamic_w += sched_w;
     for (unsigned comp = 0; comp < kUncoreComponents; ++comp) {
         uncore.dynamic_w += out.uncore_dyn[comp];
-        uncore.sub_leak_w += out.uncore_sub[comp];
         uncore.fixed_w += _uncore_statics[comp].gate_leakage_w;
     }
 
@@ -369,6 +312,8 @@ CompiledPowerModel::evaluateImpl(const perf::ChipActivity &act,
     out.dram_w = _dram->compute(da).total();
     out.blocks[_blocks.dramIndex()].fixed_w = out.dram_w;
 
+    leakageAt(temps, out);
+
     // Reused-Eval hygiene: the workspace vectors must have been
     // (re)sized for *this* model, and the totals a trace loop
     // integrates must be finite numbers — a stale or shared Eval
@@ -385,6 +330,89 @@ CompiledPowerModel::evaluateImpl(const perf::ChipActivity &act,
                " static ", out.static_w, " dram ", out.dram_w);
 }
 
+void
+CompiledPowerModel::leakageAt(const std::vector<double> *temps,
+                              Eval &out) const
+{
+    out.sub_scale.assign(_blocks.size(), 1.0);
+    if (temps && !temps->empty()) {
+        GSP_ASSERT(temps->size() == _blocks.size(),
+                   "temperature vector does not match block set");
+        for (std::size_t b = 0; b < _blocks.size(); ++b)
+            out.sub_scale[b] = subLeakScaleAt((*temps)[b]);
+    }
+    double r_l2 = _l2_present ? out.sub_scale[_l2_block] : 1.0;
+    double r_uncore = out.sub_scale[_uncore_block];
+    double l2_sub_share = _l2_share.sub_leakage_w * r_l2;
+    for (BlockPower &b : out.blocks)
+        b.sub_leak_w = 0.0;
+
+    // Cores, in the report tree's traversal order.
+    double chip_static = 0.0; // totalStatic() traversal order
+    double *cs = out.core_sub.data();
+    for (unsigned i = 0; i < _n_cores; ++i) {
+        // Thermal leakage feedback as a scale of the static vector.
+        double rc = out.sub_scale[coreBlock(i)];
+        double wcu_s = _core_statics[kCoreWcu].sub_leakage_w * rc;
+        double rf_s = _core_statics[kCoreRf].sub_leakage_w * rc;
+        double eu_s = _core_statics[kCoreEu].sub_leakage_w * rc;
+        double ldst_s =
+            _core_statics[kCoreLdst].sub_leakage_w * rc + l2_sub_share;
+        double undiff_s =
+            _core_statics[kCoreUndiff].sub_leakage_w * rc;
+        cs[kCoreBase] = 0.0;
+        cs[kCoreWcu] = wcu_s;
+        cs[kCoreRf] = rf_s;
+        cs[kCoreEu] = eu_s;
+        cs[kCoreLdst] = ldst_s;
+        cs[kCoreUndiff] = undiff_s;
+
+        double core_sub_total = 0.0;
+        core_sub_total += 0.0; // Base Power
+        core_sub_total += wcu_s;
+        core_sub_total += rf_s;
+        core_sub_total += eu_s;
+        core_sub_total += ldst_s;
+        core_sub_total += undiff_s;
+
+        double core_static_total = 0.0;
+        core_static_total += 0.0; // Base Power
+        core_static_total +=
+            wcu_s + _core_statics[kCoreWcu].gate_leakage_w;
+        core_static_total +=
+            rf_s + _core_statics[kCoreRf].gate_leakage_w;
+        core_static_total +=
+            eu_s + _core_statics[kCoreEu].gate_leakage_w;
+        core_static_total += ldst_s + _ldst_node_gate;
+        core_static_total += undiff_s + 0.0;
+
+        // The core's leakage lands on its cluster block, with the
+        // folded L2 share moved back to the L2 block.
+        out.blocks[coreBlock(i)].sub_leak_w +=
+            core_sub_total - l2_sub_share;
+        chip_static += core_static_total;
+        cs += kCoreComponents;
+    }
+
+    out.uncore_sub = {
+        _uncore_statics[kUncoreNoc].sub_leakage_w * r_uncore,
+        _uncore_statics[kUncoreMc].sub_leakage_w * r_uncore,
+        _uncore_statics[kUncorePcie].sub_leakage_w * r_uncore};
+    chip_static += out.uncore_sub[kUncoreNoc] +
+                   _uncore_statics[kUncoreNoc].gate_leakage_w;
+    chip_static += out.uncore_sub[kUncoreMc] +
+                   _uncore_statics[kUncoreMc].gate_leakage_w;
+    chip_static += out.uncore_sub[kUncorePcie] +
+                   _uncore_statics[kUncorePcie].gate_leakage_w;
+    out.static_w = chip_static;
+
+    if (_l2_present)
+        out.blocks[_l2_block].sub_leak_w = l2_sub_share * _n_cores;
+    BlockPower &uncore = out.blocks[_uncore_block];
+    for (unsigned comp = 0; comp < kUncoreComponents; ++comp)
+        uncore.sub_leak_w += out.uncore_sub[comp];
+}
+
 PowerReport
 CompiledPowerModel::assembleReport(const Eval &ev) const
 {
@@ -393,12 +421,17 @@ CompiledPowerModel::assembleReport(const Eval &ev) const
     rep.short_circuit_w = ev.short_circuit_w;
     rep.dram_w = ev.dram_w;
     rep.gpu.name = "GPU";
+    // Every node's children are reserved up front: growing a vector
+    // of PowerNodes moves whole subtrees (Cores holds every core).
+    rep.gpu.children.reserve(1 + kUncoreComponents);
 
     PowerNode &cores = rep.gpu.child("Cores");
+    cores.children.reserve(_n_cores + 2);
     const double *cd = ev.core_dyn.data();
     const double *cs = ev.core_sub.data();
     for (unsigned i = 0; i < _n_cores; ++i) {
         PowerNode &core = cores.child("Core" + std::to_string(i));
+        core.children.reserve(kCoreComponents);
 
         PowerNode &base = core.child("Base Power");
         base.runtime_dynamic_w = cd[kCoreBase];

@@ -180,6 +180,17 @@ class CompiledPowerModel
                     Eval &out) const;
 
     /**
+     * Re-evaluate only the temperature-dependent half of an
+     * evaluation — the subthreshold leakage columns, their block
+     * splits and the static total — at per-block temperatures. Given
+     * an Eval that evaluate() or evaluateAt() filled for some
+     * interval, it leaves exactly what evaluateAt() of that interval
+     * at block_temps_k would, without another pass over the activity.
+     */
+    void rescaleLeakageAt(const std::vector<double> &block_temps_k,
+                          Eval &ev) const;
+
+    /**
      * Assemble the full hierarchical report (Table V structure) from
      * a compiled evaluation — the on-demand tree for report output.
      */
@@ -275,9 +286,16 @@ class CompiledPowerModel
 
     const dram::Gddr5Power *_dram;
 
+    /** The temperature-independent pass over the activity, then
+     *  leakageAt(). */
     void evaluateImpl(const perf::ChipActivity &act,
                       const std::vector<double> *block_temps_k,
                       Eval &out) const;
+    /** The leakage half of an evaluation: sub_scale, core_sub,
+     *  uncore_sub, every block's sub_leak_w and static_w, at
+     *  block_temps_k (nominal when null or empty). */
+    void leakageAt(const std::vector<double> *block_temps_k,
+                   Eval &out) const;
 };
 
 } // namespace power

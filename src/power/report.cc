@@ -10,7 +10,7 @@ namespace power {
 PowerNode &
 PowerNode::child(const std::string &child_name)
 {
-    children.push_back(PowerNode{});
+    children.emplace_back();
     children.back().name = child_name;
     return children.back();
 }

@@ -57,24 +57,33 @@ finalizeScenario(ScenarioResult &result, const Simulator &simulator)
     result.shader_hz = result.scenario.config.clocks.shaderHz();
 }
 
+/** True when two configurations differ at most in their thermal
+ *  section — the one section the power model never reads. */
+bool
+samePowerModel(const GpuConfig &a, const GpuConfig &b)
+{
+    GpuConfig b_cooled = b;
+    b_cooled.thermal = a.thermal;
+    return a == b_cooled;
+}
+
 /**
  * Replay one work unit from `snapshot`, starting at member index
  * `first`: first == 1 when unit[0] was just captured (and published)
  * by the caller, first == 0 when the snapshot came from an external
  * source (EngineOptions::snapshot_source) and every member replays.
  * All replayed members are power-only variants of the same timing
- * fingerprint. Traced snapshots evaluate all variants' intervals
- * together through the batched matrix evaluator (kernels outer,
- * variants inner: each kernel's activity matrix is packed once and
- * multiplied against the whole coefficient stack). Untraced
- * snapshots have no interval loop to batch, so they replay whole
- * kernels one variant — one live Simulator — at a time, which keeps
- * memory flat however wide the group is.
+ * fingerprint, replayed kernels outer, variants inner: each variant's
+ * Simulator carries its own thermal state across the snapshot's
+ * kernels, exactly like a full run. A traced kernel evaluates every
+ * variant's intervals in one pass of the batched matrix evaluator
+ * (its activity matrix is packed once and multiplied against the
+ * whole coefficient stack). Variants that differ only in cooling
+ * share one power model and one row of that stack.
  */
 template <typename Publish>
 void
-replayGroup(const SimulationEngine &engine,
-            const std::vector<Scenario> &scenarios,
+replayGroup(const std::vector<Scenario> &scenarios,
             const std::vector<std::size_t> &unit, std::size_t first,
             const ActivitySnapshot &snapshot,
             power::BatchedPowerEvaluator::Workspace &batch_ws,
@@ -87,49 +96,39 @@ replayGroup(const SimulationEngine &engine,
     static obs::Counter &c_builds =
         obs::Registry::instance().counter("engine/simulator_builds");
 
-    if (!snapshot.with_trace) {
-        for (std::size_t k = first; k < unit.size(); ++k) {
-            const Scenario &variant = scenarios[unit[k]];
-            Simulator sim(variant.config);
-            c_builds.add(1);
-            publish(engine.replayScenario(variant, snapshot, sim));
-            replayed.fetch_add(1);
-            c_replayed.add(1);
-        }
-        return;
-    }
-
-    // One Simulator per variant: their compiled power models are the
-    // coefficient stack, and each carries its own thermal state
-    // across the snapshot's kernels, exactly like a scalar replay.
     const std::size_t n_variants = unit.size() - first;
-    std::vector<const Scenario *> variants;
     std::vector<std::unique_ptr<Simulator>> sims;
-    variants.reserve(n_variants);
+    std::vector<ScenarioResult> results(n_variants);
+    // Variant -> its power model's row of the batched stack.
+    std::vector<std::size_t> row_of(n_variants);
+    std::vector<const power::CompiledPowerModel *> models;
     sims.reserve(n_variants);
     bool want_blocks = false;
-    for (std::size_t k = first; k < unit.size(); ++k) {
-        variants.push_back(&scenarios[unit[k]]);
-        sims.push_back(
-            std::make_unique<Simulator>(variants.back()->config));
-        c_builds.add(1);
-        // The thermal trace march consumes per-block splits.
-        want_blocks |= variants.back()->config.thermal.enabled;
-    }
-    std::vector<const power::CompiledPowerModel *> models;
-    models.reserve(n_variants);
-    for (const auto &sim : sims)
-        models.push_back(&sim->powerModel().compiled());
-    power::BatchedPowerEvaluator evaluator(std::move(models));
-
-    std::vector<ScenarioResult> results(n_variants);
     for (std::size_t j = 0; j < n_variants; ++j) {
-        results[j].scenario = *variants[j];
+        const Scenario &variant = scenarios[unit[first + j]];
+        // Expansion order puts the cooling axis inside node and
+        // operating point, so cooling-only variants are neighbours.
+        if (j > 0 && samePowerModel(results[j - 1].scenario.config,
+                                    variant.config)) {
+            sims.push_back(std::make_unique<Simulator>(
+                variant.config, sims.back()->sharedPowerModel()));
+        } else {
+            sims.push_back(std::make_unique<Simulator>(variant.config));
+            models.push_back(&sims.back()->powerModel().compiled());
+        }
+        c_builds.add(1);
+        row_of[j] = models.size() - 1;
+        // The thermal trace march consumes per-block splits.
+        want_blocks |= variant.config.thermal.enabled;
+        results[j].scenario = variant;
         results[j].kernels.reserve(snapshot.kernels.size());
-        results[j].min_freq_scale =
-            variants[j]->config.clocks.freq_scale;
+        results[j].min_freq_scale = variant.config.clocks.freq_scale;
     }
 
+    std::unique_ptr<power::BatchedPowerEvaluator> evaluator;
+    if (snapshot.with_trace)
+        evaluator = std::make_unique<power::BatchedPowerEvaluator>(
+            std::move(models));
     std::vector<const perf::ChipActivity *> acts;
     std::vector<power::BatchedKernelPower> pre;
     for (const KernelSnapshot &snap : snapshot.kernels) {
@@ -139,22 +138,22 @@ replayGroup(const SimulationEngine &engine,
             acts.reserve(snap.samples.size());
             for (const ActivitySample &a : snap.samples)
                 acts.push_back(&a.delta);
-            evaluator.evaluate(acts, want_blocks, batch_ws, pre);
+            evaluator->evaluate(acts, want_blocks, batch_ws, pre);
         }
         for (std::size_t j = 0; j < n_variants; ++j) {
             accumulateKernel(
                 results[j], snap.label, snap.repeatable,
-                sims[j]->replayKernel(snap,
-                                      use_batch ? &pre[j] : nullptr));
+                sims[j]->replayKernel(
+                    snap, use_batch ? &pre[row_of[j]] : nullptr));
         }
     }
 
     for (std::size_t j = 0; j < n_variants; ++j) {
         finalizeScenario(results[j], *sims[j]);
         // Verification reads device memory — a timing-phase output
-        // the snapshot already carries (same as replayScenario).
+        // the snapshot already carries.
         results[j].verified = true;
-        if (variants[j]->verify && !results[j].kernels.empty())
+        if (results[j].scenario.verify && !results[j].kernels.empty())
             results[j].verified = snapshot.verified;
         publish(std::move(results[j]));
         replayed.fetch_add(1);
@@ -258,27 +257,6 @@ SimulationEngine::runScenario(const Scenario &scenario,
     return result;
 }
 
-ScenarioResult
-SimulationEngine::replayScenario(const Scenario &scenario,
-                                 const ActivitySnapshot &snapshot,
-                                 Simulator &simulator) const
-{
-    ScenarioResult result;
-    result.scenario = scenario;
-    result.kernels.reserve(snapshot.kernels.size());
-    result.min_freq_scale = scenario.config.clocks.freq_scale;
-    for (const KernelSnapshot &snap : snapshot.kernels)
-        accumulateKernel(result, snap.label, snap.repeatable,
-                         simulator.replayKernel(snap));
-    finalizeScenario(result, simulator);
-    // Verification reads device memory — a timing-phase output the
-    // snapshot already carries.
-    result.verified = true;
-    if (scenario.verify && !result.kernels.empty())
-        result.verified = snapshot.verified;
-    return result;
-}
-
 SweepResult
 SimulationEngine::run(const SweepSpec &spec) const
 {
@@ -355,13 +333,13 @@ SimulationEngine::run(const SweepSpec &spec) const
         // unit membership order comes from the ascending scenario
         // index loop below, so hash order cannot reach results)
         std::unordered_map<std::string, std::size_t> unit_of;
+        std::vector<std::string> keys = snapshotKeys(scenarios);
         for (std::size_t i = 0; i < total; ++i) {
             if (!scenarios[i].replayable()) {
                 units.push_back({i});
                 continue;
             }
-            auto ins = unit_of.emplace(scenarios[i].snapshotKey(),
-                                       units.size());
+            auto ins = unit_of.emplace(std::move(keys[i]), units.size());
             if (ins.second)
                 units.emplace_back();
             units[ins.first->second].push_back(i);
@@ -404,27 +382,26 @@ SimulationEngine::run(const SweepSpec &spec) const
         uint64_t busy_ns = 0;
 
         // Per-worker Simulator cache (single entry), keyed on the
-        // scenario's full serialized configuration — which covers
-        // architecture, node retarget, and operating point. Scenario
-        // order is workload-innermost, so workload-only stretches
-        // share one fingerprint and the worker keeps its Simulator —
-        // and with it the power model — alive across them.
+        // scenario's full configuration — which covers architecture,
+        // node retarget, operating point and cooling. Scenario order
+        // is workload-innermost, so workload-only stretches share one
+        // configuration and the worker keeps its Simulator — and with
+        // it the power model and GPU — alive across them.
         std::unique_ptr<Simulator> cached;
-        std::string cached_fp;
+        GpuConfig cached_cfg;
         // Reusable batched-evaluation scratch, shared by every group
         // this worker replays.
         power::BatchedPowerEvaluator::Workspace batch_ws;
 
         auto acquire = [&](const Scenario &scenario) -> Simulator & {
-            std::string fp = scenario.config.toXml();
-            if (cached && cached_fp == fp) {
+            if (cached && cached_cfg == scenario.config) {
                 cached->recycle();
                 c_recycles.add(1);
             } else {
                 cached = std::make_unique<Simulator>(scenario.config);
+                cached_cfg = scenario.config;
                 c_builds.add(1);
             }
-            cached_fp = std::move(fp);
             return *cached;
         };
 
@@ -496,7 +473,7 @@ SimulationEngine::run(const SweepSpec &spec) const
                     }
                     if (replay_from < unit.size()) {
                         GSP_TRACE_SPAN("engine/replay");
-                        replayGroup(*this, scenarios, unit, replay_from,
+                        replayGroup(scenarios, unit, replay_from,
                                     *snapshot, batch_ws, publish,
                                     replayed);
                     }
@@ -505,7 +482,6 @@ SimulationEngine::run(const SweepSpec &spec) const
                 // The failed run may have left the Simulator mid-
                 // kernel; never recycle it into another scenario.
                 cached.reset();
-                cached_fp.clear();
                 std::size_t fail = scenarios[unit[std::min(
                     published_in_unit, unit.size() - 1)]].index;
                 std::lock_guard<std::mutex> lock(error_mutex);

@@ -10,24 +10,28 @@
  * deterministically (lowest scenario index wins) after the pool has
  * drained.
  *
- * Workers recycle their Simulator across scenarios that share an
- * identical (config, node, operating point) fingerprint — the
- * workload-innermost expansion order makes that the common case — so
- * workload-only sweeps build each power model once per worker instead
- * of once per scenario. Device state is reset between scenarios, so
- * reuse is observationally identical to a fresh Simulator.
+ * Full runs recycle the worker's Simulator across scenarios with an
+ * identical configuration — the workload-innermost expansion order
+ * makes that the common case — so workload-only sweeps build each
+ * power model and GPU once per worker instead of once per scenario.
+ * Device state is reset between scenarios, so reuse is
+ * observationally identical to a fresh Simulator.
  *
  * On top of that sits the two-phase memoization, which is also the
  * one schedule: every replayable scenario joins the work unit of its
- * Scenario::snapshotKey(). A unit's snapshot comes from the external
- * source (EngineOptions::snapshot_source) or from timing its first
- * scenario; every other member — a variant that differs only in
- * power-only axes (process node, vdd_scale, cooling) — replays the
- * power phase from it, traced intervals evaluated together through
+ * Scenario::snapshotKey() (sim::snapshotKeys() serializes each
+ * distinct timing fingerprint once per run). A unit's snapshot comes
+ * from the external source (EngineOptions::snapshot_source) or from
+ * timing its first scenario; every other member — a variant that
+ * differs only in power-only axes (process node, vdd_scale, cooling)
+ * — replays the power phase from it in one replay body: kernels
+ * outer, variants inner, traced intervals evaluated together through
  * the batched matrix evaluator (many intervals x many power variants
- * per pass), bit-identical to a full run minus the entire timing
- * simulation. Without memoization, and for throttle-governed
- * scenarios, every scenario is a full simulation of its own.
+ * per pass). Replaying Simulators never build the cycle-level GPU,
+ * and cooling-only variants share one power model, so a replay is
+ * bit-identical to a full run minus the entire timing simulation.
+ * Without memoization, and for throttle-governed scenarios, every
+ * scenario is a full simulation of its own.
  */
 
 #ifndef GPUSIMPOW_SIM_ENGINE_HH
@@ -188,15 +192,6 @@ class SimulationEngine
     ScenarioResult runScenario(const Scenario &scenario,
                                Simulator &simulator,
                                ActivitySnapshot *capture = nullptr) const;
-
-    /**
-     * Execute one scenario's power phase from a phase-1 snapshot
-     * captured under the same Scenario::snapshotKey() — the
-     * memoized-replay fast path, bit-identical to a full run.
-     */
-    ScenarioResult replayScenario(const Scenario &scenario,
-                                  const ActivitySnapshot &snapshot,
-                                  Simulator &simulator) const;
 
   private:
     EngineOptions _options;

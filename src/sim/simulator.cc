@@ -61,6 +61,15 @@ perfWarpInsts()
     return c;
 }
 
+obs::Counter &
+timingModelBuilds()
+{
+    static obs::Counter &c = obs::Registry::instance().counter(
+        "sim/timing_model_builds",
+        "cycle-level GPUs built (Simulators build one on first use)");
+    return c;
+}
+
 } // namespace
 
 void
@@ -70,6 +79,7 @@ Simulator::registerPerfCounters()
     perfQuietCoreCycles();
     perfIssueAttempts();
     perfWarpInsts();
+    timingModelBuilds();
 }
 
 std::string
@@ -113,20 +123,46 @@ Simulator::Simulator(const GpuConfig &cfg)
     : _cfg(cfg), _nominal_freq_scale(cfg.clocks.freq_scale)
 {
     GSP_TRACE_SPAN("sim/setup");
-    _gpu = std::make_unique<perf::Gpu>(_cfg);
-    _power = std::make_unique<power::GpuPowerModel>(_cfg);
+    _power = std::make_shared<const power::GpuPowerModel>(_cfg);
+}
+
+Simulator::Simulator(const GpuConfig &cfg,
+                     std::shared_ptr<const power::GpuPowerModel> power)
+    : _cfg(cfg), _power(std::move(power)),
+      _nominal_freq_scale(cfg.clocks.freq_scale)
+{
 }
 
 Simulator::~Simulator() = default;
+
+perf::Gpu &
+Simulator::gpu()
+{
+    if (!_gpu) {
+        GSP_TRACE_SPAN("sim/setup");
+        // Built at the nominal clock, then given any live clamp: the
+        // same GPU applyFreqScale() would have left behind had it
+        // existed from construction.
+        GpuConfig nominal = _cfg;
+        nominal.clocks.freq_scale = _nominal_freq_scale;
+        _gpu = std::make_unique<perf::Gpu>(nominal);
+        if (_cfg.clocks.freq_scale != _nominal_freq_scale)
+            _gpu->setFreqScale(_cfg.clocks.freq_scale);
+        timingModelBuilds().add(1);
+    }
+    return *_gpu;
+}
 
 void
 Simulator::recycle()
 {
     GSP_TRACE_SPAN("sim/recycle");
-    _gpu->resetDeviceState();
+    if (_gpu)
+        _gpu->resetDeviceState();
     // Erase every thermal trace of previous scenarios: the governor's
     // clamp and the carried transient temperatures both must not leak
-    // into the next workload.
+    // into the next workload. The deferred marches go unmarched.
+    _deferred_marches.clear();
     if (_cfg.clocks.freq_scale != _nominal_freq_scale)
         applyFreqScale(_nominal_freq_scale);
     _thermal_state = thermal::ThermalNetwork::State{};
@@ -144,14 +180,36 @@ Simulator::ensureThermal()
 }
 
 void
+Simulator::marchDeferred()
+{
+    for (const DeferredMarch &m : _deferred_marches) {
+        if (!_thermal_state.initialized)
+            _thermal_state = _network->ambientState();
+        std::vector<double> powers(m.bp.size(), 0.0);
+        for (std::size_t i = 0; i < m.bp.size(); ++i)
+            powers[i] = m.bp[i].dynamic_w +
+                        m.bp[i].sub_leak_w *
+                            _power->subLeakScaleAt(
+                                _thermal_state.temps_k[i]) +
+                        m.bp[i].fixed_w;
+        _network->advance(_thermal_state, powers, m.time_s);
+    }
+    _deferred_marches.clear();
+}
+
+void
 Simulator::applyFreqScale(double freq_scale)
 {
+    GSP_ASSERT(_deferred_marches.empty(),
+               "deferred marches must run on the model they were "
+               "queued under");
     _cfg.clocks.freq_scale = freq_scale;
-    _gpu->setFreqScale(freq_scale);
+    if (_gpu)
+        _gpu->setFreqScale(freq_scale);
     // The power model caches V^2*f scales and clock-derived rates;
     // rebuild it at the clamped clock (the die geometry, and with it
     // the thermal network, is frequency-invariant).
-    _power = std::make_unique<power::GpuPowerModel>(_cfg);
+    _power = std::make_shared<const power::GpuPowerModel>(_cfg);
     // The self-batch evaluator stacked the old model's coefficients.
     _self_batch.reset();
 }
@@ -203,7 +261,7 @@ Simulator::capturePerf(const perf::KernelProgram &prog,
             snap.samples.push_back({t0, t1, delta});
         };
     }
-    snap.perf = _gpu->run(prog, launch, sampler,
+    snap.perf = gpu().run(prog, launch, sampler,
                           with_trace ? sample_interval_s : 0.0);
     perfCoreSteps().add(snap.perf.core_steps);
     perfQuietCoreCycles().add(snap.perf.quiet_core_cycles);
@@ -256,6 +314,7 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
         // nominal-temperature statics, so the temperature-dependent
         // leakage scale is a per-interval scalar.
         ensureThermal();
+        marchDeferred();
         ensureRows(true);
         GSP_ASSERT(snap.samples.empty() ||
                        (batched->n_blocks == _blocks.size() &&
@@ -309,7 +368,8 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
         }
     }
 
-    run.report = _power->evaluate(run.perf.activity);
+    if (!thermal_on)
+        run.report = _power->evaluate(run.perf.activity);
     return run;
 }
 
@@ -328,10 +388,10 @@ Simulator::replayKernel(const KernelSnapshot &snap,
     // Ungoverned thermal: whole-kernel steady solve at the measured
     // power split, then the shared thermal tail.
     ensureThermal();
-    std::vector<power::BlockPower> bp =
-        _power->blockPowers(run.perf.activity);
-    thermal::SteadyResult steady = solveSteady(bp, 1.0);
-    finishThermal(run, bp, steady, snap.with_trace, false);
+    power::CompiledPowerModel::Eval ev;
+    _power->compiled().evaluate(run.perf.activity, ev);
+    thermal::SteadyResult steady = solveSteady(ev.blocks, 1.0);
+    finishThermal(run, ev, steady, snap.with_trace, false);
     return run;
 }
 
@@ -359,35 +419,30 @@ Simulator::dieMax(const thermal::SteadyResult &steady) const
 
 void
 Simulator::finishThermal(KernelRun &run,
-                         const std::vector<power::BlockPower> &bp,
+                         power::CompiledPowerModel::Eval &ev,
                          const thermal::SteadyResult &steady,
                          bool with_trace, bool throttled)
 {
-    // Whole-kernel energy accounting at the solved temperatures. On
-    // thermal runaway no steady state exists: leakage evaluated at
-    // the 500 K clamp would be ~180x-inflated garbage, so the report
-    // falls back to the nominal junction temperature and the outcome
-    // is flagged through converged == false instead.
-    run.report =
-        steady.converged
-            ? _power->evaluateAt(run.perf.activity, steady.temps_k)
-            : _power->evaluate(run.perf.activity);
-
-    // Without a trace the transient state still has to march through
+    // Without a trace the transient state still owes a march through
     // this kernel's span (sustained-activity history for the next
-    // kernel); with a trace the sampler already did, sample by sample.
+    // kernel) under the nominal split; with a trace the sampler
+    // already did, sample by sample.
     if (!with_trace) {
-        if (!_thermal_state.initialized)
-            _thermal_state = _network->ambientState();
-        std::vector<double> powers(bp.size(), 0.0);
-        for (std::size_t i = 0; i < bp.size(); ++i)
-            powers[i] = bp[i].dynamic_w +
-                        bp[i].sub_leak_w *
-                            _power->subLeakScaleAt(
-                                _thermal_state.temps_k[i]) +
-                        bp[i].fixed_w;
-        _network->advance(_thermal_state, powers, run.perf.time_s);
+        _deferred_marches.push_back({ev.blocks, run.perf.time_s});
+        if (_deferred_marches.size() >= max_deferred_marches)
+            marchDeferred();
     }
+
+    // Whole-kernel energy accounting at the solved temperatures; only
+    // the leakage columns depend on them. On thermal runaway no
+    // steady state exists: leakage evaluated at the 500 K clamp would
+    // be ~180x-inflated garbage, so the report falls back to the
+    // nominal junction temperature and the outcome is flagged through
+    // converged == false instead.
+    const power::CompiledPowerModel &cpm = _power->compiled();
+    if (steady.converged)
+        cpm.rescaleLeakageAt(steady.temps_k, ev);
+    run.report = cpm.assembleReport(ev);
 
     ThermalResult &th = run.thermal;
     th.enabled = true;
@@ -433,6 +488,9 @@ Simulator::runThermal(const perf::KernelProgram &prog,
                       double sample_interval_s, bool repeatable)
 {
     ensureThermal();
+    // The governor snapshots the carried state below, and the
+    // deferred kernels ran under the model a restore would replace.
+    marchDeferred();
     // Every kernel starts at the configured operating point; the
     // governor re-decides the clamp from this kernel's own power.
     if (_cfg.clocks.freq_scale != _nominal_freq_scale)
@@ -443,8 +501,12 @@ Simulator::runThermal(const perf::KernelProgram &prog,
     thermal::ThermalNetwork::State entry_state = _thermal_state;
 
     KernelRun run = runOnce(prog, launch, with_trace, sample_interval_s);
-    std::vector<power::BlockPower> bp =
-        _power->blockPowers(run.perf.activity);
+    // The measured run's nominal-temperature evaluation: its block
+    // split drives the steady solves, and finishThermal() rescales
+    // its leakage into the report.
+    power::CompiledPowerModel::Eval ev;
+    _power->compiled().evaluate(run.perf.activity, ev);
+    const std::vector<power::BlockPower> &bp = ev.blocks;
     thermal::SteadyResult steady = solveSteady(bp, 1.0);
 
     const double limit = _cfg.thermal.t_limit_k;
@@ -496,7 +558,7 @@ Simulator::runThermal(const perf::KernelProgram &prog,
                 _thermal_state = entry_state;
                 run = runOnce(prog, launch, with_trace,
                               sample_interval_s);
-                bp = _power->blockPowers(run.perf.activity);
+                _power->compiled().evaluate(run.perf.activity, ev);
             } else {
                 // Cannot legally re-execute: rescale the measured
                 // run analytically — the cycle count stands, the
@@ -517,7 +579,7 @@ Simulator::runThermal(const perf::KernelProgram &prog,
                     s.t0 *= stretch;
                     s.t1 *= stretch;
                 }
-                bp = _power->blockPowers(run.perf.activity);
+                _power->compiled().evaluate(run.perf.activity, ev);
             }
             // Either way the new point is a measurement at f_new;
             // verify it and keep iterating until it truly holds —
@@ -531,7 +593,7 @@ Simulator::runThermal(const perf::KernelProgram &prog,
         }
     }
 
-    finishThermal(run, bp, steady, with_trace, throttled);
+    finishThermal(run, ev, steady, with_trace, throttled);
     return run;
 }
 

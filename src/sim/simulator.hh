@@ -116,18 +116,44 @@ struct KernelRun
     ThermalResult thermal;
 };
 
-/** Facade over one simulated GPU and its power model. */
+/**
+ * Facade over one simulated GPU and its power model.
+ *
+ * The cycle-level GPU (the activity producer) is built on first use
+ * — gpu() or capturePerf() — so a Simulator that only replays
+ * snapshots or answers static/area queries never pays for one.
+ */
 class Simulator
 {
   public:
     explicit Simulator(const GpuConfig &cfg);
+    /**
+     * Build on an existing power model instead of constructing one.
+     * The model must have been built from a configuration equal to
+     * cfg in everything but the thermal section, which the power
+     * model never reads — this is how replay groups share one model
+     * across cooling-only variants. A governor clamp still rebuilds
+     * a private model (applyFreqScale).
+     */
+    Simulator(const GpuConfig &cfg,
+              std::shared_ptr<const power::GpuPowerModel> power);
     ~Simulator();
 
-    /** The performance-simulated GPU (memory setup, launches). */
-    perf::Gpu &gpu() { return *_gpu; }
+    /** The performance-simulated GPU (memory setup, launches); built
+     *  on the first call, at the configured clock with any live
+     *  governor clamp applied. */
+    perf::Gpu &gpu();
 
     /** The power model (static/area queries). */
     const power::GpuPowerModel &powerModel() const { return *_power; }
+
+    /** The power model as a shareable handle (see the two-argument
+     *  constructor). */
+    const std::shared_ptr<const power::GpuPowerModel> &
+    sharedPowerModel() const
+    {
+        return _power;
+    }
 
     /** Configuration in use (freq_scale reflects a live throttling
      *  clamp until the next kernel or recycle()). */
@@ -166,8 +192,9 @@ class Simulator
     /**
      * Register the perf/core_steps, perf/quiet_core_cycles,
      * perf/issue_attempts and perf/warp_insts counters capturePerf()
-     * adds each kernel's RunResult telemetry to, so a metrics dump
-     * carries them even when nothing captured.
+     * adds each kernel's RunResult telemetry to, and
+     * sim/timing_model_builds (cycle-level GPUs gpu() constructed),
+     * so a metrics dump carries them even when nothing captured.
      */
     static void registerPerfCounters();
 
@@ -197,19 +224,27 @@ class Simulator
     /**
      * Reset device-visible state so the next workload runs exactly as
      * it would on a freshly constructed Simulator, without rebuilding
-     * the (expensive) power model. Restores the configured operating
-     * point if the governor clamped it and discards all carried
-     * thermal state. Only legal between kernels.
+     * the (expensive) power model or the GPU: device memory and the
+     * GPU's activity counters are cleared (when a GPU was built), the
+     * configured operating point is restored if the governor clamped
+     * it, and all carried thermal state — the transient temperatures,
+     * the marches still deferred, and the steady-solve warm start —
+     * is discarded. Only legal between kernels.
      */
     void recycle();
 
     /** Lowest freq_scale the throttling governor will clamp to. */
     static constexpr double min_throttle_freq_scale = 0.25;
 
+    /** Untraced kernels whose transient march may wait for a reader
+     *  (see finishThermal) before the queue is marched anyway; a
+     *  fixed bound on a long-lived Simulator's memory, not a knob. */
+    static constexpr std::size_t max_deferred_marches = 64;
+
   private:
     GpuConfig _cfg;
     std::unique_ptr<perf::Gpu> _gpu;
-    std::unique_ptr<power::GpuPowerModel> _power;
+    std::shared_ptr<const power::GpuPowerModel> _power;
 
     /** Configured (pre-throttle) core-clock scale. */
     double _nominal_freq_scale;
@@ -217,8 +252,20 @@ class Simulator
     std::unique_ptr<thermal::ThermalNetwork> _network;
     thermal::BlockSet _blocks;
     /** Transient temperatures carried across kernels; reset by
-     *  recycle() so simulator reuse stays bit-identical. */
+     *  recycle() so simulator reuse stays bit-identical. Lags the
+     *  kernels in _deferred_marches until marchDeferred() runs. */
     thermal::ThermalNetwork::State _thermal_state;
+    /** One untraced thermal kernel's whole-span march, not yet
+     *  applied to _thermal_state. */
+    struct DeferredMarch
+    {
+        std::vector<power::BlockPower> bp;
+        double time_s = 0.0;
+    };
+    /** Untraced kernels in execution order, each marched with the
+     *  power model current when it ran (no model rebuild happens
+     *  while the queue is non-empty). */
+    std::vector<DeferredMarch> _deferred_marches;
     /** Per-block power scratch of the transient thermal march. */
     std::vector<double> _block_powers;
     /** Last converged steady-state block temperatures: the warm
@@ -234,6 +281,11 @@ class Simulator
     std::unique_ptr<SelfBatch> _self_batch;
 
     void ensureThermal();
+    /** Bring _thermal_state up to date: march every deferred kernel
+     *  in order, with the arithmetic an eager march would use. */
+    void marchDeferred();
+    /** Rebuild the power model at a clamped (or restored) clock;
+     *  callers march the deferred kernels first. */
     void applyFreqScale(double freq_scale);
     /** Batch-evaluate a snapshot's intervals against this
      *  simulator's own compiled model (see SelfBatch); want_blocks
@@ -241,10 +293,11 @@ class Simulator
     const power::BatchedKernelPower &
     selfBatchRows(const KernelSnapshot &snap, bool want_blocks);
     /** Evaluate the per-interval power (and, with thermal on, march
-     *  the transient state) over a snapshot's samples, plus the
-     *  whole-kernel nominal-temperature report. The per-interval
-     *  values come from `batched` when non-null, else from
-     *  selfBatchRows(). */
+     *  the transient state) over a snapshot's samples. With thermal
+     *  off it also builds the whole-kernel report; with thermal on
+     *  finishThermal() builds it at the solved temperatures. The
+     *  per-interval values come from `batched` when non-null, else
+     *  from selfBatchRows(). */
     KernelRun evaluateSamples(const KernelSnapshot &snap,
                               const power::BatchedKernelPower *batched);
     KernelRun runOnce(const perf::KernelProgram &prog,
@@ -257,11 +310,20 @@ class Simulator
                 double freq_ratio);
     /** Hottest steady-state die-block temperature (DRAM excluded). */
     double dieMax(const thermal::SteadyResult &steady) const;
-    /** Shared tail of every thermal kernel: re-evaluate the report at
-     *  the solved temperatures, march the transient state when no
-     *  trace already did, and fill the ThermalResult. */
+    /**
+     * Shared tail of every thermal kernel: build the report at the
+     * solved temperatures and fill the ThermalResult. A traced kernel
+     * has already marched the transient state sample by sample; an
+     * untraced one still owes a march over its whole span. Nothing
+     * in the kernel's own result depends on that march, so it is
+     * queued in _deferred_marches and applied only when the state is
+     * next read — by a traced kernel (evaluateSamples) or a governed
+     * one (runThermal) — or when the queue reaches
+     * max_deferred_marches. A Simulator that replays untraced kernels
+     * and is then destroyed or recycled never marches at all.
+     */
     void finishThermal(KernelRun &run,
-                       const std::vector<power::BlockPower> &bp,
+                       power::CompiledPowerModel::Eval &ev,
                        const thermal::SteadyResult &steady,
                        bool with_trace, bool throttled);
     KernelRun runThermal(const perf::KernelProgram &prog,

@@ -14,16 +14,12 @@ Scenario::replayable() const
     return !(config.thermal.enabled && config.thermal.throttle);
 }
 
-std::string
-Scenario::snapshotKey() const
-{
-    return timingFingerprint(config) +
-           strformat("#workload=%s scale=%u verify=%d",
-                     workload.c_str(), scale, verify ? 1 : 0);
-}
+namespace {
 
-std::string
-timingFingerprint(const GpuConfig &cfg)
+/** The configuration with every field the performance simulator never
+ *  reads pinned to a fixed value: timingFingerprint() serializes it. */
+GpuConfig
+timingView(const GpuConfig &cfg)
 {
     GpuConfig t = cfg;
     // Pin everything the performance simulator never reads to fixed
@@ -45,7 +41,52 @@ timingFingerprint(const GpuConfig &cfg)
     dram.burst_length = cfg.dram.burst_length;
     dram.latency = cfg.dram.latency;
     t.dram = dram;
-    return t.toXml();
+    return t;
+}
+
+/** The workload half of Scenario::snapshotKey(). */
+std::string
+workloadTag(const Scenario &s)
+{
+    return strformat("#workload=%s scale=%u verify=%d",
+                     s.workload.c_str(), s.scale, s.verify ? 1 : 0);
+}
+
+} // namespace
+
+std::string
+Scenario::snapshotKey() const
+{
+    return timingFingerprint(config) + workloadTag(*this);
+}
+
+std::string
+timingFingerprint(const GpuConfig &cfg)
+{
+    return timingView(cfg).toXml();
+}
+
+std::vector<std::string>
+snapshotKeys(const std::vector<Scenario> &scenarios)
+{
+    // Distinct timing views with their serialized fingerprints: a
+    // sweep has a handful, since its node, supply and cooling axes
+    // never enter a view.
+    std::vector<std::pair<GpuConfig, std::string>> seen;
+    std::vector<std::string> keys;
+    keys.reserve(scenarios.size());
+    for (const Scenario &s : scenarios) {
+        GpuConfig view = timingView(s.config);
+        std::size_t hit = 0;
+        while (hit < seen.size() && !(seen[hit].first == view))
+            ++hit;
+        if (hit == seen.size()) {
+            std::string fp = view.toXml();
+            seen.emplace_back(std::move(view), std::move(fp));
+        }
+        keys.push_back(seen[hit].second + workloadTag(s));
+    }
+    return keys;
 }
 
 std::size_t

@@ -76,6 +76,15 @@ struct Scenario
 std::string timingFingerprint(const GpuConfig &cfg);
 
 /**
+ * Scenario::snapshotKey() of every scenario, in order, byte for byte —
+ * but each distinct timing fingerprint is serialized once, not once
+ * per scenario. Timing views equal field for field serialize alike;
+ * the one exception, a signed zero, would need a zero clock rate or
+ * scale, which no runnable configuration has.
+ */
+std::vector<std::string> snapshotKeys(const std::vector<Scenario> &scenarios);
+
+/**
  * Declarative description of a batch experiment: every config is
  * evaluated at every process node, every DVFS operating point, and
  * every workload. Expansion order is config-major, then node, then

@@ -144,6 +144,31 @@ expectEquivalent(const GpuConfig &cfg, const GpuPowerModel &model,
     double expected = rep.totalPower() + rep.dram_w;
     EXPECT_NEAR(total, expected, 1e-12 * expected);
 
+    // Rescaling a nominal evaluation's leakage to temps leaves the
+    // evaluation evaluateAt() produced, field for field.
+    CompiledPowerModel::Eval rescaled;
+    cpm.evaluate(act, rescaled);
+    cpm.rescaleLeakageAt(temps, rescaled);
+    EXPECT_EQ(rescaled.dynamic_w, ev.dynamic_w);
+    EXPECT_EQ(rescaled.static_w, ev.static_w);
+    EXPECT_EQ(rescaled.dram_w, ev.dram_w);
+    EXPECT_EQ(rescaled.short_circuit_w, ev.short_circuit_w);
+    EXPECT_EQ(rescaled.elapsed_s, ev.elapsed_s);
+    EXPECT_EQ(rescaled.core_dyn, ev.core_dyn);
+    EXPECT_EQ(rescaled.core_sub, ev.core_sub);
+    EXPECT_EQ(rescaled.uncore_dyn, ev.uncore_dyn);
+    EXPECT_EQ(rescaled.uncore_sub, ev.uncore_sub);
+    EXPECT_EQ(rescaled.cluster_base_w, ev.cluster_base_w);
+    EXPECT_EQ(rescaled.sched_w, ev.sched_w);
+    EXPECT_EQ(rescaled.sub_scale, ev.sub_scale);
+    ASSERT_EQ(rescaled.blocks.size(), ev.blocks.size());
+    for (std::size_t b = 0; b < ev.blocks.size(); ++b) {
+        EXPECT_EQ(rescaled.blocks[b].dynamic_w, ev.blocks[b].dynamic_w);
+        EXPECT_EQ(rescaled.blocks[b].sub_leak_w,
+                  ev.blocks[b].sub_leak_w);
+        EXPECT_EQ(rescaled.blocks[b].fixed_w, ev.blocks[b].fixed_w);
+    }
+
     // The public nominal-temperature split matches the flat split.
     if (temps.empty()) {
         std::vector<BlockPower> split = model.blockPowers(act);

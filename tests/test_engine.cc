@@ -11,6 +11,10 @@
 
 #include <atomic>
 #include <cstddef>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -304,6 +308,49 @@ TEST(Engine, IdleTimeRunsToThePoolJoin)
     const double capacity_ns = 2 * r.telemetry().wall_s * 1e9;
     EXPECT_LE(static_cast<double>(busy + idle), capacity_ns);
     EXPECT_GE(static_cast<double>(busy + idle), 0.9 * capacity_ns);
+}
+
+TEST(Engine, SnapshotFedSweepBuildsNoTimingModel)
+{
+    // A cold run captures every timing-unique unit and hands the
+    // snapshots to a sink; a second run fed only by them replays
+    // every scenario without building a single cycle-level GPU.
+    SweepSpec spec = smallSweep();
+    spec.coolings = {"stock", "liquid"};
+    std::mutex mutex;
+    std::map<std::string, std::shared_ptr<const ActivitySnapshot>> kept;
+
+    EngineOptions cold = EngineOptions().withJobs(2);
+    cold.snapshot_sink =
+        [&](const Scenario &s,
+            const std::shared_ptr<const ActivitySnapshot> &snap) {
+            std::lock_guard<std::mutex> lock(mutex);
+            kept[s.snapshotKey()] = snap;
+        };
+    SweepResult captured = SimulationEngine(cold).run(spec);
+    EXPECT_GE(captured.telemetry().metrics.counter(
+                  "sim/timing_model_builds"),
+              1u);
+    EXPECT_GT(captured.telemetry().captured, 0u);
+
+    EngineOptions warm = EngineOptions().withJobs(2);
+    warm.snapshot_source = [&](const Scenario &s) {
+        std::lock_guard<std::mutex> lock(mutex);
+        return kept.at(s.snapshotKey());
+    };
+    SweepResult replayed = SimulationEngine(warm).run(spec);
+    EXPECT_EQ(replayed.telemetry().metrics.counter(
+                  "sim/timing_model_builds"),
+              0u);
+    EXPECT_EQ(replayed.telemetry().captured, 0u);
+    EXPECT_EQ(replayed.telemetry().replayed, replayed.size());
+    ASSERT_EQ(replayed.size(), captured.size());
+    for (std::size_t i = 0; i < replayed.size(); ++i) {
+        EXPECT_EQ(replayed.at(i).energy_j, captured.at(i).energy_j)
+            << replayed.at(i).scenario.label;
+        EXPECT_EQ(replayed.at(i).t_max_k, captured.at(i).t_max_k)
+            << replayed.at(i).scenario.label;
+    }
 }
 
 TEST(Engine, SimulatorReuseIsBitIdenticalToAFreshSimulator)

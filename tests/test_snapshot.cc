@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -291,12 +294,12 @@ TEST(Snapshot, ReplayAcrossCoolingMatchesFullSimulation)
 
 TEST(Snapshot, SerializationRoundTripReplaysIdentically)
 {
-    Scenario scenario;
-    scenario.config = GpuConfig::gt240();
-    scenario.workload = "vectoradd";
+    SweepSpec spec;
+    spec.configs = {GpuConfig::gt240()};
+    spec.workloads = {"vectoradd"};
+    const Scenario scenario = spec.expand().at(0);
 
-    EngineOptions opt;
-    opt.with_trace = true;
+    EngineOptions opt = EngineOptions().withJobs(1).withTrace(true);
     SimulationEngine engine(opt);
     Simulator sim(scenario.config);
     ActivitySnapshot captured;
@@ -316,10 +319,48 @@ TEST(Snapshot, SerializationRoundTripReplaysIdentically)
     EXPECT_EQ(parsed.kernels[0].samples.size(),
               captured.kernels[0].samples.size());
 
-    Simulator replay_sim(scenario.config);
-    ScenarioResult replayed = engine.replayScenario(scenario, parsed,
-                                                    replay_sim);
-    expectScenariosEqual(direct, replayed);
+    // Replay through the engine, fed the parsed snapshot as an
+    // external source: no timing runs.
+    auto source = std::make_shared<const ActivitySnapshot>(parsed);
+    EngineOptions replay_opt = opt;
+    replay_opt.snapshot_source = [&](const Scenario &s) {
+        EXPECT_EQ(s.snapshotKey(), scenario.snapshotKey());
+        return source;
+    };
+    SweepResult replayed = SimulationEngine(replay_opt).run(spec);
+    EXPECT_EQ(replayed.telemetry().captured, 0u);
+    EXPECT_EQ(replayed.telemetry().replayed, 1u);
+    expectScenariosEqual(direct, replayed.at(0));
+}
+
+TEST(Snapshot, BatchKeysMatchPerScenarioKeys)
+{
+    // Every axis at once, including a clock change (the one
+    // operating-point field that enters the timing fingerprint).
+    SweepSpec spec;
+    spec.configs = {GpuConfig::gt240(), GpuConfig::gtx580()};
+    spec.tech_nodes = {40u, 28u};
+    spec.operating_points = {{1.0, 1.0}, {0.9, 1.0}, {1.0, 0.8}};
+    spec.coolings = {"stock", "liquid"};
+    spec.workloads = {"vectoradd", "matmul"};
+    std::vector<Scenario> scenarios = spec.expand();
+    ASSERT_EQ(scenarios.size(), 48u);
+
+    std::vector<std::string> keys = sim::snapshotKeys(scenarios);
+    ASSERT_EQ(keys.size(), scenarios.size());
+    for (std::size_t i = 0; i < scenarios.size(); ++i)
+        EXPECT_EQ(keys[i], scenarios[i].snapshotKey())
+            << scenarios[i].label;
+    // 2 GPUs x 2 core clocks x 2 workloads.
+    EXPECT_EQ(std::set<std::string>(keys.begin(), keys.end()).size(),
+              8u);
+
+    // Out of expansion order, equal views are no longer adjacent.
+    std::reverse(scenarios.begin(), scenarios.end());
+    std::vector<std::string> reversed = sim::snapshotKeys(scenarios);
+    for (std::size_t i = 0; i < scenarios.size(); ++i)
+        EXPECT_EQ(reversed[i], scenarios[i].snapshotKey())
+            << scenarios[i].label;
 }
 
 TEST(Snapshot, SerializationRejectsGarbage)

@@ -468,7 +468,106 @@ TEST(ThermalLoop, ThermalStateCarriesAcrossKernelsUntilRecycled)
               first.thermal.trace.front().temps_k[0]);
 }
 
+namespace {
+
+/** First and last transient samples of a traced kernel, bit for bit
+ *  against temperatures recorded when every untraced kernel still
+ *  marched the carried state eagerly. */
+void
+expectTraceEnds(const KernelRun &run, const std::vector<double> &first,
+                const std::vector<double> &last)
+{
+    ASSERT_FALSE(run.thermal.trace.empty());
+    EXPECT_EQ(run.thermal.trace.front().temps_k, first);
+    EXPECT_EQ(run.thermal.trace.back().temps_k, last);
+}
+
+} // namespace
+
+TEST(ThermalLoop, UntracedKernelsCarryIntoTracedKernel)
+{
+    GpuConfig cfg = GpuConfig::gtx580();
+    cfg.thermal.applyCooling("stock");
+    {
+        // Two untraced kernels warm the die; the traced kernel's
+        // waveform starts from where they left it.
+        Simulator sim(cfg);
+        auto wl = workloads::makeWorkload("matmul", 1);
+        auto launches = wl->prepare(sim.gpu());
+        for (int k = 0; k < 2; ++k)
+            sim.runKernel(launches[0].prog, launches[0].launch, false);
+        KernelRun traced = sim.runKernel(launches[0].prog,
+                                         launches[0].launch, true, 2e-6);
+        expectTraceEnds(
+            traced,
+            {0x1.3e006e2685942p+8, 0x1.3e006ec033d18p+8,
+             0x1.3e006f57f4fabp+8, 0x1.3e006ff76d26ap+8,
+             0x1.3e0002578ca02p+8, 0x1.3e00f8da59ca2p+8,
+             0x1.3e0001168ad3fp+8, 0x1.3e00000010b2dp+8},
+            {0x1.3e0092eb805bep+8, 0x1.3e00943217691p+8,
+             0x1.3e009578572b4p+8, 0x1.3e0096c4ec106p+8,
+             0x1.3e00031c28e51p+8, 0x1.3e0145406ffb3p+8,
+             0x1.3e00016d3dceep+8, 0x1.3e0000001c796p+8});
+    }
+    {
+        // More untraced kernels than the deferred-march queue holds.
+        constexpr int untraced = 70;
+        static_assert(untraced > Simulator::max_deferred_marches);
+        Simulator sim(cfg);
+        auto wl = workloads::makeWorkload("matmul", 1);
+        auto launches = wl->prepare(sim.gpu());
+        KernelSnapshot plain =
+            sim.capturePerf(launches[0].prog, launches[0].launch, false);
+        KernelSnapshot with_samples = sim.capturePerf(
+            launches[0].prog, launches[0].launch, true, 2e-6);
+        sim.recycle();
+        for (int k = 0; k < untraced; ++k)
+            sim.replayKernel(plain);
+        expectTraceEnds(
+            sim.replayKernel(with_samples),
+            {0x1.3e0d4123294b9p+8, 0x1.3e0d5e398cc7dp+8,
+             0x1.3e0d7b4a2a41p+8, 0x1.3e0d977e8195ep+8,
+             0x1.3e00a1ba7b76bp+8, 0x1.3e1d55f490effp+8,
+             0x1.3e00216d37f06p+8, 0x1.3e00003cb782dp+8},
+            {0x1.3e0d64f4fd409p+8, 0x1.3e0d82b61c758p+8,
+             0x1.3e0da0731bfdp+8, 0x1.3e0dbd4b13ebfp+8,
+             0x1.3e00a443b6db2p+8, 0x1.3e1da01db366fp+8,
+             0x1.3e0021c3ea3f7p+8, 0x1.3e00003deebe5p+8});
+    }
+}
+
 // ------------------------------------------------------------- throttling
+
+TEST(ThermalThrottle, UntracedGovernedKernelsCarryIntoTracedKernel)
+{
+    // Governed kernels march at their clamped clock: the carried
+    // state must reach the next kernel before it restores the
+    // nominal clock.
+    GpuConfig cfg = GpuConfig::gtx580();
+    cfg.thermal.applyCooling("constrained");
+    cfg.thermal.throttle = true;
+    Simulator sim(cfg);
+    auto wl = workloads::makeWorkload("matmul", 1);
+    auto launches = wl->prepare(sim.gpu());
+    for (int k = 0; k < 2; ++k) {
+        KernelRun run = sim.runKernel(launches[0].prog,
+                                      launches[0].launch, false);
+        EXPECT_TRUE(run.thermal.throttled);
+    }
+    KernelRun traced = sim.runKernel(launches[0].prog,
+                                     launches[0].launch, true, 2e-6);
+    EXPECT_TRUE(traced.thermal.throttled);
+    expectTraceEnds(
+        traced,
+        {0x1.3e0076b43fe1dp+8, 0x1.3e00778deaf48p+8,
+         0x1.3e00786639a62p+8, 0x1.3e00794377d7cp+8,
+         0x1.3e00028213a96p+8, 0x1.3e0106745c9d5p+8,
+         0x1.3e000145b769cp+8, 0x1.3e000000361e2p+8},
+        {0x1.3e00a243827c3p+8, 0x1.3e00a38a013bfp+8,
+         0x1.3e00a4d02c2c7p+8, 0x1.3e00a61c7a0e8p+8,
+         0x1.3e00036063579p+8, 0x1.3e015f65d64f7p+8,
+         0x1.3e0001b40124ep+8, 0x1.3e00000060dd7p+8});
+}
 
 TEST(ThermalThrottle, ConstrainedGtx580ThrottlesAndCostsEnergy)
 {

@@ -54,6 +54,7 @@ REQUIRED_COUNTERS = (
     "perf/issue_attempts",
     "perf/quiet_core_cycles",
     "perf/warp_insts",
+    "sim/timing_model_builds",
 )
 
 
