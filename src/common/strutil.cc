@@ -1,18 +1,21 @@
 #include "common/strutil.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <istream>
+#include <system_error>
 
 #include "common/logging.hh"
 
 namespace gpusimpow {
 
 std::string
-trim(const std::string &s)
+trim(std::string_view s)
 {
     size_t begin = 0;
     size_t end = s.size();
@@ -20,7 +23,7 @@ trim(const std::string &s)
         ++begin;
     while (end > begin && std::isspace(static_cast<unsigned char>(s[end - 1])))
         --end;
-    return s.substr(begin, end - begin);
+    return std::string(s.substr(begin, end - begin));
 }
 
 std::vector<std::string>
@@ -41,10 +44,9 @@ split(const std::string &s, char delim)
 }
 
 bool
-startsWith(const std::string &s, const std::string &prefix)
+startsWith(std::string_view s, std::string_view prefix)
 {
-    return s.size() >= prefix.size() &&
-           s.compare(0, prefix.size(), prefix) == 0;
+    return s.substr(0, prefix.size()) == prefix;
 }
 
 long
@@ -78,10 +80,8 @@ parseUnsigned(const std::string &s, const std::string &context,
 double
 parseDouble(const std::string &s, const std::string &context)
 {
-    char *end = nullptr;
-    std::string t = trim(s);
-    double v = std::strtod(t.c_str(), &end);
-    if (t.empty() || end == nullptr || *end != '\0')
+    double v = 0.0;
+    if (!TextCursor::parseDouble(trim(s), v))
         fatal("cannot parse number '", s, "' (", context, ")");
     return v;
 }
@@ -97,56 +97,62 @@ parseBool(const std::string &s, const std::string &context)
     fatal("cannot parse boolean '", s, "' (", context, ")");
 }
 
-std::string
-readToken(std::istream &in, const std::string &context)
+namespace {
+
+/** The C-locale isspace() set, without a locale lookup per byte. */
+bool
+isSpace(char c)
 {
-    std::string tok;
-    if (!(in >> tok))
-        fatal("truncated record: expected ", context);
-    return tok;
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+} // namespace
+
+std::string_view
+TextCursor::next()
+{
+    while (_pos < _text.size() && isSpace(_text[_pos]))
+        ++_pos;
+    std::size_t begin = _pos;
+    while (_pos < _text.size() && !isSpace(_text[_pos]))
+        ++_pos;
+    return _text.substr(begin, _pos - begin);
 }
 
 void
-expectToken(std::istream &in, const std::string &keyword)
+TextCursor::expect(std::string_view keyword)
 {
-    std::string tok = readToken(in, "'" + keyword + "'");
+    std::string_view tok = next();
+    if (tok.empty())
+        fatal("truncated record: expected '", keyword, "'");
     if (tok != keyword)
         fatal("malformed record: expected '", keyword, "', got '", tok,
               "'");
 }
 
-uint64_t
-readU64Token(std::istream &in, const std::string &context)
+std::string_view
+TextCursor::token(std::string_view context)
 {
-    std::string tok = readToken(in, context);
-    // strtoull silently wraps negative input ("-1" becomes 2^64-1);
-    // that is exactly the unsigned-wrap bug class the CLI parsers
-    // reject, so refuse anything but plain digits up front.
-    if (tok.empty() || tok.find_first_not_of("0123456789") !=
-                           std::string::npos)
-        fatal("malformed record: bad ", context, " '", tok, "'");
-    char *end = nullptr;
-    errno = 0;
-    uint64_t v = std::strtoull(tok.c_str(), &end, 10);
-    if (end == tok.c_str() || *end != '\0' || errno == ERANGE)
+    std::string_view tok = next();
+    if (tok.empty())
+        fatal("truncated record: expected ", context);
+    return tok;
+}
+
+uint64_t
+TextCursor::u64(std::string_view context)
+{
+    std::string_view tok = token(context);
+    uint64_t v = 0;
+    if (!parseU64(tok, v))
         fatal("malformed record: bad ", context, " '", tok, "'");
     return v;
 }
 
-uint32_t
-readU32Token(std::istream &in, const std::string &context)
-{
-    uint64_t v = readU64Token(in, context);
-    if (v > UINT32_MAX)
-        fatal("malformed record: ", context, " ", v,
-              " exceeds the 32-bit range");
-    return static_cast<uint32_t>(v);
-}
-
 bool
-readFlagToken(std::istream &in, const std::string &context)
+TextCursor::flag(std::string_view context)
 {
-    uint64_t v = readU64Token(in, context);
+    uint64_t v = u64(context);
     if (v > 1)
         fatal("malformed record: ", context, " must be 0 or 1, got ",
               v);
@@ -154,14 +160,91 @@ readFlagToken(std::istream &in, const std::string &context)
 }
 
 double
-readDoubleToken(std::istream &in, const std::string &context)
+TextCursor::f64(std::string_view context)
 {
-    std::string tok = readToken(in, context);
-    char *end = nullptr;
-    double v = std::strtod(tok.c_str(), &end);
-    if (end == tok.c_str() || *end != '\0')
+    std::string_view tok = token(context);
+    double v = 0.0;
+    if (!parseDouble(tok, v))
         fatal("malformed record: bad ", context, " '", tok, "'");
     return v;
+}
+
+bool
+TextCursor::parseU64(std::string_view tok, uint64_t &v, int base)
+{
+    // Unsigned from_chars takes no sign, prefix or space: digits only.
+    const char *end = tok.data() + tok.size();
+    auto [ptr, ec] = std::from_chars(tok.data(), end, v, base);
+    return ec == std::errc() && ptr == end;
+}
+
+bool
+TextCursor::parseDouble(std::string_view tok, double &v)
+{
+    // strtod's syntax through from_chars, which takes neither '+',
+    // a hex prefix nor a sign after one: peel sign and prefix here.
+    bool signed_tok = !tok.empty() && (tok[0] == '+' || tok[0] == '-');
+    std::string_view body = tok.substr(signed_tok);
+    bool hex = startsWith(body, "0x") || startsWith(body, "0X");
+    body.remove_prefix(hex ? 2 : 0);
+    if (body.empty() || body[0] == '+' || body[0] == '-')
+        return false;
+    if (hex) {
+        // libstdc++'s hex format also reads "inf"/"nan" and takes
+        // "p+-1" for "p-1", where strtod stops at the 'x' or the 'p'.
+        std::size_t exponent = body.find_first_of("pP");
+        if ((body[0] != '.' &&
+             !std::isxdigit(static_cast<unsigned char>(body[0]))) ||
+            (exponent != std::string_view::npos &&
+             body.substr(exponent + 1, 2) == "+-"))
+            return false;
+    }
+    const char *end = body.data() + body.size();
+    auto [ptr, ec] = std::from_chars(
+        body.data(), end, v,
+        hex ? std::chars_format::hex : std::chars_format::general);
+    if (ptr != end || (ec != std::errc() &&
+                       ec != std::errc::result_out_of_range))
+        return false;
+    if (ec != std::errc() || std::isnan(v))
+        // from_chars refuses what strtod rounds to +-HUGE_VAL or
+        // toward zero, and drops NaN payloads: keep strtod's value.
+        v = std::strtod(std::string(tok).c_str(), nullptr);
+    else if (tok[0] == '-')
+        v = -v;
+    return true;
+}
+
+bool
+TextCursor::line(std::string_view &out)
+{
+    std::size_t nl = std::min(_text.find('\n', _pos), _text.size());
+    out = _text.substr(_pos, nl - _pos);
+    _pos = std::min(nl + 1, _text.size());
+    return nl < _text.size();
+}
+
+bool
+TextCursor::bytes(uint64_t n, std::string_view &out)
+{
+    // Compared against what is left, so no length can wrap the sum.
+    if (_pos >= _text.size() || n > _text.size() - _pos - 1 ||
+        _text[_pos + n] != '\n')
+        return false;
+    out = _text.substr(_pos, n);
+    _pos += n + 1;
+    return true;
+}
+
+std::string
+TextCursor::where() const
+{
+    std::string_view done = _text.substr(0, _pos);
+    // rfind's npos + 1 wraps to 0: the first line starts the text.
+    std::size_t line_start = done.rfind('\n') + 1;
+    return strformat("line %zu, column %zu, byte offset %zu",
+                     std::count(done.begin(), done.end(), '\n') + 1,
+                     _pos - line_start + 1, _pos);
 }
 
 std::string

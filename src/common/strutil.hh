@@ -2,27 +2,29 @@
  * @file
  * Small string helpers shared across the code base (trimming, token
  * splitting, numeric parsing with error reporting, printf-style
- * formatting into std::string).
+ * formatting into std::string) and TextCursor, the tokenizer of every
+ * text format read back from disk or the wire.
  */
 
 #ifndef GPUSIMPOW_COMMON_STRUTIL_HH
 #define GPUSIMPOW_COMMON_STRUTIL_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gpusimpow {
 
 /** Strip ASCII whitespace from both ends. */
-std::string trim(const std::string &s);
+std::string trim(std::string_view s);
 
 /** Split on a single-character delimiter; empty tokens preserved. */
 std::vector<std::string> split(const std::string &s, char delim);
 
 /** True if s begins with the given prefix. */
-bool startsWith(const std::string &s, const std::string &prefix);
+bool startsWith(std::string_view s, std::string_view prefix);
 
 /** Parse a decimal integer; fatal() with context on failure. */
 long parseLong(const std::string &s, const std::string &context);
@@ -49,33 +51,64 @@ std::string strformat(const char *fmt, ...)
  *  (quotes, backslashes, control characters). */
 std::string jsonEscape(const std::string &s);
 
-// Stream-token parsing for the stable text serializations (activity
-// records, scenario snapshots): whitespace-delimited tokens, fatal()
-// with context on truncation or malformed values.
-
-/** Read one token; fatal() with context at end of input. */
-std::string readToken(std::istream &in, const std::string &context);
-
-/** Read a literal keyword token; fatal() on mismatch. */
-void expectToken(std::istream &in, const std::string &keyword);
-
-/** Read an unsigned 64-bit decimal token; fatal() with context. */
-uint64_t readU64Token(std::istream &in, const std::string &context);
-
-/** Read a decimal token destined for a 32-bit unsigned field;
- *  fatal() with a range message instead of silently truncating
- *  values above 2^32-1 through a narrowing cast. */
-uint32_t readU32Token(std::istream &in, const std::string &context);
-
-/** Read a 0/1 boolean flag token; any other value is malformed. */
-bool readFlagToken(std::istream &in, const std::string &context);
-
 /**
- * Read a floating-point token; fatal() with context. Accepts C99 hex
- * floats, so values written with strformat("%a", v) round-trip
- * bit-exactly — the foundation of bit-identical snapshot replay.
+ * Forward-only tokenizer over a text buffer: the one reader behind
+ * every parser of untrusted bytes (activity snapshots and their
+ * ChipActivity records, store entry framing, sweep requests, wire
+ * frame headers).
+ *
+ *  - A token is a maximal run of non-whitespace bytes. Whitespace is
+ *    the C-locale isspace() set (space, \t, \n, \v, \f, \r); every
+ *    other byte, NUL and non-ASCII included, is token text.
+ *  - Integers are digits only: no sign, no base prefix, and a value
+ *    past 2^64-1 is an error, never wrapped.
+ *  - Doubles take strtod()'s whole-token syntax (decimal, an optional
+ *    sign, inf/nan and C99 hex floats) through std::from_chars, so a
+ *    value written with strformat("%a", v) reads back bit-exactly
+ *    and no locale is consulted. Values past the double range and
+ *    NaN payloads read as strtod() reads them.
+ *  - The typed readers fatal() with the caller's context and leave
+ *    the cursor just past the offending token, or at the end of the
+ *    text when a token is missing; where() names that position.
+ *  - The cursor views the text and hands out views into it, so the
+ *    text must outlive the cursor and every token taken from it.
+ *    Nothing is allocated per token.
  */
-double readDoubleToken(std::istream &in, const std::string &context);
+class TextCursor
+{
+  public:
+    explicit TextCursor(std::string_view text) : _text(text) {}
+
+    /** Next token, or an empty view at the end of the text. */
+    std::string_view next();
+    /** Consume the literal `keyword`; fatal() on anything else. */
+    void expect(std::string_view keyword);
+    /** Typed tokens (a flag is 0 or 1); fatal() naming `context`
+     *  when the token is missing or malformed. */
+    std::string_view token(std::string_view context);
+    uint64_t u64(std::string_view context);
+    bool flag(std::string_view context);
+    double f64(std::string_view context);
+
+    /** std::getline: the rest of the line (or of the text) without
+     *  its newline, consumed; false when no newline ends it. */
+    bool line(std::string_view &out);
+    /** `n` bytes and a newline, consumed; false (nothing consumed)
+     *  when they are not all there. No `n` can overflow the check. */
+    bool bytes(uint64_t n, std::string_view &out);
+    std::size_t remaining() const { return _text.size() - _pos; }
+    /** "line L, column C, byte offset O" of the cursor (1-based). */
+    std::string where() const;
+
+    /** Whole-token parses: digits only in `base`, and as f64(). */
+    static bool parseU64(std::string_view tok, uint64_t &v,
+                         int base = 10);
+    static bool parseDouble(std::string_view tok, double &v);
+
+  private:
+    std::string_view _text;
+    std::size_t _pos = 0;
+};
 
 } // namespace gpusimpow
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <istream>
 #include <ostream>
 #include <sstream>
 
@@ -158,18 +157,18 @@ ChipActivity::serialize(std::ostream &out) const
 }
 
 ChipActivity
-ChipActivity::parse(std::istream &in)
+ChipActivity::parse(TextCursor &in)
 {
     // Counts size containers, so a corrupted record must fail with
     // the malformed-record fatal(), not an uncaught length_error /
     // bad_alloc out of resize(). No real GPU is within orders of
     // magnitude of this bound.
     constexpr uint64_t max_count = 1u << 20;
-    expectToken(in, "chip-activity");
-    uint64_t n_cores = readU64Token(in, "core count");
-    uint64_t n_clusters = readU64Token(in, "cluster count");
-    uint64_t n_core_fields = readU64Token(in, "core field count");
-    uint64_t n_mem_fields = readU64Token(in, "mem field count");
+    in.expect("chip-activity");
+    uint64_t n_cores = in.u64("core count");
+    uint64_t n_clusters = in.u64("cluster count");
+    uint64_t n_core_fields = in.u64("core field count");
+    uint64_t n_mem_fields = in.u64("mem field count");
     if (n_cores > max_count || n_clusters > max_count)
         fatal("malformed activity record: implausible core/cluster "
               "count ", n_cores, "/", n_clusters);
@@ -183,24 +182,24 @@ ChipActivity::parse(std::istream &in)
     ChipActivity act;
     act.cores.resize(n_cores);
     for (CoreActivity &c : act.cores) {
-        expectToken(in, "core");
-#define X(name) c.name = readU64Token(in, #name);
+        in.expect("core");
+#define X(name) c.name = in.u64(#name);
         GSP_CORE_ACTIVITY_FIELDS(X)
 #undef X
     }
-    expectToken(in, "mem");
-#define X(name) act.mem.name = readU64Token(in, #name);
+    in.expect("mem");
+#define X(name) act.mem.name = in.u64(#name);
     GSP_MEM_ACTIVITY_FIELDS(X)
 #undef X
-    expectToken(in, "clusters");
+    in.expect("clusters");
     act.cluster_busy_cycles.resize(n_clusters);
     for (uint64_t &v : act.cluster_busy_cycles)
-        v = readU64Token(in, "cluster busy cycles");
-    expectToken(in, "totals");
-    act.gpu_busy_cycles = readU64Token(in, "gpu_busy_cycles");
-    act.blocks_dispatched = readU64Token(in, "blocks_dispatched");
-    act.shader_cycles = readU64Token(in, "shader_cycles");
-    act.elapsed_s = readDoubleToken(in, "elapsed_s");
+        v = in.u64("cluster busy cycles");
+    in.expect("totals");
+    act.gpu_busy_cycles = in.u64("gpu_busy_cycles");
+    act.blocks_dispatched = in.u64("blocks_dispatched");
+    act.shader_cycles = in.u64("shader_cycles");
+    act.elapsed_s = in.f64("elapsed_s");
     // A duration: NaN/Inf or negative values are corruption, and
     // they would silently poison every downstream rate division.
     if (!std::isfinite(act.elapsed_s) || act.elapsed_s < 0.0)

@@ -83,6 +83,9 @@
     X(pcie_bytes)           /* host-interface payload bytes */
 
 namespace gpusimpow {
+
+class TextCursor;
+
 namespace perf {
 
 /** Activity of one SIMT core over an interval. */
@@ -170,9 +173,10 @@ struct ChipActivity
      */
     void serialize(std::ostream &out) const;
 
-    /** Parse a record written by serialize(); fatal() on malformed
-     *  or schema-incompatible input. */
-    static ChipActivity parse(std::istream &in);
+    /** Parse a record written by serialize() from the cursor's
+     *  position; fatal() on malformed or schema-incompatible input,
+     *  leaving the cursor where the parse stopped. */
+    static ChipActivity parse(TextCursor &in);
 };
 
 /** Number of counters in CoreActivity (the X-macro field list). */

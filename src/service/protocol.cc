@@ -2,7 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
-#include <sstream>
+#include <string_view>
 
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -74,20 +74,25 @@ FrameReader::read(Frame &out, std::string &err)
             return false; // clean EOF at a frame boundary
         }
     }
-    std::string header = _buf.substr(0, nl);
-    std::istringstream hs(header);
-    std::string type;
-    std::size_t nbytes = 0;
-    if (!(hs >> type >> nbytes) || type.empty()) {
-        err = "malformed frame header '" + header + "'";
+    std::string_view header(_buf.data(), nl);
+    TextCursor hs(header);
+    // An empty type leaves no size token, which the size check rejects.
+    std::string_view type_view = hs.next();
+    uint64_t nbytes = 0;
+    if (!TextCursor::parseU64(hs.next(), nbytes)) {
+        err = "malformed frame header '";
+        err += header;
+        err += '\'';
         return false;
     }
     if (nbytes > max_payload_bytes) {
-        err = strformat("frame payload of %zu bytes exceeds the %zu "
+        err = strformat("frame payload of %llu bytes exceeds the %zu "
                         "byte cap",
-                        nbytes, max_payload_bytes);
+                        static_cast<unsigned long long>(nbytes),
+                        max_payload_bytes);
         return false;
     }
+    std::string type(type_view); // the view dies with the erase
     _buf.erase(0, nl + 1);
 
     // Then exactly nbytes payload plus the trailing newline.

@@ -1,6 +1,6 @@
 #include "sim/request.hh"
 
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
@@ -162,48 +162,45 @@ SweepRequest::serialize() const
 
 namespace {
 
-/** Line cursor over the serialized form; fatal() messages carry the
+/** Line reader over the serialized form; fatal() messages carry the
  *  line number so a malformed job frame is diagnosable. */
 struct LineReader
 {
-    const std::string &text;
-    std::size_t pos = 0;
+    TextCursor cursor;
     std::size_t line_no = 0;
 
-    std::string nextLine()
+    std::string_view nextLine()
     {
-        if (pos >= text.size())
+        if (cursor.remaining() == 0)
             fatal("sweep request: truncated after line ", line_no);
-        std::size_t nl = text.find('\n', pos);
-        if (nl == std::string::npos)
+        std::string_view line;
+        if (!cursor.line(line))
             fatal("sweep request: unterminated line ", line_no + 1);
-        std::string line = text.substr(pos, nl - pos);
-        pos = nl + 1;
         ++line_no;
         return line;
     }
 
     /** "tag value" line; the value may be empty. */
-    std::string field(const char *tag)
+    std::string_view field(std::string_view tag)
     {
-        std::string line = nextLine();
-        std::string prefix = std::string(tag) + " ";
+        std::string_view line = nextLine();
         if (line == tag)
-            return "";
-        if (!startsWith(line, prefix))
+            return {};
+        if (!startsWith(line, tag) || line.size() == tag.size() ||
+            line[tag.size()] != ' ')
             fatal("sweep request: line ", line_no, ": expected '", tag,
                   "', got '", line, "'");
-        return line.substr(prefix.size());
+        return line.substr(tag.size() + 1);
     }
 };
 
 } // namespace
 
 SweepRequest
-SweepRequest::parse(const std::string &text)
+SweepRequest::parse(std::string_view text)
 {
     SweepRequest req;
-    LineReader in{text};
+    LineReader in{TextCursor(text)};
     if (in.nextLine() != request_magic)
         fatal("sweep request: line 1: bad magic (expected '",
               request_magic, "')");
@@ -212,39 +209,36 @@ SweepRequest::parse(const std::string &text)
     req.nodes = in.field("nodes");
     req.vf = in.field("vf");
     req.coolings = in.field("coolings");
-    req.scale = parseUnsigned(in.field("scale"),
+    req.scale = parseUnsigned(std::string(in.field("scale")),
                               "sweep request: scale", 1, 1u << 20);
+    req.verify = TextCursor(in.field("verify"))
+                     .flag("sweep request: verify");
     {
-        std::istringstream vs(in.field("verify"));
-        req.verify = readFlagToken(vs, "sweep request: verify");
+        TextCursor vs(in.field("ambient"));
+        req.ambient_set = vs.flag("sweep request: ambient");
+        req.ambient_k = vs.f64("sweep request: ambient");
     }
     {
-        std::istringstream vs(in.field("ambient"));
-        req.ambient_set = readFlagToken(vs, "sweep request: ambient");
-        req.ambient_k = readDoubleToken(vs, "sweep request: ambient");
+        TextCursor vs(in.field("t_limit"));
+        req.t_limit_set = vs.flag("sweep request: t_limit");
+        req.t_limit_k = vs.f64("sweep request: t_limit");
     }
-    {
-        std::istringstream vs(in.field("t_limit"));
-        req.t_limit_set = readFlagToken(vs, "sweep request: t_limit");
-        req.t_limit_k = readDoubleToken(vs, "sweep request: t_limit");
-    }
-    {
-        std::istringstream vs(in.field("throttle"));
-        req.throttle = readFlagToken(vs, "sweep request: throttle");
-    }
-    std::size_t xml_bytes = parseUnsigned(
-        in.field("config_xml"), "sweep request: config_xml size");
-    if (in.pos + xml_bytes + 1 > text.size())
+    req.throttle = TextCursor(in.field("throttle"))
+                       .flag("sweep request: throttle");
+    std::size_t xml_bytes =
+        parseUnsigned(std::string(in.field("config_xml")),
+                      "sweep request: config_xml size");
+    if (xml_bytes >= in.cursor.remaining())
         fatal("sweep request: line ", in.line_no,
               ": config_xml section truncated (want ", xml_bytes,
               " bytes)");
-    req.config_xml = text.substr(in.pos, xml_bytes);
-    in.pos += xml_bytes;
-    if (text[in.pos] != '\n')
+    std::string_view xml;
+    if (!in.cursor.bytes(xml_bytes, xml))
         fatal("sweep request: config_xml section not "
               "newline-terminated");
-    ++in.pos;
-    if (in.nextLine() != std::string("end ") + request_magic)
+    req.config_xml = xml;
+    std::string_view end = in.nextLine();
+    if (!startsWith(end, "end ") || end.substr(4) != request_magic)
         fatal("sweep request: line ", in.line_no,
               ": missing end marker");
     return req;

@@ -15,6 +15,7 @@
 #define GPUSIMPOW_SIM_REQUEST_HH
 
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "sim/sweep.hh"
@@ -130,7 +131,7 @@ struct SweepRequest
 
     /** Parse a request written by serialize(); fatal() (with
      *  position context) on malformed input. */
-    static SweepRequest parse(const std::string &text);
+    static SweepRequest parse(std::string_view text);
 };
 
 } // namespace sim

@@ -22,9 +22,9 @@ constexpr unsigned snapshot_version = 1;
 constexpr uint64_t max_record_count = 1u << 20;
 
 uint64_t
-readCount(std::istream &in, const char *context)
+readCount(TextCursor &in, const char *context)
 {
-    uint64_t n = readU64Token(in, context);
+    uint64_t n = in.u64(context);
     if (n > max_record_count)
         fatal("malformed record: implausible ", context, " ", n);
     return n;
@@ -34,9 +34,9 @@ readCount(std::istream &in, const char *context)
  *  infinities, and negative spans are corruption — and they would
  *  silently poison every downstream duration and rate. */
 double
-readTimeToken(std::istream &in, const char *context)
+readTimeToken(TextCursor &in, const char *context)
 {
-    double v = readDoubleToken(in, context);
+    double v = in.f64(context);
     if (!std::isfinite(v) || v < 0.0)
         fatal("malformed record: ", context, " ", v,
               " is not a finite non-negative time");
@@ -46,10 +46,10 @@ readTimeToken(std::istream &in, const char *context)
 /** Labels are serialized as the remainder of their line, so kernel
  *  names with unusual characters survive unharmed. */
 std::string
-readLabelLine(std::istream &in)
+readLabelLine(TextCursor &in)
 {
-    std::string rest;
-    std::getline(in, rest);
+    std::string_view rest;
+    in.line(rest); // an unterminated last line is still a label
     return trim(rest);
 }
 
@@ -61,10 +61,10 @@ serializeSample(std::ostream &out, const ActivitySample &s)
 }
 
 ActivitySample
-parseSample(std::istream &in)
+parseSample(TextCursor &in)
 {
     ActivitySample s;
-    expectToken(in, "sample");
+    in.expect("sample");
     s.t0 = readTimeToken(in, "sample t0");
     s.t1 = readTimeToken(in, "sample t1");
     if (s.t1 < s.t0)
@@ -89,20 +89,20 @@ serializeKernel(std::ostream &out, const KernelSnapshot &k)
 }
 
 KernelSnapshot
-parseKernel(std::istream &in)
+parseKernel(TextCursor &in)
 {
     KernelSnapshot k;
-    expectToken(in, "kernel");
+    in.expect("kernel");
     k.label = readLabelLine(in);
-    expectToken(in, "flags");
-    k.repeatable = readFlagToken(in, "repeatable flag");
-    k.with_trace = readFlagToken(in, "with_trace flag");
-    expectToken(in, "perf");
-    k.perf.cycles = readU64Token(in, "cycles");
-    k.perf.instructions = readU64Token(in, "instructions");
+    in.expect("flags");
+    k.repeatable = in.flag("repeatable flag");
+    k.with_trace = in.flag("with_trace flag");
+    in.expect("perf");
+    k.perf.cycles = in.u64("cycles");
+    k.perf.instructions = in.u64("instructions");
     k.perf.time_s = readTimeToken(in, "time_s");
     k.perf.activity = perf::ChipActivity::parse(in);
-    expectToken(in, "samples");
+    in.expect("samples");
     uint64_t n_samples = readCount(in, "sample count");
     k.samples.reserve(n_samples);
     for (uint64_t i = 0; i < n_samples; ++i)
@@ -111,18 +111,22 @@ parseKernel(std::istream &in)
 }
 
 /** Everything after the magic/version check; split out so parse()
- *  can annotate any fatal() with the stream position. */
+ *  can annotate any fatal() with the cursor position. */
 ActivitySnapshot
-parseBody(std::istream &in)
+parseBody(TextCursor &in)
 {
     ActivitySnapshot snap;
-    expectToken(in, "workload");
+    in.expect("workload");
     snap.workload = readLabelLine(in);
-    expectToken(in, "scale");
-    snap.scale = readU32Token(in, "scale");
-    expectToken(in, "with_trace");
-    snap.with_trace = readFlagToken(in, "with_trace flag");
-    expectToken(in, "sample_interval_s");
+    in.expect("scale");
+    uint64_t scale = in.u64("scale");
+    if (scale > UINT32_MAX)
+        fatal("malformed record: scale ", scale,
+              " exceeds the 32-bit range");
+    snap.scale = static_cast<uint32_t>(scale);
+    in.expect("with_trace");
+    snap.with_trace = in.flag("with_trace flag");
+    in.expect("sample_interval_s");
     snap.sample_interval_s =
         readTimeToken(in, "sample_interval_s");
     // An untraced snapshot legitimately carries no sampling period,
@@ -131,9 +135,9 @@ parseBody(std::istream &in)
     if (snap.with_trace && snap.sample_interval_s <= 0.0)
         fatal("malformed record: traced snapshot requires "
               "sample_interval_s > 0, got ", snap.sample_interval_s);
-    expectToken(in, "verified");
-    snap.verified = readFlagToken(in, "verified flag");
-    expectToken(in, "kernels");
+    in.expect("verified");
+    snap.verified = in.flag("verified flag");
+    in.expect("kernels");
     uint64_t n_kernels = readCount(in, "kernel count");
     snap.kernels.reserve(n_kernels);
     for (uint64_t i = 0; i < n_kernels; ++i)
@@ -162,13 +166,13 @@ ActivitySnapshot::serialize() const
 }
 
 ActivitySnapshot
-ActivitySnapshot::parse(const std::string &text)
+ActivitySnapshot::parse(std::string_view text)
 {
     GSP_TRACE_SPAN("snapshot/parse");
-    std::istringstream in(text);
+    TextCursor in(text);
     try {
-        expectToken(in, snapshot_magic);
-        std::string version = readToken(in, "snapshot version");
+        in.expect(snapshot_magic);
+        std::string_view version = in.token("snapshot version");
         // Built with += rather than operator+ to sidestep gcc 12's
         // spurious -Wrestrict on the inlined concatenation
         // (PR105329).
@@ -179,26 +183,10 @@ ActivitySnapshot::parse(const std::string &text)
                   "' (this build reads ", expected, ")");
         return parseBody(in);
     } catch (const FatalError &e) {
-        // Re-throw with the stream position, so a corrupt store
-        // entry (or hand-edited snapshot) is diagnosable: a failed
-        // token read leaves the stream consumed up to the offending
-        // token, which maps to a line/column in the text.
-        in.clear(); // a failed extraction poisons tellg()
-        std::streamoff off = in.tellg();
-        std::size_t offset =
-            off < 0 ? text.size()
-                    : std::min(static_cast<std::size_t>(off),
-                               text.size());
-        std::size_t line = 1;
-        for (std::size_t i = 0; i < offset; ++i)
-            if (text[i] == '\n')
-                ++line;
-        std::size_t line_start =
-            offset == 0 ? 0 : text.rfind('\n', offset - 1);
-        line_start =
-            line_start == std::string::npos ? 0 : line_start + 1;
-        fatal(e.what(), " (snapshot text, line ", line, ", column ",
-              offset - line_start + 1, ", byte offset ", offset, ")");
+        // Re-throw with the cursor position, so a corrupt store entry
+        // (or hand-edited snapshot) is diagnosable: a failed read
+        // leaves the cursor just past the offending token.
+        fatal(e.what(), " (snapshot text, ", in.where(), ")");
     }
 }
 

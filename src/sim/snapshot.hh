@@ -18,6 +18,7 @@
 #define GPUSIMPOW_SIM_SNAPSHOT_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "perf/activity.hh"
@@ -72,8 +73,9 @@ struct ActivitySnapshot
     std::string serialize() const;
 
     /** Parse a snapshot written by serialize(); fatal() on malformed
-     *  or schema-incompatible input. */
-    static ActivitySnapshot parse(const std::string &text);
+     *  or schema-incompatible input, naming the line, column and byte
+     *  offset where the parse stopped. */
+    static ActivitySnapshot parse(std::string_view text);
 };
 
 } // namespace gpusimpow

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 #include <system_error>
 #include <utility>
 #include <vector>
@@ -51,7 +51,7 @@ struct StoreMetrics
 
 /** FNV-1a over a byte span (keys embed newlines, never NUL). */
 uint64_t
-hashBytes(const std::string &s)
+hashBytes(std::string_view s)
 {
     uint64_t h = 0xcbf29ce484222325ULL;
     for (char c : s) {
@@ -109,104 +109,89 @@ renderEntry(const std::string &key, const std::string &result,
     return out;
 }
 
-/** Parsed fields of a validated entry file. */
+/** Parsed fields of a validated entry file: views into its text. */
 struct ParsedEntry
 {
-    std::string key;
-    std::string result;
-    std::string payload;
+    std::string_view key;
+    std::string_view result;
+    std::string_view payload;
 };
-
-/** Take the text up to the next newline and advance past it. */
-bool
-takeLine(const std::string &text, std::size_t &pos, std::string &line)
-{
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos)
-        return false;
-    line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    return true;
-}
 
 /** Parse a "<tag> <nbytes> fnv1a <hex>" section header followed by
  *  the framed bytes; false on any mismatch. */
 bool
-takeSection(const std::string &text, std::size_t &pos,
-            const std::string &tag, std::string &bytes)
+takeSection(TextCursor &in, std::string_view tag,
+            std::string_view &bytes)
 {
-    std::string header;
-    if (!takeLine(text, pos, header))
+    std::string_view header;
+    if (!in.line(header))
         return false;
-    std::istringstream hs(header);
-    std::string got_tag, fnv_kw, fnv_hex;
-    std::size_t nbytes = 0;
-    if (!(hs >> got_tag >> nbytes >> fnv_kw >> fnv_hex) ||
-        got_tag != tag || fnv_kw != "fnv1a")
-        return false;
-    if (pos + nbytes + 1 > text.size())
-        return false; // truncated mid-section
-    bytes = text.substr(pos, nbytes);
-    pos += nbytes;
-    if (text[pos] != '\n')
-        return false;
-    ++pos;
+    TextCursor hs(header);
+    uint64_t nbytes = 0;
     uint64_t want = 0;
-    {
-        std::istringstream xs(fnv_hex);
-        xs >> std::hex >> want;
-        if (xs.fail())
-            return false;
-    }
-    return hashBytes(bytes) == want;
+    return hs.next() == tag && TextCursor::parseU64(hs.next(), nbytes) &&
+           hs.next() == "fnv1a" &&
+           TextCursor::parseU64(hs.next(), want, 16) &&
+           in.bytes(nbytes, bytes) && hashBytes(bytes) == want;
 }
 
 /** Validate and decompose one entry file; false (with a reason) on
  *  any corruption — the caller skips and reports, never aborts. */
 bool
-parseEntry(const std::string &text, ParsedEntry &entry,
+parseEntry(std::string_view text, ParsedEntry &entry,
            std::string &reason)
 {
-    std::size_t pos = 0;
-    std::string line;
-    if (!takeLine(text, pos, line) || line != SweepStore::entry_magic) {
+    TextCursor in(text);
+    std::string_view line;
+    if (!in.line(line) || line != SweepStore::entry_magic) {
         reason = "bad magic";
         return false;
     }
-    if (!takeSection(text, pos, "key", entry.key)) {
+    if (!takeSection(in, "key", entry.key)) {
         reason = "bad key section";
         return false;
     }
-    if (!takeLine(text, pos, line) || !startsWith(line, "result ")) {
+    if (!in.line(line) || !startsWith(line, "result ")) {
         reason = "bad result record";
         return false;
     }
     entry.result = line.substr(7);
-    if (!takeSection(text, pos, "snapshot", entry.payload)) {
+    if (!takeSection(in, "snapshot", entry.payload)) {
         reason = "bad snapshot section";
         return false;
     }
-    if (!takeLine(text, pos, line) ||
-        line != std::string("end ") + SweepStore::entry_magic) {
+    if (!in.line(line) || !startsWith(line, "end ") ||
+        line.substr(4) != SweepStore::entry_magic) {
         reason = "missing end marker";
         return false;
     }
     return true;
 }
 
-/** Slurp a file; false on I/O error. */
+/** Read a whole regular file into one buffer; false on I/O error. */
 bool
 readFile(const std::filesystem::path &path, std::string &out)
 {
-    std::ifstream in(path, std::ios::binary);
+    // Sized from the opened stream, so a concurrent rename-into-place
+    // cannot mix two files; a directory or FIFO is no entry at all.
+    // `out` is left empty on failure.
+    out.clear();
+    std::error_code ec;
+    if (!std::filesystem::is_regular_file(path, ec))
+        return false;
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    if (in.bad())
+    std::streamoff size = in.tellg();
+    if (size < 0)
         return false;
-    out = ss.str();
-    return true;
+    out.resize(static_cast<std::size_t>(size));
+    in.seekg(0);
+    in.read(out.data(), size);
+    if (in.gcount() == size)
+        return true;
+    out.clear();
+    return false;
 }
 
 /** Write bytes to a temp file in the target's directory and rename
@@ -288,7 +273,7 @@ SweepStore::scanLocked()
         e.result = parsed.result;
         // Last writer wins on duplicate keys (two files can only
         // carry one key after an interrupted rewrite).
-        _entries[parsed.key] = std::move(e);
+        _entries[std::string(parsed.key)] = std::move(e);
     }
 }
 

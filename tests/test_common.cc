@@ -1,10 +1,20 @@
 /**
  * @file
- * Unit tests for the common substrate: string utilities, bit
- * utilities, deterministic RNG, and the error-reporting discipline.
+ * Unit tests for the common substrate: string utilities and the
+ * TextCursor tokenizer, bit utilities, deterministic RNG, and the
+ * error-reporting discipline.
  */
 
 #include <gtest/gtest.h>
+
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <string_view>
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
@@ -84,6 +94,178 @@ TEST(StrUtil, Strformat)
 {
     EXPECT_EQ(strformat("%d-%s", 5, "x"), "5-x");
     EXPECT_EQ(strformat("%.2f", 1.234), "1.23");
+}
+
+namespace {
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+}
+
+/** Read one "%a"-formatted double back through a cursor. */
+void
+expectHexFloatRoundTrip(double v)
+{
+    const std::string tok = strformat("%a", v);
+    TextCursor in(tok);
+    EXPECT_EQ(bitsOf(in.f64("value")), bitsOf(v)) << tok;
+}
+
+} // namespace
+
+TEST(TextCursor, TokensSplitOnTheCLocaleWhitespaceSet)
+{
+    // NUL and non-ASCII bytes are token text, like any non-space.
+    const std::string text =
+        std::string("a\tb\nc\vd\fe\rf  g") + '\0' + "h\x80 ";
+    TextCursor in(text);
+    for (const char *want : {"a", "b", "c", "d", "e", "f"})
+        EXPECT_EQ(in.next(), want);
+    EXPECT_EQ(in.next(), std::string_view("g\0h\x80", 4));
+    EXPECT_EQ(in.next(), "");
+    EXPECT_EQ(in.remaining(), 0u);
+}
+
+TEST(TextCursor, IntegersAreDigitsOnly)
+{
+    uint64_t v = 0;
+    EXPECT_TRUE(TextCursor::parseU64("18446744073709551615", v));
+    EXPECT_EQ(v, UINT64_MAX);
+    EXPECT_TRUE(TextCursor::parseU64("007", v));
+    EXPECT_EQ(v, 7u);
+    EXPECT_TRUE(TextCursor::parseU64("00fF", v, 16));
+    EXPECT_EQ(v, 255u);
+    for (const char *bad : {"", "-1", "+1", " 1", "1 ", "0x10", "1e3",
+                            "12a", "18446744073709551616"})
+        EXPECT_FALSE(TextCursor::parseU64(bad, v)) << bad;
+}
+
+TEST(TextCursor, TypedReadersFatalWithContextAtTheirPosition)
+{
+    TextCursor in("flags 1 2\nscale -1");
+    in.expect("flags");
+    EXPECT_TRUE(in.flag("first flag"));
+    try {
+        in.flag("second flag");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "malformed record: second flag must be "
+                               "0 or 1, got 2");
+    }
+    // The cursor stops just past the offending token.
+    EXPECT_EQ(in.where(), "line 1, column 10, byte offset 9");
+    try {
+        in.expect("scale");
+        in.u64("scale");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "malformed record: bad scale '-1'");
+    }
+    EXPECT_EQ(in.where(), "line 2, column 9, byte offset 18");
+    try {
+        in.expect("kernels");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "truncated record: expected 'kernels'");
+    }
+    TextCursor other("workload");
+    EXPECT_THROW(other.expect("scale"), FatalError);
+    EXPECT_THROW(other.f64("time"), FatalError);
+}
+
+TEST(TextCursor, LinesAndFramedBytesNeverReadPastTheText)
+{
+    TextCursor in("ab\ncdef\ngh");
+    std::string_view line;
+    std::string_view bytes;
+    ASSERT_TRUE(in.line(line));
+    EXPECT_EQ(line, "ab");
+    EXPECT_FALSE(in.bytes(5, bytes)); // no newline after 5 bytes
+    // Lengths whose end-of-section sum would wrap are just too long.
+    EXPECT_FALSE(in.bytes(UINT64_MAX, bytes));
+    EXPECT_FALSE(in.bytes(UINT64_MAX - 4, bytes));
+    ASSERT_TRUE(in.bytes(4, bytes));
+    EXPECT_EQ(bytes, "cdef");
+    // An unterminated last line is still returned, and consumed.
+    EXPECT_FALSE(in.line(line));
+    EXPECT_EQ(line, "gh");
+    EXPECT_EQ(in.remaining(), 0u);
+    EXPECT_FALSE(in.bytes(0, bytes));
+}
+
+TEST(TextCursor, HexFloatsRoundTripBitForBit)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double denorm_min = std::numeric_limits<double>::denorm_min();
+    for (double v : {0.0, -0.0, denorm_min, -denorm_min,
+                     std::nextafter(DBL_MIN, 0.0), DBL_MIN, DBL_MAX,
+                     -DBL_MAX, inf, -inf})
+        expectHexFloatRoundTrip(v);
+    // Every other bit pattern, seeded; NaNs have no one "%a" spelling.
+    SplitMix64 rng(0x6873702d666c74ULL);
+    for (int n = 0; n < 100000;) {
+        uint64_t b = rng.next();
+        double v = 0.0;
+        std::memcpy(&v, &b, sizeof(v));
+        if (std::isnan(v))
+            continue;
+        expectHexFloatRoundTrip(v);
+        ++n;
+    }
+}
+
+TEST(TextCursor, DoublesAgreeWithStrtodOnWholeTokens)
+{
+    for (const char *tok :
+         {"1.5", "-2.25e-3", "+1.5", ".5", "5.", "00012", "1e308",
+          "+0x1.8p+1", "-0x1p-1074", "0X1P0", "0x.8p1", "0x1.8", "inf",
+          "-inf", "+inf", "INF", "infinity", "nan", "-nan", "NaN",
+          "nan(123)"}) {
+        char *end = nullptr;
+        double want = std::strtod(tok, &end);
+        ASSERT_EQ(*end, '\0') << tok;
+        double got = 0.0;
+        ASSERT_TRUE(TextCursor::parseDouble(tok, got)) << tok;
+        EXPECT_EQ(bitsOf(got), bitsOf(want)) << tok;
+    }
+    for (const char *tok : {"0x", "-0x-1p0", "0x1p", "1e", "+-1", "",
+                            "--1", "0xinf", "0x+1p0", "0x1p+-1", "1e+-1",
+                            "1e5x", "1_0", "nan("}) {
+        char *end = nullptr;
+        std::strtod(tok, &end);
+        EXPECT_TRUE(end == tok || *end != '\0') << tok;
+        double got = 0.0;
+        EXPECT_FALSE(TextCursor::parseDouble(tok, got)) << tok;
+    }
+}
+
+TEST(TextCursor, OutOfRangeDoublesReadAsStrtodReadsThem)
+{
+    // std::from_chars reports result_out_of_range for these, where
+    // strtod returns +-HUGE_VAL or a value rounded toward zero. The
+    // istream reader before the cursor went through strtod, so the
+    // cursor keeps strtod's values: overflow is an infinity and
+    // underflow a (signed) zero, both accepted.
+    const double inf = std::numeric_limits<double>::infinity();
+    const struct
+    {
+        const char *tok;
+        double want;
+    } cases[] = {{"1e999", inf},      {"-1e999", -inf},
+                 {"1e-400", 0.0},     {"-1e-400", -0.0},
+                 {"0x1p99999", inf},  {"0x1p-99999", 0.0},
+                 {"2.4e-324", 0.0}};
+    for (const auto &c : cases) {
+        double got = 1.0;
+        ASSERT_TRUE(TextCursor::parseDouble(c.tok, got)) << c.tok;
+        EXPECT_EQ(bitsOf(got), bitsOf(c.want)) << c.tok;
+        EXPECT_EQ(bitsOf(got), bitsOf(std::strtod(c.tok, nullptr)))
+            << c.tok;
+    }
 }
 
 TEST(BitUtil, PowersOfTwo)

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strutil.hh"
 #include "config/gpu_config.hh"
 #include "perf/gpu.hh"
 #include "workloads/workload.hh"
@@ -75,12 +76,19 @@ struct Fnv1a
     }
 };
 
+/** The record's text, checked to parse back to the same bytes, so
+ *  every kernel and interval of every workload crosses the parser. */
 std::string
 serialized(const perf::ChipActivity &act)
 {
     std::ostringstream out;
     act.serialize(out);
-    return out.str();
+    const std::string text = out.str();
+    TextCursor in(text);
+    std::ostringstream again;
+    perf::ChipActivity::parse(in).serialize(again);
+    EXPECT_EQ(again.str(), text);
+    return text;
 }
 
 std::string

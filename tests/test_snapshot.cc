@@ -155,8 +155,10 @@ TEST(ActivitySerialization, RoundTripsBitExactly)
 
     std::ostringstream out;
     snap.perf.activity.serialize(out);
-    std::istringstream in(out.str());
+    const std::string text = out.str();
+    TextCursor in(text);
     perf::ChipActivity parsed = perf::ChipActivity::parse(in);
+    EXPECT_EQ(in.next(), ""); // the record ends where the text does
 
     EXPECT_EQ(parsed.elapsed_s, snap.perf.activity.elapsed_s);
     EXPECT_EQ(parsed.shader_cycles, snap.perf.activity.shader_cycles);
@@ -171,7 +173,7 @@ TEST(ActivitySerialization, RoundTripsBitExactly)
 
 TEST(ActivitySerialization, RejectsSchemaMismatch)
 {
-    std::istringstream in("chip-activity 0 0 3 2\nmem 0 0\n");
+    TextCursor in("chip-activity 0 0 3 2\nmem 0 0\n");
     EXPECT_THROW(perf::ChipActivity::parse(in), FatalError);
 }
 
@@ -533,9 +535,9 @@ TEST(Snapshot, ParserRejectsInvalidSamplesAndTimes)
 
 TEST(ActivitySerialization, RejectsImplausibleCounts)
 {
-    std::istringstream in("chip-activity 9999999999999999 0 46 10\n");
+    TextCursor in("chip-activity 9999999999999999 0 46 10\n");
     EXPECT_THROW(perf::ChipActivity::parse(in), FatalError);
-    std::istringstream neg("chip-activity -4 0 46 10\n");
+    TextCursor neg("chip-activity -4 0 46 10\n");
     EXPECT_THROW(perf::ChipActivity::parse(neg), FatalError);
 }
 

@@ -206,6 +206,60 @@ TEST(Store, ChecksumMismatchDropsEntryAtFetch)
     EXPECT_EQ(store.size(), 0u);
 }
 
+TEST(Store, WrappedSectionLengthIsCorrupt)
+{
+    // A section length read as "-1" (or 2^64-1) must be corrupt. A
+    // wrapping read made the end-of-section check overflow, so the
+    // "section" swallowed the rest of the entry and, with that rest's
+    // checksum in the header, the entry was indexed.
+    auto fnv1a = [](const std::string &bytes) {
+        unsigned long long h = 0xcbf29ce484222325ULL;
+        for (unsigned char c : bytes)
+            h = (h ^ c) * 0x100000001b3ULL;
+        return h;
+    };
+    auto section = [&](const char *tag, const std::string &length,
+                       const std::string &hashed) {
+        return strformat("%s %s fnv1a %016llx\n", tag, length.c_str(),
+                         fnv1a(hashed));
+    };
+    const std::string magic = SweepStore::entry_magic;
+    const std::string payload = makeSnapshot("vectoradd", 1).serialize();
+    const std::string end_line = "end " + magic + "\n";
+    const std::string snapshot =
+        section("snapshot", std::to_string(payload.size()), payload) +
+        payload + "\n";
+    const std::string key_section = section("key", "1", "k") + "k\n";
+    // Control: the same framing with true lengths loads.
+    {
+        ScopedDir dir("wrapped");
+        std::filesystem::create_directories(dir.path);
+        std::ofstream(dir.path / "e0.entry", std::ios::binary)
+            << magic << "\n" << key_section << "result r\n" << snapshot
+            << end_line;
+        SweepStore store(dir.path);
+        EXPECT_EQ(store.size(), 1u);
+        EXPECT_NE(store.fetch("k"), nullptr);
+    }
+    for (const char *length : {"-1", "18446744073709551615"}) {
+        const std::string key_tail = "result r\n" + snapshot + end_line;
+        const std::string wrapped_key =
+            magic + "\n" + section("key", length, key_tail) + key_tail;
+        const std::string wrapped_snapshot =
+            magic + "\n" + key_section + "result r\n" +
+            section("snapshot", length, end_line) + end_line;
+        for (const std::string &text : {wrapped_key, wrapped_snapshot}) {
+            ScopedDir dir("wrapped");
+            std::filesystem::create_directories(dir.path);
+            std::ofstream(dir.path / "e0.entry", std::ios::binary)
+                << text;
+            SweepStore store(dir.path);
+            EXPECT_EQ(store.size(), 0u) << text;
+            EXPECT_EQ(store.corruptAtOpen(), 1u) << text;
+        }
+    }
+}
+
 TEST(Store, EvictionDropsOldestInsertionFirst)
 {
     ScopedDir dir("evict");

@@ -2,7 +2,7 @@
 
 Bit-identical snapshot replay depends on doubles round-tripping
 exactly through the text serializations: writers must use the C99
-hex-float form (strformat("%a", v) + readDoubleToken), never decimal
+hex-float form (strformat("%a", v) + TextCursor::f64), never decimal
 formatting, which rounds. This rule scans the bodies of serializer
 functions (any function whose name contains `serialize`) in src/ and
 flags decimal float formatting:
