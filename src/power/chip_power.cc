@@ -8,6 +8,7 @@
 #include "circuit/array.hh"
 #include "circuit/interconnect.hh"
 #include "common/logging.hh"
+#include "obs/metrics.hh"
 #include "tech/tech.hh"
 
 namespace gpusimpow {
@@ -40,7 +41,21 @@ constexpr double pcie_pj_per_byte = 80.0;
 constexpr double l2_dyn_scale = 2.0;
 constexpr double l2_leak_scale = 1.5;
 
+obs::Counter &
+modelBuilds()
+{
+    static obs::Counter &c = obs::Registry::instance().counter(
+        "power/model_builds", "GpuPowerModels constructed");
+    return c;
+}
+
 } // namespace
+
+void
+GpuPowerModel::registerCounters()
+{
+    modelBuilds();
+}
 
 GpuPowerModel::GpuPowerModel(const GpuConfig &cfg)
     : _cfg(cfg),
@@ -91,6 +106,7 @@ GpuPowerModel::GpuPowerModel(const GpuConfig &cfg)
              _cfg.calib.core_base_dyn_w * _cfg.numCores()) *
             _base_power_scale;
     _peak_dynamic_w = peak;
+    modelBuilds().add(1);
 }
 
 void

@@ -107,6 +107,10 @@ class GpuPowerModel
     /** Access to the per-core model (for calibration benches). */
     const CorePowerModel &coreModel() const { return *_core_model; }
 
+    /** Register power/model_builds (models constructed), so a
+     *  metrics dump carries it even when nothing was built. */
+    static void registerCounters();
+
   private:
     GpuConfig _cfg;
     tech::TechNode _t;

@@ -164,6 +164,11 @@ class CompiledPowerModel
 
         /** Block-temperature scale factors used (scratch). */
         std::vector<double> sub_scale;
+
+        /** Card power (chip static + dynamic, then DRAM), W;
+         *  bit-identical to PowerReport::totalPower() + dram_w of
+         *  the assembled tree. */
+        double cardW() const { return (static_w + dynamic_w) + dram_w; }
     };
 
     /** Evaluate one interval at the nominal junction temperature. */

@@ -41,6 +41,8 @@ SweepClient::SweepClient(const std::string &host, uint16_t port)
         fatal("submit: cannot connect to ", host, ":", port, ": ",
               std::strerror(saved));
     }
+    if (!setNoDelay(_fd))
+        warn("submit: cannot set TCP_NODELAY: ", std::strerror(errno));
 }
 
 SweepClient::~SweepClient()

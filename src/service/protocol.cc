@@ -4,6 +4,8 @@
 #include <cstring>
 #include <string_view>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 
@@ -136,6 +138,14 @@ writeFrame(int fd, const std::string &type, const std::string &payload)
         sent += static_cast<std::size_t>(n);
     }
     return true;
+}
+
+bool
+setNoDelay(int fd)
+{
+    int one = 1;
+    return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
+                        sizeof(one)) == 0;
 }
 
 } // namespace service

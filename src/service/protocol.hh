@@ -84,6 +84,13 @@ class FrameReader
 bool writeFrame(int fd, const std::string &type,
                 const std::string &payload);
 
+/**
+ * Send every write at once (TCP_NODELAY) on a connected socket, so a
+ * job's small closing frames do not wait for the peer's delayed ACK.
+ * Both ends of every service connection set it. False on error.
+ */
+bool setNoDelay(int fd);
+
 } // namespace service
 } // namespace gpusimpow
 

@@ -118,6 +118,9 @@ SweepServer::run()
         // the stop flag while a client holds its connection open.
         timeval tv{0, 200000};
         ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+        if (!setNoDelay(fd))
+            warn("serve: cannot set TCP_NODELAY: ",
+                 std::strerror(errno));
         ServiceMetrics::instance().connections.add(1);
         std::lock_guard<std::mutex> lock(_threads_mutex);
         _threads.emplace_back(
@@ -170,17 +173,21 @@ SweepServer::handleClient(int fd)
             sim::SweepSpec spec = request.toSpec();
             // writeFrame failures are remembered, not fatal: the job
             // must run to completion either way so the session's
-            // claims resolve and the store still warms up.
+            // claims resolve and the store still warms up. The
+            // client reads only the summary columns (formatRow, the
+            // table), so the job computes summary rows.
             bool peer_ok = true;
             sim::SweepResult result = _session->submit(
-                spec, [&](const sim::ScenarioResult &r,
-                          std::size_t done, std::size_t total) {
+                spec,
+                [&](const sim::ScenarioResult &r, std::size_t done,
+                    std::size_t total) {
                     if (peer_ok &&
                         !writeFrame(fd, frame::row,
                                     formatRow(r, done, total)))
                         peer_ok = false;
                     m.rows.add(1);
-                });
+                },
+                sim::RowDetail::summary);
             m.jobs.add(1);
             peer_ok = peer_ok &&
                       writeFrame(fd, frame::table,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <exception>
 #include <limits>
 #include <memory>
@@ -17,6 +18,8 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "power/batched.hh"
+#include "power/chip_power.hh"
+#include "thermal/thermal.hh"
 #include "workloads/workload.hh"
 
 namespace gpusimpow {
@@ -26,14 +29,14 @@ namespace {
 
 /** Fold one finished kernel into a scenario's running totals —
  *  shared by the full-simulation and replay paths so their
- *  accounting cannot drift. */
+ *  accounting cannot drift. Summary rows count the kernel and drop
+ *  it. */
 void
-accumulateKernel(ScenarioResult &result, const std::string &label,
-                 bool repeatable, KernelRun run)
+accumulateKernel(ScenarioResult &result, RowDetail detail,
+                 const std::string &label, bool repeatable, KernelRun run)
 {
-    double card_w = run.report.totalPower() + run.report.dram_w;
     result.time_s += run.perf.time_s;
-    result.energy_j += card_w * run.perf.time_s;
+    result.energy_j += run.card_w * run.perf.time_s;
     if (run.thermal.enabled) {
         result.thermal = true;
         result.t_max_k = std::max(result.t_max_k, run.thermal.t_max_k);
@@ -42,7 +45,9 @@ accumulateKernel(ScenarioResult &result, const std::string &label,
         result.min_freq_scale =
             std::min(result.min_freq_scale, run.thermal.op.freq_scale);
     }
-    result.kernels.push_back({label, repeatable, std::move(run)});
+    ++result.kernel_count;
+    if (detail == RowDetail::kernels)
+        result.kernels.push_back({label, repeatable, std::move(run)});
 }
 
 /** Power-model-derived scenario summary columns. */
@@ -57,15 +62,115 @@ finalizeScenario(ScenarioResult &result, const Simulator &simulator)
     result.shader_hz = result.scenario.config.clocks.shaderHz();
 }
 
-/** True when two configurations differ at most in their thermal
- *  section — the one section the power model never reads. */
-bool
-samePowerModel(const GpuConfig &a, const GpuConfig &b)
+/**
+ * Run-scoped power models and thermal networks. Scenarios whose
+ * configurations differ at most in their thermal sections share one
+ * GpuPowerModel (the model never reads that section); those that also
+ * share the thermal section share one ThermalNetwork (immutable, with
+ * a mutex-guarded propagator cache). Slots are assigned up front in
+ * scenario order; each is built on first use by whichever worker
+ * needs it and then shared by every unit and worker of the run.
+ */
+class RunModels
 {
-    GpuConfig b_cooled = b;
-    b_cooled.thermal = a.thermal;
-    return a == b_cooled;
-}
+  public:
+    explicit RunModels(const std::vector<Scenario> &scenarios)
+    {
+        _slot_of.reserve(scenarios.size());
+        for (const Scenario &s : scenarios) {
+            GpuConfig key = s.config;
+            key.thermal = ThermalConfig{};
+            // Expansion order keeps equal models close: search back.
+            std::size_t m = _models.size();
+            while (m > 0 && !(_models[m - 1].key == key))
+                --m;
+            if (m == 0) {
+                _models.emplace_back();
+                _models.back().key = std::move(key);
+                m = _models.size();
+            }
+            Model &model = _models[m - 1];
+            std::size_t n = no_network;
+            if (s.config.thermal.enabled) {
+                n = 0;
+                while (n < model.networks.size() &&
+                       !(model.networks[n].thermal == s.config.thermal))
+                    ++n;
+                if (n == model.networks.size()) {
+                    model.networks.emplace_back();
+                    model.networks.back().thermal = s.config.thermal;
+                }
+            }
+            _slot_of.push_back({m - 1, n});
+        }
+    }
+
+    /** Scenarios with equal slots share one power model. */
+    std::size_t modelSlot(const Scenario &s) const
+    {
+        return _slot_of[s.index].model;
+    }
+
+    /** A Simulator for `s` on the run's shared model and network. */
+    std::unique_ptr<Simulator> simulator(const Scenario &s)
+    {
+        const Slot slot = _slot_of[s.index];
+        Model &model = _models[slot.model];
+        std::call_once(model.built, [&] {
+            GSP_TRACE_SPAN("sim/setup");
+            model.model =
+                std::make_shared<const power::GpuPowerModel>(s.config);
+        });
+        std::shared_ptr<const thermal::ThermalNetwork> net;
+        if (slot.network != no_network) {
+            Network &n = model.networks[slot.network];
+            std::call_once(n.built, [&] {
+                n.net = std::make_shared<const thermal::ThermalNetwork>(
+                    model.model->thermalBlocks(), n.thermal);
+            });
+            net = n.net;
+        }
+        return std::make_unique<Simulator>(s.config, model.model,
+                                           std::move(net));
+    }
+
+  private:
+    static constexpr std::size_t no_network = ~std::size_t{0};
+
+    struct Network
+    {
+        ThermalConfig thermal;
+        std::once_flag built;
+        std::shared_ptr<const thermal::ThermalNetwork> net;
+    };
+    struct Model
+    {
+        /** The configuration with its thermal section defaulted. */
+        GpuConfig key;
+        std::once_flag built;
+        std::shared_ptr<const power::GpuPowerModel> model;
+        /** std::deque: once_flags never move. */
+        std::deque<Network> networks;
+    };
+    struct Slot
+    {
+        std::size_t model;
+        std::size_t network;
+    };
+
+    std::deque<Model> _models;
+    /** Per scenario index. */
+    std::vector<Slot> _slot_of;
+};
+
+/** A worker's replay buffers, reused by every group it replays. */
+struct ReplayScratch
+{
+    power::BatchedPowerEvaluator::Workspace batch_ws;
+    /** Nominal whole-kernel evaluation per distinct power model of
+     *  the group. */
+    std::vector<power::CompiledPowerModel::Eval> nominal;
+};
 
 /**
  * Replay one work unit from `snapshot`, starting at member index
@@ -78,16 +183,17 @@ samePowerModel(const GpuConfig &a, const GpuConfig &b)
  * kernels, exactly like a full run. A traced kernel evaluates every
  * variant's intervals in one pass of the batched matrix evaluator
  * (its activity matrix is packed once and multiplied against the
- * whole coefficient stack). Variants that differ only in cooling
- * share one power model and one row of that stack.
+ * whole coefficient stack). Variants on one run-scoped power model
+ * (they differ only in cooling) share one row of that stack and one
+ * nominal whole-kernel evaluation per kernel.
  */
 template <typename Publish>
 void
 replayGroup(const std::vector<Scenario> &scenarios,
             const std::vector<std::size_t> &unit, std::size_t first,
-            const ActivitySnapshot &snapshot,
-            power::BatchedPowerEvaluator::Workspace &batch_ws,
-            Publish &&publish, std::atomic<std::size_t> &replayed)
+            const ActivitySnapshot &snapshot, RunModels &run_models,
+            RowDetail detail, ReplayScratch &scratch, Publish &&publish,
+            std::atomic<std::size_t> &replayed)
 {
     // Registered (with descriptions) by run() before any worker can
     // get here; these lookups just cache the stable references.
@@ -99,36 +205,40 @@ replayGroup(const std::vector<Scenario> &scenarios,
     const std::size_t n_variants = unit.size() - first;
     std::vector<std::unique_ptr<Simulator>> sims;
     std::vector<ScenarioResult> results(n_variants);
-    // Variant -> its power model's row of the batched stack.
+    // Variant -> its power model's row of the batched stack and of
+    // the nominal evaluations; slots[row] is that model's run slot.
     std::vector<std::size_t> row_of(n_variants);
+    std::vector<std::size_t> slots;
     std::vector<const power::CompiledPowerModel *> models;
     sims.reserve(n_variants);
     bool want_blocks = false;
     for (std::size_t j = 0; j < n_variants; ++j) {
         const Scenario &variant = scenarios[unit[first + j]];
-        // Expansion order puts the cooling axis inside node and
-        // operating point, so cooling-only variants are neighbours.
-        if (j > 0 && samePowerModel(results[j - 1].scenario.config,
-                                    variant.config)) {
-            sims.push_back(std::make_unique<Simulator>(
-                variant.config, sims.back()->sharedPowerModel()));
-        } else {
-            sims.push_back(std::make_unique<Simulator>(variant.config));
+        sims.push_back(run_models.simulator(variant));
+        c_builds.add(1);
+        std::size_t slot = run_models.modelSlot(variant);
+        row_of[j] = static_cast<std::size_t>(
+            std::find(slots.begin(), slots.end(), slot) - slots.begin());
+        if (row_of[j] == slots.size()) {
+            slots.push_back(slot);
             models.push_back(&sims.back()->powerModel().compiled());
         }
-        c_builds.add(1);
-        row_of[j] = models.size() - 1;
         // The thermal trace march consumes per-block splits.
         want_blocks |= variant.config.thermal.enabled;
         results[j].scenario = variant;
-        results[j].kernels.reserve(snapshot.kernels.size());
+        if (detail == RowDetail::kernels)
+            results[j].kernels.reserve(snapshot.kernels.size());
         results[j].min_freq_scale = variant.config.clocks.freq_scale;
     }
+    std::vector<power::CompiledPowerModel::Eval> &nominal =
+        scratch.nominal;
+    if (nominal.size() < models.size())
+        nominal.resize(models.size());
 
     std::unique_ptr<power::BatchedPowerEvaluator> evaluator;
     if (snapshot.with_trace)
         evaluator = std::make_unique<power::BatchedPowerEvaluator>(
-            std::move(models));
+            models);
     std::vector<const perf::ChipActivity *> acts;
     std::vector<power::BatchedKernelPower> pre;
     for (const KernelSnapshot &snap : snapshot.kernels) {
@@ -138,13 +248,19 @@ replayGroup(const std::vector<Scenario> &scenarios,
             acts.reserve(snap.samples.size());
             for (const ActivitySample &a : snap.samples)
                 acts.push_back(&a.delta);
-            evaluator->evaluate(acts, want_blocks, batch_ws, pre);
+            evaluator->evaluate(acts, want_blocks, scratch.batch_ws, pre);
+        }
+        {
+            GSP_TRACE_SPAN("power/nominal_eval");
+            for (std::size_t r = 0; r < models.size(); ++r)
+                models[r]->evaluate(snap.perf.activity, nominal[r]);
         }
         for (std::size_t j = 0; j < n_variants; ++j) {
             accumulateKernel(
-                results[j], snap.label, snap.repeatable,
+                results[j], detail, snap.label, snap.repeatable,
                 sims[j]->replayKernel(
-                    snap, use_batch ? &pre[row_of[j]] : nullptr));
+                    snap, use_batch ? &pre[row_of[j]] : nullptr,
+                    &nominal[row_of[j]], detail));
         }
     }
 
@@ -153,7 +269,7 @@ replayGroup(const std::vector<Scenario> &scenarios,
         // Verification reads device memory — a timing-phase output
         // the snapshot already carries.
         results[j].verified = true;
-        if (results[j].scenario.verify && !results[j].kernels.empty())
+        if (results[j].scenario.verify && results[j].kernel_count != 0)
             results[j].verified = snapshot.verified;
         publish(std::move(results[j]));
         replayed.fetch_add(1);
@@ -223,7 +339,9 @@ SimulationEngine::runScenario(const Scenario &scenario,
         capture->sample_interval_s = _options.sample_interval_s;
         capture->kernels.reserve(launches.size());
     }
-    result.kernels.reserve(launches.size());
+    const RowDetail detail = _options.row_detail;
+    if (detail == RowDetail::kernels)
+        result.kernels.reserve(launches.size());
     result.min_freq_scale = scenario.config.clocks.freq_scale;
     for (const workloads::KernelLaunch &kl : launches) {
         KernelRun run;
@@ -236,7 +354,7 @@ SimulationEngine::runScenario(const Scenario &scenario,
                 _options.sample_interval_s);
             snap.label = kl.label;
             snap.repeatable = kl.repeatable;
-            run = simulator.replayKernel(snap);
+            run = simulator.replayKernel(snap, nullptr, nullptr, detail);
             if (capture)
                 capture->kernels.push_back(std::move(snap));
         } else {
@@ -245,12 +363,12 @@ SimulationEngine::runScenario(const Scenario &scenario,
                                       _options.sample_interval_s,
                                       kl.repeatable);
         }
-        accumulateKernel(result, kl.label, kl.repeatable,
+        accumulateKernel(result, detail, kl.label, kl.repeatable,
                          std::move(run));
     }
     finalizeScenario(result, simulator);
     result.verified = true;
-    if (scenario.verify && !result.kernels.empty())
+    if (scenario.verify && result.kernel_count != 0)
         result.verified = workload->verify(simulator.gpu());
     if (capture)
         capture->verified = result.verified;
@@ -300,6 +418,7 @@ SimulationEngine::run(const SweepSpec &spec) const
         "engine/batch_group_size",
         "work-unit sizes of the memoized (grouped) schedule");
     Simulator::registerPerfCounters();
+    power::GpuPowerModel::registerCounters();
 
     // Telemetry meters its own window of the process-wide registry.
     const obs::MetricsSnapshot metrics_before = reg.snapshot();
@@ -308,6 +427,7 @@ SimulationEngine::run(const SweepSpec &spec) const
     SweepResult table(scenarios.size());
     if (scenarios.empty())
         return table; // nothing to do; spawn no workers
+    RunModels run_models(scenarios);
 
     std::size_t total = scenarios.size();
 
@@ -389,16 +509,14 @@ SimulationEngine::run(const SweepSpec &spec) const
         // it the power model and GPU — alive across them.
         std::unique_ptr<Simulator> cached;
         GpuConfig cached_cfg;
-        // Reusable batched-evaluation scratch, shared by every group
-        // this worker replays.
-        power::BatchedPowerEvaluator::Workspace batch_ws;
+        ReplayScratch replay_scratch;
 
         auto acquire = [&](const Scenario &scenario) -> Simulator & {
             if (cached && cached_cfg == scenario.config) {
                 cached->recycle();
                 c_recycles.add(1);
             } else {
-                cached = std::make_unique<Simulator>(scenario.config);
+                cached = run_models.simulator(scenario);
                 cached_cfg = scenario.config;
                 c_builds.add(1);
             }
@@ -474,8 +592,9 @@ SimulationEngine::run(const SweepSpec &spec) const
                     if (replay_from < unit.size()) {
                         GSP_TRACE_SPAN("engine/replay");
                         replayGroup(scenarios, unit, replay_from,
-                                    *snapshot, batch_ws, publish,
-                                    replayed);
+                                    *snapshot, run_models,
+                                    _options.row_detail, replay_scratch,
+                                    publish, replayed);
                     }
                 }
             } catch (...) {

@@ -27,9 +27,14 @@
  * — replays the power phase from it in one replay body: kernels
  * outer, variants inner, traced intervals evaluated together through
  * the batched matrix evaluator (many intervals x many power variants
- * per pass). Replaying Simulators never build the cycle-level GPU,
- * and cooling-only variants share one power model, so a replay is
- * bit-identical to a full run minus the entire timing simulation.
+ * per pass). Replaying Simulators never build the cycle-level GPU.
+ * A run builds one power model per distinct power-relevant
+ * configuration (the configuration without its thermal section) and
+ * one thermal network per (model, cooling), shared by every unit and
+ * worker, and a replay group evaluates each kernel once per model, so
+ * a replay is bit-identical to a full run minus the entire timing
+ * simulation. EngineOptions::row_detail chooses whether rows keep
+ * their per-kernel detail or only the summary columns.
  * Without memoization, and for throttle-governed scenarios, every
  * scenario is a full simulation of its own.
  */
@@ -70,6 +75,14 @@ struct EngineOptions
     bool with_trace = false;
     /** Trace sampling period, s. */
     double sample_interval_s = 20e-6;
+    /**
+     * What each result row keeps: every kernel's KernelRun (the
+     * default), or only the scenario summary columns, which are
+     * bit-identical either way. Table consumers (the service, the
+     * CLI sweep) ask for RowDetail::summary and skip building the
+     * per-kernel report trees they would never read.
+     */
+    RowDetail row_detail = RowDetail::kernels;
     /**
      * Memoize phase-1 activity snapshots across scenarios (and
      * workers): a scenario whose Scenario::snapshotKey() has already
@@ -127,6 +140,11 @@ struct EngineOptions
         return *this;
     }
     EngineOptions &withMemoize(bool on) { memoize = on; return *this; }
+    EngineOptions &withRowDetail(RowDetail detail)
+    {
+        row_detail = detail;
+        return *this;
+    }
     EngineOptions &withProgress(
         std::function<void(const ScenarioResult &, std::size_t,
                            std::size_t)> fn)

@@ -528,9 +528,12 @@ runSweep(const Options &opt)
 
     ObsWriter obs_writer(opt);
 
+    // The sweep prints the table only: summary rows.
     sim::EngineOptions eopt =
-        sim::EngineOptions().withJobs(opt.jobs).withMemoize(
-            !opt.no_memo);
+        sim::EngineOptions()
+            .withJobs(opt.jobs)
+            .withMemoize(!opt.no_memo)
+            .withRowDetail(sim::RowDetail::summary);
     // ProgressPrinter outlives the run; the engine only calls the
     // hook while workers are draining inside it.
     ProgressPrinter printer;
@@ -766,13 +769,12 @@ runTool(const Options &opt)
 
     for (const sim::KernelResult &kr : result.kernels) {
         const KernelRun &run = kr.run;
-        double card_w = run.report.totalPower() + run.report.dram_w;
         std::printf("kernel %-14s %9lu cycles %9.1f us  dyn %6.2f W  "
                     "total %6.2f W (card %6.2f W)\n",
                     kr.label.c_str(),
                     static_cast<unsigned long>(run.perf.cycles),
                     run.perf.time_s * 1e6, run.report.dynamicPower(),
-                    run.report.totalPower(), card_w);
+                    run.report.totalPower(), run.card_w);
         if (run.thermal.enabled) {
             std::printf("  thermal: Tmax %.1f K (%s), heatsink "
                         "%.1f K%s%s\n",

@@ -102,11 +102,14 @@ SweepSession::submit(
     const SweepSpec &spec,
     std::function<void(const ScenarioResult &, std::size_t,
                        std::size_t)>
-        on_result)
+        on_result,
+    std::optional<RowDetail> detail)
 {
     EngineOptions opt = _options;
     if (on_result)
         opt.progress = std::move(on_result);
+    if (detail)
+        opt.row_detail = *detail;
     if (_options.memoize) {
         opt.snapshot_source = [this](const Scenario &s) {
             return source(s);

@@ -32,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -58,15 +59,19 @@ class SweepSession
      * Execute one sweep job. `on_result` (when set, otherwise the
      * options' progress hook) streams every finished scenario in
      * completion order: (result, completed count, total count),
-     * serialized by the engine. Thread-safe: the service submits
-     * concurrent jobs against one session; identical scenarios
-     * across them are captured once (see in-flight dedupe above).
+     * serialized by the engine. `detail` (when set, otherwise the
+     * options' row_detail) chooses this job's row detail, so a caller
+     * sharing a session it does not own picks what it will read.
+     * Thread-safe: the service submits concurrent jobs against one
+     * session; identical scenarios across them are captured once
+     * (see in-flight dedupe above).
      */
     SweepResult submit(
         const SweepSpec &spec,
         std::function<void(const ScenarioResult &, std::size_t,
                            std::size_t)>
-            on_result = {});
+            on_result = {},
+        std::optional<RowDetail> detail = std::nullopt);
 
     /** Effective worker count per job. */
     unsigned jobs() const;

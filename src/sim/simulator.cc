@@ -127,9 +127,11 @@ Simulator::Simulator(const GpuConfig &cfg)
 }
 
 Simulator::Simulator(const GpuConfig &cfg,
-                     std::shared_ptr<const power::GpuPowerModel> power)
+                     std::shared_ptr<const power::GpuPowerModel> power,
+                     std::shared_ptr<const thermal::ThermalNetwork> network)
     : _cfg(cfg), _power(std::move(power)),
-      _nominal_freq_scale(cfg.clocks.freq_scale)
+      _nominal_freq_scale(cfg.clocks.freq_scale),
+      _network(std::move(network))
 {
 }
 
@@ -172,11 +174,9 @@ Simulator::recycle()
 void
 Simulator::ensureThermal()
 {
-    if (_network)
-        return;
-    _blocks = _power->thermalBlocks();
-    _network =
-        std::make_unique<thermal::ThermalNetwork>(_blocks, _cfg.thermal);
+    if (!_network)
+        _network = std::make_shared<const thermal::ThermalNetwork>(
+            _power->thermalBlocks(), _cfg.thermal);
 }
 
 void
@@ -272,10 +272,14 @@ Simulator::capturePerf(const perf::KernelProgram &prog,
 
 KernelRun
 Simulator::evaluateSamples(const KernelSnapshot &snap,
-                           const power::BatchedKernelPower *batched)
+                           const power::BatchedKernelPower *batched,
+                           bool keep)
 {
     KernelRun run;
-    run.perf = snap.perf;
+    if (keep)
+        run.perf = snap.perf;
+    else
+        run.perf.time_s = snap.perf.time_s;
 
     // Per-interval power is read from BatchedKernelPower rows: the
     // ones an engine group's multi-variant pass produced for this
@@ -290,7 +294,7 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
                        batched->n_intervals == snap.samples.size(),
                    "batched power rows do not match the snapshot");
     };
-    if (snap.with_trace && !thermal_on) {
+    if (snap.with_trace && !thermal_on && keep) {
         ensureRows(false);
         double static_w = _power->staticPower();
         run.trace.reserve(snap.samples.size());
@@ -316,14 +320,17 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
         ensureThermal();
         marchDeferred();
         ensureRows(true);
+        const thermal::BlockSet &blocks = _network->blocks();
         GSP_ASSERT(snap.samples.empty() ||
-                       (batched->n_blocks == _blocks.size() &&
+                       (batched->n_blocks == blocks.size() &&
                         !batched->static_blocks.empty()),
                    "batched power rows lack the per-block split "
                    "the thermal march needs");
         const power::CompiledPowerModel &cpm = _power->compiled();
-        run.trace.reserve(snap.samples.size());
-        run.thermal.trace.reserve(snap.samples.size());
+        if (keep) {
+            run.trace.reserve(snap.samples.size());
+            run.thermal.trace.reserve(snap.samples.size());
+        }
         for (std::size_t si = 0; si < snap.samples.size(); ++si) {
             const ActivitySample &a = snap.samples[si];
             double dynamic_w = batched->dynamic_w[si];
@@ -334,23 +341,25 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
                 batched->static_blocks.data();
             if (!_thermal_state.initialized)
                 _thermal_state = _network->ambientState();
-            _block_powers.assign(_blocks.size(), 0.0);
+            _block_powers.assign(blocks.size(), 0.0);
             double chip_static = 0.0;
-            for (std::size_t i = 0; i < _blocks.size(); ++i) {
+            for (std::size_t i = 0; i < blocks.size(); ++i) {
                 double leak = block_static[i].sub_leak_w *
                               cpm.subLeakScaleAt(_thermal_state.temps_k[i]);
                 // The DRAM board block's fixed share is the
                 // per-interval DRAM power (the rows keep it out of
                 // the static split).
-                double fixed = i == _blocks.dramIndex()
+                double fixed = i == blocks.dramIndex()
                                    ? dram_w
                                    : block_static[i].fixed_w;
                 _block_powers[i] = block_dyn[i] + leak + fixed;
-                if (i != _blocks.dramIndex())
+                if (i != blocks.dramIndex())
                     chip_static += leak + fixed;
             }
             _network->advance(_thermal_state, _block_powers,
                               a.t1 - a.t0);
+            if (!keep)
+                continue;
 
             PowerSample s;
             s.t0 = a.t0;
@@ -367,31 +376,41 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
             run.thermal.trace.push_back(ts);
         }
     }
-
-    if (!thermal_on)
-        run.report = _power->evaluate(run.perf.activity);
     return run;
 }
 
 KernelRun
 Simulator::replayKernel(const KernelSnapshot &snap,
-                        const power::BatchedKernelPower *batched)
+                        const power::BatchedKernelPower *batched,
+                        const power::CompiledPowerModel::Eval *nominal,
+                        sim::RowDetail detail)
 {
     GSP_TRACE_SPAN("sim/replay");
     if (_cfg.thermal.enabled && _cfg.thermal.throttle)
         fatal("cannot replay a snapshot under a throttling governor: "
               "its power-to-clock feedback changes timing; run the "
               "kernel in full instead");
-    KernelRun run = evaluateSamples(snap, batched);
-    if (!_cfg.thermal.enabled)
+    const bool keep = detail == sim::RowDetail::kernels;
+    KernelRun run = evaluateSamples(snap, batched, keep);
+    const power::CompiledPowerModel &cpm = _power->compiled();
+    if (!nominal) {
+        cpm.evaluate(snap.perf.activity, _eval);
+        nominal = &_eval;
+    }
+    if (!_cfg.thermal.enabled) {
+        run.card_w = nominal->cardW();
+        if (keep)
+            run.report = cpm.assembleReport(*nominal);
         return run;
+    }
     // Ungoverned thermal: whole-kernel steady solve at the measured
-    // power split, then the shared thermal tail.
+    // power split, then the shared thermal tail, which rescales the
+    // leakage of this simulator's own copy of the evaluation.
     ensureThermal();
-    power::CompiledPowerModel::Eval ev;
-    _power->compiled().evaluate(run.perf.activity, ev);
-    thermal::SteadyResult steady = solveSteady(ev.blocks, 1.0);
-    finishThermal(run, ev, steady, snap.with_trace, false);
+    if (nominal != &_eval)
+        _eval = *nominal;
+    thermal::SteadyResult steady = solveSteady(_eval.blocks, 1.0);
+    finishThermal(run, _eval, steady, snap.with_trace, false, keep);
     return run;
 }
 
@@ -402,7 +421,7 @@ Simulator::runOnce(const perf::KernelProgram &prog,
 {
     return evaluateSamples(
         capturePerf(prog, launch, with_trace, sample_interval_s),
-        nullptr);
+        nullptr, true);
 }
 
 double
@@ -412,7 +431,7 @@ Simulator::dieMax(const thermal::SteadyResult &steady) const
     // and clock (own rating too), so it is excluded from t_max_k and
     // from the throttling criterion — the core clock cannot cool it.
     double t = 0.0;
-    for (std::size_t i = 0; i < _blocks.dramIndex(); ++i)
+    for (std::size_t i = 0; i < _network->blocks().dramIndex(); ++i)
         t = std::max(t, steady.temps_k[i]);
     return t;
 }
@@ -421,7 +440,7 @@ void
 Simulator::finishThermal(KernelRun &run,
                          power::CompiledPowerModel::Eval &ev,
                          const thermal::SteadyResult &steady,
-                         bool with_trace, bool throttled)
+                         bool with_trace, bool throttled, bool keep)
 {
     // Without a trace the transient state still owes a march through
     // this kernel's span (sustained-activity history for the next
@@ -442,7 +461,9 @@ Simulator::finishThermal(KernelRun &run,
     const power::CompiledPowerModel &cpm = _power->compiled();
     if (steady.converged)
         cpm.rescaleLeakageAt(steady.temps_k, ev);
-    run.report = cpm.assembleReport(ev);
+    run.card_w = ev.cardW();
+    if (keep)
+        run.report = cpm.assembleReport(ev);
 
     ThermalResult &th = run.thermal;
     th.enabled = true;
@@ -452,8 +473,10 @@ Simulator::finishThermal(KernelRun &run,
     th.t_max_k = dieMax(steady);
     th.heatsink_k = steady.heatsink_k;
     th.op = {_cfg.tech.vdd_scale, _cfg.clocks.freq_scale};
-    th.block_names = _blocks.names;
-    th.block_temps_k = steady.temps_k;
+    if (keep) {
+        th.block_names = _network->blocks().names;
+        th.block_temps_k = steady.temps_k;
+    }
 }
 
 thermal::SteadyResult
@@ -466,17 +489,16 @@ Simulator::solveSteady(const std::vector<power::BlockPower> &bp,
     // Consecutive solves target nearby operating points (governor
     // bisect probes, kernels of one scenario), so each one starts
     // from the last converged solution instead of ambient.
+    const power::CompiledPowerModel &cpm = _power->compiled();
     thermal::SteadyResult steady = _network->solveSteady(
-        [&](const std::vector<double> &temps) {
-            std::vector<double> powers(bp.size(), 0.0);
+        [&](const std::vector<double> &temps,
+            std::vector<double> &powers) {
             for (std::size_t i = 0; i < bp.size(); ++i)
-                powers[i] =
-                    bp[i].dynamic_w * freq_ratio +
-                    bp[i].sub_leak_w * _power->subLeakScaleAt(temps[i]) +
-                    bp[i].fixed_w;
-            return powers;
+                powers[i] = bp[i].dynamic_w * freq_ratio +
+                            bp[i].sub_leak_w * cpm.subLeakScaleAt(temps[i]) +
+                            bp[i].fixed_w;
         },
-        _steady_warm.empty() ? nullptr : &_steady_warm);
+        _steady_warm.empty() ? nullptr : &_steady_warm, &_steady_scratch);
     if (steady.converged)
         _steady_warm = steady.temps_k;
     return steady;
@@ -593,7 +615,7 @@ Simulator::runThermal(const perf::KernelProgram &prog,
         }
     }
 
-    finishThermal(run, ev, steady, with_trace, throttled);
+    finishThermal(run, ev, steady, with_trace, throttled, true);
     return run;
 }
 

@@ -34,6 +34,28 @@ namespace power {
 struct BatchedKernelPower;
 }
 
+namespace sim {
+
+/**
+ * How much of each kernel a result row keeps — a per-job choice
+ * (EngineOptions::row_detail) between the two kinds of consumer of
+ * sweep rows. Every scenario summary column is bit-identical either
+ * way.
+ */
+enum class RowDetail
+{
+    /** Full per-kernel rows: activity, the hierarchical report tree,
+     *  traces and block temperatures (in-process analysis, oracles). */
+    kernels,
+    /** Summary columns only: ScenarioResult::kernels stays empty, and
+     *  a replayed KernelRun carries just perf.time_s, card_w and the
+     *  thermal scalars — no report tree is assembled and no activity
+     *  is copied (table consumers: the service, the CLI sweep). */
+    summary,
+};
+
+} // namespace sim
+
 /** One sampled point of a simulated power waveform. */
 struct PowerSample
 {
@@ -110,6 +132,11 @@ struct KernelRun
      *  evaluated at the solved block temperatures when the thermal
      *  subsystem is enabled. */
     power::PowerReport report;
+    /** Whole-kernel card power (chip + DRAM), W, from the compiled
+     *  evaluation the report is assembled from: bit-identical to
+     *  report.totalPower() + report.dram_w, and filled in every row
+     *  detail. */
+    double card_w = 0.0;
     /** Power waveform when tracing was requested. */
     std::vector<PowerSample> trace;
     /** Thermal solve outcome (enabled == false otherwise). */
@@ -128,15 +155,20 @@ class Simulator
   public:
     explicit Simulator(const GpuConfig &cfg);
     /**
-     * Build on an existing power model instead of constructing one.
-     * The model must have been built from a configuration equal to
-     * cfg in everything but the thermal section, which the power
-     * model never reads — this is how replay groups share one model
-     * across cooling-only variants. A governor clamp still rebuilds
-     * a private model (applyFreqScale).
+     * Build on an existing power model and thermal network (null:
+     * built on first thermal use) instead of constructing them. The
+     * model must have been built from a configuration equal to cfg in
+     * everything but the thermal section, which the power model never
+     * reads, and the network from that model's thermalBlocks() and
+     * cfg.thermal —
+     * this is how an engine run shares one model per power-relevant
+     * configuration and one network per (model, cooling) across all
+     * its Simulators and workers. A governor clamp still rebuilds a
+     * private model (applyFreqScale); the network is clock-invariant.
      */
     Simulator(const GpuConfig &cfg,
-              std::shared_ptr<const power::GpuPowerModel> power);
+              std::shared_ptr<const power::GpuPowerModel> power,
+              std::shared_ptr<const thermal::ThermalNetwork> network);
     ~Simulator();
 
     /** The performance-simulated GPU (memory setup, launches); built
@@ -146,14 +178,6 @@ class Simulator
 
     /** The power model (static/area queries). */
     const power::GpuPowerModel &powerModel() const { return *_power; }
-
-    /** The power model as a shareable handle (see the two-argument
-     *  constructor). */
-    const std::shared_ptr<const power::GpuPowerModel> &
-    sharedPowerModel() const
-    {
-        return _power;
-    }
 
     /** Configuration in use (freq_scale reflects a live throttling
      *  clamp until the next kernel or recycle()). */
@@ -216,10 +240,18 @@ class Simulator
      * at width 1. Either way the rows are bit-identical to the scalar
      * CompiledPowerModel::evaluate() by the batched evaluator's
      * contract.
+     *
+     * `nominal` is the whole-kernel evaluation of snap's activity at
+     * the nominal temperature under this simulator's power model,
+     * when the caller already has it (an engine group evaluates each
+     * kernel once per shared model); null evaluates it here. `detail`
+     * selects what the returned run keeps (sim::RowDetail).
      */
-    KernelRun replayKernel(const KernelSnapshot &snap,
-                           const power::BatchedKernelPower *batched =
-                               nullptr);
+    KernelRun replayKernel(
+        const KernelSnapshot &snap,
+        const power::BatchedKernelPower *batched = nullptr,
+        const power::CompiledPowerModel::Eval *nominal = nullptr,
+        sim::RowDetail detail = sim::RowDetail::kernels);
 
     /**
      * Reset device-visible state so the next workload runs exactly as
@@ -248,9 +280,10 @@ class Simulator
 
     /** Configured (pre-throttle) core-clock scale. */
     double _nominal_freq_scale;
-    /** Lazily built thermal network + block decomposition. */
-    std::unique_ptr<thermal::ThermalNetwork> _network;
-    thermal::BlockSet _blocks;
+    /** Thermal network, shared through the constructor or built on
+     *  first thermal use; its blocks() are the decomposition every
+     *  per-block vector here follows. */
+    std::shared_ptr<const thermal::ThermalNetwork> _network;
     /** Transient temperatures carried across kernels; reset by
      *  recycle() so simulator reuse stays bit-identical. Lags the
      *  kernels in _deferred_marches until marchDeferred() runs. */
@@ -273,6 +306,12 @@ class Simulator
      *  recycle() clears it with the rest of the thermal state, so
      *  simulator reuse stays deterministic. */
     std::vector<double> _steady_warm;
+    /** Buffers of the steady solves, reused across them. */
+    thermal::SteadyScratch _steady_scratch;
+    /** The replay path's whole-kernel evaluation: the nominal one
+     *  (computed here or copied from the caller's) whose leakage a
+     *  thermal kernel then rescales to its solved temperatures. */
+    power::CompiledPowerModel::Eval _eval;
     /** Self-batching state of the trace loops: a single-variant
      *  BatchedPowerEvaluator over this simulator's compiled model
      *  plus its workspace/output buffers, built lazily and
@@ -293,13 +332,14 @@ class Simulator
     const power::BatchedKernelPower &
     selfBatchRows(const KernelSnapshot &snap, bool want_blocks);
     /** Evaluate the per-interval power (and, with thermal on, march
-     *  the transient state) over a snapshot's samples. With thermal
-     *  off it also builds the whole-kernel report; with thermal on
-     *  finishThermal() builds it at the solved temperatures. The
-     *  per-interval values come from `batched` when non-null, else
-     *  from selfBatchRows(). */
+     *  the transient state) over a snapshot's samples; whole-kernel
+     *  power is the caller's. The per-interval values come from
+     *  `batched` when non-null, else from selfBatchRows(). Without
+     *  `keep` (summary rows) the run gets only perf.time_s and no
+     *  waveforms, so a trace without thermal has nothing to do. */
     KernelRun evaluateSamples(const KernelSnapshot &snap,
-                              const power::BatchedKernelPower *batched);
+                              const power::BatchedKernelPower *batched,
+                              bool keep);
     KernelRun runOnce(const perf::KernelProgram &prog,
                       const perf::LaunchConfig &launch,
                       bool with_trace, double sample_interval_s);
@@ -311,8 +351,9 @@ class Simulator
     /** Hottest steady-state die-block temperature (DRAM excluded). */
     double dieMax(const thermal::SteadyResult &steady) const;
     /**
-     * Shared tail of every thermal kernel: build the report at the
-     * solved temperatures and fill the ThermalResult. A traced kernel
+     * Shared tail of every thermal kernel: card_w at the solved
+     * temperatures and the ThermalResult scalars, plus (with `keep`)
+     * the report tree and the block temperatures. A traced kernel
      * has already marched the transient state sample by sample; an
      * untraced one still owes a march over its whole span. Nothing
      * in the kernel's own result depends on that march, so it is
@@ -325,7 +366,7 @@ class Simulator
     void finishThermal(KernelRun &run,
                        power::CompiledPowerModel::Eval &ev,
                        const thermal::SteadyResult &steady,
-                       bool with_trace, bool throttled);
+                       bool with_trace, bool throttled, bool keep);
     KernelRun runThermal(const perf::KernelProgram &prog,
                          const perf::LaunchConfig &launch,
                          bool with_trace, double sample_interval_s,

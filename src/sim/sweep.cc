@@ -256,7 +256,7 @@ SweepResult::formatTable() const
         std::snprintf(line, sizeof(line),
                       "%-40s %9zu %9.0f %10.1f %10.2f %11.3f %12.4f "
                       "%6s",
-                      r.scenario.label.c_str(), r.kernels.size(),
+                      r.scenario.label.c_str(), r.kernel_count,
                       r.shader_hz / 1e6, r.time_s * 1e6,
                       r.avg_power_w, r.energy_j * 1e3, r.edp() * 1e9,
                       r.verified ? "PASS" : "FAIL");

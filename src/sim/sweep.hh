@@ -145,8 +145,12 @@ struct KernelResult
 struct ScenarioResult
 {
     Scenario scenario;
-    /** Per-kernel results in launch order. */
+    /** Per-kernel results in launch order (empty in summary rows,
+     *  EngineOptions::row_detail). */
     std::vector<KernelResult> kernels;
+    /** Kernels the scenario ran, in either row detail (equal to
+     *  kernels.size() in kernel rows). */
+    std::size_t kernel_count = 0;
     /** Simulated duration of the whole kernel sequence, s. */
     double time_s = 0.0;
     /** Card-level energy (chip + DRAM) over the sequence, J. */

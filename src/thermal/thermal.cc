@@ -283,10 +283,9 @@ ThermalNetwork::solveLinear(const std::vector<double> &powers_w) const
 }
 
 SteadyResult
-ThermalNetwork::solveSteady(
-    const std::function<
-        std::vector<double>(const std::vector<double> &)> &power_at,
-    const std::vector<double> *warm_start_k) const
+ThermalNetwork::solveSteady(PowerAt power_at,
+                            const std::vector<double> *warm_start_k,
+                            SteadyScratch *scratch) const
 {
     GSP_TRACE_SPAN("thermal/steady");
     static obs::Counter &c_solves = obs::Registry::instance().counter(
@@ -316,11 +315,14 @@ ThermalNetwork::solveSteady(
     }
     result.heatsink_k = _ambient_k;
 
+    SteadyScratch local;
+    SteadyScratch &work = scratch ? *scratch : local;
+    std::vector<double> &powers = work.powers_w;
+    std::vector<double> &nodes = work.nodes;
+    powers.assign(_blocks.size(), 0.0);
     bool capped = false;
-    std::vector<double> nodes;
     for (unsigned iter = 0; iter < steady_max_iterations; ++iter) {
-        c_iters.add(1);
-        std::vector<double> powers = power_at(result.temps_k);
+        power_at(result.temps_k, powers);
         solveLinearInto(powers, nodes);
         capped = false;
         double delta = 0.0;
@@ -339,12 +341,14 @@ ThermalNetwork::solveSteady(
             // A fixed point pinned at the cap is thermal runaway,
             // not convergence.
             result.converged = !capped;
+            c_iters.add(result.iterations);
             h_iters.record(result.iterations);
             return result;
         }
     }
     result.converged = false;
     c_nonconv.add(1);
+    c_iters.add(result.iterations);
     h_iters.record(result.iterations);
     warn("thermal steady solve did not converge after ",
          steady_max_iterations,
@@ -362,13 +366,13 @@ ThermalNetwork::ambientState() const
     return s;
 }
 
-const ThermalNetwork::Propagator &
+std::shared_ptr<const ThermalNetwork::Propagator>
 ThermalNetwork::propagatorFor(double dt_s) const
 {
     std::lock_guard<std::mutex> lock(_prop_mutex);
     for (const auto &p : _propagators)
         if (p->dt_s == dt_s)
-            return *p;
+            return p;
     if (_propagators.size() >= max_cached_propagators)
         _propagators.clear();
 
@@ -415,7 +419,7 @@ ThermalNetwork::propagatorFor(double dt_s) const
             break;
     }
 
-    auto prop = std::make_unique<Propagator>();
+    auto prop = std::make_shared<Propagator>();
     prop->dt_s = dt_s;
     // P = I + M*S; Q = S*C^-1 (column scaling).
     matMul(m, s_mat, n, prop->p);
@@ -435,8 +439,8 @@ ThermalNetwork::propagatorFor(double dt_s) const
         prop->p.swap(tmp);
     }
 
-    _propagators.push_back(std::move(prop));
-    return *_propagators.back();
+    _propagators.push_back(prop);
+    return prop;
 }
 
 bool
@@ -473,7 +477,9 @@ ThermalNetwork::advance(State &state,
 {
     if (!beginAdvance(state, powers_w, dt_s))
         return;
-    const Propagator &prop = propagatorFor(dt_s);
+    if (!state.last_prop || state.last_prop->dt_s != dt_s)
+        state.last_prop = propagatorFor(dt_s);
+    const Propagator &prop = *state.last_prop;
     const std::size_t n = _n;
     assembleRhs(powers_w, state.scratch2);
     state.scratch.resize(n);

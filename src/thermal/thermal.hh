@@ -34,7 +34,6 @@
 #define GPUSIMPOW_THERMAL_THERMAL_HH
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -102,6 +101,46 @@ struct SteadyResult
 };
 
 /**
+ * Non-owning power callback of ThermalNetwork::solveSteady: fills
+ * powers_w (sized to the block count) with the block powers at
+ * temps_k (both BlockSet order). It refers to the callable instead of
+ * copying it, so binding a capturing lambda never allocates; the
+ * callable must outlive the solve.
+ */
+class PowerAt
+{
+  public:
+    template <typename F>
+    PowerAt(const F &f) // implicit: call sites pass a lambda
+        : _obj(&f),
+          _call([](const void *obj, const std::vector<double> &temps_k,
+                   std::vector<double> &powers_w) {
+              (*static_cast<const F *>(obj))(temps_k, powers_w);
+          })
+    {
+    }
+
+    void operator()(const std::vector<double> &temps_k,
+                    std::vector<double> &powers_w) const
+    {
+        _call(_obj, temps_k, powers_w);
+    }
+
+  private:
+    const void *_obj;
+    void (*_call)(const void *, const std::vector<double> &,
+                  std::vector<double> &);
+};
+
+/** Buffers of ThermalNetwork::solveSteady a caller can keep across
+ *  solves: the block powers and the linear solve's node vector. */
+struct SteadyScratch
+{
+    std::vector<double> powers_w;
+    std::vector<double> nodes;
+};
+
+/**
  * The RC network itself. Node order: die blocks, the dram block, and
  * one lumped heatsink node; ambient is a fixed-temperature boundary.
  * Construction assembles and LU-factors the conductance system (a
@@ -115,6 +154,9 @@ struct SteadyResult
  */
 class ThermalNetwork
 {
+    /** Exact one-step propagator (defined below). */
+    struct Propagator;
+
   public:
     /**
      * @param blocks die/board decomposition (names + areas)
@@ -149,10 +191,12 @@ class ThermalNetwork
 
     /**
      * Closed-loop steady state: iterate temperature -> power until
-     * the hottest block moves < tol_k between iterations.
-     * @param power_at callback mapping block temperatures (BlockSet
-     *        order) to block powers, W — this is where the caller
-     *        applies tempLeakFactor to the leakage share
+     * the hottest block moves < tol_k between iterations. Nothing
+     * is allocated per iteration, and nothing per solve beyond the
+     * result when the caller passes its own scratch.
+     * @param power_at fills the block powers, W, at the given block
+     *        temperatures (both BlockSet order) — this is where the
+     *        caller applies tempLeakFactor to the leakage share
      * @param warm_start_k optional block temperatures (BlockSet
      *        order) to start the fixed-point iteration from — the
      *        previous solution when the caller solves a sequence of
@@ -160,14 +204,17 @@ class ThermalNetwork
      *        one scenario). Ignored (cold start at ambient) when
      *        null or of the wrong size; the iteration converges to
      *        the same fixed point within tolerance either way.
+     * @param scratch optional buffers reused across solves; null
+     *        solves with local ones
      */
-    SteadyResult
-    solveSteady(const std::function<std::vector<double>(
-                    const std::vector<double> &)> &power_at,
-                const std::vector<double> *warm_start_k = nullptr)
-        const;
+    SteadyResult solveSteady(PowerAt power_at,
+                             const std::vector<double> *warm_start_k =
+                                 nullptr,
+                             SteadyScratch *scratch = nullptr) const;
 
-    /** Transient node state: block temperatures plus heatsink, K. */
+    /** Transient node state: block temperatures plus heatsink, K.
+     *  A State belongs to the network whose ambientState() (or
+     *  first advance()) made it. */
     struct State
     {
         std::vector<double> temps_k; // blocks then heatsink
@@ -177,6 +224,11 @@ class ThermalNetwork
          *  share a buffer and nothing allocates per call. */
         std::vector<double> scratch;
         std::vector<double> scratch2;
+        /** The propagator of the last advanced dt: consecutive
+         *  advances by one sampling period skip the shared cache and
+         *  its lock. Shared ownership keeps it valid when another
+         *  thread evicts the cache entry. */
+        std::shared_ptr<const Propagator> last_prop;
     };
 
     /** Every node at ambient (cold start). */
@@ -237,10 +289,10 @@ class ThermalNetwork
     /** Per-dt propagator cache. Guarded by _prop_mutex: the network
      *  is logically const while simulator threads advance through
      *  it, so the lazily built propagators must synchronize. Entries
-     *  are pointer-stable (unique_ptr) so a reference outlives the
-     *  lock. */
+     *  are shared, so a propagator a State still holds outlives the
+     *  cache's eviction of it. */
     mutable std::mutex _prop_mutex;
-    mutable std::vector<std::unique_ptr<Propagator>> _propagators;
+    mutable std::vector<std::shared_ptr<const Propagator>> _propagators;
 
     double conductance(std::size_t a, std::size_t b) const
     {
@@ -254,7 +306,7 @@ class ThermalNetwork
      *  the linear solve and the exact propagator). */
     void assembleRhs(const std::vector<double> &powers_w,
                      std::vector<double> &b) const;
-    const Propagator &propagatorFor(double dt_s) const;
+    std::shared_ptr<const Propagator> propagatorFor(double dt_s) const;
     /** Shared advance() prologue: initialize the state, and settle
      *  spans that need no integration (dt <= 0, or the long-span
      *  steady snap). Returns true when the caller must integrate. */

@@ -4,7 +4,9 @@
  * in-process server/client job round-trip on an ephemeral port,
  * repeat queries answered from the warm store with zero captures and
  * a byte-identical table, concurrent clients deduplicated onto one
- * capture, and the error/shutdown paths of the wire protocol.
+ * capture, served summary rows against local kernel rows, TCP_NODELAY
+ * on both ends of a connection, and the error/shutdown paths of the
+ * wire protocol.
  */
 
 #include <gtest/gtest.h>
@@ -16,9 +18,16 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "service/client.hh"
+#include "service/protocol.hh"
 #include "service/server.hh"
 #include "sim/engine.hh"
 #include "sim/request.hh"
@@ -211,6 +220,78 @@ TEST(Service, ConcurrentClientsShareOneCapture)
     // One snapshot key in the request, so exactly one entry — and
     // one capture — no matter how the clients interleaved.
     EXPECT_EQ(server.session->storeHandle()->size(), 1u);
+}
+
+TEST(Service, ServedCoolingSweepMatchesLocalKernelRows)
+{
+    // The server computes summary rows on run-scoped models shared
+    // across the cooling and supply axes; a local in-process job
+    // keeps full kernel rows. The tables must not differ by a byte.
+    SweepRequest request = SweepRequest()
+                               .withWorkloads("vectoradd,matmul")
+                               .withNodes("40,28")
+                               .withVf("0.9:1,1:1")
+                               .withCoolings("stock,liquid");
+    ScopedServer server(
+        std::make_shared<SweepSession>(EngineOptions().withJobs(2)));
+    SweepClient client("127.0.0.1", server.port());
+    SweepClient::JobResult job = client.submitJob(request);
+    ASSERT_TRUE(job.ok) << job.error;
+    EXPECT_EQ(job.rows, 16u);
+    // Two nodes x two supplies: four power models, however many
+    // workloads and coolings share them.
+    EXPECT_NE(job.metrics_json.find("\"power/model_builds\":4"),
+              std::string::npos)
+        << job.metrics_json;
+
+    sim::SweepResult local =
+        SweepSession(EngineOptions().withJobs(2)).submit(request.toSpec());
+    ASSERT_FALSE(local.at(0).kernels.empty());
+    EXPECT_EQ(job.table, local.formatTable());
+}
+
+TEST(Protocol, NoDelayIsSetOnBothEndsOfALoopbackConnection)
+{
+    int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(listener, 1), 0);
+    ASSERT_EQ(::getsockname(listener,
+                            reinterpret_cast<sockaddr *>(&addr), &len),
+              0);
+    int client = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(client, 0);
+    ASSERT_EQ(::connect(client, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    int server = ::accept(listener, nullptr, nullptr);
+    ASSERT_GE(server, 0);
+
+    auto noDelay = [](int fd) {
+        int on = -1;
+        socklen_t n = sizeof(on);
+        EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &n), 0);
+        return on;
+    };
+    // Nagle is on by default, so the helper is what turns it off.
+    EXPECT_EQ(noDelay(client), 0);
+    EXPECT_EQ(noDelay(server), 0);
+    EXPECT_TRUE(service::setNoDelay(client));
+    EXPECT_TRUE(service::setNoDelay(server));
+    EXPECT_NE(noDelay(client), 0);
+    EXPECT_NE(noDelay(server), 0);
+    EXPECT_FALSE(service::setNoDelay(-1));
+
+    ::close(server);
+    ::close(client);
+    ::close(listener);
 }
 
 TEST(Service, BadRequestGetsAnErrorFrame)

@@ -50,6 +50,18 @@ tinyCooling()
     return tc;
 }
 
+/** Adapt a power function returning its vector to solveSteady's
+ *  fill-the-buffer callback. */
+template <typename F>
+auto
+fillIn(const F &power_of)
+{
+    return [&power_of](const std::vector<double> &temps,
+                       std::vector<double> &powers) {
+        powers = power_of(temps);
+    };
+}
+
 sim::ScenarioResult
 runScenario(GpuConfig cfg, const std::string &workload)
 {
@@ -207,7 +219,7 @@ TEST(ThermalNetwork, SteadyStateConvergesOnStableFeedback)
         return std::vector<double>{
             20.0 + 0.05 * (temps[0] - 300.0), 2.0, 3.0};
     };
-    thermal::SteadyResult s = net.solveSteady(power_at);
+    thermal::SteadyResult s = net.solveSteady(fillIn(power_at));
     EXPECT_TRUE(s.converged);
     EXPECT_LT(s.iterations, 200u);
     // At the fixed point the solved temps reproduce themselves.
@@ -226,7 +238,7 @@ TEST(ThermalNetwork, SteadyStateDetectsThermalRunaway)
             80.0 * std::pow(2.0, (temps[0] - 300.0) / 10.0), 0.0,
             0.0};
     };
-    thermal::SteadyResult s = net.solveSteady(power_at);
+    thermal::SteadyResult s = net.solveSteady(fillIn(power_at));
     EXPECT_FALSE(s.converged);
     EXPECT_DOUBLE_EQ(s.maxTemp(),
                      thermal::ThermalNetwork::runaway_cap_k);
@@ -932,12 +944,12 @@ TEST(ThermalSolver, WarmStartConvergesToTheSameFixedPoint)
         "steady solves started from a previous solution");
     uint64_t warm_before = warm_ctr.value();
 
-    thermal::SteadyResult cold = net.solveSteady(power_at);
+    thermal::SteadyResult cold = net.solveSteady(fillIn(power_at));
     ASSERT_TRUE(cold.converged);
     EXPECT_EQ(warm_ctr.value(), warm_before);
 
     thermal::SteadyResult warm =
-        net.solveSteady(power_at, &cold.temps_k);
+        net.solveSteady(fillIn(power_at), &cold.temps_k);
     EXPECT_TRUE(warm.converged);
     EXPECT_EQ(warm_ctr.value(), warm_before + 1);
     // Restarted at the fixed point, the iteration is already inside
@@ -951,7 +963,8 @@ TEST(ThermalSolver, WarmStartConvergesToTheSameFixedPoint)
 
     // A wrong-size warm start is ignored, not trusted.
     std::vector<double> bad(cold.temps_k.size() + 3, 330.0);
-    thermal::SteadyResult fallback = net.solveSteady(power_at, &bad);
+    thermal::SteadyResult fallback =
+        net.solveSteady(fillIn(power_at), &bad);
     EXPECT_TRUE(fallback.converged);
     EXPECT_EQ(fallback.iterations, cold.iterations);
     EXPECT_EQ(warm_ctr.value(), warm_before + 1);
@@ -994,11 +1007,11 @@ TEST(ThermalSolver, WarmStartConvergesToTheSameFixedPoint)
                 SCOPED_TRACE(::testing::Message()
                              << base.name << " " << cooling
                              << " ratio " << ratio);
-                thermal::SteadyResult c = real.solveSteady(at);
+                thermal::SteadyResult c = real.solveSteady(fillIn(at));
                 thermal::SteadyResult restart =
-                    real.solveSteady(at, &c.temps_k);
+                    real.solveSteady(fillIn(at), &c.temps_k);
                 thermal::SteadyResult probe = real.solveSteady(
-                    at, prev.empty() ? nullptr : &prev);
+                    fillIn(at), prev.empty() ? nullptr : &prev);
                 EXPECT_EQ(restart.converged, c.converged);
                 EXPECT_EQ(probe.converged, c.converged);
                 EXPECT_LE(restart.iterations, 2u);
@@ -1030,7 +1043,7 @@ TEST(ThermalSolver, ExhaustedSteadySolveWarnsAndCounts)
         "thermal/steady_nonconverged",
         "steady solves that exhausted the iteration budget");
     uint64_t before = ctr.value();
-    thermal::SteadyResult s = net.solveSteady(power_at);
+    thermal::SteadyResult s = net.solveSteady(fillIn(power_at));
     EXPECT_FALSE(s.converged);
     EXPECT_EQ(s.iterations, 1000u);
     EXPECT_LT(s.maxTemp(), thermal::ThermalNetwork::runaway_cap_k);
@@ -1180,7 +1193,7 @@ TEST(ThermalStress, SharedNetworkServesConcurrentAdvancesAndSolves)
             net.advance(state, powers, dts[(seed + i) % 5]);
             if (i % 40 == 0) {
                 thermal::SteadyResult s =
-                    net.solveSteady(power_at, &state.temps_k);
+                    net.solveSteady(fillIn(power_at), &state.temps_k);
                 EXPECT_TRUE(s.converged);
             }
         }

@@ -54,6 +54,7 @@ REQUIRED_COUNTERS = (
     "perf/issue_attempts",
     "perf/quiet_core_cycles",
     "perf/warp_insts",
+    "power/model_builds",
     "sim/timing_model_builds",
 )
 
