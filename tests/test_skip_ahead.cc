@@ -1,16 +1,21 @@
 /**
  * @file
  * Differential oracle of the event-driven timing core. Every
- * registered workload runs on both reference chips, untraced and
- * traced at 1 us, straight through perf::Gpu::run. For every kernel
- * the final ChipActivity (every counter, hex-float elapsed time), the
- * cycle count and every interval delta are folded into one FNV-1a 64
- * digest and compared with tests/golden/activity_digests.txt.
+ * registered workload runs on both reference chips straight through
+ * perf::Gpu::run in three sampling legs: untraced, traced at 1 us,
+ * and traced at an odd 97 shader cycles, a period that does not line
+ * up with wake times. vectoradd also runs sampled every cycle. For
+ * every kernel the final ChipActivity (every counter, hex-float
+ * elapsed time), the cycle count and every interval delta are folded
+ * into one FNV-1a 64 digest and compared with
+ * tests/golden/activity_digests.txt.
  *
- * The anchor file was generated by the cycle-stepped core (every
- * busy core stepped every shader cycle), so it is the frozen stepped
- * loop: any skip-ahead that loses or invents a single counter
- * increment, or shifts one sample boundary, changes a digest.
+ * The untraced and 1 us anchors were generated by the cycle-stepped
+ * core (every busy core stepped every shader cycle), the 97-cycle and
+ * every-cycle anchors by the chip-wide clock-jump loop that stepped
+ * every busy core each cycle some core was active. So the file is the
+ * frozen stepped loop: any skip-ahead that loses or invents a single
+ * counter increment, or shifts one sample boundary, changes a digest.
  *
  * One test per chip, so ctest runs them as separate entries.
  * Regenerate intentionally (after a deliberate timing-model change)
@@ -39,7 +44,34 @@ using namespace gpusimpow;
 
 namespace {
 
-constexpr double trace_interval_s = 1e-6;
+/** One sampling mode of the oracle. */
+struct Leg
+{
+    const char *mode;
+    /** Sampling period in seconds, or 0. */
+    double period_s;
+    /** Sampling period in shader cycles, or 0. */
+    double period_cycles;
+    /** The only workload this leg runs, or null for all. */
+    const char *only;
+
+    double
+    intervalS(const GpuConfig &cfg) const
+    {
+        // Half a cycle over the period, so the run's truncation to
+        // whole cycles cannot land one short.
+        return period_cycles > 0.0
+                   ? (period_cycles + 0.5) / cfg.clocks.shaderHz()
+                   : period_s;
+    }
+};
+
+constexpr Leg legs[] = {
+    {"untraced", 0.0, 0.0, nullptr},
+    {"traced", 1e-6, 0.0, nullptr},
+    {"odd97", 0.0, 97.0, nullptr},
+    {"cycle1", 0.0, 1.0, "vectoradd"},
+};
 
 std::string
 digestPath()
@@ -115,8 +147,12 @@ std::map<std::string, std::string>
 computeDigests(const std::string &chip, const GpuConfig &cfg)
 {
     std::map<std::string, std::string> lines;
-    for (bool traced : {false, true}) {
+    for (const Leg &leg : legs) {
+        const double interval_s = leg.intervalS(cfg);
+        const bool traced = interval_s > 0.0;
         for (const auto &wl : workloads::makeAllWorkloads()) {
+            if (leg.only && wl->name() != leg.only)
+                continue;
             perf::Gpu gpu(cfg);
             std::vector<workloads::KernelLaunch> kernels = wl->prepare(gpu);
             for (std::size_t k = 0; k < kernels.size(); ++k) {
@@ -133,15 +169,15 @@ computeDigests(const std::string &chip, const GpuConfig &cfg)
                 }
                 perf::RunResult r =
                     gpu.run(kernels[k].prog, kernels[k].launch, sampler,
-                            traced ? trace_interval_s : 0.0);
+                            interval_s);
                 std::ostringstream cycles;
                 cycles << "cycles " << r.cycles << '\n';
                 fnv.add(cycles.str());
                 fnv.add(serialized(r.activity));
 
                 std::ostringstream key;
-                key << chip << ' ' << wl->name() << ' '
-                    << (traced ? "traced" : "untraced") << ' ' << k << ' '
+                key << chip << ' ' << wl->name() << ' ' << leg.mode << ' '
+                    << k << ' '
                     << kernels[k].label;
                 char rest[80];
                 std::snprintf(rest, sizeof(rest),
@@ -195,7 +231,8 @@ writeAnchors(const std::string &chip,
     all.insert(fresh.begin(), fresh.end());
     std::ofstream out(digestPath());
     out << "# FNV-1a 64 digests of perf::Gpu::run per kernel: final\n"
-        << "# ChipActivity, cycles and every 1 us interval delta.\n"
+        << "# ChipActivity, cycles and every interval delta (traced:\n"
+        << "# 1 us, odd97: 97 shader cycles, cycle1: every cycle).\n"
         << "# <chip> <workload> <mode> <kernel#> <label> "
            "cycles=<n> intervals=<n> <digest>\n";
     for (const auto &[key, rest] : all)
