@@ -172,9 +172,13 @@ Core::canAcceptBlock() const
 }
 
 void
-Core::launchBlock(unsigned cta_x, unsigned cta_y)
+Core::launchBlock(unsigned cta_x, unsigned cta_y, uint64_t cycle)
 {
     GSP_ASSERT(canAcceptBlock(), "launchBlock without capacity");
+    if (busy())
+        accountTo(cycle);
+    else
+        _accounted = cycle;
     unsigned threads = _launch->block.count();
 
     unsigned block_slot = 0;
@@ -234,7 +238,7 @@ Core::resetForKernel()
     _issue_mask = _fetch_mask = 0;
     _unit_mask.fill(0);
     _fetch_rr = _issue_rr = 0;
-    _wake = 0;
+    _wake = _accounted = 0;
     _core_steps = _quiet_cycles = _issue_attempts = 0;
     for (auto &w : _warps)
         w = Warp{};
@@ -295,7 +299,7 @@ Core::drainCompletions(uint64_t cycle)
 void
 Core::refreshWarp(unsigned warp_idx)
 {
-    const Warp &warp = _warps[warp_idx];
+    Warp &warp = _warps[warp_idx];
     const uint64_t bit = 1ull << warp_idx;
     const bool runnable = warp.valid && !warp.stack.empty() &&
                           !warp.at_barrier && !warp.waiting_mem;
@@ -305,11 +309,13 @@ Core::refreshWarp(unsigned warp_idx)
                           (_cfg.core.scoreboard || !warp.inflight);
     _fetch_mask = fetchable ? _fetch_mask | bit : _fetch_mask & ~bit;
     _issue_mask = issuable ? _issue_mask | bit : _issue_mask & ~bit;
-    for (uint64_t &m : _unit_mask)
-        m &= ~bit;
+    if (warp.unit_slot != no_unit)
+        _unit_mask[warp.unit_slot] &= ~bit;
+    warp.unit_slot = no_unit;
     if (issuable) {
-        UnitClass uc = _decoded[warp.stack.back().exec_pc].unit;
-        _unit_mask[static_cast<unsigned>(uc)] |= bit;
+        warp.unit_slot = static_cast<uint8_t>(
+            _decoded[warp.stack.back().exec_pc].unit);
+        _unit_mask[warp.unit_slot] |= bit;
     }
 }
 

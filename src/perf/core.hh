@@ -19,8 +19,11 @@
  * fetch-eligible warp, and the next-free time of every unit an
  * issue-eligible warp waits on) and the scoreboard lookups that step
  * made. Nothing but the per-cycle counters can change before wake(),
- * so until then a cycle is accounted in bulk (skipQuiet) instead of
- * re-scanning the warps — bit-identical to stepping it.
+ * so Gpu::run does not visit the core until then. The core accounts
+ * those quiet cycles lazily: it keeps the first cycle not yet
+ * accounted, and accountTo() adds every owed cycle in one go, when
+ * the core is next stepped, receives a block, or a sample snapshot
+ * is due. That is bit-identical to stepping each quiet cycle.
  *
  * The schedulers scan warp masks, not warps. Bit w of the issue
  * (fetch) mask is set exactly when warp w passes the issue (fetch)
@@ -86,24 +89,24 @@ class Core
     bool canAcceptBlock() const;
 
     /**
-     * Launch one thread block onto this core.
+     * Launch one thread block onto this core at a cycle. An idle core
+     * starts accounting there; a busy one is first settled to it.
      * @param cta_x block x index
      * @param cta_y block y index
+     * @param cycle the dispatch cycle
      */
-    void launchBlock(unsigned cta_x, unsigned cta_y);
+    void launchBlock(unsigned cta_x, unsigned cta_y, uint64_t cycle);
 
     /**
-     * Advance one shader cycle: drain, issue and fetch, or only
-     * account the cycle while the core is quiet (cycle < wake()).
+     * Step one shader cycle of a busy core: settle the quiet cycles
+     * owed before it, then drain, issue and fetch. Gpu::run calls it
+     * only at cycles >= wake().
      */
     void step(uint64_t cycle)
     {
-        if (!busy())
-            return;
-        if (cycle < _wake)
-            skipQuiet(1);
-        else
-            fullStep(cycle);
+        accountTo(cycle);
+        fullStep(cycle);
+        _accounted = cycle + 1;
     }
 
     /**
@@ -114,24 +117,28 @@ class Core
     uint64_t wake() const { return _wake; }
 
     /**
-     * Account n quiet cycles without stepping them: the counters a
-     * quiet step bumps (cycles_resident, issue/fetch arbitrations,
-     * the recorded scoreboard lookups) advance by n steps' worth.
-     * Only legal for cycles before wake().
+     * Account every cycle of a busy core from the first unaccounted
+     * one up to (not including) a cycle, all of them quiet: the
+     * counters a quiet step bumps (cycles_resident, issue/fetch
+     * arbitrations, the recorded scoreboard lookups) advance by that
+     * many steps' worth. The only path by which quiet cycles are
+     * counted; only legal up to wake().
      */
-    void skipQuiet(uint64_t n)
+    void accountTo(uint64_t cycle)
     {
+        const uint64_t n = cycle - _accounted;
         _act.cycles_resident += n;
         _act.issue_arbitrations += n;
         _act.fetch_arbitrations += n;
         _act.scoreboard_checks += n * _quiet_checks;
         _quiet_cycles += n;
+        _accounted = cycle;
     }
 
     /** Full steps since resetForKernel(). */
     uint64_t coreSteps() const { return _core_steps; }
 
-    /** Cycles accounted by skipQuiet() since resetForKernel(). */
+    /** Cycles accounted by accountTo() since resetForKernel(). */
     uint64_t quietCycles() const { return _quiet_cycles; }
 
     /** Warps the issue scheduler examined (tryIssue calls) since
@@ -161,6 +168,11 @@ class Core
   private:
     /** Predicate registers per thread (KernelBuilder's p0..p3). */
     static constexpr unsigned num_preds = 4;
+
+    static constexpr unsigned num_units =
+        static_cast<unsigned>(UnitClass::Ctrl) + 1;
+    /** Warp::unit_slot of a warp in no _unit_mask. */
+    static constexpr uint8_t no_unit = num_units;
 
     /** Resident thread block context. */
     struct Block
@@ -194,6 +206,7 @@ class Core
         bool at_barrier = false;
         uint64_t pending_reg_mask = 0; // scoreboard: regs 0..63
         unsigned pending_count = 0;    // scoreboard entries used
+        uint8_t unit_slot = no_unit;   // the _unit_mask holding it
     };
 
     /** Completion event (writeback). */
@@ -235,9 +248,6 @@ class Core
     std::unique_ptr<CacheModel> _l1d;   // null when not configured
     CacheModel _const_cache;
 
-    static constexpr unsigned num_units =
-        static_cast<unsigned>(UnitClass::Ctrl) + 1;
-
     // Pipeline next-free times (shader cycles) by UnitClass; Ctrl has
     // no pipeline and stays 0.
     std::array<uint64_t, num_units> _unit_free{};
@@ -254,6 +264,7 @@ class Core
 
     // Event-driven stepping (see the file comment).
     uint64_t _wake = 0;
+    uint64_t _accounted = 0;      // first cycle not yet accounted
     uint64_t _quiet_checks = 0;   // scoreboard lookups per quiet step
     uint64_t _stall_end = 0;      // earliest fetch_ready / unit free
                                   // time a warp waited on this step

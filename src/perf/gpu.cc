@@ -147,53 +147,99 @@ Gpu::run(const KernelProgram &prog, const LaunchConfig &launch,
     }
     ChipActivity prev = snapshot(0);
 
+    // Per core, the cycle it must next be stepped at: its wake() while
+    // quiet, the next cycle while active, `idle` while it holds no
+    // block. A busy core owes the quiet cycles since its last step.
+    constexpr uint64_t idle = ~0ull;
+    std::vector<uint64_t> due(_cores.size(), idle);
+    // Per cluster, its busy cores and where its open busy interval
+    // began; _cluster_busy holds the closed part.
+    std::vector<unsigned> cluster_cores(_cfg.clusters, 0);
+    std::vector<uint64_t> cluster_since(_cfg.clusters, 0);
+    unsigned busy_cores = 0;
+    uint64_t chip_steps = 0;
+
     uint64_t cycle = 0;
     // Blocks can be placed only on the first cycle and after a core
     // retired one: nothing else frees core resources.
     bool dispatch = true;
-    // Cycles this iteration covers: one step, or a clock jump over
-    // cycles in which every busy core is quiet.
-    uint64_t span = 1;
     while (true) {
         // Global scheduler: place as many blocks as fit this cycle.
         while (dispatch && next_block < pending.size()) {
-            int core = pickCoreForBlock();
-            if (core < 0)
+            int c = pickCoreForBlock();
+            if (c < 0)
                 break;
-            _cores[core]->launchBlock(pending[next_block].first,
-                                      pending[next_block].second);
+            Core &core = *_cores[c];
+            if (!core.busy()) {
+                ++busy_cores;
+                unsigned cl = clusterOf(c);
+                if (cluster_cores[cl]++ == 0)
+                    cluster_since[cl] = cycle;
+            }
+            core.launchBlock(pending[next_block].first,
+                             pending[next_block].second, cycle);
+            due[c] = cycle;
             ++next_block;
             ++_blocks_dispatched;
         }
         dispatch = false;
+        const bool active = busy_cores > 0 || next_block < pending.size();
 
-        bool any_busy = false;
-        for (unsigned cl = 0; cl < _cfg.clusters; ++cl) {
-            bool cl_busy = false;
-            for (unsigned i = 0; i < _cfg.cores_per_cluster; ++i) {
-                Core &core = *_cores[cl * _cfg.cores_per_cluster + i];
-                if (!core.busy())
-                    continue;
-                cl_busy = true;
-                if (span > 1) {
-                    core.skipQuiet(span);
+        // Step the cores that are due, in core order (they share the
+        // memory system), and find the next due cycle in the same pass.
+        uint64_t next = max_shader_cycles + 1;
+        bool stepped = false;
+        for (unsigned c = 0; c < _cores.size(); ++c) {
+            if (due[c] > cycle) {
+                next = std::min(next, due[c]);
+                continue;
+            }
+            Core &core = *_cores[c];
+            core.step(cycle);
+            stepped = true;
+            if (core.collectFinishedBlocks() > 0) {
+                dispatch = true;
+                if (!core.busy()) {
+                    due[c] = idle;
+                    --busy_cores;
+                    unsigned cl = clusterOf(c);
+                    if (--cluster_cores[cl] == 0)
+                        _cluster_busy[cl] += cycle + 1 - cluster_since[cl];
                     continue;
                 }
-                core.step(cycle);
-                if (core.collectFinishedBlocks() > 0)
-                    dispatch = true;
             }
-            if (cl_busy) {
-                _cluster_busy[cl] += span;
-                any_busy = true;
-            }
+            due[c] = std::max(core.wake(), cycle + 1);
+            next = std::min(next, due[c]);
         }
-        if (any_busy || next_block < pending.size())
-            _gpu_busy += span;
+        chip_steps += stepped;
 
-        cycle += span;
+        // A retire places blocks on the next cycle, and the last one
+        // is followed by one empty cycle. Otherwise the clock jumps to
+        // the next due core, stopping at the next sampling boundary
+        // (so intervals are cut where stepping cuts them) and past the
+        // livelock guard.
+        if (dispatch || !active)
+            next = cycle + 1;
+        else if (sample_cycles)
+            next = std::min(next,
+                            (cycle / sample_cycles + 1) * sample_cycles);
+        if (active)
+            _gpu_busy += next - cycle;
+        cycle = next;
 
         if (sample_cycles && cycle % sample_cycles == 0) {
+            // Settle every busy core and open cluster interval to the
+            // boundary, so the snapshot reads what stepping would.
+            for (const auto &core : _cores) {
+                if (core->busy())
+                    core->accountTo(cycle);
+            }
+            for (unsigned cl = 0; cl < _cfg.clusters; ++cl) {
+                if (cluster_cores[cl] > 0) {
+                    _cluster_busy[cl] += cycle - cluster_since[cl];
+                    cluster_since[cl] = cycle;
+                }
+            }
             _memsys.updateDramCounters();
             ChipActivity now = snapshot(cycle);
             ChipActivity delta = now.diff(prev);
@@ -202,29 +248,11 @@ Gpu::run(const KernelProgram &prog, const LaunchConfig &launch,
             prev = std::move(now);
         }
 
-        if (!any_busy && next_block >= pending.size())
+        if (!active)
             break;
         if (cycle > max_shader_cycles)
             GSP_PANIC("kernel ", prog.name, " exceeded ",
                       max_shader_cycles, " shader cycles — livelock?");
-
-        // Clock jump: with no placement pending, every cycle before
-        // the earliest wake() of a busy core only bumps per-cycle
-        // counters. Stop at the next sampling boundary (so intervals
-        // are cut where stepping cuts them) and at the livelock guard.
-        span = 1;
-        if (!dispatch) {
-            uint64_t target = max_shader_cycles + 1;
-            if (sample_cycles)
-                target = std::min(target, (cycle / sample_cycles + 1) *
-                                              sample_cycles);
-            for (const auto &core : _cores) {
-                if (core->busy())
-                    target = std::min(target, core->wake());
-            }
-            if (target > cycle)
-                span = target - cycle;
-        }
     }
 
     _memsys.updateDramCounters();
@@ -247,6 +275,7 @@ Gpu::run(const KernelProgram &prog, const LaunchConfig &launch,
         result.quiet_core_cycles += core->quietCycles();
         result.issue_attempts += core->issueAttempts();
     }
+    result.chip_steps = chip_steps;
     return result;
 }
 

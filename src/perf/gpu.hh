@@ -8,12 +8,15 @@
  * core — which is exactly what makes cluster power show up as
  * staircase steps.
  *
- * The run loop is event-driven: blocks are placed only on the first
- * cycle and after a core retired a block (the only events that change
- * where one fits), and while no placement is pending and every busy
- * core is quiet the clock jumps to the earliest Core::wake(), capped
- * at the next sampling boundary, with the per-cycle counters
- * bulk-added — bit-identical to stepping every cycle.
+ * The run loop is event-driven per core. Blocks are placed only on
+ * the first cycle and after a core retired a block (the only events
+ * that change where one fits). Each core has a due cycle: its
+ * Core::wake() while quiet, the next cycle while active, none while
+ * idle. A loop iteration steps only the due cores and jumps the clock
+ * to the next due cycle, capped at the next sampling boundary. Quiet
+ * cores and busy clusters are accounted lazily, as intervals, and
+ * settled at every sample boundary — bit-identical to stepping every
+ * busy core every cycle.
  */
 
 #ifndef GPUSIMPOW_PERF_GPU_HH
@@ -46,6 +49,9 @@ struct RunResult
     uint64_t instructions = 0;
     /** Full Core::step calls (all cores); not serialized. */
     uint64_t core_steps = 0;
+    /** Chip cycles at which at least one core was stepped; not
+     *  serialized. At most core_steps. */
+    uint64_t chip_steps = 0;
     /** Core-cycles accounted without a step (all cores); not
      *  serialized. core_steps + quiet_core_cycles is the sum of
      *  cycles_resident. */

@@ -30,6 +30,7 @@ struct ServiceMetrics
     obs::Counter &jobs;
     obs::Counter &rows;
     obs::Counter &errors;
+    obs::Gauge &handlers;
 
     static ServiceMetrics &instance()
     {
@@ -41,6 +42,8 @@ struct ServiceMetrics
             reg.counter("service/rows", "per-scenario rows streamed"),
             reg.counter("service/errors",
                         "jobs answered with an error frame"),
+            reg.gauge("service/handlers",
+                      "connection handler threads not yet joined"),
         };
         return m;
     }
@@ -98,6 +101,7 @@ SweepServer::run()
 {
     inform("serve: listening on 127.0.0.1:", _port);
     while (!_stop.load()) {
+        reapHandlers(false);
         pollfd pfd{_listen_fd, POLLIN, 0};
         int r = ::poll(&pfd, 1, 200);
         if (r < 0) {
@@ -121,22 +125,35 @@ SweepServer::run()
         if (!setNoDelay(fd))
             warn("serve: cannot set TCP_NODELAY: ",
                  std::strerror(errno));
-        ServiceMetrics::instance().connections.add(1);
-        std::lock_guard<std::mutex> lock(_threads_mutex);
-        _threads.emplace_back(
-            [this, fd] {
-                obs::Tracer::instance().labelThread(
-                    strformat("client-%d", fd));
-                handleClient(fd);
-                ::close(fd);
-            });
+        ServiceMetrics &m = ServiceMetrics::instance();
+        m.connections.add(1);
+        Handler &handler =
+            *_handlers.emplace_back(std::make_unique<Handler>());
+        m.handlers.set(static_cast<int64_t>(_handlers.size()));
+        handler.thread = std::thread([this, fd, &handler] {
+            obs::Tracer::instance().labelThread(
+                strformat("client-%d", fd));
+            handleClient(fd);
+            ::close(fd);
+            handler.done.store(true);
+        });
     }
     // Drain: in-flight jobs finish and their results are persisted
     // before run() returns, so the caller can close the store.
-    std::lock_guard<std::mutex> lock(_threads_mutex);
-    for (std::thread &t : _threads)
-        t.join();
-    _threads.clear();
+    reapHandlers(true);
+}
+
+void
+SweepServer::reapHandlers(bool all)
+{
+    std::erase_if(_handlers, [all](const std::unique_ptr<Handler> &h) {
+        if (!all && !h->done.load())
+            return false;
+        h->thread.join();
+        return true;
+    });
+    ServiceMetrics::instance().handlers.set(
+        static_cast<int64_t>(_handlers.size()));
 }
 
 void

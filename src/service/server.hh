@@ -17,7 +17,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -48,8 +47,9 @@ class SweepServer
     /**
      * Accept-and-serve until stop() is called or a client sends a
      * `shutdown` frame. Each connection is handled on its own
-     * thread; run() joins them all before returning, so the store
-     * and session are quiescent afterwards.
+     * thread; the accept loop joins the handlers that returned, and
+     * run() joins the rest before returning, so the store and
+     * session are quiescent afterwards.
      */
     void run();
 
@@ -57,14 +57,24 @@ class SweepServer
     void stop() { _stop.store(true); }
 
   private:
+    /** One connection's thread, which marks itself done on return. */
+    struct Handler
+    {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+
     void handleClient(int fd);
+
+    /** Join the handlers that are done (every handler when `all`)
+     *  and publish how many remain. Only run() touches _handlers. */
+    void reapHandlers(bool all);
 
     std::shared_ptr<sim::SweepSession> _session;
     int _listen_fd = -1;
     uint16_t _port = 0;
     std::atomic<bool> _stop{false};
-    std::mutex _threads_mutex;
-    std::vector<std::thread> _threads;
+    std::vector<std::unique_ptr<Handler>> _handlers;
 };
 
 } // namespace service

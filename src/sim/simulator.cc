@@ -35,6 +35,15 @@ perfCoreSteps()
 }
 
 obs::Counter &
+perfChipSteps()
+{
+    static obs::Counter &c = obs::Registry::instance().counter(
+        "perf/chip_steps",
+        "chip cycles of timing captures at which a core was stepped");
+    return c;
+}
+
+obs::Counter &
 perfQuietCoreCycles()
 {
     static obs::Counter &c = obs::Registry::instance().counter(
@@ -76,6 +85,7 @@ void
 Simulator::registerPerfCounters()
 {
     perfCoreSteps();
+    perfChipSteps();
     perfQuietCoreCycles();
     perfIssueAttempts();
     perfWarpInsts();
@@ -264,6 +274,7 @@ Simulator::capturePerf(const perf::KernelProgram &prog,
     snap.perf = gpu().run(prog, launch, sampler,
                           with_trace ? sample_interval_s : 0.0);
     perfCoreSteps().add(snap.perf.core_steps);
+    perfChipSteps().add(snap.perf.chip_steps);
     perfQuietCoreCycles().add(snap.perf.quiet_core_cycles);
     perfIssueAttempts().add(snap.perf.issue_attempts);
     perfWarpInsts().add(snap.perf.instructions);

@@ -214,8 +214,9 @@ class Simulator
                                double sample_interval_s = 20e-6);
 
     /**
-     * Register the perf/core_steps, perf/quiet_core_cycles,
-     * perf/issue_attempts and perf/warp_insts counters capturePerf()
+     * Register the perf/core_steps, perf/chip_steps,
+     * perf/quiet_core_cycles, perf/issue_attempts and perf/warp_insts
+     * counters capturePerf()
      * adds each kernel's RunResult telemetry to, and
      * sim/timing_model_builds (cycle-level GPUs gpu() constructed),
      * so a metrics dump carries them even when nothing captured.

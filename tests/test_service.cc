@@ -5,12 +5,14 @@
  * repeat queries answered from the warm store with zero captures and
  * a byte-identical table, concurrent clients deduplicated onto one
  * capture, served summary rows against local kernel rows, TCP_NODELAY
- * on both ends of a connection, and the error/shutdown paths of the
- * wire protocol.
+ * on both ends of a connection, finished connection handlers joined
+ * while the server runs, and the error/shutdown paths of the wire
+ * protocol.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
 #include <filesystem>
 #include <memory>
@@ -26,6 +28,7 @@
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
+#include "obs/metrics.hh"
 #include "service/client.hh"
 #include "service/protocol.hh"
 #include "service/server.hh"
@@ -310,6 +313,26 @@ TEST(Service, BadRequestGetsAnErrorFrame)
     // a good job afterwards.
     SweepClient::JobResult retry = client.submitJob(smallRequest());
     EXPECT_TRUE(retry.ok) << retry.error;
+}
+
+TEST(Service, FinishedHandlersAreJoinedWhileTheServerRuns)
+{
+    ScopedDir dir("reap");
+    ScopedServer server(std::make_shared<SweepSession>(
+        EngineOptions().withJobs(1), store::openStore(dir.path)));
+
+    for (int c = 0; c < 20; ++c) {
+        SweepClient client("127.0.0.1", server.port());
+        SweepClient::JobResult job = client.submitJob(smallRequest());
+        ASSERT_TRUE(job.ok) << job.error;
+    }
+    // The accept loop joins a closed connection's handler within one
+    // poll period, so the 20 handlers do not pile up until shutdown.
+    obs::Gauge &handlers =
+        obs::Registry::instance().gauge("service/handlers");
+    for (int wait = 0; wait < 500 && handlers.value() > 1; ++wait)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_LE(handlers.value(), 1);
 }
 
 TEST(Service, ShutdownIsAcknowledgedAndStopsTheServer)

@@ -46,6 +46,12 @@ TEST(SimulatorFacade, CaptureFeedsTimingCoreCounters)
     EXPECT_GT(snap.perf.core_steps, 0u);
     EXPECT_GT(snap.perf.quiet_core_cycles, 0u);
     EXPECT_EQ(delta.counter("perf/core_steps"), snap.perf.core_steps);
+    // Some core steps at each chip step, and quiet stretches between
+    // them are jumped.
+    EXPECT_GT(snap.perf.chip_steps, 0u);
+    EXPECT_LE(snap.perf.chip_steps, snap.perf.core_steps);
+    EXPECT_LT(snap.perf.chip_steps, snap.perf.cycles);
+    EXPECT_EQ(delta.counter("perf/chip_steps"), snap.perf.chip_steps);
     EXPECT_EQ(delta.counter("perf/quiet_core_cycles"),
               snap.perf.quiet_core_cycles);
     // Every issued warp instruction was one attempt.

@@ -177,8 +177,7 @@ computeDigests(const std::string &chip, const GpuConfig &cfg)
 
                 std::ostringstream key;
                 key << chip << ' ' << wl->name() << ' ' << leg.mode << ' '
-                    << k << ' '
-                    << kernels[k].label;
+                    << k << ' ' << kernels[k].label;
                 char rest[80];
                 std::snprintf(rest, sizeof(rest),
                               "cycles=%llu intervals=%zu %016llx",

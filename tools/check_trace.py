@@ -20,6 +20,8 @@ Metrics (``--metrics FILE``):
   * the full ``engine/*`` counter set and the timing core's
     ``perf/*`` counters are present (the engine registers every
     instrument up front, so even unused paths report zeros);
+  * ``0 < perf/chip_steps <= perf/core_steps`` when the run captured,
+    both 0 when it did not;
   * ``--expect name=value`` asserts an exact counter value;
   * ``--expect-min name=value`` asserts a counter is at least value;
   * ``--require-counter NAME`` asserts a counter is present. Unlike
@@ -50,6 +52,7 @@ REQUIRED_COUNTERS = (
     "engine/tail_idle_ns",
     "engine/worker_busy_ns",
     "engine/worker_idle_ns",
+    "perf/chip_steps",
     "perf/core_steps",
     "perf/issue_attempts",
     "perf/quiet_core_cycles",
@@ -171,6 +174,15 @@ def check_metrics(doc, chk, expectations, min_expectations,
     for name in REQUIRED_COUNTERS:
         chk.require(name in counters,
                     "metrics: required counter %r missing" % name)
+    steps = counters.get("perf/core_steps")
+    chip_steps = counters.get("perf/chip_steps")
+    if _is_number(steps) and _is_number(chip_steps):
+        # Each chip step steps at least one core; a run that captured
+        # nothing reports both as 0.
+        chk.require(chip_steps <= steps and (chip_steps > 0) == (steps > 0),
+                    "metrics: perf/chip_steps = %s, expected 0 < chip_steps"
+                    " <= perf/core_steps = %s (both 0 without a capture)"
+                    % (chip_steps, steps))
     for name in require_counters:
         chk.require(name in counters,
                     "metrics: required counter %r missing" % name)
