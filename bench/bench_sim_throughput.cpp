@@ -15,6 +15,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "circuit/array.hh"
 #include "power/chip_power.hh"
 #include "sim/simulator.hh"
@@ -46,28 +49,41 @@ BM_SimulateOccupancyKernel(benchmark::State &state)
 }
 BENCHMARK(BM_SimulateOccupancyKernel)->Arg(200)->Arg(1000);
 
+/**
+ * Capture every kernel of `workload` on GTX580, timing only the
+ * captures: each iteration prepares the workload on a fresh
+ * Simulator over one shared power model, outside the timed region.
+ */
 void
-BM_CaptureStallBound(benchmark::State &state)
+captureWorkload(benchmark::State &state, const char *workload)
 {
-    // GTX580 backprop through the Simulator's timing phase: nearly
-    // every resident core-cycle waits on DRAM or the scoreboard.
-    Simulator sim(GpuConfig::gtx580());
-    auto wl = workloads::makeWorkload("backprop");
+    GpuConfig cfg = GpuConfig::gtx580();
+    auto model = std::make_shared<const power::GpuPowerModel>(cfg);
+    auto wl = workloads::makeWorkload(workload);
+    std::unique_ptr<Simulator> sim;
     uint64_t cycles = 0;
     for (auto _ : state) {
         state.PauseTiming();
-        sim.gpu().resetDeviceState();
+        sim = std::make_unique<Simulator>(cfg, model, nullptr);
         std::vector<workloads::KernelLaunch> kernels =
-            wl->prepare(sim.gpu());
+            wl->prepare(sim->gpu());
         state.ResumeTiming();
         for (const auto &k : kernels) {
-            KernelSnapshot snap = sim.capturePerf(k.prog, k.launch);
+            KernelSnapshot snap = sim->capturePerf(k.prog, k.launch);
             cycles += snap.perf.cycles;
             benchmark::DoNotOptimize(snap.perf.cycles);
         }
     }
     state.counters["shader_cycles/s"] = benchmark::Counter(
         static_cast<double>(cycles), benchmark::Counter::kIsRate);
+}
+
+void
+BM_CaptureStallBound(benchmark::State &state)
+{
+    // GTX580 backprop through the Simulator's timing phase: nearly
+    // every resident core-cycle waits on DRAM or the scoreboard.
+    captureWorkload(state, "backprop");
 }
 BENCHMARK(BM_CaptureStallBound)->Unit(benchmark::kMillisecond);
 
@@ -76,23 +92,7 @@ BM_CaptureIssueBound(benchmark::State &state)
 {
     // GTX580 mergesort through the Simulator's timing phase: its
     // rank-fixup kernel keeps a warp issuing on most core-cycles.
-    Simulator sim(GpuConfig::gtx580());
-    auto wl = workloads::makeWorkload("mergesort");
-    uint64_t cycles = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        sim.gpu().resetDeviceState();
-        std::vector<workloads::KernelLaunch> kernels =
-            wl->prepare(sim.gpu());
-        state.ResumeTiming();
-        for (const auto &k : kernels) {
-            KernelSnapshot snap = sim.capturePerf(k.prog, k.launch);
-            cycles += snap.perf.cycles;
-            benchmark::DoNotOptimize(snap.perf.cycles);
-        }
-    }
-    state.counters["shader_cycles/s"] = benchmark::Counter(
-        static_cast<double>(cycles), benchmark::Counter::kIsRate);
+    captureWorkload(state, "mergesort");
 }
 BENCHMARK(BM_CaptureIssueBound)->Unit(benchmark::kMillisecond);
 

@@ -9,16 +9,13 @@
  * produced bit-identical energy results — the determinism contract
  * of the engine.
  *
- * Section 2 isolates the per-scenario setup cost a worker's
- * Simulator recycling avoids (rebuild vs recycle).
- *
- * Section 3 measures the two-phase memoization on its home turf: a
+ * Section 2 measures the two-phase memoization on its home turf: a
  * process-node x vdd_scale x cooling sweep, where every scenario of a
  * workload shares one timing fingerprint, so the memoized engine runs
  * timing once per workload and replays the power phase everywhere
  * else. Results must stay bit-identical to the --no-memo path.
  *
- * Section 4 extends that across process lifetimes: the same sweep
+ * Section 3 extends that across process lifetimes: the same sweep
  * against a persistent store, cold (captures written to disk) and
  * warm (a fresh session replays everything from disk, zero timing
  * captures), cross-checked bit-identical.
@@ -133,7 +130,7 @@ runOnce(const sim::SweepSpec &spec, unsigned jobs,
         energies_out.push_back(r.energy_j);
     }
     if (replayed_out)
-        *replayed_out = result.replayedScenarios();
+        *replayed_out = result.telemetry().replayed;
     if (captured_out)
         *captured_out = result.telemetry().captured;
     return std::chrono::duration<double>(t1 - t0).count();
@@ -179,41 +176,7 @@ runBench(FILE *out)
                  "(results bit-identical at every worker count)\n",
                  speedup_at_8);
 
-    // --- 2: Simulator reuse on workload-only sweeps ---
-    // All scenarios of one config share a fingerprint, so the
-    // engine recycles each worker's Simulator instead of
-    // rebuilding GPU + power model per scenario. The per-scenario
-    // setup saving is measured in isolation (kernel simulation
-    // time would otherwise drown it).
-    constexpr int kSetupIters = 500;
-    GpuConfig setup_cfg = GpuConfig::gtx580();
-    auto s0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kSetupIters; ++i)
-        Simulator rebuild_sim(setup_cfg);
-    auto s1 = std::chrono::steady_clock::now();
-    Simulator recycled(setup_cfg);
-    for (int i = 0; i < kSetupIters; ++i)
-        recycled.recycle();
-    auto s2 = std::chrono::steady_clock::now();
-    double rebuild_us = std::chrono::duration<double>(s1 - s0)
-                            .count() * 1e6 / kSetupIters;
-    double recycle_us = std::chrono::duration<double>(s2 - s1)
-                            .count() * 1e6 / kSetupIters;
-    std::fprintf(out,
-                 "\n=== Simulator reuse: per-scenario setup cost "
-                 "(GTX580, %d iterations) ===\n", kSetupIters);
-    std::fprintf(out, "%12s %14s\n", "mode", "setup[us]");
-    std::fprintf(out, "%12s %14.1f\n", "rebuild", rebuild_us);
-    std::fprintf(out, "%12s %14.1f\n", "recycle", recycle_us);
-    std::fprintf(out,
-                 "recycling skips %.1f%% of per-scenario setup "
-                 "(%.1f us each)\n",
-                 (1.0 - recycle_us / rebuild_us) * 100.0,
-                 rebuild_us - recycle_us);
-    record("simulator_setup",
-           {{"rebuild_us", rebuild_us}, {"recycle_us", recycle_us}});
-
-    // --- 3: two-phase memoization on power-only axes ---
+    // --- 2: two-phase memoization on power-only axes ---
     sim::SweepSpec memo_spec = powerAxesSweep();
     std::size_t memo_n = memo_spec.size();
     std::fprintf(out,
@@ -246,7 +209,7 @@ runBench(FILE *out)
                                {"scenarios_per_s", memo_n / full_s}});
     record("memo_sweep/speedup", {{"speedup", speedup}});
 
-    // --- 4: persistent store: cold capture vs warm replay ---
+    // --- 3: persistent store: cold capture vs warm replay ---
     // The same power-axes sweep against an on-disk store. The cold
     // run captures and persists; the warm run is a fresh session (a
     // new process, as far as the store can tell) answering entirely

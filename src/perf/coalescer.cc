@@ -7,6 +7,19 @@
 namespace gpusimpow {
 namespace perf {
 
+namespace {
+
+/** Sort `v` and drop repeats; returns the distinct count. */
+unsigned
+sortUnique(std::vector<uint32_t> &v)
+{
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+    return static_cast<unsigned>(v.size());
+}
+
+} // namespace
+
 unsigned
 coalesce(const std::vector<uint32_t> &addrs, unsigned segment_bytes,
          std::vector<uint32_t> &out)
@@ -15,47 +28,42 @@ coalesce(const std::vector<uint32_t> &addrs, unsigned segment_bytes,
     out.clear();
     for (uint32_t a : addrs)
         out.push_back(a / segment_bytes * segment_bytes);
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return static_cast<unsigned>(out.size());
+    return sortUnique(out);
 }
 
 BankConflictInfo
 analyzeSmemAccess(const std::vector<uint32_t> &addrs, unsigned banks,
-                  unsigned word_bytes)
+                  std::vector<uint32_t> &scratch, unsigned word_bytes)
 {
     GSP_ASSERT(banks > 0 && word_bytes > 0, "bad SMEM geometry");
     BankConflictInfo info;
     if (addrs.empty())
         return info;
 
-    // Distinct words, then count words per bank.
-    std::vector<uint32_t> words;
-    words.reserve(addrs.size());
+    // Distinct words, then the longest run of one bank among them.
+    scratch.clear();
     for (uint32_t a : addrs)
-        words.push_back(a / word_bytes);
-    std::sort(words.begin(), words.end());
-    words.erase(std::unique(words.begin(), words.end()), words.end());
-    info.distinct_words = static_cast<unsigned>(words.size());
-
-    std::vector<unsigned> per_bank(banks, 0);
+        scratch.push_back(a / word_bytes);
+    info.distinct_words = sortUnique(scratch);
+    for (uint32_t &w : scratch)
+        w %= banks;
+    std::sort(scratch.begin(), scratch.end());
     unsigned worst = 1;
-    for (uint32_t w : words) {
-        unsigned bank = static_cast<unsigned>(w % banks);
-        ++per_bank[bank];
-        worst = std::max(worst, per_bank[bank]);
+    unsigned run = 1;
+    for (std::size_t i = 1; i < scratch.size(); ++i) {
+        run = scratch[i] == scratch[i - 1] ? run + 1 : 1;
+        worst = std::max(worst, run);
     }
     info.serialization = worst;
     return info;
 }
 
 unsigned
-distinctAddresses(const std::vector<uint32_t> &addrs)
+distinctAddresses(const std::vector<uint32_t> &addrs,
+                  std::vector<uint32_t> &scratch)
 {
-    std::vector<uint32_t> tmp(addrs);
-    std::sort(tmp.begin(), tmp.end());
-    tmp.erase(std::unique(tmp.begin(), tmp.end()), tmp.end());
-    return static_cast<unsigned>(tmp.size());
+    scratch.assign(addrs.begin(), addrs.end());
+    return sortUnique(scratch);
 }
 
 } // namespace perf

@@ -42,18 +42,23 @@ struct BankConflictInfo
  * words in the same bank serialize.
  * @param addrs active lanes' byte addresses
  * @param banks number of SMEM banks
+ * @param scratch caller-owned work buffer (contents overwritten)
  * @param word_bytes bank interleave granularity (4 bytes)
  */
 BankConflictInfo analyzeSmemAccess(const std::vector<uint32_t> &addrs,
                                    unsigned banks,
+                                   std::vector<uint32_t> &scratch,
                                    unsigned word_bytes = 4);
 
 /**
  * Constant-memory address-equality check: the number of serialized
  * constant-cache accesses equals the number of distinct addresses
  * (all-equal addresses broadcast in a single access).
+ * @param scratch caller-owned work buffer; left holding the
+ *        distinct addresses, sorted
  */
-unsigned distinctAddresses(const std::vector<uint32_t> &addrs);
+unsigned distinctAddresses(const std::vector<uint32_t> &addrs,
+                           std::vector<uint32_t> &scratch);
 
 } // namespace perf
 } // namespace gpusimpow

@@ -140,32 +140,17 @@ Core::canAcceptBlock() const
 {
     if (!_prog)
         return false;
-    unsigned threads = _launch->block.count();
+    unsigned threads = _resident_threads + _launch->block.count();
 
-    unsigned used_blocks = 0;
-    unsigned used_threads = 0;
-    unsigned used_warps = 0;
-    for (const auto &b : _blocks) {
-        if (b.valid) {
-            ++used_blocks;
-            used_threads += b.threads;
-        }
-    }
-    for (const auto &w : _warps) {
-        if (w.valid)
-            ++used_warps;
-    }
-
-    if (used_blocks >= _cfg.core.max_blocks)
+    if (_resident_blocks >= _cfg.core.max_blocks)
         return false;
-    if (used_threads + threads > _cfg.core.max_threads)
+    if (threads > _cfg.core.max_threads)
         return false;
-    if (used_warps + _warps_per_block > _cfg.core.maxWarps())
+    if (_resident_warps + _warps_per_block > _cfg.core.maxWarps())
         return false;
-    unsigned reg_need = (used_threads + threads) * _prog->regs_per_thread;
-    if (reg_need > _cfg.core.regfile_regs)
+    if (threads * _prog->regs_per_thread > _cfg.core.regfile_regs)
         return false;
-    unsigned smem_need = (used_blocks + 1) * _prog->smem_bytes;
+    unsigned smem_need = (_resident_blocks + 1) * _prog->smem_bytes;
     if (smem_need > _cfg.core.smem_bytes)
         return false;
     return true;
@@ -221,6 +206,8 @@ Core::launchBlock(unsigned cta_x, unsigned cta_y, uint64_t cycle)
     }
     GSP_ASSERT(assigned == _warps_per_block, "warp slot accounting broke");
     ++_resident_blocks;
+    _resident_threads += threads;
+    _resident_warps += assigned;
     _wake = 0;
 }
 
@@ -617,6 +604,7 @@ Core::finishWarpIfDone(unsigned warp_idx)
         return;
     unsigned block_slot = warp.block_slot;
     warp.valid = false;
+    --_resident_warps;
     refreshWarp(warp_idx);
     Block &blk = _blocks[block_slot];
     GSP_ASSERT(blk.live_warps > 0, "warp accounting broke");
@@ -626,9 +614,10 @@ Core::finishWarpIfDone(unsigned warp_idx)
         releaseBarrierIfReady(block_slot);
         return;
     }
-    blk = Block{};
     GSP_ASSERT(_resident_blocks > 0, "block accounting broke");
     --_resident_blocks;
+    _resident_threads -= blk.threads;
+    blk = Block{};
     ++_finished_blocks;
 }
 
@@ -663,7 +652,7 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
         bool is_store = inst.op == Op::STS;
         GSP_ASSERT(blk.smem != nullptr, "SMEM access without smem_bytes");
         BankConflictInfo info = analyzeSmemAccess(
-            _addr_scratch, _cfg.core.smem_banks);
+            _addr_scratch, _cfg.core.smem_banks, _seg_scratch);
         _act.smem_accesses += info.distinct_words;
         _act.smem_conflict_cycles += info.serialization - 1;
         // Functional.
@@ -684,7 +673,7 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
         return cycle + _cfg.core.smem_latency + info.serialization;
       }
       case Op::LDC: {
-        unsigned d = distinctAddresses(_addr_scratch);
+        unsigned d = distinctAddresses(_addr_scratch, _seg_scratch);
         _act.const_reads += d;
         unsigned miss_extra = 0;
         // Tag-check one access per distinct address.

@@ -242,6 +242,10 @@ class Core
     std::vector<Block> _blocks;
     std::vector<Warp> _warps;
     unsigned _resident_blocks = 0;
+    // Threads of the resident blocks and their still-valid warps:
+    // what canAcceptBlock() checks against the core's limits.
+    unsigned _resident_threads = 0;
+    unsigned _resident_warps = 0;
     unsigned _finished_blocks = 0;
 
     CacheModel _icache;
@@ -277,7 +281,9 @@ class Core
 
     CoreActivity _act;
 
-    // Scratch buffers reused across cycles (no hot-path allocation).
+    // Scratch buffers reused across cycles (no hot-path allocation):
+    // the lanes' addresses, and the sorted work buffer of the
+    // coalescer, bank-conflict and constant-address checks.
     std::vector<uint32_t> _addr_scratch;
     std::vector<uint32_t> _seg_scratch;
     // Per-lane values of special-register operands (src_a, b, c).

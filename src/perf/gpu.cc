@@ -43,21 +43,6 @@ Gpu::memcpyToHost(void *dst, uint32_t src, size_t bytes)
 }
 
 void
-Gpu::resetDeviceState()
-{
-    for (const auto &core : _cores)
-        GSP_ASSERT(!core->busy(), "resetDeviceState with a busy core");
-    _gmem.reset();
-    _cmem.reset();
-    _alloc.reset();
-    _pcie_bytes = 0;
-    _pcie_baseline = 0;
-    _blocks_dispatched = 0;
-    _gpu_busy = 0;
-    _cluster_busy.assign(_cfg.clusters, 0);
-}
-
-void
 Gpu::setFreqScale(double freq_scale)
 {
     GSP_ASSERT(freq_scale > 0.0, "freq_scale must be positive");

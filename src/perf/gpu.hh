@@ -80,16 +80,6 @@ class Gpu
     void memcpyToHost(void *dst, uint32_t src, size_t bytes);
 
     /**
-     * Reset all device-visible state (global/constant memory,
-     * allocator, PCIe counters) to the just-constructed state so a
-     * fresh workload sees an indistinguishable GPU. Only legal
-     * between kernels (no core may be busy). Used by the engine to
-     * recycle a Simulator across scenarios that share a
-     * configuration.
-     */
-    void resetDeviceState();
-
-    /**
      * Callback invoked every sampling interval with the activity
      * delta of that interval and its [t0, t1) bounds in seconds.
      */

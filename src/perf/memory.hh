@@ -10,7 +10,6 @@
 #ifndef GPUSIMPOW_PERF_MEMORY_HH
 #define GPUSIMPOW_PERF_MEMORY_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <unordered_map>
@@ -44,9 +43,6 @@ class GlobalMemory
     /** Number of allocated pages (for tests). */
     size_t pageCount() const { return _pages.size(); }
 
-    /** Drop all pages: memory reads as zero again. */
-    void reset() { _pages.clear(); }
-
   private:
     static constexpr uint32_t page_bits = 16;  // 64 KB pages
     static constexpr uint32_t page_size = 1u << page_bits;
@@ -66,17 +62,13 @@ class GlobalAllocator
   public:
     /** Allocations start at a non-zero base to keep 0 as "null". */
     explicit GlobalAllocator(uint32_t base = 0x1000)
-        : _base(base), _next(base)
+        : _next(base)
     {}
 
     /** Allocate `bytes` rounded up to 256-byte alignment. */
     uint32_t alloc(uint32_t bytes);
 
-    /** Forget all allocations; next alloc() starts at the base again. */
-    void reset() { _next = _base; }
-
   private:
-    uint32_t _base;
     uint32_t _next;
 };
 
@@ -88,9 +80,6 @@ class ConstantMemory
 
     uint32_t load32(uint32_t addr) const;
     void write(uint32_t addr, const void *data, size_t bytes);
-
-    /** Zero the whole segment. */
-    void reset() { std::fill(_data.begin(), _data.end(), 0); }
 
   private:
     std::vector<uint8_t> _data;

@@ -111,9 +111,14 @@ class RunModels
         return _slot_of[s.index].model;
     }
 
-    /** A Simulator for `s` on the run's shared model and network. */
+    /** A Simulator for `s` on the run's shared model and network:
+     *  the one way the engine builds a Simulator, one per scenario. */
     std::unique_ptr<Simulator> simulator(const Scenario &s)
     {
+        // Registered (with its description) by run().
+        static obs::Counter &c_builds =
+            obs::Registry::instance().counter("engine/simulator_builds");
+        c_builds.add(1);
         const Slot slot = _slot_of[s.index];
         Model &model = _models[slot.model];
         std::call_once(model.built, [&] {
@@ -199,8 +204,6 @@ replayGroup(const std::vector<Scenario> &scenarios,
     // get here; these lookups just cache the stable references.
     static obs::Counter &c_replayed =
         obs::Registry::instance().counter("engine/scenarios_replayed");
-    static obs::Counter &c_builds =
-        obs::Registry::instance().counter("engine/simulator_builds");
 
     const std::size_t n_variants = unit.size() - first;
     std::vector<std::unique_ptr<Simulator>> sims;
@@ -215,7 +218,6 @@ replayGroup(const std::vector<Scenario> &scenarios,
     for (std::size_t j = 0; j < n_variants; ++j) {
         const Scenario &variant = scenarios[unit[first + j]];
         sims.push_back(run_models.simulator(variant));
-        c_builds.add(1);
         std::size_t slot = run_models.modelSlot(variant);
         row_of[j] = static_cast<std::size_t>(
             std::find(slots.begin(), slots.end(), slot) - slots.begin());
@@ -399,12 +401,9 @@ SimulationEngine::run(const SweepSpec &spec) const
     obs::Counter &c_batch_groups = reg.counter(
         "engine/batch_groups",
         "batched replay groups (work units with replay members)");
-    obs::Counter &c_builds = reg.counter(
-        "engine/simulator_builds",
-        "Simulator constructions on behalf of the engine");
-    obs::Counter &c_recycles = reg.counter(
-        "engine/simulator_recycles",
-        "scenarios served by recycling a worker's Simulator");
+    // Counted by RunModels::simulator().
+    reg.counter("engine/simulator_builds",
+                "Simulator constructions on behalf of the engine");
     obs::Counter &c_busy = reg.counter(
         "engine/worker_busy_ns", "worker time spent inside work units");
     obs::Counter &c_idle = reg.counter(
@@ -501,27 +500,7 @@ SimulationEngine::run(const SweepSpec &spec) const
             strformat("worker-%u", worker_id));
         uint64_t busy_ns = 0;
 
-        // Per-worker Simulator cache (single entry), keyed on the
-        // scenario's full configuration — which covers architecture,
-        // node retarget, operating point and cooling. Scenario order
-        // is workload-innermost, so workload-only stretches share one
-        // configuration and the worker keeps its Simulator — and with
-        // it the power model and GPU — alive across them.
-        std::unique_ptr<Simulator> cached;
-        GpuConfig cached_cfg;
         ReplayScratch replay_scratch;
-
-        auto acquire = [&](const Scenario &scenario) -> Simulator & {
-            if (cached && cached_cfg == scenario.config) {
-                cached->recycle();
-                c_recycles.add(1);
-            } else {
-                cached = run_models.simulator(scenario);
-                cached_cfg = scenario.config;
-                c_builds.add(1);
-            }
-            return *cached;
-        };
 
         for (;;) {
             std::size_t u = cursor.fetch_add(1);
@@ -552,7 +531,7 @@ SimulationEngine::run(const SweepSpec &spec) const
                 const Scenario &first = scenarios[unit.front()];
                 if (!_options.memoize || !first.replayable()) {
                     GSP_TRACE_SPAN("engine/scenario");
-                    publish(runScenario(first, acquire(first)));
+                    publish(runScenario(first, *run_models.simulator(first)));
                 } else {
                     // One snapshot serves the whole unit: either the
                     // external source already has one for this key
@@ -569,8 +548,9 @@ SimulationEngine::run(const SweepSpec &spec) const
                             std::make_shared<ActivitySnapshot>();
                         try {
                             GSP_TRACE_SPAN("engine/capture");
-                            publish(runScenario(first, acquire(first),
-                                                captured_snap.get()));
+                            publish(runScenario(
+                                first, *run_models.simulator(first),
+                                captured_snap.get()));
                         } catch (...) {
                             // A source that registered in-flight
                             // state on the miss must be released, or
@@ -598,9 +578,6 @@ SimulationEngine::run(const SweepSpec &spec) const
                     }
                 }
             } catch (...) {
-                // The failed run may have left the Simulator mid-
-                // kernel; never recycle it into another scenario.
-                cached.reset();
                 std::size_t fail = scenarios[unit[std::min(
                     published_in_unit, unit.size() - 1)]].index;
                 std::lock_guard<std::mutex> lock(error_mutex);
@@ -634,8 +611,6 @@ SimulationEngine::run(const SweepSpec &spec) const
         c_idle.add(t_join - t_pool0 - worker_busy_ns[w]);
         c_tail.add(t_join - worker_exit_ns[w]);
     }
-
-    table.setReplayedScenarios(replayed.load());
 
     SweepTelemetry telemetry;
     telemetry.scenarios = total;

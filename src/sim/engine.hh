@@ -2,7 +2,7 @@
  * @file
  * The batch simulation engine: executes every scenario of a SweepSpec
  * on a fixed-size pool of worker threads. Scenarios are independent
- * (each worker owns a private Simulator and Workload instance), so
+ * (each one gets a private Simulator and Workload instance), so
  * throughput scales with the worker count while results stay
  * bit-identical to a single-threaded run: workers pull scenario
  * indices from a shared atomic cursor and publish into per-index
@@ -10,15 +10,13 @@
  * deterministically (lowest scenario index wins) after the pool has
  * drained.
  *
- * Full runs recycle the worker's Simulator across scenarios with an
- * identical configuration — the workload-innermost expansion order
- * makes that the common case — so workload-only sweeps build each
- * power model and GPU once per worker instead of once per scenario.
- * Device state is reset between scenarios, so reuse is
- * observationally identical to a fresh Simulator.
+ * Every scenario runs on a Simulator of its own, built for it on the
+ * run's shared power models and thermal networks and destroyed with
+ * it, so no device memory, governor clamp or thermal state can pass
+ * from one scenario to the next.
  *
- * On top of that sits the two-phase memoization, which is also the
- * one schedule: every replayable scenario joins the work unit of its
+ * The two-phase memoization is also the one schedule: every
+ * replayable scenario joins the work unit of its
  * Scenario::snapshotKey() (sim::snapshotKeys() serializes each
  * distinct timing fingerprint once per run). A unit's snapshot comes
  * from the external source (EngineOptions::snapshot_source) or from
@@ -197,7 +195,7 @@ class SimulationEngine
     /**
      * Execute one scenario in full — the one full-run body behind the
      * engine's capture units and the CLI's single run — on a
-     * caller-provided Simulator built from an identical
+     * caller-provided Simulator built for the scenario's
      * configuration. Every kernel of a replayable() scenario runs
      * its two phases back to back (capturePerf, then replayKernel);
      * a throttle-governed kernel runs Simulator::runKernel, whose

@@ -166,22 +166,6 @@ Simulator::gpu()
 }
 
 void
-Simulator::recycle()
-{
-    GSP_TRACE_SPAN("sim/recycle");
-    if (_gpu)
-        _gpu->resetDeviceState();
-    // Erase every thermal trace of previous scenarios: the governor's
-    // clamp and the carried transient temperatures both must not leak
-    // into the next workload. The deferred marches go unmarched.
-    _deferred_marches.clear();
-    if (_cfg.clocks.freq_scale != _nominal_freq_scale)
-        applyFreqScale(_nominal_freq_scale);
-    _thermal_state = thermal::ThermalNetwork::State{};
-    _steady_warm.clear();
-}
-
-void
 Simulator::ensureThermal()
 {
     if (!_network)

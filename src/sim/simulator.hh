@@ -149,6 +149,8 @@ struct KernelRun
  * The cycle-level GPU (the activity producer) is built on first use
  * — gpu() or capturePerf() — so a Simulator that only replays
  * snapshots or answers static/area queries never pays for one.
+ * A Simulator serves one scenario: device memory, a governor clamp
+ * and the carried thermal state all live as long as it does.
  */
 class Simulator
 {
@@ -180,7 +182,7 @@ class Simulator
     const power::GpuPowerModel &powerModel() const { return *_power; }
 
     /** Configuration in use (freq_scale reflects a live throttling
-     *  clamp until the next kernel or recycle()). */
+     *  clamp until the next kernel). */
     const GpuConfig &config() const { return _cfg; }
 
     /**
@@ -254,18 +256,6 @@ class Simulator
         const power::CompiledPowerModel::Eval *nominal = nullptr,
         sim::RowDetail detail = sim::RowDetail::kernels);
 
-    /**
-     * Reset device-visible state so the next workload runs exactly as
-     * it would on a freshly constructed Simulator, without rebuilding
-     * the (expensive) power model or the GPU: device memory and the
-     * GPU's activity counters are cleared (when a GPU was built), the
-     * configured operating point is restored if the governor clamped
-     * it, and all carried thermal state — the transient temperatures,
-     * the marches still deferred, and the steady-solve warm start —
-     * is discarded. Only legal between kernels.
-     */
-    void recycle();
-
     /** Lowest freq_scale the throttling governor will clamp to. */
     static constexpr double min_throttle_freq_scale = 0.25;
 
@@ -285,9 +275,9 @@ class Simulator
      *  first thermal use; its blocks() are the decomposition every
      *  per-block vector here follows. */
     std::shared_ptr<const thermal::ThermalNetwork> _network;
-    /** Transient temperatures carried across kernels; reset by
-     *  recycle() so simulator reuse stays bit-identical. Lags the
-     *  kernels in _deferred_marches until marchDeferred() runs. */
+    /** Transient temperatures carried across the scenario's
+     *  kernels. Lags the kernels in _deferred_marches until
+     *  marchDeferred() runs. */
     thermal::ThermalNetwork::State _thermal_state;
     /** One untraced thermal kernel's whole-span march, not yet
      *  applied to _thermal_state. */
@@ -303,9 +293,8 @@ class Simulator
     /** Per-block power scratch of the transient thermal march. */
     std::vector<double> _block_powers;
     /** Last converged steady-state block temperatures: the warm
-     *  start for the next solveSteady. Scoped to one scenario —
-     *  recycle() clears it with the rest of the thermal state, so
-     *  simulator reuse stays deterministic. */
+     *  start for the next solveSteady. Scoped to the one scenario
+     *  this Simulator serves. */
     std::vector<double> _steady_warm;
     /** Buffers of the steady solves, reused across them. */
     thermal::SteadyScratch _steady_scratch;
@@ -362,7 +351,7 @@ class Simulator
      * next read — by a traced kernel (evaluateSamples) or a governed
      * one (runThermal) — or when the queue reaches
      * max_deferred_marches. A Simulator that replays untraced kernels
-     * and is then destroyed or recycled never marches at all.
+     * and is then destroyed never marches at all.
      */
     void finishThermal(KernelRun &run,
                        power::CompiledPowerModel::Eval &ev,

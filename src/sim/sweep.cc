@@ -196,20 +196,6 @@ SweepResult::at(std::size_t index) const
     return _rows[index];
 }
 
-std::size_t
-SweepResult::replayedScenarios() const
-{
-    std::lock_guard<std::mutex> lock(*_mutex);
-    return _replayed;
-}
-
-void
-SweepResult::setReplayedScenarios(std::size_t n)
-{
-    std::lock_guard<std::mutex> lock(*_mutex);
-    _replayed = n;
-}
-
 void
 SweepResult::setTelemetry(SweepTelemetry telemetry)
 {

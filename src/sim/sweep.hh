@@ -254,12 +254,6 @@ class SweepResult
     /** Render an aligned summary table (one line per scenario). */
     std::string formatTable() const;
 
-    /** Scenarios whose power phase was replayed from a memoized
-     *  activity snapshot (0 when memoization was off). Set by the
-     *  engine once the run has drained. */
-    std::size_t replayedScenarios() const;
-    void setReplayedScenarios(std::size_t n);
-
     /** Execution telemetry of the run that produced this table
      *  (default-constructed for hand-built tables). Set by the
      *  engine once the run has drained. */
@@ -270,7 +264,6 @@ class SweepResult
     /** unique_ptr keeps SweepResult movable despite the mutex. */
     std::unique_ptr<std::mutex> _mutex;
     std::vector<ScenarioResult> _rows;
-    std::size_t _replayed = 0;
     SweepTelemetry _telemetry;
 };
 

@@ -142,20 +142,44 @@ TEST(Engine, DeterministicAcrossWorkerCounts)
 
 TEST(Engine, RowsMatchSingleScenarioRuns)
 {
-    SweepSpec spec;
-    spec.configs = {GpuConfig::gt240()};
-    spec.workloads = {"vectoradd", "matmul"};
-    SweepResult sweep = runWithJobs(spec, 4);
+    // Plain, thermal and throttle-governed sweeps: each row equals a
+    // single run of its scenario on a fresh Simulator, so nothing a
+    // scenario leaves behind (device memory, carried temperatures, a
+    // governor clamp) reaches another one.
+    std::vector<SweepSpec> specs(3);
+    specs[0].configs = {GpuConfig::gt240()};
+    specs[0].workloads = {"vectoradd", "matmul"};
+    specs[1].configs = {GpuConfig::gt240()};
+    specs[1].coolings = {"stock"};
+    specs[1].workloads = {"matmul", "vectoradd"};
+    GpuConfig governed = GpuConfig::gtx580();
+    governed.thermal.throttle = true;
+    specs[2].configs = {governed};
+    specs[2].coolings = {"constrained"};
+    specs[2].workloads = {"matmul", "vectoradd", "matmul"};
 
     SimulationEngine engine;
-    std::vector<Scenario> scenarios = spec.expand();
-    ASSERT_EQ(sweep.size(), scenarios.size());
-    for (const Scenario &s : scenarios) {
-        ScenarioResult solo = engine.runScenario(s);
-        const ScenarioResult &row = sweep.at(s.index);
-        EXPECT_EQ(solo.time_s, row.time_s) << s.label;
-        EXPECT_EQ(solo.energy_j, row.energy_j) << s.label;
+    bool any_throttled = false;
+    for (const SweepSpec &spec : specs) {
+        SweepResult sweep = runWithJobs(spec, 4);
+        std::vector<Scenario> scenarios = spec.expand();
+        ASSERT_EQ(sweep.size(), scenarios.size());
+        for (const Scenario &s : scenarios) {
+            ScenarioResult solo = engine.runScenario(s);
+            const ScenarioResult &row = sweep.at(s.index);
+            EXPECT_EQ(solo.time_s, row.time_s) << s.label;
+            EXPECT_EQ(solo.energy_j, row.energy_j) << s.label;
+            EXPECT_EQ(solo.t_max_k, row.t_max_k) << s.label;
+            EXPECT_EQ(solo.min_freq_scale, row.min_freq_scale)
+                << s.label;
+            EXPECT_EQ(solo.throttled, row.throttled) << s.label;
+            EXPECT_TRUE(row.verified) << s.label;
+            any_throttled |= row.throttled;
+        }
     }
+    // The governed sweep must actually clamp for the comparison to
+    // cover the governor.
+    EXPECT_TRUE(any_throttled);
 }
 
 TEST(Engine, WorkerExceptionPropagatesToCaller)
@@ -351,130 +375,6 @@ TEST(Engine, SnapshotFedSweepBuildsNoTimingModel)
         EXPECT_EQ(replayed.at(i).t_max_k, captured.at(i).t_max_k)
             << replayed.at(i).scenario.label;
     }
-}
-
-TEST(Engine, SimulatorReuseIsBitIdenticalToAFreshSimulator)
-{
-    // Workload-only sweep: every scenario shares one fingerprint, so
-    // each worker recycles one Simulator. Results must be
-    // indistinguishable from a fresh Simulator per scenario.
-    SweepSpec spec;
-    spec.configs = {GpuConfig::gt240()};
-    spec.workloads = {"vectoradd", "matmul", "blackscholes",
-                      "scalarprod"};
-
-    EngineOptions opt;
-    opt.jobs = 2;
-    SimulationEngine engine(opt);
-    SweepResult reused = engine.run(spec);
-    std::vector<Scenario> scenarios = spec.expand();
-    ASSERT_EQ(reused.size(), scenarios.size());
-    for (std::size_t i = 0; i < reused.size(); ++i) {
-        const ScenarioResult &a = reused.at(i);
-        const ScenarioResult b =
-            SimulationEngine().runScenario(scenarios[i]);
-        EXPECT_EQ(a.time_s, b.time_s) << a.scenario.label;
-        EXPECT_EQ(a.energy_j, b.energy_j) << a.scenario.label;
-        EXPECT_EQ(a.avg_power_w, b.avg_power_w) << a.scenario.label;
-        EXPECT_EQ(a.static_w, b.static_w) << a.scenario.label;
-        EXPECT_TRUE(a.verified) << a.scenario.label;
-        EXPECT_TRUE(b.verified) << b.scenario.label;
-    }
-}
-
-TEST(Engine, SimulatorReuseIsBitIdenticalWithThermalAndThrottling)
-{
-    // Thermal state (carried transient temperatures, a live
-    // throttling clamp) is exactly the kind of hidden per-Simulator
-    // state that could leak across recycled scenarios. A reuse sweep
-    // over throttling scenarios must stay bit-identical to a fresh
-    // Simulator per scenario.
-    SweepSpec spec;
-    GpuConfig cfg = GpuConfig::gtx580();
-    cfg.thermal.throttle = true;
-    spec.configs = {cfg};
-    spec.coolings = {"constrained"};
-    spec.workloads = {"matmul", "vectoradd", "matmul"};
-
-    EngineOptions opt;
-    opt.jobs = 1; // one worker recycles through all three
-    SweepResult reused = SimulationEngine(opt).run(spec);
-    EXPECT_EQ(reused.telemetry().metrics.counter(
-                  "engine/simulator_recycles"),
-              2u);
-    std::vector<Scenario> scenarios = spec.expand();
-    ASSERT_EQ(reused.size(), scenarios.size());
-    bool any_throttled = false;
-    for (std::size_t i = 0; i < reused.size(); ++i) {
-        const ScenarioResult &a = reused.at(i);
-        const ScenarioResult b =
-            SimulationEngine().runScenario(scenarios[i]);
-        EXPECT_EQ(a.time_s, b.time_s) << a.scenario.label;
-        EXPECT_EQ(a.energy_j, b.energy_j) << a.scenario.label;
-        EXPECT_EQ(a.t_max_k, b.t_max_k) << a.scenario.label;
-        EXPECT_EQ(a.min_freq_scale, b.min_freq_scale)
-            << a.scenario.label;
-        EXPECT_EQ(a.throttled, b.throttled) << a.scenario.label;
-        any_throttled |= a.throttled;
-    }
-    // The sweep must actually exercise the clamp for the hygiene
-    // check to mean anything.
-    EXPECT_TRUE(any_throttled);
-}
-
-TEST(Engine, ReuseRecoversAfterAFailedScenario)
-{
-    // The failing scenario sits between two good ones that share its
-    // fingerprint; the worker must drop its cached Simulator on the
-    // error and still produce a bit-identical result for the scenario
-    // after the failure. run() rethrows and discards its table, so
-    // the post-failure result is captured through the progress hook.
-    SweepSpec spec;
-    spec.configs = {GpuConfig::gt240()};
-    spec.workloads = {"vectoradd", "no-such-workload", "matmul"};
-
-    std::vector<ScenarioResult> completed;
-    EngineOptions opt;
-    opt.jobs = 1; // one worker sees all three in order
-    opt.progress = [&](const ScenarioResult &r, std::size_t,
-                       std::size_t) { completed.push_back(r); };
-    EXPECT_THROW(SimulationEngine(opt).run(spec), FatalError);
-
-    ASSERT_EQ(completed.size(), 2u);
-    Scenario matmul = spec.expand()[2];
-    ScenarioResult fresh = SimulationEngine().runScenario(matmul);
-    EXPECT_EQ(completed[1].scenario.label, matmul.label);
-    EXPECT_EQ(completed[1].time_s, fresh.time_s);
-    EXPECT_EQ(completed[1].energy_j, fresh.energy_j);
-    EXPECT_TRUE(completed[1].verified);
-}
-
-TEST(Engine, RecycleCleansADirtiedSimulator)
-{
-    // Recycling must erase every trace of previous device activity —
-    // including junk a misbehaving workload left in global memory —
-    // so a recycled Simulator is indistinguishable from a fresh one.
-    Scenario scenario;
-    scenario.config = GpuConfig::gt240();
-    scenario.workload = "matmul";
-
-    SimulationEngine engine;
-    ScenarioResult fresh = engine.runScenario(scenario);
-
-    Simulator sim(scenario.config);
-    ScenarioResult first = engine.runScenario(scenario, sim);
-    EXPECT_EQ(first.energy_j, fresh.energy_j);
-    // Dirty the device: junk data and a bumped allocator cursor.
-    std::vector<uint32_t> junk(4096, 0xdeadbeefu);
-    sim.gpu().allocator().alloc(1 << 20);
-    sim.gpu().memcpyToDevice(0x2000, junk.data(),
-                             junk.size() * sizeof(junk[0]));
-    sim.recycle();
-    ScenarioResult again = engine.runScenario(scenario, sim);
-    EXPECT_EQ(again.time_s, fresh.time_s);
-    EXPECT_EQ(again.energy_j, fresh.energy_j);
-    EXPECT_EQ(again.avg_power_w, fresh.avg_power_w);
-    EXPECT_TRUE(again.verified);
 }
 
 TEST(SweepResult, FormatTableListsRowsInExpansionOrder)

@@ -144,10 +144,10 @@ TEST(EngineStress, MixedSweepIsDeterministicAcrossWorkerCounts)
                            ("jobs=" + std::to_string(jobs)).c_str());
         // Snapshot-key grouping fixes the work units up front, so the
         // replay count is deterministic whatever the worker count.
-        EXPECT_EQ(parallel.replayedScenarios(), expectedReplays(spec))
+        EXPECT_EQ(parallel.telemetry().replayed, expectedReplays(spec))
             << "jobs=" << jobs;
     }
-    EXPECT_EQ(serial.replayedScenarios(), expectedReplays(spec));
+    EXPECT_EQ(serial.telemetry().replayed, expectedReplays(spec));
 }
 
 TEST(EngineStress, GroupedReplayContentionKeepsReplayCountExact)
@@ -160,7 +160,7 @@ TEST(EngineStress, GroupedReplayContentionKeepsReplayCountExact)
     for (int repeat = 0; repeat < 3; ++repeat) {
         SweepResult stressed = runWith(spec, 8);
         expectBitIdentical(serial, stressed, "8-way replay sweep");
-        EXPECT_EQ(stressed.replayedScenarios(), expectedReplays(spec))
+        EXPECT_EQ(stressed.telemetry().replayed, expectedReplays(spec))
             << "repeat=" << repeat;
     }
 }
@@ -172,8 +172,8 @@ TEST(EngineStress, MemoizeKnobIsBitIdenticalUnderContention)
     SweepResult unmemoized = runWith(spec, 8, false);
 
     expectBitIdentical(memoized, unmemoized, "memoize off");
-    EXPECT_EQ(memoized.replayedScenarios(), expectedReplays(spec));
-    EXPECT_EQ(unmemoized.replayedScenarios(), 0u);
+    EXPECT_EQ(memoized.telemetry().replayed, expectedReplays(spec));
+    EXPECT_EQ(unmemoized.telemetry().replayed, 0u);
 }
 
 TEST(EngineStress, ProgressAccountingSurvivesContention)
@@ -224,6 +224,6 @@ TEST(EngineStress, ConcurrentEnginesDoNotShareState)
         t.join();
     for (std::size_t t = 0; t < results.size(); ++t) {
         expectBitIdentical(baseline, results[t], "concurrent engine");
-        EXPECT_EQ(results[t].replayedScenarios(), expectedReplays(spec));
+        EXPECT_EQ(results[t].telemetry().replayed, expectedReplays(spec));
     }
 }

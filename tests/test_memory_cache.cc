@@ -189,7 +189,8 @@ TEST(SmemConflictTest, UnitStrideIsConflictFree)
     std::vector<uint32_t> addrs;
     for (uint32_t i = 0; i < 16; ++i)
         addrs.push_back(i * 4);
-    BankConflictInfo info = analyzeSmemAccess(addrs, 16);
+    std::vector<uint32_t> scratch;
+    BankConflictInfo info = analyzeSmemAccess(addrs, 16, scratch);
     EXPECT_EQ(info.serialization, 1u);
     EXPECT_EQ(info.distinct_words, 16u);
 }
@@ -197,7 +198,8 @@ TEST(SmemConflictTest, UnitStrideIsConflictFree)
 TEST(SmemConflictTest, SameWordBroadcasts)
 {
     std::vector<uint32_t> addrs(32, 64);
-    BankConflictInfo info = analyzeSmemAccess(addrs, 16);
+    std::vector<uint32_t> scratch;
+    BankConflictInfo info = analyzeSmemAccess(addrs, 16, scratch);
     EXPECT_EQ(info.distinct_words, 1u);
     EXPECT_EQ(info.serialization, 1u);
 }
@@ -208,7 +210,8 @@ TEST(SmemConflictTest, PowerOfTwoStrideConflicts)
     std::vector<uint32_t> addrs;
     for (uint32_t i = 0; i < 8; ++i)
         addrs.push_back(i * 16 * 4);
-    BankConflictInfo info = analyzeSmemAccess(addrs, 16);
+    std::vector<uint32_t> scratch;
+    BankConflictInfo info = analyzeSmemAccess(addrs, 16, scratch);
     EXPECT_EQ(info.serialization, 8u);
 }
 
@@ -218,14 +221,30 @@ TEST(SmemConflictTest, TwoWayConflict)
     std::vector<uint32_t> addrs;
     for (uint32_t i = 0; i < 16; ++i)
         addrs.push_back(i * 8 * 4);
-    BankConflictInfo info = analyzeSmemAccess(addrs, 16);
+    std::vector<uint32_t> scratch;
+    BankConflictInfo info = analyzeSmemAccess(addrs, 16, scratch);
     EXPECT_EQ(info.serialization, 8u);
     EXPECT_EQ(info.distinct_words, 16u);
 }
 
+TEST(SmemConflictTest, UnevenBanksAndADirtyScratch)
+{
+    // Banks 0 (three words, one broadcast twice), 3 (two words) and
+    // 5 (one word); the scratch holds an earlier call's leftovers.
+    std::vector<uint32_t> addrs = {0, 64, 64, 128, 12, 76, 20};
+    std::vector<uint32_t> scratch = {7, 7, 7, 7, 7, 7, 7, 7, 7};
+    BankConflictInfo info = analyzeSmemAccess(addrs, 16, scratch);
+    EXPECT_EQ(info.distinct_words, 6u);
+    EXPECT_EQ(info.serialization, 3u);
+    info = analyzeSmemAccess({4}, 16, scratch);
+    EXPECT_EQ(info.distinct_words, 1u);
+    EXPECT_EQ(info.serialization, 1u);
+}
+
 TEST(DistinctAddressesTest, CountsUnique)
 {
-    EXPECT_EQ(distinctAddresses({1, 1, 1}), 1u);
-    EXPECT_EQ(distinctAddresses({1, 2, 3, 2}), 3u);
-    EXPECT_EQ(distinctAddresses({}), 0u);
+    std::vector<uint32_t> scratch;
+    EXPECT_EQ(distinctAddresses({1, 1, 1}, scratch), 1u);
+    EXPECT_EQ(distinctAddresses({1, 2, 3, 2}, scratch), 3u);
+    EXPECT_EQ(distinctAddresses({}, scratch), 0u);
 }

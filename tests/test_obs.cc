@@ -432,7 +432,6 @@ TEST(Engine, TelemetryMatchesEngineCounts)
     const SweepTelemetry &tel = result.telemetry();
 
     EXPECT_EQ(tel.scenarios, result.size());
-    EXPECT_EQ(tel.replayed, result.replayedScenarios());
     EXPECT_EQ(tel.scenarios, 4u);
     EXPECT_EQ(tel.captured, 2u);
     EXPECT_EQ(tel.replayed, 2u);
@@ -448,6 +447,12 @@ TEST(Engine, TelemetryMatchesEngineCounts)
     EXPECT_EQ(tel.metrics.counter("engine/scenarios_replayed"),
               tel.replayed);
     EXPECT_EQ(tel.metrics.counter("engine/batch_groups"), 2u);
+    // One Simulator per scenario, and a cycle-level GPU only for the
+    // scenarios that ran timing.
+    EXPECT_EQ(tel.metrics.counter("engine/simulator_builds"),
+              tel.scenarios);
+    EXPECT_EQ(tel.metrics.counter("sim/timing_model_builds"),
+              tel.captured + tel.governed);
 
     std::string json = tel.toJson();
     EXPECT_TRUE(JsonChecker(json).valid()) << json;

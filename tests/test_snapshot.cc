@@ -663,8 +663,8 @@ TEST(Engine, MemoizedSweepBitIdenticalToFullSimulation)
     SweepResult full = runSweep(spec, 1, false);
     // 16 scenarios, 2 timing-unique workloads: one serial worker
     // must replay every other scenario.
-    EXPECT_EQ(memo.replayedScenarios(), spec.size() - 2);
-    EXPECT_EQ(full.replayedScenarios(), 0u);
+    EXPECT_EQ(memo.telemetry().replayed, spec.size() - 2);
+    EXPECT_EQ(full.telemetry().replayed, 0u);
     expectSweepsEqual(memo, full);
 }
 
@@ -685,7 +685,7 @@ TEST(Engine, MemoizedSweepWithTracesBitIdentical)
     spec.workloads = {"vectoradd"};
     SweepResult memo = runSweep(spec, 1, true, /*with_trace=*/true);
     SweepResult full = runSweep(spec, 1, false, /*with_trace=*/true);
-    EXPECT_EQ(memo.replayedScenarios(), 1u);
+    EXPECT_EQ(memo.telemetry().replayed, 1u);
     // Traces must actually exist for the comparison to bite.
     ASSERT_FALSE(memo.at(0).kernels.empty());
     EXPECT_FALSE(memo.at(0).kernels[0].run.trace.empty());
@@ -703,13 +703,13 @@ TEST(Engine, BatchedReplayBitIdenticalToNoMemo)
     SweepSpec spec = powerAxesSweep();
     SweepResult memo1 = runSweep(spec, 1, true, /*with_trace=*/true);
     SweepResult full1 = runSweep(spec, 1, false, /*with_trace=*/true);
-    EXPECT_EQ(memo1.replayedScenarios(), spec.size() - 2);
-    EXPECT_EQ(full1.replayedScenarios(), 0u);
+    EXPECT_EQ(memo1.telemetry().replayed, spec.size() - 2);
+    EXPECT_EQ(full1.telemetry().replayed, 0u);
     expectSweepsEqual(memo1, full1);
 
     SweepResult memo4 = runSweep(spec, 4, true, /*with_trace=*/true);
     SweepResult full4 = runSweep(spec, 4, false, /*with_trace=*/true);
-    EXPECT_EQ(memo4.replayedScenarios(), spec.size() - 2);
+    EXPECT_EQ(memo4.telemetry().replayed, spec.size() - 2);
     expectSweepsEqual(memo1, memo4);
     expectSweepsEqual(memo4, full4);
 }
@@ -728,7 +728,7 @@ TEST(Engine, BatchedReplayNonThermalTracesBitIdenticalToNoMemo)
         SweepResult full =
             runSweep(spec, jobs, false, /*with_trace=*/true);
         // 4 scenarios (2 nodes x 2 vdd points) share one timing key.
-        EXPECT_EQ(memo.replayedScenarios(), 3u);
+        EXPECT_EQ(memo.telemetry().replayed, 3u);
         ASSERT_FALSE(memo.at(0).kernels.empty());
         EXPECT_FALSE(memo.at(0).kernels[0].run.trace.empty());
         expectSweepsEqual(memo, full);
@@ -748,7 +748,7 @@ TEST(Engine, FreqScaleScenariosNeverShareSnapshots)
     SweepResult full = runSweep(spec, 1, false);
     // 4 scenarios, 2 distinct (freq, workload) timing keys -> exactly
     // the 2 node retargets replay.
-    EXPECT_EQ(memo.replayedScenarios(), 2u);
+    EXPECT_EQ(memo.telemetry().replayed, 2u);
     expectSweepsEqual(memo, full);
     // And the two operating points genuinely differ in timing
     // (expansion order is node-major, then operating point).
@@ -769,7 +769,7 @@ TEST(Engine, ThrottledScenariosFallBackToFullSimulation)
     SweepResult full = runSweep(spec, 1, false);
     // The governor's power-to-timing feedback disqualifies every
     // scenario from replay, identical keys or not.
-    EXPECT_EQ(memo.replayedScenarios(), 0u);
+    EXPECT_EQ(memo.telemetry().replayed, 0u);
     expectSweepsEqual(memo, full);
     EXPECT_TRUE(memo.at(0).throttled);
 }

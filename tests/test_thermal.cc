@@ -4,8 +4,8 @@
  * monotonicity, RC network solutions (linear, steady-state
  * fixed-point, transient), runaway detection, block power/report
  * consistency, golden identity at the pinned default cooling, the
- * DVFS throttling governor, configuration validation of the new
- * thermal parameters, and thermal-state hygiene across recycle().
+ * DVFS throttling governor, and configuration validation of the new
+ * thermal parameters.
  */
 
 #include <gtest/gtest.h>
@@ -456,7 +456,7 @@ TEST(ThermalLoop, TransientWaveformTracksTheKernel)
               sim.powerModel().staticPower());
 }
 
-TEST(ThermalLoop, ThermalStateCarriesAcrossKernelsUntilRecycled)
+TEST(ThermalLoop, ThermalStateCarriesAcrossKernels)
 {
     GpuConfig cfg = GpuConfig::gtx580();
     cfg.thermal.applyCooling("stock");
@@ -470,13 +470,6 @@ TEST(ThermalLoop, ThermalStateCarriesAcrossKernelsUntilRecycled)
     // The second kernel starts where the first ended: warmer than
     // ambient, continuing the heating trajectory.
     EXPECT_GT(second.thermal.trace.front().temps_k[0],
-              first.thermal.trace.front().temps_k[0]);
-
-    sim.recycle();
-    auto launches2 = wl->prepare(sim.gpu());
-    KernelRun fresh = sim.runKernel(launches2[0].prog,
-                                    launches2[0].launch, true, 2e-6);
-    EXPECT_EQ(fresh.thermal.trace.front().temps_k[0],
               first.thermal.trace.front().temps_k[0]);
 }
 
@@ -532,11 +525,12 @@ TEST(ThermalLoop, UntracedKernelsCarryIntoTracedKernel)
             sim.capturePerf(launches[0].prog, launches[0].launch, false);
         KernelSnapshot with_samples = sim.capturePerf(
             launches[0].prog, launches[0].launch, true, 2e-6);
-        sim.recycle();
+        // Replayed on a Simulator of their own, from ambient.
+        Simulator replay(cfg);
         for (int k = 0; k < untraced; ++k)
-            sim.replayKernel(plain);
+            replay.replayKernel(plain);
         expectTraceEnds(
-            sim.replayKernel(with_samples),
+            replay.replayKernel(with_samples),
             {0x1.3e0d4123294b9p+8, 0x1.3e0d5e398cc7dp+8,
              0x1.3e0d7b4a2a41p+8, 0x1.3e0d977e8195ep+8,
              0x1.3e00a1ba7b76bp+8, 0x1.3e1d55f490effp+8,
@@ -732,39 +726,6 @@ TEST(ThermalThrottle, StockCoolingDoesNotThrottleTheAnchors)
         EXPECT_TRUE(r.thermal_converged) << base.name;
         EXPECT_DOUBLE_EQ(r.min_freq_scale, 1.0) << base.name;
     }
-}
-
-TEST(ThermalThrottle, RecycleRestoresClampAndThermalState)
-{
-    // After a throttled scenario, recycle() must restore the
-    // configured clock and discard the thermal history so the next
-    // run is bit-identical to a fresh Simulator.
-    GpuConfig cfg = GpuConfig::gtx580();
-    cfg.thermal.applyCooling("constrained");
-    cfg.thermal.throttle = true;
-
-    sim::Scenario scenario;
-    scenario.config = cfg;
-    scenario.workload = "matmul";
-    sim::SimulationEngine engine;
-    sim::ScenarioResult fresh = engine.runScenario(scenario);
-    EXPECT_TRUE(fresh.throttled);
-
-    Simulator sim(cfg);
-    sim::ScenarioResult first = engine.runScenario(scenario, sim);
-    // The clamp is live right after the scenario...
-    EXPECT_LT(sim.config().clocks.freq_scale, 1.0);
-    sim.recycle();
-    // ...and gone after recycling.
-    EXPECT_DOUBLE_EQ(sim.config().clocks.freq_scale,
-                     cfg.clocks.freq_scale);
-    sim::ScenarioResult again = engine.runScenario(scenario, sim);
-
-    EXPECT_EQ(again.time_s, fresh.time_s);
-    EXPECT_EQ(again.energy_j, fresh.energy_j);
-    EXPECT_EQ(again.t_max_k, fresh.t_max_k);
-    EXPECT_EQ(again.min_freq_scale, fresh.min_freq_scale);
-    EXPECT_EQ(first.energy_j, fresh.energy_j);
 }
 
 TEST(ThermalThrottle, GovernorWarmStartsItsProbes)

@@ -48,7 +48,6 @@ REQUIRED_COUNTERS = (
     "engine/scenarios_governed",
     "engine/scenarios_replayed",
     "engine/simulator_builds",
-    "engine/simulator_recycles",
     "engine/tail_idle_ns",
     "engine/worker_busy_ns",
     "engine/worker_idle_ns",
