@@ -236,6 +236,33 @@ TextCursor::bytes(uint64_t n, std::string_view &out)
     return true;
 }
 
+void
+TextCursor::skipSpace()
+{
+    while (_pos < _text.size() && isSpace(_text[_pos]))
+        ++_pos;
+}
+
+bool
+TextCursor::consume(std::string_view literal)
+{
+    if (_text.substr(_pos, literal.size()) != literal)
+        return false;
+    _pos += literal.size();
+    return true;
+}
+
+bool
+TextCursor::until(std::string_view delim, std::string_view &out)
+{
+    std::size_t at = _text.find(delim, _pos);
+    if (at == std::string_view::npos)
+        return false;
+    out = _text.substr(_pos, at - _pos);
+    _pos = at + delim.size();
+    return true;
+}
+
 std::string
 TextCursor::where() const
 {

@@ -55,7 +55,7 @@ std::string jsonEscape(const std::string &s);
  * Forward-only tokenizer over a text buffer: the one reader behind
  * every parser of untrusted bytes (activity snapshots and their
  * ChipActivity records, store entry framing, sweep requests, wire
- * frame headers).
+ * frame headers, XML configurations).
  *
  *  - A token is a maximal run of non-whitespace bytes. Whitespace is
  *    the C-locale isspace() set (space, \t, \n, \v, \f, \r); every
@@ -99,6 +99,28 @@ class TextCursor
     std::size_t remaining() const { return _text.size() - _pos; }
     /** "line L, column C, byte offset O" of the cursor (1-based). */
     std::string where() const;
+
+    // Byte-level reads for markup (the XML reader), where tokens are
+    // not whitespace-delimited.
+    /** The next byte, not consumed; '\0' at the end of the text. */
+    char peek() const { return _pos < _text.size() ? _text[_pos] : '\0'; }
+    /** Skip whitespace. */
+    void skipSpace();
+    /** Consume `literal` if the text continues with it. */
+    bool consume(std::string_view literal);
+    /** Everything before the next `delim`, consumed with it; false
+     *  (nothing consumed) when no `delim` follows. */
+    bool until(std::string_view delim, std::string_view &out);
+    /** The longest run of bytes that satisfy `pred`, consumed. */
+    template <typename Pred>
+    std::string_view
+    span(Pred pred)
+    {
+        std::size_t begin = _pos;
+        while (_pos < _text.size() && pred(_text[_pos]))
+            ++_pos;
+        return _text.substr(begin, _pos - begin);
+    }
 
     /** Whole-token parses: digits only in `base`, and as f64(). */
     static bool parseU64(std::string_view tok, uint64_t &v,

@@ -12,69 +12,44 @@ namespace xml {
 
 namespace {
 
-/** Recursive-descent parser over a raw document string. */
+/** Recursive-descent parser over the document's TextCursor. */
 class Parser
 {
   public:
-    explicit Parser(const std::string &content) : _content(content) {}
+    explicit Parser(std::string_view content) : _in(content) {}
 
     std::unique_ptr<Node>
     parseDocument()
     {
-        skipProlog();
+        _in.skipSpace();
+        std::string_view declaration;
+        if (_in.consume("<?xml") && !_in.until("?>", declaration))
+            fail("unterminated XML declaration");
+        skipMisc();
         auto root = parseElement();
         skipMisc();
-        if (_pos != _content.size())
+        if (_in.remaining() != 0)
             fail("trailing content after root element");
         return root;
     }
 
   private:
-    const std::string &_content;
-    size_t _pos = 0;
-    int _line = 1;
+    TextCursor _in;
 
     [[noreturn]] void
     fail(const std::string &what)
     {
-        fatal("XML parse error at line ", _line, ": ", what);
+        fatal("XML parse error at ", _in.where(), ": ", what);
     }
 
-    bool atEnd() const { return _pos >= _content.size(); }
-
-    char
-    peek() const
-    {
-        return atEnd() ? '\0' : _content[_pos];
-    }
-
-    char
-    get()
-    {
-        if (atEnd())
-            fail("unexpected end of document");
-        char c = _content[_pos++];
-        if (c == '\n')
-            ++_line;
-        return c;
-    }
-
-    bool
-    consume(const std::string &token)
-    {
-        if (_content.compare(_pos, token.size(), token) != 0)
-            return false;
-        for (size_t i = 0; i < token.size(); ++i)
-            get();
-        return true;
-    }
-
+    /** Skip whitespace and comments. */
     void
-    skipWhitespace()
+    skipMisc()
     {
-        while (!atEnd() &&
-               std::isspace(static_cast<unsigned char>(peek()))) {
-            get();
+        _in.skipSpace();
+        while (_in.consume("<!--")) {
+            skipComment();
+            _in.skipSpace();
         }
     }
 
@@ -82,33 +57,9 @@ class Parser
     skipComment()
     {
         // Caller consumed "<!--".
-        while (!consume("-->"))
-            get();
-    }
-
-    /** Skip the XML declaration, comments, and whitespace. */
-    void
-    skipProlog()
-    {
-        skipWhitespace();
-        if (consume("<?xml")) {
-            while (!consume("?>"))
-                get();
-        }
-        skipMisc();
-    }
-
-    void
-    skipMisc()
-    {
-        while (true) {
-            skipWhitespace();
-            if (consume("<!--")) {
-                skipComment();
-            } else {
-                break;
-            }
-        }
+        std::string_view body;
+        if (!_in.until("-->", body))
+            fail("unterminated comment");
     }
 
     static bool
@@ -121,16 +72,14 @@ class Parser
     std::string
     parseName()
     {
-        std::string name;
-        while (!atEnd() && isNameChar(peek()))
-            name.push_back(get());
+        std::string_view name = _in.span(isNameChar);
         if (name.empty())
             fail("expected a name");
-        return name;
+        return std::string(name);
     }
 
     std::string
-    decodeEntities(const std::string &raw)
+    decodeEntities(std::string_view raw)
     {
         std::string out;
         for (size_t i = 0; i < raw.size(); ++i) {
@@ -139,9 +88,9 @@ class Parser
                 continue;
             }
             size_t semi = raw.find(';', i);
-            if (semi == std::string::npos)
+            if (semi == std::string_view::npos)
                 fail("unterminated entity reference");
-            std::string entity = raw.substr(i + 1, semi - i - 1);
+            std::string_view entity = raw.substr(i + 1, semi - i - 1);
             if (entity == "amp")
                 out.push_back('&');
             else if (entity == "lt")
@@ -153,7 +102,7 @@ class Parser
             else if (entity == "apos")
                 out.push_back('\'');
             else
-                fail("unknown entity '&" + entity + ";'");
+                fail("unknown entity '&" + std::string(entity) + ";'");
             i = semi;
         }
         return out;
@@ -163,21 +112,22 @@ class Parser
     parseAttributes(Node &node)
     {
         while (true) {
-            skipWhitespace();
-            if (peek() == '>' || peek() == '/' || peek() == '?')
+            _in.skipSpace();
+            char c = _in.peek();
+            if (c == '>' || c == '/' || c == '?')
                 return;
             std::string key = parseName();
-            skipWhitespace();
-            if (get() != '=')
+            _in.skipSpace();
+            if (!_in.consume("="))
                 fail("expected '=' after attribute name '" + key + "'");
-            skipWhitespace();
-            char quote = get();
-            if (quote != '"' && quote != '\'')
+            _in.skipSpace();
+            const std::string quote(1, _in.peek());
+            if (quote != "\"" && quote != "'")
                 fail("attribute value must be quoted");
-            std::string value;
-            while (peek() != quote)
-                value.push_back(get());
-            get(); // closing quote
+            _in.consume(quote);
+            std::string_view value;
+            if (!_in.until(quote, value))
+                fail("unterminated attribute value");
             node.attributes[key] = decodeEntities(value);
         }
     }
@@ -185,15 +135,14 @@ class Parser
     std::unique_ptr<Node>
     parseElement()
     {
-        if (get() != '<')
+        if (!_in.consume("<"))
             fail("expected '<'");
         auto node = std::make_unique<Node>();
         node->name = parseName();
         parseAttributes(*node);
-        skipWhitespace();
-        if (consume("/>"))
+        if (_in.consume("/>"))
             return node;
-        if (get() != '>')
+        if (!_in.consume(">"))
             fail("expected '>' to close start tag <" + node->name + ">");
         parseContent(*node);
         return node;
@@ -204,29 +153,24 @@ class Parser
     {
         std::string text;
         while (true) {
-            if (atEnd())
+            text += _in.span([](char c) { return c != '<'; });
+            if (_in.remaining() == 0)
                 fail("unterminated element <" + node.name + ">");
-            if (peek() == '<') {
-                if (consume("<!--")) {
-                    skipComment();
-                    continue;
+            if (_in.consume("<!--")) {
+                skipComment();
+            } else if (_in.consume("</")) {
+                std::string closing = parseName();
+                if (closing != node.name) {
+                    fail("mismatched close tag </" + closing +
+                         "> for <" + node.name + ">");
                 }
-                if (_content.compare(_pos, 2, "</") == 0) {
-                    consume("</");
-                    std::string closing = parseName();
-                    if (closing != node.name) {
-                        fail("mismatched close tag </" + closing +
-                             "> for <" + node.name + ">");
-                    }
-                    skipWhitespace();
-                    if (get() != '>')
-                        fail("expected '>' in close tag");
-                    node.text = trim(decodeEntities(text));
-                    return;
-                }
-                node.children.push_back(parseElement());
+                _in.skipSpace();
+                if (!_in.consume(">"))
+                    fail("expected '>' in close tag");
+                node.text = trim(decodeEntities(text));
+                return;
             } else {
-                text.push_back(get());
+                node.children.push_back(parseElement());
             }
         }
     }

@@ -1,10 +1,9 @@
 /**
  * @file
  * Metrics registry of the observability layer: process-wide named
- * counters, gauges, and histograms in the `stats::` idiom (named
- * instruments with descriptions, grouped dumps), but thread-safe by
- * construction — engine workers bump them concurrently, so every
- * value is a relaxed atomic.
+ * counters, gauges, and histograms (named instruments with
+ * descriptions, grouped dumps), thread-safe by construction — engine
+ * workers bump them concurrently, so every value is a relaxed atomic.
  *
  * Instruments are created on first use and live for the process;
  * callers cache the returned reference, so the hot path is one

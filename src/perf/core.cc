@@ -678,7 +678,7 @@ Core::executeMemory(Warp &warp, const Instruction &inst,
         unsigned miss_extra = 0;
         // Tag-check one access per distinct address.
         for (unsigned i = 0; i < d; ++i) {
-            if (!_const_cache.access(_addr_scratch[i], false)) {
+            if (!_const_cache.access(_seg_scratch[i], false)) {
                 ++_act.const_misses;
                 miss_extra = const_miss_latency;
             }

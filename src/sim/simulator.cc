@@ -289,7 +289,11 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
                        batched->n_intervals == snap.samples.size(),
                    "batched power rows do not match the snapshot");
     };
-    if (snap.with_trace && !thermal_on && keep) {
+    // Without thermal state to march, a summary row has no use for
+    // the samples.
+    if (snap.with_trace && !thermal_on) {
+        if (!keep)
+            return run;
         ensureRows(false);
         double static_w = _power->staticPower();
         run.trace.reserve(snap.samples.size());

@@ -386,6 +386,36 @@ TEST(Exec, ConstantMemoryBroadcast)
         EXPECT_EQ(out[tid], 4242u + tid);
 }
 
+TEST(Exec, DivergentConstantLoadTagChecksEveryDistinctAddress)
+{
+    // Lanes 0 and 1 read A, lane 2 reads B (another cache line):
+    // the one divergent LDC must tag-check both A and B, so B is
+    // cached and a repeat load of B hits.
+    const uint32_t a = 64, b = 512;
+    auto constMisses = [&](bool reload_b) {
+        KernelBuilder kb("ldc_divergent", 16);
+        kb.ishr(0, S(SpecialReg::TidX), I(1));
+        kb.imad(0, R(0), I(b - a), I(a));
+        kb.ldc(1, R(0));
+        if (reload_b)
+            kb.ldc(2, I(b));
+        kb.exit();
+        Gpu gpu(tinyGpu());
+        uint32_t v[2] = {11, 22};
+        gpu.constMem().write(a, &v[0], 4);
+        gpu.constMem().write(b, &v[1], 4);
+        LaunchConfig lc;
+        lc.grid = {1, 1};
+        lc.block = {3, 1};
+        RunResult r = gpu.run(kb.finish(), lc);
+        EXPECT_EQ(r.activity.sumCores(&CoreActivity::const_reads),
+                  reload_b ? 3u : 2u);
+        return r.activity.sumCores(&CoreActivity::const_misses);
+    };
+    EXPECT_EQ(constMisses(false), 2u);
+    EXPECT_EQ(constMisses(true), 2u);
+}
+
 TEST(Exec, SpecialRegisters2D)
 {
     KernelBuilder b("sregs", 16);

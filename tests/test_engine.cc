@@ -2,18 +2,16 @@
  * @file
  * Tests of the sweep stack behind SweepSession — the public entry
  * point — plus the low-level SimulationEngine contracts it builds on:
- * sweep expansion order, determinism across worker counts, the
- * empty-sweep edge case, exception propagation out of worker threads,
- * option validation, and the thread-safety of the SweepResult table.
+ * sweep expansion order, the empty-sweep edge case, exception
+ * propagation out of worker threads, option validation, and the
+ * thread-safety of the SweepResult table. Rows against worker counts,
+ * single-scenario runs and fed snapshots are test_differential's.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,79 +105,6 @@ TEST(Engine, ConfigsWithoutWorkloadsIsEmpty)
     spec.configs = {GpuConfig::gt240()};
     SweepResult result = runWithJobs(spec, 2);
     EXPECT_TRUE(result.empty());
-}
-
-TEST(Engine, DeterministicAcrossWorkerCounts)
-{
-    SweepSpec spec = smallSweep();
-    SweepResult serial = runWithJobs(spec, 1);
-    SweepResult parallel = runWithJobs(spec, 8);
-
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        const ScenarioResult &a = serial.at(i);
-        const ScenarioResult &b = parallel.at(i);
-        // Rows correspond to the same scenario...
-        EXPECT_EQ(a.scenario.index, i);
-        EXPECT_EQ(b.scenario.index, i);
-        EXPECT_EQ(a.scenario.label, b.scenario.label);
-        // ...and every measured quantity is bit-identical.
-        EXPECT_EQ(a.time_s, b.time_s) << a.scenario.label;
-        EXPECT_EQ(a.energy_j, b.energy_j) << a.scenario.label;
-        EXPECT_EQ(a.avg_power_w, b.avg_power_w) << a.scenario.label;
-        EXPECT_EQ(a.static_w, b.static_w) << a.scenario.label;
-        EXPECT_EQ(a.area_mm2, b.area_mm2) << a.scenario.label;
-        EXPECT_TRUE(a.verified);
-        EXPECT_TRUE(b.verified);
-        ASSERT_EQ(a.kernels.size(), b.kernels.size());
-        for (std::size_t k = 0; k < a.kernels.size(); ++k) {
-            EXPECT_EQ(a.kernels[k].label, b.kernels[k].label);
-            EXPECT_EQ(a.kernels[k].run.perf.cycles,
-                      b.kernels[k].run.perf.cycles);
-        }
-    }
-}
-
-TEST(Engine, RowsMatchSingleScenarioRuns)
-{
-    // Plain, thermal and throttle-governed sweeps: each row equals a
-    // single run of its scenario on a fresh Simulator, so nothing a
-    // scenario leaves behind (device memory, carried temperatures, a
-    // governor clamp) reaches another one.
-    std::vector<SweepSpec> specs(3);
-    specs[0].configs = {GpuConfig::gt240()};
-    specs[0].workloads = {"vectoradd", "matmul"};
-    specs[1].configs = {GpuConfig::gt240()};
-    specs[1].coolings = {"stock"};
-    specs[1].workloads = {"matmul", "vectoradd"};
-    GpuConfig governed = GpuConfig::gtx580();
-    governed.thermal.throttle = true;
-    specs[2].configs = {governed};
-    specs[2].coolings = {"constrained"};
-    specs[2].workloads = {"matmul", "vectoradd", "matmul"};
-
-    SimulationEngine engine;
-    bool any_throttled = false;
-    for (const SweepSpec &spec : specs) {
-        SweepResult sweep = runWithJobs(spec, 4);
-        std::vector<Scenario> scenarios = spec.expand();
-        ASSERT_EQ(sweep.size(), scenarios.size());
-        for (const Scenario &s : scenarios) {
-            ScenarioResult solo = engine.runScenario(s);
-            const ScenarioResult &row = sweep.at(s.index);
-            EXPECT_EQ(solo.time_s, row.time_s) << s.label;
-            EXPECT_EQ(solo.energy_j, row.energy_j) << s.label;
-            EXPECT_EQ(solo.t_max_k, row.t_max_k) << s.label;
-            EXPECT_EQ(solo.min_freq_scale, row.min_freq_scale)
-                << s.label;
-            EXPECT_EQ(solo.throttled, row.throttled) << s.label;
-            EXPECT_TRUE(row.verified) << s.label;
-            any_throttled |= row.throttled;
-        }
-    }
-    // The governed sweep must actually clamp for the comparison to
-    // cover the governor.
-    EXPECT_TRUE(any_throttled);
 }
 
 TEST(Engine, WorkerExceptionPropagatesToCaller)
@@ -332,49 +257,6 @@ TEST(Engine, IdleTimeRunsToThePoolJoin)
     const double capacity_ns = 2 * r.telemetry().wall_s * 1e9;
     EXPECT_LE(static_cast<double>(busy + idle), capacity_ns);
     EXPECT_GE(static_cast<double>(busy + idle), 0.9 * capacity_ns);
-}
-
-TEST(Engine, SnapshotFedSweepBuildsNoTimingModel)
-{
-    // A cold run captures every timing-unique unit and hands the
-    // snapshots to a sink; a second run fed only by them replays
-    // every scenario without building a single cycle-level GPU.
-    SweepSpec spec = smallSweep();
-    spec.coolings = {"stock", "liquid"};
-    std::mutex mutex;
-    std::map<std::string, std::shared_ptr<const ActivitySnapshot>> kept;
-
-    EngineOptions cold = EngineOptions().withJobs(2);
-    cold.snapshot_sink =
-        [&](const Scenario &s,
-            const std::shared_ptr<const ActivitySnapshot> &snap) {
-            std::lock_guard<std::mutex> lock(mutex);
-            kept[s.snapshotKey()] = snap;
-        };
-    SweepResult captured = SimulationEngine(cold).run(spec);
-    EXPECT_GE(captured.telemetry().metrics.counter(
-                  "sim/timing_model_builds"),
-              1u);
-    EXPECT_GT(captured.telemetry().captured, 0u);
-
-    EngineOptions warm = EngineOptions().withJobs(2);
-    warm.snapshot_source = [&](const Scenario &s) {
-        std::lock_guard<std::mutex> lock(mutex);
-        return kept.at(s.snapshotKey());
-    };
-    SweepResult replayed = SimulationEngine(warm).run(spec);
-    EXPECT_EQ(replayed.telemetry().metrics.counter(
-                  "sim/timing_model_builds"),
-              0u);
-    EXPECT_EQ(replayed.telemetry().captured, 0u);
-    EXPECT_EQ(replayed.telemetry().replayed, replayed.size());
-    ASSERT_EQ(replayed.size(), captured.size());
-    for (std::size_t i = 0; i < replayed.size(); ++i) {
-        EXPECT_EQ(replayed.at(i).energy_j, captured.at(i).energy_j)
-            << replayed.at(i).scenario.label;
-        EXPECT_EQ(replayed.at(i).t_max_k, captured.at(i).t_max_k)
-            << replayed.at(i).scenario.label;
-    }
 }
 
 TEST(SweepResult, FormatTableListsRowsInExpansionOrder)

@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "row_text.hh"
 #include "sim/engine.hh"
 #include "sim/sweep.hh"
 
@@ -68,12 +69,9 @@ replaySweep()
 }
 
 SweepResult
-runWith(const SweepSpec &spec, unsigned jobs, bool memoize = true)
+runWith(const SweepSpec &spec, unsigned jobs)
 {
-    EngineOptions opt;
-    opt.jobs = jobs;
-    opt.memoize = memoize;
-    return SimulationEngine(opt).run(spec);
+    return SimulationEngine(EngineOptions().withJobs(jobs)).run(spec);
 }
 
 /** Replays a deterministic schedule must produce: every replayable
@@ -89,38 +87,6 @@ expectedReplays(const SweepSpec &spec)
     for (const auto &entry : groups)
         replays += entry.second - 1;
     return replays;
-}
-
-void
-expectBitIdentical(const SweepResult &a, const SweepResult &b,
-                   const char *what)
-{
-    ASSERT_EQ(a.size(), b.size()) << what;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const ScenarioResult &x = a.at(i);
-        const ScenarioResult &y = b.at(i);
-        EXPECT_EQ(x.scenario.label, y.scenario.label) << what;
-        EXPECT_EQ(x.time_s, y.time_s) << what << ": " << x.scenario.label;
-        EXPECT_EQ(x.energy_j, y.energy_j)
-            << what << ": " << x.scenario.label;
-        EXPECT_EQ(x.avg_power_w, y.avg_power_w)
-            << what << ": " << x.scenario.label;
-        EXPECT_EQ(x.static_w, y.static_w)
-            << what << ": " << x.scenario.label;
-        EXPECT_EQ(x.vdd, y.vdd) << what << ": " << x.scenario.label;
-        EXPECT_EQ(x.t_max_k, y.t_max_k)
-            << what << ": " << x.scenario.label;
-        EXPECT_EQ(x.throttled, y.throttled)
-            << what << ": " << x.scenario.label;
-        EXPECT_EQ(x.min_freq_scale, y.min_freq_scale)
-            << what << ": " << x.scenario.label;
-        ASSERT_EQ(x.kernels.size(), y.kernels.size())
-            << what << ": " << x.scenario.label;
-        for (std::size_t k = 0; k < x.kernels.size(); ++k)
-            EXPECT_EQ(x.kernels[k].run.perf.cycles,
-                      y.kernels[k].run.perf.cycles)
-                << what << ": " << x.scenario.label;
-    }
 }
 
 } // namespace
@@ -139,9 +105,9 @@ TEST(EngineStress, MixedSweepIsDeterministicAcrossWorkerCounts)
     SweepResult serial = runWith(spec, 1);
     unsigned hw = std::thread::hardware_concurrency();
     for (unsigned jobs : {2u, 8u, hw ? hw : 4u}) {
+        SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
         SweepResult parallel = runWith(spec, jobs);
-        expectBitIdentical(serial, parallel,
-                           ("jobs=" + std::to_string(jobs)).c_str());
+        test::expectSameRows(serial, parallel);
         // Snapshot-key grouping fixes the work units up front, so the
         // replay count is deterministic whatever the worker count.
         EXPECT_EQ(parallel.telemetry().replayed, expectedReplays(spec))
@@ -159,21 +125,10 @@ TEST(EngineStress, GroupedReplayContentionKeepsReplayCountExact)
     SweepResult serial = runWith(spec, 1);
     for (int repeat = 0; repeat < 3; ++repeat) {
         SweepResult stressed = runWith(spec, 8);
-        expectBitIdentical(serial, stressed, "8-way replay sweep");
+        test::expectSameRows(serial, stressed);
         EXPECT_EQ(stressed.telemetry().replayed, expectedReplays(spec))
             << "repeat=" << repeat;
     }
-}
-
-TEST(EngineStress, MemoizeKnobIsBitIdenticalUnderContention)
-{
-    SweepSpec spec = mixedSweep();
-    SweepResult memoized = runWith(spec, 8, true);
-    SweepResult unmemoized = runWith(spec, 8, false);
-
-    expectBitIdentical(memoized, unmemoized, "memoize off");
-    EXPECT_EQ(memoized.telemetry().replayed, expectedReplays(spec));
-    EXPECT_EQ(unmemoized.telemetry().replayed, 0u);
 }
 
 TEST(EngineStress, ProgressAccountingSurvivesContention)
@@ -223,7 +178,7 @@ TEST(EngineStress, ConcurrentEnginesDoNotShareState)
     for (std::thread &t : drivers)
         t.join();
     for (std::size_t t = 0; t < results.size(); ++t) {
-        expectBitIdentical(baseline, results[t], "concurrent engine");
+        test::expectSameRows(baseline, results[t]);
         EXPECT_EQ(results[t].telemetry().replayed, expectedReplays(spec));
     }
 }

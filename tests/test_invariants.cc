@@ -11,7 +11,6 @@
 #include "perf/activity.hh"
 #include "perf/cache.hh"
 #include "perf/memory.hh"
-#include "stats/stats.hh"
 #include "workloads/microbench.hh"
 
 using namespace gpusimpow;
@@ -43,12 +42,6 @@ TEST(PanicDiscipline, NonPowerOfTwoCacheSetsAbort)
     // 3 sets: not a power of two.
     EXPECT_DEATH(perf::CacheModel({3 * 64 * 2, 64, 2, false}),
                  "power of two");
-}
-
-TEST(PanicDiscipline, BadDistributionAborts)
-{
-    EXPECT_DEATH(stats::Distribution("d", "d", 5, 5, 4), "non-empty");
-    EXPECT_DEATH(stats::Distribution("d", "d", 0, 9, 0), "bucket");
 }
 
 TEST(PanicDiscipline, MismatchedActivityDiffAborts)

@@ -22,12 +22,12 @@
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "row_text.hh"
 #include "sim/engine.hh"
 #include "sim/sweep.hh"
 
 using namespace gpusimpow;
 using sim::EngineOptions;
-using sim::ScenarioResult;
 using sim::SimulationEngine;
 using sim::SweepResult;
 using sim::SweepSpec;
@@ -192,23 +192,6 @@ runWithJobs(const SweepSpec &spec, unsigned jobs)
     EngineOptions opt;
     opt.jobs = jobs;
     return SimulationEngine(opt).run(spec);
-}
-
-/** Bitwise comparison of every measured column of two tables. */
-void
-expectBitIdentical(const SweepResult &a, const SweepResult &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_EQ(a.formatTable(), b.formatTable());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const ScenarioResult &ra = a.at(i);
-        const ScenarioResult &rb = b.at(i);
-        EXPECT_EQ(ra.time_s, rb.time_s) << ra.scenario.label;
-        EXPECT_EQ(ra.energy_j, rb.energy_j) << ra.scenario.label;
-        EXPECT_EQ(ra.avg_power_w, rb.avg_power_w) << ra.scenario.label;
-        EXPECT_EQ(ra.t_max_k, rb.t_max_k) << ra.scenario.label;
-        EXPECT_EQ(ra.verified, rb.verified) << ra.scenario.label;
-    }
 }
 
 } // namespace
@@ -421,7 +404,7 @@ TEST(Engine, ByteIdenticalWithTracingOnAndOff)
         tracer.clear();
         // Spans observe, they never steer: results are bitwise equal
         // with tracing on or off at any worker count.
-        expectBitIdentical(off, on);
+        test::expectSameRows(off, on);
     }
 }
 

@@ -2,12 +2,11 @@
  * @file
  * Tests of the sweep service: request serialization round-trip, an
  * in-process server/client job round-trip on an ephemeral port,
- * repeat queries answered from the warm store with zero captures and
- * a byte-identical table, concurrent clients deduplicated onto one
- * capture, served summary rows against local kernel rows, TCP_NODELAY
- * on both ends of a connection, finished connection handlers joined
+ * concurrent clients deduplicated onto one capture, TCP_NODELAY on
+ * both ends of a connection, finished connection handlers joined
  * while the server runs, and the error/shutdown paths of the wire
- * protocol.
+ * protocol. Served tables on a warm store against local rows, in
+ * every thermal mode, are test_differential's service leg.
  */
 
 #include <gtest/gtest.h>
@@ -179,28 +178,6 @@ TEST(Service, JobRoundTripStreamsRowsAndTable)
               local.submit(smallRequest().toSpec()).formatTable());
 }
 
-TEST(Service, RepeatQueryIsServedFromWarmStoreByteIdentically)
-{
-    ScopedDir dir("warm");
-    ScopedServer server(std::make_shared<SweepSession>(
-        EngineOptions().withJobs(2), store::openStore(dir.path)));
-
-    SweepClient first("127.0.0.1", server.port());
-    SweepClient::JobResult cold = first.submitJob(smallRequest());
-    ASSERT_TRUE(cold.ok) << cold.error;
-
-    SweepClient second("127.0.0.1", server.port());
-    SweepClient::JobResult warm = second.submitJob(smallRequest());
-    ASSERT_TRUE(warm.ok) << warm.error;
-
-    EXPECT_EQ(warm.table, cold.table);
-    // The telemetry document proves the repeat ran capture-free.
-    EXPECT_NE(warm.metrics_json.find("\"captured\":0"),
-              std::string::npos)
-        << warm.metrics_json;
-    EXPECT_EQ(server.session->storeHandle()->size(), 1u);
-}
-
 TEST(Service, ConcurrentClientsShareOneCapture)
 {
     ScopedDir dir("dedupe");
@@ -223,34 +200,6 @@ TEST(Service, ConcurrentClientsShareOneCapture)
     // One snapshot key in the request, so exactly one entry — and
     // one capture — no matter how the clients interleaved.
     EXPECT_EQ(server.session->storeHandle()->size(), 1u);
-}
-
-TEST(Service, ServedCoolingSweepMatchesLocalKernelRows)
-{
-    // The server computes summary rows on run-scoped models shared
-    // across the cooling and supply axes; a local in-process job
-    // keeps full kernel rows. The tables must not differ by a byte.
-    SweepRequest request = SweepRequest()
-                               .withWorkloads("vectoradd,matmul")
-                               .withNodes("40,28")
-                               .withVf("0.9:1,1:1")
-                               .withCoolings("stock,liquid");
-    ScopedServer server(
-        std::make_shared<SweepSession>(EngineOptions().withJobs(2)));
-    SweepClient client("127.0.0.1", server.port());
-    SweepClient::JobResult job = client.submitJob(request);
-    ASSERT_TRUE(job.ok) << job.error;
-    EXPECT_EQ(job.rows, 16u);
-    // Two nodes x two supplies: four power models, however many
-    // workloads and coolings share them.
-    EXPECT_NE(job.metrics_json.find("\"power/model_builds\":4"),
-              std::string::npos)
-        << job.metrics_json;
-
-    sim::SweepResult local =
-        SweepSession(EngineOptions().withJobs(2)).submit(request.toSpec());
-    ASSERT_FALSE(local.at(0).kernels.empty());
-    EXPECT_EQ(job.table, local.formatTable());
 }
 
 TEST(Protocol, NoDelayIsSetOnBothEndsOfALoopbackConnection)

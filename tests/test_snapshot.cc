@@ -1,18 +1,16 @@
 /**
  * @file
- * Tests of the two-phase simulation flow: activity-snapshot capture
- * and replay must be bit-identical to full simulation across every
- * power-only axis (process node, supply scale, cooling), snapshots
- * must survive serialization, the cache key must collapse exactly the
- * timing-invariant axes and split everything else, and the engine's
- * memoized sweeps must match the --no-memo path bit for bit —
- * including the throttling-governor fallback.
+ * Tests of the two-phase simulation flow at the Simulator level:
+ * capture plus replay must equal runKernel, traced intervals must
+ * match the scalar evaluator, snapshots must survive serialization
+ * and reject malformed text, and the cache key must collapse exactly
+ * the timing-invariant axes and split everything else. Sweep rows
+ * against full simulation are test_differential's.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -21,6 +19,7 @@
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "power/compiled.hh"
+#include "row_text.hh"
 #include "sim/engine.hh"
 #include "sim/simulator.hh"
 #include "sim/snapshot.hh"
@@ -30,9 +29,7 @@
 using namespace gpusimpow;
 using sim::EngineOptions;
 using sim::Scenario;
-using sim::ScenarioResult;
 using sim::SimulationEngine;
-using sim::SweepResult;
 using sim::SweepSpec;
 
 namespace {
@@ -43,104 +40,6 @@ prepareWorkload(Simulator &sim, const std::string &name)
 {
     auto wl = workloads::makeWorkload(name, 1);
     return wl->prepare(sim.gpu());
-}
-
-/** Exact equality of two kernel runs, power traces included. */
-void
-expectRunsEqual(const KernelRun &a, const KernelRun &b,
-                const std::string &what)
-{
-    EXPECT_EQ(a.perf.cycles, b.perf.cycles) << what;
-    EXPECT_EQ(a.perf.time_s, b.perf.time_s) << what;
-    EXPECT_EQ(a.perf.instructions, b.perf.instructions) << what;
-    EXPECT_EQ(a.report.totalPower(), b.report.totalPower()) << what;
-    EXPECT_EQ(a.report.dynamicPower(), b.report.dynamicPower()) << what;
-    EXPECT_EQ(a.report.staticPower(), b.report.staticPower()) << what;
-    EXPECT_EQ(a.report.dram_w, b.report.dram_w) << what;
-    EXPECT_EQ(a.report.elapsed_s, b.report.elapsed_s) << what;
-    ASSERT_EQ(a.trace.size(), b.trace.size()) << what;
-    for (std::size_t i = 0; i < a.trace.size(); ++i) {
-        EXPECT_EQ(a.trace[i].t0, b.trace[i].t0) << what << " @" << i;
-        EXPECT_EQ(a.trace[i].t1, b.trace[i].t1) << what << " @" << i;
-        EXPECT_EQ(a.trace[i].dynamic_w, b.trace[i].dynamic_w)
-            << what << " @" << i;
-        EXPECT_EQ(a.trace[i].static_w, b.trace[i].static_w)
-            << what << " @" << i;
-        EXPECT_EQ(a.trace[i].dram_w, b.trace[i].dram_w)
-            << what << " @" << i;
-    }
-    EXPECT_EQ(a.thermal.enabled, b.thermal.enabled) << what;
-    EXPECT_EQ(a.thermal.converged, b.thermal.converged) << what;
-    EXPECT_EQ(a.thermal.throttled, b.thermal.throttled) << what;
-    EXPECT_EQ(a.thermal.t_max_k, b.thermal.t_max_k) << what;
-    EXPECT_EQ(a.thermal.heatsink_k, b.thermal.heatsink_k) << what;
-    EXPECT_EQ(a.thermal.block_temps_k, b.thermal.block_temps_k) << what;
-    ASSERT_EQ(a.thermal.trace.size(), b.thermal.trace.size()) << what;
-    for (std::size_t i = 0; i < a.thermal.trace.size(); ++i) {
-        EXPECT_EQ(a.thermal.trace[i].temps_k, b.thermal.trace[i].temps_k)
-            << what << " @" << i;
-    }
-}
-
-/** Exact equality of two scenario rows, kernel by kernel. */
-void
-expectScenariosEqual(const ScenarioResult &a, const ScenarioResult &b)
-{
-    const std::string &what = a.scenario.label;
-    EXPECT_EQ(a.scenario.label, b.scenario.label);
-    EXPECT_EQ(a.time_s, b.time_s) << what;
-    EXPECT_EQ(a.energy_j, b.energy_j) << what;
-    EXPECT_EQ(a.avg_power_w, b.avg_power_w) << what;
-    EXPECT_EQ(a.static_w, b.static_w) << what;
-    EXPECT_EQ(a.area_mm2, b.area_mm2) << what;
-    EXPECT_EQ(a.vdd, b.vdd) << what;
-    EXPECT_EQ(a.shader_hz, b.shader_hz) << what;
-    EXPECT_EQ(a.verified, b.verified) << what;
-    EXPECT_EQ(a.thermal, b.thermal) << what;
-    EXPECT_EQ(a.t_max_k, b.t_max_k) << what;
-    EXPECT_EQ(a.throttled, b.throttled) << what;
-    EXPECT_EQ(a.thermal_converged, b.thermal_converged) << what;
-    EXPECT_EQ(a.min_freq_scale, b.min_freq_scale) << what;
-    ASSERT_EQ(a.kernels.size(), b.kernels.size()) << what;
-    for (std::size_t k = 0; k < a.kernels.size(); ++k) {
-        EXPECT_EQ(a.kernels[k].label, b.kernels[k].label) << what;
-        EXPECT_EQ(a.kernels[k].repeatable, b.kernels[k].repeatable)
-            << what;
-        expectRunsEqual(a.kernels[k].run, b.kernels[k].run,
-                        what + "/" + a.kernels[k].label);
-    }
-}
-
-/** The memoization showcase sweep: all swept axes are power-only. */
-SweepSpec
-powerAxesSweep()
-{
-    SweepSpec spec;
-    spec.configs = {GpuConfig::gt240()};
-    spec.tech_nodes = {40u, 28u};
-    spec.operating_points = OperatingPoint::parseList("0.9:1,1:1");
-    spec.coolings = {"stock", "liquid"};
-    spec.workloads = {"vectoradd", "matmul"};
-    return spec;
-}
-
-SweepResult
-runSweep(const SweepSpec &spec, unsigned jobs, bool memoize,
-         bool with_trace = false)
-{
-    EngineOptions opt;
-    opt.jobs = jobs;
-    opt.memoize = memoize;
-    opt.with_trace = with_trace;
-    return SimulationEngine(opt).run(spec);
-}
-
-void
-expectSweepsEqual(const SweepResult &a, const SweepResult &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        expectScenariosEqual(a.at(i), b.at(i));
 }
 
 } // namespace
@@ -194,7 +93,9 @@ TEST(Snapshot, CaptureReplayMatchesRunKernelWithTrace)
     EXPECT_FALSE(snap.samples.empty());
     KernelRun replayed = staged.replayKernel(snap);
 
-    expectRunsEqual(direct, replayed, "vectoradd");
+    EXPECT_TRUE(test::sameText(
+        test::kernelText({live_launches[0].label, true, direct}),
+        test::kernelText({live_launches[0].label, true, replayed})));
 }
 
 TEST(Snapshot, TracedRowsMatchTheScalarEvaluatorOnBothChips)
@@ -227,112 +128,6 @@ TEST(Snapshot, TracedRowsMatchTheScalarEvaluatorOnBothChips)
         // Several intervals, or the comparison would barely bite.
         EXPECT_GT(intervals, 8u) << cfg.name;
     }
-}
-
-TEST(Snapshot, ReplayAcrossNodeAndVddMatchesFullSimulation)
-{
-    // Capture timing once on the nominal GT240...
-    GpuConfig base = GpuConfig::gt240();
-    Simulator capture_sim(base);
-    auto launches = prepareWorkload(capture_sim, "matmul");
-    std::vector<KernelSnapshot> snaps;
-    for (const auto &kl : launches) {
-        KernelSnapshot s = capture_sim.capturePerf(kl.prog, kl.launch,
-                                                   true);
-        s.label = kl.label;
-        snaps.push_back(std::move(s));
-    }
-
-    // ...then retarget to 28 nm at 0.9x supply: power-only changes.
-    GpuConfig variant = base;
-    variant.tech.node_nm = 28;
-    variant.tech.vdd = -1.0; // node-nominal supply
-    variant.tech.vdd_scale = 0.9;
-    ASSERT_EQ(sim::timingFingerprint(base),
-              sim::timingFingerprint(variant));
-
-    Simulator full(variant);
-    auto full_launches = prepareWorkload(full, "matmul");
-    Simulator replay(variant); // untouched GPU: replay needs no prepare
-    ASSERT_EQ(full_launches.size(), snaps.size());
-    for (std::size_t i = 0; i < snaps.size(); ++i) {
-        KernelRun truth = full.runKernel(full_launches[i].prog,
-                                         full_launches[i].launch, true);
-        KernelRun replayed = replay.replayKernel(snaps[i]);
-        expectRunsEqual(truth, replayed, snaps[i].label);
-    }
-}
-
-TEST(Snapshot, ReplayAcrossCoolingMatchesFullSimulation)
-{
-    GpuConfig base = GpuConfig::gt240();
-    Simulator capture_sim(base);
-    auto launches = prepareWorkload(capture_sim, "matmul");
-    std::vector<KernelSnapshot> snaps;
-    for (const auto &kl : launches)
-        snaps.push_back(capture_sim.capturePerf(kl.prog, kl.launch,
-                                                true));
-
-    for (const char *cooling : {"stock", "liquid"}) {
-        GpuConfig variant = base;
-        variant.thermal.applyCooling(cooling);
-        ASSERT_EQ(sim::timingFingerprint(base),
-                  sim::timingFingerprint(variant));
-
-        Simulator full(variant);
-        auto full_launches = prepareWorkload(full, "matmul");
-        Simulator replay(variant);
-        for (std::size_t i = 0; i < snaps.size(); ++i) {
-            KernelRun truth = full.runKernel(full_launches[i].prog,
-                                             full_launches[i].launch,
-                                             true);
-            KernelRun replayed = replay.replayKernel(snaps[i]);
-            ASSERT_TRUE(replayed.thermal.enabled);
-            EXPECT_FALSE(replayed.thermal.trace.empty());
-            expectRunsEqual(truth, replayed, cooling);
-        }
-    }
-}
-
-TEST(Snapshot, SerializationRoundTripReplaysIdentically)
-{
-    SweepSpec spec;
-    spec.configs = {GpuConfig::gt240()};
-    spec.workloads = {"vectoradd"};
-    const Scenario scenario = spec.expand().at(0);
-
-    EngineOptions opt = EngineOptions().withJobs(1).withTrace(true);
-    SimulationEngine engine(opt);
-    Simulator sim(scenario.config);
-    ActivitySnapshot captured;
-    ScenarioResult direct = engine.runScenario(scenario, sim,
-                                               &captured);
-    ASSERT_FALSE(captured.kernels.empty());
-
-    std::string text = captured.serialize();
-    ActivitySnapshot parsed = ActivitySnapshot::parse(text);
-    EXPECT_EQ(parsed.workload, captured.workload);
-    EXPECT_EQ(parsed.scale, captured.scale);
-    EXPECT_EQ(parsed.with_trace, captured.with_trace);
-    EXPECT_EQ(parsed.sample_interval_s, captured.sample_interval_s);
-    EXPECT_EQ(parsed.verified, captured.verified);
-    ASSERT_EQ(parsed.kernels.size(), captured.kernels.size());
-    EXPECT_EQ(parsed.kernels[0].label, captured.kernels[0].label);
-    EXPECT_EQ(parsed.kernels[0].samples.size(),
-              captured.kernels[0].samples.size());
-
-    // Replay through the engine, fed the parsed snapshot as an
-    // external source: no timing runs.
-    auto source = std::make_shared<const ActivitySnapshot>(parsed);
-    EngineOptions replay_opt = opt;
-    replay_opt.snapshot_source = [&](const Scenario &s) {
-        EXPECT_EQ(s.snapshotKey(), scenario.snapshotKey());
-        return source;
-    };
-    SweepResult replayed = SimulationEngine(replay_opt).run(spec);
-    EXPECT_EQ(replayed.telemetry().captured, 0u);
-    EXPECT_EQ(replayed.telemetry().replayed, 1u);
-    expectScenariosEqual(direct, replayed.at(0));
 }
 
 TEST(Snapshot, BatchKeysMatchPerScenarioKeys)
@@ -654,122 +449,4 @@ TEST(Snapshot, ReplayKernelRejectsGovernedConfig)
     Simulator sim(cfg);
     KernelSnapshot snap;
     EXPECT_THROW(sim.replayKernel(snap), FatalError);
-}
-
-TEST(Engine, MemoizedSweepBitIdenticalToFullSimulation)
-{
-    SweepSpec spec = powerAxesSweep();
-    SweepResult memo = runSweep(spec, 1, true);
-    SweepResult full = runSweep(spec, 1, false);
-    // 16 scenarios, 2 timing-unique workloads: one serial worker
-    // must replay every other scenario.
-    EXPECT_EQ(memo.telemetry().replayed, spec.size() - 2);
-    EXPECT_EQ(full.telemetry().replayed, 0u);
-    expectSweepsEqual(memo, full);
-}
-
-TEST(Engine, MemoizedSweepBitIdenticalAcrossWorkerCounts)
-{
-    SweepSpec spec = powerAxesSweep();
-    SweepResult serial = runSweep(spec, 1, true);
-    SweepResult parallel = runSweep(spec, 4, true);
-    expectSweepsEqual(serial, parallel);
-}
-
-TEST(Engine, MemoizedSweepWithTracesBitIdentical)
-{
-    SweepSpec spec;
-    spec.configs = {GpuConfig::gt240()};
-    spec.tech_nodes = {40u, 28u};
-    spec.coolings = {"stock"};
-    spec.workloads = {"vectoradd"};
-    SweepResult memo = runSweep(spec, 1, true, /*with_trace=*/true);
-    SweepResult full = runSweep(spec, 1, false, /*with_trace=*/true);
-    EXPECT_EQ(memo.telemetry().replayed, 1u);
-    // Traces must actually exist for the comparison to bite.
-    ASSERT_FALSE(memo.at(0).kernels.empty());
-    EXPECT_FALSE(memo.at(0).kernels[0].run.trace.empty());
-    EXPECT_FALSE(memo.at(1).kernels[0].run.thermal.trace.empty());
-    expectSweepsEqual(memo, full);
-}
-
-TEST(Engine, BatchedReplayBitIdenticalToNoMemo)
-{
-    // Grouped replay changes scheduling and the evaluator (one
-    // capture per key, then multi-variant matrix kernels) against
-    // the --no-memo oracle's per-scenario full simulation with
-    // width-1 rows, but every published number must stay
-    // byte-identical, at one worker and at several.
-    SweepSpec spec = powerAxesSweep();
-    SweepResult memo1 = runSweep(spec, 1, true, /*with_trace=*/true);
-    SweepResult full1 = runSweep(spec, 1, false, /*with_trace=*/true);
-    EXPECT_EQ(memo1.telemetry().replayed, spec.size() - 2);
-    EXPECT_EQ(full1.telemetry().replayed, 0u);
-    expectSweepsEqual(memo1, full1);
-
-    SweepResult memo4 = runSweep(spec, 4, true, /*with_trace=*/true);
-    SweepResult full4 = runSweep(spec, 4, false, /*with_trace=*/true);
-    EXPECT_EQ(memo4.telemetry().replayed, spec.size() - 2);
-    expectSweepsEqual(memo1, memo4);
-    expectSweepsEqual(memo4, full4);
-}
-
-TEST(Engine, BatchedReplayNonThermalTracesBitIdenticalToNoMemo)
-{
-    // No cooling axis -> thermal disabled: exercises the batched
-    // dynamic/dram trace path rather than the per-block march.
-    SweepSpec spec;
-    spec.configs = {GpuConfig::gt240()};
-    spec.tech_nodes = {40u, 28u};
-    spec.operating_points = OperatingPoint::parseList("0.9:1,1:1");
-    spec.workloads = {"vectoradd"};
-    for (unsigned jobs : {1u, 4u}) {
-        SweepResult memo = runSweep(spec, jobs, true, /*with_trace=*/true);
-        SweepResult full =
-            runSweep(spec, jobs, false, /*with_trace=*/true);
-        // 4 scenarios (2 nodes x 2 vdd points) share one timing key.
-        EXPECT_EQ(memo.telemetry().replayed, 3u);
-        ASSERT_FALSE(memo.at(0).kernels.empty());
-        EXPECT_FALSE(memo.at(0).kernels[0].run.trace.empty());
-        expectSweepsEqual(memo, full);
-    }
-}
-
-TEST(Engine, FreqScaleScenariosNeverShareSnapshots)
-{
-    // freq_scale changes timing, so each operating point must get its
-    // own snapshot; only the node axis within a point may replay.
-    SweepSpec spec;
-    spec.configs = {GpuConfig::gt240()};
-    spec.tech_nodes = {40u, 28u};
-    spec.operating_points = OperatingPoint::parseList("1:0.8,1:1");
-    spec.workloads = {"vectoradd"};
-    SweepResult memo = runSweep(spec, 1, true);
-    SweepResult full = runSweep(spec, 1, false);
-    // 4 scenarios, 2 distinct (freq, workload) timing keys -> exactly
-    // the 2 node retargets replay.
-    EXPECT_EQ(memo.telemetry().replayed, 2u);
-    expectSweepsEqual(memo, full);
-    // And the two operating points genuinely differ in timing
-    // (expansion order is node-major, then operating point).
-    EXPECT_NE(memo.at(0).time_s, memo.at(1).time_s);
-}
-
-TEST(Engine, ThrottledScenariosFallBackToFullSimulation)
-{
-    SweepSpec spec;
-    GpuConfig cfg = GpuConfig::gtx580();
-    cfg.thermal.throttle = true;
-    spec.configs = {cfg};
-    spec.tech_nodes = {40u, 40u}; // identical retargets: memo bait
-    spec.coolings = {"constrained"};
-    spec.workloads = {"matmul"};
-
-    SweepResult memo = runSweep(spec, 1, true);
-    SweepResult full = runSweep(spec, 1, false);
-    // The governor's power-to-timing feedback disqualifies every
-    // scenario from replay, identical keys or not.
-    EXPECT_EQ(memo.telemetry().replayed, 0u);
-    expectSweepsEqual(memo, full);
-    EXPECT_TRUE(memo.at(0).throttled);
 }

@@ -3,9 +3,9 @@
  * Tests of the persistent snapshot store and the SweepSession built
  * on top of it: round-trip persistence across reopen, the durability
  * contract (torn and truncated entries are skipped, never fatal),
- * eviction, and the session-level guarantees — warm-store replays
- * with zero captures, byte-identical tables, and the in-flight dedupe
- * that keeps two concurrent jobs from capturing the same scenario.
+ * eviction, and the session-level in-flight dedupe that keeps two
+ * concurrent jobs from capturing the same scenario. Warm-store rows
+ * against a fresh run are test_differential's warm-store leg.
  */
 
 #include <gtest/gtest.h>
@@ -326,50 +326,6 @@ TEST(Store, EmptyStoreWritesItsManifestWithTheFirstPut)
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
     EXPECT_EQ(text, std::string(SweepStore::manifest_magic) + "\n");
-}
-
-TEST(Session, WarmStoreRepeatSweepCapturesNothing)
-{
-    ScopedDir dir("warm");
-    SweepSpec spec = powerOnlySweep();
-
-    std::string cold_table;
-    {
-        SweepSession session(EngineOptions().withJobs(2),
-                             store::openStore(dir.path));
-        SweepResult cold = session.submit(spec);
-        EXPECT_EQ(cold.telemetry().captured, 1u);
-        EXPECT_EQ(cold.telemetry().replayed, 1u);
-        cold_table = cold.formatTable();
-    }
-    // A new session (a new process, as far as the store can tell)
-    // must answer the identical sweep entirely from disk.
-    SweepSession warm(EngineOptions().withJobs(2),
-                      store::openStore(dir.path));
-    SweepResult result = warm.submit(spec);
-    EXPECT_EQ(result.telemetry().captured, 0u);
-    EXPECT_EQ(result.telemetry().replayed, 2u);
-    EXPECT_EQ(result.formatTable(), cold_table);
-}
-
-TEST(Session, StoreServedTableIsByteIdenticalToFreshRun)
-{
-    ScopedDir dir("identity");
-    SweepSpec spec = powerOnlySweep();
-
-    // Reference: no store, no memoization — every scenario simulated.
-    SweepSession fresh(EngineOptions().withJobs(1).withMemoize(false));
-    std::string fresh_table = fresh.submit(spec).formatTable();
-
-    SweepSession writer(EngineOptions().withJobs(1),
-                        store::openStore(dir.path));
-    EXPECT_EQ(writer.submit(spec).formatTable(), fresh_table);
-
-    SweepSession reader(EngineOptions().withJobs(1),
-                        store::openStore(dir.path));
-    SweepResult served = reader.submit(spec);
-    EXPECT_EQ(served.telemetry().captured, 0u);
-    EXPECT_EQ(served.formatTable(), fresh_table);
 }
 
 TEST(Session, ConcurrentIdenticalJobsCaptureOnce)

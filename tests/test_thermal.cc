@@ -806,35 +806,6 @@ TEST(ThermalSweep, EmptyCoolingAxisKeepsLegacyLabelsAndThermalOff)
     EXPECT_FALSE(scenarios[0].config.thermal.enabled);
 }
 
-TEST(ThermalSweep, ThermalSweepIsDeterministicAcrossJobs)
-{
-    sim::SweepSpec spec;
-    spec.configs = {GpuConfig::gt240(), GpuConfig::gtx580()};
-    spec.coolings = {"stock", "constrained"};
-    spec.workloads = {"matmul"};
-    for (GpuConfig &cfg : spec.configs)
-        cfg.thermal.throttle = true;
-
-    sim::EngineOptions one;
-    one.jobs = 1;
-    sim::EngineOptions four;
-    four.jobs = 4;
-    sim::SweepResult a = sim::SimulationEngine(one).run(spec);
-    sim::SweepResult b = sim::SimulationEngine(four).run(spec);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a.at(i).energy_j, b.at(i).energy_j);
-        EXPECT_EQ(a.at(i).t_max_k, b.at(i).t_max_k);
-        EXPECT_EQ(a.at(i).min_freq_scale, b.at(i).min_freq_scale);
-        EXPECT_EQ(a.at(i).throttled, b.at(i).throttled);
-    }
-    // The constrained GTX580 row in this sweep must demonstrate an
-    // actual clamp (the throttling acceptance scenario end to end
-    // through the engine).
-    EXPECT_TRUE(a.at(3).throttled);
-    EXPECT_LT(a.at(3).min_freq_scale, 1.0);
-}
-
 // ----------------------------------------------- factored linear solves
 
 TEST(ThermalSolver, FactoredSolveIsBitIdenticalToDenseReference)
@@ -1102,33 +1073,6 @@ TEST(ThermalIntegrator, EulerReferenceSharesInitAndLongSpanSnap)
     ThermalReference::advanceEulerReference(net, b, powers, 1e7);
     EXPECT_EQ(a.temps_k, net.solveLinear(powers));
     EXPECT_EQ(b.temps_k, a.temps_k);
-}
-
-TEST(ThermalIntegrator, GovernedClampsAreDeterministicAcrossWorkers)
-{
-    // The governed acceptance sweep: 1 worker vs 8 workers must
-    // clamp identically, bit for bit.
-    sim::SweepSpec spec;
-    spec.configs = {GpuConfig::gt240(), GpuConfig::gtx580()};
-    spec.coolings = {"stock", "constrained"};
-    spec.workloads = {"matmul"};
-    for (GpuConfig &cfg : spec.configs)
-        cfg.thermal.throttle = true;
-
-    sim::EngineOptions one;
-    one.jobs = 1;
-    sim::EngineOptions eight;
-    eight.jobs = 8;
-    sim::SweepResult a = sim::SimulationEngine(one).run(spec);
-    sim::SweepResult b = sim::SimulationEngine(eight).run(spec);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a.at(i).energy_j, b.at(i).energy_j);
-        EXPECT_EQ(a.at(i).t_max_k, b.at(i).t_max_k);
-        EXPECT_EQ(a.at(i).min_freq_scale, b.at(i).min_freq_scale);
-        EXPECT_EQ(a.at(i).throttled, b.at(i).throttled);
-    }
-    EXPECT_TRUE(a.at(3).throttled);
 }
 
 // -------------------------------------------------------- thread safety
