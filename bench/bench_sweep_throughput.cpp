@@ -11,9 +11,10 @@
  *
  * Section 2 measures the two-phase memoization on its home turf: a
  * process-node x vdd_scale x cooling sweep, where every scenario of a
- * workload shares one timing fingerprint, so the memoized engine runs
- * timing once per workload and replays the power phase everywhere
- * else. Results must stay bit-identical to the --no-memo path.
+ * workload shares one timing fingerprint, so the engine runs timing
+ * once per workload and replays the power phase everywhere else. The
+ * bench fails unless the schedule is exactly that: 2 captures and 34
+ * replays.
  *
  * Section 3 extends that across process lifetimes: the same sweep
  * against a persistent store, cold (captures written to disk) and
@@ -108,7 +109,7 @@ powerAxesSweep()
 
 double
 runOnce(const sim::SweepSpec &spec, unsigned jobs,
-        std::vector<double> &energies_out, bool memoize = true,
+        std::vector<double> &energies_out,
         std::size_t *replayed_out = nullptr,
         store::StoreHandle store = nullptr,
         std::size_t *captured_out = nullptr)
@@ -116,9 +117,8 @@ runOnce(const sim::SweepSpec &spec, unsigned jobs,
     // Sweeps go through the public SweepSession entry point, same as
     // the CLI and the service; a fresh session per run keeps the
     // in-memory snapshot cache from bleeding between measurements.
-    sim::SweepSession session(
-        sim::EngineOptions().withJobs(jobs).withMemoize(memoize),
-        std::move(store));
+    sim::SweepSession session(sim::EngineOptions().withJobs(jobs),
+                              std::move(store));
     auto t0 = std::chrono::steady_clock::now();
     sim::SweepResult result = session.submit(spec);
     auto t1 = std::chrono::steady_clock::now();
@@ -183,31 +183,22 @@ runBench(FILE *out)
                  "\n=== Two-phase memoization: node x vdd x cooling "
                  "sweep (%zu scenarios, %zu timing-unique) ===\n",
                  memo_n, memo_spec.workloads.size());
-    std::vector<double> memo_e, full_e;
-    std::size_t replayed = 0;
-    // Serial workers on both sides, so the measured ratio is the
-    // memoization's alone, not a worker-scaling effect.
-    double memo_s = runOnce(memo_spec, 1, memo_e, true, &replayed);
-    double full_s = runOnce(memo_spec, 1, full_e, false);
-    if (memo_e != full_e)
-        fatal("memoized sweep results differ from full simulation");
-    double speedup = full_s / memo_s;
-    std::fprintf(out, "%10s %12s %16s %10s\n", "mode", "wall[s]",
-                 "scenarios/s", "replayed");
-    std::fprintf(out, "%10s %12.3f %16.2f %7zu/%zu\n", "memoized",
-                 memo_s, memo_n / memo_s, replayed, memo_n);
-    std::fprintf(out, "%10s %12.3f %16.2f %10s\n", "no-memo",
-                 full_s, memo_n / full_s, "-");
-    std::fprintf(out,
-                 "memoized scenario throughput: %.2fx the --no-memo "
-                 "path (results bit-identical)\n", speedup);
+    std::vector<double> memo_e;
+    std::size_t replayed = 0, captured = 0;
+    double memo_s =
+        runOnce(memo_spec, 1, memo_e, &replayed, nullptr, &captured);
+    // One capture per workload; every other scenario replays.
+    if (captured != 2 || replayed != 34)
+        fatal("power-axes sweep captured ", captured, " and replayed ",
+              replayed, " scenario(s); expected 2 and 34");
+    std::fprintf(out, "%12s %16s %10s %10s\n", "wall[s]", "scenarios/s",
+                 "captured", "replayed");
+    std::fprintf(out, "%12.3f %16.2f %10zu %10zu\n", memo_s,
+                 memo_n / memo_s, captured, replayed);
     record("memo_sweep/replay", {{"wall_s", memo_s},
                                  {"scenarios_per_s", memo_n / memo_s},
                                  {"replayed",
                                   static_cast<double>(replayed)}});
-    record("memo_sweep/full", {{"wall_s", full_s},
-                               {"scenarios_per_s", memo_n / full_s}});
-    record("memo_sweep/speedup", {{"speedup", speedup}});
 
     // --- 3: persistent store: cold capture vs warm replay ---
     // The same power-axes sweep against an on-disk store. The cold
@@ -219,13 +210,16 @@ runBench(FILE *out)
     std::filesystem::remove_all(store_dir);
     std::vector<double> cold_e, warm_e;
     std::size_t cold_captured = 0, warm_captured = 0;
-    double cold_s = runOnce(memo_spec, 1, cold_e, true, nullptr,
+    double cold_s = runOnce(memo_spec, 1, cold_e, nullptr,
                             store::openStore(store_dir),
                             &cold_captured);
-    double warm_s = runOnce(memo_spec, 1, warm_e, true, nullptr,
+    double warm_s = runOnce(memo_spec, 1, warm_e, nullptr,
                             store::openStore(store_dir),
                             &warm_captured);
     std::filesystem::remove_all(store_dir);
+    if (cold_e != memo_e)
+        fatal("store-backed sweep results differ from the store-less "
+              "run");
     if (warm_e != cold_e)
         fatal("store-served sweep results differ from the cold run");
     if (warm_captured != 0)

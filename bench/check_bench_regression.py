@@ -25,9 +25,9 @@ metrics fail when it rises above baseline * (1 + tolerance).
 
 Baselines for absolute times/throughputs are deliberately slack
 (CI runner hardware varies); they catch order-of-magnitude
-regressions. Ratio metrics (memo_sweep/speedup) are close to
-machine-independent and carry tight baselines — the 15% default
-tolerance is the contract the ISSUE's CI satellite names.
+regressions. Ratio metrics (one production path's rate over
+another's) are close to machine-independent and can carry tight
+baselines at the 15% default tolerance.
 
 Usage:
     check_bench_regression.py --baseline bench/baseline.json \
@@ -171,25 +171,24 @@ def self_test():
     nonnumeric_baseline = {
         "metrics": {"bench/x:metric": {"baseline": "fast",
                                        "higher_is_better": True}}}
-    # The memoized-sweep gate as committed: the speedup ratio carries
-    # the acceptance floor, the absolute throughput is slack. Both
-    # metrics come from one bench_sweep_throughput JSON.
-    memo_baseline = {
+    # A slack absolute throughput next to a tight ratio, both from
+    # one result file: the ratio alone can fail the gate.
+    ratio_baseline = {
         "tolerance": 0.15,
         "metrics": {
-            "memo_sweep/replay:scenarios_per_s": {
+            "bench/fast:scenarios_per_s": {
                 "baseline": 60.0, "higher_is_better": True},
-            "memo_sweep/speedup:speedup": {
+            "bench/fast_vs_slow:speedup": {
                 "baseline": 8.0, "higher_is_better": True},
         },
     }
-    memo_ok = {"benchmarks": [
-        {"name": "memo_sweep/replay", "scenarios_per_s": 240.0},
-        {"name": "memo_sweep/speedup", "speedup": 16.8},
+    ratio_ok = {"benchmarks": [
+        {"name": "bench/fast", "scenarios_per_s": 240.0},
+        {"name": "bench/fast_vs_slow", "speedup": 16.8},
     ]}
-    memo_slow = {"benchmarks": [
-        {"name": "memo_sweep/replay", "scenarios_per_s": 240.0},
-        {"name": "memo_sweep/speedup", "speedup": 4.5},
+    ratio_low = {"benchmarks": [
+        {"name": "bench/fast", "scenarios_per_s": 240.0},
+        {"name": "bench/fast_vs_slow", "speedup": 4.5},
     ]}
 
     ok = True
@@ -202,10 +201,10 @@ def self_test():
     ok &= run_case("baseline entry with a non-numeric 'baseline'",
                    nonnumeric_baseline, passing, 2)
     ok &= run_case("empty baseline", {"metrics": {}}, passing, 2)
-    ok &= run_case("memoized sweep gate passes",
-                   memo_baseline, memo_ok, 0)
-    ok &= run_case("memo speedup below the 5x floor",
-                   memo_baseline, memo_slow, 1)
+    ok &= run_case("absolute and ratio metrics pass",
+                   ratio_baseline, ratio_ok, 0)
+    ok &= run_case("ratio below its floor, throughput fine",
+                   ratio_baseline, ratio_low, 1)
     if not ok:
         print("self-test FAILED", file=sys.stderr)
         return 1

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -88,12 +89,33 @@ SweepServer::SweepServer(std::shared_ptr<sim::SweepSession> session,
                       reinterpret_cast<sockaddr *>(&addr), &len) < 0)
         fatal("serve: getsockname(): ", std::strerror(errno));
     _port = ntohs(addr.sin_port);
+    // Non-blocking both ends: a full pipe already wakes the loop, and
+    // run() drains it without blocking.
+    if (::pipe2(_wake_fds, O_NONBLOCK | O_CLOEXEC) < 0)
+        fatal("serve: pipe2(): ", std::strerror(errno));
 }
 
 SweepServer::~SweepServer()
 {
-    if (_listen_fd >= 0)
-        ::close(_listen_fd);
+    for (int fd : {_listen_fd, _wake_fds[0], _wake_fds[1]})
+        if (fd >= 0)
+            ::close(fd);
+}
+
+void
+SweepServer::stop()
+{
+    _stop.store(true);
+    wake();
+}
+
+void
+SweepServer::wake()
+{
+    const char byte = 0;
+    // EAGAIN means the pipe is full, so the loop is already woken.
+    while (::write(_wake_fds[1], &byte, 1) < 0 && errno == EINTR) {
+    }
 }
 
 void
@@ -102,15 +124,20 @@ SweepServer::run()
     inform("serve: listening on 127.0.0.1:", _port);
     while (!_stop.load()) {
         reapHandlers(false);
-        pollfd pfd{_listen_fd, POLLIN, 0};
-        int r = ::poll(&pfd, 1, 200);
-        if (r < 0) {
+        pollfd pfds[2] = {{_listen_fd, POLLIN, 0},
+                          {_wake_fds[0], POLLIN, 0}};
+        if (::poll(pfds, 2, -1) < 0) {
             if (errno == EINTR)
                 continue;
             warn("serve: poll(): ", std::strerror(errno));
             break;
         }
-        if (r == 0 || !(pfd.revents & POLLIN))
+        if (pfds[1].revents & POLLIN) {
+            char drain[64];
+            while (::read(_wake_fds[0], drain, sizeof(drain)) > 0) {
+            }
+        }
+        if (!(pfds[0].revents & POLLIN))
             continue;
         int fd = ::accept(_listen_fd, nullptr, nullptr);
         if (fd < 0) {
@@ -136,6 +163,7 @@ SweepServer::run()
             handleClient(fd);
             ::close(fd);
             handler.done.store(true);
+            wake(); // so the accept loop joins this thread promptly
         });
     }
     // Drain: in-flight jobs finish and their results are persisted

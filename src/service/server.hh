@@ -49,12 +49,15 @@ class SweepServer
      * `shutdown` frame. Each connection is handled on its own
      * thread; the accept loop joins the handlers that returned, and
      * run() joins the rest before returning, so the store and
-     * session are quiescent afterwards.
+     * session are quiescent afterwards. The loop blocks in poll()
+     * with no timeout: stop() and a returning handler wake it
+     * through a self-pipe.
      */
     void run();
 
-    /** Ask run() to wind down (thread-safe, idempotent). */
-    void stop() { _stop.store(true); }
+    /** Ask run() to wind down (thread-safe, idempotent); the accept
+     *  loop acts on it at once. */
+    void stop();
 
   private:
     /** One connection's thread, which marks itself done on return. */
@@ -66,12 +69,17 @@ class SweepServer
 
     void handleClient(int fd);
 
+    /** Make the accept loop's poll() return (thread-safe). */
+    void wake();
+
     /** Join the handlers that are done (every handler when `all`)
      *  and publish how many remain. Only run() touches _handlers. */
     void reapHandlers(bool all);
 
     std::shared_ptr<sim::SweepSession> _session;
     int _listen_fd = -1;
+    /** Self-pipe: [0] is polled by run(), [1] written by wake(). */
+    int _wake_fds[2] = {-1, -1};
     uint16_t _port = 0;
     std::atomic<bool> _stop{false};
     std::vector<std::unique_ptr<Handler>> _handlers;

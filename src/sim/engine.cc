@@ -291,10 +291,6 @@ EngineOptions::validate() const
         fatal("EngineOptions: sample_interval_s ", sample_interval_s,
               " must be > 0; a non-positive period records an empty "
               "waveform");
-    if ((snapshot_source || snapshot_sink) && !memoize)
-        fatal("EngineOptions: snapshot_source/snapshot_sink require "
-              "memoize — an external snapshot provider can only feed "
-              "the memoized replay path");
 }
 
 SimulationEngine::SimulationEngine(EngineOptions options)
@@ -349,7 +345,7 @@ SimulationEngine::runScenario(const Scenario &scenario,
         KernelRun run;
         if (replayable) {
             // Two-phase explicitly: a captured snapshot feeds the
-            // same replay the cache hits will take, so a memoized
+            // same replay the cache hits will take, so a replayed
             // result is bit-identical by construction.
             KernelSnapshot snap = simulator.capturePerf(
                 kl.prog, kl.launch, _options.with_trace,
@@ -378,7 +374,8 @@ SimulationEngine::runScenario(const Scenario &scenario,
 }
 
 SweepResult
-SimulationEngine::run(const SweepSpec &spec) const
+SimulationEngine::run(const SweepSpec &spec,
+                      const ResultCallback &on_result) const
 {
     GSP_TRACE_SPAN("engine/run");
     const uint64_t t_run0 = obs::monotonicNs();
@@ -438,39 +435,33 @@ SimulationEngine::run(const SweepSpec &spec) const
             ++governed;
     c_governed.add(governed);
 
-    // Work units the pool pulls from. Under memoization each
-    // timing-unique Scenario::snapshotKey() becomes one unit: its
-    // first scenario captures the snapshot (unless the external
-    // source already has it), every other member replays through
-    // the batched matrix evaluator, and exactly one worker ever
-    // simulates a key. Without memoization, and for governed
-    // scenarios, every scenario is its own full-simulation unit.
+    // Work units the pool pulls from. Each timing-unique
+    // Scenario::snapshotKey() becomes one unit: its first scenario
+    // captures the snapshot (unless the external source already has
+    // it), every other member replays through the batched matrix
+    // evaluator, and exactly one worker ever simulates a key. A
+    // governed scenario is a full-simulation unit of its own.
     std::vector<std::vector<std::size_t>> units;
     units.reserve(total);
-    if (_options.memoize) {
-        // lint: unordered-ok(lookup/emplace only, never iterated;
-        // unit membership order comes from the ascending scenario
-        // index loop below, so hash order cannot reach results)
-        std::unordered_map<std::string, std::size_t> unit_of;
-        std::vector<std::string> keys = snapshotKeys(scenarios);
-        for (std::size_t i = 0; i < total; ++i) {
-            if (!scenarios[i].replayable()) {
-                units.push_back({i});
-                continue;
-            }
-            auto ins = unit_of.emplace(std::move(keys[i]), units.size());
-            if (ins.second)
-                units.emplace_back();
-            units[ins.first->second].push_back(i);
-        }
-        for (const auto &unit : units) {
-            h_group_size.record(unit.size());
-            if (unit.size() > 1)
-                c_batch_groups.add(1);
-        }
-    } else {
-        for (std::size_t i = 0; i < total; ++i)
+    // lint: unordered-ok(lookup/emplace only, never iterated; unit
+    // membership order comes from the ascending scenario index loop
+    // below, so hash order cannot reach results)
+    std::unordered_map<std::string, std::size_t> unit_of;
+    std::vector<std::string> keys = snapshotKeys(scenarios);
+    for (std::size_t i = 0; i < total; ++i) {
+        if (!scenarios[i].replayable()) {
             units.push_back({i});
+            continue;
+        }
+        auto ins = unit_of.emplace(std::move(keys[i]), units.size());
+        if (ins.second)
+            units.emplace_back();
+        units[ins.first->second].push_back(i);
+    }
+    for (const auto &unit : units) {
+        h_group_size.record(unit.size());
+        if (unit.size() > 1)
+            c_batch_groups.add(1);
     }
 
     unsigned workers = _jobs;
@@ -521,15 +512,14 @@ SimulationEngine::run(const SweepSpec &spec) const
                 // The result is published before the progress hook
                 // runs, so a throwing callback cannot drop it; the
                 // callback's exception still surfaces from run().
-                if (_options.progress) {
+                if (on_result) {
                     std::lock_guard<std::mutex> lock(progress_mutex);
-                    _options.progress(table.at(idx), completed,
-                                      total);
+                    on_result(table.at(idx), completed, total);
                 }
             };
             try {
                 const Scenario &first = scenarios[unit.front()];
-                if (!_options.memoize || !first.replayable()) {
+                if (!first.replayable()) {
                     GSP_TRACE_SPAN("engine/scenario");
                     publish(runScenario(first, *run_models.simulator(first)));
                 } else {

@@ -33,8 +33,8 @@
  * a replay is bit-identical to a full run minus the entire timing
  * simulation. EngineOptions::row_detail chooses whether rows keep
  * their per-kernel detail or only the summary columns.
- * Without memoization, and for throttle-governed scenarios, every
- * scenario is a full simulation of its own.
+ * Throttle-governed scenarios (power feeds back into timing) are
+ * the exception: each one is a full simulation of its own.
  */
 
 #ifndef GPUSIMPOW_SIM_ENGINE_HH
@@ -49,6 +49,15 @@ namespace gpusimpow {
 namespace sim {
 
 /**
+ * Per-job result callback, called after each scenario finishes (from
+ * worker threads, but serialized by the engine): finished result,
+ * completed count, total count. Completion order is
+ * nondeterministic; only use this for progress display.
+ */
+using ResultCallback = std::function<void(const ScenarioResult &,
+                                          std::size_t, std::size_t)>;
+
+/**
  * Tuning knobs of the SimulationEngine (and, through SweepSession,
  * of every sweep entry point in the tree).
  *
@@ -59,7 +68,6 @@ namespace sim {
  *
  *     auto opt = EngineOptions()
  *                    .withJobs(4)
- *                    .withMemoize(false)
  *                    .withTrace(true, 10e-6);
  */
 struct EngineOptions
@@ -82,30 +90,8 @@ struct EngineOptions
      */
     RowDetail row_detail = RowDetail::kernels;
     /**
-     * Memoize phase-1 activity snapshots across scenarios (and
-     * workers): a scenario whose Scenario::snapshotKey() has already
-     * been simulated in this run replays its power phase from the
-     * cached snapshot instead of re-running timing — the
-     * order-of-magnitude lever on sweeps over the power-only axes
-     * (process node, vdd_scale, cooling). Scenarios under a
-     * throttling governor always fall back to full simulation
-     * (power-to-timing feedback). Results are bit-identical either
-     * way; `gpusimpow --sweep --no-memo` is the CLI escape hatch and
-     * the oracle the memoized path is tested against.
-     */
-    bool memoize = true;
-    /**
-     * Called after each scenario finishes (from worker threads, but
-     * serialized by the engine): finished result, completed count,
-     * total count. Completion order is nondeterministic; only use
-     * this for progress display.
-     */
-    std::function<void(const ScenarioResult &, std::size_t,
-                       std::size_t)> progress;
-
-    /**
-     * External snapshot provider, consulted (when set, and memoize is
-     * on) before the engine captures a replayable scenario's timing:
+     * External snapshot provider, consulted (when set) before the
+     * engine captures a replayable scenario's timing:
      * return a snapshot captured under the same Scenario::snapshotKey()
      * and the whole work unit replays from it — zero timing cost;
      * return nullptr and the engine captures as usual. This is how
@@ -137,29 +123,17 @@ struct EngineOptions
         sample_interval_s = interval_s;
         return *this;
     }
-    EngineOptions &withMemoize(bool on) { memoize = on; return *this; }
     EngineOptions &withRowDetail(RowDetail detail)
     {
         row_detail = detail;
         return *this;
     }
-    EngineOptions &withProgress(
-        std::function<void(const ScenarioResult &, std::size_t,
-                           std::size_t)> fn)
-    {
-        progress = std::move(fn);
-        return *this;
-    }
-
     /**
      * Reject incoherent combinations with a fatal() naming the
      * offending knobs:
      *   - jobs above max_jobs (thread-pool runaway);
      *   - a non-positive sampling period (an empty waveform can
-     *     never be what the caller wanted, traced or not);
-     *   - snapshot hooks without memoization (a store or in-flight
-     *     map can only feed the memoized replay path — silently
-     *     ignoring the hooks would "work" while persisting nothing).
+     *     never be what the caller wanted, traced or not).
      * Called by SimulationEngine and SweepSession on construction.
      */
     void validate() const;
@@ -183,7 +157,8 @@ class SimulationEngine
      * scenario is re-thrown — so error behavior does not depend on
      * the worker count either.
      */
-    SweepResult run(const SweepSpec &spec) const;
+    SweepResult run(const SweepSpec &spec,
+                    const ResultCallback &on_result = {}) const;
 
     /**
      * Execute one scenario on the calling thread, on a fresh

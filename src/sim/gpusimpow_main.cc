@@ -38,12 +38,6 @@
  *                               x --nodes x --vf on the engine
  *     --jobs N                  sweep worker threads (default: all
  *                               hardware threads)
- *     --no-memo                 disable two-phase snapshot
- *                               memoization in --sweep: every
- *                               scenario re-runs timing even when a
- *                               cached activity snapshot could
- *                               replay its power phase (results are
- *                               bit-identical either way)
  *     --nodes N,M               process nodes (nm) swept in --sweep
  *     --vf V[:F],...            DVFS operating points swept in
  *                               --sweep ("0.9" means V=F=0.9,
@@ -84,6 +78,7 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -137,7 +132,6 @@ struct Options
     bool list = false;
     bool sweep = false;
     unsigned jobs = 0;
-    bool no_memo = false;
     std::string nodes;
     std::string vf;
     bool progress = false;
@@ -157,7 +151,7 @@ usage()
         "                 [--ambient K] [--t-limit K] [--throttle]\n"
         "                 [--stats] [--static-only] [--dump-config]\n"
         "                 [--list]\n"
-        "                 [--sweep] [--jobs N] [--no-memo]\n"
+        "                 [--sweep] [--jobs N]\n"
         "                 [--nodes N,M] [--vf V[:F],...]\n"
         "                 [--progress] [--trace-out FILE]\n"
         "                 [--metrics-json FILE] [--store DIR]\n"
@@ -264,8 +258,6 @@ parseArgs(int argc, char **argv)
             opt.port_set = true;
         } else if (arg == "--host") {
             opt.host = need_value("--host");
-        } else if (arg == "--no-memo") {
-            opt.no_memo = true;
         } else if (arg == "--nodes") {
             opt.nodes = need_value("--nodes");
         } else if (arg == "--vf") {
@@ -532,19 +524,13 @@ runSweep(const Options &opt)
     sim::EngineOptions eopt =
         sim::EngineOptions()
             .withJobs(opt.jobs)
-            .withMemoize(!opt.no_memo)
             .withRowDetail(sim::RowDetail::summary);
     // ProgressPrinter outlives the run; the engine only calls the
     // hook while workers are draining inside it.
     ProgressPrinter printer;
-    std::function<void(const sim::ScenarioResult &, std::size_t,
-                       std::size_t)>
-        on_result;
+    sim::ResultCallback on_result;
     if (opt.progress)
-        on_result = [&printer](const sim::ScenarioResult &r,
-                               std::size_t done, std::size_t total) {
-            printer(r, done, total);
-        };
+        on_result = std::ref(printer);
 
     store::StoreHandle store_handle;
     if (!opt.store_dir.empty())
@@ -554,10 +540,11 @@ runSweep(const Options &opt)
     printSweepHeader(spec, session.jobs());
 
     sim::SweepResult result = session.submit(spec, on_result);
-    // Stats go to stderr so a memoized table diffs clean against a
-    // --no-memo one (the CI smoke check relies on that). The numbers
-    // come from the run's telemetry — the same values --metrics-json
-    // dumps — so they exist in exactly one place.
+    // Stats go to stderr so stdout carries only the header and the
+    // table, which the CI smoke check diffs across worker counts and
+    // trace settings. The numbers come from the run's telemetry — the
+    // same values --metrics-json dumps — so they exist in exactly one
+    // place.
     const sim::SweepTelemetry &telemetry = result.telemetry();
     std::fprintf(stderr, "memoized replay: %zu of %zu scenario(s)\n",
                  telemetry.replayed, telemetry.scenarios);
@@ -580,9 +567,6 @@ runServe(const Options &opt)
     if (opt.store_dir.empty())
         fatal("serve requires --store (a server without persistence "
               "would forget every capture on exit)");
-    if (opt.no_memo)
-        fatal("--no-memo is not supported with serve; the store can "
-              "only feed the memoized replay path");
     checkSweepFlagDeps(opt, "serve");
     if (opt.progress)
         fatal("--progress applies to client runs, not serve");
@@ -618,9 +602,6 @@ runSubmit(const Options &opt)
     if (opt.jobs != 0)
         fatal("--jobs is chosen by the server; it does not apply to "
               "submit");
-    if (opt.no_memo)
-        fatal("--no-memo does not apply to submit (memoization "
-              "policy is the server's)");
     if (!opt.store_dir.empty())
         fatal("--store does not apply to submit (the store lives "
               "with the server)");
@@ -677,8 +658,6 @@ runTool(const Options &opt)
     // rejected, not silently ignored, outside --sweep.
     if (opt.jobs != 0)
         fatal("--jobs requires --sweep");
-    if (opt.no_memo)
-        fatal("--no-memo requires --sweep");
     if (!opt.nodes.empty())
         fatal("--nodes requires --sweep");
     if (!opt.vf.empty())

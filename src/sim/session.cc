@@ -17,9 +17,6 @@ SweepSession::SweepSession(EngineOptions options,
         fatal("SweepSession: the session owns the snapshot hooks; "
               "set a store handle instead of snapshot_source/"
               "snapshot_sink");
-    if (_store && !_options.memoize)
-        fatal("SweepSession: a persistent store requires memoize — "
-              "the store can only feed the memoized replay path");
     _options.validate();
 }
 
@@ -98,29 +95,20 @@ SweepSession::sink(
 }
 
 SweepResult
-SweepSession::submit(
-    const SweepSpec &spec,
-    std::function<void(const ScenarioResult &, std::size_t,
-                       std::size_t)>
-        on_result,
-    std::optional<RowDetail> detail)
+SweepSession::submit(const SweepSpec &spec,
+                     const ResultCallback &on_result,
+                     std::optional<RowDetail> detail)
 {
     EngineOptions opt = _options;
-    if (on_result)
-        opt.progress = std::move(on_result);
     if (detail)
         opt.row_detail = *detail;
-    if (_options.memoize) {
-        opt.snapshot_source = [this](const Scenario &s) {
-            return source(s);
+    opt.snapshot_source = [this](const Scenario &s) { return source(s); };
+    opt.snapshot_sink =
+        [this](const Scenario &s,
+               const std::shared_ptr<const ActivitySnapshot> &snap) {
+            sink(s, snap);
         };
-        opt.snapshot_sink =
-            [this](const Scenario &s,
-                   const std::shared_ptr<const ActivitySnapshot>
-                       &snap) { sink(s, snap); };
-    }
-    SimulationEngine engine(opt);
-    return engine.run(spec);
+    return SimulationEngine(opt).run(spec, on_result);
 }
 
 } // namespace sim

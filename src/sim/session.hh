@@ -49,29 +49,25 @@ class SweepSession
     /**
      * The options are validated here (fatal() on incoherence); the
      * session installs its own snapshot_source/snapshot_sink hooks,
-     * so options carrying either are rejected — and a store requires
-     * memoize, which is what feeds the replay path.
+     * so options carrying either are rejected.
      */
     explicit SweepSession(EngineOptions options,
                           store::StoreHandle store = nullptr);
 
     /**
-     * Execute one sweep job. `on_result` (when set, otherwise the
-     * options' progress hook) streams every finished scenario in
-     * completion order: (result, completed count, total count),
-     * serialized by the engine. `detail` (when set, otherwise the
-     * options' row_detail) chooses this job's row detail, so a caller
-     * sharing a session it does not own picks what it will read.
+     * Execute one sweep job. `on_result` (when set) streams every
+     * finished scenario in completion order: (result, completed
+     * count, total count), serialized by the engine. `detail` (when
+     * set, otherwise the options' row_detail) chooses this job's row
+     * detail, so a caller sharing a session it does not own picks
+     * what it will read.
      * Thread-safe: the service submits concurrent jobs against one
      * session; identical scenarios across them are captured once
      * (see in-flight dedupe above).
      */
-    SweepResult submit(
-        const SweepSpec &spec,
-        std::function<void(const ScenarioResult &, std::size_t,
-                           std::size_t)>
-            on_result = {},
-        std::optional<RowDetail> detail = std::nullopt);
+    SweepResult submit(const SweepSpec &spec,
+                       const ResultCallback &on_result = {},
+                       std::optional<RowDetail> detail = std::nullopt);
 
     /** Effective worker count per job. */
     unsigned jobs() const;

@@ -24,7 +24,6 @@ struct StoreMetrics
     obs::Counter &miss;
     obs::Counter &put;
     obs::Counter &put_error;
-    obs::Counter &evict;
     obs::Counter &corrupt;
     obs::Gauge &entries;
 
@@ -39,8 +38,6 @@ struct StoreMetrics
             reg.counter("store/put", "snapshots persisted to the store"),
             reg.counter("store/put_error",
                         "store puts abandoned on I/O failure"),
-            reg.counter("store/evict",
-                        "entries evicted by the max_entries cap"),
             reg.counter("store/corrupt",
                         "entries skipped as corrupt at open or load"),
             reg.gauge("store/entries", "entries currently indexed"),
@@ -222,8 +219,7 @@ writeFileAtomic(const std::filesystem::path &path,
 
 } // namespace
 
-SweepStore::SweepStore(std::filesystem::path dir, StoreOptions options)
-    : _dir(std::move(dir)), _options(options)
+SweepStore::SweepStore(std::filesystem::path dir) : _dir(std::move(dir))
 {
     GSP_TRACE_SPAN("store/open");
     std::error_code ec;
@@ -247,7 +243,7 @@ void
 SweepStore::scanLocked()
 {
     StoreMetrics &m = StoreMetrics::instance();
-    // Sorted paths make entry seq (the eviction order) deterministic
+    // Sorted paths make the duplicate-key winner below deterministic
     // for a freshly opened store.
     std::vector<std::filesystem::path> paths;
     for (const auto &de : std::filesystem::directory_iterator(_dir)) {
@@ -269,7 +265,6 @@ SweepStore::scanLocked()
         }
         Entry e;
         e.path = path;
-        e.seq = _next_seq++;
         e.result = parsed.result;
         // Last writer wins on duplicate keys (two files can only
         // carry one key after an interrupted rewrite).
@@ -372,37 +367,12 @@ SweepStore::put(const std::string &key, const ActivitySnapshot &snapshot)
     }
     Entry e;
     e.path = std::move(path);
-    e.seq = _next_seq++;
     e.result = result;
     _entries[key] = std::move(e);
     m.put.add(1);
-    evictLocked();
     rewriteManifestLocked();
     m.entries.set(static_cast<int64_t>(_entries.size()));
     return true;
-}
-
-void
-SweepStore::evictLocked()
-{
-    if (_options.max_entries == 0)
-        return;
-    StoreMetrics &m = StoreMetrics::instance();
-    while (_entries.size() > _options.max_entries) {
-        auto oldest = _entries.end();
-        for (auto it = _entries.begin(); it != _entries.end(); ++it) {
-            if (oldest == _entries.end() ||
-                it->second.seq < oldest->second.seq)
-                oldest = it;
-        }
-        std::error_code ec;
-        std::filesystem::remove(oldest->second.path, ec);
-        if (ec)
-            warn("store: evicting ", oldest->second.path.string(),
-                 " failed: ", ec.message());
-        _entries.erase(oldest);
-        m.evict.add(1);
-    }
 }
 
 void
@@ -442,9 +412,9 @@ SweepStore::size() const
 }
 
 StoreHandle
-openStore(const std::filesystem::path &dir, StoreOptions options)
+openStore(const std::filesystem::path &dir)
 {
-    return std::make_shared<SweepStore>(dir, options);
+    return std::make_shared<SweepStore>(dir);
 }
 
 } // namespace store

@@ -33,17 +33,6 @@
 namespace gpusimpow {
 namespace store {
 
-/** Tuning knobs of a SweepStore. */
-struct StoreOptions
-{
-    /**
-     * Entry-count cap: a put that would grow the store past this
-     * evicts the oldest entries (by insertion order, reopen-stable
-     * through file write times) first. 0 = unbounded.
-     */
-    std::size_t max_entries = 0;
-};
-
 /**
  * On-disk snapshot store over one directory. Thread-safe: the engine
  * sinks snapshots from worker threads and the service fetches on
@@ -64,8 +53,7 @@ class SweepStore
      * entry; corrupt entries are skipped and reported. fatal() only
      * when the directory itself cannot be created or read.
      */
-    explicit SweepStore(std::filesystem::path dir,
-                        StoreOptions options = {});
+    explicit SweepStore(std::filesystem::path dir);
 
     /**
      * Load the snapshot stored under `key`, or nullptr on a miss.
@@ -98,22 +86,17 @@ class SweepStore
     struct Entry
     {
         std::filesystem::path path;
-        /** Eviction order: lower = older. */
-        std::size_t seq = 0;
         /** One-line result record, for the manifest. */
         std::string result;
     };
 
     void scanLocked();
     void rewriteManifestLocked();
-    void evictLocked();
     std::filesystem::path pathForLocked(const std::string &key) const;
 
     std::filesystem::path _dir;
-    StoreOptions _options;
     mutable std::mutex _mutex;
     std::map<std::string, Entry> _entries;
-    std::size_t _next_seq = 0;
     std::size_t _corrupt_at_open = 0;
     std::size_t _tmp_counter = 0;
 };
@@ -123,8 +106,7 @@ class SweepStore
 using StoreHandle = std::shared_ptr<SweepStore>;
 
 /** Open a store directory and wrap it in a handle. */
-StoreHandle openStore(const std::filesystem::path &dir,
-                      StoreOptions options = {});
+StoreHandle openStore(const std::filesystem::path &dir);
 
 } // namespace store
 } // namespace gpusimpow

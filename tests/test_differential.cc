@@ -6,19 +6,20 @@
  * five modes: no thermal, a cooling × DVFS axis with steady solves,
  * the throttling governor, and traced 1 us sampling with and without
  * transient thermal. Each leg's rows are compared with the reference
- * leg (memoized, jobs 4, kernel rows, on a cold store) through the
- * one row comparator, tests/row_text.hh:
+ * leg (jobs 4, kernel rows, on a cold store) through the one row
+ * comparator, tests/row_text.hh:
  *
  *   leg          differs from the reference           compares
  *   oracle       runScenario on a fresh Simulator      kernel rows
- *   no-memo      every scenario simulated in full      kernel rows
  *   jobs 1       one worker, summary rows first        kernel rows
  *   summary      RowDetail::summary rows               summary, table
  *   warm store   a new session on the same store       kernel rows
  *   service      a loopback SweepServer                table bytes
  *
  * Each leg's schedule is asserted too: one capture per snapshot key,
- * none on the warm store, governed scenarios never replayed. The
+ * none on the warm store, governed scenarios never replayed (the
+ * throttle mode's reference runs them as full-simulation units on
+ * the run's shared models, four workers at a time). The
  * heavy captures (mergesort, backprop, kmeans) run only in the legs
  * that replay them (reference, summary, warm store, service), and
  * only in the plain and traced thermal modes.
@@ -142,14 +143,13 @@ bits(double v)
 }
 
 /**
- * The leg's schedule: memoized legs capture one scenario per snapshot
- * key and replay the rest (a warm store captures none), governed
- * scenarios are always simulated in full, a run without memoization
- * replays nothing, and an ungoverned run builds one power model per
- * power-relevant configuration.
+ * The leg's schedule: one capture per snapshot key and a replay for
+ * every other replayable scenario (a warm store captures none),
+ * governed scenarios always simulated in full, and an ungoverned run
+ * building one power model per power-relevant configuration.
  */
 void
-expectSchedule(const SweepResult &r, const SweepSpec &spec, bool memo,
+expectSchedule(const SweepResult &r, const SweepSpec &spec,
                bool warm = false)
 {
     std::size_t replayable = 0;
@@ -168,10 +168,10 @@ expectSchedule(const SweepResult &r, const SweepSpec &spec, bool memo,
     if (t.governed == 0) {
         EXPECT_EQ(t.metrics.counter("power/model_builds"), models.size());
     }
-    const std::size_t captures = memo && !warm ? keys.size() : 0;
+    const std::size_t captures = warm ? 0 : keys.size();
     EXPECT_EQ(t.governed, spec.size() - replayable);
     EXPECT_EQ(t.captured, captures);
-    EXPECT_EQ(t.replayed, memo ? replayable - captures : 0);
+    EXPECT_EQ(t.replayed, replayable - captures);
 }
 
 /** Kernel rows: one entry per kernel, and a card power equal to the
@@ -215,7 +215,7 @@ TEST_P(Differential, EveryLegMatchesTheReference)
     ScopedDir dir(chip + "-" + mode.name);
     SweepSession cold(opt, store::openStore(dir.path));
     const SweepResult reference = cold.submit(spec);
-    expectSchedule(reference, spec, true);
+    expectSchedule(reference, spec);
     expectKernelShape(reference, mode.traced);
 
     // The mode must bite: thermal where a cooling axis is, and the
@@ -253,7 +253,7 @@ TEST_P(Differential, EveryLegMatchesTheReference)
     {
         SweepSession warm(opt, store::openStore(dir.path));
         SweepResult rows = warm.submit(spec);
-        expectSchedule(rows, spec, true, true);
+        expectSchedule(rows, spec, true);
         EXPECT_EQ(rows.telemetry().metrics.counter(
                       "sim/timing_model_builds"),
                   rows.telemetry().governed);
@@ -282,16 +282,10 @@ TEST_P(Differential, EveryLegMatchesTheReference)
     {
         SweepSession serial(EngineOptions(opt).withJobs(1));
         SweepResult first = serial.submit(light_spec, {}, RowDetail::summary);
-        expectSchedule(first, light_spec, true);
+        expectSchedule(first, light_spec);
         expectLeg("jobs 1 summary", first, RowDetail::summary);
         expectLeg("jobs 1", serial.submit(light_spec), RowDetail::kernels);
     }
-
-    // Every scenario simulated in full.
-    SweepResult full =
-        SweepSession(EngineOptions(opt).withMemoize(false)).submit(light_spec);
-    expectSchedule(full, light_spec, false);
-    expectLeg("no-memo", full, RowDetail::kernels);
 
     // The oracle: each scenario on a fresh Simulator of its own,
     // strided over four threads.

@@ -162,21 +162,11 @@ TEST(Engine, OptionsValidateRejectsIncoherentCombinations)
     bad_interval.sample_interval_s = 0.0;
     EXPECT_THROW(bad_interval.validate(), FatalError);
 
-    // The snapshot hooks feed on memoization; without it they could
-    // never fire, so the combination is rejected, not ignored.
-    EngineOptions hooked = EngineOptions().withMemoize(false);
-    hooked.snapshot_source = [](const Scenario &) { return nullptr; };
-    EXPECT_THROW(hooked.validate(), FatalError);
-    EXPECT_THROW(SimulationEngine{hooked}, FatalError);
-
     // Named setters chain and leave the result coherent.
-    EngineOptions chained = EngineOptions()
-                                .withJobs(4)
-                                .withMemoize(false)
-                                .withTrace(true, 1e-5);
+    EngineOptions chained =
+        EngineOptions().withJobs(4).withTrace(true, 1e-5);
     EXPECT_NO_THROW(chained.validate());
     EXPECT_EQ(chained.jobs, 4u);
-    EXPECT_FALSE(chained.memoize);
     EXPECT_TRUE(chained.with_trace);
     EXPECT_EQ(chained.sample_interval_s, 1e-5);
 }

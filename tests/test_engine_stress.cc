@@ -25,6 +25,7 @@
 
 #include "row_text.hh"
 #include "sim/engine.hh"
+#include "sim/session.hh"
 #include "sim/sweep.hh"
 
 using namespace gpusimpow;
@@ -33,6 +34,7 @@ using sim::Scenario;
 using sim::ScenarioResult;
 using sim::SimulationEngine;
 using sim::SweepResult;
+using sim::SweepSession;
 using sim::SweepSpec;
 
 namespace {
@@ -136,10 +138,8 @@ TEST(EngineStress, ProgressAccountingSurvivesContention)
     SweepSpec spec = replaySweep();
     std::vector<int> seen(spec.size(), 0);
     std::vector<int> done_hits(spec.size() + 1, 0);
-    EngineOptions opt;
-    opt.jobs = 8;
-    opt.progress = [&](const ScenarioResult &r, std::size_t done,
-                       std::size_t total) {
+    auto on_result = [&](const ScenarioResult &r, std::size_t done,
+                         std::size_t total) {
         // Serialized by the engine's progress mutex: plain writes.
         ASSERT_EQ(total, seen.size());
         ASSERT_LT(r.scenario.index, seen.size());
@@ -148,7 +148,8 @@ TEST(EngineStress, ProgressAccountingSurvivesContention)
         ASSERT_LE(done, total);
         done_hits[done]++;
     };
-    SweepResult result = SimulationEngine(opt).run(spec);
+    SweepResult result =
+        SweepSession(EngineOptions().withJobs(8)).submit(spec, on_result);
     ASSERT_EQ(result.size(), spec.size());
     for (int count : seen)
         EXPECT_EQ(count, 1);

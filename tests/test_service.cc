@@ -4,8 +4,8 @@
  * in-process server/client job round-trip on an ephemeral port,
  * concurrent clients deduplicated onto one capture, TCP_NODELAY on
  * both ends of a connection, finished connection handlers joined
- * while the server runs, and the error/shutdown paths of the wire
- * protocol. Served tables on a warm store against local rows, in
+ * while the server runs, stop() ending an idle server at once, and
+ * the error/shutdown paths of the wire protocol. Served tables on a warm store against local rows, in
  * every thermal mode, are test_differential's service leg.
  */
 
@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -28,6 +29,7 @@
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "service/client.hh"
 #include "service/protocol.hh"
 #include "service/server.hh"
@@ -275,13 +277,31 @@ TEST(Service, FinishedHandlersAreJoinedWhileTheServerRuns)
         SweepClient::JobResult job = client.submitJob(smallRequest());
         ASSERT_TRUE(job.ok) << job.error;
     }
-    // The accept loop joins a closed connection's handler within one
-    // poll period, so the 20 handlers do not pile up until shutdown.
+    // A returning handler wakes the accept loop, which joins it, so
+    // the 20 handlers do not pile up until shutdown.
     obs::Gauge &handlers =
         obs::Registry::instance().gauge("service/handlers");
     for (int wait = 0; wait < 500 && handlers.value() > 1; ++wait)
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     EXPECT_LE(handlers.value(), 1);
+}
+
+TEST(Service, StopWakesAnIdleServerAtOnce)
+{
+    auto session =
+        std::make_shared<SweepSession>(EngineOptions().withJobs(1));
+    SweepServer server(session, 0);
+    std::thread runner([&] { server.run(); });
+    // Let run() reach its poll(), where an idle server waits.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    const uint64_t t0 = obs::monotonicNs();
+    server.stop();
+    runner.join();
+    const double elapsed_ms =
+        static_cast<double>(obs::monotonicNs() - t0) * 1e-6;
+    EXPECT_LT(elapsed_ms, 50.0) << "stop() took " << elapsed_ms
+                                << " ms to end run()";
 }
 
 TEST(Service, ShutdownIsAcknowledgedAndStopsTheServer)

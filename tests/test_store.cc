@@ -3,9 +3,10 @@
  * Tests of the persistent snapshot store and the SweepSession built
  * on top of it: round-trip persistence across reopen, the durability
  * contract (torn and truncated entries are skipped, never fatal),
- * eviction, and the session-level in-flight dedupe that keeps two
- * concurrent jobs from capturing the same scenario. Warm-store rows
- * against a fresh run are test_differential's warm-store leg.
+ * the advisory manifest, and the session-level in-flight dedupe that
+ * keeps two concurrent jobs from capturing the same scenario.
+ * Warm-store rows against a fresh run are test_differential's
+ * warm-store leg.
  */
 
 #include <gtest/gtest.h>
@@ -32,7 +33,6 @@ using sim::EngineOptions;
 using sim::SweepResult;
 using sim::SweepSession;
 using sim::SweepSpec;
-using store::StoreOptions;
 using store::SweepStore;
 
 namespace {
@@ -260,28 +260,6 @@ TEST(Store, WrappedSectionLengthIsCorrupt)
     }
 }
 
-TEST(Store, EvictionDropsOldestInsertionFirst)
-{
-    ScopedDir dir("evict");
-    StoreOptions options;
-    options.max_entries = 2;
-    SweepStore store(dir.path, options);
-    ASSERT_TRUE(store.put("a", makeSnapshot("vectoradd", 1)));
-    ASSERT_TRUE(store.put("b", makeSnapshot("vectoradd", 2)));
-    ASSERT_TRUE(store.put("c", makeSnapshot("vectoradd", 3)));
-    EXPECT_EQ(store.size(), 2u);
-    EXPECT_FALSE(store.contains("a"));
-    EXPECT_TRUE(store.contains("b"));
-    EXPECT_TRUE(store.contains("c"));
-    // The evicted entry's file is gone too, not just unindexed.
-    std::size_t entry_files = 0;
-    for (const auto &de :
-         std::filesystem::directory_iterator(dir.path))
-        if (de.path().extension() == ".entry")
-            ++entry_files;
-    EXPECT_EQ(entry_files, 2u);
-}
-
 TEST(Store, ManifestIsAdvisoryAndRegenerated)
 {
     ScopedDir dir("manifest");
@@ -383,17 +361,10 @@ TEST(Session, RejectsIncoherentOptions)
 {
     // The session owns the snapshot hooks.
     EngineOptions hooked;
-    hooked.memoize = true;
     hooked.snapshot_source = [](const sim::Scenario &) {
         return nullptr;
     };
     EXPECT_THROW(SweepSession{hooked}, FatalError);
-
-    // A store without memoization could never be consulted.
-    ScopedDir dir("reject");
-    EXPECT_THROW(SweepSession(EngineOptions().withMemoize(false),
-                              store::openStore(dir.path)),
-                 FatalError);
 }
 
 TEST(Session, StoreKeySeparatesTraceVariants)
