@@ -9,11 +9,14 @@ namespace perf {
 
 namespace {
 
-/** Sort `v` and drop repeats; returns the distinct count. */
+/** Sort `v` and drop repeats; returns the distinct count. Lane
+ *  addresses usually arrive ascending already (unit-stride and
+ *  broadcast accesses), so the sort runs only when they do not. */
 unsigned
 sortUnique(std::vector<uint32_t> &v)
 {
-    std::sort(v.begin(), v.end());
+    if (!std::is_sorted(v.begin(), v.end()))
+        std::sort(v.begin(), v.end());
     v.erase(std::unique(v.begin(), v.end()), v.end());
     return static_cast<unsigned>(v.size());
 }
@@ -40,20 +43,17 @@ analyzeSmemAccess(const std::vector<uint32_t> &addrs, unsigned banks,
     if (addrs.empty())
         return info;
 
-    // Distinct words, then the longest run of one bank among them.
+    // Distinct words, then the largest number of them in one bank.
     scratch.clear();
     for (uint32_t a : addrs)
         scratch.push_back(a / word_bytes);
     info.distinct_words = sortUnique(scratch);
-    for (uint32_t &w : scratch)
-        w %= banks;
-    std::sort(scratch.begin(), scratch.end());
+    // Per-bank tallies live in the scratch past the distinct words.
+    const std::size_t words = scratch.size();
+    scratch.resize(words + banks, 0);
     unsigned worst = 1;
-    unsigned run = 1;
-    for (std::size_t i = 1; i < scratch.size(); ++i) {
-        run = scratch[i] == scratch[i - 1] ? run + 1 : 1;
-        worst = std::max(worst, run);
-    }
+    for (std::size_t i = 0; i < words; ++i)
+        worst = std::max(worst, ++scratch[words + scratch[i] % banks]);
     info.serialization = worst;
     return info;
 }

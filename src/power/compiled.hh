@@ -43,21 +43,9 @@
 namespace gpusimpow {
 namespace power {
 
-/**
- * One thermal block's power split by how it responds to the two
- * feedback knobs: dynamic_w scales with the core clock (throttling),
- * sub_leak_w scales with tempLeakFactor (junction temperature), and
- * fixed_w does neither (gate leakage; the off-chip DRAM power, which
- * runs from its own supply and clock).
- */
-struct BlockPower
-{
-    double dynamic_w = 0.0;
-    double sub_leak_w = 0.0;
-    double fixed_w = 0.0;
-
-    double total() const { return dynamic_w + sub_leak_w + fixed_w; }
-};
+/** One thermal block's power split (dynamic / subthreshold leakage /
+ *  fixed), the input of the thermal layer's steady solve. */
+using thermal::BlockPower;
 
 /** Per-core report components, in report child order. */
 enum CoreComponent : unsigned
@@ -218,6 +206,11 @@ class CompiledPowerModel
     {
         return tech::tempLeakFactorAt(temp_k) / _nominal_leak_factor;
     }
+
+    /** tech::tempLeakFactorAt() of the nominal junction temperature:
+     *  the divisor of subLeakScaleAt(), which a thermal::SteadyLane
+     *  carries to apply the same law. */
+    double nominalLeakFactor() const { return _nominal_leak_factor; }
 
     /** Dense core dynamic-energy rows (X-macro counter order). */
     const CoreDynCoefficients &coreCoefficients() const

@@ -119,16 +119,21 @@ FrameReader::read(Frame &out, std::string &err)
     return true;
 }
 
-bool
-writeFrame(int fd, const std::string &type, const std::string &payload)
+void
+appendFrame(std::string &wire, const std::string &type,
+            const std::string &payload)
 {
-    std::string wire = strformat("%s %zu\n", type.c_str(),
-                                 payload.size());
+    wire += strformat("%s %zu\n", type.c_str(), payload.size());
     wire += payload;
     wire += '\n';
+}
+
+bool
+sendAll(int fd, const std::string &bytes)
+{
     std::size_t sent = 0;
-    while (sent < wire.size()) {
-        ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent,
+    while (sent < bytes.size()) {
+        ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
                            MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR)
@@ -138,6 +143,14 @@ writeFrame(int fd, const std::string &type, const std::string &payload)
         sent += static_cast<std::size_t>(n);
     }
     return true;
+}
+
+bool
+writeFrame(int fd, const std::string &type, const std::string &payload)
+{
+    std::string wire;
+    appendFrame(wire, type, payload);
+    return sendAll(fd, wire);
 }
 
 bool

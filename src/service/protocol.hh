@@ -80,7 +80,14 @@ class FrameReader
     std::string _buf;
 };
 
-/** Write one frame (handles short writes); false on socket error. */
+/** Append one frame's wire bytes to `wire`. */
+void appendFrame(std::string &wire, const std::string &type,
+                 const std::string &payload);
+
+/** Send every byte (handles short writes); false on socket error. */
+bool sendAll(int fd, const std::string &bytes);
+
+/** Write one frame: appendFrame() + sendAll(). */
 bool writeFrame(int fd, const std::string &type,
                 const std::string &payload);
 

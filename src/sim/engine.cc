@@ -65,11 +65,12 @@ finalizeScenario(ScenarioResult &result, const Simulator &simulator)
 /**
  * Run-scoped power models and thermal networks. Scenarios whose
  * configurations differ at most in their thermal sections share one
- * GpuPowerModel (the model never reads that section); those that also
- * share the thermal section share one ThermalNetwork (immutable, with
- * a mutex-guarded propagator cache). Slots are assigned up front in
- * scenario order; each is built on first use by whichever worker
- * needs it and then shared by every unit and worker of the run.
+ * GpuPowerModel (the model never reads that section). Models with
+ * equal thermal blocks (names and areas) under equal thermal
+ * sections share one ThermalNetwork (immutable, with a mutex-guarded
+ * propagator cache). Slots are assigned up front in scenario order;
+ * each is built on first use by whichever worker needs it and then
+ * shared by every unit and worker of the run.
  */
 class RunModels
 {
@@ -130,8 +131,8 @@ class RunModels
         if (slot.network != no_network) {
             Network &n = model.networks[slot.network];
             std::call_once(n.built, [&] {
-                n.net = std::make_shared<const thermal::ThermalNetwork>(
-                    model.model->thermalBlocks(), n.thermal);
+                n.net = sharedNetwork(model.model->thermalBlocks(),
+                                      n.thermal);
             });
             net = n.net;
         }
@@ -142,12 +143,41 @@ class RunModels
   private:
     static constexpr std::size_t no_network = ~std::size_t{0};
 
+    /** A (model, cooling) pair's view of its network. */
     struct Network
     {
         ThermalConfig thermal;
         std::once_flag built;
         std::shared_ptr<const thermal::ThermalNetwork> net;
     };
+    /** One built network and what it was built from. */
+    struct SharedNetwork
+    {
+        thermal::BlockSet blocks;
+        ThermalConfig thermal;
+        std::shared_ptr<const thermal::ThermalNetwork> net;
+    };
+
+    /**
+     * The run's network for a block decomposition and cooling. A
+     * network reads nothing of the power model but its blocks' names
+     * and areas, and those do not depend on the supply point, so
+     * every supply of a process node shares one network per cooling.
+     */
+    std::shared_ptr<const thermal::ThermalNetwork>
+    sharedNetwork(const thermal::BlockSet &blocks,
+                  const ThermalConfig &tc)
+    {
+        std::lock_guard<std::mutex> lock(_networks_mutex);
+        for (const SharedNetwork &n : _networks)
+            if (n.thermal == tc && n.blocks == blocks)
+                return n.net;
+        _networks.push_back(
+            {blocks, tc,
+             std::make_shared<const thermal::ThermalNetwork>(blocks, tc)});
+        return _networks.back().net;
+    }
+
     struct Model
     {
         /** The configuration with its thermal section defaulted. */
@@ -166,6 +196,8 @@ class RunModels
     std::deque<Model> _models;
     /** Per scenario index. */
     std::vector<Slot> _slot_of;
+    std::mutex _networks_mutex;
+    std::vector<SharedNetwork> _networks;
 };
 
 /** A worker's replay buffers, reused by every group it replays. */
@@ -175,6 +207,10 @@ struct ReplayScratch
     /** Nominal whole-kernel evaluation per distinct power model of
      *  the group. */
     std::vector<power::CompiledPowerModel::Eval> nominal;
+    /** Buffers of the per-network lockstep steady solves. */
+    thermal::SteadyScratch steady;
+    std::vector<thermal::SteadyLane> lanes;
+    std::vector<thermal::SteadyResult> steady_out;
 };
 
 /**
@@ -190,7 +226,9 @@ struct ReplayScratch
  * (its activity matrix is packed once and multiplied against the
  * whole coefficient stack). Variants on one run-scoped power model
  * (they differ only in cooling) share one row of that stack and one
- * nominal whole-kernel evaluation per kernel.
+ * nominal whole-kernel evaluation per kernel, and variants on one
+ * run-scoped thermal network solve the kernel's steady states in one
+ * lockstep batch.
  */
 template <typename Publish>
 void
@@ -237,12 +275,32 @@ replayGroup(const std::vector<Scenario> &scenarios,
     if (nominal.size() < models.size())
         nominal.resize(models.size());
 
+    // Thermal variants grouped by their run-scoped network (they
+    // differ in supply, or share a cooling across the supplies of one
+    // node): each kernel solves every group's steady states as one
+    // lockstep batch, in variant order.
+    std::vector<std::pair<const thermal::ThermalNetwork *,
+                          std::vector<std::size_t>>>
+        net_groups;
+    for (std::size_t j = 0; j < n_variants; ++j) {
+        if (!results[j].scenario.config.thermal.enabled)
+            continue;
+        const thermal::ThermalNetwork *net = &sims[j]->network();
+        auto g = std::find_if(net_groups.begin(), net_groups.end(),
+                              [&](const auto &e) { return e.first == net; });
+        if (g == net_groups.end())
+            net_groups.push_back({net, {j}});
+        else
+            g->second.push_back(j);
+    }
+
     std::unique_ptr<power::BatchedPowerEvaluator> evaluator;
     if (snapshot.with_trace)
         evaluator = std::make_unique<power::BatchedPowerEvaluator>(
             models);
     std::vector<const perf::ChipActivity *> acts;
     std::vector<power::BatchedKernelPower> pre;
+    std::vector<KernelRun> runs(n_variants);
     for (const KernelSnapshot &snap : snapshot.kernels) {
         bool use_batch = snap.with_trace && !snap.samples.empty();
         if (use_batch) {
@@ -257,13 +315,26 @@ replayGroup(const std::vector<Scenario> &scenarios,
             for (std::size_t r = 0; r < models.size(); ++r)
                 models[r]->evaluate(snap.perf.activity, nominal[r]);
         }
-        for (std::size_t j = 0; j < n_variants; ++j) {
-            accumulateKernel(
-                results[j], detail, snap.label, snap.repeatable,
-                sims[j]->replayKernel(
-                    snap, use_batch ? &pre[row_of[j]] : nullptr,
-                    &nominal[row_of[j]], detail));
+        GSP_TRACE_SPAN("sim/replay");
+        for (std::size_t j = 0; j < n_variants; ++j)
+            runs[j] = sims[j]->beginReplay(
+                snap, use_batch ? &pre[row_of[j]] : nullptr,
+                &nominal[row_of[j]], detail);
+        for (const auto &[net, members] : net_groups) {
+            scratch.lanes.clear();
+            for (std::size_t j : members)
+                scratch.lanes.push_back(sims[j]->replayLane());
+            scratch.steady_out.resize(members.size());
+            net->solveSteady(scratch.lanes, scratch.steady_out,
+                             scratch.steady);
+            for (std::size_t k = 0; k < members.size(); ++k)
+                sims[members[k]]->finishReplay(runs[members[k]],
+                                               scratch.steady_out[k],
+                                               snap, detail);
         }
+        for (std::size_t j = 0; j < n_variants; ++j)
+            accumulateKernel(results[j], detail, snap.label,
+                             snap.repeatable, std::move(runs[j]));
     }
 
     for (std::size_t j = 0; j < n_variants; ++j) {
@@ -273,9 +344,11 @@ replayGroup(const std::vector<Scenario> &scenarios,
         results[j].verified = true;
         if (results[j].scenario.verify && results[j].kernel_count != 0)
             results[j].verified = snapshot.verified;
-        publish(std::move(results[j]));
+        // Counted before publish() runs the progress hook, so the
+        // hook sees this scenario among the replayed ones.
         replayed.fetch_add(1);
         c_replayed.add(1);
+        publish(std::move(results[j]));
     }
 }
 
@@ -538,9 +611,14 @@ SimulationEngine::run(const SweepSpec &spec,
                             std::make_shared<ActivitySnapshot>();
                         try {
                             GSP_TRACE_SPAN("engine/capture");
-                            publish(runScenario(
+                            ScenarioResult r = runScenario(
                                 first, *run_models.simulator(first),
-                                captured_snap.get()));
+                                captured_snap.get());
+                            // Counted before publish() runs the
+                            // progress hook, like a replay.
+                            captured.fetch_add(1);
+                            c_captured.add(1);
+                            publish(std::move(r));
                         } catch (...) {
                             // A source that registered in-flight
                             // state on the miss must be released, or
@@ -549,8 +627,6 @@ SimulationEngine::run(const SweepSpec &spec,
                                 _options.snapshot_sink(first, nullptr);
                             throw;
                         }
-                        captured.fetch_add(1);
-                        c_captured.add(1);
                         // Persist before replaying the variants so
                         // other jobs waiting on this key unblock
                         // immediately.

@@ -28,10 +28,11 @@
  * per pass). Replaying Simulators never build the cycle-level GPU.
  * A run builds one power model per distinct power-relevant
  * configuration (the configuration without its thermal section) and
- * one thermal network per (model, cooling), shared by every unit and
- * worker, and a replay group evaluates each kernel once per model, so
- * a replay is bit-identical to a full run minus the entire timing
- * simulation. EngineOptions::row_detail chooses whether rows keep
+ * one thermal network per (thermal blocks, cooling), shared by every
+ * unit and worker. A replay group evaluates each kernel once per
+ * model and solves its steady states once per network, all lanes in
+ * lockstep, so a replay is bit-identical to a full run minus the
+ * entire timing simulation. EngineOptions::row_detail chooses whether rows keep
  * their per-kernel detail or only the summary columns.
  * Throttle-governed scenarios (power feeds back into timing) are
  * the exception: each one is a full simulation of its own.

@@ -385,6 +385,20 @@ Simulator::replayKernel(const KernelSnapshot &snap,
                         sim::RowDetail detail)
 {
     GSP_TRACE_SPAN("sim/replay");
+    KernelRun run = beginReplay(snap, batched, nominal, detail);
+    if (_cfg.thermal.enabled)
+        finishReplay(run,
+                     _network->solveSteady(replayLane(), &_steady_scratch),
+                     snap, detail);
+    return run;
+}
+
+KernelRun
+Simulator::beginReplay(const KernelSnapshot &snap,
+                       const power::BatchedKernelPower *batched,
+                       const power::CompiledPowerModel::Eval *nominal,
+                       sim::RowDetail detail)
+{
     if (_cfg.thermal.enabled && _cfg.thermal.throttle)
         fatal("cannot replay a snapshot under a throttling governor: "
               "its power-to-clock feedback changes timing; run the "
@@ -402,15 +416,30 @@ Simulator::replayKernel(const KernelSnapshot &snap,
             run.report = cpm.assembleReport(*nominal);
         return run;
     }
-    // Ungoverned thermal: whole-kernel steady solve at the measured
-    // power split, then the shared thermal tail, which rescales the
-    // leakage of this simulator's own copy of the evaluation.
+    // Ungoverned thermal: the steady solve runs at the measured power
+    // split, then finishReplay() rescales the leakage of this
+    // simulator's own copy of the evaluation.
     ensureThermal();
     if (nominal != &_eval)
         _eval = *nominal;
-    thermal::SteadyResult steady = solveSteady(_eval.blocks, 1.0);
-    finishThermal(run, _eval, steady, snap.with_trace, false, keep);
     return run;
+}
+
+thermal::SteadyLane
+Simulator::replayLane() const
+{
+    return steadyLane(_eval.blocks, 1.0);
+}
+
+void
+Simulator::finishReplay(KernelRun &run,
+                        const thermal::SteadyResult &steady,
+                        const KernelSnapshot &snap, sim::RowDetail detail)
+{
+    if (steady.converged)
+        _steady_warm = steady.temps_k;
+    finishThermal(run, _eval, steady, snap.with_trace, false,
+                  detail == sim::RowDetail::kernels);
 }
 
 KernelRun
@@ -478,9 +507,9 @@ Simulator::finishThermal(KernelRun &run,
     }
 }
 
-thermal::SteadyResult
-Simulator::solveSteady(const std::vector<power::BlockPower> &bp,
-                       double freq_ratio)
+thermal::SteadyLane
+Simulator::steadyLane(const std::vector<power::BlockPower> &bp,
+                      double freq_ratio) const
 {
     // Dynamic power follows the clock to first order; subthreshold
     // leakage follows the block temperature the solve is converging
@@ -488,16 +517,16 @@ Simulator::solveSteady(const std::vector<power::BlockPower> &bp,
     // Consecutive solves target nearby operating points (governor
     // bisect probes, kernels of one scenario), so each one starts
     // from the last converged solution instead of ambient.
-    const power::CompiledPowerModel &cpm = _power->compiled();
+    return {&bp, freq_ratio, _power->compiled().nominalLeakFactor(),
+            _steady_warm.empty() ? nullptr : &_steady_warm};
+}
+
+thermal::SteadyResult
+Simulator::solveSteady(const std::vector<power::BlockPower> &bp,
+                       double freq_ratio)
+{
     thermal::SteadyResult steady = _network->solveSteady(
-        [&](const std::vector<double> &temps,
-            std::vector<double> &powers) {
-            for (std::size_t i = 0; i < bp.size(); ++i)
-                powers[i] = bp[i].dynamic_w * freq_ratio +
-                            bp[i].sub_leak_w * cpm.subLeakScaleAt(temps[i]) +
-                            bp[i].fixed_w;
-        },
-        _steady_warm.empty() ? nullptr : &_steady_warm, &_steady_scratch);
+        steadyLane(bp, freq_ratio), &_steady_scratch);
     if (steady.converged)
         _steady_warm = steady.temps_k;
     return steady;

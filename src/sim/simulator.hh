@@ -256,6 +256,33 @@ class Simulator
         const power::CompiledPowerModel::Eval *nominal = nullptr,
         sim::RowDetail detail = sim::RowDetail::kernels);
 
+    /**
+     * replayKernel() in two halves around its steady solve, so an
+     * engine group can solve the steady states of every variant on
+     * one thermal network in one lockstep batch
+     * (ThermalNetwork::solveSteady over lanes). beginReplay() does
+     * everything before the solve and, without thermal, everything.
+     * With thermal enabled the kernel then owes replayLane() solved
+     * on network() and the result passed to finishReplay(), before
+     * this Simulator replays anything else. Same arguments and the
+     * same result as replayKernel().
+     */
+    KernelRun beginReplay(const KernelSnapshot &snap,
+                          const power::BatchedKernelPower *batched,
+                          const power::CompiledPowerModel::Eval *nominal,
+                          sim::RowDetail detail);
+    /** The begun kernel's steady lane: its measured block split at
+     *  the configured clock, warm-started from this scenario's last
+     *  converged solve. Valid until finishReplay(). */
+    thermal::SteadyLane replayLane() const;
+    /** The network every steady lane of this Simulator solves on
+     *  (after a thermal beginReplay(), or when the engine supplied
+     *  it at construction). */
+    const thermal::ThermalNetwork &network() const { return *_network; }
+    /** Complete a begun thermal kernel from its lane's result. */
+    void finishReplay(KernelRun &run, const thermal::SteadyResult &steady,
+                      const KernelSnapshot &snap, sim::RowDetail detail);
+
     /** Lowest freq_scale the throttling governor will clamp to. */
     static constexpr double min_throttle_freq_scale = 0.25;
 
@@ -333,8 +360,12 @@ class Simulator
     KernelRun runOnce(const perf::KernelProgram &prog,
                       const perf::LaunchConfig &launch,
                       bool with_trace, double sample_interval_s);
-    /** Closed-loop steady solve, warm-started from (and, when it
-     *  converges, refreshing) _steady_warm. */
+    /** The steady lane of a block split at a clock ratio, on this
+     *  Simulator's power model and warm start. */
+    thermal::SteadyLane steadyLane(const std::vector<power::BlockPower> &bp,
+                                   double freq_ratio) const;
+    /** Closed-loop steady solve (a batch of one lane), warm-started
+     *  from (and, when it converges, refreshing) _steady_warm. */
     thermal::SteadyResult
     solveSteady(const std::vector<power::BlockPower> &bp,
                 double freq_ratio);

@@ -7,6 +7,7 @@
 #include "config/gpu_config.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "tech/tech.hh"
 
 namespace gpusimpow {
 namespace thermal {
@@ -109,6 +110,9 @@ ThermalNetwork::ThermalNetwork(const BlockSet &blocks,
                                const ThermalConfig &tc)
     : _blocks(blocks), _ambient_k(tc.ambient_k)
 {
+    static obs::Counter &c_builds = obs::Registry::instance().counter(
+        "thermal/network_builds", "thermal networks constructed");
+    c_builds.add(1);
     GSP_ASSERT(blocks.size() >= 2, "thermal network needs >= 2 blocks");
     GSP_ASSERT(blocks.names.size() == blocks.area_mm2.size(),
                "block names/areas mismatch");
@@ -282,10 +286,10 @@ ThermalNetwork::solveLinear(const std::vector<double> &powers_w) const
     return nodes;
 }
 
-SteadyResult
-ThermalNetwork::solveSteady(PowerAt power_at,
-                            const std::vector<double> *warm_start_k,
-                            SteadyScratch *scratch) const
+void
+ThermalNetwork::solveSteady(std::span<const SteadyLane> lanes,
+                            std::span<SteadyResult> out,
+                            SteadyScratch &scratch) const
 {
     GSP_TRACE_SPAN("thermal/steady");
     static obs::Counter &c_solves = obs::Registry::instance().counter(
@@ -304,56 +308,170 @@ ThermalNetwork::solveSteady(PowerAt power_at,
         obs::Registry::instance().histogram(
             "thermal/steady_iterations_per_solve",
             "fixed-point iterations per steady solve");
-    c_solves.add(1);
+    GSP_ASSERT(out.size() == lanes.size(),
+               "one steady result per lane");
+    const std::size_t width = lanes.size();
+    if (width == 0)
+        return;
+    const std::size_t nb = _blocks.size();
+    const std::size_t n = _n;
+    const std::size_t hs = n - 1;
 
-    SteadyResult result;
-    if (warm_start_k && warm_start_k->size() == _blocks.size()) {
-        result.temps_k = *warm_start_k;
-        c_warm.add(1);
-    } else {
-        result.temps_k.assign(_blocks.size(), _ambient_k);
+    // Node x lane: row i holds node i of every live lane, so each
+    // substitution step below is one pass across the lanes. Live
+    // lanes occupy slots [0, live); temps row hs carries the capped
+    // heatsink temperature of the last iteration.
+    std::vector<double> &temps = scratch.temps;
+    std::vector<double> &nodes = scratch.nodes;
+    std::vector<std::size_t> &lane_of = scratch.lane_of;
+    temps.resize(n * width);
+    nodes.resize(n * width);
+    lane_of.resize(width);
+    uint64_t warm = 0;
+    for (std::size_t l = 0; l < width; ++l) {
+        const SteadyLane &lane = lanes[l];
+        GSP_ASSERT(lane.blocks && lane.blocks->size() == nb,
+                   "lane power split does not match block set");
+        const std::vector<double> *start = lane.warm_start_k;
+        if (start && start->size() == nb) {
+            for (std::size_t i = 0; i < nb; ++i)
+                temps[i * width + l] = (*start)[i];
+            ++warm;
+        } else {
+            for (std::size_t i = 0; i < nb; ++i)
+                temps[i * width + l] = _ambient_k;
+        }
+        temps[hs * width + l] = _ambient_k;
+        lane_of[l] = l;
     }
-    result.heatsink_k = _ambient_k;
 
-    SteadyScratch local;
-    SteadyScratch &work = scratch ? *scratch : local;
-    std::vector<double> &powers = work.powers_w;
-    std::vector<double> &nodes = work.nodes;
-    powers.assign(_blocks.size(), 0.0);
-    bool capped = false;
-    for (unsigned iter = 0; iter < steady_max_iterations; ++iter) {
-        power_at(result.temps_k, powers);
-        solveLinearInto(powers, nodes);
-        capped = false;
-        double delta = 0.0;
-        for (std::size_t i = 0; i < _blocks.size(); ++i) {
-            double t = nodes[i];
-            if (t > runaway_cap_k) {
-                t = runaway_cap_k;
-                capped = true;
+    uint64_t iterations = 0;
+    // Copy slot k's column out as its lane's result.
+    auto retire = [&](std::size_t k, unsigned iters,
+                      bool converged) -> const SteadyResult & {
+        SteadyResult &r = out[lane_of[k]];
+        r.temps_k.resize(nb);
+        for (std::size_t i = 0; i < nb; ++i)
+            r.temps_k[i] = temps[i * width + k];
+        r.heatsink_k = temps[hs * width + k];
+        r.iterations = iters;
+        r.converged = converged;
+        iterations += iters;
+        h_iters.record(iters);
+        return r;
+    };
+    std::size_t live = width;
+    for (unsigned iter = 0; iter < steady_max_iterations && live > 0;
+         ++iter) {
+        // Right-hand side: the block powers at the current
+        // temperatures plus the ambient boundary current, in
+        // assembleRhs()'s arithmetic.
+        for (std::size_t i = 0; i < nb; ++i) {
+            const double boundary = _g_amb[i] * _ambient_k;
+            const double *t = temps.data() + i * width;
+            double *b = nodes.data() + i * width;
+            for (std::size_t k = 0; k < live; ++k) {
+                const SteadyLane &lane = lanes[lane_of[k]];
+                const BlockPower &bp = (*lane.blocks)[i];
+                double leak =
+                    bp.sub_leak_w == 0.0
+                        ? 0.0
+                        : bp.sub_leak_w *
+                              (tech::tempLeakFactorAt(t[k]) /
+                               lane.nominal_leak_factor);
+                b[k] = bp.dynamic_w * lane.freq_ratio + leak +
+                       bp.fixed_w + boundary;
             }
-            delta = std::max(delta, std::fabs(t - result.temps_k[i]));
-            result.temps_k[i] = t;
         }
-        result.heatsink_k = std::min(nodes[_n - 1], runaway_cap_k);
-        result.iterations = iter + 1;
-        if (delta < steady_tol_k) {
-            // A fixed point pinned at the cap is thermal runaway,
-            // not convergence.
-            result.converged = !capped;
-            c_iters.add(result.iterations);
-            h_iters.record(result.iterations);
-            return result;
+        {
+            const double boundary = 0.0 + _g_amb[hs] * _ambient_k;
+            double *b = nodes.data() + hs * width;
+            for (std::size_t k = 0; k < live; ++k)
+                b[k] = boundary;
         }
+        // solveLinearInto()'s substitutions, one lane per column.
+        for (std::size_t col = 0; col < n; ++col) {
+            double *bc = nodes.data() + col * width;
+            if (_pivot[col] != col) {
+                double *bp = nodes.data() + _pivot[col] * width;
+                for (std::size_t k = 0; k < live; ++k)
+                    std::swap(bc[k], bp[k]);
+            }
+            for (std::size_t row = col + 1; row < n; ++row) {
+                double f = _lu[row * n + col];
+                if (f == 0.0)
+                    continue;
+                double *br = nodes.data() + row * width;
+                for (std::size_t k = 0; k < live; ++k)
+                    br[k] -= f * bc[k];
+            }
+        }
+        for (std::size_t row = n; row-- > 0;) {
+            double *br = nodes.data() + row * width;
+            for (std::size_t j = row + 1; j < n; ++j) {
+                const double a = _lu[row * n + j];
+                const double *bj = nodes.data() + j * width;
+                for (std::size_t k = 0; k < live; ++k)
+                    br[k] -= a * bj[k];
+            }
+            const double diag = _lu[row * n + row];
+            for (std::size_t k = 0; k < live; ++k)
+                br[k] = br[k] / diag;
+        }
+
+        // Cap, measure the step, and retire the lanes that settled;
+        // the rest close ranks (in lane order) for the next pass.
+        std::size_t kept = 0;
+        for (std::size_t k = 0; k < live; ++k) {
+            bool capped = false;
+            double delta = 0.0;
+            for (std::size_t i = 0; i < nb; ++i) {
+                double t = nodes[i * width + k];
+                if (t > runaway_cap_k) {
+                    t = runaway_cap_k;
+                    capped = true;
+                }
+                double &prev = temps[i * width + k];
+                delta = std::max(delta, std::fabs(t - prev));
+                prev = t;
+            }
+            temps[hs * width + k] =
+                std::min(nodes[hs * width + k], runaway_cap_k);
+            if (delta < steady_tol_k) {
+                // A fixed point pinned at the cap is thermal
+                // runaway, not convergence.
+                retire(k, iter + 1, !capped);
+                continue;
+            }
+            if (kept != k) {
+                for (std::size_t i = 0; i < n; ++i)
+                    temps[i * width + kept] = temps[i * width + k];
+                lane_of[kept] = lane_of[k];
+            }
+            ++kept;
+        }
+        live = kept;
     }
-    result.converged = false;
-    c_nonconv.add(1);
-    c_iters.add(result.iterations);
-    h_iters.record(result.iterations);
-    warn("thermal steady solve did not converge after ",
-         steady_max_iterations,
-         " fixed-point iterations (hottest block ",
-         result.maxTemp(), " K)");
+
+    // Lanes still live spent the whole budget.
+    for (std::size_t k = 0; k < live; ++k)
+        warn("thermal steady solve did not converge after ",
+             steady_max_iterations,
+             " fixed-point iterations (hottest block ",
+             retire(k, steady_max_iterations, false).maxTemp(), " K)");
+    c_solves.add(width);
+    c_warm.add(warm);
+    c_iters.add(iterations);
+    c_nonconv.add(live);
+}
+
+SteadyResult
+ThermalNetwork::solveSteady(const SteadyLane &lane,
+                            SteadyScratch *scratch) const
+{
+    SteadyResult result;
+    SteadyScratch local;
+    solveSteady({&lane, 1}, {&result, 1}, scratch ? *scratch : local);
     return result;
 }
 

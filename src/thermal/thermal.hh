@@ -10,7 +10,8 @@
  * Two solvers close the power-temperature loop:
  *  - solveSteady(): fixed-point iteration power -> temperature ->
  *    (tempLeakFactor-scaled) leakage -> power for whole-kernel
- *    reports, with thermal-runaway detection;
+ *    reports, with thermal-runaway detection, run in lockstep over
+ *    any number of operating points (lanes) on one network;
  *  - advance(): a transient integrator driven by the sampled power
  *    waveform, producing a per-block temperature waveform.
  *
@@ -36,6 +37,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,6 +78,8 @@ struct BlockSet
         return num_clusters + (has_l2 ? 1 : 0);
     }
     std::size_t dramIndex() const { return uncoreIndex() + 1; }
+
+    bool operator==(const BlockSet &) const = default;
 };
 
 /** Outcome of a steady-state (fixed-point) solve. */
@@ -101,43 +105,62 @@ struct SteadyResult
 };
 
 /**
- * Non-owning power callback of ThermalNetwork::solveSteady: fills
- * powers_w (sized to the block count) with the block powers at
- * temps_k (both BlockSet order). It refers to the callable instead of
- * copying it, so binding a capturing lambda never allocates; the
- * callable must outlive the solve.
+ * One thermal block's power split by how it responds to the two
+ * feedback knobs: dynamic_w scales with the core clock (throttling),
+ * sub_leak_w scales with tempLeakFactor (junction temperature), and
+ * fixed_w does neither (gate leakage; the off-chip DRAM power, which
+ * runs from its own supply and clock).
  */
-class PowerAt
+struct BlockPower
 {
-  public:
-    template <typename F>
-    PowerAt(const F &f) // implicit: call sites pass a lambda
-        : _obj(&f),
-          _call([](const void *obj, const std::vector<double> &temps_k,
-                   std::vector<double> &powers_w) {
-              (*static_cast<const F *>(obj))(temps_k, powers_w);
-          })
-    {
-    }
+    double dynamic_w = 0.0;
+    double sub_leak_w = 0.0;
+    double fixed_w = 0.0;
 
-    void operator()(const std::vector<double> &temps_k,
-                    std::vector<double> &powers_w) const
-    {
-        _call(_obj, temps_k, powers_w);
-    }
+    double total() const { return dynamic_w + sub_leak_w + fixed_w; }
+};
 
-  private:
-    const void *_obj;
-    void (*_call)(const void *, const std::vector<double> &,
-                  std::vector<double> &);
+/**
+ * One lane of a lockstep steady solve: one operating point on the
+ * network. At block temperatures T the lane's block powers are
+ *
+ *     dynamic_w * freq_ratio
+ *         + sub_leak_w * tech::tempLeakFactorAt(T) / nominal_leak_factor
+ *         + fixed_w
+ *
+ * which is CompiledPowerModel::subLeakScaleAt() applied to the
+ * leakage share. A block without subthreshold leakage (the DRAM
+ * block) takes 0.0 for that term, the same value for any finite T.
+ */
+struct SteadyLane
+{
+    /** Block power split at the nominal junction temperature
+     *  (BlockSet order); must outlive the solve. */
+    const std::vector<BlockPower> *blocks = nullptr;
+    /** Clock ratio the dynamic share follows. */
+    double freq_ratio = 1.0;
+    /** tech::tempLeakFactorAt() of the lane power model's nominal
+     *  junction temperature (CompiledPowerModel::nominalLeakFactor). */
+    double nominal_leak_factor = 1.0;
+    /**
+     * Optional block temperatures (BlockSet order) to start from —
+     * the previous solution when the caller solves a sequence of
+     * nearby operating points (governor bisection, kernels of one
+     * scenario). Ignored (cold start at ambient) when null or of the
+     * wrong size; the iteration converges to the same fixed point
+     * within tolerance either way.
+     */
+    const std::vector<double> *warm_start_k = nullptr;
 };
 
 /** Buffers of ThermalNetwork::solveSteady a caller can keep across
- *  solves: the block powers and the linear solve's node vector. */
+ *  solves: node x lane temperatures and linear-solve values, and the
+ *  lane of each live slot. */
 struct SteadyScratch
 {
-    std::vector<double> powers_w;
+    std::vector<double> temps;
     std::vector<double> nodes;
+    std::vector<std::size_t> lane_of;
 };
 
 /**
@@ -190,26 +213,26 @@ class ThermalNetwork
                          std::vector<double> &nodes_out) const;
 
     /**
-     * Closed-loop steady state: iterate temperature -> power until
-     * the hottest block moves < tol_k between iterations. Nothing
-     * is allocated per iteration, and nothing per solve beyond the
-     * result when the caller passes its own scratch.
-     * @param power_at fills the block powers, W, at the given block
-     *        temperatures (both BlockSet order) — this is where the
-     *        caller applies tempLeakFactor to the leakage share
-     * @param warm_start_k optional block temperatures (BlockSet
-     *        order) to start the fixed-point iteration from — the
-     *        previous solution when the caller solves a sequence of
-     *        nearby operating points (governor bisection, kernels of
-     *        one scenario). Ignored (cold start at ambient) when
-     *        null or of the wrong size; the iteration converges to
-     *        the same fixed point within tolerance either way.
-     * @param scratch optional buffers reused across solves; null
-     *        solves with local ones
+     * Closed-loop steady state of every lane, in lockstep: iterate
+     * temperature -> power -> temperature until the hottest block of
+     * a lane moves < tol_k between iterations. Node values are laid
+     * out node x lane, so each substitution step runs across all
+     * live lanes; a lane that settles leaves the live set. Every
+     * lane keeps the scalar iteration's operation order, so its
+     * result does not depend on the other lanes of the batch.
+     * Nothing is allocated per iteration, and nothing per solve
+     * beyond the results once the scratch has grown.
+     * @param lanes operating points; every lane's block split has
+     *        blocks().size() entries
+     * @param out one result per lane (same order)
      */
-    SteadyResult solveSteady(PowerAt power_at,
-                             const std::vector<double> *warm_start_k =
-                                 nullptr,
+    void solveSteady(std::span<const SteadyLane> lanes,
+                     std::span<SteadyResult> out,
+                     SteadyScratch &scratch) const;
+
+    /** One lane: a batch of one. Null scratch solves with local
+     *  buffers. */
+    SteadyResult solveSteady(const SteadyLane &lane,
                              SteadyScratch *scratch = nullptr) const;
 
     /** Transient node state: block temperatures plus heatsink, K.

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "obs/metrics.hh"
 #include "sim/engine.hh"
 #include "sim/session.hh"
 #include "sim/sweep.hh"
@@ -195,6 +196,36 @@ TEST(Engine, ProgressCallbackSeesEveryScenarioExactlyOnce)
     for (int count : seen)
         EXPECT_EQ(count, 1);
     EXPECT_EQ(max_done, seen.size());
+}
+
+TEST(Engine, ProgressCountsTheScenarioItReports)
+{
+    // A scenario is counted as captured or replayed before the
+    // callback that reports it runs, so a progress display reading
+    // the counters never lags: the last call sees every scenario.
+    SweepSpec spec;
+    spec.configs = {GpuConfig::gt240()};
+    spec.workloads = {"vectoradd", "matmul"};
+    spec.tech_nodes = {40, 28};
+    obs::Registry &reg = obs::Registry::instance();
+    obs::Counter &replayed = reg.counter("engine/scenarios_replayed");
+    obs::Counter &captured = reg.counter("engine/scenarios_captured");
+    for (unsigned jobs : {1u, 2u}) {
+        const uint64_t replayed0 = replayed.value();
+        const uint64_t captured0 = captured.value();
+        std::size_t last_seen = 0;
+        SweepSession session(EngineOptions().withJobs(jobs));
+        session.submit(spec, [&](const ScenarioResult &,
+                                 std::size_t done, std::size_t total) {
+            uint64_t counted = replayed.value() - replayed0 +
+                               captured.value() - captured0;
+            EXPECT_GE(counted, done);
+            if (done == total)
+                last_seen = counted;
+        });
+        EXPECT_EQ(last_seen, spec.size()) << "jobs " << jobs;
+        EXPECT_EQ(replayed.value() - replayed0, 2u);
+    }
 }
 
 TEST(SweepResult, SetIsThreadSafeAndSlotsStayOrdered)

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
+#include "common/random.hh"
 #include "perf/cache.hh"
 #include "perf/coalescer.hh"
 #include "perf/memory.hh"
@@ -247,4 +252,89 @@ TEST(DistinctAddressesTest, CountsUnique)
     EXPECT_EQ(distinctAddresses({1, 1, 1}, scratch), 1u);
     EXPECT_EQ(distinctAddresses({1, 2, 3, 2}, scratch), 3u);
     EXPECT_EQ(distinctAddresses({}, scratch), 0u);
+}
+
+namespace {
+
+/** Naive oracle: sorted distinct values. */
+std::vector<uint32_t>
+sortedDistinct(std::vector<uint32_t> v)
+{
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+    return v;
+}
+
+/** Warp-sized lane address sets of every shape the coalescer sees:
+ *  ascending and shuffled unit stride, duplicated lanes, a full
+ *  broadcast, descending, random and partial warps. */
+std::vector<std::vector<uint32_t>>
+laneAddressSets()
+{
+    SplitMix64 rng(20261018);
+    std::vector<std::vector<uint32_t>> sets;
+    for (uint32_t stride : {4u, 8u, 12u, 64u, 128u, 132u}) {
+        std::vector<uint32_t> v;
+        for (uint32_t lane = 0; lane < 32; ++lane)
+            v.push_back(4096 + lane * stride);
+        sets.push_back(v); // ascending
+        std::vector<uint32_t> shuffled = v;
+        for (std::size_t i = shuffled.size(); i > 1; --i)
+            std::swap(shuffled[i - 1], shuffled[rng.nextBounded(i)]);
+        sets.push_back(shuffled);
+        std::reverse(v.begin(), v.end());
+        sets.push_back(v); // descending
+    }
+    for (int round = 0; round < 40; ++round) {
+        std::size_t lanes = 1 + rng.nextBounded(32);
+        std::vector<uint32_t> v;
+        for (std::size_t lane = 0; lane < lanes; ++lane)
+            v.push_back(static_cast<uint32_t>(rng.nextBounded(2048)) * 4);
+        // Duplicate a few lanes onto others.
+        for (std::size_t d = 0; d < lanes / 4; ++d)
+            v[rng.nextBounded(lanes)] = v[rng.nextBounded(lanes)];
+        sets.push_back(v);
+    }
+    sets.push_back(std::vector<uint32_t>(32, 8192)); // broadcast
+    sets.push_back({});
+    return sets;
+}
+
+} // namespace
+
+TEST(CoalescerTest, MatchesANaiveSortUniqueReference)
+{
+    std::vector<uint32_t> out, scratch;
+    for (const std::vector<uint32_t> &addrs : laneAddressSets()) {
+        for (unsigned seg : {32u, 64u, 128u}) {
+            std::vector<uint32_t> segs;
+            for (uint32_t a : addrs)
+                segs.push_back(a / seg * seg);
+            std::vector<uint32_t> want = sortedDistinct(segs);
+            EXPECT_EQ(coalesce(addrs, seg, out), want.size());
+            // Sorted order: the memory system walks segments in it.
+            EXPECT_EQ(out, want);
+        }
+        std::vector<uint32_t> want = sortedDistinct(addrs);
+        EXPECT_EQ(distinctAddresses(addrs, scratch), want.size());
+        EXPECT_EQ(scratch, want);
+        for (unsigned banks : {16u, 32u, 100u}) {
+            std::vector<uint32_t> words;
+            for (uint32_t a : addrs)
+                words.push_back(a / 4);
+            words = sortedDistinct(words);
+            std::map<uint32_t, unsigned> load;
+            unsigned worst = 1;
+            for (uint32_t w : words)
+                worst = std::max(worst, ++load[w % banks]);
+            BankConflictInfo info = analyzeSmemAccess(addrs, banks, scratch);
+            if (addrs.empty()) {
+                EXPECT_EQ(info.distinct_words, 0u);
+                EXPECT_EQ(info.serialization, 1u);
+                continue;
+            }
+            EXPECT_EQ(info.distinct_words, words.size());
+            EXPECT_EQ(info.serialization, worst);
+        }
+    }
 }

@@ -180,6 +180,34 @@ TEST(Service, JobRoundTripStreamsRowsAndTable)
               local.submit(smallRequest().toSpec()).formatTable());
 }
 
+TEST(Service, RowsLeaveInOrderFromTheHandler)
+{
+    // The connection's writer thread, not the engine workers, writes
+    // the rows: each write carries every row finished since the last
+    // one, so a job makes at most one write per row and the client
+    // still reads every row in completion order.
+    ScopedServer server(
+        std::make_shared<SweepSession>(EngineOptions().withJobs(2)));
+    obs::Counter &writes =
+        obs::Registry::instance().counter("service/row_writes");
+    const uint64_t writes0 = writes.value();
+
+    std::vector<std::string> rows;
+    SweepClient client("127.0.0.1", server.port());
+    SweepClient::JobResult job = client.submitJob(
+        smallRequest().withVf("0.9:1,1:1").withCoolings("stock,liquid"),
+        [&](const std::string &row) { rows.push_back(row); });
+
+    ASSERT_TRUE(job.ok) << job.error;
+    ASSERT_EQ(rows.size(), 8u);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        EXPECT_EQ(rows[i].rfind(strformat("%zu/8 ", i + 1), 0), 0u)
+            << rows[i];
+    const uint64_t n_writes = writes.value() - writes0;
+    EXPECT_GE(n_writes, 1u);
+    EXPECT_LE(n_writes, rows.size());
+}
+
 TEST(Service, ConcurrentClientsShareOneCapture)
 {
     ScopedDir dir("dedupe");

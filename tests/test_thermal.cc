@@ -50,16 +50,39 @@ tinyCooling()
     return tc;
 }
 
-/** Adapt a power function returning its vector to solveSteady's
- *  fill-the-buffer callback. */
-template <typename F>
-auto
-fillIn(const F &power_of)
+/** A steady lane whose leakage doubles every 20 K from 1x at
+ *  300 K (tempLeakFactorAt(300 K) is 1). */
+thermal::SteadyLane
+laneOf(const std::vector<thermal::BlockPower> &bp,
+       const std::vector<double> *warm_start_k = nullptr)
 {
-    return [&power_of](const std::vector<double> &temps,
-                       std::vector<double> &powers) {
-        powers = power_of(temps);
-    };
+    return {&bp, 1.0, tech::tempLeakFactorAt(300.0), warm_start_k};
+}
+
+/** The tiny network's stable feedback split: leakage on cluster0
+ *  whose loop gain stays well below one. */
+const std::vector<thermal::BlockPower> &
+stableSplit()
+{
+    static const std::vector<thermal::BlockPower> bp = {
+        {20.0, 1.0, 0.0}, {2.0, 0.0, 0.0}, {0.0, 0.0, 3.0}};
+    return bp;
+}
+
+/** Block powers of a lane at given block temperatures. */
+std::vector<double>
+lanePowers(const thermal::SteadyLane &lane,
+           const std::vector<double> &temps)
+{
+    std::vector<double> p;
+    for (std::size_t i = 0; i < temps.size(); ++i) {
+        const thermal::BlockPower &b = (*lane.blocks)[i];
+        p.push_back(b.dynamic_w * lane.freq_ratio +
+                    b.sub_leak_w * tech::tempLeakFactorAt(temps[i]) /
+                        lane.nominal_leak_factor +
+                    b.fixed_w);
+    }
+    return p;
 }
 
 sim::ScenarioResult
@@ -214,16 +237,13 @@ TEST(ThermalNetwork, LinearSolveMatchesHandComputedSeriesPath)
 TEST(ThermalNetwork, SteadyStateConvergesOnStableFeedback)
 {
     thermal::ThermalNetwork net(tinyBlocks(), tinyCooling());
-    // Affine leakage feedback with loop gain well below one.
-    auto power_at = [](const std::vector<double> &temps) {
-        return std::vector<double>{
-            20.0 + 0.05 * (temps[0] - 300.0), 2.0, 3.0};
-    };
-    thermal::SteadyResult s = net.solveSteady(fillIn(power_at));
+    thermal::SteadyLane lane = laneOf(stableSplit());
+    thermal::SteadyResult s = net.solveSteady(lane);
     EXPECT_TRUE(s.converged);
     EXPECT_LT(s.iterations, 200u);
     // At the fixed point the solved temps reproduce themselves.
-    std::vector<double> check = net.solveLinear(power_at(s.temps_k));
+    std::vector<double> check =
+        net.solveLinear(lanePowers(lane, s.temps_k));
     for (std::size_t i = 0; i < s.temps_k.size(); ++i)
         EXPECT_NEAR(check[i], s.temps_k[i], 1e-3);
     EXPECT_GT(s.maxTemp(), net.ambient());
@@ -232,13 +252,10 @@ TEST(ThermalNetwork, SteadyStateConvergesOnStableFeedback)
 TEST(ThermalNetwork, SteadyStateDetectsThermalRunaway)
 {
     thermal::ThermalNetwork net(tinyBlocks(), tinyCooling());
-    // Leakage that doubles per 10 K with a heavy base: gain >> 1.
-    auto power_at = [](const std::vector<double> &temps) {
-        return std::vector<double>{
-            80.0 * std::pow(2.0, (temps[0] - 300.0) / 10.0), 0.0,
-            0.0};
-    };
-    thermal::SteadyResult s = net.solveSteady(fillIn(power_at));
+    // A heavy leakage base that doubles per 20 K: gain >> 1.
+    const std::vector<thermal::BlockPower> bp = {
+        {0.0, 80.0, 0.0}, {0.0, 0.0, 0.0}, {0.0, 0.0, 0.0}};
+    thermal::SteadyResult s = net.solveSteady(laneOf(bp));
     EXPECT_FALSE(s.converged);
     EXPECT_DOUBLE_EQ(s.maxTemp(),
                      thermal::ThermalNetwork::runaway_cap_k);
@@ -867,21 +884,17 @@ TEST(ThermalSolver, SolveLinearIntoReusesCallerScratch)
 TEST(ThermalSolver, WarmStartConvergesToTheSameFixedPoint)
 {
     thermal::ThermalNetwork net(tinyBlocks(), tinyCooling());
-    auto power_at = [](const std::vector<double> &temps) {
-        return std::vector<double>{
-            20.0 + 0.05 * (temps[0] - 300.0), 2.0, 3.0};
-    };
     obs::Counter &warm_ctr = obs::Registry::instance().counter(
         "thermal/steady_warm_starts",
         "steady solves started from a previous solution");
     uint64_t warm_before = warm_ctr.value();
 
-    thermal::SteadyResult cold = net.solveSteady(fillIn(power_at));
+    thermal::SteadyResult cold = net.solveSteady(laneOf(stableSplit()));
     ASSERT_TRUE(cold.converged);
     EXPECT_EQ(warm_ctr.value(), warm_before);
 
     thermal::SteadyResult warm =
-        net.solveSteady(fillIn(power_at), &cold.temps_k);
+        net.solveSteady(laneOf(stableSplit(), &cold.temps_k));
     EXPECT_TRUE(warm.converged);
     EXPECT_EQ(warm_ctr.value(), warm_before + 1);
     // Restarted at the fixed point, the iteration is already inside
@@ -896,7 +909,7 @@ TEST(ThermalSolver, WarmStartConvergesToTheSameFixedPoint)
     // A wrong-size warm start is ignored, not trusted.
     std::vector<double> bad(cold.temps_k.size() + 3, 330.0);
     thermal::SteadyResult fallback =
-        net.solveSteady(fillIn(power_at), &bad);
+        net.solveSteady(laneOf(stableSplit(), &bad));
     EXPECT_TRUE(fallback.converged);
     EXPECT_EQ(fallback.iterations, cold.iterations);
     EXPECT_EQ(warm_ctr.value(), warm_before + 1);
@@ -927,23 +940,19 @@ TEST(ThermalSolver, WarmStartConvergesToTheSameFixedPoint)
                 model.blockPowers(snap.perf.activity);
             std::vector<double> prev;
             for (double ratio : {1.0, 0.8, 0.6, 0.5, 0.4}) {
-                auto at = [&](const std::vector<double> &temps) {
-                    std::vector<double> p(bp.size(), 0.0);
-                    for (std::size_t i = 0; i < bp.size(); ++i)
-                        p[i] = bp[i].dynamic_w * ratio +
-                               bp[i].sub_leak_w *
-                                   model.subLeakScaleAt(temps[i]) +
-                               bp[i].fixed_w;
-                    return p;
+                auto at = [&](const std::vector<double> *start) {
+                    return thermal::SteadyLane{
+                        &bp, ratio,
+                        model.compiled().nominalLeakFactor(), start};
                 };
                 SCOPED_TRACE(::testing::Message()
                              << base.name << " " << cooling
                              << " ratio " << ratio);
-                thermal::SteadyResult c = real.solveSteady(fillIn(at));
+                thermal::SteadyResult c = real.solveSteady(at(nullptr));
                 thermal::SteadyResult restart =
-                    real.solveSteady(fillIn(at), &c.temps_k);
+                    real.solveSteady(at(&c.temps_k));
                 thermal::SteadyResult probe = real.solveSteady(
-                    fillIn(at), prev.empty() ? nullptr : &prev);
+                    at(prev.empty() ? nullptr : &prev));
                 EXPECT_EQ(restart.converged, c.converged);
                 EXPECT_EQ(probe.converged, c.converged);
                 EXPECT_LE(restart.iterations, 2u);
@@ -960,26 +969,211 @@ TEST(ThermalSolver, WarmStartConvergesToTheSameFixedPoint)
     }
 }
 
+namespace {
+
+/**
+ * GTX580 at 28 nm under constrained cooling, driven by matmul's
+ * measured block split: the throttling governor's probes of this
+ * point converge at low clock ratios, run away to the 500 K cap at
+ * high ones, and right at the stability edge (about 356 K) exhaust
+ * the 1000-iteration budget without reaching the cap.
+ */
+struct ConstrainedGtx580
+{
+    GpuConfig cfg = config();
+    power::GpuPowerModel model{cfg};
+    thermal::ThermalNetwork net{model.thermalBlocks(), cfg.thermal};
+    std::vector<thermal::BlockPower> bp = measuredSplit(cfg, model);
+
+    static GpuConfig config()
+    {
+        GpuConfig c = GpuConfig::gtx580();
+        c.tech.node_nm = 28;
+        c.thermal.applyCooling("constrained");
+        return c;
+    }
+
+    static std::vector<thermal::BlockPower>
+    measuredSplit(const GpuConfig &c, const power::GpuPowerModel &m)
+    {
+        Simulator sim(c);
+        auto wl = workloads::makeWorkload("matmul", 1);
+        auto launches = wl->prepare(sim.gpu());
+        KernelSnapshot snap =
+            sim.capturePerf(launches[0].prog, launches[0].launch);
+        return m.blockPowers(snap.perf.activity);
+    }
+
+    thermal::SteadyLane lane(double ratio,
+                             const std::vector<double> *warm = nullptr) const
+    {
+        return {&bp, ratio, model.compiled().nominalLeakFactor(), warm};
+    }
+
+    /** A clock ratio whose solve spends the whole budget, found by
+     *  bisecting the converged/runaway boundary like the governor. */
+    double exhaustingRatio() const
+    {
+        double lo = min_ratio, hi = 1.0;
+        for (int step = 0; step < 60; ++step) {
+            double mid = 0.5 * (lo + hi);
+            thermal::SteadyResult s =
+                ThermalReference::solveSteadyReference(net, lane(mid));
+            if (s.iterations == 1000 && !s.converged)
+                return mid;
+            (s.converged ? lo : hi) = mid;
+        }
+        ADD_FAILURE() << "no ratio exhausts the iteration budget";
+        return lo;
+    }
+
+    static constexpr double min_ratio =
+        Simulator::min_throttle_freq_scale;
+};
+
+/** Every field of a lane's result against the scalar oracle. */
+void
+expectSameSteady(const thermal::SteadyResult &got,
+                 const thermal::SteadyResult &want)
+{
+    EXPECT_EQ(got.temps_k, want.temps_k);
+    EXPECT_EQ(got.heatsink_k, want.heatsink_k);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.converged, want.converged);
+}
+
+} // namespace
+
 TEST(ThermalSolver, ExhaustedSteadySolveWarnsAndCounts)
 {
-    thermal::ThermalNetwork net(tinyBlocks(), tinyCooling());
-    // Bistable feedback: power flips with the temperature threshold,
-    // so the fixed-point iteration oscillates forever without ever
-    // approaching the runaway cap — the silent-exhaustion case the
-    // counter now surfaces.
-    auto power_at = [](const std::vector<double> &temps) {
-        return std::vector<double>{
-            temps[0] < 330.0 ? 40.0 : 0.0, 0.0, 0.0};
-    };
+    // At the stability edge the fixed point creeps too slowly to
+    // settle within the budget while staying below the runaway cap —
+    // the silent-exhaustion case the counter surfaces.
+    ConstrainedGtx580 g;
+    double ratio = g.exhaustingRatio();
     obs::Counter &ctr = obs::Registry::instance().counter(
         "thermal/steady_nonconverged",
         "steady solves that exhausted the iteration budget");
     uint64_t before = ctr.value();
-    thermal::SteadyResult s = net.solveSteady(fillIn(power_at));
+    thermal::SteadyResult s = g.net.solveSteady(g.lane(ratio));
     EXPECT_FALSE(s.converged);
     EXPECT_EQ(s.iterations, 1000u);
     EXPECT_LT(s.maxTemp(), thermal::ThermalNetwork::runaway_cap_k);
     EXPECT_EQ(ctr.value(), before + 1);
+}
+
+TEST(ThermalSolver, LockstepLanesMatchTheScalarReference)
+{
+    // Every lane of a lockstep batch must land bit for bit where the
+    // scalar fixed point (dense solve per iteration) lands, whatever
+    // else shares its batch: converging, runaway, exhausting, cold
+    // and warm lanes, at batch widths around the 8-lane batches of a
+    // supply sweep. The thermal counters count each lane once.
+    ConstrainedGtx580 g;
+    const double edge = g.exhaustingRatio();
+    const thermal::SteadyResult cold_floor =
+        ThermalReference::solveSteadyReference(
+            g.net, g.lane(ConstrainedGtx580::min_ratio));
+    ASSERT_TRUE(cold_floor.converged);
+    const std::vector<double> *warm = &cold_floor.temps_k;
+    const std::vector<thermal::SteadyLane> pool = {
+        g.lane(0.30),       g.lane(0.35, warm), g.lane(1.0),
+        g.lane(edge),       g.lane(0.40),       g.lane(0.8, warm),
+        g.lane(edge, warm), g.lane(0.409),      g.lane(0.25, warm),
+    };
+    std::vector<thermal::SteadyResult> want;
+    for (const thermal::SteadyLane &l : pool)
+        want.push_back(ThermalReference::solveSteadyReference(g.net, l));
+    // The pool covers every outcome.
+    auto outcome = [&](bool converged, bool capped) {
+        return std::any_of(want.begin(), want.end(), [&](const auto &w) {
+            bool at_cap = w.maxTemp() ==
+                          thermal::ThermalNetwork::runaway_cap_k;
+            return w.converged == converged && at_cap == capped;
+        });
+    };
+    ASSERT_TRUE(outcome(true, false));
+    ASSERT_TRUE(outcome(false, true));
+    ASSERT_TRUE(outcome(false, false));
+
+    obs::Registry &reg = obs::Registry::instance();
+    obs::Counter &solves = reg.counter("thermal/steady_solves");
+    obs::Counter &iters = reg.counter("thermal/steady_iterations");
+    obs::Counter &warm_starts = reg.counter("thermal/steady_warm_starts");
+    obs::Counter &nonconv = reg.counter("thermal/steady_nonconverged");
+    obs::Histogram &hist =
+        reg.histogram("thermal/steady_iterations_per_solve");
+
+    thermal::SteadyScratch scratch; // reused across widths
+    for (std::size_t width : {1u, 2u, 7u, 8u, 9u}) {
+        for (std::size_t offset : {0u, 3u}) {
+            std::vector<thermal::SteadyLane> lanes;
+            std::vector<const thermal::SteadyResult *> expect;
+            uint64_t sum_iters = 0, n_warm = 0, n_exhausted = 0;
+            for (std::size_t k = 0; k < width; ++k) {
+                std::size_t p = (offset + k) % pool.size();
+                lanes.push_back(pool[p]);
+                expect.push_back(&want[p]);
+                sum_iters += want[p].iterations;
+                n_warm += pool[p].warm_start_k ? 1 : 0;
+                n_exhausted += want[p].iterations == 1000 &&
+                               !want[p].converged &&
+                               want[p].maxTemp() <
+                                   thermal::ThermalNetwork::runaway_cap_k;
+            }
+            const uint64_t solves0 = solves.value(), iters0 = iters.value(),
+                           warm0 = warm_starts.value(),
+                           nonconv0 = nonconv.value(),
+                           hist_n0 = hist.count(), hist_sum0 = hist.sum();
+            std::vector<thermal::SteadyResult> got(width);
+            g.net.solveSteady(lanes, got, scratch);
+            for (std::size_t k = 0; k < width; ++k) {
+                SCOPED_TRACE(::testing::Message()
+                             << "width " << width << " offset " << offset
+                             << " lane " << k);
+                expectSameSteady(got[k], *expect[k]);
+            }
+            EXPECT_EQ(solves.value() - solves0, width);
+            EXPECT_EQ(iters.value() - iters0, sum_iters);
+            EXPECT_EQ(warm_starts.value() - warm0, n_warm);
+            EXPECT_EQ(nonconv.value() - nonconv0, n_exhausted);
+            EXPECT_EQ(hist.count() - hist_n0, width);
+            EXPECT_EQ(hist.sum() - hist_sum0, sum_iters);
+        }
+    }
+}
+
+TEST(ThermalSolver, OneLaneMatchesTheScalarReferenceOnEveryNetwork)
+{
+    // The scalar callers (the governor's probes, single-scenario
+    // replays) solve batches of one: the same oracle on both chips'
+    // stock networks and the tiny one, cold and warm.
+    for (const GpuConfig &base :
+         {GpuConfig::gt240(), GpuConfig::gtx580()}) {
+        GpuConfig cfg = base;
+        cfg.thermal.applyCooling("stock");
+        power::GpuPowerModel model(cfg);
+        thermal::ThermalNetwork net(model.thermalBlocks(), cfg.thermal);
+        std::vector<thermal::BlockPower> bp =
+            ConstrainedGtx580::measuredSplit(cfg, model);
+        std::vector<double> prev;
+        for (double ratio : {1.0, 0.7}) {
+            SCOPED_TRACE(::testing::Message()
+                         << base.name << " ratio " << ratio);
+            thermal::SteadyLane lane{&bp, ratio,
+                                     model.compiled().nominalLeakFactor(),
+                                     prev.empty() ? nullptr : &prev};
+            thermal::SteadyResult got = net.solveSteady(lane);
+            expectSameSteady(
+                got, ThermalReference::solveSteadyReference(net, lane));
+            ASSERT_TRUE(got.converged);
+            prev = got.temps_k;
+        }
+    }
+    thermal::ThermalNetwork tiny(tinyBlocks(), tinyCooling());
+    thermal::SteadyLane lane = laneOf(stableSplit());
+    expectSameSteady(tiny.solveSteady(lane),
+                     ThermalReference::solveSteadyReference(tiny, lane));
 }
 
 // ---------------------------------------------------- exact propagator
@@ -1087,10 +1281,6 @@ TEST(ThermalStress, SharedNetworkServesConcurrentAdvancesAndSolves)
     thermal::ThermalNetwork net(tinyBlocks(), tinyCooling());
     const double dts[] = {2e-6, 5e-4, 1e-2, 7e-5, 3e-3};
     std::vector<double> powers{25.0, 3.0, 4.0};
-    auto power_at = [](const std::vector<double> &temps) {
-        return std::vector<double>{
-            20.0 + 0.05 * (temps[0] - 300.0), 2.0, 3.0};
-    };
 
     auto march = [&](unsigned seed,
                      thermal::ThermalNetwork::State &state) {
@@ -1098,7 +1288,7 @@ TEST(ThermalStress, SharedNetworkServesConcurrentAdvancesAndSolves)
             net.advance(state, powers, dts[(seed + i) % 5]);
             if (i % 40 == 0) {
                 thermal::SteadyResult s =
-                    net.solveSteady(fillIn(power_at), &state.temps_k);
+                    net.solveSteady(laneOf(stableSplit(), &state.temps_k));
                 EXPECT_TRUE(s.converged);
             }
         }

@@ -8,6 +8,10 @@
  *    did before the factorization was hoisted into the
  *    ThermalNetwork constructor. The factored solveLinear() must
  *    match it bit for bit.
+ *  - solveSteadyReference(): the closed-loop fixed point one
+ *    operating point at a time, each iteration a dense solve — the
+ *    scalar loop the lockstep solveSteady() replaced. Every lane of a
+ *    lockstep batch must match it bit for bit.
  *  - advanceEulerReference(): forward-Euler substepping (stable
  *    substeps of at most maxStableDt()), with the same state
  *    initialization and long-span steady snap as advance(). The exact
@@ -28,6 +32,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "tech/tech.hh"
 #include "thermal/thermal.hh"
 
 namespace gpusimpow {
@@ -88,6 +93,54 @@ struct ThermalReference
         std::vector<double> b;
         net.assembleRhs(powers_w, b);
         return solveDense(net._a_sys, std::move(b));
+    }
+
+    /** Bit-identity oracle of one lane of ThermalNetwork::
+     *  solveSteady(): no counters, no warning. */
+    static SteadyResult
+    solveSteadyReference(const ThermalNetwork &net,
+                         const SteadyLane &lane)
+    {
+        const std::size_t nb = net._blocks.size();
+        const std::vector<BlockPower> &bp = *lane.blocks;
+        SteadyResult result;
+        if (lane.warm_start_k && lane.warm_start_k->size() == nb)
+            result.temps_k = *lane.warm_start_k;
+        else
+            result.temps_k.assign(nb, net._ambient_k);
+        result.heatsink_k = net._ambient_k;
+        std::vector<double> powers(nb, 0.0);
+        constexpr unsigned max_iterations = 1000;
+        for (unsigned iter = 0; iter < max_iterations; ++iter) {
+            for (std::size_t i = 0; i < nb; ++i)
+                powers[i] = bp[i].dynamic_w * lane.freq_ratio +
+                            bp[i].sub_leak_w *
+                                (tech::tempLeakFactorAt(
+                                     result.temps_k[i]) /
+                                 lane.nominal_leak_factor) +
+                            bp[i].fixed_w;
+            std::vector<double> nodes = solveLinearReference(net, powers);
+            bool capped = false;
+            double delta = 0.0;
+            for (std::size_t i = 0; i < nb; ++i) {
+                double t = nodes[i];
+                if (t > ThermalNetwork::runaway_cap_k) {
+                    t = ThermalNetwork::runaway_cap_k;
+                    capped = true;
+                }
+                delta = std::max(delta, std::fabs(t - result.temps_k[i]));
+                result.temps_k[i] = t;
+            }
+            result.heatsink_k =
+                std::min(nodes[net._n - 1], ThermalNetwork::runaway_cap_k);
+            result.iterations = iter + 1;
+            if (delta < 1e-4) {
+                result.converged = !capped;
+                return result;
+            }
+        }
+        result.converged = false;
+        return result;
     }
 
     /** Accuracy oracle of ThermalNetwork::advance(). */

@@ -80,7 +80,7 @@ SELF_TESTS = {
     "float_serialize": {"hexfloat-serialization": 2},
     "naked_alloc": {"naked-alloc": 2},
     "raw_timing": {"timing-clock": 2},
-    "thermal_solve": {"thermal-solve": 5},
+    "thermal_solve": {"thermal-solve": 6},
     "clean": {},
 }
 

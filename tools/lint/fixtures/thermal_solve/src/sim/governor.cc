@@ -24,6 +24,13 @@ marchProbe(State &state, const std::vector<double> &powers)
     net.advanceEulerReference(state, powers, 1e-6);
 }
 
+// The scalar steady oracle in engine code: must be flagged.
+SteadyResult
+probeScalar(const SteadyLane &lane)
+{
+    return ThermalReference::solveSteadyReference(net, lane);
+}
+
 // Factored production solve: fine anywhere.
 std::vector<double>
 steadyFast(const std::vector<double> &powers)

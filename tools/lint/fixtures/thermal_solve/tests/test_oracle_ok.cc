@@ -10,6 +10,12 @@ oracle(const std::vector<double> &powers)
     return net.solveLinearReference(powers);
 }
 
+SteadyResult
+steadyOracle(const SteadyLane &lane)
+{
+    return ThermalReference::solveSteadyReference(net, lane);
+}
+
 void
 eulerOracle(State &state, const std::vector<double> &powers)
 {

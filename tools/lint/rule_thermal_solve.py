@@ -17,7 +17,9 @@ oracles, and this rule flags their names anywhere else — the library
   * ``solveDense`` — the one-shot dense eliminator;
   * ``solveLinearReference`` — the bit-identity oracle of
     ``solveLinear``;
-  * ``advanceEulerReference`` — the accuracy oracle of ``advance``.
+  * ``advanceEulerReference`` — the accuracy oracle of ``advance``;
+  * ``solveSteadyReference`` — the scalar fixed point every lane of
+    the lockstep ``solveSteady`` must match.
 
 Sanctioned home: tests/ only. There is no annotation escape hatch.
 """
@@ -31,7 +33,8 @@ from lint_common import Finding, line_of_offset
 RULE = "thermal-solve"
 
 _REFERENCE_RE = re.compile(
-    r"\b(solveDense|solveLinearReference|advanceEulerReference)\b")
+    r"\b(solveDense|solveLinearReference|advanceEulerReference|"
+    r"solveSteadyReference)\b")
 
 # The only directory where the reference solvers may appear.
 _EXEMPT_PREFIX = "tests/"
