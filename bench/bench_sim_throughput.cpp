@@ -11,6 +11,9 @@
  * BM_CaptureIssueBound gates the warp-mask schedulers and active-lane
  * execution on an issue-bound capture, where almost every core-cycle
  * issues and the per-step scan and per-lane work set the rate.
+ * BM_CaptureNoScoreboard gates the same core on GT240, which has no
+ * scoreboard: a warp that issues waits for its completion, so the
+ * core's exact next-event wake decides how many cycles it visits.
  */
 
 #include <benchmark/benchmark.h>
@@ -50,14 +53,14 @@ BM_SimulateOccupancyKernel(benchmark::State &state)
 BENCHMARK(BM_SimulateOccupancyKernel)->Arg(200)->Arg(1000);
 
 /**
- * Capture every kernel of `workload` on GTX580, timing only the
- * captures: each iteration prepares the workload on a fresh
+ * Capture every kernel of `workload` on the chip `cfg`, timing only
+ * the captures: each iteration prepares the workload on a fresh
  * Simulator over one shared power model, outside the timed region.
  */
 void
-captureWorkload(benchmark::State &state, const char *workload)
+captureWorkload(benchmark::State &state, const GpuConfig &cfg,
+                const char *workload)
 {
-    GpuConfig cfg = GpuConfig::gtx580();
     auto model = std::make_shared<const power::GpuPowerModel>(cfg);
     auto wl = workloads::makeWorkload(workload);
     std::unique_ptr<Simulator> sim;
@@ -83,7 +86,7 @@ BM_CaptureStallBound(benchmark::State &state)
 {
     // GTX580 backprop through the Simulator's timing phase: nearly
     // every resident core-cycle waits on DRAM or the scoreboard.
-    captureWorkload(state, "backprop");
+    captureWorkload(state, GpuConfig::gtx580(), "backprop");
 }
 BENCHMARK(BM_CaptureStallBound)->Unit(benchmark::kMillisecond);
 
@@ -92,9 +95,19 @@ BM_CaptureIssueBound(benchmark::State &state)
 {
     // GTX580 mergesort through the Simulator's timing phase: its
     // rank-fixup kernel keeps a warp issuing on most core-cycles.
-    captureWorkload(state, "mergesort");
+    captureWorkload(state, GpuConfig::gtx580(), "mergesort");
 }
 BENCHMARK(BM_CaptureIssueBound)->Unit(benchmark::kMillisecond);
+
+void
+BM_CaptureNoScoreboard(benchmark::State &state)
+{
+    // GT240 bfs through the Simulator's timing phase, as in the cold
+    // sweep's median job: warps wait out each instruction's latency,
+    // so most resident core-cycles are skipped between events.
+    captureWorkload(state, GpuConfig::gt240(), "bfs");
+}
+BENCHMARK(BM_CaptureNoScoreboard)->Unit(benchmark::kMillisecond);
 
 void
 BM_PowerModelEvaluate(benchmark::State &state)

@@ -47,11 +47,19 @@ divCeil(uint64_t a, uint64_t b)
     return (a + b - 1) / b;
 }
 
-/** Number of set bits. */
+/**
+ * Number of set bits. A branch-free SWAR count: the baseline x86-64
+ * target has no popcnt instruction, so std::popcount compiles to a
+ * libgcc call, and the timing core counts bits several times per
+ * issued instruction.
+ */
 constexpr unsigned
 popCount(uint64_t v)
 {
-    return static_cast<unsigned>(std::popcount(v));
+    v -= (v >> 1) & 0x5555555555555555ull;
+    v = (v & 0x3333333333333333ull) + ((v >> 2) & 0x3333333333333333ull);
+    v = (v + (v >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    return static_cast<unsigned>((v * 0x0101010101010101ull) >> 56);
 }
 
 /** Index of the lowest set bit; v must be non-zero. */

@@ -131,7 +131,8 @@ Core::setKernel(const KernelProgram *prog, const LaunchConfig *launch)
                        prog->name);
         }
         _decoded.push_back({use_mask, inst.unitClass(),
-                            static_cast<uint8_t>(inst.regSources())});
+                            static_cast<uint8_t>(inst.regSources()),
+                            inst.writesReg()});
     }
 }
 
@@ -222,11 +223,11 @@ Core::resetForKernel()
     while (!_completions.empty())
         _completions.pop();
     _unit_free.fill(0);
-    _issue_mask = _fetch_mask = 0;
+    _issue_mask = _fetch_mask = _stalled_mask = 0;
     _unit_mask.fill(0);
     _fetch_rr = _issue_rr = 0;
     _wake = _accounted = 0;
-    _core_steps = _quiet_cycles = _issue_attempts = 0;
+    _core_steps = _quiet_cycles = 0;
     for (auto &w : _warps)
         w = Warp{};
     for (auto &b : _blocks)
@@ -239,30 +240,34 @@ Core::fullStep(uint64_t cycle)
 {
     ++_core_steps;
     ++_act.cycles_resident;
-    const uint64_t checks_before = _act.scoreboard_checks;
-    _stall_end = never;
-    bool drained = drainCompletions(cycle);
-    bool issued = issueStage(cycle);
-    bool fetched = fetchStage(cycle);
-    if (drained || issued || fetched) {
-        _wake = 0;
-        return;
-    }
-    // Quiet: until the earliest event every step repeats this one.
-    _wake = _stall_end;
-    if (!_completions.empty())
-        _wake = std::min(_wake, _completions.top().when);
-    _quiet_checks = _act.scoreboard_checks - checks_before;
+    drainCompletions(cycle);
+    issueStage(cycle);
+    fetchStage(cycle);
+    _wake = nextEvent(cycle);
 }
 
-bool
+uint64_t
+Core::nextEvent(uint64_t cycle) const
+{
+    // The earliest event, or any one due by the next cycle: the step
+    // there acts either way.
+    const uint64_t soon = cycle + 1;
+    uint64_t next = _completions.empty() ? never : _completions.top().when;
+    for (unsigned u = 0; u < num_units && next > soon; ++u) {
+        if (_unit_mask[u] & ~_stalled_mask)
+            next = std::min(next, _unit_free[u]);
+    }
+    for (uint64_t m = _fetch_mask; m && next > soon; m &= m - 1)
+        next = std::min(next, _warps[countTrailingZeros(m)].fetch_ready);
+    return next;
+}
+
+void
 Core::drainCompletions(uint64_t cycle)
 {
-    bool drained = false;
     while (!_completions.empty() && _completions.top().when <= cycle) {
         Completion c = _completions.top();
         _completions.pop();
-        drained = true;
         Warp &warp = _warps[c.warp];
         if (!warp.valid) {
             // Block already retired (e.g. store ack after exit).
@@ -280,7 +285,6 @@ Core::drainCompletions(uint64_t cycle)
         ++_act.writebacks;
         refreshWarp(c.warp);
     }
-    return drained;
 }
 
 void
@@ -296,17 +300,23 @@ Core::refreshWarp(unsigned warp_idx)
                           (_cfg.core.scoreboard || !warp.inflight);
     _fetch_mask = fetchable ? _fetch_mask | bit : _fetch_mask & ~bit;
     _issue_mask = issuable ? _issue_mask | bit : _issue_mask & ~bit;
+    _stalled_mask &= ~bit;
     if (warp.unit_slot != no_unit)
         _unit_mask[warp.unit_slot] &= ~bit;
     warp.unit_slot = no_unit;
     if (issuable) {
-        warp.unit_slot = static_cast<uint8_t>(
-            _decoded[warp.stack.back().exec_pc].unit);
+        const Decoded &dec = _decoded[warp.stack.back().exec_pc];
+        warp.unit_slot = static_cast<uint8_t>(dec.unit);
         _unit_mask[warp.unit_slot] |= bit;
+        if (_cfg.core.scoreboard &&
+            ((warp.pending_reg_mask & dec.use_mask) ||
+             (dec.writes_reg &&
+              warp.pending_count >= _cfg.core.scoreboard_entries)))
+            _stalled_mask |= bit;
     }
 }
 
-bool
+void
 Core::fetchStage(uint64_t cycle)
 {
     const unsigned n = static_cast<unsigned>(_warps.size());
@@ -318,10 +328,8 @@ Core::fetchStage(uint64_t cycle)
         if (w >= n)
             w -= n;
         Warp &warp = _warps[w];
-        if (warp.fetch_ready > cycle) {
-            _stall_end = std::min(_stall_end, warp.fetch_ready);
+        if (warp.fetch_ready > cycle)
             continue;
-        }
         ++_act.wst_reads;
         ++_act.icache_reads;
         uint64_t fetch_pc = warp.stack.back().exec_pc + warp.ibuffer;
@@ -336,19 +344,19 @@ Core::fetchStage(uint64_t cycle)
             refreshWarp(w);
         }
         _fetch_rr = (w + 1) % n;
-        return true;
+        return;
     }
-    return false;
 }
 
-bool
+void
 Core::issueStage(uint64_t cycle)
 {
     // Round-robin over offsets 0..n-1 from the live _issue_rr, which
     // an issue moves: the order a scan over every warp would take.
-    // Only issue-eligible warps whose unit is free are tried; one
-    // whose unit is busy would fail after its scoreboard lookup, so
-    // the lookups of those the scan passes over are added in bulk.
+    // Only issue-eligible warps that are not stalled and whose unit
+    // is free are tried, and each of those issues. The others would
+    // fail after their scoreboard lookup, so the lookups of those the
+    // scan passes over are added in bulk.
     const unsigned n = static_cast<unsigned>(_warps.size());
     const bool scoreboard = _cfg.core.scoreboard;
     unsigned issued = 0;
@@ -356,71 +364,48 @@ Core::issueStage(uint64_t cycle)
     unsigned offset = 0;   // next offset the scan reaches
     while (offset < n && issued < _cfg.core.issue_width) {
         // Issuing only makes units busier, so recompute after each.
-        uint64_t blocked = 0;
+        uint64_t blocked = _stalled_mask;
         for (unsigned u = 0; u < num_units; ++u) {
-            if (_unit_mask[u] && _unit_free[u] > cycle) {
+            if (_unit_free[u] > cycle)
                 blocked |= _unit_mask[u];
-                // A full scan recorded this only for blocked warps
-                // past the scoreboard. Recording it for all can only
-                // make wake() earlier, and an early wake is one more
-                // quiet step, never a missed event.
-                _stall_end = std::min(_stall_end, _unit_free[u]);
-            }
         }
         const unsigned base = _issue_rr;
         const uint64_t ahead = ~lowMask(offset);
-        uint64_t ready =
+        const uint64_t ready =
             rotateRight(_issue_mask & ~blocked, base, n) & ahead;
-        uint64_t passed =
+        const uint64_t passed =
             scoreboard ? rotateRight(blocked, base, n) & ahead : 0;
-        bool hit = false;
-        for (; ready && !hit; ready &= ready - 1) {
-            offset = countTrailingZeros(ready);
-            _act.scoreboard_checks += popCount(passed & lowMask(offset));
-            passed &= ~lowMask(offset + 1);
-            unsigned w = base + offset;
-            if (w >= n)
-                w -= n;
-            ++offset;
-            if (tryIssue(w, cycle)) {
-                hit = true;
-                ++issued;
-                refreshWarp(w);
-                // Rotating priority moves past the winner; greedy-
-                // then-oldest keeps issuing the same warp until it
-                // stalls.
-                _issue_rr = _greedy_issue ? w : (w + 1) % n;
-            }
-        }
-        if (!hit) {
+        if (!ready) {
             _act.scoreboard_checks += popCount(passed);
-            break;
+            return;
         }
+        offset = countTrailingZeros(ready);
+        _act.scoreboard_checks += popCount(passed & lowMask(offset));
+        unsigned w = base + offset;
+        if (w >= n)
+            w -= n;
+        ++offset;
+        issueWarp(w, cycle);
+        ++issued;
+        refreshWarp(w);
+        // Rotating priority moves past the winner; greedy-then-oldest
+        // keeps issuing the same warp until it stalls.
+        _issue_rr = _greedy_issue ? w : (w + 1) % n;
     }
-    return issued > 0;
 }
 
-bool
-Core::tryIssue(unsigned warp_idx, uint64_t cycle)
+void
+Core::issueWarp(unsigned warp_idx, uint64_t cycle)
 {
-    // Callers pass only warps in _issue_mask whose unit is free.
-    ++_issue_attempts;
+    // Callers pass only warps in _issue_mask that are not stalled and
+    // whose unit is free.
     Warp &warp = _warps[warp_idx];
     StackEntry &tos = warp.stack.back();
     const Instruction &inst = _prog->code[tos.exec_pc];
     const Decoded &dec = _decoded[tos.exec_pc];
 
-    if (_cfg.core.scoreboard) {
+    if (_cfg.core.scoreboard)
         ++_act.scoreboard_checks;
-        if (warp.pending_reg_mask & dec.use_mask)
-            return false;
-        if (inst.writesReg() &&
-            warp.pending_count >= _cfg.core.scoreboard_entries) {
-            return false;
-        }
-    }
-
-    // --- Issue accepted. ---
     --warp.ibuffer;
     ++_act.ibuffer_reads;
     ++_act.reconv_reads;
@@ -445,7 +430,7 @@ Core::tryIssue(unsigned warp_idx, uint64_t cycle)
     _act.rf_xbar_transfers += srcs;
     if (srcs > 0)
         ++_act.collector_reads;
-    if (inst.writesReg())
+    if (dec.writes_reg)
         _act.rf_bank_writes += per_op;
 
     const UnitClass uc = dec.unit;
@@ -474,7 +459,7 @@ Core::tryIssue(unsigned warp_idx, uint64_t cycle)
             warp.ibuffer = 0;
         }
         finishWarpIfDone(warp_idx);
-        return true;
+        return;
     }
 
     // SIMD pipeline: busy for its initiation interval, result after
@@ -518,7 +503,7 @@ Core::tryIssue(unsigned warp_idx, uint64_t cycle)
       case UnitClass::Ctrl:
         break;   // handled above
     }
-    if (_cfg.core.scoreboard && inst.writesReg()) {
+    if (_cfg.core.scoreboard && dec.writes_reg) {
         c.dst_reg = static_cast<int16_t>(inst.dst.value & 63);
         warp.pending_reg_mask |= 1ull << c.dst_reg;
         ++warp.pending_count;
@@ -536,7 +521,6 @@ Core::tryIssue(unsigned warp_idx, uint64_t cycle)
         ++_act.reconv_pops;
         warp.ibuffer = 0;
     }
-    return true;
 }
 
 void

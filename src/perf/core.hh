@@ -13,26 +13,31 @@
  * are exact; timing is modeled with pipeline next-free times and a
  * completion event heap.
  *
- * Timing is event-driven. A step that drains no completion, issues
- * nothing and fetches nothing is quiet: the core then records its
- * wake() cycle (the completion-heap head, the fetch_ready of every
- * fetch-eligible warp, and the next-free time of every unit an
- * issue-eligible warp waits on) and the scoreboard lookups that step
- * made. Nothing but the per-cycle counters can change before wake(),
- * so Gpu::run does not visit the core until then. The core accounts
- * those quiet cycles lazily: it keeps the first cycle not yet
- * accounted, and accountTo() adds every owed cycle in one go, when
- * the core is next stepped, receives a block, or a sample snapshot
- * is due. That is bit-identical to stepping each quiet cycle.
+ * Timing is event-driven, and every full step acts: it drains a
+ * completion, issues or fetches. At the end of each step the core
+ * computes wake(), the first cycle at which a step can act: the
+ * completion-heap head, the fetch_ready of every fetch-eligible warp,
+ * and the next-free time of every unit that an issue-eligible warp
+ * not stalled on the scoreboard waits on (a stalled warp waits for a
+ * completion, which the heap head already covers). Nothing else can
+ * change the core's state, so Gpu::run does not visit the core before
+ * wake(), and each cycle in between is quiet: it only bumps the
+ * per-cycle counters. The core accounts those quiet cycles lazily: it
+ * keeps the first cycle not yet accounted, and accountTo() adds every
+ * owed cycle in one go, when the core is next stepped, receives a
+ * block, or a sample snapshot is due. That is bit-identical to
+ * stepping each quiet cycle.
  *
  * The schedulers scan warp masks, not warps. Bit w of the issue
  * (fetch) mask is set exactly when warp w passes the issue (fetch)
  * scheduler's static checks; refreshWarp() restores that wherever a
  * checked field changes. The issue mask is further split by the unit
- * each warp's next instruction needs, so a step visits only warps
- * whose unit is free and accounts the scoreboard lookups of the
- * others in bulk, in the same round-robin order and with the same
- * counts as a scan over every warp. Instructions are decoded once per
+ * each warp's next instruction needs, and the stall mask marks the
+ * issue-eligible warps whose scoreboard lookup fails. A step tries
+ * only warps that are neither stalled nor waiting on a busy unit, so
+ * every try issues, and accounts the scoreboard lookups of the others
+ * in bulk, in the same round-robin order and with the same counts as
+ * a scan over every warp. Instructions are decoded once per
  * kernel and execute over the set bits of the lane mask only, on a
  * register file laid out warp x register x lane; predicates are one
  * lane mask per warp, so a guard is an AND.
@@ -47,6 +52,7 @@
 #include <queue>
 #include <vector>
 
+#include "common/bitutil.hh"
 #include "config/gpu_config.hh"
 #include "perf/activity.hh"
 #include "perf/cache.hh"
@@ -100,7 +106,7 @@ class Core
     /**
      * Step one shader cycle of a busy core: settle the quiet cycles
      * owed before it, then drain, issue and fetch. Gpu::run calls it
-     * only at cycles >= wake().
+     * only at cycles >= wake(), where the step acts.
      */
     void step(uint64_t cycle)
     {
@@ -110,9 +116,8 @@ class Core
     }
 
     /**
-     * First cycle whose step can do more than bump the per-cycle
-     * counters; 0 while the core is not quiet. Cleared by
-     * launchBlock() and resetForKernel().
+     * First cycle at which a step can act (see the file comment); 0
+     * after launchBlock() and resetForKernel().
      */
     uint64_t wake() const { return _wake; }
 
@@ -120,17 +125,21 @@ class Core
      * Account every cycle of a busy core from the first unaccounted
      * one up to (not including) a cycle, all of them quiet: the
      * counters a quiet step bumps (cycles_resident, issue/fetch
-     * arbitrations, the recorded scoreboard lookups) advance by that
-     * many steps' worth. The only path by which quiet cycles are
-     * counted; only legal up to wake().
+     * arbitrations and, with a scoreboard, one lookup per
+     * issue-eligible warp) advance by that many steps' worth. The
+     * only path by which quiet cycles are counted; only legal up to
+     * wake().
      */
     void accountTo(uint64_t cycle)
     {
         const uint64_t n = cycle - _accounted;
+        if (n == 0)
+            return;
         _act.cycles_resident += n;
         _act.issue_arbitrations += n;
         _act.fetch_arbitrations += n;
-        _act.scoreboard_checks += n * _quiet_checks;
+        if (_cfg.core.scoreboard)
+            _act.scoreboard_checks += n * popCount(_issue_mask);
         _quiet_cycles += n;
         _accounted = cycle;
     }
@@ -140,10 +149,6 @@ class Core
 
     /** Cycles accounted by accountTo() since resetForKernel(). */
     uint64_t quietCycles() const { return _quiet_cycles; }
-
-    /** Warps the issue scheduler examined (tryIssue calls) since
-     *  resetForKernel(). */
-    uint64_t issueAttempts() const { return _issue_attempts; }
 
     /** True if any block is resident. */
     bool busy() const { return _resident_blocks > 0; }
@@ -236,6 +241,7 @@ class Core
         uint64_t use_mask;      // scoreboard: registers read or written
         UnitClass unit;
         uint8_t reg_sources;
+        bool writes_reg;        // takes a scoreboard entry
     };
     std::vector<Decoded> _decoded;   // by pc
 
@@ -257,10 +263,12 @@ class Core
     std::array<uint64_t, num_units> _unit_free{};
 
     // Warp masks, bit w for _warps[w] (see the file comment).
-    uint64_t _issue_mask = 0;   // tryIssue's static checks pass
+    uint64_t _issue_mask = 0;   // issueStage's static checks pass
     uint64_t _fetch_mask = 0;   // fetchStage's static checks pass
     // _issue_mask split by the unit of each warp's next instruction.
     std::array<uint64_t, num_units> _unit_mask{};
+    // The _issue_mask warps whose scoreboard lookup fails.
+    uint64_t _stalled_mask = 0;
 
     unsigned _fetch_rr = 0;   // round-robin pointers
     unsigned _issue_rr = 0;
@@ -269,12 +277,8 @@ class Core
     // Event-driven stepping (see the file comment).
     uint64_t _wake = 0;
     uint64_t _accounted = 0;      // first cycle not yet accounted
-    uint64_t _quiet_checks = 0;   // scoreboard lookups per quiet step
-    uint64_t _stall_end = 0;      // earliest fetch_ready / unit free
-                                  // time a warp waited on this step
     uint64_t _core_steps = 0;
     uint64_t _quiet_cycles = 0;
-    uint64_t _issue_attempts = 0;
 
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>> _completions;
@@ -300,11 +304,12 @@ class Core
 
     // --- stage helpers ---
     void fullStep(uint64_t cycle);
+    uint64_t nextEvent(uint64_t cycle) const;
     void refreshWarp(unsigned warp_idx);
-    bool drainCompletions(uint64_t cycle);
-    bool fetchStage(uint64_t cycle);
-    bool issueStage(uint64_t cycle);
-    bool tryIssue(unsigned warp_idx, uint64_t cycle);
+    void drainCompletions(uint64_t cycle);
+    void fetchStage(uint64_t cycle);
+    void issueStage(uint64_t cycle);
+    void issueWarp(unsigned warp_idx, uint64_t cycle);
     void executeInstruction(Warp &warp, const Instruction &inst,
                             uint64_t exec_mask);
     uint64_t executeMemory(Warp &warp, const Instruction &inst,

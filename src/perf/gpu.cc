@@ -132,9 +132,9 @@ Gpu::run(const KernelProgram &prog, const LaunchConfig &launch,
     }
     ChipActivity prev = snapshot(0);
 
-    // Per core, the cycle it must next be stepped at: its wake() while
-    // quiet, the next cycle while active, `idle` while it holds no
-    // block. A busy core owes the quiet cycles since its last step.
+    // Per core, the cycle it must next be stepped at: its wake(), no
+    // earlier than the next cycle, or `idle` while it holds no block.
+    // A busy core owes the quiet cycles since its last step.
     constexpr uint64_t idle = ~0ull;
     std::vector<uint64_t> due(_cores.size(), idle);
     // Per cluster, its busy cores and where its open busy interval
@@ -258,7 +258,6 @@ Gpu::run(const KernelProgram &prog, const LaunchConfig &launch,
     for (const auto &core : _cores) {
         result.core_steps += core->coreSteps();
         result.quiet_core_cycles += core->quietCycles();
-        result.issue_attempts += core->issueAttempts();
     }
     result.chip_steps = chip_steps;
     return result;

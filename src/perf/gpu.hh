@@ -11,12 +11,12 @@
  * The run loop is event-driven per core. Blocks are placed only on
  * the first cycle and after a core retired a block (the only events
  * that change where one fits). Each core has a due cycle: its
- * Core::wake() while quiet, the next cycle while active, none while
- * idle. A loop iteration steps only the due cores and jumps the clock
- * to the next due cycle, capped at the next sampling boundary. Quiet
- * cores and busy clusters are accounted lazily, as intervals, and
- * settled at every sample boundary — bit-identical to stepping every
- * busy core every cycle.
+ * Core::wake(), the first cycle at which a step acts (at least the
+ * next cycle), or none while idle. A loop iteration steps only the
+ * due cores and jumps the clock to the next due cycle, capped at the
+ * next sampling boundary. Quiet cores and busy clusters are
+ * accounted lazily, as intervals, and settled at every sample
+ * boundary — bit-identical to stepping every busy core every cycle.
  */
 
 #ifndef GPUSIMPOW_PERF_GPU_HH
@@ -47,7 +47,8 @@ struct RunResult
     ChipActivity activity;
     /** Per-kernel instruction count (all cores). */
     uint64_t instructions = 0;
-    /** Full Core::step calls (all cores); not serialized. */
+    /** Full Core::step calls (all cores), each of which acts; not
+     *  serialized. */
     uint64_t core_steps = 0;
     /** Chip cycles at which at least one core was stepped; not
      *  serialized. At most core_steps. */
@@ -56,9 +57,6 @@ struct RunResult
      *  serialized. core_steps + quiet_core_cycles is the sum of
      *  cycles_resident. */
     uint64_t quiet_core_cycles = 0;
-    /** Warps the issue schedulers examined (all cores); not
-     *  serialized. Each issues or fails its scoreboard check. */
-    uint64_t issue_attempts = 0;
 };
 
 /** A whole GPU card (chip + GDDR5 + host interface). */

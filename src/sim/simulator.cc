@@ -30,7 +30,8 @@ obs::Counter &
 perfCoreSteps()
 {
     static obs::Counter &c = obs::Registry::instance().counter(
-        "perf/core_steps", "full Core::step calls of timing captures");
+        "perf/core_steps",
+        "full Core::step calls of timing captures (each one acts)");
     return c;
 }
 
@@ -50,15 +51,6 @@ perfQuietCoreCycles()
         "perf/quiet_core_cycles",
         "resident core-cycles of timing captures accounted without a "
         "step (event-driven skip)");
-    return c;
-}
-
-obs::Counter &
-perfIssueAttempts()
-{
-    static obs::Counter &c = obs::Registry::instance().counter(
-        "perf/issue_attempts",
-        "warps the issue schedulers of timing captures examined");
     return c;
 }
 
@@ -87,7 +79,6 @@ Simulator::registerPerfCounters()
     perfCoreSteps();
     perfChipSteps();
     perfQuietCoreCycles();
-    perfIssueAttempts();
     perfWarpInsts();
     timingModelBuilds();
 }
@@ -260,7 +251,6 @@ Simulator::capturePerf(const perf::KernelProgram &prog,
     perfCoreSteps().add(snap.perf.core_steps);
     perfChipSteps().add(snap.perf.chip_steps);
     perfQuietCoreCycles().add(snap.perf.quiet_core_cycles);
-    perfIssueAttempts().add(snap.perf.issue_attempts);
     perfWarpInsts().add(snap.perf.instructions);
     return snap;
 }

@@ -217,9 +217,8 @@ class Simulator
 
     /**
      * Register the perf/core_steps, perf/chip_steps,
-     * perf/quiet_core_cycles, perf/issue_attempts and perf/warp_insts
-     * counters capturePerf()
-     * adds each kernel's RunResult telemetry to, and
+     * perf/quiet_core_cycles and perf/warp_insts counters
+     * capturePerf() adds each kernel's RunResult telemetry to, and
      * sim/timing_model_builds (cycle-level GPUs gpu() constructed),
      * so a metrics dump carries them even when nothing captured.
      */

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -295,6 +296,19 @@ TEST(BitUtil, RoundingAndPopcount)
     EXPECT_EQ(popCount(0), 0u);
     EXPECT_EQ(popCount(0xFFull), 8u);
     EXPECT_EQ(popCount(~0ull), 64u);
+    // Every single bit, every low mask, and seeded random words
+    // against the standard count.
+    SplitMix64 rng(20261019);
+    for (unsigned i = 0; i < 64; ++i) {
+        EXPECT_EQ(popCount(1ull << i), 1u);
+        EXPECT_EQ(popCount(lowMask(i)), i);
+        EXPECT_EQ(popCount(~lowMask(i)), 64u - i);
+    }
+    for (int i = 0; i < 10000; ++i) {
+        const uint64_t v = rng.next();
+        ASSERT_EQ(popCount(v), static_cast<unsigned>(std::popcount(v)))
+            << std::hex << v;
+    }
 }
 
 TEST(BitUtil, RingMasks)

@@ -10,6 +10,7 @@
 #include "perf/gpu.hh"
 #include "perf/kernel.hh"
 #include "workloads/microbench.hh"
+#include "workloads/workload.hh"
 
 using namespace gpusimpow;
 using namespace gpusimpow::perf;
@@ -131,6 +132,46 @@ TEST(Timing, StepsAndQuietCyclesPartitionResidency)
             r.activity.sumCores(&CoreActivity::cycles_resident);
         EXPECT_EQ(r.core_steps + r.quiet_core_cycles, resident);
         EXPECT_GT(r.quiet_core_cycles, 4 * r.core_steps);
+    }
+}
+
+TEST(Timing, EveryFullStepActs)
+{
+    // Sampled every cycle, each (core, interval) delta is one cycle of
+    // one core, so the deltas that issue, fetch or write back count
+    // the steps that act. On GT240 (no scoreboard) that is every full
+    // step. On GTX580 a step may also only drain a completion that
+    // outlived its warp, such as a store's after EXIT, which records
+    // none of the three; those are a small share of the steps.
+    for (bool gtx580 : {false, true}) {
+        GpuConfig cfg = gtx580 ? GpuConfig::gtx580() : GpuConfig::gt240();
+        for (const char *name : {"vectoradd", "hotspot", "scalarprod"}) {
+            SCOPED_TRACE(cfg.name + " " + name);
+            Gpu gpu(cfg);
+            auto wl = workloads::makeWorkload(name);
+            uint64_t acting = 0;
+            uint64_t steps = 0;
+            for (const auto &k : wl->prepare(gpu)) {
+                RunResult r = gpu.run(
+                    k.prog, k.launch,
+                    [&](const ChipActivity &delta, double, double) {
+                        for (const CoreActivity &c : delta.cores) {
+                            acting += c.issued_insts > 0 ||
+                                      c.icache_reads > 0 ||
+                                      c.writebacks > 0;
+                        }
+                    },
+                    1e-15);
+                steps += r.core_steps;
+            }
+            ASSERT_GT(steps, 0u);
+            if (!gtx580) {
+                EXPECT_EQ(acting, steps);
+            } else {
+                EXPECT_LE(acting, steps);
+                EXPECT_LT(steps - acting, steps / 20);
+            }
+        }
     }
 }
 

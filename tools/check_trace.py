@@ -53,7 +53,6 @@ REQUIRED_COUNTERS = (
     "engine/worker_idle_ns",
     "perf/chip_steps",
     "perf/core_steps",
-    "perf/issue_attempts",
     "perf/quiet_core_cycles",
     "perf/warp_insts",
     "power/model_builds",
