@@ -1,16 +1,17 @@
 /**
  * @file
- * Per-interval power-evaluation throughput of the two evaluators the
- * replay path runs: the compiled flat evaluator (power/compiled.hh),
- * which Simulator::replayKernel applies per whole kernel, and the
- * batched matrix evaluator (power/batched.hh), which evaluates a
- * trace's intervals for many power-only variants per pass. The
- * workload is a traced thermal run (GTX580, blackscholes, stock
- * cooling): its sampled activity deltas are exactly what the
- * transient thermal loop evaluates per interval.
+ * Per-interval power-evaluation throughput of the one power evaluator
+ * (power/batched.hh) at the two widths production runs it: one
+ * variant — a Simulator's own power model over a traced kernel's
+ * intervals, with the per-block rows the thermal march reads — and a
+ * 16-variant stack, an engine replay group's pass over the same
+ * intervals. The workload is a traced thermal run (GTX580,
+ * blackscholes, stock cooling): its sampled activity deltas are
+ * exactly what the transient thermal loop evaluates per interval.
  *
- * Both evaluators' equivalence to their oracles is checked by the
- * test suite (test_compiled_power, test_batched_power), not here.
+ * The evaluator's equivalence to the scalar reference evaluator is
+ * checked by the test suite (test_batched_power,
+ * test_compiled_power), not here.
  *
  * With --benchmark_format=json the measurements are emitted to
  * stdout as Google-Benchmark-style JSON (human output moves to
@@ -29,11 +30,11 @@
 #include "perf/activity.hh"
 #include "power/batched.hh"
 #include "power/chip_power.hh"
-#include "power/compiled.hh"
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
 
 using namespace gpusimpow;
+using power::BatchedPowerEvaluator;
 using power::CompiledPowerModel;
 using power::GpuPowerModel;
 
@@ -88,18 +89,22 @@ runBench(FILE *out, bool json)
                "expected a fine-grained trace, got ",
                samples.size(), " intervals");
 
-    // Compiled path: dot products into a reused workspace.
-    const CompiledPowerModel &cpm = sim.powerModel().compiled();
-    CompiledPowerModel::Eval ev;
+    std::vector<const perf::ChipActivity *> acts;
+    for (const ActivitySample &a : samples)
+        acts.push_back(&a.delta);
+    BatchedPowerEvaluator::Workspace ws;
+    std::vector<power::BatchedKernelPower> rows;
+
+    // One variant: the simulator's own model over the whole trace,
+    // with the per-block rows the thermal march consumes.
+    const BatchedPowerEvaluator &one = sim.powerModel().evaluator();
     double sink = 0.0;
     double compiled_per_s = measureRate(samples.size(), [&] {
-        for (const ActivitySample &a : samples) {
-            cpm.evaluate(a.delta, ev);
-            sink += ev.dynamic_w;
-        }
+        one.evaluate(acts, true, ws, rows);
+        sink += rows[0].dynamic_w[0];
     });
     std::fprintf(out,
-                 "=== Per-interval power evaluation, compiled "
+                 "=== Per-interval power evaluation, one variant "
                  "(GTX580 blackscholes, thermal trace, %zu intervals) "
                  "===\n%.0f intervals/s\n",
                  samples.size(), compiled_per_s);
@@ -131,12 +136,7 @@ runBench(FILE *out, bool json)
         variants.push_back(&m->compiled());
     const std::size_t n_variants = variants.size();
 
-    std::vector<const perf::ChipActivity *> acts;
-    for (const ActivitySample &a : samples)
-        acts.push_back(&a.delta);
-    power::BatchedPowerEvaluator evaluator(variants);
-    power::BatchedPowerEvaluator::Workspace ws;
-    std::vector<power::BatchedKernelPower> rows;
+    BatchedPowerEvaluator evaluator(variants);
     double batched_per_s =
         measureRate(n_variants * samples.size(), [&] {
             evaluator.evaluate(acts, false, ws, rows);

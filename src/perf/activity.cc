@@ -23,9 +23,8 @@ namespace {
  * AVX2 sparse quad-dot: one 4-wide vector register per partial-sum
  * chain, lane j carrying coefficient row j. Explicit separate mul
  * and add intrinsics (never fma) make each lane's arithmetic the
- * exact IEEE operation sequence of the portable kernel — and hence
- * of the scalar dotCountersRow — so the packed results are
- * bit-identical across every path (the batched replay contract).
+ * exact IEEE operation sequence of the portable kernel, so the
+ * packed results are bit-identical across every path.
  * Compiled with a target attribute and selected at runtime, so the
  * binary itself stays baseline x86-64. The trailing division is
  * IEEE-correctly-rounded per lane, identical to four scalar divides.
@@ -54,22 +53,25 @@ dotCountersSparseQuadAvx2(const double *values, const int32_t *idx,
 }
 #endif // GSP_HAVE_AVX2_DISPATCH
 
+} // namespace
+
 DotCountersSparseQuadFn
-resolveSparseQuadKernel()
+dotCountersSparseQuadAvx2Kernel()
 {
 #ifdef GSP_HAVE_AVX2_DISPATCH
     if (__builtin_cpu_supports("avx2"))
         return dotCountersSparseQuadAvx2;
 #endif
-    return dotCountersSparseQuadPortable;
+    return nullptr;
 }
-
-} // namespace
 
 DotCountersSparseQuadFn
 dotCountersSparseQuadKernel()
 {
-    static const DotCountersSparseQuadFn fn = resolveSparseQuadKernel();
+    static const DotCountersSparseQuadFn fn = [] {
+        DotCountersSparseQuadFn avx2 = dotCountersSparseQuadAvx2Kernel();
+        return avx2 ? avx2 : dotCountersSparseQuadPortable;
+    }();
     return fn;
 }
 

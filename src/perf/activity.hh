@@ -217,36 +217,9 @@ struct MemCounterIndex
     };
 };
 
-/**
- * Deterministic dot product of a counter vector (X-macro order) with
- * a dense coefficient row — the evaluation kernel of the compiled
- * power model. Four interleaved partial sums break the serial
- * floating-point dependency chain (roughly a 4x ILP win on the hot
- * trace loops) while keeping a fixed association order, so the
- * result is bit-reproducible across runs and worker counts.
- */
-inline double
-dotCountersRow(const double *values, const double *coeff, unsigned n)
-{
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    unsigned i = 0;
-    for (; i + 4 <= n; i += 4) {
-        s0 += coeff[i] * values[i];
-        s1 += coeff[i + 1] * values[i + 1];
-        s2 += coeff[i + 2] * values[i + 2];
-        s3 += coeff[i + 3] * values[i + 3];
-    }
-    for (; i < n; ++i)
-        s0 += coeff[i] * values[i];
-    double r = (s0 + s1) + (s2 + s3);
-    GSP_DCHECK(std::isfinite(r),
-               "non-finite counter dot product over ", n, " counters");
-    return r;
-}
-
 /** Widen the core counters into a caller-provided row of
- *  core_activity_fields doubles (X-macro order) — the raw form of
- *  countersToArray for packed matrix rows. */
+ *  core_activity_fields doubles (X-macro order) — one packed
+ *  activity-matrix row. */
 inline void
 countersToRow(const CoreActivity &a, double *row)
 {
@@ -254,24 +227,6 @@ countersToRow(const CoreActivity &a, double *row)
 #define X(name) row[k++] = static_cast<double>(a.name);
     GSP_CORE_ACTIVITY_FIELDS(X)
 #undef X
-}
-
-/** Widen the core counters into a dense double vector (X-macro
- *  order) — one conversion feeds any number of coefficient rows. */
-inline void
-countersToArray(const CoreActivity &a,
-                double (&v)[core_activity_fields])
-{
-    countersToRow(a, v);
-}
-
-/** Dot product over the core counters (core_activity_fields row). */
-inline double
-dotCounters(const CoreActivity &a, const double *coeff)
-{
-    double v[core_activity_fields];
-    countersToArray(a, v);
-    return dotCountersRow(v, coeff, core_activity_fields);
 }
 
 /** Widen the uncore counters into a caller-provided row of
@@ -285,23 +240,6 @@ countersToRow(const MemActivity &a, double *row)
 #undef X
 }
 
-/** Widen the uncore counters into a dense double vector. */
-inline void
-countersToArray(const MemActivity &a,
-                double (&v)[mem_activity_fields])
-{
-    countersToRow(a, v);
-}
-
-/** Dot product over the uncore counters (mem_activity_fields row). */
-inline double
-dotCounters(const MemActivity &a, const double *coeff)
-{
-    double v[mem_activity_fields];
-    countersToArray(a, v);
-    return dotCountersRow(v, coeff, mem_activity_fields);
-}
-
 /**
  * Four sparse dot products of one counter row against a compressed
  * coefficient quad, divided by a common divisor: lane j of out4 gets
@@ -310,18 +248,20 @@ dotCounters(const MemActivity &a, const double *coeff)
  * The quad is stored column-compressed: only counters where at least
  * one of the four rows has a nonzero coefficient are kept, idx[col]
  * naming the counter and coeff[col * 4 + j] holding row j's
- * coefficient. Columns are partitioned into dotCountersRow's four
- * partial-sum chains (counts[c] columns for chain c, concatenated in
- * chain order): chain k % 4 for the unrolled body, the tail counters
- * appended to chain 0 — each chain's columns in ascending counter
- * order, exactly the order dotCountersRow accumulates them.
+ * coefficient. Columns are partitioned into the four partial-sum
+ * chains of a dense four-way unrolled dot product (counts[c] columns
+ * for chain c, concatenated in chain order): chain k % 4 for the
+ * unrolled body, the tail counters appended to chain 0 — each
+ * chain's columns in ascending counter order.
  *
  * Dropping an all-zero column drops `s += 0.0 * v` from a chain,
  * which cannot change any bit: counters are non-negative finite, so
  * products and partial sums are never -0.0 and x + 0.0 == x. Every
  * surviving term lands in the same chain, in the same order, and the
  * fold is the same (s0+s1)+(s2+s3), so each lane is bit-identical to
- * the dense scalar dotCountersRow — the batched replay contract.
+ * the dense dot product — the scalar reference evaluator's
+ * (tests/power_tree_reference.hh), which test_batched_power holds
+ * both quad kernels to.
  */
 inline void
 dotCountersSparseQuadPortable(const double *values, const int32_t *idx,
@@ -363,20 +303,24 @@ using DotCountersSparseQuadFn = void (*)(const double *,
                                          const unsigned *, double,
                                          double *);
 
-/** The best sparse quad-dot kernel for this machine: the AVX2
- *  packed implementation when the CPU supports it (runtime
- *  dispatched, so the binary itself stays baseline x86-64), else
- *  the portable loop. Both produce bit-identical results. */
+/** The AVX2 packed sparse quad-dot kernel, or null when this build
+ *  or this CPU lacks AVX2 (runtime dispatched, so the binary itself
+ *  stays baseline x86-64). Bit-identical to the portable loop. */
+DotCountersSparseQuadFn dotCountersSparseQuadAvx2Kernel();
+
+/** The best sparse quad-dot kernel for this machine: the AVX2 one
+ *  when available, else dotCountersSparseQuadPortable. */
 DotCountersSparseQuadFn dotCountersSparseQuadKernel();
 
 /**
  * SoA activity matrix: the counters of many ChipActivity records
  * packed into dense rows — one row of core_activity_fields doubles
  * per (interval, core) and one row of mem_activity_fields doubles
- * per interval, each in the countersToArray() X-macro column order.
+ * per interval, each in the countersToRow() X-macro column order.
  * Packing happens once per batch and the rows then feed any number
- * of stacked coefficient rows through dotCountersMatrix(), which is
- * what makes multi-variant replay evaluation a matrix product.
+ * of stacked coefficient quads through the sparse quad-dot kernel,
+ * which is what makes multi-variant evaluation a matrix product
+ * (power::BatchedPowerEvaluator).
  */
 struct ActivityMatrix
 {

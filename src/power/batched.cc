@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -24,11 +25,11 @@ BatchedPowerEvaluator::BatchedPowerEvaluator(
     _n_lanes = (n_variants + 3) & ~std::size_t(3);
     const std::size_t n_quads = _n_lanes / 4;
 
-    // The counters of row length n, in the order dotCountersRow
-    // accumulates them into its four partial-sum chains: chain k % 4
-    // over the unrolled body, the tail appended to chain 0. Built
-    // once per row length; the sparse quads keep this partition so
-    // every surviving term lands in its original chain.
+    // The counters of row length n, partitioned into the four
+    // partial-sum chains of a dense four-way unrolled dot product:
+    // chain k % 4 over the unrolled body, the tail appended to chain
+    // 0. Built once per row length; the sparse quads keep this
+    // partition so every surviving term lands in its dense chain.
     auto chainOrder = [](unsigned n) {
         std::array<std::vector<unsigned>, 4> chains;
         unsigned main = n - n % 4;
@@ -121,58 +122,230 @@ BatchedPowerEvaluator::BatchedPowerEvaluator(
         const CompiledPowerModel &m = *_variants[v];
         GSP_ASSERT(m._n_cores == _n_cores,
                    "batched variants must share the activity shape");
-
-        // evaluateImpl() multiplies these pairs left-to-right before
-        // the per-interval factor, so hoisting the products out of
-        // the interval loop is bit-neutral.
         _core_base_scaled.push_back(m._core_base_dyn_w *
                                     m._base_power_scale);
         _cluster_base_scaled.push_back(m._cluster_base_w *
                                        m._base_power_scale);
         _sched_scaled.push_back(m._global_sched_w *
                                 m._base_power_scale);
-
-        // Nominal-temperature block statics: evaluateImpl() rebuilds
-        // these per interval, but with every sub_scale at 1.0 they
-        // are activity-independent, so one pass here reproduces what
-        // every interval of the scalar path computes — in the same
-        // accumulation order, so the values are bit-identical.
-        std::vector<BlockPower> blocks(m._blocks.size());
-        double l2_sub_share = m._l2_share.sub_leakage_w;
-        double l2_gate_share = m._l2_share.gate_leakage_w;
-        for (unsigned c = 0; c < m._n_cores; ++c) {
-            double wcu_s = m._core_statics[kCoreWcu].sub_leakage_w;
-            double rf_s = m._core_statics[kCoreRf].sub_leakage_w;
-            double eu_s = m._core_statics[kCoreEu].sub_leakage_w;
-            double ldst_s = m._core_statics[kCoreLdst].sub_leakage_w +
-                            l2_sub_share;
-            double undiff_s =
-                m._core_statics[kCoreUndiff].sub_leakage_w;
-            double core_sub_total = 0.0;
-            core_sub_total += 0.0; // Base Power
-            core_sub_total += wcu_s;
-            core_sub_total += rf_s;
-            core_sub_total += eu_s;
-            core_sub_total += ldst_s;
-            core_sub_total += undiff_s;
-            BlockPower &cluster = blocks[m.coreBlock(c)];
-            cluster.sub_leak_w += core_sub_total - l2_sub_share;
-            cluster.fixed_w += m._core_gate_total - l2_gate_share;
-        }
-        if (m._l2_present) {
-            blocks[m._l2_block].sub_leak_w = l2_sub_share * m._n_cores;
-            blocks[m._l2_block].fixed_w = l2_gate_share * m._n_cores;
-        }
-        BlockPower &uncore = blocks[m._uncore_block];
-        for (unsigned comp = 0; comp < kUncoreComponents; ++comp) {
-            uncore.sub_leak_w +=
-                m._uncore_statics[comp].sub_leakage_w;
-            uncore.fixed_w += m._uncore_statics[comp].gate_leakage_w;
-        }
-        // The DRAM board block's fixed share is the per-interval
-        // dram_w; its static entry stays zero.
-        _static_blocks.push_back(std::move(blocks));
+        // At the nominal temperature the static half of an
+        // evaluation is activity-independent: take it once.
+        CompiledPowerModel::Eval nominal;
+        m.leakageAt(nullptr, nominal);
+        _static_blocks.push_back(std::move(nominal.blocks));
     }
+}
+
+void
+BatchedPowerEvaluator::products(const perf::ChipActivity *const *acts,
+                                std::size_t n, Workspace &ws) const
+{
+    const perf::DotCountersSparseQuadFn quad =
+        perf::dotCountersSparseQuadKernel();
+    const std::size_t n_quads = _n_lanes / 4;
+    const std::size_t row_stride = rowStride();
+    GSP_DCHECK(_n_lanes % 4 == 0 &&
+                   _core_quads.size() == n_quads * rows_per_variant &&
+                   _mem_quads.size() == n_quads * rows_per_variant,
+               "sparse quad stack shape mismatch: ", _n_lanes,
+               " lanes, ", _core_quads.size(), "/", _mem_quads.size(),
+               " quads");
+
+    ws.acts.clear();
+    for (std::size_t li = 0; li < n; ++li) {
+        GSP_ASSERT(acts[li]->cores.size() == _n_cores,
+                   "activity record does not match configuration");
+        ws.acts.append(*acts[li]);
+    }
+
+    // The full (interval, core) x (variant, component) product via
+    // the sparse SIMD quads, each output already divided by its
+    // interval's elapsed time (the division every consumer of a
+    // counter dot applies).
+    ws.core_prod.resize(n * _n_cores * row_stride);
+    ws.mem_prod.resize(n * row_stride);
+    for (std::size_t li = 0; li < n; ++li) {
+        const perf::ChipActivity &act = *acts[li];
+        GSP_DCHECK(std::isfinite(act.elapsed_s),
+                   "non-finite interval duration ", act.elapsed_s);
+        double elapsed = act.elapsed_s > 0.0 ? act.elapsed_s : 1.0;
+        for (unsigned c = 0; c < _n_cores; ++c) {
+            const double *values = ws.acts.coreRow(li, c);
+            double *outrow =
+                ws.core_prod.data() + (li * _n_cores + c) * row_stride;
+            for (std::size_t q = 0; q < n_quads; ++q) {
+                for (unsigned r = 0; r < rows_per_variant; ++r) {
+                    const SparseQuad &g =
+                        _core_quads[q * rows_per_variant + r];
+                    quad(values, _core_idx.data() + g.off,
+                         _core_coeff.data() + g.off * 4, g.counts,
+                         elapsed, outrow + r * _n_lanes + q * 4);
+                }
+            }
+        }
+        const double *values = ws.acts.memRow(li);
+        double *outrow = ws.mem_prod.data() + li * row_stride;
+        for (std::size_t q = 0; q < n_quads; ++q) {
+            for (unsigned r = 0; r < rows_per_variant; ++r) {
+                const SparseQuad &g = _mem_quads[q * rows_per_variant + r];
+                quad(values, _mem_idx.data() + g.off,
+                     _mem_coeff.data() + g.off * 4, g.counts, elapsed,
+                     outrow + r * _n_lanes + q * 4);
+            }
+        }
+    }
+}
+
+void
+BatchedPowerEvaluator::fractions(const perf::ChipActivity &act,
+                                 Workspace &ws) const
+{
+    ws.elapsed_s = act.elapsed_s > 0.0 ? act.elapsed_s : 1.0;
+    double cycles = act.shader_cycles > 0
+                        ? static_cast<double>(act.shader_cycles)
+                        : 1.0;
+    ws.gpu_busy_frac =
+        std::min(1.0, static_cast<double>(act.gpu_busy_cycles) / cycles);
+    ws.resident_frac.resize(_n_cores);
+    for (unsigned c = 0; c < _n_cores; ++c)
+        ws.resident_frac[c] = std::min(
+            1.0, static_cast<double>(act.cores[c].cycles_resident) /
+                     cycles);
+    ws.cluster_frac.resize(act.cluster_busy_cycles.size());
+    for (std::size_t c = 0; c < act.cluster_busy_cycles.size(); ++c)
+        ws.cluster_frac[c] = std::min(
+            1.0, static_cast<double>(act.cluster_busy_cycles[c]) /
+                     cycles);
+}
+
+BatchedPowerEvaluator::Totals
+BatchedPowerEvaluator::assemble(const perf::ChipActivity &act,
+                                std::size_t li, std::size_t v,
+                                const Workspace &ws, double *bd,
+                                CompiledPowerModel::Eval *ev) const
+{
+    const CompiledPowerModel &m = *_variants[v];
+    const std::size_t row_stride = rowStride();
+    const double *q = ws.mem_prod.data() + li * row_stride + v;
+    const double gpu_busy_frac = ws.gpu_busy_frac;
+
+    // Folded per-core L2 shares (reported under each LDSTU, but they
+    // heat the L2 block).
+    double l2_dyn_share = m._l2_present ? q[0] : 0.0;
+
+    // --- cores, accumulated in the traversal order of the report
+    // tree so the flat totals are bit-identical to an assembled
+    // PowerReport ---
+    double cores_dyn = 0.0;    // "Cores" subtree dynamic total
+    double analytic_dyn = 0.0; // short-circuit base (Eq. 1 share)
+    double *cd = ev ? ev->core_dyn.data() : nullptr;
+    for (unsigned c = 0; c < _n_cores; ++c) {
+        const double *p =
+            ws.core_prod.data() + (li * _n_cores + c) * row_stride + v;
+        double base = _core_base_scaled[v] * ws.resident_frac[c];
+        double wcu = p[0];
+        double rf = p[_n_lanes];
+        double eu = p[2 * _n_lanes];
+        double ldst = p[3 * _n_lanes] + l2_dyn_share;
+        double core_dyn_total = 0.0;
+        core_dyn_total += base;
+        core_dyn_total += wcu;
+        core_dyn_total += rf;
+        core_dyn_total += eu;
+        core_dyn_total += ldst;
+        core_dyn_total += 0.0; // Undiff. Core
+        // Block split: the core's power lands on its cluster block,
+        // with the folded L2 shares moved back to the L2 block.
+        if (bd)
+            bd[m.coreBlock(c)] += core_dyn_total - l2_dyn_share;
+        cores_dyn += core_dyn_total;
+        if (cd) {
+            cd[kCoreBase] = base;
+            cd[kCoreWcu] = wcu;
+            cd[kCoreRf] = rf;
+            cd[kCoreEu] = eu;
+            cd[kCoreLdst] = ldst;
+            cd[kCoreUndiff] = 0.0;
+            cd += kCoreComponents;
+            // Analytic components feeding the short-circuit share
+            // (second term of Eq. 1): WCU, RF, LDSTU.
+            analytic_dyn += wcu;
+            analytic_dyn += rf;
+            analytic_dyn += ldst;
+        }
+    }
+
+    // Cluster activation and the global work-distribution engine
+    // (SectionIII-D / Fig. 4 staircase) — the report's two extra
+    // children under "Cores".
+    double cluster_base_total = 0.0;
+    for (double frac : ws.cluster_frac)
+        cluster_base_total += _cluster_base_scaled[v] * frac;
+    double sched_w = _sched_scaled[v] * gpu_busy_frac;
+    cores_dyn += cluster_base_total;
+    cores_dyn += sched_w;
+
+    // --- uncore: one busy-fraction term + one product each ---
+    double noc_dyn =
+        m._uncore_busy_w[kUncoreNoc] * gpu_busy_frac + q[_n_lanes];
+    double mc_dyn =
+        m._uncore_busy_w[kUncoreMc] * gpu_busy_frac + q[2 * _n_lanes];
+    double pcie_dyn =
+        m._uncore_busy_w[kUncorePcie] * gpu_busy_frac + q[3 * _n_lanes];
+
+    // Chip total in PowerReport traversal order.
+    Totals t;
+    t.dynamic_w += cores_dyn;
+    t.dynamic_w += noc_dyn;
+    t.dynamic_w += mc_dyn;
+    t.dynamic_w += pcie_dyn;
+
+    if (bd) {
+        if (m._l2_present)
+            bd[m._l2_block] = l2_dyn_share * m._n_cores;
+        // Cluster activation lands in the cluster that earned it;
+        // the global scheduler sits mid-die with the uncore
+        // controllers.
+        for (std::size_t c = 0; c < ws.cluster_frac.size(); ++c)
+            bd[std::min<std::size_t>(c, m._clusters - 1)] +=
+                _cluster_base_scaled[v] * ws.cluster_frac[c];
+        double &uncore = bd[m._uncore_block];
+        uncore += sched_w;
+        uncore += noc_dyn;
+        uncore += mc_dyn;
+        uncore += pcie_dyn;
+    }
+
+    // --- external DRAM: own supply and clock, so its power is a
+    // fixed (feedback-free) share of its board-level block ---
+    const double elapsed = ws.elapsed_s;
+    dram::DramActivity da;
+    da.activates = act.mem.dram_activates;
+    da.read_bursts = act.mem.dram_read_bursts;
+    da.write_bursts = act.mem.dram_write_bursts;
+    da.elapsed_s = elapsed;
+    double total_dram_cycles = elapsed * m._dram_hz * m._dram_channels;
+    double util = total_dram_cycles > 0.0
+                      ? static_cast<double>(act.mem.dram_bus_cycles) /
+                            total_dram_cycles
+                      : 0.0;
+    da.row_open_frac = std::min(1.0, 4.0 * util);
+    t.dram_w = m._dram->compute(da).total();
+
+    if (ev) {
+        analytic_dyn += noc_dyn;
+        analytic_dyn += mc_dyn;
+        ev->elapsed_s = elapsed;
+        ev->cluster_base_w = cluster_base_total;
+        ev->sched_w = sched_w;
+        ev->uncore_dyn = {noc_dyn, mc_dyn, pcie_dyn};
+        ev->short_circuit_w = m._short_circuit_frac /
+                              (1.0 + m._short_circuit_frac) *
+                              analytic_dyn;
+        ev->dynamic_w = t.dynamic_w;
+        ev->dram_w = t.dram_w;
+    }
+    return t;
 }
 
 void
@@ -189,10 +362,6 @@ BatchedPowerEvaluator::evaluate(
 
     const std::size_t n_variants = _variants.size();
     const std::size_t n_intervals = acts.size();
-    // Doubles per packed value row in the product tiles: the four
-    // component slots, each _n_lanes variants wide.
-    const std::size_t row_stride = rows_per_variant * _n_lanes;
-
     out.resize(n_variants);
     for (std::size_t v = 0; v < n_variants; ++v) {
         BatchedKernelPower &o = out[v];
@@ -203,18 +372,6 @@ BatchedPowerEvaluator::evaluate(
         o.block_dynamic_w.assign(n_intervals * o.n_blocks, 0.0);
         o.static_blocks = _static_blocks[v];
     }
-    if (n_intervals == 0)
-        return;
-
-    const perf::DotCountersSparseQuadFn quad =
-        perf::dotCountersSparseQuadKernel();
-    const std::size_t n_quads = _n_lanes / 4;
-    GSP_DCHECK(_n_lanes % 4 == 0 &&
-                   _core_quads.size() == n_quads * rows_per_variant &&
-                   _mem_quads.size() == n_quads * rows_per_variant,
-               "sparse quad stack shape mismatch: ", _n_lanes,
-               " lanes, ", _core_quads.size(), "/", _mem_quads.size(),
-               " quads");
 
     // Tile over intervals so the workspace footprint stays bounded
     // for arbitrarily long traces while each tile's packed rows stay
@@ -222,181 +379,51 @@ BatchedPowerEvaluator::evaluate(
     constexpr std::size_t interval_tile = 32;
     for (std::size_t tile0 = 0; tile0 < n_intervals;
          tile0 += interval_tile) {
-        std::size_t tile_n =
-            std::min(interval_tile, n_intervals - tile0);
-
-        // Phase 1: pack the tile's counters into the SoA matrix.
-        ws.acts.clear();
-        for (std::size_t li = 0; li < tile_n; ++li) {
-            GSP_ASSERT(acts[tile0 + li]->cores.size() == _n_cores,
-                       "activity record does not match configuration");
-            ws.acts.append(*acts[tile0 + li]);
-        }
-
-        // Phase 2: the full (interval, core) x (variant, component)
-        // product — the bulk of the scalar path's arithmetic — via
-        // the sparse SIMD quads, each output already divided by its
-        // interval's elapsed time (the division every consumer of a
-        // dot applies in evaluateImpl()).
-        ws.core_prod.resize(tile_n * _n_cores * row_stride);
-        ws.mem_prod.resize(tile_n * row_stride);
-        for (std::size_t li = 0; li < tile_n; ++li) {
-            const perf::ChipActivity &act = *acts[tile0 + li];
-            double elapsed = act.elapsed_s > 0.0 ? act.elapsed_s : 1.0;
-            for (unsigned c = 0; c < _n_cores; ++c) {
-                const double *values =
-                    ws.acts.coreRow(li, c);
-                double *outrow = ws.core_prod.data() +
-                                 (li * _n_cores + c) * row_stride;
-                for (std::size_t q = 0; q < n_quads; ++q) {
-                    for (unsigned r = 0; r < rows_per_variant; ++r) {
-                        const SparseQuad &g =
-                            _core_quads[q * rows_per_variant + r];
-                        quad(values, _core_idx.data() + g.off,
-                             _core_coeff.data() + g.off * 4,
-                             g.counts, elapsed,
-                             outrow + r * _n_lanes + q * 4);
-                    }
-                }
-            }
-            const double *values = ws.acts.memRow(li);
-            double *outrow = ws.mem_prod.data() + li * row_stride;
-            for (std::size_t q = 0; q < n_quads; ++q) {
-                for (unsigned r = 0; r < rows_per_variant; ++r) {
-                    const SparseQuad &g =
-                        _mem_quads[q * rows_per_variant + r];
-                    quad(values, _mem_idx.data() + g.off,
-                         _mem_coeff.data() + g.off * 4, g.counts,
-                         elapsed, outrow + r * _n_lanes + q * 4);
-                }
-            }
-        }
-
-        // Phase 3: per-(interval, variant) scalar assembly,
-        // replicating evaluateImpl()'s operation order exactly.
-        // Activity fractions depend only on the interval, so they
-        // hoist out of the variant loop (same expressions, same
-        // bits).
+        std::size_t tile_n = std::min(interval_tile, n_intervals - tile0);
+        products(acts.data() + tile0, tile_n, ws);
         for (std::size_t li = 0; li < tile_n; ++li) {
             std::size_t gi = tile0 + li;
             const perf::ChipActivity &act = *acts[gi];
-            double elapsed = act.elapsed_s > 0.0 ? act.elapsed_s : 1.0;
-            double cycles =
-                act.shader_cycles > 0
-                    ? static_cast<double>(act.shader_cycles)
-                    : 1.0;
-            double gpu_busy_frac = std::min(
-                1.0,
-                static_cast<double>(act.gpu_busy_cycles) / cycles);
-            ws.resident_frac.resize(_n_cores);
-            for (unsigned c = 0; c < _n_cores; ++c)
-                ws.resident_frac[c] = std::min(
-                    1.0, static_cast<double>(
-                             act.cores[c].cycles_resident) /
-                             cycles);
-            ws.cluster_frac.resize(act.cluster_busy_cycles.size());
-            for (std::size_t c = 0;
-                 c < act.cluster_busy_cycles.size(); ++c)
-                ws.cluster_frac[c] = std::min(
-                    1.0, static_cast<double>(
-                             act.cluster_busy_cycles[c]) /
-                             cycles);
-
+            fractions(act, ws);
             for (std::size_t v = 0; v < n_variants; ++v) {
-                const CompiledPowerModel &m = *_variants[v];
                 BatchedKernelPower &o = out[v];
-                const double *q = ws.mem_prod.data() +
-                                  li * row_stride + v;
-                double *bd = want_blocks
-                                 ? o.block_dynamic_w.data() +
-                                       gi * o.n_blocks
-                                 : nullptr;
-
-                double l2_dyn_share = m._l2_present ? q[0] : 0.0;
-
-                double cores_dyn = 0.0;
-                for (unsigned c = 0; c < _n_cores; ++c) {
-                    const double *p = ws.core_prod.data() +
-                                      (li * _n_cores + c) *
-                                          row_stride +
-                                      v;
-                    double base = _core_base_scaled[v] *
-                                  ws.resident_frac[c];
-                    double wcu = p[0];
-                    double rf = p[_n_lanes];
-                    double eu = p[2 * _n_lanes];
-                    double ldst = p[3 * _n_lanes] + l2_dyn_share;
-                    double core_dyn_total = 0.0;
-                    core_dyn_total += base;
-                    core_dyn_total += wcu;
-                    core_dyn_total += rf;
-                    core_dyn_total += eu;
-                    core_dyn_total += ldst;
-                    core_dyn_total += 0.0; // Undiff. Core
-                    if (bd)
-                        bd[m.coreBlock(c)] +=
-                            core_dyn_total - l2_dyn_share;
-                    cores_dyn += core_dyn_total;
-                }
-
-                double cluster_base_total = 0.0;
-                for (double frac : ws.cluster_frac)
-                    cluster_base_total +=
-                        _cluster_base_scaled[v] * frac;
-                double sched_w = _sched_scaled[v] * gpu_busy_frac;
-                cores_dyn += cluster_base_total;
-                cores_dyn += sched_w;
-
-                double noc_dyn =
-                    m._uncore_busy_w[kUncoreNoc] * gpu_busy_frac +
-                    q[_n_lanes];
-                double mc_dyn =
-                    m._uncore_busy_w[kUncoreMc] * gpu_busy_frac +
-                    q[2 * _n_lanes];
-                double pcie_dyn =
-                    m._uncore_busy_w[kUncorePcie] * gpu_busy_frac +
-                    q[3 * _n_lanes];
-
-                double dynamic = 0.0;
-                dynamic += cores_dyn;
-                dynamic += noc_dyn;
-                dynamic += mc_dyn;
-                dynamic += pcie_dyn;
-                o.dynamic_w[gi] = dynamic;
-
-                if (bd) {
-                    if (m._l2_present)
-                        bd[m._l2_block] = l2_dyn_share * m._n_cores;
-                    for (std::size_t c = 0;
-                         c < ws.cluster_frac.size(); ++c) {
-                        bd[std::min<std::size_t>(c, m._clusters - 1)] +=
-                            _cluster_base_scaled[v] *
-                            ws.cluster_frac[c];
-                    }
-                    double &uncore = bd[m._uncore_block];
-                    uncore += sched_w;
-                    uncore += noc_dyn;
-                    uncore += mc_dyn;
-                    uncore += pcie_dyn;
-                }
-
-                dram::DramActivity da;
-                da.activates = act.mem.dram_activates;
-                da.read_bursts = act.mem.dram_read_bursts;
-                da.write_bursts = act.mem.dram_write_bursts;
-                da.elapsed_s = elapsed;
-                double total_dram_cycles =
-                    elapsed * m._dram_hz * m._dram_channels;
-                double util =
-                    total_dram_cycles > 0.0
-                        ? static_cast<double>(
-                              act.mem.dram_bus_cycles) /
-                              total_dram_cycles
-                        : 0.0;
-                da.row_open_frac = std::min(1.0, 4.0 * util);
-                o.dram_w[gi] = m._dram->compute(da).total();
+                double *bd = want_blocks ? o.block_dynamic_w.data() +
+                                               gi * o.n_blocks
+                                         : nullptr;
+                Totals t = assemble(act, li, v, ws, bd, nullptr);
+                o.dynamic_w[gi] = t.dynamic_w;
+                o.dram_w[gi] = t.dram_w;
             }
         }
+    }
+}
+
+void
+BatchedPowerEvaluator::evaluateNominal(
+    const perf::ChipActivity &act, Workspace &ws,
+    std::span<CompiledPowerModel::Eval> out) const
+{
+    GSP_ASSERT(out.size() == _variants.size(),
+               "one Eval per variant: ", out.size(), " for ",
+               _variants.size());
+    const perf::ChipActivity *one = &act;
+    products(&one, 1, ws);
+    fractions(act, ws);
+    for (std::size_t v = 0; v < _variants.size(); ++v) {
+        const CompiledPowerModel &m = *_variants[v];
+        CompiledPowerModel::Eval &ev = out[v];
+        ev.core_dyn.resize(std::size_t(_n_cores) * kCoreComponents);
+        ws.block_dyn.assign(m._blocks.size(), 0.0);
+        assemble(act, 0, v, ws, ws.block_dyn.data(), &ev);
+        m.leakageAt(nullptr, ev);
+        for (std::size_t b = 0; b < ws.block_dyn.size(); ++b)
+            ev.blocks[b].dynamic_w = ws.block_dyn[b];
+        GSP_DCHECK(std::isfinite(ev.dynamic_w) &&
+                       std::isfinite(ev.static_w) &&
+                       std::isfinite(ev.dram_w),
+                   "non-finite interval power totals: dyn ",
+                   ev.dynamic_w, " static ", ev.static_w, " dram ",
+                   ev.dram_w);
     }
 }
 

@@ -1,28 +1,22 @@
 /**
  * @file
- * Batched multi-variant power evaluation: many activity intervals x
- * many compiled power models in one pass, in the GATSPI spirit of
- * turning per-node power evaluation into dense array kernels.
+ * The power evaluator: many activity intervals x many compiled power
+ * models in one pass, in the GATSPI spirit of turning per-node power
+ * evaluation into dense array kernels. It computes every power number
+ * the simulator reports — traced interval rows, whole-kernel
+ * evaluations, single runs and governor probes (a batch of one).
  *
- * A memoized sweep replays one timing-unique activity snapshot
- * through every power-only variant (process node, supply scale,
- * cooling) of that timing fingerprint. The scalar path re-walks the
- * per-interval loop of CompiledPowerModel::evaluate() once per
- * variant, re-widening the same counters every time. The batched
- * evaluator instead packs the snapshot's intervals into one SoA
- * activity matrix (perf::ActivityMatrix, countersToArray layout),
- * compresses each component's coefficient rows across variants into
- * sparse four-lane quads, and computes the whole interval x variant
- * product with the runtime-dispatched SIMD kernel
- * (perf::dotCountersSparseQuadKernel) before a cheap per-(interval,
- * variant) scalar assembly.
- *
- * Every arithmetic step of the assembly replicates the operation and
- * accumulation order of CompiledPowerModel::evaluateImpl() at the
- * nominal junction temperature, so each output is bit-identical to
- * the corresponding scalar evaluate() call — the invariant that lets
- * the engine switch batching on and off without changing a single
- * result bit (asserted by test_batched_power and bench_power_eval).
+ * The evaluator packs the intervals into one SoA activity matrix
+ * (perf::ActivityMatrix, countersToRow layout), compresses each
+ * component's coefficient rows across variants into sparse four-lane
+ * quads, and computes the whole interval x variant product with the
+ * runtime-dispatched SIMD kernel (perf::dotCountersSparseQuadKernel)
+ * before one per-(interval, variant) scalar assembly. That assembly
+ * accumulates in the traversal order of the report tree
+ * (PowerNode::totalDynamic()), so the flat totals are bit-identical
+ * to the assembled PowerReport. The tests hold the scalar
+ * per-interval evaluator this one replaced
+ * (tests/power_tree_reference.hh) as its oracle.
  */
 
 #ifndef GPUSIMPOW_POWER_BATCHED_HH
@@ -30,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "perf/activity.hh"
@@ -49,8 +44,8 @@ struct BatchedKernelPower
     std::size_t n_intervals = 0;
     /** Thermal blocks per interval row (0 unless want_blocks). */
     std::size_t n_blocks = 0;
-    /** Chip runtime dynamic power per interval, W — bit-identical
-     *  to Eval::dynamic_w of the scalar path. */
+    /** Chip runtime dynamic power per interval, W (Eval::dynamic_w
+     *  of that interval). */
     std::vector<double> dynamic_w;
     /** External DRAM power per interval, W (Eval::dram_w). */
     std::vector<double> dram_w;
@@ -59,20 +54,23 @@ struct BatchedKernelPower
     std::vector<double> block_dynamic_w;
     /** Activity-independent per-block statics at the nominal
      *  junction temperature: sub_leak_w and fixed_w of Eval::blocks,
-     *  which evaluate() produces identically for every interval.
-     *  The DRAM board block's per-interval fixed share lives in
-     *  dram_w instead and is zero here. */
+     *  identical for every interval. The DRAM board block's
+     *  per-interval fixed share lives in dram_w instead and is zero
+     *  here. */
     std::vector<BlockPower> static_blocks;
 };
 
 /**
- * The batched evaluator over a fixed set of power-model variants.
- * Construction stacks the variants' coefficient rows and precomputes
- * their nominal-temperature block statics; evaluate() then turns a
- * span of activity records into per-variant BatchedKernelPower.
+ * The evaluator over a fixed set of power-model variants.
+ * Construction stacks the variants' coefficient rows and takes their
+ * nominal-temperature block statics; evaluate() turns a span of
+ * activity records into per-variant BatchedKernelPower rows, and
+ * evaluateNominal() one record into one full Eval per variant.
  *
  * All variants must share the activity shape (core count) — in the
  * engine they share a full timing fingerprint, which implies it.
+ * The evaluator is immutable after construction; all scratch lives
+ * in the caller's Workspace.
  */
 class BatchedPowerEvaluator
 {
@@ -93,6 +91,12 @@ class BatchedPowerEvaluator
         std::vector<double> resident_frac;
         /** Per-cluster busy fractions of the current interval. */
         std::vector<double> cluster_frac;
+        /** The current interval's elapsed time (1.0 s when zero)
+         *  and GPU busy fraction. */
+        double elapsed_s = 1.0;
+        double gpu_busy_frac = 0.0;
+        /** Per-block dynamic split of one evaluateNominal() variant. */
+        std::vector<double> block_dyn;
     };
 
     explicit BatchedPowerEvaluator(
@@ -104,14 +108,25 @@ class BatchedPowerEvaluator
     /**
      * Evaluate every interval for every variant. out is resized to
      * variants() entries; out[v].dynamic_w[i] / dram_w[i] (and, with
-     * want_blocks, the per-block rows) are bit-identical to what
-     * variants[v]->evaluate(*acts[i], ev) produces. Intervals are
+     * want_blocks, the per-block rows) are the values
+     * evaluateNominal() of *acts[i] gives variant v. Intervals are
      * processed in tiles, so the workspace footprint is bounded
      * regardless of the trace length.
      */
     void evaluate(const std::vector<const perf::ChipActivity *> &acts,
                   bool want_blocks, Workspace &ws,
                   std::vector<BatchedKernelPower> &out) const;
+
+    /**
+     * Evaluate one interval at the nominal junction temperature for
+     * every variant: out[v] (out.size() == variants()) receives the
+     * totals, the block split and the per-component detail
+     * CompiledPowerModel::assembleReport() builds the report from.
+     * The Evals' vectors are reused, so a caller evaluating many
+     * intervals into the same Evals performs no allocation.
+     */
+    void evaluateNominal(const perf::ChipActivity &act, Workspace &ws,
+                         std::span<CompiledPowerModel::Eval> out) const;
 
   private:
     /**
@@ -130,6 +145,13 @@ class BatchedPowerEvaluator
         unsigned counts[4] = {0, 0, 0, 0};
         /** First column in the shared idx/coeff pools. */
         std::size_t off = 0;
+    };
+
+    /** Chip totals of one (interval, variant) assembly. */
+    struct Totals
+    {
+        double dynamic_w = 0.0;
+        double dram_w = 0.0;
     };
 
     std::vector<const CompiledPowerModel *> _variants;
@@ -151,9 +173,9 @@ class BatchedPowerEvaluator
     std::vector<double> _mem_coeff; // [column * 4 + lane]
     /** Per-variant products hoisted out of the per-interval loops:
      *  core_base_dyn * base_power_scale, cluster_base *
-     *  base_power_scale, global_sched * base_power_scale — computed
-     *  with the same left-to-right association evaluateImpl() uses,
-     *  so substituting them is bit-neutral. */
+     *  base_power_scale, global_sched * base_power_scale. Each term
+     *  multiplies its pair left-to-right before the per-interval
+     *  fraction, so hoisting the product is bit-neutral. */
     std::vector<double> _core_base_scaled;
     std::vector<double> _cluster_base_scaled;
     std::vector<double> _sched_scaled;
@@ -162,6 +184,27 @@ class BatchedPowerEvaluator
 
     /** Rows each counter matrix contributes per variant. */
     static constexpr std::size_t rows_per_variant = 4;
+
+    /** Doubles per packed value row in the product tiles: the four
+     *  component slots, each _n_lanes variants wide. */
+    std::size_t rowStride() const { return rows_per_variant * _n_lanes; }
+
+    /** Pack the n records at acts as one tile and fill its core and
+     *  mem products for every variant. */
+    void products(const perf::ChipActivity *const *acts, std::size_t n,
+                  Workspace &ws) const;
+    /** The interval's elapsed time and busy fractions, shared by
+     *  every variant's assembly. */
+    void fractions(const perf::ChipActivity &act, Workspace &ws) const;
+    /**
+     * The assembly of tile interval li for variant v, the one place
+     * power is computed from the products: the chip totals, plus the
+     * per-block dynamic split into bd (zeroed, n_blocks entries) and
+     * the per-component detail into ev when they are non-null.
+     */
+    Totals assemble(const perf::ChipActivity &act, std::size_t li,
+                    std::size_t v, const Workspace &ws, double *bd,
+                    CompiledPowerModel::Eval *ev) const;
 };
 
 } // namespace power

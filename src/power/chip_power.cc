@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <utility>
 
 #include "circuit/array.hh"
 #include "circuit/interconnect.hh"
@@ -72,9 +71,8 @@ GpuPowerModel::GpuPowerModel(const GpuConfig &cfg)
         std::make_unique<dram::Gddr5Power>(_cfg.dram, _cfg.clocks.dram_hz);
     buildUncore();
 
-    // Compile the hierarchical model into the flat evaluator; every
-    // evaluate()/evaluateAt()/blockPowers() result below is derived
-    // from it.
+    // Compile the hierarchical model into the flat arrays; every
+    // result below is derived from them through the evaluator.
     CompiledModelInputs in;
     in.cfg = &_cfg;
     in.tech = &_t;
@@ -95,6 +93,8 @@ GpuPowerModel::GpuPowerModel(const GpuConfig &cfg)
     in.dram = _dram_power.get();
     in.blocks = makeBlocks();
     _compiled = std::make_unique<CompiledPowerModel>(in);
+    _evaluator = std::make_unique<BatchedPowerEvaluator>(
+        std::vector<const CompiledPowerModel *>{_compiled.get()});
 
     PowerReport stat = staticReport();
     _static_power_w = stat.staticPower();
@@ -178,26 +178,9 @@ PowerReport
 GpuPowerModel::evaluate(const perf::ChipActivity &act) const
 {
     CompiledPowerModel::Eval ev;
-    _compiled->evaluate(act, ev);
+    BatchedPowerEvaluator::Workspace ws;
+    _evaluator->evaluateNominal(act, ws, {&ev, 1});
     return _compiled->assembleReport(ev);
-}
-
-PowerReport
-GpuPowerModel::evaluateAt(const perf::ChipActivity &act,
-                          const std::vector<double> &block_temps_k)
-    const
-{
-    if (block_temps_k.empty())
-        return evaluate(act);
-    CompiledPowerModel::Eval ev;
-    _compiled->evaluateAt(act, block_temps_k, ev);
-    return _compiled->assembleReport(ev);
-}
-
-double
-GpuPowerModel::subLeakScaleAt(double temp_k) const
-{
-    return _compiled->subLeakScaleAt(temp_k);
 }
 
 thermal::BlockSet
@@ -231,14 +214,6 @@ thermal::BlockSet
 GpuPowerModel::thermalBlocks() const
 {
     return _compiled->blocks();
-}
-
-std::vector<BlockPower>
-GpuPowerModel::blockPowers(const perf::ChipActivity &act) const
-{
-    CompiledPowerModel::Eval ev;
-    _compiled->evaluate(act, ev);
-    return std::move(ev.blocks);
 }
 
 PowerReport

@@ -16,6 +16,7 @@
 #include "config/gpu_config.hh"
 #include "dram/gddr5.hh"
 #include "perf/activity.hh"
+#include "power/batched.hh"
 #include "power/compiled.hh"
 #include "power/core_power.hh"
 #include "power/report.hh"
@@ -31,38 +32,30 @@ class GpuPowerModel
     explicit GpuPowerModel(const GpuConfig &cfg);
 
     /**
-     * The flat evaluator every result below is derived from: built
-     * once at construction, it turns an activity interval into chip
-     * totals and per-thermal-block splits with a handful of dot
-     * products and no allocation. Hot paths (trace loops, thermal
-     * integration) should evaluate through it directly and reuse one
-     * CompiledPowerModel::Eval workspace.
+     * The flat model every result below is derived from, built once
+     * at construction: its coefficient rows and static vectors, the
+     * leakage rescale to block temperatures and the report assembly.
      */
     const CompiledPowerModel &compiled() const { return *_compiled; }
 
     /**
+     * The power evaluator over this one model (a batch of one):
+     * evaluateNominal() turns an activity interval into chip totals,
+     * the per-thermal-block split and the component detail, with no
+     * allocation once the caller's Eval and Workspace are sized. Hot
+     * paths (trace loops, governor probes) evaluate through it with
+     * their own reused scratch.
+     */
+    const BatchedPowerEvaluator &evaluator() const { return *_evaluator; }
+
+    /**
      * Evaluate runtime power for an activity interval, assembling
      * the full hierarchical report (Table V structure) from the
-     * compiled evaluation — use for report output, not per-interval
+     * evaluator's output — use for report output, not per-interval
      * loops.
      * @param act activity deltas over the interval
      */
     PowerReport evaluate(const perf::ChipActivity &act) const;
-
-    /**
-     * Evaluate with per-block junction temperatures from the thermal
-     * solver instead of the single nominal config constant: the
-     * subthreshold leakage of every component is rescaled from the
-     * nominal temperature to its block's solved temperature. Core
-     * subtrees follow their cluster block; the folded L2 share inside
-     * each LDSTU follows the L2 block; NoC/MC/PCIe follow the uncore
-     * block. At uniformly nominal temperatures this is bit-identical
-     * to evaluate().
-     * @param block_temps_k temperatures in thermalBlocks() order
-     */
-    PowerReport evaluateAt(const perf::ChipActivity &act,
-                           const std::vector<double> &block_temps_k)
-        const;
 
     /**
      * The die/board block decomposition the thermal network models:
@@ -71,23 +64,6 @@ class GpuPowerModel
      * (NoC + MC + PCIe), and the off-package DRAM devices.
      */
     thermal::BlockSet thermalBlocks() const;
-
-    /**
-     * Split an activity interval's power onto the thermal blocks:
-     * clock-scaled / temperature-scaled / fixed shares per block
-     * (the vocabulary of the throttling governor and the steady
-     * solver), straight from the compiled evaluator — no report
-     * tree, no string-path lookups. Summing every component
-     * reproduces evaluate(act).totalPower() + dram_w exactly.
-     */
-    std::vector<BlockPower>
-    blockPowers(const perf::ChipActivity &act) const;
-
-    /**
-     * Subthreshold-leakage multiplier between the nominal junction
-     * temperature and temp_k (1.0 at the nominal temperature).
-     */
-    double subLeakScaleAt(double temp_k) const;
 
     /** Static-only report (idle chip, Table IV row). */
     PowerReport staticReport() const;
@@ -120,6 +96,7 @@ class GpuPowerModel
     std::unique_ptr<CorePowerModel> _core_model;
     std::unique_ptr<dram::Gddr5Power> _dram_power;
     std::unique_ptr<CompiledPowerModel> _compiled;
+    std::unique_ptr<BatchedPowerEvaluator> _evaluator;
 
     // Uncore statics, computed once at construction.
     ComponentStatics _noc;

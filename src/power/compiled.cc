@@ -1,7 +1,5 @@
 #include "power/compiled.hh"
 
-#include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "common/logging.hh"
@@ -102,21 +100,6 @@ CompiledPowerModel::CompiledPowerModel(const CompiledModelInputs &in)
 }
 
 void
-CompiledPowerModel::evaluate(const perf::ChipActivity &act,
-                             Eval &out) const
-{
-    evaluateImpl(act, nullptr, out);
-}
-
-void
-CompiledPowerModel::evaluateAt(const perf::ChipActivity &act,
-                               const std::vector<double> &block_temps_k,
-                               Eval &out) const
-{
-    evaluateImpl(act, &block_temps_k, out);
-}
-
-void
 CompiledPowerModel::rescaleLeakageAt(
     const std::vector<double> &block_temps_k, Eval &ev) const
 {
@@ -124,216 +107,12 @@ CompiledPowerModel::rescaleLeakageAt(
 }
 
 void
-CompiledPowerModel::evaluateImpl(const perf::ChipActivity &act,
-                                 const std::vector<double> *temps,
-                                 Eval &out) const
-{
-    GSP_ASSERT(act.cores.size() == _n_cores,
-               "activity record does not match configuration");
-
-    GSP_DCHECK(std::isfinite(act.elapsed_s),
-               "non-finite interval duration ", act.elapsed_s);
-    double elapsed = act.elapsed_s > 0.0 ? act.elapsed_s : 1.0;
-    out.elapsed_s = elapsed;
-    double cycles = act.shader_cycles > 0
-                        ? static_cast<double>(act.shader_cycles)
-                        : 1.0;
-    double gpu_busy_frac =
-        std::min(1.0, static_cast<double>(act.gpu_busy_cycles) / cycles);
-
-    // Workspace (re)initialization: the vectors never shrink, so a
-    // reused Eval performs no allocation. The per-core detail arrays
-    // are fully overwritten by the loop below and only resized here.
-    out.blocks.assign(_blocks.size(), BlockPower{});
-    out.core_dyn.resize(static_cast<std::size_t>(_n_cores) *
-                        kCoreComponents);
-    out.core_sub.resize(static_cast<std::size_t>(_n_cores) *
-                        kCoreComponents);
-
-    double mem_counters[perf::mem_activity_fields];
-    perf::countersToArray(act.mem, mem_counters);
-
-    // Folded per-core L2 shares (reported under each LDSTU, but they
-    // heat the L2 block).
-    double l2_dyn_share =
-        _l2_present
-            ? perf::dotCountersRow(mem_counters,
-                                   _l2_share_coeff.data(),
-                                   perf::mem_activity_fields) /
-                  elapsed
-            : 0.0;
-    double l2_gate_share = _l2_share.gate_leakage_w;
-
-    // --- cores: four dot products each, accumulated in the exact
-    // traversal order of the report tree so the flat totals are
-    // bit-identical to an assembled PowerReport ---
-    double cores_dyn = 0.0;    // "Cores" subtree dynamic total
-    double analytic_dyn = 0.0; // short-circuit base (Eq. 1 share)
-    double *cd = out.core_dyn.data();
-    double counters[perf::core_activity_fields];
-    for (unsigned i = 0; i < _n_cores; ++i) {
-        const perf::CoreActivity &a = act.cores[i];
-        double resident_frac = std::min(
-            1.0, static_cast<double>(a.cycles_resident) / cycles);
-        double base =
-            _core_base_dyn_w * _base_power_scale * resident_frac;
-        perf::countersToArray(a, counters);
-        double wcu = perf::dotCountersRow(counters,
-                                          _core_coeff.wcu.data(),
-                                          perf::core_activity_fields) /
-                     elapsed;
-        double rf = perf::dotCountersRow(counters,
-                                         _core_coeff.rf.data(),
-                                         perf::core_activity_fields) /
-                    elapsed;
-        double eu = perf::dotCountersRow(counters,
-                                         _core_coeff.eu.data(),
-                                         perf::core_activity_fields) /
-                    elapsed;
-        double ldst =
-            perf::dotCountersRow(counters, _core_coeff.ldst.data(),
-                                 perf::core_activity_fields) /
-                elapsed +
-            l2_dyn_share;
-        cd[kCoreBase] = base;
-        cd[kCoreWcu] = wcu;
-        cd[kCoreRf] = rf;
-        cd[kCoreEu] = eu;
-        cd[kCoreLdst] = ldst;
-        cd[kCoreUndiff] = 0.0;
-
-        // Per-core total in PowerNode traversal order.
-        double core_dyn_total = 0.0;
-        core_dyn_total += base;
-        core_dyn_total += wcu;
-        core_dyn_total += rf;
-        core_dyn_total += eu;
-        core_dyn_total += ldst;
-        core_dyn_total += 0.0; // Undiff. Core
-
-        // Analytic components feeding the short-circuit share
-        // (second term of Eq. 1): WCU, RF, LDSTU.
-        analytic_dyn += wcu;
-        analytic_dyn += rf;
-        analytic_dyn += ldst;
-
-        // Block split: the core's power lands on its cluster block,
-        // with the folded L2 shares moved back to the L2 block.
-        BlockPower &cluster = out.blocks[coreBlock(i)];
-        cluster.dynamic_w += core_dyn_total - l2_dyn_share;
-        cluster.fixed_w += _core_gate_total - l2_gate_share;
-
-        cores_dyn += core_dyn_total;
-        cd += kCoreComponents;
-    }
-
-    // Cluster activation and the global work-distribution engine
-    // (SectionIII-D / Fig. 4 staircase) — the report's two extra
-    // children under "Cores".
-    double cluster_base_total = 0.0;
-    for (uint64_t busy : act.cluster_busy_cycles) {
-        cluster_base_total +=
-            _cluster_base_w * _base_power_scale *
-            std::min(1.0, static_cast<double>(busy) / cycles);
-    }
-    double sched_w = _global_sched_w * _base_power_scale * gpu_busy_frac;
-    out.cluster_base_w = cluster_base_total;
-    out.sched_w = sched_w;
-    cores_dyn += cluster_base_total;
-    cores_dyn += sched_w;
-
-    // --- uncore: one busy-fraction term + one dot product each ---
-    double noc_dyn =
-        _uncore_busy_w[kUncoreNoc] * gpu_busy_frac +
-        perf::dotCountersRow(mem_counters,
-                             _mem_coeff[kUncoreNoc].data(),
-                             perf::mem_activity_fields) /
-            elapsed;
-    analytic_dyn += noc_dyn;
-    double mc_dyn =
-        _uncore_busy_w[kUncoreMc] * gpu_busy_frac +
-        perf::dotCountersRow(mem_counters, _mem_coeff[kUncoreMc].data(),
-                             perf::mem_activity_fields) /
-            elapsed;
-    analytic_dyn += mc_dyn;
-    double pcie_dyn =
-        _uncore_busy_w[kUncorePcie] * gpu_busy_frac +
-        perf::dotCountersRow(mem_counters,
-                             _mem_coeff[kUncorePcie].data(),
-                             perf::mem_activity_fields) /
-            elapsed;
-    out.uncore_dyn = {noc_dyn, mc_dyn, pcie_dyn};
-
-    out.short_circuit_w = _short_circuit_frac /
-                          (1.0 + _short_circuit_frac) * analytic_dyn;
-
-    // Chip totals in PowerReport traversal order.
-    double dynamic = 0.0;
-    dynamic += cores_dyn;
-    dynamic += noc_dyn;
-    dynamic += mc_dyn;
-    dynamic += pcie_dyn;
-    out.dynamic_w = dynamic;
-
-    // --- remaining block splits (legacy blockPowers order) ---
-    if (_l2_present) {
-        BlockPower &l2 = out.blocks[_l2_block];
-        l2.dynamic_w = l2_dyn_share * _n_cores;
-        l2.fixed_w = l2_gate_share * _n_cores;
-    }
-    // Cluster activation lands in the cluster that earned it; the
-    // global scheduler sits mid-die with the uncore controllers.
-    for (std::size_t c = 0; c < act.cluster_busy_cycles.size(); ++c) {
-        double busy = static_cast<double>(act.cluster_busy_cycles[c]);
-        out.blocks[std::min<std::size_t>(c, _clusters - 1)].dynamic_w +=
-            _cluster_base_w * _base_power_scale *
-            std::min(1.0, busy / cycles);
-    }
-    BlockPower &uncore = out.blocks[_uncore_block];
-    uncore.dynamic_w += sched_w;
-    for (unsigned comp = 0; comp < kUncoreComponents; ++comp) {
-        uncore.dynamic_w += out.uncore_dyn[comp];
-        uncore.fixed_w += _uncore_statics[comp].gate_leakage_w;
-    }
-
-    // --- external DRAM: own supply and clock, so its power is a
-    // fixed (feedback-free) share of its board-level block ---
-    dram::DramActivity da;
-    da.activates = act.mem.dram_activates;
-    da.read_bursts = act.mem.dram_read_bursts;
-    da.write_bursts = act.mem.dram_write_bursts;
-    da.elapsed_s = elapsed;
-    double total_dram_cycles = elapsed * _dram_hz * _dram_channels;
-    double util = total_dram_cycles > 0.0
-                      ? static_cast<double>(act.mem.dram_bus_cycles) /
-                            total_dram_cycles
-                      : 0.0;
-    da.row_open_frac = std::min(1.0, 4.0 * util);
-    out.dram_w = _dram->compute(da).total();
-    out.blocks[_blocks.dramIndex()].fixed_w = out.dram_w;
-
-    leakageAt(temps, out);
-
-    // Reused-Eval hygiene: the workspace vectors must have been
-    // (re)sized for *this* model, and the totals a trace loop
-    // integrates must be finite numbers — a stale or shared Eval
-    // would trip these before it poisons a waveform.
-    GSP_DCHECK(out.blocks.size() == _blocks.size() &&
-                   out.core_dyn.size() ==
-                       std::size_t(_n_cores) * kCoreComponents &&
-                   out.core_sub.size() == out.core_dyn.size(),
-               "Eval workspace shape does not match model");
-    GSP_DCHECK(std::isfinite(out.dynamic_w) &&
-                   std::isfinite(out.static_w) &&
-                   std::isfinite(out.dram_w),
-               "non-finite interval power totals: dyn ", out.dynamic_w,
-               " static ", out.static_w, " dram ", out.dram_w);
-}
-
-void
 CompiledPowerModel::leakageAt(const std::vector<double> *temps,
                               Eval &out) const
 {
+    out.blocks.resize(_blocks.size());
+    out.core_sub.resize(static_cast<std::size_t>(_n_cores) *
+                        kCoreComponents);
     out.sub_scale.assign(_blocks.size(), 1.0);
     if (temps && !temps->empty()) {
         GSP_ASSERT(temps->size() == _blocks.size(),
@@ -344,8 +123,11 @@ CompiledPowerModel::leakageAt(const std::vector<double> *temps,
     double r_l2 = _l2_present ? out.sub_scale[_l2_block] : 1.0;
     double r_uncore = out.sub_scale[_uncore_block];
     double l2_sub_share = _l2_share.sub_leakage_w * r_l2;
-    for (BlockPower &b : out.blocks)
+    double l2_gate_share = _l2_share.gate_leakage_w;
+    for (BlockPower &b : out.blocks) {
         b.sub_leak_w = 0.0;
+        b.fixed_w = 0.0;
+    }
 
     // Cores, in the report tree's traversal order.
     double chip_static = 0.0; // totalStatic() traversal order
@@ -387,9 +169,10 @@ CompiledPowerModel::leakageAt(const std::vector<double> *temps,
         core_static_total += undiff_s + 0.0;
 
         // The core's leakage lands on its cluster block, with the
-        // folded L2 share moved back to the L2 block.
-        out.blocks[coreBlock(i)].sub_leak_w +=
-            core_sub_total - l2_sub_share;
+        // folded L2 shares moved back to the L2 block.
+        BlockPower &cluster = out.blocks[coreBlock(i)];
+        cluster.sub_leak_w += core_sub_total - l2_sub_share;
+        cluster.fixed_w += _core_gate_total - l2_gate_share;
         chip_static += core_static_total;
         cs += kCoreComponents;
     }
@@ -406,11 +189,19 @@ CompiledPowerModel::leakageAt(const std::vector<double> *temps,
                    _uncore_statics[kUncorePcie].gate_leakage_w;
     out.static_w = chip_static;
 
-    if (_l2_present)
-        out.blocks[_l2_block].sub_leak_w = l2_sub_share * _n_cores;
+    if (_l2_present) {
+        BlockPower &l2 = out.blocks[_l2_block];
+        l2.sub_leak_w = l2_sub_share * _n_cores;
+        l2.fixed_w = l2_gate_share * _n_cores;
+    }
     BlockPower &uncore = out.blocks[_uncore_block];
-    for (unsigned comp = 0; comp < kUncoreComponents; ++comp)
+    for (unsigned comp = 0; comp < kUncoreComponents; ++comp) {
         uncore.sub_leak_w += out.uncore_sub[comp];
+        uncore.fixed_w += _uncore_statics[comp].gate_leakage_w;
+    }
+    // The external DRAM runs from its own supply and clock, so its
+    // power is a fixed (feedback-free) share of its board block.
+    out.blocks[_blocks.dramIndex()].fixed_w = out.dram_w;
 }
 
 PowerReport

@@ -3,22 +3,21 @@
  * The compiled power model: the hierarchical per-component model of
  * GPGPU-Pow flattened into index-addressed arrays, in the spirit of
  * GATSPI-style flat power evaluation. Built once per (configuration,
- * process node, operating point), it reduces one activity interval's
- * power evaluation to a handful of dot products over dense
- * coefficient rows laid out against the ChipActivity X-macro counter
- * order (perf::CoreCounterIndex / perf::MemCounterIndex), plus a few
- * closed-form busy-fraction terms — no string lookups, no PowerNode
- * tree, no heap allocation per interval.
+ * process node, operating point), it holds dense coefficient rows
+ * laid out against the ChipActivity X-macro counter order
+ * (perf::CoreCounterIndex / perf::MemCounterIndex), the closed-form
+ * busy-fraction powers and the static vectors — no string lookups,
+ * no PowerNode tree.
  *
- * The compiled model is the *canonical* evaluator: GpuPowerModel's
- * evaluate()/evaluateAt() assemble their PowerReport trees from the
- * per-component values a compiled evaluation produces, and the block
- * splits the thermal subsystem consumes come from the same pass via a
- * precomputed component-to-thermal-block index map. Accumulation
- * orders deliberately replicate the tree traversal orders of
- * PowerNode::totalDynamic()/totalStatic() and the legacy blockPowers
- * tree walk, so the flat totals and per-block splits are bit-identical
- * to the on-demand report trees (asserted by test_compiled_power).
+ * The model does not evaluate activity itself: the one evaluator is
+ * BatchedPowerEvaluator (power/batched.hh), which fills an Eval from
+ * these arrays for one or many models at once. The model owns the
+ * temperature half of an evaluation (rescaleLeakageAt) and the report
+ * (assembleReport). Accumulation orders replicate the tree traversal
+ * orders of PowerNode::totalDynamic()/totalStatic(), so the flat
+ * totals and per-block splits are bit-identical to the assembled
+ * report trees (asserted by test_compiled_power against the scalar
+ * reference evaluator in tests/power_tree_reference.hh).
  *
  * Thermal leakage feedback is a scale of the static vectors: each
  * component's subthreshold leakage is multiplied by its thermal
@@ -71,8 +70,8 @@ enum UncoreComponent : unsigned
 /**
  * Everything the compiled model is built from. GpuPowerModel fills
  * this at construction; the struct keeps the two classes decoupled
- * (chip_power owns calibration and uncore fitting, compiled owns
- * evaluation).
+ * (chip_power owns calibration and uncore fitting, compiled owns the
+ * flat arrays the evaluator reads).
  */
 struct CompiledModelInputs
 {
@@ -100,7 +99,8 @@ struct CompiledModelInputs
 };
 
 /**
- * Flat power model, evaluated per interval with zero allocation.
+ * Flat power model: the arrays BatchedPowerEvaluator evaluates, plus
+ * the temperature half of an evaluation and the report assembly.
  */
 class CompiledPowerModel
 {
@@ -108,10 +108,10 @@ class CompiledPowerModel
     explicit CompiledPowerModel(const CompiledModelInputs &in);
 
     /**
-     * Result + reusable workspace of one interval evaluation. The
-     * vectors are sized on first use and reused afterwards, so a
-     * caller evaluating many intervals (the trace loops) performs no
-     * per-interval allocation.
+     * Result + reusable workspace of one interval evaluation
+     * (BatchedPowerEvaluator::evaluateNominal). The vectors are sized
+     * on first use and reused afterwards, so a caller evaluating
+     * many intervals performs no per-interval allocation.
      */
     struct Eval
     {
@@ -159,26 +159,17 @@ class CompiledPowerModel
         double cardW() const { return (static_w + dynamic_w) + dram_w; }
     };
 
-    /** Evaluate one interval at the nominal junction temperature. */
-    void evaluate(const perf::ChipActivity &act, Eval &out) const;
-
-    /**
-     * Evaluate with per-block junction temperatures (BlockSet order):
-     * every component's subthreshold leakage is scaled from the
-     * nominal temperature to its block's temperature. An empty vector
-     * evaluates at nominal everywhere (identical to evaluate()).
-     */
-    void evaluateAt(const perf::ChipActivity &act,
-                    const std::vector<double> &block_temps_k,
-                    Eval &out) const;
-
     /**
      * Re-evaluate only the temperature-dependent half of an
      * evaluation — the subthreshold leakage columns, their block
-     * splits and the static total — at per-block temperatures. Given
-     * an Eval that evaluate() or evaluateAt() filled for some
-     * interval, it leaves exactly what evaluateAt() of that interval
-     * at block_temps_k would, without another pass over the activity.
+     * splits and the static total — at per-block temperatures
+     * (BlockSet order; empty means nominal everywhere). Each
+     * component's leakage is scaled from the nominal temperature to
+     * its block's: core subtrees follow their cluster block, the
+     * folded L2 share inside each LDSTU the L2 block, NoC/MC/PCIe the
+     * uncore block. ev must hold a nominal evaluation of this model
+     * (BatchedPowerEvaluator::evaluateNominal); no pass over the
+     * activity is needed.
      */
     void rescaleLeakageAt(const std::vector<double> &block_temps_k,
                           Eval &ev) const;
@@ -212,31 +203,12 @@ class CompiledPowerModel
      *  carries to apply the same law. */
     double nominalLeakFactor() const { return _nominal_leak_factor; }
 
-    /** Dense core dynamic-energy rows (X-macro counter order). */
-    const CoreDynCoefficients &coreCoefficients() const
-    {
-        return _core_coeff;
-    }
-    /** Dense uncore dynamic-energy rows (X-macro counter order). */
-    const std::array<double, perf::mem_activity_fields> &
-    memCoefficients(UncoreComponent comp) const
-    {
-        return _mem_coeff[comp];
-    }
-    /** Statics of the per-core folded L2 share (zero without L2). */
-    const ComponentStatics &l2ShareStatics() const { return _l2_share; }
-    /** Dynamic-energy row of the per-core folded L2 share. */
-    const std::array<double, perf::mem_activity_fields> &
-    l2ShareCoefficients() const
-    {
-        return _l2_share_coeff;
-    }
-
   private:
-    /** The batched multi-variant evaluator (power/batched.hh) reads
-     *  the coefficient rows and static vectors directly so its
-     *  assembly can replicate evaluateImpl() bit for bit. */
+    /** The evaluator (power/batched.hh) reads the coefficient rows
+     *  and static vectors directly. */
     friend class BatchedPowerEvaluator;
+    /** The tests' scalar reference evaluator reads them too. */
+    friend struct PowerReference;
 
     // --- configuration scalars ---
     unsigned _n_cores;
@@ -284,14 +256,11 @@ class CompiledPowerModel
 
     const dram::Gddr5Power *_dram;
 
-    /** The temperature-independent pass over the activity, then
-     *  leakageAt(). */
-    void evaluateImpl(const perf::ChipActivity &act,
-                      const std::vector<double> *block_temps_k,
-                      Eval &out) const;
-    /** The leakage half of an evaluation: sub_scale, core_sub,
-     *  uncore_sub, every block's sub_leak_w and static_w, at
-     *  block_temps_k (nominal when null or empty). */
+    /** The static half of an evaluation at block_temps_k (nominal
+     *  when null or empty): sub_scale, core_sub, uncore_sub, static_w
+     *  and every block's sub_leak_w and fixed_w — the DRAM board
+     *  block's fixed share is out.dram_w. Sizes out's block and
+     *  core_sub vectors; reads nothing else of out. */
     void leakageAt(const std::vector<double> *block_temps_k,
                    Eval &out) const;
 };

@@ -37,8 +37,9 @@ struct ComponentStatics
  * components: J per counter increment, one entry per CoreActivity
  * counter in X-macro declaration order (perf::CoreCounterIndex).
  * The per-interval dynamic energy of a component is the dot product
- * of its row with the interval's counter vector — the flat form the
- * compiled power model (power/compiled.hh) evaluates.
+ * of its row with the interval's counter vector — the flat form
+ * power::BatchedPowerEvaluator evaluates from the compiled power
+ * model (power/compiled.hh).
  */
 struct CoreDynCoefficients
 {

@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -205,7 +206,8 @@ struct ReplayScratch
 {
     power::BatchedPowerEvaluator::Workspace batch_ws;
     /** Nominal whole-kernel evaluation per distinct power model of
-     *  the group. */
+     *  the group; grown, never shrunk, so only the current group's
+     *  first models.size() entries are live. */
     std::vector<power::CompiledPowerModel::Eval> nominal;
     /** Buffers of the per-network lockstep steady solves. */
     thermal::SteadyScratch steady;
@@ -294,10 +296,7 @@ replayGroup(const std::vector<Scenario> &scenarios,
             g->second.push_back(j);
     }
 
-    std::unique_ptr<power::BatchedPowerEvaluator> evaluator;
-    if (snapshot.with_trace)
-        evaluator = std::make_unique<power::BatchedPowerEvaluator>(
-            models);
+    const power::BatchedPowerEvaluator evaluator(models);
     std::vector<const perf::ChipActivity *> acts;
     std::vector<power::BatchedKernelPower> pre;
     std::vector<KernelRun> runs(n_variants);
@@ -308,12 +307,13 @@ replayGroup(const std::vector<Scenario> &scenarios,
             acts.reserve(snap.samples.size());
             for (const ActivitySample &a : snap.samples)
                 acts.push_back(&a.delta);
-            evaluator->evaluate(acts, want_blocks, scratch.batch_ws, pre);
+            evaluator.evaluate(acts, want_blocks, scratch.batch_ws, pre);
         }
         {
             GSP_TRACE_SPAN("power/nominal_eval");
-            for (std::size_t r = 0; r < models.size(); ++r)
-                models[r]->evaluate(snap.perf.activity, nominal[r]);
+            evaluator.evaluateNominal(
+                snap.perf.activity, scratch.batch_ws,
+                std::span(nominal.data(), models.size()));
         }
         GSP_TRACE_SPAN("sim/replay");
         for (std::size_t j = 0; j < n_variants; ++j)

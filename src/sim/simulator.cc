@@ -100,26 +100,6 @@ ThermalResult::hottestBlock() const
     return best < block_names.size() ? block_names[best] : "";
 }
 
-/**
- * Self-batching state of the traced thermal path: when no engine
- * group supplies precomputed rows, the simulator batches its own
- * compiled model over the snapshot's intervals — one SIMD pass over
- * the temperature-independent dynamic/DRAM/per-block rows — so the
- * sequential thermal march only rescales per-block leakage.
- */
-struct Simulator::SelfBatch
-{
-    power::BatchedPowerEvaluator eval;
-    power::BatchedPowerEvaluator::Workspace ws;
-    std::vector<power::BatchedKernelPower> out;
-    std::vector<const perf::ChipActivity *> acts;
-
-    explicit SelfBatch(const power::CompiledPowerModel &cpm)
-        : eval({&cpm})
-    {
-    }
-};
-
 Simulator::Simulator(const GpuConfig &cfg)
     : _cfg(cfg), _nominal_freq_scale(cfg.clocks.freq_scale)
 {
@@ -174,7 +154,7 @@ Simulator::marchDeferred()
         for (std::size_t i = 0; i < m.bp.size(); ++i)
             powers[i] = m.bp[i].dynamic_w +
                         m.bp[i].sub_leak_w *
-                            _power->subLeakScaleAt(
+                            _power->compiled().subLeakScaleAt(
                                 _thermal_state.temps_k[i]) +
                         m.bp[i].fixed_w;
         _network->advance(_thermal_state, powers, m.time_s);
@@ -195,22 +175,24 @@ Simulator::applyFreqScale(double freq_scale)
     // rebuild it at the clamped clock (the die geometry, and with it
     // the thermal network, is frequency-invariant).
     _power = std::make_shared<const power::GpuPowerModel>(_cfg);
-    // The self-batch evaluator stacked the old model's coefficients.
-    _self_batch.reset();
 }
 
 const power::BatchedKernelPower &
 Simulator::selfBatchRows(const KernelSnapshot &snap, bool want_blocks)
 {
-    if (!_self_batch)
-        _self_batch = std::make_unique<SelfBatch>(_power->compiled());
-    SelfBatch &sb = *_self_batch;
-    sb.acts.clear();
-    sb.acts.reserve(snap.samples.size());
+    _row_acts.clear();
+    _row_acts.reserve(snap.samples.size());
     for (const ActivitySample &a : snap.samples)
-        sb.acts.push_back(&a.delta);
-    sb.eval.evaluate(sb.acts, want_blocks, sb.ws, sb.out);
-    return sb.out.front();
+        _row_acts.push_back(&a.delta);
+    _power->evaluator().evaluate(_row_acts, want_blocks, _eval_ws, _rows);
+    return _rows.front();
+}
+
+void
+Simulator::evaluateNominal(const perf::ChipActivity &act,
+                           power::CompiledPowerModel::Eval &ev)
+{
+    _power->evaluator().evaluateNominal(act, _eval_ws, {&ev, 1});
 }
 
 KernelRun
@@ -268,8 +250,8 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
 
     // Per-interval power is read from BatchedKernelPower rows: the
     // ones an engine group's multi-variant pass produced for this
-    // variant, or — with no group — one width-1 pass of this
-    // simulator's own compiled model over all intervals. Either way
+    // variant, or — with no group — one pass of this simulator's
+    // own power model over all intervals. Either way
     // the loops below only index precomputed rows.
     bool thermal_on = _cfg.thermal.enabled;
     auto ensureRows = [&](bool want_blocks) {
@@ -397,7 +379,7 @@ Simulator::beginReplay(const KernelSnapshot &snap,
     KernelRun run = evaluateSamples(snap, batched, keep);
     const power::CompiledPowerModel &cpm = _power->compiled();
     if (!nominal) {
-        cpm.evaluate(snap.perf.activity, _eval);
+        evaluateNominal(snap.perf.activity, _eval);
         nominal = &_eval;
     }
     if (!_cfg.thermal.enabled) {
@@ -545,7 +527,7 @@ Simulator::runThermal(const perf::KernelProgram &prog,
     // split drives the steady solves, and finishThermal() rescales
     // its leakage into the report.
     power::CompiledPowerModel::Eval ev;
-    _power->compiled().evaluate(run.perf.activity, ev);
+    evaluateNominal(run.perf.activity, ev);
     const std::vector<power::BlockPower> &bp = ev.blocks;
     thermal::SteadyResult steady = solveSteady(bp, 1.0);
 
@@ -598,7 +580,7 @@ Simulator::runThermal(const perf::KernelProgram &prog,
                 _thermal_state = entry_state;
                 run = runOnce(prog, launch, with_trace,
                               sample_interval_s);
-                _power->compiled().evaluate(run.perf.activity, ev);
+                evaluateNominal(run.perf.activity, ev);
             } else {
                 // Cannot legally re-execute: rescale the measured
                 // run analytically — the cycle count stands, the
@@ -619,7 +601,7 @@ Simulator::runThermal(const perf::KernelProgram &prog,
                     s.t0 *= stretch;
                     s.t1 *= stretch;
                 }
-                _power->compiled().evaluate(run.perf.activity, ev);
+                evaluateNominal(run.perf.activity, ev);
             }
             // Either way the new point is a measurement at f_new;
             // verify it and keep iterating until it truly holds —

@@ -30,10 +30,6 @@
 
 namespace gpusimpow {
 
-namespace power {
-struct BatchedKernelPower;
-}
-
 namespace sim {
 
 /**
@@ -132,7 +128,7 @@ struct KernelRun
      *  evaluated at the solved block temperatures when the thermal
      *  subsystem is enabled. */
     power::PowerReport report;
-    /** Whole-kernel card power (chip + DRAM), W, from the compiled
+    /** Whole-kernel card power (chip + DRAM), W, from the
      *  evaluation the report is assembled from: bit-identical to
      *  report.totalPower() + report.dram_w, and filled in every row
      *  detail. */
@@ -238,16 +234,16 @@ class Simulator
      * Traced intervals always read BatchedKernelPower rows: `batched`
      * when an engine group already evaluated this configuration over
      * the snapshot's samples in one multi-variant pass
-     * (power/batched.hh), otherwise rows the simulator batches itself
-     * at width 1. Either way the rows are bit-identical to the scalar
-     * CompiledPowerModel::evaluate() by the batched evaluator's
-     * contract.
+     * (power/batched.hh), otherwise rows this simulator's power model
+     * evaluates as a batch of one. The evaluator is the same either
+     * way, and a variant's rows do not depend on the other variants
+     * stacked beside it.
      *
      * `nominal` is the whole-kernel evaluation of snap's activity at
      * the nominal temperature under this simulator's power model,
      * when the caller already has it (an engine group evaluates each
-     * kernel once per shared model); null evaluates it here. `detail`
-     * selects what the returned run keeps (sim::RowDetail).
+     * kernel once for all its models); null evaluates it here.
+     * `detail` selects what the returned run keeps (sim::RowDetail).
      */
     KernelRun replayKernel(
         const KernelSnapshot &snap,
@@ -328,12 +324,13 @@ class Simulator
      *  (computed here or copied from the caller's) whose leakage a
      *  thermal kernel then rescales to its solved temperatures. */
     power::CompiledPowerModel::Eval _eval;
-    /** Self-batching state of the trace loops: a single-variant
-     *  BatchedPowerEvaluator over this simulator's compiled model
-     *  plus its workspace/output buffers, built lazily and
-     *  invalidated when the power model is rebuilt. */
-    struct SelfBatch;
-    std::unique_ptr<SelfBatch> _self_batch;
+    /** Scratch of this simulator's own evaluations through its power
+     *  model's evaluator (a batch of one): the workspace, the traced
+     *  rows and their activity pointers. Shape-agnostic, so a model
+     *  rebuild (applyFreqScale) keeps it. */
+    power::BatchedPowerEvaluator::Workspace _eval_ws;
+    std::vector<power::BatchedKernelPower> _rows;
+    std::vector<const perf::ChipActivity *> _row_acts;
 
     void ensureThermal();
     /** Bring _thermal_state up to date: march every deferred kernel
@@ -342,11 +339,15 @@ class Simulator
     /** Rebuild the power model at a clamped (or restored) clock;
      *  callers march the deferred kernels first. */
     void applyFreqScale(double freq_scale);
-    /** Batch-evaluate a snapshot's intervals against this
-     *  simulator's own compiled model (see SelfBatch); want_blocks
-     *  adds the per-block rows the thermal march consumes. */
+    /** Evaluate a snapshot's intervals with this simulator's power
+     *  model; want_blocks adds the per-block rows the thermal march
+     *  consumes. */
     const power::BatchedKernelPower &
     selfBatchRows(const KernelSnapshot &snap, bool want_blocks);
+    /** Evaluate one interval at the nominal temperature with this
+     *  simulator's power model. */
+    void evaluateNominal(const perf::ChipActivity &act,
+                         power::CompiledPowerModel::Eval &ev);
     /** Evaluate the per-interval power (and, with thermal on, march
      *  the transient state) over a snapshot's samples; whole-kernel
      *  power is the caller's. The per-interval values come from

@@ -1,18 +1,22 @@
 /**
  * @file
- * Batched-vs-scalar equivalence: BatchedPowerEvaluator packs many
+ * Evaluator-vs-oracle equivalence: BatchedPowerEvaluator packs many
  * activity intervals and many power-model variants into dense matrix
- * kernels, but its contract is that every output is *bit-identical*
- * to the per-interval CompiledPowerModel::evaluate() it replaces.
- * This suite drives randomized interval batches across both Table II
- * chips, process nodes, and DVFS operating points, checks the
- * nominal block statics against the scalar split, and checks that
- * the per-block thermal rescale the simulator applies on top of the
- * batched rows reproduces evaluateAt() exactly.
+ * kernels, but every output must be *bit-identical* to the scalar
+ * per-interval reference evaluator (PowerReference in
+ * tests/power_tree_reference.hh). This suite drives randomized
+ * interval batches across both Table II chips, process nodes, and
+ * DVFS operating points through the traced rows and the full nominal
+ * Evals, checks the nominal block statics against the scalar split,
+ * checks that the per-block thermal rescale the simulator applies on
+ * top of the rows agrees with the reference at block temperatures,
+ * and holds both sparse quad-dot kernels to the dense dot product.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +26,7 @@
 #include "power/batched.hh"
 #include "power/chip_power.hh"
 #include "power/compiled.hh"
+#include "power_tree_reference.hh"
 
 using namespace gpusimpow;
 using namespace gpusimpow::power;
@@ -89,8 +94,8 @@ compiledOf(const std::vector<std::unique_ptr<GpuPowerModel>> &models)
     return out;
 }
 
-/** Bit-identity of one batched run against per-interval scalar
- *  evaluate() for every (variant, interval) pair. */
+/** Bit-identity of one batched run against the per-interval scalar
+ *  reference for every (variant, interval) pair. */
 void
 expectBatchedMatchesScalar(
     const std::vector<const CompiledPowerModel *> &variants,
@@ -127,7 +132,7 @@ expectBatchedMatchesScalar(
 
         for (std::size_t i = 0; i < acts.size(); ++i) {
             SCOPED_TRACE("interval " + std::to_string(i));
-            variants[v]->evaluate(acts[i], ev);
+            PowerReference::evaluate(*variants[v], acts[i], nullptr, ev);
             EXPECT_EQ(bp.dynamic_w[i], ev.dynamic_w);
             EXPECT_EQ(bp.dram_w[i], ev.dram_w);
             const std::size_t dram = variants[v]->blocks().dramIndex();
@@ -136,7 +141,7 @@ expectBatchedMatchesScalar(
                     EXPECT_EQ(bp.block_dynamic_w[i * n_blocks + b],
                               ev.blocks[b].dynamic_w);
                 }
-                // The statics evaluate() computes are interval-
+                // The statics the reference computes are interval-
                 // independent at nominal temperature; the batched
                 // result carries them once. The DRAM board block's
                 // per-interval fixed share lives in dram_w instead.
@@ -208,15 +213,15 @@ TEST(BatchedPower, DegenerateIntervalsTakeGuardPaths)
 TEST(BatchedPower, ThermalRescaleOfStaticsMatchesScalarMarch)
 {
     // The simulator's thermal march rescales nominal block sub-leak
-    // sums by subLeakScaleAt(block temperature) — identically on the
-    // scalar path (Eval::blocks of a nominal evaluate()) and on the
-    // batched rows. Bit-identity of the batched statics with the
-    // nominal Eval (checked here and in the randomized suite) is
-    // therefore exactly the replay contract. evaluateAt(), which
-    // scales each component *before* summing, may differ from the
-    // sum-then-scale march by association order only — pin that
-    // relationship down with a tight relative tolerance so a real
-    // modeling divergence cannot hide behind it.
+    // sums by subLeakScaleAt(block temperature) — identically on a
+    // nominal Eval's blocks and on the batched rows. Bit-identity of
+    // the batched statics with the nominal Eval (checked here and in
+    // the randomized suite) is therefore exactly the replay contract.
+    // The reference at block temperatures, which scales each
+    // component *before* summing, may differ from the sum-then-scale
+    // march by association order only — pin that relationship down
+    // with a tight relative tolerance so a real modeling divergence
+    // cannot hide behind it.
     GpuConfig cfg = GpuConfig::gt240();
     auto models = variantModels(cfg);
     auto variants = compiledOf(models);
@@ -236,8 +241,8 @@ TEST(BatchedPower, ThermalRescaleOfStaticsMatchesScalarMarch)
         std::vector<double> temps(cpm.blocks().size());
         for (double &t : temps)
             t = rng.uniform(310.0, 400.0);
-        cpm.evaluate(acts[0], nominal);
-        cpm.evaluateAt(acts[0], temps, at);
+        PowerReference::evaluate(cpm, acts[0], nullptr, nominal);
+        PowerReference::evaluate(cpm, acts[0], &temps, at);
         const BatchedKernelPower &bp = batched[v];
         for (std::size_t b = 0; b < temps.size(); ++b) {
             SCOPED_TRACE("block " + std::to_string(b));
@@ -247,7 +252,7 @@ TEST(BatchedPower, ThermalRescaleOfStaticsMatchesScalarMarch)
             // ...is bit-identical to the batched march's input.
             EXPECT_EQ(bp.static_blocks[b].sub_leak_w * scale,
                       scalar_leak);
-            // And the component-wise evaluateAt() split agrees up to
+            // And the component-wise reference split agrees up to
             // summation association order.
             EXPECT_NEAR(scalar_leak, at.blocks[b].sub_leak_w,
                         1e-12 * at.blocks[b].sub_leak_w + 1e-300);
@@ -286,4 +291,210 @@ TEST(BatchedPower, WorkspaceReuseAcrossShapesIsIdempotent)
                                "small-after-big");
     expectBatchedMatchesScalar(big_variants, big_acts, false, ws,
                                "big-again");
+}
+
+namespace {
+
+/** Bit-identity of two report trees, node by node. */
+void
+expectSameTree(const PowerNode &got, const PowerNode &want,
+               const std::string &path)
+{
+    SCOPED_TRACE(path);
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.area_mm2, want.area_mm2);
+    EXPECT_EQ(got.sub_leakage_w, want.sub_leakage_w);
+    EXPECT_EQ(got.gate_leakage_w, want.gate_leakage_w);
+    EXPECT_EQ(got.peak_dynamic_w, want.peak_dynamic_w);
+    EXPECT_EQ(got.runtime_dynamic_w, want.runtime_dynamic_w);
+    ASSERT_EQ(got.children.size(), want.children.size());
+    for (std::size_t i = 0; i < want.children.size(); ++i)
+        expectSameTree(got.children[i], want.children[i],
+                       path + "/" + want.children[i].name);
+}
+
+/** One evaluateNominal() call over every variant against one scalar
+ *  reference evaluation per variant: every Eval field and the whole
+ *  assembled report. */
+void
+expectNominalMatchesScalar(
+    const std::vector<const CompiledPowerModel *> &variants,
+    const perf::ChipActivity &act, BatchedPowerEvaluator::Workspace &ws,
+    std::vector<CompiledPowerModel::Eval> &evs, const std::string &tag)
+{
+    SCOPED_TRACE(tag);
+    BatchedPowerEvaluator evaluator(variants);
+    evs.resize(variants.size());
+    evaluator.evaluateNominal(act, ws, evs);
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+        SCOPED_TRACE("variant " + std::to_string(v));
+        const CompiledPowerModel &cpm = *variants[v];
+        CompiledPowerModel::Eval ref = PowerReference::evaluate(cpm, act);
+        testref::expectSameEval(evs[v], ref);
+        PowerReport got = cpm.assembleReport(evs[v]);
+        PowerReport want = cpm.assembleReport(ref);
+        EXPECT_EQ(got.dram_w, want.dram_w);
+        EXPECT_EQ(got.short_circuit_w, want.short_circuit_w);
+        EXPECT_EQ(got.elapsed_s, want.elapsed_s);
+        expectSameTree(got.gpu, want.gpu, want.gpu.name);
+    }
+}
+
+/** A sparse quad built the way the evaluator builds one: columns of
+ *  a row of n counters partitioned into the dense dot product's four
+ *  chains, all-zero columns dropped; null lanes are padding. */
+struct TestQuad
+{
+    unsigned counts[4] = {0, 0, 0, 0};
+    std::vector<int32_t> idx;
+    std::vector<double> coeff;
+};
+
+TestQuad
+buildTestQuad(const std::array<const std::vector<double> *, 4> &lanes,
+              unsigned n)
+{
+    std::array<std::vector<unsigned>, 4> chains;
+    for (unsigned k = 0; k < n - n % 4; ++k)
+        chains[k % 4].push_back(k);
+    for (unsigned k = n - n % 4; k < n; ++k)
+        chains[0].push_back(k);
+    TestQuad q;
+    for (unsigned chain = 0; chain < 4; ++chain) {
+        for (unsigned k : chains[chain]) {
+            bool any = false;
+            for (const std::vector<double> *lane : lanes)
+                any |= lane && (*lane)[k] != 0.0;
+            if (!any)
+                continue;
+            q.idx.push_back(static_cast<int32_t>(k));
+            for (const std::vector<double> *lane : lanes)
+                q.coeff.push_back(lane ? (*lane)[k] : 0.0);
+            ++q.counts[chain];
+        }
+    }
+    return q;
+}
+
+} // namespace
+
+TEST(BatchedPower, NominalEvalsMatchScalarReferencePerVariant)
+{
+    // The whole-kernel path: one call of 1 interval x V variants
+    // fills V full Evals (every detail field the report is assembled
+    // from), each bit-identical to its own scalar evaluation. The
+    // workspace also serves traced rows in between.
+    SplitMix64 rng(0x40A11E7AULL);
+    BatchedPowerEvaluator::Workspace ws;
+    std::vector<CompiledPowerModel::Eval> evs;
+    for (const GpuConfig &base :
+         {GpuConfig::gt240(), GpuConfig::gtx580()}) {
+        auto models = variantModels(base);
+        auto variants = compiledOf(models);
+        perf::ChipActivity idle;
+        idle.cores.resize(base.numCores());
+        idle.cluster_busy_cycles.assign(base.clusters, 0);
+        idle.shader_cycles = 1;
+        idle.elapsed_s = 1.0;
+        perf::ChipActivity degenerate = idle;
+        degenerate.elapsed_s = 0.0;
+        degenerate.shader_cycles = 0;
+        std::vector<perf::ChipActivity> acts = {idle, degenerate};
+        for (int i = 0; i < 4; ++i)
+            acts.push_back(randomActivity(base, rng));
+        for (std::size_t i = 0; i < acts.size(); ++i) {
+            std::string tag = base.name + "/act" + std::to_string(i);
+            expectNominalMatchesScalar(variants, acts[i], ws, evs, tag);
+            // A lone variant (a single run's batch of one) gives the
+            // same Eval as its lane of the stack.
+            expectNominalMatchesScalar({variants[i % variants.size()]},
+                                       acts[i], ws, evs, tag + "/one");
+            expectBatchedMatchesScalar(variants, {acts[i]}, true, ws,
+                                       tag + "/rows");
+        }
+    }
+}
+
+TEST(BatchedPower, BothQuadKernelsMatchTheDenseDotProduct)
+{
+    // The AVX2 kernel serves on hosts that have it and the portable
+    // one everywhere else: both must reproduce the dense dot product
+    // bit for bit — over every tail length, chains emptied by
+    // dropped columns, columns zero in some lanes only, and padding
+    // lanes.
+    std::vector<perf::DotCountersSparseQuadFn> kernels = {
+        perf::dotCountersSparseQuadPortable};
+    if (perf::DotCountersSparseQuadFn avx2 =
+            perf::dotCountersSparseQuadAvx2Kernel())
+        kernels.push_back(avx2);
+    EXPECT_EQ(perf::dotCountersSparseQuadKernel(), kernels.back());
+
+    SplitMix64 rng(0x9DAD5EEDULL);
+    const std::vector<unsigned> lengths = {
+        1, 2, 3, 4, 5, 6, 7, 8, 11, 13, 16,
+        perf::core_activity_fields, perf::mem_activity_fields};
+    std::size_t quads = 0;
+    std::array<std::size_t, 4> empty_chains{};
+    for (unsigned n : lengths) {
+        for (int trial = 0; trial < 64; ++trial) {
+            SCOPED_TRACE("n " + std::to_string(n) + " trial " +
+                         std::to_string(trial));
+            std::vector<double> values(n);
+            for (double &v : values)
+                v = rng.nextBounded(4) == 0
+                        ? 0.0
+                        : static_cast<double>(
+                              rng.next() >> (20 + rng.nextBounded(40)));
+            // Columns dropped from every lane, and per-lane zeros.
+            std::vector<bool> column_live(n);
+            for (unsigned k = 0; k < n; ++k)
+                column_live[k] = rng.nextBounded(3) != 0;
+            std::array<std::vector<double>, 4> rows;
+            std::array<const std::vector<double> *, 4> lanes{};
+            const unsigned live_lanes = 1 + trial % 4; // rest padding
+            for (unsigned j = 0; j < live_lanes; ++j) {
+                rows[j].resize(n);
+                for (unsigned k = 0; k < n; ++k) {
+                    bool zero = !column_live[k] || rng.nextBounded(4) == 0;
+                    rows[j][k] =
+                        zero ? 0.0
+                             : rng.uniform(0.5, 2.0) *
+                                   std::pow(10.0, -double(
+                                                      rng.nextBounded(16)));
+                }
+                lanes[j] = &rows[j];
+            }
+            double divisor =
+                trial % 3 == 0 ? 1.0 : rng.uniform(1e-6, 5e-3);
+            TestQuad q = buildTestQuad(lanes, n);
+            ++quads;
+            for (unsigned c = 0; c < 4; ++c)
+                empty_chains[c] += q.counts[c] == 0;
+
+            double first[4] = {0.0, 0.0, 0.0, 0.0};
+            for (std::size_t kk = 0; kk < kernels.size(); ++kk) {
+                SCOPED_TRACE("kernel " + std::to_string(kk));
+                double out[4] = {-1.0, -1.0, -1.0, -1.0};
+                kernels[kk](values.data(), q.idx.data(), q.coeff.data(),
+                            q.counts, divisor, out);
+                for (unsigned j = 0; j < 4; ++j) {
+                    double want =
+                        lanes[j] ? PowerReference::dotCountersRow(
+                                       values.data(), rows[j].data(), n) /
+                                       divisor
+                                 : 0.0;
+                    EXPECT_EQ(out[j], want) << "lane " << j;
+                    if (kk == 0)
+                        first[j] = out[j];
+                    else
+                        EXPECT_EQ(out[j], first[j]) << "lane " << j;
+                }
+            }
+        }
+    }
+    // Every chain was emptied by dropped columns somewhere, or the
+    // empty-chain paths went untested.
+    for (unsigned c = 0; c < 4; ++c)
+        EXPECT_GT(empty_chains[c], 0u) << "chain " << c;
+    EXPECT_EQ(quads, lengths.size() * 64u);
 }

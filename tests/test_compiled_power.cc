@@ -1,14 +1,17 @@
 /**
  * @file
- * Compiled-vs-tree equivalence: the flat CompiledPowerModel is the
- * canonical evaluator, and the hierarchical PowerReport is assembled
- * from its per-component outputs — so flat totals and per-thermal-
- * block splits must be *bit-identical* to what walking the report
- * tree produces. This suite drives randomized activity vectors
- * across both Table II chips, process nodes, DVFS operating points,
- * and per-block temperature vectors (the cooling axis collapses onto
- * block temperatures as far as the power model is concerned), and
- * asserts exact equality everywhere.
+ * Production-vs-oracle and flat-vs-tree equivalence of one
+ * evaluation: the evaluator's nominal output (GpuPowerModel's
+ * evaluator, a batch of one), rescaled to block temperatures by
+ * CompiledPowerModel::rescaleLeakageAt, must be *bit-identical* to
+ * the scalar reference evaluator (tests/power_tree_reference.hh),
+ * and the hierarchical PowerReport assembled from it must reproduce
+ * the flat totals and per-thermal-block splits exactly. This suite
+ * drives randomized activity vectors across both Table II chips,
+ * process nodes, DVFS operating points, and per-block temperature
+ * vectors (the cooling axis collapses onto block temperatures as far
+ * as the power model is concerned), and asserts exact equality
+ * everywhere.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 
 #include "common/random.hh"
 #include "perf/activity.hh"
+#include "power/batched.hh"
 #include "power/chip_power.hh"
 #include "power/compiled.hh"
 #include "power/report.hh"
@@ -71,14 +75,23 @@ expectEquivalent(const GpuConfig &cfg, const GpuPowerModel &model,
     SCOPED_TRACE(tag);
     const CompiledPowerModel &cpm = model.compiled();
 
-    CompiledPowerModel::Eval ev;
+    // The production evaluation: nominal through the evaluator, then
+    // the leakage rescale thermal rows apply at block temperatures.
+    CompiledPowerModel::Eval ev = testref::evaluateNominal(model, act);
     PowerReport rep;
     if (temps.empty()) {
-        cpm.evaluate(act, ev);
         rep = model.evaluate(act);
     } else {
-        cpm.evaluateAt(act, temps, ev);
-        rep = model.evaluateAt(act, temps);
+        cpm.rescaleLeakageAt(temps, ev);
+        rep = cpm.assembleReport(ev);
+    }
+
+    // Production vs the scalar reference evaluator: bit-identical in
+    // every field.
+    {
+        SCOPED_TRACE("vs scalar reference");
+        testref::expectSameEval(ev,
+                                PowerReference::evaluate(cpm, act, temps));
     }
 
     // Flat totals vs recursive tree totals: bit-identical.
@@ -90,7 +103,7 @@ expectEquivalent(const GpuConfig &cfg, const GpuPowerModel &model,
 
     // Flat block split vs the legacy tree walk: bit-identical.
     std::vector<BlockPower> tree_bp =
-        testref::treeBlockPowers(cfg, model, rep, act, temps);
+        PowerReference::treeBlockPowers(cfg, model, rep, act, temps);
     ASSERT_EQ(ev.blocks.size(), tree_bp.size());
     for (std::size_t b = 0; b < tree_bp.size(); ++b) {
         SCOPED_TRACE("block " + std::to_string(b));
@@ -143,42 +156,6 @@ expectEquivalent(const GpuConfig &cfg, const GpuPowerModel &model,
         total += b.total();
     double expected = rep.totalPower() + rep.dram_w;
     EXPECT_NEAR(total, expected, 1e-12 * expected);
-
-    // Rescaling a nominal evaluation's leakage to temps leaves the
-    // evaluation evaluateAt() produced, field for field.
-    CompiledPowerModel::Eval rescaled;
-    cpm.evaluate(act, rescaled);
-    cpm.rescaleLeakageAt(temps, rescaled);
-    EXPECT_EQ(rescaled.dynamic_w, ev.dynamic_w);
-    EXPECT_EQ(rescaled.static_w, ev.static_w);
-    EXPECT_EQ(rescaled.dram_w, ev.dram_w);
-    EXPECT_EQ(rescaled.short_circuit_w, ev.short_circuit_w);
-    EXPECT_EQ(rescaled.elapsed_s, ev.elapsed_s);
-    EXPECT_EQ(rescaled.core_dyn, ev.core_dyn);
-    EXPECT_EQ(rescaled.core_sub, ev.core_sub);
-    EXPECT_EQ(rescaled.uncore_dyn, ev.uncore_dyn);
-    EXPECT_EQ(rescaled.uncore_sub, ev.uncore_sub);
-    EXPECT_EQ(rescaled.cluster_base_w, ev.cluster_base_w);
-    EXPECT_EQ(rescaled.sched_w, ev.sched_w);
-    EXPECT_EQ(rescaled.sub_scale, ev.sub_scale);
-    ASSERT_EQ(rescaled.blocks.size(), ev.blocks.size());
-    for (std::size_t b = 0; b < ev.blocks.size(); ++b) {
-        EXPECT_EQ(rescaled.blocks[b].dynamic_w, ev.blocks[b].dynamic_w);
-        EXPECT_EQ(rescaled.blocks[b].sub_leak_w,
-                  ev.blocks[b].sub_leak_w);
-        EXPECT_EQ(rescaled.blocks[b].fixed_w, ev.blocks[b].fixed_w);
-    }
-
-    // The public nominal-temperature split matches the flat split.
-    if (temps.empty()) {
-        std::vector<BlockPower> split = model.blockPowers(act);
-        ASSERT_EQ(split.size(), ev.blocks.size());
-        for (std::size_t b = 0; b < split.size(); ++b) {
-            EXPECT_EQ(split[b].dynamic_w, ev.blocks[b].dynamic_w);
-            EXPECT_EQ(split[b].sub_leak_w, ev.blocks[b].sub_leak_w);
-            EXPECT_EQ(split[b].fixed_w, ev.blocks[b].fixed_w);
-        }
-    }
 }
 
 GpuConfig
@@ -256,23 +233,18 @@ TEST(CompiledPower, EvalWorkspaceReuseIsIdempotent)
     perf::ChipActivity a = randomActivity(cfg, rng);
     perf::ChipActivity b = randomActivity(cfg, rng);
 
+    // One Eval and one workspace serve every evaluation; a leakage
+    // rescale in between must not leak into the next nominal one.
+    const BatchedPowerEvaluator &evaluator = model.evaluator();
+    BatchedPowerEvaluator::Workspace ws;
     CompiledPowerModel::Eval reused;
-    model.compiled().evaluate(a, reused);
-    model.compiled().evaluate(b, reused); // overwrite with b
-    model.compiled().evaluate(a, reused); // and back to a
+    evaluator.evaluateNominal(a, ws, {&reused, 1});
+    std::vector<double> hot(model.thermalBlocks().size(), 380.0);
+    model.compiled().rescaleLeakageAt(hot, reused);
+    evaluator.evaluateNominal(b, ws, {&reused, 1}); // overwrite with b
+    evaluator.evaluateNominal(a, ws, {&reused, 1}); // and back to a
 
-    CompiledPowerModel::Eval fresh;
-    model.compiled().evaluate(a, fresh);
-    EXPECT_EQ(reused.dynamic_w, fresh.dynamic_w);
-    EXPECT_EQ(reused.static_w, fresh.static_w);
-    EXPECT_EQ(reused.dram_w, fresh.dram_w);
-    ASSERT_EQ(reused.blocks.size(), fresh.blocks.size());
-    for (std::size_t i = 0; i < fresh.blocks.size(); ++i) {
-        EXPECT_EQ(reused.blocks[i].dynamic_w, fresh.blocks[i].dynamic_w);
-        EXPECT_EQ(reused.blocks[i].sub_leak_w,
-                  fresh.blocks[i].sub_leak_w);
-        EXPECT_EQ(reused.blocks[i].fixed_w, fresh.blocks[i].fixed_w);
-    }
+    testref::expectSameEval(reused, testref::evaluateNominal(model, a));
 }
 
 TEST(CompiledPower, NominalTemperatureVectorMatchesPlainEvaluate)
@@ -284,15 +256,16 @@ TEST(CompiledPower, NominalTemperatureVectorMatchesPlainEvaluate)
 
     std::vector<double> nominal(model.thermalBlocks().size(),
                                 cfg.tech.temperature);
-    CompiledPowerModel::Eval plain, at_nominal;
-    model.compiled().evaluate(act, plain);
-    model.compiled().evaluateAt(act, nominal, at_nominal);
+    CompiledPowerModel::Eval plain = testref::evaluateNominal(model, act);
+    CompiledPowerModel::Eval at_nominal = plain;
+    model.compiled().rescaleLeakageAt(nominal, at_nominal);
     EXPECT_EQ(plain.dynamic_w, at_nominal.dynamic_w);
     EXPECT_EQ(plain.static_w, at_nominal.static_w);
     for (std::size_t i = 0; i < plain.blocks.size(); ++i) {
         EXPECT_EQ(plain.blocks[i].sub_leak_w,
                   at_nominal.blocks[i].sub_leak_w);
     }
+    testref::expectSameEval(at_nominal, plain);
 }
 
 TEST(CompiledPower, CoefficientRowsMatchCounterLayout)
@@ -302,7 +275,8 @@ TEST(CompiledPower, CoefficientRowsMatchCounterLayout)
     // exactly counter * coefficient / elapsed.
     GpuConfig cfg = GpuConfig::gt240();
     GpuPowerModel model(cfg);
-    const CoreDynCoefficients &c = model.compiled().coreCoefficients();
+    const CoreDynCoefficients &c =
+        PowerReference::coreCoefficients(model.compiled());
 
     perf::ChipActivity act;
     act.cores.resize(cfg.numCores());
@@ -311,8 +285,7 @@ TEST(CompiledPower, CoefficientRowsMatchCounterLayout)
     act.elapsed_s = 1e-3;
     act.cores[0].int_lane_ops = 1000000;
 
-    CompiledPowerModel::Eval ev;
-    model.compiled().evaluate(act, ev);
+    CompiledPowerModel::Eval ev = testref::evaluateNominal(model, act);
     double expected =
         1000000.0 *
         c.eu[perf::CoreCounterIndex::int_lane_ops] / act.elapsed_s;

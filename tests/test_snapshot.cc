@@ -19,6 +19,7 @@
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "power/compiled.hh"
+#include "power_tree_reference.hh"
 #include "row_text.hh"
 #include "sim/engine.hh"
 #include "sim/simulator.hh"
@@ -100,9 +101,10 @@ TEST(Snapshot, CaptureReplayMatchesRunKernelWithTrace)
 
 TEST(Snapshot, TracedRowsMatchTheScalarEvaluatorOnBothChips)
 {
-    // Traced intervals are evaluated as width-1 batched rows when no
-    // engine group supplies them; the scalar compiled evaluator is
-    // the oracle for every interval's dynamic and DRAM power.
+    // Traced intervals are evaluated as the power model's own rows
+    // when no engine group supplies them; the scalar reference
+    // evaluator is the oracle for every interval's dynamic and DRAM
+    // power.
     for (const GpuConfig &cfg : {GpuConfig::gt240(), GpuConfig::gtx580()}) {
         ASSERT_FALSE(cfg.thermal.enabled);
         Simulator sim(cfg);
@@ -117,7 +119,8 @@ TEST(Snapshot, TracedRowsMatchTheScalarEvaluatorOnBothChips)
             KernelRun run = sim.replayKernel(snap);
             ASSERT_EQ(run.trace.size(), snap.samples.size());
             for (std::size_t i = 0; i < snap.samples.size(); ++i) {
-                cpm.evaluate(snap.samples[i].delta, ev);
+                power::PowerReference::evaluate(
+                    cpm, snap.samples[i].delta, nullptr, ev);
                 EXPECT_EQ(run.trace[i].dynamic_w, ev.dynamic_w)
                     << cfg.name << " " << kl.label << " @" << i;
                 EXPECT_EQ(run.trace[i].dram_w, ev.dram_w)

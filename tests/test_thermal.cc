@@ -18,6 +18,7 @@
 #include "config/gpu_config.hh"
 #include "obs/metrics.hh"
 #include "power/chip_power.hh"
+#include "power_tree_reference.hh"
 #include "sim/engine.hh"
 #include "tech/tech.hh"
 #include "thermal/thermal.hh"
@@ -309,9 +310,20 @@ TEST(ThermalPower, BlockPowersPartitionTheReportExactly)
         const KernelRun &run = r.kernels.at(0).run;
         power::GpuPowerModel model(cfg);
         std::vector<power::BlockPower> bp =
-            model.blockPowers(run.perf.activity);
+            power::testref::evaluateNominal(model, run.perf.activity)
+                .blocks;
         thermal::BlockSet set = model.thermalBlocks();
         ASSERT_EQ(bp.size(), set.size());
+        // The production split is the scalar reference's, bit for bit.
+        std::vector<power::BlockPower> ref =
+            power::PowerReference::evaluate(model.compiled(),
+                                            run.perf.activity)
+                .blocks;
+        for (std::size_t b = 0; b < set.size(); ++b) {
+            EXPECT_EQ(bp[b].dynamic_w, ref[b].dynamic_w) << b;
+            EXPECT_EQ(bp[b].sub_leak_w, ref[b].sub_leak_w) << b;
+            EXPECT_EQ(bp[b].fixed_w, ref[b].fixed_w) << b;
+        }
 
         double total = 0.0;
         for (const power::BlockPower &b : bp) {
@@ -346,7 +358,23 @@ TEST(ThermalPower, ThermalBlockAreasCoverTheDie)
     }
 }
 
-TEST(ThermalPower, EvaluateAtNominalTemperatureIsBitIdentical)
+namespace {
+
+/** The report a thermal kernel assembles: the nominal evaluation
+ *  with its leakage rescaled to block temperatures. */
+power::PowerReport
+reportAt(const power::GpuPowerModel &model, const perf::ChipActivity &act,
+         const std::vector<double> &temps)
+{
+    power::CompiledPowerModel::Eval ev =
+        power::testref::evaluateNominal(model, act);
+    model.compiled().rescaleLeakageAt(temps, ev);
+    return model.compiled().assembleReport(ev);
+}
+
+} // namespace
+
+TEST(ThermalPower, RescaleAtNominalTemperatureIsBitIdentical)
 {
     GpuConfig cfg = GpuConfig::gtx580();
     sim::ScenarioResult r = runScenario(cfg, "blackscholes");
@@ -355,13 +383,12 @@ TEST(ThermalPower, EvaluateAtNominalTemperatureIsBitIdentical)
     thermal::BlockSet set = model.thermalBlocks();
 
     std::vector<double> nominal(set.size(), cfg.tech.temperature);
-    power::PowerReport at =
-        model.evaluateAt(run.perf.activity, nominal);
+    power::PowerReport at = reportAt(model, run.perf.activity, nominal);
     power::PowerReport plain = model.evaluate(run.perf.activity);
     EXPECT_EQ(at.gpu.flatten(), plain.gpu.flatten());
 }
 
-TEST(ThermalPower, EvaluateAtScalesLeakageWithBlockTemperature)
+TEST(ThermalPower, RescaleScalesLeakageWithBlockTemperature)
 {
     GpuConfig cfg = GpuConfig::gt240();
     sim::ScenarioResult r = runScenario(cfg, "matmul");
@@ -371,10 +398,8 @@ TEST(ThermalPower, EvaluateAtScalesLeakageWithBlockTemperature)
 
     std::vector<double> hot(set.size(), 370.0);
     std::vector<double> cold(set.size(), 330.0);
-    power::PowerReport hot_rep =
-        model.evaluateAt(run.perf.activity, hot);
-    power::PowerReport cold_rep =
-        model.evaluateAt(run.perf.activity, cold);
+    power::PowerReport hot_rep = reportAt(model, run.perf.activity, hot);
+    power::PowerReport cold_rep = reportAt(model, run.perf.activity, cold);
     power::PowerReport nom_rep = model.evaluate(run.perf.activity);
 
     EXPECT_GT(hot_rep.staticPower(), nom_rep.staticPower());
@@ -937,7 +962,8 @@ TEST(ThermalSolver, WarmStartConvergesToTheSameFixedPoint)
             thermal::ThermalNetwork real(model.thermalBlocks(),
                                          cfg.thermal);
             std::vector<power::BlockPower> bp =
-                model.blockPowers(snap.perf.activity);
+                power::testref::evaluateNominal(model, snap.perf.activity)
+                    .blocks;
             std::vector<double> prev;
             for (double ratio : {1.0, 0.8, 0.6, 0.5, 0.4}) {
                 auto at = [&](const std::vector<double> *start) {
@@ -1001,7 +1027,8 @@ struct ConstrainedGtx580
         auto launches = wl->prepare(sim.gpu());
         KernelSnapshot snap =
             sim.capturePerf(launches[0].prog, launches[0].launch);
-        return m.blockPowers(snap.perf.activity);
+        return power::testref::evaluateNominal(m, snap.perf.activity)
+            .blocks;
     }
 
     thermal::SteadyLane lane(double ratio,

@@ -9,6 +9,7 @@ Rules (see the rule_*.py modules for the full rationale):
   naked-alloc             no raw new/malloc outside src/common
   timing-clock            wall-time comes from obs::monotonicNs()
   thermal-solve           thermal reference solvers stay in tests/
+  scalar-power            the scalar power evaluator stays in tests/
 
 Usage:
   check_contracts.py [--root DIR]   lint the tree (default: repo root)
@@ -28,13 +29,14 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from lint_common import SourceFile  # noqa: E402
 import rule_alloc  # noqa: E402
 import rule_hexfloat  # noqa: E402
+import rule_scalar_power  # noqa: E402
 import rule_thermal_solve  # noqa: E402
 import rule_timing  # noqa: E402
 import rule_unordered  # noqa: E402
 import rule_xmacro  # noqa: E402
 
 RULES = (rule_xmacro, rule_unordered, rule_hexfloat, rule_alloc,
-         rule_timing, rule_thermal_solve)
+         rule_timing, rule_thermal_solve, rule_scalar_power)
 
 SCAN_DIRS = ("src", "tests", "bench", "examples")
 SOURCE_SUFFIXES = (".cc", ".hh", ".cpp", ".hpp", ".h")
@@ -81,6 +83,7 @@ SELF_TESTS = {
     "naked_alloc": {"naked-alloc": 2},
     "raw_timing": {"timing-clock": 2},
     "thermal_solve": {"thermal-solve": 6},
+    "scalar_power": {"scalar-power": 5},
     "clean": {},
 }
 
