@@ -75,8 +75,8 @@ struct BatchedKernelPower
 class BatchedPowerEvaluator
 {
   public:
-    /** Reusable scratch: one instance per engine worker amortizes
-     *  the tile buffers across every group the worker replays. */
+    /** Reusable scratch: one instance per replay group amortizes
+     *  the tile buffers across every kernel the group replays. */
     struct Workspace
     {
         /** Packed activity rows of the current tile. */

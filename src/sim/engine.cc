@@ -7,7 +7,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -18,7 +17,6 @@
 #include "common/strutil.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "power/batched.hh"
 #include "power/chip_power.hh"
 #include "thermal/thermal.hh"
 #include "workloads/workload.hh"
@@ -105,12 +103,6 @@ class RunModels
             }
             _slot_of.push_back({m - 1, n});
         }
-    }
-
-    /** Scenarios with equal slots share one power model. */
-    std::size_t modelSlot(const Scenario &s) const
-    {
-        return _slot_of[s.index].model;
     }
 
     /** A Simulator for `s` on the run's shared model and network:
@@ -201,153 +193,69 @@ class RunModels
     std::vector<SharedNetwork> _networks;
 };
 
-/** A worker's replay buffers, reused by every group it replays. */
-struct ReplayScratch
+/**
+ * Phase 1 of a replayable scenario on `simulator`: every kernel's
+ * timing capture, then the device-vs-host verification, which reads
+ * device memory and so travels with the snapshot.
+ */
+ActivitySnapshot
+captureScenario(const Scenario &scenario, Simulator &simulator,
+                const EngineOptions &options)
 {
-    power::BatchedPowerEvaluator::Workspace batch_ws;
-    /** Nominal whole-kernel evaluation per distinct power model of
-     *  the group; grown, never shrunk, so only the current group's
-     *  first models.size() entries are live. */
-    std::vector<power::CompiledPowerModel::Eval> nominal;
-    /** Buffers of the per-network lockstep steady solves. */
-    thermal::SteadyScratch steady;
-    std::vector<thermal::SteadyLane> lanes;
-    std::vector<thermal::SteadyResult> steady_out;
-};
+    auto workload =
+        workloads::makeWorkload(scenario.workload, scenario.scale);
+    auto launches = workload->prepare(simulator.gpu());
+    ActivitySnapshot snapshot;
+    snapshot.workload = scenario.workload;
+    snapshot.scale = scenario.scale;
+    snapshot.with_trace = options.with_trace;
+    snapshot.sample_interval_s = options.sample_interval_s;
+    snapshot.kernels.reserve(launches.size());
+    for (const workloads::KernelLaunch &kl : launches) {
+        KernelSnapshot snap = simulator.capturePerf(
+            kl.prog, kl.launch, options.with_trace,
+            options.sample_interval_s);
+        snap.label = kl.label;
+        snap.repeatable = kl.repeatable;
+        snapshot.kernels.push_back(std::move(snap));
+    }
+    snapshot.verified = !scenario.verify || launches.empty() ||
+                        workload->verify(simulator.gpu());
+    return snapshot;
+}
 
 /**
- * Replay one work unit from `snapshot`, starting at member index
- * `first`: first == 1 when unit[0] was just captured (and published)
- * by the caller, first == 0 when the snapshot came from an external
- * source (EngineOptions::snapshot_source) and every member replays.
- * All replayed members are power-only variants of the same timing
- * fingerprint, replayed kernels outer, variants inner: each variant's
- * Simulator carries its own thermal state across the snapshot's
- * kernels, exactly like a full run. A traced kernel evaluates every
- * variant's intervals in one pass of the batched matrix evaluator
- * (its activity matrix is packed once and multiplied against the
- * whole coefficient stack). Variants on one run-scoped power model
- * (they differ only in cooling) share one row of that stack and one
- * nominal whole-kernel evaluation per kernel, and variants on one
- * run-scoped thermal network solve the kernel's steady states in one
- * lockstep batch.
+ * Replay `members` (sims[j] built for *members[j]) from `snapshot`
+ * through one ReplayGroup and publish each member's row, in member
+ * order. Every member is a power-only variant of the snapshot's
+ * timing fingerprint; kernels run outer, variants inner.
  */
 template <typename Publish>
 void
-replayGroup(const std::vector<Scenario> &scenarios,
-            const std::vector<std::size_t> &unit, std::size_t first,
-            const ActivitySnapshot &snapshot, RunModels &run_models,
-            RowDetail detail, ReplayScratch &scratch, Publish &&publish,
-            std::atomic<std::size_t> &replayed)
+replayGroup(const std::vector<const Scenario *> &members,
+            const std::vector<Simulator *> &sims,
+            const ActivitySnapshot &snapshot, RowDetail detail,
+            Publish &&publish)
 {
-    // Registered (with descriptions) by run() before any worker can
-    // get here; these lookups just cache the stable references.
-    static obs::Counter &c_replayed =
-        obs::Registry::instance().counter("engine/scenarios_replayed");
-
-    const std::size_t n_variants = unit.size() - first;
-    std::vector<std::unique_ptr<Simulator>> sims;
-    std::vector<ScenarioResult> results(n_variants);
-    // Variant -> its power model's row of the batched stack and of
-    // the nominal evaluations; slots[row] is that model's run slot.
-    std::vector<std::size_t> row_of(n_variants);
-    std::vector<std::size_t> slots;
-    std::vector<const power::CompiledPowerModel *> models;
-    sims.reserve(n_variants);
-    bool want_blocks = false;
-    for (std::size_t j = 0; j < n_variants; ++j) {
-        const Scenario &variant = scenarios[unit[first + j]];
-        sims.push_back(run_models.simulator(variant));
-        std::size_t slot = run_models.modelSlot(variant);
-        row_of[j] = static_cast<std::size_t>(
-            std::find(slots.begin(), slots.end(), slot) - slots.begin());
-        if (row_of[j] == slots.size()) {
-            slots.push_back(slot);
-            models.push_back(&sims.back()->powerModel().compiled());
-        }
-        // The thermal trace march consumes per-block splits.
-        want_blocks |= variant.config.thermal.enabled;
-        results[j].scenario = variant;
+    ReplayGroup group(sims);
+    std::vector<ScenarioResult> results(members.size());
+    for (std::size_t j = 0; j < members.size(); ++j) {
+        results[j].scenario = *members[j];
         if (detail == RowDetail::kernels)
             results[j].kernels.reserve(snapshot.kernels.size());
-        results[j].min_freq_scale = variant.config.clocks.freq_scale;
+        results[j].min_freq_scale = members[j]->config.clocks.freq_scale;
     }
-    std::vector<power::CompiledPowerModel::Eval> &nominal =
-        scratch.nominal;
-    if (nominal.size() < models.size())
-        nominal.resize(models.size());
-
-    // Thermal variants grouped by their run-scoped network (they
-    // differ in supply, or share a cooling across the supplies of one
-    // node): each kernel solves every group's steady states as one
-    // lockstep batch, in variant order.
-    std::vector<std::pair<const thermal::ThermalNetwork *,
-                          std::vector<std::size_t>>>
-        net_groups;
-    for (std::size_t j = 0; j < n_variants; ++j) {
-        if (!results[j].scenario.config.thermal.enabled)
-            continue;
-        const thermal::ThermalNetwork *net = &sims[j]->network();
-        auto g = std::find_if(net_groups.begin(), net_groups.end(),
-                              [&](const auto &e) { return e.first == net; });
-        if (g == net_groups.end())
-            net_groups.push_back({net, {j}});
-        else
-            g->second.push_back(j);
-    }
-
-    const power::BatchedPowerEvaluator evaluator(models);
-    std::vector<const perf::ChipActivity *> acts;
-    std::vector<power::BatchedKernelPower> pre;
-    std::vector<KernelRun> runs(n_variants);
     for (const KernelSnapshot &snap : snapshot.kernels) {
-        bool use_batch = snap.with_trace && !snap.samples.empty();
-        if (use_batch) {
-            acts.clear();
-            acts.reserve(snap.samples.size());
-            for (const ActivitySample &a : snap.samples)
-                acts.push_back(&a.delta);
-            evaluator.evaluate(acts, want_blocks, scratch.batch_ws, pre);
-        }
-        {
-            GSP_TRACE_SPAN("power/nominal_eval");
-            evaluator.evaluateNominal(
-                snap.perf.activity, scratch.batch_ws,
-                std::span(nominal.data(), models.size()));
-        }
-        GSP_TRACE_SPAN("sim/replay");
-        for (std::size_t j = 0; j < n_variants; ++j)
-            runs[j] = sims[j]->beginReplay(
-                snap, use_batch ? &pre[row_of[j]] : nullptr,
-                &nominal[row_of[j]], detail);
-        for (const auto &[net, members] : net_groups) {
-            scratch.lanes.clear();
-            for (std::size_t j : members)
-                scratch.lanes.push_back(sims[j]->replayLane());
-            scratch.steady_out.resize(members.size());
-            net->solveSteady(scratch.lanes, scratch.steady_out,
-                             scratch.steady);
-            for (std::size_t k = 0; k < members.size(); ++k)
-                sims[members[k]]->finishReplay(runs[members[k]],
-                                               scratch.steady_out[k],
-                                               snap, detail);
-        }
-        for (std::size_t j = 0; j < n_variants; ++j)
+        std::vector<KernelRun> &runs = group.replay(snap, detail);
+        for (std::size_t j = 0; j < members.size(); ++j)
             accumulateKernel(results[j], detail, snap.label,
                              snap.repeatable, std::move(runs[j]));
     }
-
-    for (std::size_t j = 0; j < n_variants; ++j) {
+    for (std::size_t j = 0; j < members.size(); ++j) {
         finalizeScenario(results[j], *sims[j]);
-        // Verification reads device memory — a timing-phase output
-        // the snapshot already carries.
         results[j].verified = true;
         if (results[j].scenario.verify && results[j].kernel_count != 0)
             results[j].verified = snapshot.verified;
-        // Counted before publish() runs the progress hook, so the
-        // hook sees this scenario among the replayed ones.
-        replayed.fetch_add(1);
-        c_replayed.add(1);
         publish(std::move(results[j]));
     }
 }
@@ -388,67 +296,46 @@ SimulationEngine::runScenario(const Scenario &scenario) const
 ScenarioResult
 SimulationEngine::runScenario(const Scenario &scenario,
                               Simulator &simulator,
-                              ActivitySnapshot *capture) const
+                              ActivitySnapshot *capture,
+                              RowDetail detail) const
 {
-    // A governed scenario cannot be replayed, so capturing one would
-    // only poison the cache; drop the request instead.
-    const bool replayable = scenario.replayable();
-    if (!replayable)
-        capture = nullptr;
-
     ScenarioResult result;
-    result.scenario = scenario;
+    if (scenario.replayable()) {
+        ActivitySnapshot snapshot =
+            captureScenario(scenario, simulator, _options);
+        replayGroup({&scenario}, {&simulator}, snapshot, detail,
+                    [&](ScenarioResult r) { result = std::move(r); });
+        if (capture)
+            *capture = std::move(snapshot);
+        return result;
+    }
 
+    // Governed: the governor feeds power back into timing, so every
+    // kernel runs in full, and there is no snapshot to capture.
+    result.scenario = scenario;
     auto workload =
         workloads::makeWorkload(scenario.workload, scenario.scale);
     auto launches = workload->prepare(simulator.gpu());
-
-    if (capture) {
-        capture->workload = scenario.workload;
-        capture->scale = scenario.scale;
-        capture->with_trace = _options.with_trace;
-        capture->sample_interval_s = _options.sample_interval_s;
-        capture->kernels.reserve(launches.size());
-    }
-    const RowDetail detail = _options.row_detail;
     if (detail == RowDetail::kernels)
         result.kernels.reserve(launches.size());
     result.min_freq_scale = scenario.config.clocks.freq_scale;
-    for (const workloads::KernelLaunch &kl : launches) {
-        KernelRun run;
-        if (replayable) {
-            // Two-phase explicitly: a captured snapshot feeds the
-            // same replay the cache hits will take, so a replayed
-            // result is bit-identical by construction.
-            KernelSnapshot snap = simulator.capturePerf(
-                kl.prog, kl.launch, _options.with_trace,
-                _options.sample_interval_s);
-            snap.label = kl.label;
-            snap.repeatable = kl.repeatable;
-            run = simulator.replayKernel(snap, nullptr, nullptr, detail);
-            if (capture)
-                capture->kernels.push_back(std::move(snap));
-        } else {
-            run = simulator.runKernel(kl.prog, kl.launch,
-                                      _options.with_trace,
-                                      _options.sample_interval_s,
-                                      kl.repeatable);
-        }
+    for (const workloads::KernelLaunch &kl : launches)
         accumulateKernel(result, detail, kl.label, kl.repeatable,
-                         std::move(run));
-    }
+                         simulator.runKernel(kl.prog, kl.launch,
+                                             _options.with_trace,
+                                             _options.sample_interval_s,
+                                             kl.repeatable));
     finalizeScenario(result, simulator);
     result.verified = true;
     if (scenario.verify && result.kernel_count != 0)
         result.verified = workload->verify(simulator.gpu());
-    if (capture)
-        capture->verified = result.verified;
     return result;
 }
 
 SweepResult
 SimulationEngine::run(const SweepSpec &spec,
-                      const ResultCallback &on_result) const
+                      const ResultCallback &on_result,
+                      RowDetail detail) const
 {
     GSP_TRACE_SPAN("engine/run");
     const uint64_t t_run0 = obs::monotonicNs();
@@ -462,9 +349,9 @@ SimulationEngine::run(const SweepSpec &spec,
     obs::Counter &c_captured = reg.counter(
         "engine/scenarios_captured",
         "scenarios that ran timing and captured a snapshot");
-    // Counted by replayGroup(), which looks the instrument up by name.
-    reg.counter("engine/scenarios_replayed",
-                "scenarios replayed from a memoized snapshot");
+    obs::Counter &c_replayed = reg.counter(
+        "engine/scenarios_replayed",
+        "scenarios replayed from a memoized snapshot");
     obs::Counter &c_governed = reg.counter(
         "engine/scenarios_governed",
         "scenarios pinned to full simulation by the governor");
@@ -564,8 +451,6 @@ SimulationEngine::run(const SweepSpec &spec,
             strformat("worker-%u", worker_id));
         uint64_t busy_ns = 0;
 
-        ReplayScratch replay_scratch;
-
         for (;;) {
             std::size_t u = cursor.fetch_add(1);
             if (u >= units.size())
@@ -594,31 +479,32 @@ SimulationEngine::run(const SweepSpec &spec,
                 const Scenario &first = scenarios[unit.front()];
                 if (!first.replayable()) {
                     GSP_TRACE_SPAN("engine/scenario");
-                    publish(runScenario(first, *run_models.simulator(first)));
+                    publish(runScenario(first, *run_models.simulator(first),
+                                        nullptr, detail));
                 } else {
-                    // One snapshot serves the whole unit: either the
-                    // external source already has one for this key
-                    // (then every member replays, zero timing cost),
-                    // or the unit's first scenario captures it and
-                    // the power-only variants batch-replay.
+                    // One snapshot serves the whole unit: the external
+                    // source's for this key (zero timing cost), or
+                    // one the unit's first scenario captures. Every
+                    // member then replays from it in one group.
                     GSP_TRACE_SPAN("engine/batch_group");
+                    std::vector<const Scenario *> members;
+                    std::vector<std::unique_ptr<Simulator>> owned;
+                    std::vector<Simulator *> sims;
+                    for (std::size_t i : unit) {
+                        members.push_back(&scenarios[i]);
+                        owned.push_back(run_models.simulator(scenarios[i]));
+                        sims.push_back(owned.back().get());
+                    }
                     std::shared_ptr<const ActivitySnapshot> snapshot;
                     if (_options.snapshot_source)
                         snapshot = _options.snapshot_source(first);
-                    std::size_t replay_from = 0;
-                    if (!snapshot) {
-                        auto captured_snap =
-                            std::make_shared<ActivitySnapshot>();
+                    const bool captured_here = !snapshot;
+                    if (captured_here) {
                         try {
                             GSP_TRACE_SPAN("engine/capture");
-                            ScenarioResult r = runScenario(
-                                first, *run_models.simulator(first),
-                                captured_snap.get());
-                            // Counted before publish() runs the
-                            // progress hook, like a replay.
-                            captured.fetch_add(1);
-                            c_captured.add(1);
-                            publish(std::move(r));
+                            snapshot = std::make_shared<const ActivitySnapshot>(
+                                captureScenario(first, *sims.front(),
+                                                _options));
                         } catch (...) {
                             // A source that registered in-flight
                             // state on the miss must be released, or
@@ -627,21 +513,26 @@ SimulationEngine::run(const SweepSpec &spec,
                                 _options.snapshot_sink(first, nullptr);
                             throw;
                         }
-                        // Persist before replaying the variants so
-                        // other jobs waiting on this key unblock
-                        // immediately.
+                        captured.fetch_add(1);
+                        c_captured.add(1);
+                        // Persist before replaying so other jobs
+                        // waiting on this key unblock immediately.
                         if (_options.snapshot_sink)
-                            _options.snapshot_sink(first, captured_snap);
-                        snapshot = std::move(captured_snap);
-                        replay_from = 1;
+                            _options.snapshot_sink(first, snapshot);
                     }
-                    if (replay_from < unit.size()) {
-                        GSP_TRACE_SPAN("engine/replay");
-                        replayGroup(scenarios, unit, replay_from,
-                                    *snapshot, run_models,
-                                    _options.row_detail, replay_scratch,
-                                    publish, replayed);
-                    }
+                    GSP_TRACE_SPAN("engine/replay");
+                    replayGroup(members, sims, *snapshot, detail,
+                                [&](ScenarioResult r) {
+                        // The captured member counts as captured,
+                        // every other one as replayed, before
+                        // publish() runs the progress hook.
+                        if (!captured_here ||
+                            r.scenario.index != first.index) {
+                            replayed.fetch_add(1);
+                            c_replayed.add(1);
+                        }
+                        publish(std::move(r));
+                    });
                 }
             } catch (...) {
                 std::size_t fail = scenarios[unit[std::min(

@@ -20,22 +20,25 @@
  * Scenario::snapshotKey() (sim::snapshotKeys() serializes each
  * distinct timing fingerprint once per run). A unit's snapshot comes
  * from the external source (EngineOptions::snapshot_source) or from
- * timing its first scenario; every other member — a variant that
- * differs only in power-only axes (process node, vdd_scale, cooling)
- * — replays the power phase from it in one replay body: kernels
- * outer, variants inner, traced intervals evaluated together through
- * the batched matrix evaluator (many intervals x many power variants
- * per pass). Replaying Simulators never build the cycle-level GPU.
- * A run builds one power model per distinct power-relevant
- * configuration (the configuration without its thermal section) and
- * one thermal network per (thermal blocks, cooling), shared by every
- * unit and worker. A replay group evaluates each kernel once per
- * model and solves its steady states once per network, all lanes in
- * lockstep, so a replay is bit-identical to a full run minus the
- * entire timing simulation. EngineOptions::row_detail chooses whether rows keep
- * their per-kernel detail or only the summary columns.
- * Throttle-governed scenarios (power feeds back into timing) are
- * the exception: each one is a full simulation of its own.
+ * a timing capture of its first scenario, which only captures. Then
+ * every member — variants that differ only in power-only axes
+ * (process node, vdd_scale, cooling) — replays the power phase from
+ * it through one ReplayGroup (sim/simulator.hh), the one replay
+ * body: kernels outer, variants inner, traced intervals evaluated
+ * together through the batched matrix evaluator (many intervals x
+ * many power variants per pass). Only the capturing Simulator builds
+ * the cycle-level GPU. A run builds one power model per distinct
+ * power-relevant configuration (the configuration without its
+ * thermal section) and one thermal network per (thermal blocks,
+ * cooling), shared by every unit and worker. A replay group
+ * evaluates each kernel once per model and solves its steady states
+ * once per network, all lanes in lockstep, so a replayed row is the
+ * row of a capture followed by a replay group of one — which is what
+ * runScenario() computes, the oracle. The RowDetail argument of
+ * run() chooses whether rows keep their per-kernel detail or only
+ * the summary columns. Throttle-governed scenarios (power feeds back
+ * into timing) are the exception: each one is a full simulation of
+ * its own.
  */
 
 #ifndef GPUSIMPOW_SIM_ENGINE_HH
@@ -83,14 +86,6 @@ struct EngineOptions
     /** Trace sampling period, s. */
     double sample_interval_s = 20e-6;
     /**
-     * What each result row keeps: every kernel's KernelRun (the
-     * default), or only the scenario summary columns, which are
-     * bit-identical either way. Table consumers (the service, the
-     * CLI sweep) ask for RowDetail::summary and skip building the
-     * per-kernel report trees they would never read.
-     */
-    RowDetail row_detail = RowDetail::kernels;
-    /**
      * External snapshot provider, consulted (when set) before the
      * engine captures a replayable scenario's timing:
      * return a snapshot captured under the same Scenario::snapshotKey()
@@ -124,11 +119,6 @@ struct EngineOptions
         sample_interval_s = interval_s;
         return *this;
     }
-    EngineOptions &withRowDetail(RowDetail detail)
-    {
-        row_detail = detail;
-        return *this;
-    }
     /**
      * Reject incoherent combinations with a fatal() naming the
      * offending knobs:
@@ -151,7 +141,12 @@ class SimulationEngine
 
     /**
      * Execute every scenario of the spec and return the completed
-     * result table in deterministic expansion order.
+     * result table in deterministic expansion order. `detail` is what
+     * each row keeps: every kernel's KernelRun (the default), or only
+     * the scenario summary columns, which are bit-identical either
+     * way. Table consumers (the service, the CLI sweep) ask for
+     * RowDetail::summary and skip building the per-kernel report
+     * trees they would never read.
      *
      * If any scenario throws, the remaining scenarios still run to
      * completion, then the exception of the lowest-indexed failing
@@ -159,7 +154,8 @@ class SimulationEngine
      * the worker count either.
      */
     SweepResult run(const SweepSpec &spec,
-                    const ResultCallback &on_result = {}) const;
+                    const ResultCallback &on_result = {},
+                    RowDetail detail = RowDetail::kernels) const;
 
     /**
      * Execute one scenario on the calling thread, on a fresh
@@ -169,21 +165,24 @@ class SimulationEngine
     ScenarioResult runScenario(const Scenario &scenario) const;
 
     /**
-     * Execute one scenario in full — the one full-run body behind the
-     * engine's capture units and the CLI's single run — on a
+     * Execute one scenario in full — the oracle of every sweep row,
+     * the engine's governed units and the CLI's single run — on a
      * caller-provided Simulator built for the scenario's
-     * configuration. Every kernel of a replayable() scenario runs
-     * its two phases back to back (capturePerf, then replayKernel);
-     * a throttle-governed kernel runs Simulator::runKernel, whose
-     * governor feeds power back into timing.
+     * configuration. A replayable() scenario is a timing capture of
+     * every kernel followed by a ReplayGroup of this one Simulator,
+     * the engine's capture and replay bodies; a throttle-governed
+     * scenario runs Simulator::runKernel per kernel, whose governor
+     * feeds power back into timing.
      * @param capture when non-null and the scenario is replayable(),
      *        receives the phase-1 activity snapshot for later replay;
      *        a governed scenario leaves it untouched (it could never
      *        be replayed)
+     * @param detail what the row keeps (see run())
      */
     ScenarioResult runScenario(const Scenario &scenario,
                                Simulator &simulator,
-                               ActivitySnapshot *capture = nullptr) const;
+                               ActivitySnapshot *capture = nullptr,
+                               RowDetail detail = RowDetail::kernels) const;
 
   private:
     EngineOptions _options;

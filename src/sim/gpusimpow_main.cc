@@ -284,12 +284,7 @@ resolveConfig(const Options &opt)
 {
     if (!opt.config_file.empty())
         return GpuConfig::fromXmlFile(opt.config_file);
-    if (opt.gpu == "gt240")
-        return GpuConfig::gt240();
-    if (opt.gpu == "gtx580")
-        return GpuConfig::gtx580();
-    fatal("unknown GPU preset '", opt.gpu,
-          "' (expected gt240 or gtx580)");
+    return sim::resolvePreset(opt.gpu);
 }
 
 /** Open an observability output file up front: a mistyped path must
@@ -520,11 +515,7 @@ runSweep(const Options &opt)
 
     ObsWriter obs_writer(opt);
 
-    // The sweep prints the table only: summary rows.
-    sim::EngineOptions eopt =
-        sim::EngineOptions()
-            .withJobs(opt.jobs)
-            .withRowDetail(sim::RowDetail::summary);
+    sim::EngineOptions eopt = sim::EngineOptions().withJobs(opt.jobs);
     // ProgressPrinter outlives the run; the engine only calls the
     // hook while workers are draining inside it.
     ProgressPrinter printer;
@@ -539,7 +530,9 @@ runSweep(const Options &opt)
 
     printSweepHeader(spec, session.jobs());
 
-    sim::SweepResult result = session.submit(spec, on_result);
+    // The sweep prints the table only: summary rows.
+    sim::SweepResult result =
+        session.submit(spec, on_result, sim::RowDetail::summary);
     // Stats go to stderr so stdout carries only the header and the
     // table, which the CI smoke check diffs across worker counts and
     // trace settings. The numbers come from the run's telemetry — the

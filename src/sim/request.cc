@@ -11,8 +11,6 @@
 namespace gpusimpow {
 namespace sim {
 
-namespace {
-
 GpuConfig
 resolvePreset(const std::string &name)
 {
@@ -23,6 +21,8 @@ resolvePreset(const std::string &name)
     fatal("unknown GPU preset '", name,
           "' (expected gt240 or gtx580)");
 }
+
+namespace {
 
 /** Drop the empty entries stray commas produce ("a,b," / "a,,b"). */
 std::vector<std::string>

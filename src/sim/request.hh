@@ -134,6 +134,10 @@ struct SweepRequest
     static SweepRequest parse(std::string_view text);
 };
 
+/** The built-in configuration named `name` (gt240 or gtx580);
+ *  fatal() on any other name. */
+GpuConfig resolvePreset(const std::string &name);
+
 } // namespace sim
 } // namespace gpusimpow
 

@@ -97,18 +97,16 @@ SweepSession::sink(
 SweepResult
 SweepSession::submit(const SweepSpec &spec,
                      const ResultCallback &on_result,
-                     std::optional<RowDetail> detail)
+                     RowDetail detail)
 {
     EngineOptions opt = _options;
-    if (detail)
-        opt.row_detail = *detail;
     opt.snapshot_source = [this](const Scenario &s) { return source(s); };
     opt.snapshot_sink =
         [this](const Scenario &s,
                const std::shared_ptr<const ActivitySnapshot> &snap) {
             sink(s, snap);
         };
-    return SimulationEngine(opt).run(spec, on_result);
+    return SimulationEngine(opt).run(spec, on_result, detail);
 }
 
 } // namespace sim

@@ -32,7 +32,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 
@@ -57,17 +56,16 @@ class SweepSession
     /**
      * Execute one sweep job. `on_result` (when set) streams every
      * finished scenario in completion order: (result, completed
-     * count, total count), serialized by the engine. `detail` (when
-     * set, otherwise the options' row_detail) chooses this job's row
-     * detail, so a caller sharing a session it does not own picks
-     * what it will read.
+     * count, total count), serialized by the engine. `detail` is this
+     * job's row detail (SimulationEngine::run), so a caller sharing a
+     * session it does not own picks what it will read.
      * Thread-safe: the service submits concurrent jobs against one
      * session; identical scenarios across them are captured once
      * (see in-flight dedupe above).
      */
     SweepResult submit(const SweepSpec &spec,
                        const ResultCallback &on_result = {},
-                       std::optional<RowDetail> detail = std::nullopt);
+                       RowDetail detail = RowDetail::kernels);
 
     /** Effective worker count per job. */
     unsigned jobs() const;

@@ -100,11 +100,8 @@ ThermalResult::hottestBlock() const
     return best < block_names.size() ? block_names[best] : "";
 }
 
-Simulator::Simulator(const GpuConfig &cfg)
-    : _cfg(cfg), _nominal_freq_scale(cfg.clocks.freq_scale)
+Simulator::Simulator(const GpuConfig &cfg) : Simulator(cfg, nullptr, nullptr)
 {
-    GSP_TRACE_SPAN("sim/setup");
-    _power = std::make_shared<const power::GpuPowerModel>(_cfg);
 }
 
 Simulator::Simulator(const GpuConfig &cfg,
@@ -114,6 +111,15 @@ Simulator::Simulator(const GpuConfig &cfg,
       _nominal_freq_scale(cfg.clocks.freq_scale),
       _network(std::move(network))
 {
+    if (!_power) {
+        GSP_TRACE_SPAN("sim/setup");
+        _power = std::make_shared<const power::GpuPowerModel>(_cfg);
+    }
+    // A replay group needs every variant's network before its first
+    // kernel, so it is built here rather than on first thermal use.
+    if (_cfg.thermal.enabled && !_network)
+        _network = std::make_shared<const thermal::ThermalNetwork>(
+            _power->thermalBlocks(), _cfg.thermal);
 }
 
 Simulator::~Simulator() = default;
@@ -134,14 +140,6 @@ Simulator::gpu()
         timingModelBuilds().add(1);
     }
     return *_gpu;
-}
-
-void
-Simulator::ensureThermal()
-{
-    if (!_network)
-        _network = std::make_shared<const thermal::ThermalNetwork>(
-            _power->thermalBlocks(), _cfg.thermal);
 }
 
 void
@@ -249,10 +247,10 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
         run.perf.time_s = snap.perf.time_s;
 
     // Per-interval power is read from BatchedKernelPower rows: the
-    // ones an engine group's multi-variant pass produced for this
-    // variant, or — with no group — one pass of this simulator's
-    // own power model over all intervals. Either way
-    // the loops below only index precomputed rows.
+    // ones a replay group's pass produced for this variant, or — on
+    // the governed path — one pass of this simulator's own power
+    // model over all intervals. Either way the loops below only
+    // index precomputed rows.
     bool thermal_on = _cfg.thermal.enabled;
     auto ensureRows = [&](bool want_blocks) {
         if (!batched && !snap.samples.empty())
@@ -288,7 +286,6 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
         // The rows carry the per-block dynamic split and the
         // nominal-temperature statics, so the temperature-dependent
         // leakage scale is a per-interval scalar.
-        ensureThermal();
         marchDeferred();
         ensureRows(true);
         const thermal::BlockSet &blocks = _network->blocks();
@@ -351,49 +348,29 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
 }
 
 KernelRun
-Simulator::replayKernel(const KernelSnapshot &snap,
-                        const power::BatchedKernelPower *batched,
-                        const power::CompiledPowerModel::Eval *nominal,
-                        sim::RowDetail detail)
+Simulator::replayKernel(const KernelSnapshot &snap, sim::RowDetail detail)
 {
-    GSP_TRACE_SPAN("sim/replay");
-    KernelRun run = beginReplay(snap, batched, nominal, detail);
-    if (_cfg.thermal.enabled)
-        finishReplay(run,
-                     _network->solveSteady(replayLane(), &_steady_scratch),
-                     snap, detail);
-    return run;
+    return std::move(ReplayGroup({this}).replay(snap, detail).front());
 }
 
 KernelRun
 Simulator::beginReplay(const KernelSnapshot &snap,
                        const power::BatchedKernelPower *batched,
-                       const power::CompiledPowerModel::Eval *nominal,
+                       const power::CompiledPowerModel::Eval &nominal,
                        sim::RowDetail detail)
 {
-    if (_cfg.thermal.enabled && _cfg.thermal.throttle)
-        fatal("cannot replay a snapshot under a throttling governor: "
-              "its power-to-clock feedback changes timing; run the "
-              "kernel in full instead");
     const bool keep = detail == sim::RowDetail::kernels;
     KernelRun run = evaluateSamples(snap, batched, keep);
-    const power::CompiledPowerModel &cpm = _power->compiled();
-    if (!nominal) {
-        evaluateNominal(snap.perf.activity, _eval);
-        nominal = &_eval;
-    }
     if (!_cfg.thermal.enabled) {
-        run.card_w = nominal->cardW();
+        run.card_w = nominal.cardW();
         if (keep)
-            run.report = cpm.assembleReport(*nominal);
+            run.report = _power->compiled().assembleReport(nominal);
         return run;
     }
     // Ungoverned thermal: the steady solve runs at the measured power
     // split, then finishReplay() rescales the leakage of this
     // simulator's own copy of the evaluation.
-    ensureThermal();
-    if (nominal != &_eval)
-        _eval = *nominal;
+    _eval = nominal;
     return run;
 }
 
@@ -509,7 +486,6 @@ Simulator::runThermal(const perf::KernelProgram &prog,
                       const perf::LaunchConfig &launch, bool with_trace,
                       double sample_interval_s, bool repeatable)
 {
-    ensureThermal();
     // The governor snapshots the carried state below, and the
     // deferred kernels ran under the model a restore would replace.
     marchDeferred();
@@ -617,6 +593,74 @@ Simulator::runThermal(const perf::KernelProgram &prog,
 
     finishThermal(run, ev, steady, with_trace, throttled, true);
     return run;
+}
+
+ReplayGroup::ReplayGroup(std::vector<Simulator *> sims)
+    : _sims(std::move(sims)), _row_of(_sims.size())
+{
+    std::vector<const power::CompiledPowerModel *> models;
+    for (std::size_t j = 0; j < _sims.size(); ++j) {
+        const GpuConfig &cfg = _sims[j]->config();
+        if (cfg.thermal.enabled && cfg.thermal.throttle)
+            fatal("cannot replay a snapshot under a throttling governor: "
+                  "its power-to-clock feedback changes timing; run the "
+                  "kernel in full instead");
+        // Simulators on one power model share its evaluator row.
+        const power::CompiledPowerModel *model =
+            &_sims[j]->powerModel().compiled();
+        _row_of[j] = static_cast<std::size_t>(
+            std::find(models.begin(), models.end(), model) -
+            models.begin());
+        if (_row_of[j] == models.size())
+            models.push_back(model);
+        if (!cfg.thermal.enabled)
+            continue;
+        _want_blocks = true;
+        const thermal::ThermalNetwork *net = _sims[j]->_network.get();
+        auto g = std::find_if(_net_groups.begin(), _net_groups.end(),
+                              [&](const auto &e) { return e.first == net; });
+        if (g == _net_groups.end())
+            _net_groups.push_back({net, {j}});
+        else
+            g->second.push_back(j);
+    }
+    _nominal.resize(models.size());
+    _evaluator =
+        std::make_unique<const power::BatchedPowerEvaluator>(models);
+    _runs.resize(_sims.size());
+}
+
+std::vector<KernelRun> &
+ReplayGroup::replay(const KernelSnapshot &snap, sim::RowDetail detail)
+{
+    const bool rows = snap.with_trace && !snap.samples.empty();
+    if (rows) {
+        _acts.clear();
+        _acts.reserve(snap.samples.size());
+        for (const ActivitySample &a : snap.samples)
+            _acts.push_back(&a.delta);
+        _evaluator->evaluate(_acts, _want_blocks, _ws, _rows);
+    }
+    {
+        GSP_TRACE_SPAN("power/nominal_eval");
+        _evaluator->evaluateNominal(snap.perf.activity, _ws, _nominal);
+    }
+    GSP_TRACE_SPAN("sim/replay");
+    for (std::size_t j = 0; j < _sims.size(); ++j)
+        _runs[j] = _sims[j]->beginReplay(
+            snap, rows ? &_rows[_row_of[j]] : nullptr,
+            _nominal[_row_of[j]], detail);
+    for (const auto &[net, members] : _net_groups) {
+        _lanes.clear();
+        for (std::size_t j : members)
+            _lanes.push_back(_sims[j]->replayLane());
+        _steady_out.resize(members.size());
+        net->solveSteady(_lanes, _steady_out, _steady);
+        for (std::size_t k = 0; k < members.size(); ++k)
+            _sims[members[k]]->finishReplay(_runs[members[k]],
+                                            _steady_out[k], snap, detail);
+    }
+    return _runs;
 }
 
 } // namespace gpusimpow

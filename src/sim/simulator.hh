@@ -6,6 +6,13 @@
  * whole-kernel power reports plus optional power-over-time traces
  * for the measurement testbed.
  *
+ * An ungoverned kernel runs in two phases: capturePerf() times it on
+ * the cycle-level GPU into a KernelSnapshot, and a ReplayGroup (below)
+ * evaluates power and thermal behavior from that snapshot. The group
+ * is the one replay body: a single run, replayKernel() and
+ * SimulationEngine::runScenario replay through a group of one, and
+ * the engine replays every member of a work unit through one group.
+ *
  * When the configuration enables the thermal subsystem the loop is
  * closed: a steady-state RC solve turns the kernel's power into
  * per-block junction temperatures, leakage is re-evaluated at those
@@ -34,7 +41,8 @@ namespace sim {
 
 /**
  * How much of each kernel a result row keeps — a per-job choice
- * (EngineOptions::row_detail) between the two kinds of consumer of
+ * (the detail argument of SimulationEngine::run and
+ * SweepSession::submit) between the two kinds of consumer of
  * sweep rows. Every scenario summary column is bit-identical either
  * way.
  */
@@ -154,11 +162,11 @@ class Simulator
     explicit Simulator(const GpuConfig &cfg);
     /**
      * Build on an existing power model and thermal network (null:
-     * built on first thermal use) instead of constructing them. The
-     * model must have been built from a configuration equal to cfg in
-     * everything but the thermal section, which the power model never
-     * reads, and the network from that model's thermalBlocks() and
-     * cfg.thermal —
+     * built here, the network only when cfg enables thermal) instead
+     * of constructing them. The model must have been built from a
+     * configuration equal to cfg in everything but the thermal
+     * section, which the power model never reads, and the network
+     * from that model's thermalBlocks() and cfg.thermal —
      * this is how an engine run shares one model per power-relevant
      * configuration and one network per (model, cooling) across all
      * its Simulators and workers. A governor clamp still rebuilds a
@@ -222,61 +230,17 @@ class Simulator
 
     /**
      * Phase 2: evaluate power (and thermal behavior, when enabled)
-     * from a phase-1 snapshot instead of running timing. For any
-     * configuration sharing the snapshot's timing fingerprint
+     * from a phase-1 snapshot instead of running timing — a
+     * ReplayGroup of this one Simulator. For any configuration
+     * sharing the snapshot's timing fingerprint
      * (sim::timingFingerprint) the result is bit-identical to
      * runKernel() — the power-only axes (process node, supply scale,
      * cooling solution) may differ freely between capture and replay.
-     * fatal() on throttle-governed configurations: the governor's
-     * power-to-clock feedback changes timing, which a replay cannot
-     * reproduce; run those kernels in full.
-     *
-     * Traced intervals always read BatchedKernelPower rows: `batched`
-     * when an engine group already evaluated this configuration over
-     * the snapshot's samples in one multi-variant pass
-     * (power/batched.hh), otherwise rows this simulator's power model
-     * evaluates as a batch of one. The evaluator is the same either
-     * way, and a variant's rows do not depend on the other variants
-     * stacked beside it.
-     *
-     * `nominal` is the whole-kernel evaluation of snap's activity at
-     * the nominal temperature under this simulator's power model,
-     * when the caller already has it (an engine group evaluates each
-     * kernel once for all its models); null evaluates it here.
+     * fatal() on throttle-governed configurations (see ReplayGroup).
      * `detail` selects what the returned run keeps (sim::RowDetail).
      */
-    KernelRun replayKernel(
-        const KernelSnapshot &snap,
-        const power::BatchedKernelPower *batched = nullptr,
-        const power::CompiledPowerModel::Eval *nominal = nullptr,
-        sim::RowDetail detail = sim::RowDetail::kernels);
-
-    /**
-     * replayKernel() in two halves around its steady solve, so an
-     * engine group can solve the steady states of every variant on
-     * one thermal network in one lockstep batch
-     * (ThermalNetwork::solveSteady over lanes). beginReplay() does
-     * everything before the solve and, without thermal, everything.
-     * With thermal enabled the kernel then owes replayLane() solved
-     * on network() and the result passed to finishReplay(), before
-     * this Simulator replays anything else. Same arguments and the
-     * same result as replayKernel().
-     */
-    KernelRun beginReplay(const KernelSnapshot &snap,
-                          const power::BatchedKernelPower *batched,
-                          const power::CompiledPowerModel::Eval *nominal,
-                          sim::RowDetail detail);
-    /** The begun kernel's steady lane: its measured block split at
-     *  the configured clock, warm-started from this scenario's last
-     *  converged solve. Valid until finishReplay(). */
-    thermal::SteadyLane replayLane() const;
-    /** The network every steady lane of this Simulator solves on
-     *  (after a thermal beginReplay(), or when the engine supplied
-     *  it at construction). */
-    const thermal::ThermalNetwork &network() const { return *_network; }
-    /** Complete a begun thermal kernel from its lane's result. */
-    void finishReplay(KernelRun &run, const thermal::SteadyResult &steady,
-                      const KernelSnapshot &snap, sim::RowDetail detail);
+    KernelRun replayKernel(const KernelSnapshot &snap,
+                           sim::RowDetail detail = sim::RowDetail::kernels);
 
     /** Lowest freq_scale the throttling governor will clamp to. */
     static constexpr double min_throttle_freq_scale = 0.25;
@@ -293,9 +257,9 @@ class Simulator
 
     /** Configured (pre-throttle) core-clock scale. */
     double _nominal_freq_scale;
-    /** Thermal network, shared through the constructor or built on
-     *  first thermal use; its blocks() are the decomposition every
-     *  per-block vector here follows. */
+    /** Thermal network (null without thermal), shared through the
+     *  constructor or built by it; its blocks() are the
+     *  decomposition every per-block vector here follows. */
     std::shared_ptr<const thermal::ThermalNetwork> _network;
     /** Transient temperatures carried across the scenario's
      *  kernels. Lags the kernels in _deferred_marches until
@@ -320,19 +284,42 @@ class Simulator
     std::vector<double> _steady_warm;
     /** Buffers of the steady solves, reused across them. */
     thermal::SteadyScratch _steady_scratch;
-    /** The replay path's whole-kernel evaluation: the nominal one
-     *  (computed here or copied from the caller's) whose leakage a
-     *  thermal kernel then rescales to its solved temperatures. */
+    /** The replay path's whole-kernel evaluation: a copy of the
+     *  group's nominal one, whose leakage a thermal kernel then
+     *  rescales to its solved temperatures. */
     power::CompiledPowerModel::Eval _eval;
-    /** Scratch of this simulator's own evaluations through its power
-     *  model's evaluator (a batch of one): the workspace, the traced
-     *  rows and their activity pointers. Shape-agnostic, so a model
-     *  rebuild (applyFreqScale) keeps it. */
+    /** Scratch of the governed path's evaluations through this
+     *  simulator's power model's evaluator (a batch of one): the
+     *  workspace, the traced rows and their activity pointers.
+     *  Shape-agnostic, so a model rebuild (applyFreqScale) keeps it. */
     power::BatchedPowerEvaluator::Workspace _eval_ws;
     std::vector<power::BatchedKernelPower> _rows;
     std::vector<const perf::ChipActivity *> _row_acts;
 
-    void ensureThermal();
+    friend class ReplayGroup;
+
+    /**
+     * The replay of one kernel, in two halves around its steady
+     * solve, so a ReplayGroup can solve every variant's steady state
+     * on one network in one lockstep batch. beginReplay() does
+     * everything before the solve from the group's traced rows
+     * (`batched`, null for an untraced kernel) and nominal
+     * evaluation and, without thermal, everything. With thermal on,
+     * the kernel then owes replayLane() solved on _network and the
+     * result passed to finishReplay() before this Simulator replays
+     * anything else.
+     */
+    KernelRun beginReplay(const KernelSnapshot &snap,
+                          const power::BatchedKernelPower *batched,
+                          const power::CompiledPowerModel::Eval &nominal,
+                          sim::RowDetail detail);
+    /** The begun kernel's steady lane: its measured block split at
+     *  the configured clock, warm-started from this scenario's last
+     *  converged solve. Valid until finishReplay(). */
+    thermal::SteadyLane replayLane() const;
+    /** Complete a begun thermal kernel from its lane's result. */
+    void finishReplay(KernelRun &run, const thermal::SteadyResult &steady,
+                      const KernelSnapshot &snap, sim::RowDetail detail);
     /** Bring _thermal_state up to date: march every deferred kernel
      *  in order, with the arithmetic an eager march would use. */
     void marchDeferred();
@@ -351,7 +338,8 @@ class Simulator
     /** Evaluate the per-interval power (and, with thermal on, march
      *  the transient state) over a snapshot's samples; whole-kernel
      *  power is the caller's. The per-interval values come from
-     *  `batched` when non-null, else from selfBatchRows(). Without
+     *  `batched` (a replay group's rows) when non-null, else from
+     *  selfBatchRows() (the governed path). Without
      *  `keep` (summary rows) the run gets only perf.time_s and no
      *  waveforms, so a trace without thermal has nothing to do. */
     KernelRun evaluateSamples(const KernelSnapshot &snap,
@@ -392,6 +380,62 @@ class Simulator
                          const perf::LaunchConfig &launch,
                          bool with_trace, double sample_interval_s,
                          bool repeatable);
+};
+
+/**
+ * The one replay body: phase 2 of every replayable kernel, for
+ * Simulators that replay the same snapshot — power-only variants of
+ * one timing fingerprint, or a single Simulator
+ * (Simulator::replayKernel, SimulationEngine::runScenario). Each
+ * Simulator carries its own thermal state across the kernels it
+ * replays, exactly like a full run.
+ *
+ * The group builds one evaluator over its distinct power models
+ * (Simulators on one model share its row) and, per kernel, evaluates
+ * the traced intervals of every model in one pass and the
+ * whole-kernel activity once per model. Thermal Simulators on one
+ * network solve the kernel's steady states in one lockstep batch, in
+ * Simulator order. A variant's result does not depend on the others
+ * beside it, so a group of one gives the same bits as a group of
+ * many.
+ */
+class ReplayGroup
+{
+  public:
+    /**
+     * The Simulators must outlive the group. fatal() on a
+     * throttle-governed one: the governor's power-to-clock feedback
+     * changes timing, which a replay cannot reproduce; run those
+     * kernels in full.
+     */
+    explicit ReplayGroup(std::vector<Simulator *> sims);
+
+    /** Replay one kernel on every Simulator: element j is sims[j]'s
+     *  run, valid until the next call. */
+    std::vector<KernelRun> &replay(const KernelSnapshot &snap,
+                                   sim::RowDetail detail);
+
+  private:
+    std::vector<Simulator *> _sims;
+    /** Simulator -> its power model's row of the evaluator. */
+    std::vector<std::size_t> _row_of;
+    /** Some Simulator marches thermal state, which needs the traced
+     *  rows' per-block split. */
+    bool _want_blocks = false;
+    /** Thermal Simulators by network, in Simulator order. */
+    std::vector<std::pair<const thermal::ThermalNetwork *,
+                          std::vector<std::size_t>>>
+        _net_groups;
+    std::unique_ptr<const power::BatchedPowerEvaluator> _evaluator;
+    power::BatchedPowerEvaluator::Workspace _ws;
+    /** Nominal whole-kernel evaluation per evaluator row. */
+    std::vector<power::CompiledPowerModel::Eval> _nominal;
+    std::vector<const perf::ChipActivity *> _acts;
+    std::vector<power::BatchedKernelPower> _rows;
+    thermal::SteadyScratch _steady;
+    std::vector<thermal::SteadyLane> _lanes;
+    std::vector<thermal::SteadyResult> _steady_out;
+    std::vector<KernelRun> _runs;
 };
 
 } // namespace gpusimpow

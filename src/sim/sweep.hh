@@ -146,7 +146,7 @@ struct ScenarioResult
 {
     Scenario scenario;
     /** Per-kernel results in launch order (empty in summary rows,
-     *  EngineOptions::row_detail). */
+     *  RowDetail::summary). */
     std::vector<KernelResult> kernels;
     /** Kernels the scenario ran, in either row detail (equal to
      *  kernels.size() in kernel rows). */

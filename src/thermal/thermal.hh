@@ -192,8 +192,6 @@ class ThermalNetwork
     const BlockSet &blocks() const { return _blocks; }
     /** Ambient (boundary) temperature, K. */
     double ambient() const { return _ambient_k; }
-    /** Effective heatsink-to-ambient resistance in use, K/W. */
-    double heatsinkResistance() const { return 1.0 / _g_amb.back(); }
 
     /**
      * Temperatures for one fixed power assignment (no leakage

@@ -4,7 +4,8 @@
  * (wraparound, drop accounting, concurrent emission), metrics
  * registry arithmetic and snapshot determinism, Chrome-trace JSON
  * well-formedness, the engine's byte-identity contract with tracing
- * on or off at any worker count, sweep telemetry against the
+ * on or off at any worker count, the capture/replay span nesting of
+ * a work unit, sweep telemetry against the
  * engine's asserted counts, and the Logger level's thread-safety
  * (this suite runs in the TSan CI job).
  */
@@ -15,6 +16,7 @@
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -406,6 +408,64 @@ TEST(Engine, ByteIdenticalWithTracingOnAndOff)
         // with tracing on or off at any worker count.
         test::expectSameRows(off, on);
     }
+}
+
+TEST(Engine, CaptureSpansHoldNoReplay)
+{
+    // A unit's capture only captures: each kernel of each
+    // timing-unique unit is replayed once, by the unit's replay group
+    // (the captured scenario included), outside engine/capture.
+    resetTracer();
+    SweepResult result = runWithJobs(memoSweep(), 1);
+    obs::Tracer &tracer = obs::Tracer::instance();
+    tracer.setEnabled(false);
+    std::istringstream trace(tracer.exportChromeTrace());
+    tracer.clear();
+
+    // One event per line; ts and dur are microseconds printed with
+    // three decimals, read back here as exact nanoseconds.
+    auto field = [](const std::string &line, const std::string &key) {
+        std::size_t at = line.find(key);
+        return at == std::string::npos ? std::string()
+                                       : line.substr(at + key.size());
+    };
+    auto ns = [&](const std::string &line, const std::string &key) {
+        std::string v = field(line, key);
+        std::size_t dot = v.find('.');
+        return std::stoull(v.substr(0, dot)) * 1000 +
+               std::stoull(v.substr(dot + 1, 3));
+    };
+    struct Span
+    {
+        std::string name;
+        uint64_t t0_ns, t1_ns;
+    };
+    std::vector<Span> spans;
+    for (std::string line; std::getline(trace, line);) {
+        if (line.find("\"ph\":\"X\"") == std::string::npos)
+            continue;
+        std::string name = field(line, "\"name\":\"");
+        uint64_t t0 = ns(line, "\"ts\":");
+        spans.push_back({name.substr(0, name.find('"')), t0,
+                         t0 + ns(line, "\"dur\":")});
+    }
+    std::size_t replays = 0;
+    for (const Span &r : spans) {
+        if (r.name != "sim/replay")
+            continue;
+        ++replays;
+        for (const Span &c : spans)
+            EXPECT_FALSE(c.name == "engine/capture" && c.t0_ns <= r.t0_ns &&
+                         r.t1_ns <= c.t1_ns)
+                << "sim/replay at " << r.t0_ns << " ns runs inside "
+                << "engine/capture";
+    }
+    std::size_t unit_kernels = 0;
+    for (const sim::ScenarioResult &row : result.rows())
+        if (row.scenario.config.tech.node_nm == 40)
+            unit_kernels += row.kernel_count;
+    EXPECT_GT(unit_kernels, 0u);
+    EXPECT_EQ(replays, unit_kernels);
 }
 
 TEST(Engine, TelemetryMatchesEngineCounts)

@@ -1,8 +1,8 @@
 /**
  * @file
- * The row-detail option (EngineOptions::row_detail): in-process
- * callers get kernel rows by default, and summary rows render the
- * same table. Summary rows against kernel rows over every workload
+ * The row detail (the detail argument of SweepSession::submit and
+ * SimulationEngine::run): in-process callers get kernel rows by
+ * default, and summary rows render the same table. Summary rows against kernel rows over every workload
  * and thermal mode are test_differential's summary leg.
  */
 
@@ -22,17 +22,16 @@ using sim::SweepSpec;
 
 TEST(RowDetail, EngineOptionDefaultsToKernelRows)
 {
-    EXPECT_EQ(EngineOptions().row_detail, RowDetail::kernels);
     SweepSpec spec;
     spec.configs = {GpuConfig::gt240()};
     spec.workloads = {"vectoradd"};
+    // submit() without a detail argument gives kernel rows.
     SweepResult rows = SweepSession(EngineOptions().withJobs(1)).submit(spec);
     ASSERT_EQ(rows.size(), 1u);
+    EXPECT_NE(rows.at(0).kernel_count, 0u);
     EXPECT_EQ(rows.at(0).kernels.size(), rows.at(0).kernel_count);
-    SweepResult summary =
-        SweepSession(
-            EngineOptions().withJobs(1).withRowDetail(RowDetail::summary))
-            .submit(spec);
+    SweepResult summary = SweepSession(EngineOptions().withJobs(1))
+                              .submit(spec, {}, RowDetail::summary);
     EXPECT_TRUE(summary.at(0).kernels.empty());
     EXPECT_EQ(summary.formatTable(), rows.formatTable());
 }

@@ -13,7 +13,11 @@ Trace (``--trace FILE``):
     each span lies entirely inside the enclosing open span. The ring
     stores spans in *completion* order, so per-thread *end* times must
     be monotonically non-decreasing in file order;
-  * every named thread (``M``/``thread_name``) is unique per tid.
+  * every named thread (``M``/``thread_name``) is unique per tid;
+  * no span lies inside an enclosing span it must never run under
+    (FORBIDDEN_NESTING): a ``sim/replay`` inside ``engine/capture``
+    means a capture unit computed power, which only the replay group
+    may do.
 
 Metrics (``--metrics FILE``):
   * schema is ``gpusimpow-metrics-1``;
@@ -57,6 +61,12 @@ REQUIRED_COUNTERS = (
     "perf/warp_insts",
     "power/model_builds",
     "sim/timing_model_builds",
+)
+
+# (outer, inner) span pairs that must never nest, at any depth: the
+# capture phase only captures, and every replay runs in the group.
+FORBIDDEN_NESTING = (
+    ("engine/capture", "sim/replay"),
 )
 
 
@@ -147,6 +157,10 @@ def check_trace(doc, chk, require_spans):
                 chk.fail("trace: event %d (%s) on tid %r overlaps the "
                          "enclosing span %s without nesting inside it"
                          % (i, name, tid, stack[-1][1]))
+            for outer, inner in FORBIDDEN_NESTING:
+                if name == inner and any(n == outer for _, n in stack):
+                    chk.fail("trace: event %d (%s) on tid %r runs inside "
+                             "%s" % (i, name, tid, outer))
             stack.append((end, name))
 
     for required in require_spans:
