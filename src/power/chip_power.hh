@@ -42,9 +42,9 @@ class GpuPowerModel
      * The power evaluator over this one model (a batch of one):
      * evaluateNominal() turns an activity interval into chip totals,
      * the per-thermal-block split and the component detail, with no
-     * allocation once the caller's Eval and Workspace are sized. Hot
-     * paths (trace loops, governor probes) evaluate through it with
-     * their own reused scratch.
+     * allocation once the caller's Eval and Workspace are sized.
+     * evaluate() and staticReport() assemble their reports from it;
+     * replays evaluate through a ReplayGroup's evaluator instead.
      */
     const BatchedPowerEvaluator &evaluator() const { return *_evaluator; }
 
@@ -79,9 +79,6 @@ class GpuPowerModel
 
     /** The technology node in use (for tests). */
     const tech::TechNode &techNode() const { return _t; }
-
-    /** Access to the per-core model (for calibration benches). */
-    const CorePowerModel &coreModel() const { return *_core_model; }
 
     /** Register power/model_builds (models constructed), so a
      *  metrics dump carries it even when nothing was built. */

@@ -58,7 +58,9 @@
  *                               zero timing captures
  *
  * In --sweep mode --gpu and --workload accept comma-separated lists,
- * and --workload also accepts "all" (every Table I benchmark).
+ * and --workload also accepts "all" (every Table I benchmark). A
+ * single run is the one scenario of the same request, so it takes
+ * one name each and gets the same validation as a sweep.
  *
  * Service subcommands (docs/sweep_service.md):
  *   gpusimpow serve --store DIR --port N [--jobs N] [--trace-out F]
@@ -221,18 +223,10 @@ parseArgs(int argc, char **argv)
             opt.ambient_k =
                 parseDouble(need_value("--ambient"), "--ambient");
             opt.ambient_set = true;
-            // Same bounds config::validate enforces, caught before a
-            // simulation is built.
-            if (!(opt.ambient_k > 200.0 && opt.ambient_k < 400.0))
-                fatal("--ambient ", opt.ambient_k,
-                      " K out of range (200, 400)");
         } else if (arg == "--t-limit") {
             opt.t_limit_k =
                 parseDouble(need_value("--t-limit"), "--t-limit");
             opt.t_limit_set = true;
-            if (!(opt.t_limit_k > 200.0 && opt.t_limit_k <= 500.0))
-                fatal("--t-limit ", opt.t_limit_k,
-                      " K out of range (200, 500]");
         } else if (arg == "--throttle") {
             opt.throttle = true;
         } else if (arg == "--stats") {
@@ -277,14 +271,6 @@ parseArgs(int argc, char **argv)
         }
     }
     return opt;
-}
-
-GpuConfig
-resolveConfig(const Options &opt)
-{
-    if (!opt.config_file.empty())
-        return GpuConfig::fromXmlFile(opt.config_file);
-    return sim::resolvePreset(opt.gpu);
 }
 
 /** Open an observability output file up front: a mistyped path must
@@ -401,32 +387,6 @@ class ProgressPrinter
     uint64_t _last_ns = 0;
 };
 
-/** The thermal tuning flags mean nothing without the subsystem on. */
-void
-checkThermalFlagDeps(const Options &opt)
-{
-    if (opt.cooling.empty() &&
-        (opt.ambient_set || opt.t_limit_set || opt.throttle))
-        fatal("--ambient/--t-limit/--throttle require --cooling");
-}
-
-/** Fold --ambient/--t-limit/--throttle into a config's thermal
- *  section and cross-check the resulting pair. */
-void
-applyThermalScalars(const Options &opt, GpuConfig &cfg)
-{
-    if (opt.ambient_set)
-        cfg.thermal.ambient_k = opt.ambient_k;
-    if (opt.t_limit_set)
-        cfg.thermal.t_limit_k = opt.t_limit_k;
-    if (opt.throttle)
-        cfg.thermal.throttle = true;
-    if (cfg.thermal.t_limit_k <= cfg.thermal.ambient_k)
-        fatal("--t-limit (", cfg.thermal.t_limit_k,
-              " K) must exceed the ambient temperature (",
-              cfg.thermal.ambient_k, " K)");
-}
-
 /** Read a file into a string; fatal() when unreadable. */
 std::string
 readWholeFile(const std::string &path, const char *flag)
@@ -441,9 +401,9 @@ readWholeFile(const std::string &path, const char *flag)
 
 /**
  * Fold the sweep-axis flags into a SweepRequest — the one
- * flag-to-spec translation, shared verbatim by `--sweep` and the
- * `submit` client path (which ships the request over the wire
- * instead of expanding it locally).
+ * flag-to-spec translation, shared verbatim by a single run,
+ * `--sweep` and the `submit` client path (which ships the request
+ * over the wire instead of expanding it locally).
  */
 sim::SweepRequest
 requestFromOptions(const Options &opt)
@@ -466,6 +426,34 @@ requestFromOptions(const Options &opt)
     if (opt.throttle)
         req.withThrottle(true);
     return req;
+}
+
+/**
+ * The single run's one scenario: the request of its flags expanded
+ * by SweepRequest::toSpec() (every config and thermal check a sweep
+ * gets), then the --vdd-scale/--freq-scale operating point.
+ */
+sim::Scenario
+singleScenario(const Options &opt)
+{
+    const sim::SweepSpec spec = requestFromOptions(opt).toSpec();
+    // A list would silently run only its first entry.
+    auto one = [](std::size_t n, const char *flag,
+                  const std::string &value) {
+        if (n > 1)
+            fatal(flag, " takes one name outside --sweep (got '", value,
+                  "')");
+    };
+    one(spec.configs.size(), "--gpu", opt.gpu);
+    one(spec.workloads.size(), "--workload", opt.workload);
+    one(spec.coolings.size(), "--cooling", opt.cooling);
+    sim::Scenario scenario = spec.expand().front();
+    if (opt.vdd_scale_set || opt.freq_scale_set) {
+        OperatingPoint op{opt.vdd_scale, opt.freq_scale};
+        op.applyTo(scenario.config); // validates the ranges
+        scenario.op = op;
+    }
+    return scenario;
 }
 
 /** The sweep/submit modes share one set of flag incompatibilities. */
@@ -678,16 +666,8 @@ runTool(const Options &opt)
         return 0;
     }
 
-    GpuConfig cfg = resolveConfig(opt);
-    if (opt.vdd_scale_set || opt.freq_scale_set) {
-        OperatingPoint op{opt.vdd_scale, opt.freq_scale};
-        op.applyTo(cfg); // validates the ranges
-    }
-    checkThermalFlagDeps(opt);
-    if (!opt.cooling.empty()) {
-        cfg.thermal.applyCooling(opt.cooling);
-        applyThermalScalars(opt, cfg);
-    }
+    const sim::Scenario scenario = singleScenario(opt);
+    const GpuConfig &cfg = scenario.config;
     if (opt.dump_config) {
         std::fputs(cfg.toXml().c_str(), stdout);
         return 0;
@@ -702,10 +682,6 @@ runTool(const Options &opt)
         return 0;
     }
 
-    sim::Scenario scenario;
-    scenario.config = cfg;
-    scenario.workload = opt.workload;
-    scenario.scale = opt.scale;
     bool tracing = !opt.trace_file.empty();
     sim::ScenarioResult result =
         sim::SimulationEngine(

@@ -70,9 +70,6 @@ class SweepSession
     /** Effective worker count per job. */
     unsigned jobs() const;
 
-    /** The session's base options (without the session hooks). */
-    const EngineOptions &options() const { return _options; }
-
     /** The persistent store, or nullptr when running store-less. */
     const store::StoreHandle &storeHandle() const { return _store; }
 

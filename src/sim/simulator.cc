@@ -175,24 +175,6 @@ Simulator::applyFreqScale(double freq_scale)
     _power = std::make_shared<const power::GpuPowerModel>(_cfg);
 }
 
-const power::BatchedKernelPower &
-Simulator::selfBatchRows(const KernelSnapshot &snap, bool want_blocks)
-{
-    _row_acts.clear();
-    _row_acts.reserve(snap.samples.size());
-    for (const ActivitySample &a : snap.samples)
-        _row_acts.push_back(&a.delta);
-    _power->evaluator().evaluate(_row_acts, want_blocks, _eval_ws, _rows);
-    return _rows.front();
-}
-
-void
-Simulator::evaluateNominal(const perf::ChipActivity &act,
-                           power::CompiledPowerModel::Eval &ev)
-{
-    _power->evaluator().evaluateNominal(act, _eval_ws, {&ev, 1});
-}
-
 KernelRun
 Simulator::runKernel(const perf::KernelProgram &prog,
                      const perf::LaunchConfig &launch, bool with_trace,
@@ -246,25 +228,17 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
     else
         run.perf.time_s = snap.perf.time_s;
 
-    // Per-interval power is read from BatchedKernelPower rows: the
-    // ones a replay group's pass produced for this variant, or — on
-    // the governed path — one pass of this simulator's own power
-    // model over all intervals. Either way the loops below only
-    // index precomputed rows.
-    bool thermal_on = _cfg.thermal.enabled;
-    auto ensureRows = [&](bool want_blocks) {
-        if (!batched && !snap.samples.empty())
-            batched = &selfBatchRows(snap, want_blocks);
-        GSP_ASSERT(snap.samples.empty() ||
-                       batched->n_intervals == snap.samples.size(),
-                   "batched power rows do not match the snapshot");
-    };
+    // Per-interval power is read from the replay group's rows, so the
+    // loops below only index precomputed values.
+    GSP_ASSERT(snap.samples.empty() ||
+                   (batched && batched->n_intervals == snap.samples.size()),
+               "batched power rows do not match the snapshot");
+    const bool thermal_on = _cfg.thermal.enabled;
     // Without thermal state to march, a summary row has no use for
     // the samples.
     if (snap.with_trace && !thermal_on) {
         if (!keep)
             return run;
-        ensureRows(false);
         double static_w = _power->staticPower();
         run.trace.reserve(snap.samples.size());
         for (std::size_t i = 0; i < snap.samples.size(); ++i) {
@@ -287,7 +261,6 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
         // nominal-temperature statics, so the temperature-dependent
         // leakage scale is a per-interval scalar.
         marchDeferred();
-        ensureRows(true);
         const thermal::BlockSet &blocks = _network->blocks();
         GSP_ASSERT(snap.samples.empty() ||
                        (batched->n_blocks == blocks.size() &&
@@ -367,9 +340,10 @@ Simulator::beginReplay(const KernelSnapshot &snap,
             run.report = _power->compiled().assembleReport(nominal);
         return run;
     }
-    // Ungoverned thermal: the steady solve runs at the measured power
-    // split, then finishReplay() rescales the leakage of this
-    // simulator's own copy of the evaluation.
+    // Thermal: the steady solves run at the measured power split
+    // (the group's lockstep solve, or the governor's probes), then
+    // finishThermal() rescales the leakage of this simulator's own
+    // copy of the evaluation.
     _eval = nominal;
     return run;
 }
@@ -389,16 +363,6 @@ Simulator::finishReplay(KernelRun &run,
         _steady_warm = steady.temps_k;
     finishThermal(run, _eval, steady, snap.with_trace, false,
                   detail == sim::RowDetail::kernels);
-}
-
-KernelRun
-Simulator::runOnce(const perf::KernelProgram &prog,
-                   const perf::LaunchConfig &launch, bool with_trace,
-                   double sample_interval_s)
-{
-    return evaluateSamples(
-        capturePerf(prog, launch, with_trace, sample_interval_s),
-        nullptr, true);
 }
 
 double
@@ -482,6 +446,16 @@ Simulator::solveSteady(const std::vector<power::BlockPower> &bp,
 }
 
 KernelRun
+Simulator::measure(const KernelSnapshot &snap)
+{
+    ReplayGroup group({this}, ReplayGroup::Unchecked{});
+    group.evaluate(snap);
+    GSP_TRACE_SPAN("sim/replay");
+    group.begin(snap, sim::RowDetail::kernels);
+    return std::move(group._runs.front());
+}
+
+KernelRun
 Simulator::runThermal(const perf::KernelProgram &prog,
                       const perf::LaunchConfig &launch, bool with_trace,
                       double sample_interval_s, bool repeatable)
@@ -494,17 +468,17 @@ Simulator::runThermal(const perf::KernelProgram &prog,
     if (_cfg.clocks.freq_scale != _nominal_freq_scale)
         applyFreqScale(_nominal_freq_scale);
 
-    // Exploratory governor runs must not advance the carried
-    // transient state twice: snapshot it, restore before re-runs.
-    thermal::ThermalNetwork::State entry_state = _thermal_state;
+    // Every measurement marches the transient state from the kernel's
+    // entry state: snapshot it, restore it before each re-measure.
+    const thermal::ThermalNetwork::State entry_state = _thermal_state;
 
-    KernelRun run = runOnce(prog, launch, with_trace, sample_interval_s);
-    // The measured run's nominal-temperature evaluation: its block
-    // split drives the steady solves, and finishThermal() rescales
-    // its leakage into the report.
-    power::CompiledPowerModel::Eval ev;
-    evaluateNominal(run.perf.activity, ev);
-    const std::vector<power::BlockPower> &bp = ev.blocks;
+    KernelSnapshot snap =
+        capturePerf(prog, launch, with_trace, sample_interval_s);
+    KernelRun run = measure(snap);
+    // The measurement's nominal-temperature block split drives the
+    // steady solves, and finishThermal() rescales _eval's leakage
+    // into the report.
+    const std::vector<power::BlockPower> &bp = _eval.blocks;
     thermal::SteadyResult steady = solveSteady(bp, 1.0);
 
     const double limit = _cfg.thermal.t_limit_k;
@@ -553,32 +527,25 @@ Simulator::runThermal(const perf::KernelProgram &prog,
             }
             applyFreqScale(f_new);
             if (repeatable) {
-                _thermal_state = entry_state;
-                run = runOnce(prog, launch, with_trace,
-                              sample_interval_s);
-                evaluateNominal(run.perf.activity, ev);
+                snap = capturePerf(prog, launch, with_trace,
+                                   sample_interval_s);
             } else {
-                // Cannot legally re-execute: rescale the measured
-                // run analytically — the cycle count stands, the
-                // elapsed time stretches with the clock, and
-                // re-evaluating over the stretched interval scales
-                // every rate (and picks up the rebuilt V^2*f
-                // base-power scale). The traces stretch the same
-                // way so their integral keeps matching the report.
+                // Cannot legally re-execute: stretch the measured
+                // snapshot analytically — the cycle counts stand and
+                // every elapsed time stretches with the clock, so the
+                // clamped model's evaluation scales every rate (and
+                // picks up the rebuilt V^2*f base-power scale).
                 double stretch = f_meas / f_new;
-                run.perf.time_s *= stretch;
-                run.perf.activity.elapsed_s *= stretch;
-                for (PowerSample &s : run.trace) {
-                    s.t0 *= stretch;
-                    s.t1 *= stretch;
-                    s.dynamic_w /= stretch;
+                snap.perf.time_s *= stretch;
+                snap.perf.activity.elapsed_s *= stretch;
+                for (ActivitySample &a : snap.samples) {
+                    a.t0 *= stretch;
+                    a.t1 *= stretch;
+                    a.delta.elapsed_s *= stretch;
                 }
-                for (ThermalSample &s : run.thermal.trace) {
-                    s.t0 *= stretch;
-                    s.t1 *= stretch;
-                }
-                evaluateNominal(run.perf.activity, ev);
             }
+            _thermal_state = entry_state;
+            run = measure(snap);
             // Either way the new point is a measurement at f_new;
             // verify it and keep iterating until it truly holds —
             // near the leakage-stability boundary the linear clock
@@ -591,20 +558,25 @@ Simulator::runThermal(const perf::KernelProgram &prog,
         }
     }
 
-    finishThermal(run, ev, steady, with_trace, throttled, true);
+    finishThermal(run, _eval, steady, with_trace, throttled, true);
     return run;
 }
 
 ReplayGroup::ReplayGroup(std::vector<Simulator *> sims)
+    : ReplayGroup(std::move(sims), Unchecked{})
+{
+    for (const Simulator *sim : _sims)
+        if (sim->config().thermal.enabled && sim->config().thermal.throttle)
+            fatal("cannot replay a snapshot under a throttling governor: "
+                  "its power-to-clock feedback changes timing; run the "
+                  "kernel in full instead");
+}
+
+ReplayGroup::ReplayGroup(std::vector<Simulator *> sims, Unchecked)
     : _sims(std::move(sims)), _row_of(_sims.size())
 {
     std::vector<const power::CompiledPowerModel *> models;
     for (std::size_t j = 0; j < _sims.size(); ++j) {
-        const GpuConfig &cfg = _sims[j]->config();
-        if (cfg.thermal.enabled && cfg.thermal.throttle)
-            fatal("cannot replay a snapshot under a throttling governor: "
-                  "its power-to-clock feedback changes timing; run the "
-                  "kernel in full instead");
         // Simulators on one power model share its evaluator row.
         const power::CompiledPowerModel *model =
             &_sims[j]->powerModel().compiled();
@@ -613,7 +585,7 @@ ReplayGroup::ReplayGroup(std::vector<Simulator *> sims)
             models.begin());
         if (_row_of[j] == models.size())
             models.push_back(model);
-        if (!cfg.thermal.enabled)
+        if (!_sims[j]->config().thermal.enabled)
             continue;
         _want_blocks = true;
         const thermal::ThermalNetwork *net = _sims[j]->_network.get();
@@ -630,26 +602,36 @@ ReplayGroup::ReplayGroup(std::vector<Simulator *> sims)
     _runs.resize(_sims.size());
 }
 
-std::vector<KernelRun> &
-ReplayGroup::replay(const KernelSnapshot &snap, sim::RowDetail detail)
+void
+ReplayGroup::evaluate(const KernelSnapshot &snap)
 {
-    const bool rows = snap.with_trace && !snap.samples.empty();
-    if (rows) {
+    if (snap.with_trace && !snap.samples.empty()) {
         _acts.clear();
         _acts.reserve(snap.samples.size());
         for (const ActivitySample &a : snap.samples)
             _acts.push_back(&a.delta);
         _evaluator->evaluate(_acts, _want_blocks, _ws, _rows);
     }
-    {
-        GSP_TRACE_SPAN("power/nominal_eval");
-        _evaluator->evaluateNominal(snap.perf.activity, _ws, _nominal);
-    }
-    GSP_TRACE_SPAN("sim/replay");
+    GSP_TRACE_SPAN("power/nominal_eval");
+    _evaluator->evaluateNominal(snap.perf.activity, _ws, _nominal);
+}
+
+void
+ReplayGroup::begin(const KernelSnapshot &snap, sim::RowDetail detail)
+{
+    const bool rows = snap.with_trace && !snap.samples.empty();
     for (std::size_t j = 0; j < _sims.size(); ++j)
         _runs[j] = _sims[j]->beginReplay(
             snap, rows ? &_rows[_row_of[j]] : nullptr,
             _nominal[_row_of[j]], detail);
+}
+
+std::vector<KernelRun> &
+ReplayGroup::replay(const KernelSnapshot &snap, sim::RowDetail detail)
+{
+    evaluate(snap);
+    GSP_TRACE_SPAN("sim/replay");
+    begin(snap, detail);
     for (const auto &[net, members] : _net_groups) {
         _lanes.clear();
         for (std::size_t j : members)

@@ -6,12 +6,14 @@
  * whole-kernel power reports plus optional power-over-time traces
  * for the measurement testbed.
  *
- * An ungoverned kernel runs in two phases: capturePerf() times it on
- * the cycle-level GPU into a KernelSnapshot, and a ReplayGroup (below)
+ * Every kernel runs in two phases: capturePerf() times it on the
+ * cycle-level GPU into a KernelSnapshot, and a ReplayGroup (below)
  * evaluates power and thermal behavior from that snapshot. The group
  * is the one replay body: a single run, replayKernel() and
- * SimulationEngine::runScenario replay through a group of one, and
- * the engine replays every member of a work unit through one group.
+ * SimulationEngine::runScenario replay through a group of one, the
+ * engine replays every member of a work unit through one group, and
+ * the throttling governor measures each clock it tries through the
+ * first half of a group of one.
  *
  * When the configuration enables the thermal subsystem the loop is
  * closed: a steady-state RC solve turns the kernel's power into
@@ -197,9 +199,11 @@ class Simulator
      * @param with_trace also produce a sampled power waveform
      * @param sample_interval_s trace sampling period
      * @param repeatable the kernel may be re-executed with identical
-     *        results — the throttling governor re-runs the kernel at
-     *        the clamped clock when it may; otherwise it rescales
-     *        the measured run analytically
+     *        results — the throttling governor re-captures the kernel
+     *        at the clamped clock when it may; otherwise it stretches
+     *        the measured snapshot analytically (the cycle count
+     *        stands, every elapsed time scales with the clock) and
+     *        evaluates that on the clamped model
      */
     KernelRun runKernel(const perf::KernelProgram &prog,
                         const perf::LaunchConfig &launch,
@@ -286,15 +290,9 @@ class Simulator
     thermal::SteadyScratch _steady_scratch;
     /** The replay path's whole-kernel evaluation: a copy of the
      *  group's nominal one, whose leakage a thermal kernel then
-     *  rescales to its solved temperatures. */
+     *  rescales to its solved temperatures. The governor's steady
+     *  probes read its block split. */
     power::CompiledPowerModel::Eval _eval;
-    /** Scratch of the governed path's evaluations through this
-     *  simulator's power model's evaluator (a batch of one): the
-     *  workspace, the traced rows and their activity pointers.
-     *  Shape-agnostic, so a model rebuild (applyFreqScale) keeps it. */
-    power::BatchedPowerEvaluator::Workspace _eval_ws;
-    std::vector<power::BatchedKernelPower> _rows;
-    std::vector<const perf::ChipActivity *> _row_acts;
 
     friend class ReplayGroup;
 
@@ -326,28 +324,19 @@ class Simulator
     /** Rebuild the power model at a clamped (or restored) clock;
      *  callers march the deferred kernels first. */
     void applyFreqScale(double freq_scale);
-    /** Evaluate a snapshot's intervals with this simulator's power
-     *  model; want_blocks adds the per-block rows the thermal march
-     *  consumes. */
-    const power::BatchedKernelPower &
-    selfBatchRows(const KernelSnapshot &snap, bool want_blocks);
-    /** Evaluate one interval at the nominal temperature with this
-     *  simulator's power model. */
-    void evaluateNominal(const perf::ChipActivity &act,
-                         power::CompiledPowerModel::Eval &ev);
     /** Evaluate the per-interval power (and, with thermal on, march
-     *  the transient state) over a snapshot's samples; whole-kernel
-     *  power is the caller's. The per-interval values come from
-     *  `batched` (a replay group's rows) when non-null, else from
-     *  selfBatchRows() (the governed path). Without
-     *  `keep` (summary rows) the run gets only perf.time_s and no
-     *  waveforms, so a trace without thermal has nothing to do. */
+     *  the transient state) over a snapshot's samples from `batched`,
+     *  the replay group's rows (null only without samples);
+     *  whole-kernel power is the caller's. Without `keep` (summary
+     *  rows) the run gets only perf.time_s and no waveforms, so a
+     *  trace without thermal has nothing to do. */
     KernelRun evaluateSamples(const KernelSnapshot &snap,
                               const power::BatchedKernelPower *batched,
                               bool keep);
-    KernelRun runOnce(const perf::KernelProgram &prog,
-                      const perf::LaunchConfig &launch,
-                      bool with_trace, double sample_interval_s);
+    /** One governor measurement of a snapshot on the current (possibly
+     *  clamped) power model: the begin half of a replay group of this
+     *  Simulator, leaving the nominal evaluation in _eval. */
+    KernelRun measure(const KernelSnapshot &snap);
     /** The steady lane of a block split at a clock ratio, on this
      *  Simulator's power model and warm start. */
     thermal::SteadyLane steadyLane(const std::vector<power::BlockPower> &bp,
@@ -397,7 +386,10 @@ class Simulator
  * network solve the kernel's steady states in one lockstep batch, in
  * Simulator order. A variant's result does not depend on the others
  * beside it, so a group of one gives the same bits as a group of
- * many.
+ * many. The throttling governor measures each clock it tries through
+ * a private group of one, of which it runs only the first half
+ * (evaluate() and begin()); its own steady probes take the place of
+ * the lockstep solve.
  */
 class ReplayGroup
 {
@@ -416,6 +408,23 @@ class ReplayGroup
                                    sim::RowDetail detail);
 
   private:
+    friend class Simulator;
+
+    /** Tag of the constructor that skips the throttle check: the
+     *  governor's group of one (Simulator::measure). */
+    struct Unchecked
+    {
+    };
+    ReplayGroup(std::vector<Simulator *> sims, Unchecked);
+
+    /** Evaluate one kernel for every distinct power model: its traced
+     *  intervals (when it has samples) and its whole-kernel activity
+     *  at the nominal temperature. */
+    void evaluate(const KernelSnapshot &snap);
+    /** Each Simulator's beginReplay() of the evaluated kernel into
+     *  _runs: everything before the steady solves. */
+    void begin(const KernelSnapshot &snap, sim::RowDetail detail);
+
     std::vector<Simulator *> _sims;
     /** Simulator -> its power model's row of the evaluator. */
     std::vector<std::size_t> _row_of;

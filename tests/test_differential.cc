@@ -3,11 +3,11 @@
  * The differential matrix: every fast path that serves a sweep row
  * must equal full simulation bit for bit. It runs over every
  * registered workload on one chip per ctest entry (gt240, gtx580) and
- * five modes: no thermal, a cooling × DVFS axis with steady solves,
- * the throttling governor, and traced 1 us sampling with and without
- * transient thermal. Each leg's rows are compared with the reference
- * leg (jobs 4, kernel rows, on a cold store) through the one row
- * comparator, tests/row_text.hh:
+ * six modes: no thermal, a cooling × DVFS axis with steady solves,
+ * the throttling governor untraced and traced, and traced 1 us
+ * sampling with and without transient thermal. Each leg's rows are
+ * compared with the reference leg (jobs 4, kernel rows, on a cold
+ * store) through the one row comparator, tests/row_text.hh:
  *
  *   leg          differs from the reference           compares
  *   oracle       runScenario on a fresh Simulator      kernel rows
@@ -96,6 +96,11 @@ const Mode modes[] = {
     {"traced_thermal",
      SweepRequest().withNodes("40,28").withCoolings("stock"), true, true},
     {"traced_plain", SweepRequest().withNodes("40,28"), true, false},
+    // Governed kernels' trace rows: each clock the governor measures
+    // is traced and marched from the kernel's entry state.
+    {"traced_throttle",
+     SweepRequest().withCoolings("constrained").withThrottle(true), true,
+     false},
 };
 
 bool

@@ -19,6 +19,7 @@
 #include "obs/metrics.hh"
 #include "power/chip_power.hh"
 #include "power_tree_reference.hh"
+#include "row_text.hh"
 #include "sim/engine.hh"
 #include "tech/tech.hh"
 #include "thermal/thermal.hh"
@@ -695,9 +696,9 @@ TEST(ThermalThrottle, GovernorIgnoresTheClockInvariantDramBlock)
 TEST(ThermalThrottle, NonRepeatableKernelsThrottleAnalytically)
 {
     // mergeSort3 is flagged non-repeatable: the governor may not
-    // re-execute it, so it iterates on the analytic rescale instead
-    // — and must still land on a *verified* converged clamp, with
-    // the stretched trace consistent with the stretched report.
+    // re-execute it, so it iterates on the analytically stretched
+    // snapshot instead — and must still land on a *verified*
+    // converged clamp, with a trace evaluated on the clamped model.
     GpuConfig cfg = GpuConfig::gtx580();
     cfg.thermal.applyCooling("constrained");
     cfg.thermal.throttle = true;
@@ -720,23 +721,46 @@ TEST(ThermalThrottle, NonRepeatableKernelsThrottleAnalytically)
     EXPECT_GT(r.energy_j, nominal.energy_j);
     EXPECT_LT(r.energy_j, 10.0 * nominal.energy_j);
 
+    bool stretched = false;
     for (const sim::KernelResult &k : r.kernels) {
         if (k.repeatable || !k.run.thermal.throttled)
             continue;
-        // The analytically stretched trace must still span the
-        // kernel and integrate to the report's energy rates.
+        stretched = true;
+        // The trace and the report are one evaluation of the
+        // stretched snapshot on the clamped model, and power is
+        // linear in activity over time: the trace spans the kernel
+        // and integrates to the report's energy up to rounding.
         ASSERT_FALSE(k.run.trace.empty());
-        EXPECT_NEAR(k.run.trace.back().t1, k.run.perf.time_s,
-                    0.05 * k.run.perf.time_s);
-        double dyn_j = 0.0;
-        for (const PowerSample &ps : k.run.trace)
+        EXPECT_DOUBLE_EQ(k.run.trace.back().t1, k.run.perf.time_s)
+            << k.label;
+        double dyn_j = 0.0, dram_j = 0.0;
+        for (const PowerSample &ps : k.run.trace) {
             dyn_j += ps.dynamic_w * (ps.t1 - ps.t0);
-        // mergeSort3 is only a handful of samples long, so the
-        // inherent trace-vs-report discretization gap is a few
-        // percent; an *unscaled* trace would be off by ~1/f (>30%).
+            dram_j += ps.dram_w * (ps.t1 - ps.t0);
+        }
         double rep_dyn_j =
             k.run.report.dynamicPower() * k.run.perf.time_s;
-        EXPECT_NEAR(dyn_j, rep_dyn_j, 0.10 * rep_dyn_j);
+        double rep_dram_j = k.run.report.dram_w * k.run.perf.time_s;
+        EXPECT_NEAR(dyn_j, rep_dyn_j, 1e-9 * rep_dyn_j) << k.label;
+        EXPECT_NEAR(dram_j, rep_dram_j, 1e-9 * rep_dram_j) << k.label;
+    }
+    EXPECT_TRUE(stretched) << "no non-repeatable kernel throttled";
+
+    // The trace never feeds the governor: an untraced run clamps to
+    // the same clocks and reports the same bits. Only the traces
+    // themselves are left out of the comparison.
+    sim::ScenarioResult untraced = runScenario(cfg, "mergesort");
+    EXPECT_TRUE(
+        test::sameText(test::rowText(untraced, sim::RowDetail::summary),
+                       test::rowText(r, sim::RowDetail::summary)));
+    ASSERT_EQ(untraced.kernels.size(), r.kernels.size());
+    for (std::size_t i = 0; i < r.kernels.size(); ++i) {
+        sim::KernelResult traced = r.kernels[i];
+        traced.run.trace.clear();
+        traced.run.thermal.trace.clear();
+        EXPECT_TRUE(test::sameText(test::kernelText(untraced.kernels[i]),
+                                   test::kernelText(traced)))
+            << traced.label;
     }
 }
 
