@@ -27,8 +27,10 @@
  *
  *  - governed scenario (thermal_replay/governed_scenario): a whole
  *    SimulationEngine::runScenario of the governed GTX580 matmul
- *    under constrained cooling — timing, the governor's bisection
- *    over warm-started steady solves, and the clamped re-run.
+ *    under constrained cooling — the nominal capture (keeping the
+ *    kernel's entry memory), the governor's bisection over
+ *    warm-started steady solves, and the clamped re-capture from
+ *    that entry state.
  *
  * Equivalence of these paths to their oracles is the test suite's
  * job (test_thermal, test_batched_power), not this bench's.

@@ -27,9 +27,8 @@ namespace sim {
 namespace {
 
 /** Fold one finished kernel into a scenario's running totals —
- *  shared by the full-simulation and replay paths so their
- *  accounting cannot drift. Summary rows count the kernel and drop
- *  it. */
+ *  shared by replayed and governed members so their accounting
+ *  cannot drift. Summary rows count the kernel and drop it. */
 void
 accumulateKernel(ScenarioResult &result, RowDetail detail,
                  const std::string &label, bool repeatable, KernelRun run)
@@ -194,13 +193,25 @@ class RunModels
 };
 
 /**
- * Phase 1 of a replayable scenario on `simulator`: every kernel's
- * timing capture, then the device-vs-host verification, which reads
- * device memory and so travels with the snapshot.
+ * What a governed member's clamps re-capture from: the unit's kernel
+ * launches and each kernel's entry device memory.
+ */
+struct EntryStates
+{
+    std::vector<workloads::KernelLaunch> launches;
+    std::vector<perf::GlobalMemory> memory;
+};
+
+/**
+ * Phase 1 of a work unit on `simulator`: every kernel's timing
+ * capture, then the device-vs-host verification, which reads device
+ * memory and so travels with the snapshot. With `entries` (a unit
+ * with governed members), the launches and a copy of the device
+ * memory at each kernel's entry are kept there too.
  */
 ActivitySnapshot
 captureScenario(const Scenario &scenario, Simulator &simulator,
-                const EngineOptions &options)
+                const EngineOptions &options, EntryStates *entries)
 {
     auto workload =
         workloads::makeWorkload(scenario.workload, scenario.scale);
@@ -212,6 +223,8 @@ captureScenario(const Scenario &scenario, Simulator &simulator,
     snapshot.sample_interval_s = options.sample_interval_s;
     snapshot.kernels.reserve(launches.size());
     for (const workloads::KernelLaunch &kl : launches) {
+        if (entries)
+            entries->memory.push_back(simulator.gpu().globalMem());
         KernelSnapshot snap = simulator.capturePerf(
             kl.prog, kl.launch, options.with_trace,
             options.sample_interval_s);
@@ -221,35 +234,74 @@ captureScenario(const Scenario &scenario, Simulator &simulator,
     }
     snapshot.verified = !scenario.verify || launches.empty() ||
                         workload->verify(simulator.gpu());
+    if (entries)
+        entries->launches = std::move(launches);
     return snapshot;
 }
 
 /**
- * Replay `members` (sims[j] built for *members[j]) from `snapshot`
- * through one ReplayGroup and publish each member's row, in member
- * order. Every member is a power-only variant of the snapshot's
- * timing fingerprint; kernels run outer, variants inner.
+ * The one unit body, once the unit has its snapshot. The members
+ * (sims[j] built for *members[j]) share the snapshot's key, and
+ * sims.front() is the unit's capturing Simulator. Replayable members
+ * replay through one ReplayGroup, kernels outer, variants inner;
+ * each governed member runs Simulator::govern() kernel by kernel,
+ * whose clamps re-capture on sims.front() from `entries`. A unit
+ * whose snapshot came from the source captures `entries` on its
+ * first clamp of a repeatable kernel. Rows are published in member
+ * order.
  */
 template <typename Publish>
 void
-replayGroup(const std::vector<const Scenario *> &members,
-            const std::vector<Simulator *> &sims,
-            const ActivitySnapshot &snapshot, RowDetail detail,
-            Publish &&publish)
+runUnit(const std::vector<const Scenario *> &members,
+        const std::vector<Simulator *> &sims,
+        const ActivitySnapshot &snapshot, EntryStates &entries,
+        const EngineOptions &options, RowDetail detail,
+        Publish &&publish)
 {
-    ReplayGroup group(sims);
     std::vector<ScenarioResult> results(members.size());
+    std::vector<std::size_t> replaying, governed;
+    std::vector<Simulator *> group_sims;
     for (std::size_t j = 0; j < members.size(); ++j) {
         results[j].scenario = *members[j];
         if (detail == RowDetail::kernels)
             results[j].kernels.reserve(snapshot.kernels.size());
         results[j].min_freq_scale = members[j]->config.clocks.freq_scale;
+        if (members[j]->replayable()) {
+            replaying.push_back(j);
+            group_sims.push_back(sims[j]);
+        } else {
+            governed.push_back(j);
+        }
     }
-    for (const KernelSnapshot &snap : snapshot.kernels) {
-        std::vector<KernelRun> &runs = group.replay(snap, detail);
-        for (std::size_t j = 0; j < members.size(); ++j)
+    if (!replaying.empty()) {
+        GSP_TRACE_SPAN("engine/replay");
+        ReplayGroup group(group_sims);
+        for (const KernelSnapshot &snap : snapshot.kernels) {
+            std::vector<KernelRun> &runs = group.replay(snap, detail);
+            for (std::size_t i = 0; i < replaying.size(); ++i)
+                accumulateKernel(results[replaying[i]], detail, snap.label,
+                                 snap.repeatable, std::move(runs[i]));
+        }
+    }
+    Simulator &capturer = *sims.front();
+    for (std::size_t j : governed) {
+        GSP_TRACE_SPAN("engine/govern");
+        for (std::size_t k = 0; k < snapshot.kernels.size(); ++k) {
+            const KernelSnapshot &snap = snapshot.kernels[k];
+            auto clamp = [&](double freq_scale) {
+                if (entries.launches.empty())
+                    captureScenario(*members.front(), capturer, options,
+                                    &entries);
+                capturer.gpu().globalMem() = entries.memory[k];
+                const workloads::KernelLaunch &kl = entries.launches[k];
+                return capturer.capturePerf(kl.prog, kl.launch,
+                                            options.with_trace,
+                                            options.sample_interval_s,
+                                            freq_scale);
+            };
             accumulateKernel(results[j], detail, snap.label,
-                             snap.repeatable, std::move(runs[j]));
+                             snap.repeatable, sims[j]->govern(snap, clamp));
+        }
     }
     for (std::size_t j = 0; j < members.size(); ++j) {
         finalizeScenario(results[j], *sims[j]);
@@ -299,36 +351,15 @@ SimulationEngine::runScenario(const Scenario &scenario,
                               ActivitySnapshot *capture,
                               RowDetail detail) const
 {
+    EntryStates entries;
+    ActivitySnapshot snapshot =
+        captureScenario(scenario, simulator, _options,
+                        scenario.replayable() ? nullptr : &entries);
     ScenarioResult result;
-    if (scenario.replayable()) {
-        ActivitySnapshot snapshot =
-            captureScenario(scenario, simulator, _options);
-        replayGroup({&scenario}, {&simulator}, snapshot, detail,
-                    [&](ScenarioResult r) { result = std::move(r); });
-        if (capture)
-            *capture = std::move(snapshot);
-        return result;
-    }
-
-    // Governed: the governor feeds power back into timing, so every
-    // kernel runs in full, and there is no snapshot to capture.
-    result.scenario = scenario;
-    auto workload =
-        workloads::makeWorkload(scenario.workload, scenario.scale);
-    auto launches = workload->prepare(simulator.gpu());
-    if (detail == RowDetail::kernels)
-        result.kernels.reserve(launches.size());
-    result.min_freq_scale = scenario.config.clocks.freq_scale;
-    for (const workloads::KernelLaunch &kl : launches)
-        accumulateKernel(result, detail, kl.label, kl.repeatable,
-                         simulator.runKernel(kl.prog, kl.launch,
-                                             _options.with_trace,
-                                             _options.sample_interval_s,
-                                             kl.repeatable));
-    finalizeScenario(result, simulator);
-    result.verified = true;
-    if (scenario.verify && result.kernel_count != 0)
-        result.verified = workload->verify(simulator.gpu());
+    runUnit({&scenario}, {&simulator}, snapshot, entries, _options,
+            detail, [&](ScenarioResult r) { result = std::move(r); });
+    if (capture)
+        *capture = std::move(snapshot);
     return result;
 }
 
@@ -348,16 +379,16 @@ SimulationEngine::run(const SweepSpec &spec,
         "engine/scenarios", "scenarios completed by engine runs");
     obs::Counter &c_captured = reg.counter(
         "engine/scenarios_captured",
-        "scenarios that ran timing and captured a snapshot");
+        "work units that ran timing and captured their snapshot");
     obs::Counter &c_replayed = reg.counter(
         "engine/scenarios_replayed",
-        "scenarios replayed from a memoized snapshot");
+        "replayable scenarios other than a capturing unit's first "
+        "member");
     obs::Counter &c_governed = reg.counter(
         "engine/scenarios_governed",
-        "scenarios pinned to full simulation by the governor");
+        "scenarios whose power phase ran under the throttling governor");
     obs::Counter &c_batch_groups = reg.counter(
-        "engine/batch_groups",
-        "batched replay groups (work units with replay members)");
+        "engine/batch_groups", "work units with more than one member");
     // Counted by RunModels::simulator().
     reg.counter("engine/simulator_builds",
                 "Simulator constructions on behalf of the engine");
@@ -387,7 +418,7 @@ SimulationEngine::run(const SweepSpec &spec,
 
     std::size_t total = scenarios.size();
 
-    // Governor-pinned scenarios are a property of the spec, not of
+    // Governed scenarios are a property of the spec, not of
     // scheduling — count them up front.
     std::size_t governed = 0;
     for (const Scenario &s : scenarios)
@@ -398,9 +429,8 @@ SimulationEngine::run(const SweepSpec &spec,
     // Work units the pool pulls from. Each timing-unique
     // Scenario::snapshotKey() becomes one unit: its first scenario
     // captures the snapshot (unless the external source already has
-    // it), every other member replays through the batched matrix
-    // evaluator, and exactly one worker ever simulates a key. A
-    // governed scenario is a full-simulation unit of its own.
+    // it), every member then replays or runs the governor from it,
+    // and exactly one worker ever simulates a key.
     std::vector<std::vector<std::size_t>> units;
     units.reserve(total);
     // lint: unordered-ok(lookup/emplace only, never iterated; unit
@@ -409,10 +439,6 @@ SimulationEngine::run(const SweepSpec &spec,
     std::unordered_map<std::string, std::size_t> unit_of;
     std::vector<std::string> keys = snapshotKeys(scenarios);
     for (std::size_t i = 0; i < total; ++i) {
-        if (!scenarios[i].replayable()) {
-            units.push_back({i});
-            continue;
-        }
         auto ins = unit_of.emplace(std::move(keys[i]), units.size());
         if (ins.second)
             units.emplace_back();
@@ -476,64 +502,61 @@ SimulationEngine::run(const SweepSpec &spec,
                 }
             };
             try {
+                // One snapshot serves the whole unit: the external
+                // source's for this key (zero timing cost), or one
+                // the unit's first scenario captures.
+                GSP_TRACE_SPAN("engine/batch_group");
                 const Scenario &first = scenarios[unit.front()];
-                if (!first.replayable()) {
-                    GSP_TRACE_SPAN("engine/scenario");
-                    publish(runScenario(first, *run_models.simulator(first),
-                                        nullptr, detail));
-                } else {
-                    // One snapshot serves the whole unit: the external
-                    // source's for this key (zero timing cost), or
-                    // one the unit's first scenario captures. Every
-                    // member then replays from it in one group.
-                    GSP_TRACE_SPAN("engine/batch_group");
-                    std::vector<const Scenario *> members;
-                    std::vector<std::unique_ptr<Simulator>> owned;
-                    std::vector<Simulator *> sims;
-                    for (std::size_t i : unit) {
-                        members.push_back(&scenarios[i]);
-                        owned.push_back(run_models.simulator(scenarios[i]));
-                        sims.push_back(owned.back().get());
-                    }
-                    std::shared_ptr<const ActivitySnapshot> snapshot;
-                    if (_options.snapshot_source)
-                        snapshot = _options.snapshot_source(first);
-                    const bool captured_here = !snapshot;
-                    if (captured_here) {
-                        try {
-                            GSP_TRACE_SPAN("engine/capture");
-                            snapshot = std::make_shared<const ActivitySnapshot>(
-                                captureScenario(first, *sims.front(),
-                                                _options));
-                        } catch (...) {
-                            // A source that registered in-flight
-                            // state on the miss must be released, or
-                            // waiters on this key would block forever.
-                            if (_options.snapshot_sink)
-                                _options.snapshot_sink(first, nullptr);
-                            throw;
-                        }
-                        captured.fetch_add(1);
-                        c_captured.add(1);
-                        // Persist before replaying so other jobs
-                        // waiting on this key unblock immediately.
-                        if (_options.snapshot_sink)
-                            _options.snapshot_sink(first, snapshot);
-                    }
-                    GSP_TRACE_SPAN("engine/replay");
-                    replayGroup(members, sims, *snapshot, detail,
-                                [&](ScenarioResult r) {
-                        // The captured member counts as captured,
-                        // every other one as replayed, before
-                        // publish() runs the progress hook.
-                        if (!captured_here ||
-                            r.scenario.index != first.index) {
-                            replayed.fetch_add(1);
-                            c_replayed.add(1);
-                        }
-                        publish(std::move(r));
-                    });
+                std::vector<const Scenario *> members;
+                std::vector<std::unique_ptr<Simulator>> owned;
+                std::vector<Simulator *> sims;
+                bool has_governed = false;
+                for (std::size_t i : unit) {
+                    members.push_back(&scenarios[i]);
+                    owned.push_back(run_models.simulator(scenarios[i]));
+                    sims.push_back(owned.back().get());
+                    has_governed |= !scenarios[i].replayable();
                 }
+                std::shared_ptr<const ActivitySnapshot> snapshot;
+                if (_options.snapshot_source)
+                    snapshot = _options.snapshot_source(first);
+                // Only a governed member's clamp reads entry states.
+                EntryStates entries;
+                const bool captured_here = !snapshot;
+                if (captured_here) {
+                    try {
+                        GSP_TRACE_SPAN("engine/capture");
+                        snapshot = std::make_shared<const ActivitySnapshot>(
+                            captureScenario(first, *sims.front(), _options,
+                                            has_governed ? &entries
+                                                         : nullptr));
+                    } catch (...) {
+                        // A source that registered in-flight state on
+                        // the miss must be released, or waiters on
+                        // this key would block forever.
+                        if (_options.snapshot_sink)
+                            _options.snapshot_sink(first, nullptr);
+                        throw;
+                    }
+                    captured.fetch_add(1);
+                    c_captured.add(1);
+                    // Persist before replaying so other jobs waiting
+                    // on this key unblock immediately.
+                    if (_options.snapshot_sink)
+                        _options.snapshot_sink(first, snapshot);
+                }
+                runUnit(members, sims, *snapshot, entries, _options, detail,
+                        [&](ScenarioResult r) {
+                    // A replayable member is replayed unless it is
+                    // the capturing unit's first member, before
+                    // publish() runs the progress hook.
+                    if (r.scenario.replayable() &&
+                        !(captured_here && r.scenario.index == first.index)) {
+                        replayed.fetch_add(1);
+                        c_replayed.add(1);
+                    }
+                    publish(std::move(r));
+                });
             } catch (...) {
                 std::size_t fail = scenarios[unit[std::min(
                     published_in_unit, unit.size() - 1)]].index;

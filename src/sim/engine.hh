@@ -12,33 +12,47 @@
  *
  * Every scenario runs on a Simulator of its own, built for it on the
  * run's shared power models and thermal networks and destroyed with
- * it, so no device memory, governor clamp or thermal state can pass
- * from one scenario to the next.
+ * it, so no governor clamp or thermal state can pass from one
+ * scenario to the next. Device memory lives on a unit's capturing
+ * Simulator, and every re-capture starts from a kernel's entry
+ * memory.
  *
- * The two-phase memoization is also the one schedule: every
- * replayable scenario joins the work unit of its
- * Scenario::snapshotKey() (sim::snapshotKeys() serializes each
- * distinct timing fingerprint once per run). A unit's snapshot comes
- * from the external source (EngineOptions::snapshot_source) or from
- * a timing capture of its first scenario, which only captures. Then
- * every member — variants that differ only in power-only axes
- * (process node, vdd_scale, cooling) — replays the power phase from
- * it through one ReplayGroup (sim/simulator.hh), the one replay
- * body: kernels outer, variants inner, traced intervals evaluated
- * together through the batched matrix evaluator (many intervals x
- * many power variants per pass). Only the capturing Simulator builds
- * the cycle-level GPU. A run builds one power model per distinct
- * power-relevant configuration (the configuration without its
- * thermal section) and one thermal network per (thermal blocks,
- * cooling), shared by every unit and worker. A replay group
- * evaluates each kernel once per model and solves its steady states
- * once per network, all lanes in lockstep, so a replayed row is the
- * row of a capture followed by a replay group of one — which is what
- * runScenario() computes, the oracle. The RowDetail argument of
- * run() chooses whether rows keep their per-kernel detail or only
- * the summary columns. Throttle-governed scenarios (power feeds back
- * into timing) are the exception: each one is a full simulation of
- * its own.
+ * The two-phase memoization is also the one schedule: every scenario
+ * joins the work unit of its Scenario::snapshotKey()
+ * (sim::snapshotKeys() serializes each distinct timing fingerprint
+ * once per run), so the engine has one unit kind. A unit's snapshot
+ * comes from the external source (EngineOptions::snapshot_source) or
+ * from a timing capture of its first scenario, which only captures.
+ * Then every replayable member — variants that differ only in
+ * power-only axes (process node, vdd_scale, cooling) — replays the
+ * power phase from it through one ReplayGroup (sim/simulator.hh),
+ * the one replay body: kernels outer, variants inner, traced
+ * intervals evaluated together through the batched matrix evaluator
+ * (many intervals x many power variants per pass). Only the
+ * capturing Simulator builds the cycle-level GPU. A run builds one
+ * power model per distinct power-relevant configuration (the
+ * configuration without its thermal section) and one thermal network
+ * per (thermal blocks, cooling), shared by every unit and worker. A
+ * replay group evaluates each kernel once per model and solves its
+ * steady states once per network, all lanes in lockstep, so a
+ * replayed row is the row of a capture followed by a replay group of
+ * one — which is what runScenario() computes, the oracle. The
+ * RowDetail argument of run() chooses whether rows keep their
+ * per-kernel detail or only the summary columns.
+ *
+ * A throttle-governed member (power feeds back into timing) takes
+ * each kernel's nominal snapshot from the unit too, and runs
+ * Simulator::govern() on it. A clamp of a repeatable kernel
+ * re-captures that kernel at the clamped clock on the unit's
+ * capturing Simulator, from the kernel's entry device memory: a unit
+ * with governed members keeps a copy of device memory at each kernel
+ * entry when it captures. A unit whose snapshot came from the source
+ * runs that capture on its first such clamp; it is not counted as
+ * captured and not handed to the sink, since the source already
+ * holds the snapshot. Only the clamps need timing, so a warm
+ * governed repeat captures nothing unless a repeatable kernel
+ * clamps. SweepTelemetry documents how units and members are
+ * counted.
  */
 
 #ifndef GPUSIMPOW_SIM_ENGINE_HH
@@ -87,10 +101,11 @@ struct EngineOptions
     double sample_interval_s = 20e-6;
     /**
      * External snapshot provider, consulted (when set) before the
-     * engine captures a replayable scenario's timing:
+     * engine captures a work unit's timing:
      * return a snapshot captured under the same Scenario::snapshotKey()
-     * and the whole work unit replays from it — zero timing cost;
-     * return nullptr and the engine captures as usual. This is how
+     * and the whole work unit replays or governs from it — zero
+     * timing cost but a governor clamp's; return nullptr and the
+     * engine captures as usual. This is how
      * SweepSession plugs the persistent store and its cross-job
      * in-flight dedupe under the scheduler; the call may block (e.g.
      * waiting for another job's in-flight capture of the same key).
@@ -165,18 +180,14 @@ class SimulationEngine
     ScenarioResult runScenario(const Scenario &scenario) const;
 
     /**
-     * Execute one scenario in full — the oracle of every sweep row,
-     * the engine's governed units and the CLI's single run — on a
-     * caller-provided Simulator built for the scenario's
-     * configuration. A replayable() scenario is a timing capture of
-     * every kernel followed by a ReplayGroup of this one Simulator,
-     * the engine's capture and replay bodies; a throttle-governed
-     * scenario runs Simulator::runKernel per kernel, whose governor
-     * feeds power back into timing.
-     * @param capture when non-null and the scenario is replayable(),
-     *        receives the phase-1 activity snapshot for later replay;
-     *        a governed scenario leaves it untouched (it could never
-     *        be replayed)
+     * Execute one scenario in full — the oracle of every sweep row
+     * and the CLI's single run — on a caller-provided Simulator built
+     * for the scenario's configuration: a work unit of this one
+     * scenario, whose capture and whose replay or governor run on
+     * this Simulator, through the engine's unit body.
+     * @param capture when non-null, receives the phase-1 activity
+     *        snapshot (a governed scenario's is its nominal-clock
+     *        capture)
      * @param detail what the row keeps (see run())
      */
     ScenarioResult runScenario(const Scenario &scenario,

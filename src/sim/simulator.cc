@@ -129,14 +129,11 @@ Simulator::gpu()
 {
     if (!_gpu) {
         GSP_TRACE_SPAN("sim/setup");
-        // Built at the nominal clock, then given any live clamp: the
-        // same GPU applyFreqScale() would have left behind had it
-        // existed from construction.
+        // At the configured clock, whatever the power model's clamp:
+        // a capture names its own clock (capturePerf).
         GpuConfig nominal = _cfg;
         nominal.clocks.freq_scale = _nominal_freq_scale;
         _gpu = std::make_unique<perf::Gpu>(nominal);
-        if (_cfg.clocks.freq_scale != _nominal_freq_scale)
-            _gpu->setFreqScale(_cfg.clocks.freq_scale);
         timingModelBuilds().add(1);
     }
     return *_gpu;
@@ -167,8 +164,6 @@ Simulator::applyFreqScale(double freq_scale)
                "deferred marches must run on the model they were "
                "queued under");
     _cfg.clocks.freq_scale = freq_scale;
-    if (_gpu)
-        _gpu->setFreqScale(freq_scale);
     // The power model caches V^2*f scales and clock-derived rates;
     // rebuild it at the clamped clock (the die geometry, and with it
     // the thermal network, is frequency-invariant).
@@ -184,13 +179,25 @@ Simulator::runKernel(const perf::KernelProgram &prog,
     // the simulator; everything else runs the two phases back to
     // back — which is exactly what makes a memoized replay of the
     // power phase bit-identical to a full run.
-    if (_cfg.thermal.enabled && _cfg.thermal.throttle)
-        return runThermal(prog, launch, with_trace, sample_interval_s,
-                          repeatable);
+    const bool governed = _cfg.thermal.enabled && _cfg.thermal.throttle;
+    perf::GlobalMemory entry;
+    if (governed)
+        entry = gpu().globalMem();
     KernelSnapshot snap =
         capturePerf(prog, launch, with_trace, sample_interval_s);
     snap.repeatable = repeatable;
-    return replayKernel(snap);
+    if (!governed)
+        return replayKernel(snap);
+    // Each clamp re-captures the kernel from its entry memory; the
+    // next kernel starts from the nominal run's exit memory.
+    perf::GlobalMemory exit = gpu().globalMem();
+    KernelRun run = govern(snap, [&](double freq_scale) {
+        gpu().globalMem() = entry;
+        return capturePerf(prog, launch, with_trace, sample_interval_s,
+                           freq_scale);
+    });
+    gpu().globalMem() = std::move(exit);
+    return run;
 }
 
 KernelSnapshot
@@ -198,7 +205,24 @@ Simulator::capturePerf(const perf::KernelProgram &prog,
                        const perf::LaunchConfig &launch,
                        bool with_trace, double sample_interval_s)
 {
+    return capturePerf(prog, launch, with_trace, sample_interval_s,
+                       _nominal_freq_scale);
+}
+
+KernelSnapshot
+Simulator::capturePerf(const perf::KernelProgram &prog,
+                       const perf::LaunchConfig &launch,
+                       bool with_trace, double sample_interval_s,
+                       double freq_scale)
+{
     GSP_TRACE_SPAN("sim/capture");
+    perf::Gpu &g = gpu();
+    // Gpu::run resets every per-kernel timing state, and the clock
+    // retarget is a pure function of the configuration and the
+    // scale, so the capture depends on device memory and this clock
+    // alone.
+    if (g.config().clocks.freq_scale != freq_scale)
+        g.setFreqScale(freq_scale);
     KernelSnapshot snap;
     snap.with_trace = with_trace;
     perf::Gpu::SampleFn sampler;
@@ -208,8 +232,8 @@ Simulator::capturePerf(const perf::KernelProgram &prog,
             snap.samples.push_back({t0, t1, delta});
         };
     }
-    snap.perf = gpu().run(prog, launch, sampler,
-                          with_trace ? sample_interval_s : 0.0);
+    snap.perf = g.run(prog, launch, sampler,
+                      with_trace ? sample_interval_s : 0.0);
     perfCoreSteps().add(snap.perf.core_steps);
     perfChipSteps().add(snap.perf.chip_steps);
     perfQuietCoreCycles().add(snap.perf.quiet_core_cycles);
@@ -456,10 +480,10 @@ Simulator::measure(const KernelSnapshot &snap)
 }
 
 KernelRun
-Simulator::runThermal(const perf::KernelProgram &prog,
-                      const perf::LaunchConfig &launch, bool with_trace,
-                      double sample_interval_s, bool repeatable)
+Simulator::govern(const KernelSnapshot &snap, const Clamp &clamp)
 {
+    GSP_ASSERT(_cfg.thermal.enabled && _cfg.thermal.throttle,
+               "govern() needs a throttle-governed configuration");
     // The governor snapshots the carried state below, and the
     // deferred kernels ran under the model a restore would replace.
     marchDeferred();
@@ -472,8 +496,6 @@ Simulator::runThermal(const perf::KernelProgram &prog,
     // entry state: snapshot it, restore it before each re-measure.
     const thermal::ThermalNetwork::State entry_state = _thermal_state;
 
-    KernelSnapshot snap =
-        capturePerf(prog, launch, with_trace, sample_interval_s);
     KernelRun run = measure(snap);
     // The measurement's nominal-temperature block split drives the
     // steady solves, and finishThermal() rescales _eval's leakage
@@ -492,7 +514,10 @@ Simulator::runThermal(const perf::KernelProgram &prog,
     };
 
     bool throttled = false;
-    if (_cfg.thermal.throttle && !within(steady, 0.0)) {
+    // The measurement at the current clamp: a re-capture, or the
+    // nominal snapshot stretched.
+    KernelSnapshot clamped;
+    if (!within(steady, 0.0)) {
         static obs::Counter &c_rounds =
             obs::Registry::instance().counter(
                 "sim/governor_rounds",
@@ -526,26 +551,27 @@ Simulator::runThermal(const perf::KernelProgram &prog,
                 break;
             }
             applyFreqScale(f_new);
-            if (repeatable) {
-                snap = capturePerf(prog, launch, with_trace,
-                                   sample_interval_s);
+            if (snap.repeatable) {
+                clamped = clamp(f_new);
             } else {
                 // Cannot legally re-execute: stretch the measured
                 // snapshot analytically — the cycle counts stand and
                 // every elapsed time stretches with the clock, so the
                 // clamped model's evaluation scales every rate (and
                 // picks up the rebuilt V^2*f base-power scale).
+                if (round == 0)
+                    clamped = snap;
                 double stretch = f_meas / f_new;
-                snap.perf.time_s *= stretch;
-                snap.perf.activity.elapsed_s *= stretch;
-                for (ActivitySample &a : snap.samples) {
+                clamped.perf.time_s *= stretch;
+                clamped.perf.activity.elapsed_s *= stretch;
+                for (ActivitySample &a : clamped.samples) {
                     a.t0 *= stretch;
                     a.t1 *= stretch;
                     a.delta.elapsed_s *= stretch;
                 }
             }
             _thermal_state = entry_state;
-            run = measure(snap);
+            run = measure(clamped);
             // Either way the new point is a measurement at f_new;
             // verify it and keep iterating until it truly holds —
             // near the leakage-stability boundary the linear clock
@@ -558,7 +584,7 @@ Simulator::runThermal(const perf::KernelProgram &prog,
         }
     }
 
-    finishThermal(run, _eval, steady, with_trace, throttled, true);
+    finishThermal(run, _eval, steady, snap.with_trace, throttled, true);
     return run;
 }
 
@@ -568,8 +594,8 @@ ReplayGroup::ReplayGroup(std::vector<Simulator *> sims)
     for (const Simulator *sim : _sims)
         if (sim->config().thermal.enabled && sim->config().thermal.throttle)
             fatal("cannot replay a snapshot under a throttling governor: "
-                  "its power-to-clock feedback changes timing; run the "
-                  "kernel in full instead");
+                  "its power-to-clock feedback changes timing; govern "
+                  "the kernel instead");
 }
 
 ReplayGroup::ReplayGroup(std::vector<Simulator *> sims, Unchecked)

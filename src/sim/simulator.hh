@@ -10,10 +10,14 @@
  * cycle-level GPU into a KernelSnapshot, and a ReplayGroup (below)
  * evaluates power and thermal behavior from that snapshot. The group
  * is the one replay body: a single run, replayKernel() and
- * SimulationEngine::runScenario replay through a group of one, the
- * engine replays every member of a work unit through one group, and
- * the throttling governor measures each clock it tries through the
- * first half of a group of one.
+ * SimulationEngine::runScenario replay through a group of one, and
+ * the engine replays every member of a work unit through one group.
+ * Under a throttling governor the power phase is govern(), the one
+ * power-to-timing feedback: it measures the kernel's nominal
+ * snapshot, and every clock it clamps to, through the first half of a
+ * group of one. A clamped measurement is a re-capture of the kernel
+ * from its entry device memory, or, for a kernel that may not re-run,
+ * the nominal snapshot stretched analytically.
  *
  * When the configuration enables the thermal subsystem the loop is
  * closed: a steady-state RC solve turns the kernel's power into
@@ -26,6 +30,7 @@
 #ifndef GPUSIMPOW_SIM_SIMULATOR_HH
 #define GPUSIMPOW_SIM_SIMULATOR_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -180,8 +185,7 @@ class Simulator
     ~Simulator();
 
     /** The performance-simulated GPU (memory setup, launches); built
-     *  on the first call, at the configured clock with any live
-     *  governor clamp applied. */
+     *  on the first call, at the configured clock. */
     perf::Gpu &gpu();
 
     /** The power model (static/area queries). */
@@ -193,17 +197,17 @@ class Simulator
 
     /**
      * Run one kernel and evaluate its power (and, when enabled, its
-     * thermal behavior).
+     * thermal behavior): a capture followed by a replay, or, under
+     * the throttling governor, by govern(). A governed kernel's clamps
+     * re-capture it on this Simulator's GPU from a copy of its entry
+     * memory; the next kernel starts from the nominal run's exit
+     * memory.
      * @param prog kernel program
      * @param launch launch geometry
      * @param with_trace also produce a sampled power waveform
      * @param sample_interval_s trace sampling period
-     * @param repeatable the kernel may be re-executed with identical
-     *        results — the throttling governor re-captures the kernel
-     *        at the clamped clock when it may; otherwise it stretches
-     *        the measured snapshot analytically (the cycle count
-     *        stands, every elapsed time scales with the clock) and
-     *        evaluates that on the clamped model
+     * @param repeatable the kernel may be re-executed for a
+     *        measurement (see govern())
      */
     KernelRun runKernel(const perf::KernelProgram &prog,
                         const perf::LaunchConfig &launch,
@@ -216,12 +220,42 @@ class Simulator
      * performance simulator only, capturing every counter the power
      * and thermal phases consume — the whole-kernel activity, timing,
      * and (when with_trace is set) the per-interval activity deltas
-     * behind power traces. No power is evaluated.
+     * behind power traces. No power is evaluated. Runs at the
+     * configured clock.
      */
     KernelSnapshot capturePerf(const perf::KernelProgram &prog,
                                const perf::LaunchConfig &launch,
                                bool with_trace = false,
                                double sample_interval_s = 20e-6);
+    /**
+     * capturePerf() at core-clock scale `freq_scale`: a governor
+     * clamp's re-capture. Gpu::run resets every per-kernel timing
+     * state and the clock retarget depends on nothing but the
+     * configuration and the scale, so the capture is a function of
+     * device memory and the clock alone.
+     */
+    KernelSnapshot capturePerf(const perf::KernelProgram &prog,
+                               const perf::LaunchConfig &launch,
+                               bool with_trace, double sample_interval_s,
+                               double freq_scale);
+
+    /** A governed kernel's re-capture at a clamped core-clock scale,
+     *  from the kernel's entry device memory. */
+    using Clamp = std::function<KernelSnapshot(double freq_scale)>;
+
+    /**
+     * The throttling governor, the one power-to-timing feedback: the
+     * power phase of one kernel of a throttle-governed configuration.
+     * It measures `snap`, the kernel's capture at the configured
+     * clock, and while the steady state overheats bisects the clock
+     * on the measured power split, clamps, and measures again, each
+     * time from the kernel's entry thermal state. A repeatable kernel
+     * (snap.repeatable) is measured at a clamp through `clamp`; any
+     * other one is the nominal snapshot stretched analytically (the
+     * cycle count stands, every elapsed time scales with the clock)
+     * and evaluated on the clamped model.
+     */
+    KernelRun govern(const KernelSnapshot &snap, const Clamp &clamp);
 
     /**
      * Register the perf/core_steps, perf/chip_steps,
@@ -322,7 +356,8 @@ class Simulator
      *  in order, with the arithmetic an eager march would use. */
     void marchDeferred();
     /** Rebuild the power model at a clamped (or restored) clock;
-     *  callers march the deferred kernels first. */
+     *  callers march the deferred kernels first. The GPU keeps its
+     *  clock: a clamped capture names its own (capturePerf). */
     void applyFreqScale(double freq_scale);
     /** Evaluate the per-interval power (and, with thermal on, march
      *  the transient state) over a snapshot's samples from `batched`,
@@ -357,7 +392,7 @@ class Simulator
      * in the kernel's own result depends on that march, so it is
      * queued in _deferred_marches and applied only when the state is
      * next read — by a traced kernel (evaluateSamples) or a governed
-     * one (runThermal) — or when the queue reaches
+     * one (govern) — or when the queue reaches
      * max_deferred_marches. A Simulator that replays untraced kernels
      * and is then destroyed never marches at all.
      */
@@ -365,10 +400,6 @@ class Simulator
                        power::CompiledPowerModel::Eval &ev,
                        const thermal::SteadyResult &steady,
                        bool with_trace, bool throttled, bool keep);
-    KernelRun runThermal(const perf::KernelProgram &prog,
-                         const perf::LaunchConfig &launch,
-                         bool with_trace, double sample_interval_s,
-                         bool repeatable);
 };
 
 /**
@@ -398,7 +429,7 @@ class ReplayGroup
      * The Simulators must outlive the group. fatal() on a
      * throttle-governed one: the governor's power-to-clock feedback
      * changes timing, which a replay cannot reproduce; run those
-     * kernels in full.
+     * kernels through Simulator::govern().
      */
     explicit ReplayGroup(std::vector<Simulator *> sims);
 

@@ -48,7 +48,9 @@ struct Scenario
      * True when this scenario's power phase can be replayed from an
      * activity snapshot captured by any scenario with the same
      * snapshotKey(). The throttling governor is the simulator's only
-     * power-to-timing feedback, so everything else qualifies.
+     * power-to-timing feedback, so everything else qualifies; a
+     * governed scenario joins its key's unit too, and runs the
+     * governor from the unit's snapshot.
      */
     bool replayable() const;
 
@@ -195,12 +197,16 @@ struct SweepTelemetry
 {
     /** Scenarios executed (== SweepResult::size()). */
     std::size_t scenarios = 0;
-    /** Scenarios that ran timing and captured an ActivitySnapshot. */
+    /** Work units that ran timing and captured their snapshot. */
     std::size_t captured = 0;
-    /** Scenarios whose power phase replayed from a snapshot. */
+    /** Replayable scenarios other than a capturing unit's first
+     *  member: their power phase replayed from a snapshot another
+     *  member captured or the snapshot source supplied. */
     std::size_t replayed = 0;
-    /** Scenarios pinned to full simulation by the throttling
-     *  governor's power-to-timing feedback. */
+    /** Scenarios whose power phase ran under the throttling
+     *  governor, from their unit's snapshot. A capturing unit whose
+     *  first member is governed counts in `captured` and here, so
+     *  the three counts need not sum to `scenarios`. */
     std::size_t governed = 0;
     /** Worker threads the run actually used. */
     unsigned workers = 0;

@@ -30,10 +30,13 @@ struct KernelLaunch
     perf::KernelProgram prog;
     perf::LaunchConfig launch;
     /**
-     * False for kernels that process data in place and cannot simply
-     * be re-run for measurement (the paper's mergeSort3: too short to
-     * measure reliably and "could not easily be changed to call it
-     * multiple times").
+     * False for kernels that cannot be called again for a measurement
+     * (the paper's mergeSort3: too short to measure reliably and
+     * "could not easily be changed to call it multiple times"). The
+     * throttling governor re-captures a repeatable kernel at a
+     * clamped clock from the device memory the kernel started from,
+     * never from what it left behind, and stretches any other
+     * kernel's nominal snapshot analytically.
      */
     bool repeatable = true;
 };

@@ -10,19 +10,25 @@
  * store) through the one row comparator, tests/row_text.hh:
  *
  *   leg          differs from the reference           compares
- *   oracle       runScenario on a fresh Simulator      kernel rows
+ *   oracle       one scenario on a fresh Simulator     kernel rows
  *   jobs 1       one worker, summary rows first        kernel rows
  *   summary      RowDetail::summary rows               summary, table
  *   warm store   a new session on the same store       kernel rows
  *   service      a loopback SweepServer                table bytes
  *
+ * The oracle leg runs a governed scenario through a per-kernel
+ * Simulator::runKernel loop on a fresh Simulator (kernel_loop.hh),
+ * which re-captures every clamp on its own GPU from the kernel's
+ * entry memory; an ungoverned one through runScenario.
+ *
  * Each leg's schedule is asserted too: one capture per snapshot key,
- * none on the warm store, governed scenarios never replayed (the
- * throttle mode's reference runs them as full-simulation units on
- * the run's shared models, four workers at a time). The
- * heavy captures (mergesort, backprop, kmeans) run only in the legs
- * that replay them (reference, summary, warm store, service), and
- * only in the plain and traced thermal modes.
+ * governed scenarios included (they join their key's unit and govern
+ * from its snapshot), none on the warm store, where only a unit
+ * whose governor clamps a repeatable kernel builds a GPU to
+ * re-capture it. Every reference row must verify. The heavy capture
+ * (mergesort) runs only in the legs that replay it (reference,
+ * summary, warm store, service), and only in the plain and traced
+ * thermal modes.
  */
 
 #include <gtest/gtest.h>
@@ -43,6 +49,7 @@
 #include <unistd.h>
 
 #include "common/strutil.hh"
+#include "kernel_loop.hh"
 #include "row_text.hh"
 #include "service/client.hh"
 #include "service/server.hh"
@@ -90,24 +97,30 @@ const Mode modes[] = {
     {"cooling",
      SweepRequest().withVf("0.9:1,1:0.8").withCoolings("stock,liquid"),
      false, false},
+    // Two supplies per key: each unit holds two governed members.
     {"throttle",
-     SweepRequest().withCoolings("constrained").withThrottle(true), false,
-     false},
+     SweepRequest()
+         .withVf("0.9:1,1:1")
+         .withCoolings("constrained")
+         .withThrottle(true),
+     false, false},
     {"traced_thermal",
      SweepRequest().withNodes("40,28").withCoolings("stock"), true, true},
     {"traced_plain", SweepRequest().withNodes("40,28"), true, false},
     // Governed kernels' trace rows: each clock the governor measures
     // is traced and marched from the kernel's entry state.
     {"traced_throttle",
-     SweepRequest().withCoolings("constrained").withThrottle(true), true,
-     false},
+     SweepRequest()
+         .withVf("0.9:1,1:1")
+         .withCoolings("constrained")
+         .withThrottle(true),
+     true, false},
 };
 
 bool
 isHeavy(const std::string &workload)
 {
-    return workload == "mergesort" || workload == "backprop" ||
-           workload == "kmeans";
+    return workload == "mergesort";
 }
 
 std::string
@@ -148,22 +161,24 @@ bits(double v)
 }
 
 /**
- * The leg's schedule: one capture per snapshot key and a replay for
- * every other replayable scenario (a warm store captures none),
- * governed scenarios always simulated in full, and an ungoverned run
- * building one power model per power-relevant configuration.
+ * The leg's schedule: every scenario joins its snapshot key's unit,
+ * which captures once (a warm store captures none); a replayable
+ * member other than a capturing unit's first member is replayed; and
+ * an ungoverned run builds one power model per power-relevant
+ * configuration.
  */
 void
 expectSchedule(const SweepResult &r, const SweepSpec &spec,
                bool warm = false)
 {
-    std::size_t replayable = 0;
+    std::size_t governed = 0, replayed = 0;
     std::set<std::string> keys, models;
     for (const Scenario &s : spec.expand()) {
-        if (s.replayable()) {
-            ++replayable;
-            keys.insert(s.snapshotKey());
-        }
+        const bool first = keys.insert(s.snapshotKey()).second;
+        if (!s.replayable())
+            ++governed;
+        else if (warm || !first)
+            ++replayed;
         GpuConfig power_view = s.config;
         power_view.thermal = ThermalConfig{};
         models.insert(power_view.toXml());
@@ -173,10 +188,23 @@ expectSchedule(const SweepResult &r, const SweepSpec &spec,
     if (t.governed == 0) {
         EXPECT_EQ(t.metrics.counter("power/model_builds"), models.size());
     }
-    const std::size_t captures = warm ? 0 : keys.size();
-    EXPECT_EQ(t.governed, spec.size() - replayable);
-    EXPECT_EQ(t.captured, captures);
-    EXPECT_EQ(t.replayed, replayable - captures);
+    EXPECT_EQ(t.governed, governed);
+    EXPECT_EQ(t.captured, warm ? 0 : keys.size());
+    EXPECT_EQ(t.replayed, replayed);
+}
+
+/** Units whose governor clamps a repeatable kernel: the only ones a
+ *  warm store re-captures in. */
+std::size_t
+clampingUnits(const SweepResult &r)
+{
+    std::set<std::string> keys;
+    for (const ScenarioResult &row : r.rows())
+        for (const sim::KernelResult &k : row.kernels)
+            if (!row.scenario.replayable() && k.repeatable &&
+                k.run.thermal.throttled)
+                keys.insert(row.scenario.snapshotKey());
+    return keys.size();
 }
 
 /** Kernel rows: one entry per kernel, and a card power equal to the
@@ -231,9 +259,11 @@ TEST_P(Differential, EveryLegMatchesTheReference)
         by_label[row.scenario.label] = &row;
         EXPECT_EQ(row.thermal, !mode.request.coolings.empty())
             << row.scenario.label;
+        EXPECT_TRUE(row.verified) << row.scenario.label;
         throttled |= row.throttled;
     }
     EXPECT_EQ(throttled, mode.request.throttle);
+    EXPECT_EQ(clampingUnits(reference) > 0, mode.request.throttle);
 
     auto expectLeg = [&](const char *leg, const SweepResult &rows,
                          RowDetail detail) {
@@ -261,7 +291,7 @@ TEST_P(Differential, EveryLegMatchesTheReference)
         expectSchedule(rows, spec, true);
         EXPECT_EQ(rows.telemetry().metrics.counter(
                       "sim/timing_model_builds"),
-                  rows.telemetry().governed);
+                  clampingUnits(reference));
         expectLeg("warm store", rows, RowDetail::kernels);
     }
 
@@ -293,7 +323,7 @@ TEST_P(Differential, EveryLegMatchesTheReference)
     }
 
     // The oracle: each scenario on a fresh Simulator of its own,
-    // strided over four threads.
+    // strided over four threads; a governed one kernel by kernel.
     const std::vector<Scenario> scenarios = light_spec.expand();
     SweepResult oracle(scenarios.size());
     const sim::SimulationEngine engine(opt);
@@ -301,7 +331,9 @@ TEST_P(Differential, EveryLegMatchesTheReference)
     for (std::size_t t = 0; t < 4; ++t)
         threads.emplace_back([&, t] {
             for (std::size_t i = t; i < scenarios.size(); i += 4)
-                oracle.set(engine.runScenario(scenarios[i]));
+                oracle.set(scenarios[i].replayable()
+                               ? engine.runScenario(scenarios[i])
+                               : test::runKernelLoop(scenarios[i], opt));
         });
     for (std::thread &t : threads)
         t.join();

@@ -4,23 +4,32 @@
  * point — plus the low-level SimulationEngine contracts it builds on:
  * sweep expansion order, the empty-sweep edge case, exception
  * propagation out of worker threads, option validation, and the
- * thread-safety of the SweepResult table. Rows against worker counts,
- * single-scenario runs and fed snapshots are test_differential's.
+ * thread-safety of the SweepResult table, and the schedule of a work
+ * unit that mixes replayed and governed members. Rows against worker
+ * counts, single-scenario runs and fed snapshots are
+ * test_differential's.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/logging.hh"
+#include "common/strutil.hh"
+#include "kernel_loop.hh"
 #include "obs/metrics.hh"
+#include "row_text.hh"
 #include "sim/engine.hh"
 #include "sim/session.hh"
 #include "sim/sweep.hh"
+#include "store/store.hh"
 
 using namespace gpusimpow;
 using sim::EngineOptions;
@@ -292,4 +301,70 @@ TEST(SweepResult, FormatTableListsRowsInExpansionOrder)
     ASSERT_NE(first, std::string::npos);
     ASSERT_NE(second, std::string::npos);
     EXPECT_LT(first, second);
+}
+
+TEST(Engine, MixedUnitCapturesOnce)
+{
+    // Per workload, one snapshot key holding a replayed member
+    // (thermal off) and a governed one (constrained cooling under the
+    // governor), in both member orders. matmul's governor clamps its
+    // repeatable kernel on the GTX580; vectoradd's never clamps.
+    GpuConfig plain = GpuConfig::gtx580();
+    GpuConfig governed = plain;
+    governed.thermal.applyCooling("constrained");
+    governed.thermal.throttle = true;
+    for (bool governed_first : {false, true}) {
+        SCOPED_TRACE(governed_first ? "governed first" : "replayed first");
+        SweepSpec spec;
+        spec.configs = governed_first
+                           ? std::vector<GpuConfig>{governed, plain}
+                           : std::vector<GpuConfig>{plain, governed};
+        spec.workloads = {"vectoradd", "matmul"};
+        const std::filesystem::path dir =
+            std::filesystem::temp_directory_path() /
+            strformat("gsp-mixed-unit-%d", ::getpid());
+        std::filesystem::remove_all(dir);
+
+        // Cold: each unit captures once, on its first member. A
+        // replayable member is replayed unless it is that first one.
+        SweepResult cold =
+            SweepSession(EngineOptions().withJobs(2), store::openStore(dir))
+                .submit(spec);
+        const sim::SweepTelemetry &t = cold.telemetry();
+        EXPECT_EQ(t.captured, 2u);
+        EXPECT_EQ(t.governed, 2u);
+        EXPECT_EQ(t.replayed, governed_first ? 2u : 0u);
+        EXPECT_EQ(t.metrics.counter("engine/batch_groups"), 2u);
+        EXPECT_EQ(t.metrics.counter("sim/timing_model_builds"), 2u);
+
+        // Each row equals its oracle: runScenario for the replayed
+        // member, the runKernel loop for the governed one.
+        std::size_t clamped = 0;
+        for (const ScenarioResult &row : cold.rows()) {
+            SCOPED_TRACE(row.scenario.label);
+            EXPECT_TRUE(row.verified);
+            const bool replayable = row.scenario.replayable();
+            const ScenarioResult oracle =
+                replayable ? SimulationEngine().runScenario(row.scenario)
+                           : test::runKernelLoop(row.scenario);
+            EXPECT_TRUE(test::sameText(test::rowText(row),
+                                       test::rowText(oracle)));
+            if (!replayable && row.throttled)
+                ++clamped;
+        }
+        EXPECT_EQ(clamped, 1u);
+
+        // Warm: both snapshots come from the store, and only matmul's
+        // unit builds a GPU, to re-capture its clamped kernel.
+        SweepResult warm =
+            SweepSession(EngineOptions().withJobs(2), store::openStore(dir))
+                .submit(spec);
+        const sim::SweepTelemetry &w = warm.telemetry();
+        EXPECT_EQ(w.metrics.counter("store/hit"), 2u);
+        EXPECT_EQ(w.captured, 0u);
+        EXPECT_EQ(w.replayed, 2u);
+        EXPECT_EQ(w.metrics.counter("sim/timing_model_builds"), clamped);
+        test::expectSameRows(cold, warm);
+        std::filesystem::remove_all(dir);
+    }
 }

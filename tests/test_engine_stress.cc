@@ -9,8 +9,8 @@
  *   - progress accounting (serialized callback, done/total counters),
  *
  * using sweeps that mix replayable scenarios with governed (thermal
- * throttling) ones, so both the replay fast path and the
- * full-simulation fallback run concurrently in one pool. Every
+ * throttling) ones, so replay groups and governed units (each clamp
+ * re-capturing on its unit's GPU) run concurrently in one pool. Every
  * assertion doubles as a determinism check: whatever the interleaving,
  * results must be bit-identical to the jobs=1 run.
  */
@@ -18,7 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,8 +42,8 @@ namespace {
 /**
  * Mixed sweep: the gt240 half is fully replayable (the node axis is
  * power-only, so each workload's second node replays from the first's
- * snapshot), while the gtx580 half runs under a throttling governor
- * and must take the full-simulation path every time. 8 scenarios.
+ * snapshot), while the gtx580 half runs under a throttling governor:
+ * its units capture once and govern both nodes. 8 scenarios.
  */
 SweepSpec
 mixedSweep()
@@ -77,17 +77,16 @@ runWith(const SweepSpec &spec, unsigned jobs)
 }
 
 /** Replays a deterministic schedule must produce: every replayable
- *  scenario beyond the first of its snapshot-key group. */
+ *  scenario but the first member of its snapshot key's unit, which
+ *  captures. */
 std::size_t
 expectedReplays(const SweepSpec &spec)
 {
-    std::map<std::string, std::size_t> groups;
-    for (const Scenario &s : spec.expand())
-        if (s.replayable())
-            groups[s.snapshotKey()]++;
+    std::set<std::string> keys;
     std::size_t replays = 0;
-    for (const auto &entry : groups)
-        replays += entry.second - 1;
+    for (const Scenario &s : spec.expand())
+        if (!keys.insert(s.snapshotKey()).second && s.replayable())
+            ++replays;
     return replays;
 }
 

@@ -21,6 +21,7 @@
 #include "power_tree_reference.hh"
 #include "row_text.hh"
 #include "sim/engine.hh"
+#include "sim/request.hh"
 #include "tech/tech.hh"
 #include "thermal/thermal.hh"
 #include "thermal_reference.hh"
@@ -761,6 +762,43 @@ TEST(ThermalThrottle, NonRepeatableKernelsThrottleAnalytically)
         EXPECT_TRUE(test::sameText(test::kernelText(untraced.kernels[i]),
                                    test::kernelText(traced)))
             << traced.label;
+    }
+}
+
+TEST(ThermalThrottle, ClampsRecaptureFromTheKernelsEntryState)
+{
+    // A clamp re-captures a repeatable kernel from the device memory
+    // the kernel started from, not from the memory its own nominal
+    // run left behind: a bfs launch reads the frontier the one before
+    // it wrote, and kmeans2 adds to the centroid sums with atomics,
+    // so a re-run on the exit state takes another path (bfs) or
+    // doubles the sums (kmeans). Every input here clamps.
+    const auto request = [](bool throttle) {
+        return sim::SweepRequest()
+            .withGpus("gt240,gtx580")
+            .withWorkloads("bfs,kmeans")
+            .withNodes("28")
+            .withCoolings("constrained")
+            .withThrottle(throttle)
+            .toSpec();
+    };
+    const sim::SimulationEngine engine(sim::EngineOptions().withJobs(4));
+    const sim::SweepResult nominal = engine.run(request(false));
+    const sim::SweepResult governed = engine.run(request(true));
+    ASSERT_EQ(governed.size(), 4u);
+    for (std::size_t i = 0; i < governed.size(); ++i) {
+        const sim::ScenarioResult &g = governed.at(i);
+        const sim::ScenarioResult &n = nominal.at(i);
+        SCOPED_TRACE(g.scenario.label);
+        EXPECT_TRUE(g.verified);
+        EXPECT_TRUE(n.verified);
+        EXPECT_TRUE(g.throttled);
+        EXPECT_GT(g.time_s, n.time_s);
+        ASSERT_EQ(g.kernels.size(), n.kernels.size());
+        for (std::size_t k = 0; k < g.kernels.size(); ++k)
+            EXPECT_EQ(g.kernels[k].run.perf.instructions,
+                      n.kernels[k].run.perf.instructions)
+                << g.kernels[k].label << " #" << k;
     }
 }
 

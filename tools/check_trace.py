@@ -17,7 +17,9 @@ Trace (``--trace FILE``):
   * no span lies inside an enclosing span it must never run under
     (FORBIDDEN_NESTING): a ``sim/replay`` inside ``engine/capture``
     means a capture unit computed power, which only the replay group
-    may do.
+    may do; a ``sim/capture`` inside ``engine/replay`` means the
+    replay group ran timing, which only a unit's capture and the
+    governor's clamps (under ``engine/govern``) may do.
 
 Metrics (``--metrics FILE``):
   * schema is ``gpusimpow-metrics-1``;
@@ -64,9 +66,11 @@ REQUIRED_COUNTERS = (
 )
 
 # (outer, inner) span pairs that must never nest, at any depth: the
-# capture phase only captures, and every replay runs in the group.
+# capture phase only captures, every replay runs in the group, and
+# the group never runs timing.
 FORBIDDEN_NESTING = (
     ("engine/capture", "sim/replay"),
+    ("engine/replay", "sim/capture"),
 )
 
 
