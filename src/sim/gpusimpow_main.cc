@@ -568,9 +568,7 @@ runServe(const Options &opt)
                 session->jobs());
     std::fflush(stdout);
     server.run();
-    std::printf("server drained, store %s has %zu entries\n",
-                opt.store_dir.c_str(),
-                session->storeHandle()->size());
+    std::printf("server drained, store %s\n", opt.store_dir.c_str());
     return 0;
 }
 

@@ -70,9 +70,6 @@ class SweepSession
     /** Effective worker count per job. */
     unsigned jobs() const;
 
-    /** The persistent store, or nullptr when running store-less. */
-    const store::StoreHandle &storeHandle() const { return _store; }
-
     /**
      * Content address of a scenario's snapshot in the store:
      * Scenario::snapshotKey() extended with the trace options, which

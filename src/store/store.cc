@@ -1,11 +1,12 @@
 #include "store/store.hh"
 
-#include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <string_view>
 #include <system_error>
 #include <utility>
-#include <vector>
+
+#include <unistd.h>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -25,7 +26,6 @@ struct StoreMetrics
     obs::Counter &put;
     obs::Counter &put_error;
     obs::Counter &corrupt;
-    obs::Gauge &entries;
 
     static StoreMetrics &instance()
     {
@@ -39,8 +39,7 @@ struct StoreMetrics
             reg.counter("store/put_error",
                         "store puts abandoned on I/O failure"),
             reg.counter("store/corrupt",
-                        "entries skipped as corrupt at open or load"),
-            reg.gauge("store/entries", "entries currently indexed"),
+                        "fetches that found a corrupt entry (a miss)"),
         };
         return m;
     }
@@ -58,22 +57,6 @@ hashBytes(std::string_view s)
     return h;
 }
 
-/** One-line result record embedded in an entry: what the snapshot
- *  holds, for the manifest and human inspection — replay never reads
- *  it. Hex floats like every serialized value in the tree. */
-std::string
-resultRecord(const ActivitySnapshot &snap)
-{
-    double time_s = 0.0;
-    for (const KernelSnapshot &k : snap.kernels)
-        time_s += k.perf.time_s;
-    return strformat("workload %s scale %u kernels %zu time_s %a "
-                     "verified %d",
-                     snap.workload.c_str(), snap.scale,
-                     snap.kernels.size(), time_s,
-                     snap.verified ? 1 : 0);
-}
-
 /**
  * Render one entry file: a line-oriented header around two
  * length-and-checksum framed byte sections (key, snapshot payload).
@@ -81,8 +64,7 @@ resultRecord(const ActivitySnapshot &snap)
  * snapshot section happens to parse.
  */
 std::string
-renderEntry(const std::string &key, const std::string &result,
-            const std::string &payload)
+renderEntry(const std::string &key, const std::string &payload)
 {
     std::string out;
     out.reserve(key.size() + payload.size() + 256);
@@ -91,9 +73,6 @@ renderEntry(const std::string &key, const std::string &result,
     out += strformat("key %zu fnv1a %016llx\n", key.size(),
                      static_cast<unsigned long long>(hashBytes(key)));
     out += key;
-    out += '\n';
-    out += "result ";
-    out += result;
     out += '\n';
     out += strformat("snapshot %zu fnv1a %016llx\n", payload.size(),
                      static_cast<unsigned long long>(
@@ -110,7 +89,6 @@ renderEntry(const std::string &key, const std::string &result,
 struct ParsedEntry
 {
     std::string_view key;
-    std::string_view result;
     std::string_view payload;
 };
 
@@ -133,7 +111,7 @@ takeSection(TextCursor &in, std::string_view tag,
 }
 
 /** Validate and decompose one entry file; false (with a reason) on
- *  any corruption — the caller skips and reports, never aborts. */
+ *  any corruption — the caller reports a miss, never aborts. */
 bool
 parseEntry(std::string_view text, ParsedEntry &entry,
            std::string &reason)
@@ -148,11 +126,6 @@ parseEntry(std::string_view text, ParsedEntry &entry,
         reason = "bad key section";
         return false;
     }
-    if (!in.line(line) || !startsWith(line, "result ")) {
-        reason = "bad result record";
-        return false;
-    }
-    entry.result = line.substr(7);
     if (!takeSection(in, "snapshot", entry.payload)) {
         reason = "bad snapshot section";
         return false;
@@ -170,12 +143,8 @@ bool
 readFile(const std::filesystem::path &path, std::string &out)
 {
     // Sized from the opened stream, so a concurrent rename-into-place
-    // cannot mix two files; a directory or FIFO is no entry at all.
-    // `out` is left empty on failure.
+    // cannot mix two files. `out` is left empty on failure.
     out.clear();
-    std::error_code ec;
-    if (!std::filesystem::is_regular_file(path, ec))
-        return false;
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         return false;
@@ -217,6 +186,50 @@ writeFileAtomic(const std::filesystem::path &path,
     return true;
 }
 
+/** Temp-file sequence shared by every store instance of the process;
+ *  with the pid in the name, two stores on one directory (in one
+ *  process or two) never write the same temp file. */
+std::atomic<std::size_t> tmp_counter{0};
+
+/** Name of the `probe`-th file of `key`'s chain in `dir`: a 64-bit
+ *  FNV collision moves the later key to `-1`, `-2`, ... */
+std::filesystem::path
+probePath(const std::filesystem::path &dir, const std::string &key,
+          std::size_t probe)
+{
+    const unsigned long long hash = hashBytes(key);
+    return dir / (probe == 0 ? strformat("e%016llx.entry", hash)
+                             : strformat("e%016llx-%zu.entry", hash,
+                                         probe));
+}
+
+/** What one name of a key's probe chain holds. */
+enum class Probe
+{
+    missing,   ///< no file: the end of the chain
+    corrupt,   ///< a file that fails validation (`reason` says why)
+    other_key, ///< a valid entry of a colliding key: probe onward
+    this_key,  ///< a valid entry of the key (`parsed` views `text`)
+};
+
+/** Read and classify the file at one probe name of `key`'s chain. */
+Probe
+readProbe(const std::filesystem::path &path, const std::string &key,
+          std::string &text, ParsedEntry &parsed, std::string &reason)
+{
+    std::error_code ec;
+    const std::filesystem::file_type type =
+        std::filesystem::status(path, ec).type();
+    if (type == std::filesystem::file_type::not_found)
+        return Probe::missing;
+    // A directory or FIFO under an entry name is no entry at all.
+    reason = "unreadable";
+    if (type != std::filesystem::file_type::regular ||
+        !readFile(path, text) || !parseEntry(text, parsed, reason))
+        return Probe::corrupt;
+    return parsed.key == key ? Probe::this_key : Probe::other_key;
+}
+
 } // namespace
 
 SweepStore::SweepStore(std::filesystem::path dir) : _dir(std::move(dir))
@@ -227,72 +240,6 @@ SweepStore::SweepStore(std::filesystem::path dir) : _dir(std::move(dir))
     if (ec)
         fatal("store: cannot create directory ", _dir.string(), ": ",
               ec.message());
-    std::lock_guard<std::mutex> lock(_mutex);
-    scanLocked();
-    // A fresh, empty store has nothing to index: its manifest comes
-    // with the first put, which keeps opening one to a directory
-    // creation and a scan. A manifest already present is regenerated
-    // even when no entry survived the scan, so it never lists one.
-    if (!_entries.empty() || std::filesystem::exists(_dir / "manifest", ec))
-        rewriteManifestLocked();
-    StoreMetrics::instance().entries.set(
-        static_cast<int64_t>(_entries.size()));
-}
-
-void
-SweepStore::scanLocked()
-{
-    StoreMetrics &m = StoreMetrics::instance();
-    // Sorted paths make the duplicate-key winner below deterministic
-    // for a freshly opened store.
-    std::vector<std::filesystem::path> paths;
-    for (const auto &de : std::filesystem::directory_iterator(_dir)) {
-        if (de.path().extension() == ".entry")
-            paths.push_back(de.path());
-    }
-    std::sort(paths.begin(), paths.end());
-    for (const std::filesystem::path &path : paths) {
-        std::string text;
-        ParsedEntry parsed;
-        std::string reason = "unreadable";
-        if (!readFile(path, text) ||
-            !parseEntry(text, parsed, reason)) {
-            warn("store: skipping corrupt entry ", path.string(), " (",
-                 reason, ")");
-            ++_corrupt_at_open;
-            m.corrupt.add(1);
-            continue;
-        }
-        Entry e;
-        e.path = path;
-        e.result = parsed.result;
-        // Last writer wins on duplicate keys (two files can only
-        // carry one key after an interrupted rewrite).
-        _entries[std::string(parsed.key)] = std::move(e);
-    }
-}
-
-std::filesystem::path
-SweepStore::pathForLocked(const std::string &key) const
-{
-    std::string base = strformat(
-        "e%016llx", static_cast<unsigned long long>(hashBytes(key)));
-    for (std::size_t probe = 0;; ++probe) {
-        std::filesystem::path candidate =
-            _dir / (probe == 0
-                        ? base + ".entry"
-                        : strformat("%s-%zu.entry", base.c_str(),
-                                    probe));
-        bool taken = false;
-        for (const auto &kv : _entries) {
-            if (kv.first != key && kv.second.path == candidate) {
-                taken = true; // 64-bit FNV collision: probe onward
-                break;
-            }
-        }
-        if (!taken)
-            return candidate;
-    }
 }
 
 std::shared_ptr<const ActivitySnapshot>
@@ -300,50 +247,37 @@ SweepStore::fetch(const std::string &key)
 {
     GSP_TRACE_SPAN("store/fetch");
     StoreMetrics &m = StoreMetrics::instance();
-    std::filesystem::path path;
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        auto it = _entries.find(key);
-        if (it == _entries.end()) {
+    std::string text;
+    ParsedEntry parsed;
+    std::string reason;
+    for (std::size_t probe = 0;; ++probe) {
+        const std::filesystem::path path = probePath(_dir, key, probe);
+        const Probe found = readProbe(path, key, text, parsed, reason);
+        if (found == Probe::other_key)
+            continue;
+        if (found == Probe::missing) {
             m.miss.add(1);
             return nullptr;
         }
-        path = it->second.path;
-    }
-
-    std::string text;
-    ParsedEntry parsed;
-    std::string reason = "unreadable";
-    if (readFile(path, text) && parseEntry(text, parsed, reason) &&
-        parsed.key == key) {
-        try {
-            auto snap = std::make_shared<ActivitySnapshot>(
-                ActivitySnapshot::parse(parsed.payload));
-            m.hit.add(1);
-            return snap;
-        } catch (const FatalError &e) {
-            reason = e.what();
+        if (found == Probe::this_key) {
+            try {
+                auto snap = std::make_shared<ActivitySnapshot>(
+                    ActivitySnapshot::parse(parsed.payload));
+                m.hit.add(1);
+                return snap;
+            } catch (const FatalError &e) {
+                reason = e.what();
+            }
         }
-    } else if (parsed.key != key && reason == "unreadable" &&
-               !text.empty()) {
-        reason = "key mismatch";
+        // Torn write, disk error, an older entry format or schema
+        // drift: the fetch is a miss, and the put of the recaptured
+        // snapshot takes this name back.
+        warn("store: corrupt entry ", path.string(), " (", reason,
+             "), read as a miss");
+        m.corrupt.add(1);
+        m.miss.add(1);
+        return nullptr;
     }
-
-    // Checksummed framing passed at open but the entry no longer
-    // loads (deleted file, torn rewrite, schema drift): drop it from
-    // the index and treat the fetch as a miss.
-    warn("store: dropping corrupt entry ", path.string(), " (", reason,
-         ")");
-    m.corrupt.add(1);
-    m.miss.add(1);
-    std::lock_guard<std::mutex> lock(_mutex);
-    auto it = _entries.find(key);
-    if (it != _entries.end() && it->second.path == path) {
-        _entries.erase(it);
-        rewriteManifestLocked();
-        m.entries.set(static_cast<int64_t>(_entries.size()));
-    }
-    return nullptr;
 }
 
 bool
@@ -351,64 +285,32 @@ SweepStore::put(const std::string &key, const ActivitySnapshot &snapshot)
 {
     GSP_TRACE_SPAN("store/put");
     StoreMetrics &m = StoreMetrics::instance();
-    const std::string payload = snapshot.serialize();
-    const std::string result = resultRecord(snapshot);
-    const std::string bytes = renderEntry(key, result, payload);
+    const std::string bytes = renderEntry(key, snapshot.serialize());
+    const std::filesystem::path tmp =
+        _dir / strformat(".put-%ld-%zu.tmp",
+                         static_cast<long>(::getpid()),
+                         tmp_counter.fetch_add(1));
 
     std::lock_guard<std::mutex> lock(_mutex);
-    std::filesystem::path path = pathForLocked(key);
-    std::filesystem::path tmp =
-        _dir / strformat(".put-%zu.tmp", _tmp_counter++);
+    // The first name that is free, holds this key or is corrupt.
+    std::string text;
+    ParsedEntry parsed;
+    std::string reason;
+    std::filesystem::path path;
+    for (std::size_t probe = 0;; ++probe) {
+        path = probePath(_dir, key, probe);
+        if (readProbe(path, key, text, parsed, reason) !=
+            Probe::other_key)
+            break;
+    }
     if (!writeFileAtomic(path, tmp, bytes)) {
         warn("store: failed to persist entry ", path.string(),
              " — continuing without it");
         m.put_error.add(1);
         return false;
     }
-    Entry e;
-    e.path = std::move(path);
-    e.result = result;
-    _entries[key] = std::move(e);
     m.put.add(1);
-    rewriteManifestLocked();
-    m.entries.set(static_cast<int64_t>(_entries.size()));
     return true;
-}
-
-void
-SweepStore::rewriteManifestLocked()
-{
-    // Advisory index for humans and tooling: the entry files are the
-    // source of truth (open() rebuilds the index from them), so a
-    // stale manifest can mislead a reader but never the store.
-    std::string text;
-    text += manifest_magic;
-    text += '\n';
-    for (const auto &kv : _entries) {
-        text += kv.second.path.filename().string();
-        text += ' ';
-        text += kv.second.result;
-        text += '\n';
-    }
-    std::filesystem::path manifest = _dir / "manifest";
-    std::filesystem::path tmp =
-        _dir / strformat(".manifest-%zu.tmp", _tmp_counter++);
-    if (!writeFileAtomic(manifest, tmp, text))
-        warn("store: failed to rewrite manifest in ", _dir.string());
-}
-
-bool
-SweepStore::contains(const std::string &key) const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _entries.find(key) != _entries.end();
-}
-
-std::size_t
-SweepStore::size() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _entries.size();
 }
 
 StoreHandle

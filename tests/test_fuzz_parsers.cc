@@ -34,6 +34,7 @@
 #include "common/strutil.hh"
 #include "config/gpu_config.hh"
 #include "config/xml.hh"
+#include "obs/metrics.hh"
 #include "service/protocol.hh"
 #include "sim/engine.hh"
 #include "sim/request.hh"
@@ -265,18 +266,24 @@ TEST(FuzzParsers, StoreEntry)
     }
     ASSERT_FALSE(text.empty());
     SplitMix64 rng(fuzz_seed + 2);
-    // Each mutant is written to disk, opened as a store and fetched.
+    // Each mutant is written at the key's entry name and fetched: a
+    // snapshot that round-trips, or a miss counted once as corrupt.
+    obs::Counter &corrupt =
+        obs::Registry::instance().counter("store/corrupt");
+    store::SweepStore store(dir);
     forEachMutant(text, rng, mutants_per_input,
                   [&](const std::string &m) {
         {
             std::ofstream out(entry, std::ios::binary | std::ios::trunc);
             out << m;
         }
-        store::SweepStore store(dir);
-        EXPECT_EQ(store.size() + store.corruptAtOpen(), 1u);
+        const uint64_t corrupt0 = corrupt.value();
         if (auto snap = store.fetch(key)) {
             const std::string once = snap->serialize();
             EXPECT_EQ(ActivitySnapshot::parse(once).serialize(), once);
+            EXPECT_EQ(corrupt.value(), corrupt0);
+        } else {
+            EXPECT_EQ(corrupt.value() - corrupt0, 1u);
         }
     });
 }
