@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "sim/engine.hh"
+#include "sim/session.hh"
 
 using namespace gpusimpow;
 
@@ -119,8 +119,8 @@ main()
                                 : GpuConfig::gtx580()};
             spec.operating_points = grid;
             spec.workloads = workloads;
-            sim::SimulationEngine engine;
-            sim::SweepResult result = engine.run(spec);
+            sim::SweepSession session;
+            sim::SweepResult result = session.submit(spec);
             printCard(spec.configs[0].name.c_str(),
                       summarize(result, grid, workloads.size()));
         }

@@ -39,7 +39,6 @@
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
-#include "sim/engine.hh"
 #include "sim/session.hh"
 #include "store/store.hh"
 

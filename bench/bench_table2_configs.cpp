@@ -2,7 +2,7 @@
  * @file
  * Reproduces Table II (key features of the evaluated GPUs) from the
  * configuration presets, runs both presets against a common workload
- * set on the batch simulation engine to contrast their measured
+ * set on a sweep session to contrast their measured
  * behavior, and prints the Table III equivalent of this
  * reproduction's software environment.
  */
@@ -12,7 +12,7 @@
 
 #include "common/logging.hh"
 #include "config/gpu_config.hh"
-#include "sim/engine.hh"
+#include "sim/session.hh"
 
 using namespace gpusimpow;
 
@@ -48,18 +48,18 @@ main()
         std::printf("%-22s %12u nm %12u nm\n", "Process node",
                     a.tech.node_nm, b.tech.node_nm);
 
-        // Measured contrast: both Table II presets through the batch
-        // engine under a small common workload set (a subset of the
+        // Measured contrast: both Table II presets through a sweep
+        // session under a small common workload set (a subset of the
         // sweep bench_sweep_throughput times for scaling).
         sim::SweepSpec spec;
         spec.configs = {a, b};
         spec.workloads = {"vectoradd", "scalarprod", "matmul",
                           "blackscholes"};
-        sim::SimulationEngine engine;
-        sim::SweepResult result = engine.run(spec);
+        sim::SweepSession session;
+        sim::SweepResult result = session.submit(spec);
 
         std::printf("\n=== Measured on the simulation engine "
-                    "(%u workers) ===\n", engine.jobs());
+                    "(%u workers) ===\n", session.jobs());
         std::fputs(result.formatTable().c_str(), stdout);
 
         std::printf("\n=== Table III equivalent: reproduction "

@@ -17,16 +17,17 @@
  * bench/check_bench_regression.py and bench/baseline.json):
  *
  *  - traced thermal replay (thermal_replay/traced): one
- *    SimulationEngine::run over 8 power-only (process node x supply
+ *    SweepSession::submit over 8 power-only (process node x supply
  *    scale) variants of GTX580 blackscholes under the stock cooler,
- *    fed a traced snapshot captured once through
- *    EngineOptions::snapshot_source. All 8 share one snapshotKey(),
- *    so the run is one batched replay group: per-variant Simulators,
- *    one batched interval-power pass, the exact-propagator march and
- *    the whole-kernel steady solve. Reported as variant-intervals/s.
+ *    on a session an untimed submit of the same spec primed with
+ *    their traced snapshot. All 8 share one snapshotKey(), so each
+ *    timed submit is one batched replay group fed from the session's
+ *    memory: per-variant Simulators, one batched interval-power
+ *    pass, the exact-propagator march and the whole-kernel steady
+ *    solve. Reported as variant-intervals/s.
  *
  *  - governed scenario (thermal_replay/governed_scenario): a whole
- *    SimulationEngine::runScenario of the governed GTX580 matmul
+ *    SweepSession::runScenario of the governed GTX580 matmul
  *    under constrained cooling — the nominal capture (keeping the
  *    kernel's entry memory), the governor's bisection over
  *    warm-started steady solves, and the clamped re-capture from
@@ -40,14 +41,11 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <memory>
 #include <utility>
 
 #include "common/logging.hh"
 #include "config/gpu_config.hh"
-#include "sim/engine.hh"
-#include "sim/simulator.hh"
-#include "sim/snapshot.hh"
+#include "sim/session.hh"
 
 using namespace gpusimpow;
 
@@ -86,7 +84,7 @@ runCard(const char *card, const GpuConfig &base)
         nominal.workload = c.workload;
         nominal.scale = c.scale;
         sim::ScenarioResult ref =
-            sim::SimulationEngine().runScenario(nominal);
+            sim::SweepSession().runScenario(nominal);
         std::printf("%-10s %-12s %-12s %-9s %9s %7s %7s %11.1f "
                     "%11.3f\n",
                     c.kind, c.workload, "(none)", "off", "350.0*",
@@ -98,8 +96,7 @@ runCard(const char *card, const GpuConfig &base)
                 sim::Scenario s = nominal;
                 s.config.thermal.applyCooling(cooling);
                 s.config.thermal.throttle = governor;
-                sim::ScenarioResult r =
-                    sim::SimulationEngine().runScenario(s);
+                sim::ScenarioResult r = sim::SweepSession().runScenario(s);
                 std::printf(
                     "%-10s %-12s %-12s %-9s %9.1f %7s %7.3f %11.1f "
                     "%11.3f%s\n",
@@ -154,18 +151,6 @@ runMetrics(FILE *out)
     traced.config.thermal.applyCooling("stock");
     traced.workload = "blackscholes";
     traced.scale = 8;
-    auto snapshot = std::make_shared<ActivitySnapshot>();
-    {
-        Simulator sim(traced.config);
-        sim::SimulationEngine(
-            sim::EngineOptions().withTrace(true, sample_interval_s))
-            .runScenario(traced, sim, snapshot.get());
-    }
-    std::size_t n_intervals = 0;
-    for (const KernelSnapshot &k : snapshot->kernels)
-        n_intervals += k.samples.size();
-    GSP_ASSERT(n_intervals >= 2, "expected a traced kernel, got ",
-               n_intervals, " intervals");
 
     // A Table-II-style grid of power-only variants (process node x
     // supply scale — same timing fingerprint, so the one snapshot
@@ -192,15 +177,18 @@ runMetrics(FILE *out)
     }
     const std::size_t n_variants = spec.configs.size();
 
-    auto opts = sim::EngineOptions()
-                    .withJobs(1)
-                    .withTrace(true, sample_interval_s);
-    opts.snapshot_source = [&](const sim::Scenario &) {
-        return std::shared_ptr<const ActivitySnapshot>(snapshot);
-    };
-    sim::SimulationEngine engine(opts);
-    sim::SweepResult replay;
-    double traced_rate = measureRate([&] { replay = engine.run(spec); });
+    // The untimed first submit captures the variants' one snapshot
+    // into the session's memory; every timed submit replays from it.
+    sim::SweepSession session(sim::EngineOptions().withJobs(1).withTrace(
+        true, sample_interval_s));
+    sim::SweepResult replay = session.submit(spec);
+    std::size_t n_intervals = 0;
+    for (const sim::KernelResult &k : replay.at(0).kernels)
+        n_intervals += k.run.trace.size();
+    GSP_ASSERT(n_intervals >= 2, "expected a traced kernel, got ",
+               n_intervals, " intervals");
+    double traced_rate =
+        measureRate([&] { replay = session.submit(spec); });
     GSP_ASSERT(replay.telemetry().replayed == n_variants &&
                    replay.telemetry().captured == 0,
                "the variants did not replay as one snapshot group");
@@ -213,7 +201,7 @@ runMetrics(FILE *out)
     std::fprintf(out,
                  "=== Traced thermal sweep replay (GTX580 "
                  "blackscholes, %zu variants x %zu intervals) ===\n"
-                 "%.1f engine runs/s, %.0f variant-intervals/s\n",
+                 "%.1f submits/s, %.0f variant-intervals/s\n",
                  n_variants, n_intervals, traced_rate, traced_per_s);
 
     // ---- Governed scenario: GTX580 matmul under constrained
@@ -225,7 +213,7 @@ runMetrics(FILE *out)
     governed.workload = "matmul";
     sim::ScenarioResult gov;
     double gov_rate = measureRate(
-        [&] { gov = sim::SimulationEngine().runScenario(governed); });
+        [&] { gov = sim::SweepSession().runScenario(governed); });
     if (!gov.throttled)
         fatal("governed scenario did not throttle");
     std::fprintf(out,

@@ -8,7 +8,7 @@
 #include "common/logging.hh"
 #include "measure/validation.hh"
 #include "power/chip_power.hh"
-#include "sim/engine.hh"
+#include "sim/session.hh"
 #include "workloads/workload.hh"
 
 namespace gpusimpow {
@@ -25,7 +25,7 @@ runFigure6(const GpuConfig &cfg, const char *figure_name,
         cfg, power::GpuPowerModel(cfg).staticPower(), 0x5EED);
 
     // The Fig. 6 campaign is one sweep: this card x every Table I
-    // benchmark, traced for the measurement testbed. The engine
+    // benchmark, traced for the measurement testbed. The session
     // verifies each workload and hands back the kernel runs in
     // deterministic order. Each benchmark now runs on a fresh card
     // (cold caches, allocator reset) instead of inheriting state from
@@ -38,8 +38,7 @@ runFigure6(const GpuConfig &cfg, const char *figure_name,
     sim::EngineOptions eopt;
     eopt.with_trace = true;
     eopt.sample_interval_s = 20e-6;
-    sim::SimulationEngine engine(eopt);
-    sim::SweepResult result = engine.run(spec);
+    sim::SweepResult result = sim::SweepSession(eopt).submit(spec);
 
     // Validate every kernel; kernels executed several times during a
     // benchmark (bfs levels, needle diagonals...) are averaged per

@@ -6,8 +6,8 @@
  * fixed workload, reporting performance, power, energy, and
  * energy-delay product for every point.
  *
- * The exploration runs as one SweepSpec on the batch simulation
- * engine: the engine expands the cartesian product, simulates every
+ * The exploration runs as one SweepSpec on a sweep session: the
+ * session expands the cartesian product, simulates every
  * point on a worker pool, and returns the results in deterministic
  * order, so the printed table is identical no matter how many worker
  * threads the host machine offers.
@@ -17,7 +17,7 @@
 #include <exception>
 
 #include "common/logging.hh"
-#include "sim/engine.hh"
+#include "sim/session.hh"
 
 using namespace gpusimpow;
 
@@ -37,11 +37,11 @@ main()
         spec.tech_nodes = {40u, 28u};
         spec.workloads = {"matmul"};
 
-        sim::SimulationEngine engine;
-        sim::SweepResult result = engine.run(spec);
+        sim::SweepSession session;
+        sim::SweepResult result = session.submit(spec);
 
         std::printf("(%zu design points on %u worker threads)\n\n",
-                    result.size(), engine.jobs());
+                    result.size(), session.jobs());
         std::printf("%8s %6s %6s %10s %10s %10s %12s\n", "node",
                     "cores", "Vdd", "time[us]", "power[W]",
                     "energy[mJ]", "EDP[uJ*s]");

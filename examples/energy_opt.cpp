@@ -18,7 +18,7 @@
 #include <exception>
 
 #include "common/logging.hh"
-#include "sim/engine.hh"
+#include "sim/session.hh"
 
 using namespace gpusimpow;
 
@@ -47,10 +47,10 @@ main()
         spec.workloads = {"vectoradd", "scalarprod", "matmul",
                           "blackscholes"};
 
-        sim::SimulationEngine engine;
-        sim::SweepResult result = engine.run(spec);
+        sim::SweepSession session;
+        sim::SweepResult result = session.submit(spec);
         std::printf("(%zu scenarios on %u worker threads)\n\n",
-                    result.size(), engine.jobs());
+                    result.size(), session.jobs());
 
         std::printf("%-14s %-12s %10s %11s   %-12s %12s\n", "workload",
                     "minE point", "time[us]", "energy[mJ]",

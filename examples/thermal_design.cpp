@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "config/gpu_config.hh"
-#include "sim/engine.hh"
+#include "sim/session.hh"
 #include "thermal/thermal.hh"
 
 using namespace gpusimpow;
@@ -37,7 +37,7 @@ coolEnough(const GpuConfig &base, const std::string &workload,
     s.config.thermal.throttle = false;
     s.workload = workload;
     s.verify = false; // temperature question only; skip the re-run
-    sim::ScenarioResult r = sim::SimulationEngine().runScenario(s);
+    sim::ScenarioResult r = sim::SweepSession().runScenario(s);
     return r.thermal_converged &&
            r.t_max_k <= s.config.thermal.t_limit_k;
 }
@@ -76,8 +76,7 @@ designCard(const char *card, const GpuConfig &base)
         probe.config = base;
         probe.workload = wl;
         probe.verify = false;
-        double area =
-            sim::SimulationEngine().runScenario(probe).area_mm2;
+        double area = sim::SweepSession().runScenario(probe).area_mm2;
         double r_hs = thermal::stockHeatsinkResistance(area) * lo;
         const char *preset = "(none fits)";
         double best = -1.0;

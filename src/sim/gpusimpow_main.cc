@@ -90,7 +90,6 @@
 #include "obs/trace.hh"
 #include "service/client.hh"
 #include "service/server.hh"
-#include "sim/engine.hh"
 #include "sim/request.hh"
 #include "sim/session.hh"
 #include "sim/simulator.hh"
@@ -336,7 +335,7 @@ class ObsWriter
  * per 100 ms (plus the final one). The replay-vs-capture split reads
  * the observability counters against a baseline taken at
  * construction, so a previous run in the same process cannot leak
- * into the display. The engine serializes progress callbacks, so the
+ * into the display. The session serializes progress callbacks, so the
  * mutable state needs no lock.
  */
 class ProgressPrinter
@@ -504,7 +503,7 @@ runSweep(const Options &opt)
     ObsWriter obs_writer(opt);
 
     sim::EngineOptions eopt = sim::EngineOptions().withJobs(opt.jobs);
-    // ProgressPrinter outlives the run; the engine only calls the
+    // ProgressPrinter outlives the run; the session only calls the
     // hook while workers are draining inside it.
     ProgressPrinter printer;
     sim::ResultCallback on_result;
@@ -682,7 +681,7 @@ runTool(const Options &opt)
 
     bool tracing = !opt.trace_file.empty();
     sim::ScenarioResult result =
-        sim::SimulationEngine(
+        sim::SweepSession(
             sim::EngineOptions().withTrace(tracing, opt.sample_us * 1e-6))
             .runScenario(scenario, sim);
 

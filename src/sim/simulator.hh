@@ -10,8 +10,8 @@
  * cycle-level GPU into a KernelSnapshot, and a ReplayGroup (below)
  * evaluates power and thermal behavior from that snapshot. The group
  * is the one replay body: a single run, replayKernel() and
- * SimulationEngine::runScenario replay through a group of one, and
- * the engine replays every member of a work unit through one group.
+ * SweepSession::runScenario replay through a group of one, and a
+ * sweep replays every member of a work unit through one group.
  * Under a throttling governor the power phase is govern(), the one
  * power-to-timing feedback: it measures the kernel's nominal
  * snapshot, and every clock it clamps to, through the first half of a
@@ -47,11 +47,10 @@ namespace gpusimpow {
 namespace sim {
 
 /**
- * How much of each kernel a result row keeps — a per-job choice
- * (the detail argument of SimulationEngine::run and
- * SweepSession::submit) between the two kinds of consumer of
- * sweep rows. Every scenario summary column is bit-identical either
- * way.
+ * How much of each kernel a result row keeps — a per-job choice (the
+ * detail argument of SweepSession::submit) between the two kinds of
+ * consumer of sweep rows. Every scenario summary column is
+ * bit-identical either way.
  */
 enum class RowDetail
 {
@@ -174,7 +173,7 @@ class Simulator
      * configuration equal to cfg in everything but the thermal
      * section, which the power model never reads, and the network
      * from that model's thermalBlocks() and cfg.thermal —
-     * this is how an engine run shares one model per power-relevant
+     * this is how a sweep job shares one model per power-relevant
      * configuration and one network per (model, cooling) across all
      * its Simulators and workers. A governor clamp still rebuilds a
      * private model (applyFreqScale); the network is clock-invariant.
@@ -406,7 +405,7 @@ class Simulator
  * The one replay body: phase 2 of every replayable kernel, for
  * Simulators that replay the same snapshot — power-only variants of
  * one timing fingerprint, or a single Simulator
- * (Simulator::replayKernel, SimulationEngine::runScenario). Each
+ * (Simulator::replayKernel, SweepSession::runScenario). Each
  * Simulator carries its own thermal state across the kernels it
  * replays, exactly like a full run.
  *

@@ -1,6 +1,8 @@
 #include "sim/sweep.hh"
 
 #include <cstdio>
+#include <map>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -66,27 +68,32 @@ timingFingerprint(const GpuConfig &cfg)
     return timingView(cfg).toXml();
 }
 
-std::vector<std::string>
-snapshotKeys(const std::vector<Scenario> &scenarios)
+std::vector<SnapshotUnit>
+snapshotUnits(const std::vector<Scenario> &scenarios)
 {
     // Distinct timing views with their serialized fingerprints: a
     // sweep has a handful, since its node, supply and cooling axes
     // never enter a view.
-    std::vector<std::pair<GpuConfig, std::string>> seen;
-    std::vector<std::string> keys;
-    keys.reserve(scenarios.size());
-    for (const Scenario &s : scenarios) {
-        GpuConfig view = timingView(s.config);
-        std::size_t hit = 0;
-        while (hit < seen.size() && !(seen[hit].first == view))
-            ++hit;
-        if (hit == seen.size()) {
+    std::vector<std::pair<GpuConfig, std::string>> views;
+    // (view, workload tag) -> unit
+    std::map<std::pair<std::size_t, std::string>, std::size_t> unit_of;
+    std::vector<SnapshotUnit> units;
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+        GpuConfig view = timingView(scenarios[i].config);
+        std::size_t v = 0;
+        while (v < views.size() && !(views[v].first == view))
+            ++v;
+        if (v == views.size()) {
             std::string fp = view.toXml();
-            seen.emplace_back(std::move(view), std::move(fp));
+            views.emplace_back(std::move(view), std::move(fp));
         }
-        keys.push_back(seen[hit].second + workloadTag(s));
+        std::string tag = workloadTag(scenarios[i]);
+        auto ins = unit_of.emplace(std::make_pair(v, tag), units.size());
+        if (ins.second)
+            units.push_back({views[v].second + tag, {}});
+        units[ins.first->second].members.push_back(i);
     }
-    return keys;
+    return units;
 }
 
 std::size_t

@@ -1,8 +1,8 @@
 /**
  * @file
- * Batch-sweep vocabulary of the simulation engine: a SweepSpec
- * describes a cartesian product of GPU configurations, workloads, and
- * process nodes (the shape of the paper's Fig. 4/6 campaigns and the
+ * Batch-sweep vocabulary of SweepSession: a SweepSpec describes a
+ * cartesian product of GPU configurations, workloads, and process
+ * nodes (the shape of the paper's Fig. 4/6 campaigns and the
  * Table II configuration comparison); expand() flattens it into an
  * ordered scenario list, and SweepResult collects the per-scenario
  * outcomes in that same deterministic order regardless of how many
@@ -55,7 +55,7 @@ struct Scenario
     bool replayable() const;
 
     /**
-     * Key of the engine's memoized work units: the timing
+     * Key of a sweep's memoized work units: the timing
      * fingerprint of the configuration plus the workload identity
      * (name, scale, verify). Two scenarios with equal keys produce
      * bit-identical phase-1 results, whatever their process node,
@@ -77,14 +77,25 @@ struct Scenario
  */
 std::string timingFingerprint(const GpuConfig &cfg);
 
+/** One work unit of a sweep: the scenarios that share a snapshot key. */
+struct SnapshotUnit
+{
+    /** Scenario::snapshotKey() of every member. */
+    std::string key;
+    /** Positions of the members in the scenario list, ascending. */
+    std::vector<std::size_t> members;
+};
+
 /**
- * Scenario::snapshotKey() of every scenario, in order, byte for byte —
- * but each distinct timing fingerprint is serialized once, not once
- * per scenario. Timing views equal field for field serialize alike;
- * the one exception, a signed zero, would need a zero clock rate or
- * scale, which no runnable configuration has.
+ * The scenarios grouped by Scenario::snapshotKey(), units in
+ * first-member order. Each distinct timing fingerprint is serialized
+ * once and each unit's key is built once, not once per scenario.
+ * Timing views equal field for field serialize alike; the one
+ * exception, a signed zero, would need a zero clock rate or scale,
+ * which no runnable configuration has.
  */
-std::vector<std::string> snapshotKeys(const std::vector<Scenario> &scenarios);
+std::vector<SnapshotUnit>
+snapshotUnits(const std::vector<Scenario> &scenarios);
 
 /**
  * Declarative description of a batch experiment: every config is
@@ -187,8 +198,8 @@ struct ScenarioResult
 
 /**
  * How a sweep executed, as opposed to what it produced: scheduling
- * counts the engine asserts from its own per-run atomics (so they are
- * exact even when other engines run concurrently in the process),
+ * counts the session asserts from its own per-job atomics (so they are
+ * exact even when other jobs run concurrently in the process),
  * plus the observability registry's delta over the run. Dumped as the
  * `--metrics-json` document; see docs/observability.md for the
  * counter name registry.
@@ -201,7 +212,7 @@ struct SweepTelemetry
     std::size_t captured = 0;
     /** Replayable scenarios other than a capturing unit's first
      *  member: their power phase replayed from a snapshot another
-     *  member captured or the snapshot source supplied. */
+     *  member captured or the session's memory or store supplied. */
     std::size_t replayed = 0;
     /** Scenarios whose power phase ran under the throttling
      *  governor, from their unit's snapshot. A capturing unit whose
@@ -210,11 +221,11 @@ struct SweepTelemetry
     std::size_t governed = 0;
     /** Worker threads the run actually used. */
     unsigned workers = 0;
-    /** Wall-clock duration of SimulationEngine::run(), s. */
+    /** Wall-clock duration of SweepSession::submit(), s. */
     double wall_s = 0.0;
     /**
      * Registry delta over the run (counters, gauges, histograms).
-     * The registry is process-wide: when several engines run
+     * The registry is process-wide: when several jobs run
      * concurrently their deltas mix here — the scheduling counts
      * above are the per-run source of truth.
      */
@@ -262,7 +273,7 @@ class SweepResult
 
     /** Execution telemetry of the run that produced this table
      *  (default-constructed for hand-built tables). Set by the
-     *  engine once the run has drained. */
+     *  session once the job has drained. */
     const SweepTelemetry &telemetry() const { return _telemetry; }
     void setTelemetry(SweepTelemetry telemetry);
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * Persistent content-addressed store of phase-1 activity snapshots —
- * the durable extension of the engine's in-run memo cache. Entries
- * are keyed by the scenario's snapshot key (timing fingerprint +
- * workload identity, extended with the trace options that shape the
- * snapshot payload); the payload is the existing versioned hex-float
+ * the durable extension of SweepSession's in-memory snapshot cache.
+ * Entries are keyed by the scenario's snapshot key (timing
+ * fingerprint + workload identity, extended with the trace options
+ * that shape the snapshot payload); the payload is the existing versioned hex-float
  * snapshot text, so a warm store answers any sweep over power-only
  * axes without a single timing capture — across process lifetimes,
  * not just within one run.
@@ -38,9 +38,9 @@ namespace gpusimpow {
 namespace store {
 
 /**
- * On-disk snapshot store over one directory. Thread-safe: the engine
- * sinks snapshots from worker threads and the service fetches on
- * behalf of concurrent jobs against the same instance.
+ * On-disk snapshot store over one directory. Thread-safe: a session
+ * puts and fetches snapshots from worker threads, on behalf of
+ * concurrent jobs against the same instance.
  */
 class SweepStore
 {
@@ -78,7 +78,7 @@ class SweepStore
 };
 
 /** Shared ownership of one open store — what SweepSession and the
- *  service hold (the single store instance is the dedupe point). */
+ *  service hold (the session that holds it is the dedupe point). */
 using StoreHandle = std::shared_ptr<SweepStore>;
 
 /** Open a store directory and wrap it in a handle. */

@@ -15,7 +15,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/engine.hh"
+#include "sim/session.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
 #include "workloads/workload.hh"

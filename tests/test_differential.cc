@@ -53,7 +53,6 @@
 #include "row_text.hh"
 #include "service/client.hh"
 #include "service/server.hh"
-#include "sim/engine.hh"
 #include "sim/request.hh"
 #include "sim/session.hh"
 #include "store/store.hh"
@@ -326,13 +325,13 @@ TEST_P(Differential, EveryLegMatchesTheReference)
     // strided over four threads; a governed one kernel by kernel.
     const std::vector<Scenario> scenarios = light_spec.expand();
     SweepResult oracle(scenarios.size());
-    const sim::SimulationEngine engine(opt);
+    const SweepSession oracle_session(opt);
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < 4; ++t)
         threads.emplace_back([&, t] {
             for (std::size_t i = t; i < scenarios.size(); i += 4)
                 oracle.set(scenarios[i].replayable()
-                               ? engine.runScenario(scenarios[i])
+                               ? oracle_session.runScenario(scenarios[i])
                                : test::runKernelLoop(scenarios[i], opt));
         });
     for (std::thread &t : threads)

@@ -13,7 +13,7 @@
 
 #include "common/logging.hh"
 #include "power/chip_power.hh"
-#include "sim/engine.hh"
+#include "sim/session.hh"
 #include "tech/tech.hh"
 
 using namespace gpusimpow;
@@ -285,7 +285,7 @@ TEST(DvfsSweep, EmptyAxisKeepsTheConfigsOwnOperatingPoint)
 
 TEST(DvfsScenario, IdentityOperatingPointReproducesNominalRunExactly)
 {
-    sim::SimulationEngine engine;
+    const sim::SweepSession session;
 
     sim::Scenario nominal;
     nominal.config = GpuConfig::gt240();
@@ -294,8 +294,8 @@ TEST(DvfsScenario, IdentityOperatingPointReproducesNominalRunExactly)
     sim::Scenario identity = nominal;
     OperatingPoint{1.0, 1.0}.applyTo(identity.config);
 
-    sim::ScenarioResult a = engine.runScenario(nominal);
-    sim::ScenarioResult b = engine.runScenario(identity);
+    sim::ScenarioResult a = session.runScenario(nominal);
+    sim::ScenarioResult b = session.runScenario(identity);
     EXPECT_EQ(a.time_s, b.time_s);
     EXPECT_EQ(a.energy_j, b.energy_j);
     EXPECT_EQ(a.avg_power_w, b.avg_power_w);
@@ -307,7 +307,7 @@ TEST(DvfsScenario, IdentityOperatingPointReproducesNominalRunExactly)
 
 TEST(DvfsScenario, LowerVfPointTradesRuntimeForEnergy)
 {
-    sim::SimulationEngine engine;
+    const sim::SweepSession session;
 
     sim::Scenario nominal;
     nominal.config = GpuConfig::gt240();
@@ -317,8 +317,8 @@ TEST(DvfsScenario, LowerVfPointTradesRuntimeForEnergy)
     low.op = OperatingPoint{0.8, 0.7};
     low.op.applyTo(low.config);
 
-    sim::ScenarioResult a = engine.runScenario(nominal);
-    sim::ScenarioResult b = engine.runScenario(low);
+    sim::ScenarioResult a = session.runScenario(nominal);
+    sim::ScenarioResult b = session.runScenario(low);
     ASSERT_TRUE(a.verified);
     ASSERT_TRUE(b.verified);
     // Slower clock -> longer runtime; lower V and f -> less power.
@@ -347,12 +347,12 @@ TEST(DvfsScenario, SweepOverOperatingPointsIsDeterministicAcrossJobs)
     sim::EngineOptions serial_opt;
     serial_opt.jobs = 1;
     sim::SweepResult serial =
-        sim::SimulationEngine(serial_opt).run(spec);
+        sim::SweepSession(serial_opt).submit(spec);
 
     for (unsigned jobs : {3u, 8u}) {
         sim::EngineOptions opt;
         opt.jobs = jobs;
-        sim::SweepResult parallel = sim::SimulationEngine(opt).run(spec);
+        sim::SweepResult parallel = sim::SweepSession(opt).submit(spec);
         ASSERT_EQ(parallel.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
             EXPECT_EQ(serial.at(i).scenario.label,
@@ -369,7 +369,7 @@ TEST(DvfsScenario, SweepOverOperatingPointsIsDeterministicAcrossJobs)
     // operating-point axis (golden-anchor safety at the sweep level).
     sim::SweepSpec plain = spec;
     plain.operating_points.clear();
-    sim::SweepResult base = sim::SimulationEngine(serial_opt).run(plain);
+    sim::SweepResult base = sim::SweepSession(serial_opt).submit(plain);
     // spec rows: [gt240: op0 wl0, op0 wl1, op1(identity) wl0, ...]
     EXPECT_EQ(base.at(0).energy_j, serial.at(2).energy_j);
     EXPECT_EQ(base.at(1).energy_j, serial.at(3).energy_j);

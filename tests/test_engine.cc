@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests of the sweep stack behind SweepSession — the public entry
- * point — plus the low-level SimulationEngine contracts it builds on:
- * sweep expansion order, the empty-sweep edge case, exception
+ * point: sweep expansion order, the empty-sweep edge case, exception
  * propagation out of worker threads, option validation, and the
  * thread-safety of the SweepResult table, and the schedule of a work
  * unit that mixes replayed and governed members. Rows against worker
@@ -26,7 +25,6 @@
 #include "kernel_loop.hh"
 #include "obs/metrics.hh"
 #include "row_text.hh"
-#include "sim/engine.hh"
 #include "sim/session.hh"
 #include "sim/sweep.hh"
 #include "store/store.hh"
@@ -35,7 +33,6 @@ using namespace gpusimpow;
 using sim::EngineOptions;
 using sim::Scenario;
 using sim::ScenarioResult;
-using sim::SimulationEngine;
 using sim::SweepResult;
 using sim::SweepSession;
 using sim::SweepSpec;
@@ -147,16 +144,10 @@ TEST(Engine, LowestIndexExceptionWinsRegardlessOfJobs)
 
 TEST(Engine, JobsZeroResolvesToHardwareConcurrency)
 {
-    EngineOptions opt;
-    opt.jobs = 0;
-    SimulationEngine engine(opt);
-    EXPECT_GE(engine.jobs(), 1u);
-
-    opt.jobs = 3;
-    EXPECT_EQ(SimulationEngine(opt).jobs(), 3u);
-    // The session reports the same resolution it hands the engine.
+    const unsigned hardware = std::thread::hardware_concurrency();
+    EXPECT_EQ(SweepSession(EngineOptions().withJobs(0)).jobs(),
+              hardware == 0 ? 1u : hardware);
     EXPECT_EQ(SweepSession(EngineOptions().withJobs(3)).jobs(), 3u);
-    EXPECT_GE(SweepSession(EngineOptions().withJobs(0)).jobs(), 1u);
 }
 
 TEST(Engine, OptionsValidateRejectsIncoherentCombinations)
@@ -166,11 +157,12 @@ TEST(Engine, OptionsValidateRejectsIncoherentCombinations)
     EngineOptions too_many;
     too_many.jobs = EngineOptions::max_jobs + 1;
     EXPECT_THROW(too_many.validate(), FatalError);
-    EXPECT_THROW(SimulationEngine{too_many}, FatalError);
+    EXPECT_THROW(SweepSession{too_many}, FatalError);
 
     EngineOptions bad_interval = EngineOptions().withTrace(true);
     bad_interval.sample_interval_s = 0.0;
     EXPECT_THROW(bad_interval.validate(), FatalError);
+    EXPECT_THROW(SweepSession{bad_interval}, FatalError);
 
     // Named setters chain and leave the result coherent.
     EngineOptions chained =
@@ -345,7 +337,7 @@ TEST(Engine, MixedUnitCapturesOnce)
             EXPECT_TRUE(row.verified);
             const bool replayable = row.scenario.replayable();
             const ScenarioResult oracle =
-                replayable ? SimulationEngine().runScenario(row.scenario)
+                replayable ? SweepSession().runScenario(row.scenario)
                            : test::runKernelLoop(row.scenario);
             EXPECT_TRUE(test::sameText(test::rowText(row),
                                        test::rowText(oracle)));

@@ -1,6 +1,6 @@
 /**
  * @file
- * Concurrency stress tests of the sweep engine, written to be run
+ * Concurrency stress tests of the sweep stack, written to be run
  * under ThreadSanitizer (the CI tsan job builds exactly this suite).
  * They hammer the cross-worker shared state:
  *
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "row_text.hh"
-#include "sim/engine.hh"
 #include "sim/session.hh"
 #include "sim/sweep.hh"
 
@@ -32,7 +31,6 @@ using namespace gpusimpow;
 using sim::EngineOptions;
 using sim::Scenario;
 using sim::ScenarioResult;
-using sim::SimulationEngine;
 using sim::SweepResult;
 using sim::SweepSession;
 using sim::SweepSpec;
@@ -73,7 +71,7 @@ replaySweep()
 SweepResult
 runWith(const SweepSpec &spec, unsigned jobs)
 {
-    return SimulationEngine(EngineOptions().withJobs(jobs)).run(spec);
+    return SweepSession(EngineOptions().withJobs(jobs)).submit(spec);
 }
 
 /** Replays a deterministic schedule must produce: every replayable
@@ -158,10 +156,10 @@ TEST(EngineStress, ProgressAccountingSurvivesContention)
         EXPECT_EQ(done_hits[done], 1) << "done=" << done;
 }
 
-TEST(EngineStress, ConcurrentEnginesDoNotShareState)
+TEST(EngineStress, ConcurrentSessionsDoNotShareState)
 {
-    // Two independent engines sweeping concurrently from different
-    // threads: snapshot groups are per-run, so nothing may bleed
+    // Two independent sessions sweeping concurrently from different
+    // threads: snapshot memory is per session, so nothing may bleed
     // between them (also exercises the lazily-initialized kernel
     // dispatch and logging singletons from multiple pools at once).
     SweepSpec spec;

@@ -36,8 +36,8 @@
 #include "config/xml.hh"
 #include "obs/metrics.hh"
 #include "service/protocol.hh"
-#include "sim/engine.hh"
 #include "sim/request.hh"
+#include "sim/session.hh"
 #include "sim/simulator.hh"
 #include "sim/snapshot.hh"
 #include "store/store.hh"
@@ -174,10 +174,10 @@ tracedSnapshot()
         sim::EngineOptions opt;
         opt.with_trace = true;
         opt.sample_interval_s = 5e-6;
-        sim::SimulationEngine engine(opt);
+        sim::SweepSession session(opt);
         Simulator sim(scenario.config);
         ActivitySnapshot captured;
-        engine.runScenario(scenario, sim, &captured);
+        session.runScenario(scenario, sim, &captured);
         return captured;
     }();
     return snap;

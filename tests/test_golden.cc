@@ -24,7 +24,7 @@
 
 #include "common/strutil.hh"
 #include "power/chip_power.hh"
-#include "sim/engine.hh"
+#include "sim/session.hh"
 
 using namespace gpusimpow;
 
@@ -146,7 +146,7 @@ breakdownAnchor(const GpuConfig &cfg)
     scenario.config = cfg;
     scenario.workload = "blackscholes";
     sim::ScenarioResult result =
-        sim::SimulationEngine().runScenario(scenario);
+        sim::SweepSession().runScenario(scenario);
     EXPECT_TRUE(result.verified);
     EXPECT_EQ(result.kernels.size(), 1u);
     const power::PowerReport &report = result.kernels.at(0).run.report;
@@ -180,7 +180,7 @@ thermalWaveformAnchor()
     scenario.workload = "blackscholes";
     scenario.scale = 8;
     sim::ScenarioResult result =
-        sim::SimulationEngine(opt).runScenario(scenario);
+        sim::SweepSession(opt).runScenario(scenario);
     EXPECT_TRUE(result.verified);
     EXPECT_EQ(result.kernels.size(), 1u);
     const KernelRun &run = result.kernels.at(0).run;

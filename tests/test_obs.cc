@@ -25,13 +25,13 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "row_text.hh"
-#include "sim/engine.hh"
+#include "sim/session.hh"
 #include "sim/sweep.hh"
 
 using namespace gpusimpow;
 using sim::EngineOptions;
-using sim::SimulationEngine;
 using sim::SweepResult;
+using sim::SweepSession;
 using sim::SweepSpec;
 using sim::SweepTelemetry;
 
@@ -193,7 +193,7 @@ runWithJobs(const SweepSpec &spec, unsigned jobs)
 {
     EngineOptions opt;
     opt.jobs = jobs;
-    return SimulationEngine(opt).run(spec);
+    return SweepSession(opt).submit(spec);
 }
 
 } // namespace

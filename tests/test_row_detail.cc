@@ -1,15 +1,14 @@
 /**
  * @file
- * The row detail (the detail argument of SweepSession::submit and
- * SimulationEngine::run): in-process callers get kernel rows by
- * default, and summary rows render the same table. Summary rows against kernel rows over every workload
- * and thermal mode are test_differential's summary leg.
+ * The row detail (the detail argument of SweepSession::submit):
+ * in-process callers get kernel rows by default, and summary rows
+ * render the same table. Summary rows against kernel rows over every
+ * workload and thermal mode are test_differential's summary leg.
  */
 
 #include <gtest/gtest.h>
 
 #include "config/gpu_config.hh"
-#include "sim/engine.hh"
 #include "sim/session.hh"
 #include "sim/sweep.hh"
 

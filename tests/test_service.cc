@@ -33,7 +33,6 @@
 #include "service/client.hh"
 #include "service/protocol.hh"
 #include "service/server.hh"
-#include "sim/engine.hh"
 #include "sim/request.hh"
 #include "sim/session.hh"
 #include "store/store.hh"

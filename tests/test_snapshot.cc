@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <set>
 #include <sstream>
 #include <string>
@@ -21,7 +22,7 @@
 #include "power/compiled.hh"
 #include "power_tree_reference.hh"
 #include "row_text.hh"
-#include "sim/engine.hh"
+#include "sim/session.hh"
 #include "sim/simulator.hh"
 #include "sim/snapshot.hh"
 #include "sim/sweep.hh"
@@ -30,7 +31,7 @@
 using namespace gpusimpow;
 using sim::EngineOptions;
 using sim::Scenario;
-using sim::SimulationEngine;
+using sim::SweepSession;
 using sim::SweepSpec;
 
 namespace {
@@ -146,21 +147,38 @@ TEST(Snapshot, BatchKeysMatchPerScenarioKeys)
     std::vector<Scenario> scenarios = spec.expand();
     ASSERT_EQ(scenarios.size(), 48u);
 
-    std::vector<std::string> keys = sim::snapshotKeys(scenarios);
-    ASSERT_EQ(keys.size(), scenarios.size());
-    for (std::size_t i = 0; i < scenarios.size(); ++i)
-        EXPECT_EQ(keys[i], scenarios[i].snapshotKey())
-            << scenarios[i].label;
+    // Each unit's key is every member's snapshotKey(). Units come in
+    // first-member order, members ascending, keys distinct, and each
+    // scenario is a member of exactly one unit.
+    auto unitCount = [](const std::vector<Scenario> &list) {
+        const std::vector<sim::SnapshotUnit> units =
+            sim::snapshotUnits(list);
+        std::set<std::string> keys;
+        std::vector<int> seen(list.size(), 0);
+        for (std::size_t u = 0; u < units.size(); ++u) {
+            const std::vector<std::size_t> &members = units[u].members;
+            EXPECT_TRUE(keys.insert(units[u].key).second);
+            EXPECT_FALSE(members.empty());
+            EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
+            if (u > 0 && !members.empty()) {
+                EXPECT_GT(members.front(), units[u - 1].members.front());
+            }
+            for (std::size_t m : members) {
+                ++seen[m];
+                EXPECT_EQ(units[u].key, list[m].snapshotKey())
+                    << list[m].label;
+            }
+        }
+        EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+                  static_cast<std::ptrdiff_t>(list.size()));
+        return units.size();
+    };
     // 2 GPUs x 2 core clocks x 2 workloads.
-    EXPECT_EQ(std::set<std::string>(keys.begin(), keys.end()).size(),
-              8u);
+    EXPECT_EQ(unitCount(scenarios), 8u);
 
     // Out of expansion order, equal views are no longer adjacent.
     std::reverse(scenarios.begin(), scenarios.end());
-    std::vector<std::string> reversed = sim::snapshotKeys(scenarios);
-    for (std::size_t i = 0; i < scenarios.size(); ++i)
-        EXPECT_EQ(reversed[i], scenarios[i].snapshotKey())
-            << scenarios[i].label;
+    EXPECT_EQ(unitCount(scenarios), 8u);
 }
 
 TEST(Snapshot, SerializationRejectsGarbage)
@@ -288,10 +306,10 @@ TEST(Snapshot, ParserRejectsInvalidSamplesAndTimes)
     scenario.workload = "vectoradd";
     EngineOptions opt;
     opt.with_trace = true;
-    SimulationEngine engine(opt);
+    SweepSession session(opt);
     Simulator sim(scenario.config);
     ActivitySnapshot captured;
-    engine.runScenario(scenario, sim, &captured);
+    session.runScenario(scenario, sim, &captured);
     ASSERT_FALSE(captured.kernels.empty());
     ASSERT_FALSE(captured.kernels[0].samples.empty());
     const std::string text = captured.serialize();

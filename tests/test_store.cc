@@ -6,17 +6,20 @@
  * truncated and foreign entries are counted misses, never fatal, and
  * the next put replaces them), two stores sharing one directory, and
  * the session-level in-flight dedupe that keeps two concurrent jobs
- * from capturing the same scenario.
+ * from capturing the same scenario (and frees a failed capture's
+ * claim).
  * Warm-store rows against a fresh run are test_differential's
  * warm-store leg.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,7 +28,6 @@
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "obs/metrics.hh"
-#include "sim/engine.hh"
 #include "sim/session.hh"
 #include "sim/snapshot.hh"
 #include "sim/sweep.hh"
@@ -433,14 +435,49 @@ TEST(Session, DedupeWorksWithoutAStore)
     EXPECT_EQ(results[0].formatTable(), results[1].formatTable());
 }
 
-TEST(Session, RejectsIncoherentOptions)
+TEST(Session, FailedCaptureReleasesItsClaim)
 {
-    // The session owns the snapshot hooks.
-    EngineOptions hooked;
-    hooked.snapshot_source = [](const sim::Scenario &) {
-        return nullptr;
+    // A capture that throws must still drop its claim on the key, or
+    // every later job needing that key would wait forever. Two jobs
+    // submit the same unregistered workload to one session: each
+    // either claims and fails, or waits for the other's claim, then
+    // re-claims and fails.
+    SweepSpec spec;
+    spec.configs = {GpuConfig::gt240()};
+    spec.workloads = {"no-such-workload"};
+    auto session =
+        std::make_shared<SweepSession>(EngineOptions().withJobs(1));
+
+    struct Job
+    {
+        std::future<void> done;
+        std::thread thread;
     };
-    EXPECT_THROW(SweepSession{hooked}, FatalError);
+    auto start = [&] {
+        std::packaged_task<void()> task([session, spec] {
+            session->submit(spec);
+        });
+        Job job{task.get_future(), {}};
+        job.thread = std::thread(std::move(task));
+        return job;
+    };
+    auto expectFails = [](Job job) {
+        if (job.done.wait_for(std::chrono::seconds(60)) !=
+            std::future_status::ready) {
+            // Left behind, so the failure is reported instead of
+            // hanging in join().
+            job.thread.detach();
+            FAIL() << "a job waits on a claim nobody holds";
+        }
+        job.thread.join();
+        EXPECT_THROW(job.done.get(), FatalError);
+    };
+    Job first = start();
+    Job second = start();
+    expectFails(std::move(first));
+    expectFails(std::move(second));
+    // Both failed: a third job re-claims the key.
+    expectFails(start());
 }
 
 TEST(Session, StoreKeySeparatesTraceVariants)

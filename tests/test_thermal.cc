@@ -20,8 +20,8 @@
 #include "power/chip_power.hh"
 #include "power_tree_reference.hh"
 #include "row_text.hh"
-#include "sim/engine.hh"
 #include "sim/request.hh"
+#include "sim/session.hh"
 #include "tech/tech.hh"
 #include "thermal/thermal.hh"
 #include "thermal_reference.hh"
@@ -94,7 +94,7 @@ runScenario(GpuConfig cfg, const std::string &workload)
     sim::Scenario s;
     s.config = std::move(cfg);
     s.workload = workload;
-    return sim::SimulationEngine().runScenario(s);
+    return sim::SweepSession().runScenario(s);
 }
 
 } // namespace
@@ -710,7 +710,7 @@ TEST(ThermalThrottle, NonRepeatableKernelsThrottleAnalytically)
     opt.with_trace = true;
     opt.sample_interval_s = 2e-6;
     sim::ScenarioResult r =
-        sim::SimulationEngine(opt).runScenario(s);
+        sim::SweepSession(opt).runScenario(s);
 
     EXPECT_TRUE(r.throttled);
     EXPECT_TRUE(r.thermal_converged);
@@ -782,9 +782,13 @@ TEST(ThermalThrottle, ClampsRecaptureFromTheKernelsEntryState)
             .withThrottle(throttle)
             .toSpec();
     };
-    const sim::SimulationEngine engine(sim::EngineOptions().withJobs(4));
-    const sim::SweepResult nominal = engine.run(request(false));
-    const sim::SweepResult governed = engine.run(request(true));
+    // Each run cold, on a session of its own: the governed units
+    // capture their nominal snapshots and entry states themselves.
+    const auto options = sim::EngineOptions().withJobs(4);
+    const sim::SweepResult nominal =
+        sim::SweepSession(options).submit(request(false));
+    const sim::SweepResult governed =
+        sim::SweepSession(options).submit(request(true));
     ASSERT_EQ(governed.size(), 4u);
     for (std::size_t i = 0; i < governed.size(); ++i) {
         const sim::ScenarioResult &g = governed.at(i);
