@@ -19,7 +19,15 @@ Logger::emit(LogLevel level, const std::string &tag,
     if (static_cast<int>(level) >
         static_cast<int>(_level.load(std::memory_order_relaxed)))
         return;
-    std::cerr << "[gpusimpow:" << tag << "] " << message << "\n";
+    // One write of the whole line under the lock, so concurrent
+    // workers' lines never interleave.
+    std::string line = "[gpusimpow:";
+    line += tag;
+    line += "] ";
+    line += message;
+    line += '\n';
+    std::lock_guard<std::mutex> lock(_mutex);
+    std::cerr.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
 namespace detail {

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -58,12 +59,15 @@ class Logger
         return _level.load(std::memory_order_relaxed);
     }
 
-    /** Emit one message at the given level to stderr. */
+    /** Emit one message at the given level to stderr, as one line
+     *  that no concurrent emit() splits. */
     void emit(LogLevel level, const std::string &tag,
               const std::string &message);
 
   private:
     std::atomic<LogLevel> _level{LogLevel::Warn};
+    /** Serializes the writes of emit(). */
+    std::mutex _mutex;
 };
 
 namespace detail {

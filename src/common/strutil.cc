@@ -119,17 +119,6 @@ TextCursor::next()
     return _text.substr(begin, _pos - begin);
 }
 
-void
-TextCursor::expect(std::string_view keyword)
-{
-    std::string_view tok = next();
-    if (tok.empty())
-        fatal("truncated record: expected '", keyword, "'");
-    if (tok != keyword)
-        fatal("malformed record: expected '", keyword, "', got '", tok,
-              "'");
-}
-
 std::string_view
 TextCursor::token(std::string_view context)
 {
@@ -139,20 +128,13 @@ TextCursor::token(std::string_view context)
     return tok;
 }
 
-uint64_t
-TextCursor::u64(std::string_view context)
+bool
+TextCursor::flag(std::string_view context)
 {
     std::string_view tok = token(context);
     uint64_t v = 0;
     if (!parseU64(tok, v))
         fatal("malformed record: bad ", context, " '", tok, "'");
-    return v;
-}
-
-bool
-TextCursor::flag(std::string_view context)
-{
-    uint64_t v = u64(context);
     if (v > 1)
         fatal("malformed record: ", context, " must be 0 or 1, got ",
               v);

@@ -53,9 +53,8 @@ std::string jsonEscape(const std::string &s);
 
 /**
  * Forward-only tokenizer over a text buffer: the one reader behind
- * every parser of untrusted bytes (activity snapshots and their
- * ChipActivity records, store entry framing, sweep requests, wire
- * frame headers, XML configurations).
+ * every parser of untrusted text (sweep requests, wire frame
+ * headers, XML configurations).
  *
  *  - A token is a maximal run of non-whitespace bytes. Whitespace is
  *    the C-locale isspace() set (space, \t, \n, \v, \f, \r); every
@@ -81,12 +80,8 @@ class TextCursor
 
     /** Next token, or an empty view at the end of the text. */
     std::string_view next();
-    /** Consume the literal `keyword`; fatal() on anything else. */
-    void expect(std::string_view keyword);
     /** Typed tokens (a flag is 0 or 1); fatal() naming `context`
      *  when the token is missing or malformed. */
-    std::string_view token(std::string_view context);
-    uint64_t u64(std::string_view context);
     bool flag(std::string_view context);
     double f64(std::string_view context);
 
@@ -128,6 +123,9 @@ class TextCursor
     static bool parseDouble(std::string_view tok, double &v);
 
   private:
+    /** The next token; fatal() naming `context` when none is left. */
+    std::string_view token(std::string_view context);
+
     std::string_view _text;
     std::size_t _pos = 0;
 };

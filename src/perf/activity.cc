@@ -2,11 +2,9 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <ostream>
 #include <sstream>
 
 #include "common/logging.hh"
-#include "common/strutil.hh"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -133,81 +131,6 @@ ChipActivity::diff(const ChipActivity &prev) const
     r.shader_cycles = shader_cycles - prev.shader_cycles;
     r.elapsed_s = elapsed_s - prev.elapsed_s;
     return r;
-}
-
-void
-ChipActivity::serialize(std::ostream &out) const
-{
-    out << "chip-activity " << cores.size() << ' '
-        << cluster_busy_cycles.size() << ' ' << core_activity_fields
-        << ' ' << mem_activity_fields << '\n';
-    for (const CoreActivity &c : cores) {
-        out << "core";
-        c.forEach([&](const char *, uint64_t v) { out << ' ' << v; });
-        out << '\n';
-    }
-    out << "mem";
-    mem.forEach([&](const char *, uint64_t v) { out << ' ' << v; });
-    out << '\n';
-    out << "clusters";
-    for (uint64_t v : cluster_busy_cycles)
-        out << ' ' << v;
-    out << '\n';
-    out << "totals " << gpu_busy_cycles << ' ' << blocks_dispatched
-        << ' ' << shader_cycles << ' ' << strformat("%a", elapsed_s)
-        << '\n';
-}
-
-ChipActivity
-ChipActivity::parse(TextCursor &in)
-{
-    // Counts size containers, so a corrupted record must fail with
-    // the malformed-record fatal(), not an uncaught length_error /
-    // bad_alloc out of resize(). No real GPU is within orders of
-    // magnitude of this bound.
-    constexpr uint64_t max_count = 1u << 20;
-    in.expect("chip-activity");
-    uint64_t n_cores = in.u64("core count");
-    uint64_t n_clusters = in.u64("cluster count");
-    uint64_t n_core_fields = in.u64("core field count");
-    uint64_t n_mem_fields = in.u64("mem field count");
-    if (n_cores > max_count || n_clusters > max_count)
-        fatal("malformed activity record: implausible core/cluster "
-              "count ", n_cores, "/", n_clusters);
-    if (n_core_fields != core_activity_fields ||
-        n_mem_fields != mem_activity_fields)
-        fatal("activity record schema mismatch: record has ",
-              n_core_fields, "/", n_mem_fields,
-              " core/mem counters, this build expects ",
-              core_activity_fields, "/", mem_activity_fields);
-
-    ChipActivity act;
-    act.cores.resize(n_cores);
-    for (CoreActivity &c : act.cores) {
-        in.expect("core");
-#define X(name) c.name = in.u64(#name);
-        GSP_CORE_ACTIVITY_FIELDS(X)
-#undef X
-    }
-    in.expect("mem");
-#define X(name) act.mem.name = in.u64(#name);
-    GSP_MEM_ACTIVITY_FIELDS(X)
-#undef X
-    in.expect("clusters");
-    act.cluster_busy_cycles.resize(n_clusters);
-    for (uint64_t &v : act.cluster_busy_cycles)
-        v = in.u64("cluster busy cycles");
-    in.expect("totals");
-    act.gpu_busy_cycles = in.u64("gpu_busy_cycles");
-    act.blocks_dispatched = in.u64("blocks_dispatched");
-    act.shader_cycles = in.u64("shader_cycles");
-    act.elapsed_s = in.f64("elapsed_s");
-    // A duration: NaN/Inf or negative values are corruption, and
-    // they would silently poison every downstream rate division.
-    if (!std::isfinite(act.elapsed_s) || act.elapsed_s < 0.0)
-        fatal("malformed activity record: elapsed_s ", act.elapsed_s,
-              " is not a finite non-negative duration");
-    return act;
 }
 
 void

@@ -15,7 +15,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -83,9 +82,6 @@
     X(pcie_bytes)           /* host-interface payload bytes */
 
 namespace gpusimpow {
-
-class TextCursor;
-
 namespace perf {
 
 /** Activity of one SIMT core over an interval. */
@@ -163,20 +159,6 @@ struct ChipActivity
 
     /** Human-readable dump of all counters. */
     std::string format() const;
-
-    /**
-     * Write every counter to a stream in a stable text form
-     * (integers in decimal, elapsed_s as a hex float) that
-     * round-trips bit-exactly through parse(). The record carries
-     * its field counts, so a schema drift between writer and reader
-     * is detected instead of silently misassigning counters.
-     */
-    void serialize(std::ostream &out) const;
-
-    /** Parse a record written by serialize() from the cursor's
-     *  position; fatal() on malformed or schema-incompatible input,
-     *  leaving the cursor where the parse stopped. */
-    static ChipActivity parse(TextCursor &in);
 };
 
 /** Number of counters in CoreActivity (the X-macro field list). */

@@ -72,8 +72,9 @@
  *    capture the same scenario twice.
  *
  * Everything is bit-identical to a cold run by construction: replay
- * consumes the same hex-float snapshot text whether it came from this
- * job, another job, or disk.
+ * consumes the same snapshot whether it came from this job, another
+ * job (shared in memory, never serialized) or disk (the store's
+ * binary record, whose doubles travel as their IEEE bits).
  */
 
 #ifndef GPUSIMPOW_SIM_SESSION_HH

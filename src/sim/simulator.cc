@@ -347,6 +347,10 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
 KernelRun
 Simulator::replayKernel(const KernelSnapshot &snap, sim::RowDetail detail)
 {
+    if (_cfg.thermal.enabled && _cfg.thermal.throttle)
+        fatal("cannot replay a snapshot under a throttling governor: "
+              "its power-to-clock feedback changes timing; govern the "
+              "kernel instead");
     return std::move(ReplayGroup({this}).replay(snap, detail).front());
 }
 
@@ -472,7 +476,7 @@ Simulator::solveSteady(const std::vector<power::BlockPower> &bp,
 KernelRun
 Simulator::measure(const KernelSnapshot &snap)
 {
-    ReplayGroup group({this}, ReplayGroup::Unchecked{});
+    ReplayGroup group({this});
     group.evaluate(snap);
     GSP_TRACE_SPAN("sim/replay");
     group.begin(snap, sim::RowDetail::kernels);
@@ -589,16 +593,6 @@ Simulator::govern(const KernelSnapshot &snap, const Clamp &clamp)
 }
 
 ReplayGroup::ReplayGroup(std::vector<Simulator *> sims)
-    : ReplayGroup(std::move(sims), Unchecked{})
-{
-    for (const Simulator *sim : _sims)
-        if (sim->config().thermal.enabled && sim->config().thermal.throttle)
-            fatal("cannot replay a snapshot under a throttling governor: "
-                  "its power-to-clock feedback changes timing; govern "
-                  "the kernel instead");
-}
-
-ReplayGroup::ReplayGroup(std::vector<Simulator *> sims, Unchecked)
     : _sims(std::move(sims)), _row_of(_sims.size())
 {
     std::vector<const power::CompiledPowerModel *> models;

@@ -273,7 +273,9 @@ class Simulator
      * (sim::timingFingerprint) the result is bit-identical to
      * runKernel() — the power-only axes (process node, supply scale,
      * cooling solution) may differ freely between capture and replay.
-     * fatal() on throttle-governed configurations (see ReplayGroup).
+     * fatal() on throttle-governed configurations: the governor's
+     * power-to-clock feedback changes timing, which a replay cannot
+     * reproduce; run those kernels through govern().
      * `detail` selects what the returned run keeps (sim::RowDetail).
      */
     KernelRun replayKernel(const KernelSnapshot &snap,
@@ -425,10 +427,10 @@ class ReplayGroup
 {
   public:
     /**
-     * The Simulators must outlive the group. fatal() on a
-     * throttle-governed one: the governor's power-to-clock feedback
-     * changes timing, which a replay cannot reproduce; run those
-     * kernels through Simulator::govern().
+     * The Simulators must outlive the group and be replayable: a
+     * throttle-governed one joins only the governor's own group of
+     * one (Simulator::measure), and Simulator::replayKernel() refuses
+     * it.
      */
     explicit ReplayGroup(std::vector<Simulator *> sims);
 
@@ -439,13 +441,6 @@ class ReplayGroup
 
   private:
     friend class Simulator;
-
-    /** Tag of the constructor that skips the throttle check: the
-     *  governor's group of one (Simulator::measure). */
-    struct Unchecked
-    {
-    };
-    ReplayGroup(std::vector<Simulator *> sims, Unchecked);
 
     /** Evaluate one kernel for every distinct power model: its traced
      *  intervals (when it has samples) and its whole-kernel activity

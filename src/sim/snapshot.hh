@@ -9,16 +9,17 @@
  * a configuration (process node, supply scale, cooling solution) can
  * be evaluated by replay, without re-running timing.
  *
- * Snapshots serialize to a stable line-oriented text form. All
- * floating-point fields travel as C99 hex floats, so a parsed
- * snapshot replays bit-identically to the run that captured it.
+ * Snapshots are plain data. In memory they are shared, never
+ * serialized; the store persists them as binary records
+ * (store/entry.cc) whose doubles travel as their IEEE bits, so a
+ * stored snapshot replays bit-identically to the run that captured
+ * it.
  */
 
 #ifndef GPUSIMPOW_SIM_SNAPSHOT_HH
 #define GPUSIMPOW_SIM_SNAPSHOT_HH
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "perf/activity.hh"
@@ -68,14 +69,6 @@ struct ActivitySnapshot
     bool verified = true;
     /** Kernels in launch order. */
     std::vector<KernelSnapshot> kernels;
-
-    /** Serialize to the stable text form. */
-    std::string serialize() const;
-
-    /** Parse a snapshot written by serialize(); fatal() on malformed
-     *  or schema-incompatible input, naming the line, column and byte
-     *  offset where the parse stopped. */
-    static ActivitySnapshot parse(std::string_view text);
 };
 
 } // namespace gpusimpow

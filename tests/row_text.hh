@@ -12,6 +12,10 @@
  * ThermalResult field. The timing core's step counters are left out:
  * they describe how a capture ran, and a snapshot does not carry
  * them.
+ *
+ * activityText() is the ChipActivity record's text (the bytes
+ * tests/golden/activity_digests.txt hashes) and snapshotText() a
+ * whole ActivitySnapshot's, so snapshots compare the same way.
  */
 
 #ifndef GPUSIMPOW_TESTS_ROW_TEXT_HH
@@ -20,15 +24,76 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <sstream>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
 #include "common/strutil.hh"
+#include "sim/snapshot.hh"
 #include "sim/sweep.hh"
 
 namespace gpusimpow {
 namespace test {
+
+/** A ChipActivity record as text: its counts (cores, clusters and
+ *  the two field counts), every counter in decimal and elapsed_s as
+ *  a hex float. */
+inline std::string
+activityText(const perf::ChipActivity &act)
+{
+    std::string out = strformat(
+        "chip-activity %zu %zu %u %u\n", act.cores.size(),
+        act.cluster_busy_cycles.size(), perf::core_activity_fields,
+        perf::mem_activity_fields);
+    auto add = [&out](const char *, uint64_t v) {
+        out += ' ';
+        out += std::to_string(v);
+    };
+    for (const perf::CoreActivity &c : act.cores) {
+        out += "core";
+        c.forEach(add);
+        out += '\n';
+    }
+    out += "mem";
+    act.mem.forEach(add);
+    out += "\nclusters";
+    for (uint64_t v : act.cluster_busy_cycles)
+        add(nullptr, v);
+    out += strformat("\ntotals %llu %llu %llu %a\n",
+                     static_cast<unsigned long long>(act.gpu_busy_cycles),
+                     static_cast<unsigned long long>(act.blocks_dispatched),
+                     static_cast<unsigned long long>(act.shader_cycles),
+                     act.elapsed_s);
+    return out;
+}
+
+/** A whole snapshot as text: header, then per kernel its label,
+ *  flags, timing, activity and samples. */
+inline std::string
+snapshotText(const ActivitySnapshot &snap)
+{
+    std::string out = strformat(
+        "workload %s\nscale %u\nwith_trace %d\nsample_interval_s %a\n"
+        "verified %d\nkernels %zu\n",
+        snap.workload.c_str(), snap.scale, snap.with_trace ? 1 : 0,
+        snap.sample_interval_s, snap.verified ? 1 : 0,
+        snap.kernels.size());
+    for (const KernelSnapshot &k : snap.kernels) {
+        out += strformat(
+            "kernel %s\nflags %d %d\nperf %llu %llu %a\n",
+            k.label.c_str(), k.repeatable ? 1 : 0, k.with_trace ? 1 : 0,
+            static_cast<unsigned long long>(k.perf.cycles),
+            static_cast<unsigned long long>(k.perf.instructions),
+            k.perf.time_s);
+        out += activityText(k.perf.activity);
+        out += strformat("samples %zu\n", k.samples.size());
+        for (const ActivitySample &s : k.samples) {
+            out += strformat("sample %a %a\n", s.t0, s.t1);
+            out += activityText(s.delta);
+        }
+    }
+    return out;
+}
 
 /** One report node per line, then its children, with '/'-joined
  *  paths. */
@@ -55,9 +120,7 @@ kernelText(const sim::KernelResult &k)
         k.label.c_str(), k.repeatable ? 1 : 0,
         static_cast<unsigned long long>(run.perf.cycles), run.perf.time_s,
         static_cast<unsigned long long>(run.perf.instructions));
-    std::ostringstream activity;
-    run.perf.activity.serialize(activity);
-    out += activity.str();
+    out += activityText(run.perf.activity);
     appendReportTree(out, run.report.gpu, "");
     out += strformat("report dram %a short_circuit %a elapsed %a\n",
                      run.report.dram_w, run.report.short_circuit_w,

@@ -13,9 +13,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <limits>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
@@ -148,7 +153,7 @@ TEST(TextCursor, IntegersAreDigitsOnly)
 TEST(TextCursor, TypedReadersFatalWithContextAtTheirPosition)
 {
     TextCursor in("flags 1 2\nscale -1");
-    in.expect("flags");
+    EXPECT_EQ(in.next(), "flags");
     EXPECT_TRUE(in.flag("first flag"));
     try {
         in.flag("second flag");
@@ -159,22 +164,22 @@ TEST(TextCursor, TypedReadersFatalWithContextAtTheirPosition)
     }
     // The cursor stops just past the offending token.
     EXPECT_EQ(in.where(), "line 1, column 10, byte offset 9");
+    EXPECT_EQ(in.next(), "scale");
     try {
-        in.expect("scale");
-        in.u64("scale");
+        in.flag("scale flag");
         FAIL() << "expected FatalError";
     } catch (const FatalError &e) {
-        EXPECT_STREQ(e.what(), "malformed record: bad scale '-1'");
+        EXPECT_STREQ(e.what(), "malformed record: bad scale flag '-1'");
     }
     EXPECT_EQ(in.where(), "line 2, column 9, byte offset 18");
     try {
-        in.expect("kernels");
+        in.f64("interval");
         FAIL() << "expected FatalError";
     } catch (const FatalError &e) {
-        EXPECT_STREQ(e.what(), "truncated record: expected 'kernels'");
+        EXPECT_STREQ(e.what(), "truncated record: expected interval");
     }
     TextCursor other("workload");
-    EXPECT_THROW(other.expect("scale"), FatalError);
+    EXPECT_THROW(other.flag("scale"), FatalError);
     EXPECT_THROW(other.f64("time"), FatalError);
 }
 
@@ -394,4 +399,33 @@ TEST(Logging, LevelFilters)
     inform("hidden");
     warn("hidden");
     Logger::instance().setLevel(LogLevel::Warn);
+}
+
+TEST(Logging, ConcurrentWarningsStayWholeLines)
+{
+    // Workers warn concurrently (e.g. steady solves of a governed
+    // sweep); every line must reach stderr whole.
+    constexpr int threads = 8;
+    constexpr int per_thread = 200;
+    std::ostringstream captured;
+    std::streambuf *saved = std::cerr.rdbuf(captured.rdbuf());
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t)
+        workers.emplace_back([t] {
+            for (int i = 0; i < per_thread; ++i)
+                warn("t", t, "-", i);
+        });
+    for (std::thread &w : workers)
+        w.join();
+    std::cerr.rdbuf(saved);
+
+    const std::regex whole(R"(^\[gpusimpow:warn\] t\d+-\d+$)");
+    std::istringstream lines(captured.str());
+    std::string line;
+    int count = 0;
+    while (std::getline(lines, line)) {
+        EXPECT_TRUE(std::regex_match(line, whole)) << line;
+        ++count;
+    }
+    EXPECT_EQ(count, threads * per_thread);
 }

@@ -1,12 +1,15 @@
 /**
  * @file
- * Seeded mutation fuzzers for every parser of untrusted bytes: activity
- * snapshots and their ChipActivity records, store entries, sweep
- * requests, wire frames and the config XML reader.
+ * Seeded mutation fuzzers for every parser of untrusted bytes: store
+ * entries (the binary snapshot record), sweep requests, wire frames
+ * and the config XML reader.
  *
- * Each corpus input is cut at every line boundary and then mutated by
- * bit flips, byte inserts and deletes, token duplication and digit
- * runs long enough to overflow a u64. Every mutant must end in a clean
+ * Each text corpus input is cut at every line boundary and then
+ * mutated by bit flips, byte inserts and deletes, token duplication
+ * and digit runs long enough to overflow a u64. A store record is cut
+ * at every byte, its bits flipped and its words set to lengths and
+ * counts up to 2^64-1, each also with the checksum recomputed so the
+ * decoder's own checks are reached. Every mutant must end in a clean
  * error (FatalError, or a rejection the API reports) or in a valid
  * parse, never in a crash, a hang or a sanitizer report. A mutant that
  * parses must also be a fixed point of its own serializer. The seed
@@ -22,7 +25,6 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -116,33 +118,47 @@ parses(const std::string &input, const std::function<void()> &parse)
     }
 }
 
-/** Snapshot parse: a mutant that parses is a serialize() fixed point. */
-void
-checkSnapshot(const std::string &text)
+/** Decode a store record under `key`, which must never throw: a
+ *  record of the key must re-encode to the same bytes (the decoder
+ *  accepts one encoding per snapshot), and a rejected one must say
+ *  where it failed. Returns what the decoder found. */
+store::EntryMatch
+checkEntry(const std::string &bytes, const std::string &key)
 {
     ActivitySnapshot snap;
-    if (!parses(text, [&] { snap = ActivitySnapshot::parse(text); }))
-        return;
-    const std::string once = snap.serialize();
-    EXPECT_EQ(ActivitySnapshot::parse(once).serialize(), once);
+    std::string reason;
+    store::EntryMatch found = store::EntryMatch::corrupt;
+    try {
+        found = store::decodeEntry(bytes, key, &snap, reason);
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << "entry decoder threw " << e.what();
+        return store::EntryMatch::corrupt;
+    }
+    if (found == store::EntryMatch::this_key) {
+        EXPECT_EQ(store::encodeEntry(key, snap), bytes);
+    } else if (found == store::EntryMatch::corrupt) {
+        EXPECT_TRUE(reason.find("byte offset ") != std::string::npos ||
+                    reason.find("size ") == 0)
+            << reason;
+    }
+    return found;
 }
 
-void
-checkChipActivity(const std::string &text)
+/** `body` sealed with its checksum, as the encoder ends a record. */
+std::string
+sealed(std::string body)
 {
-    perf::ChipActivity act;
-    if (!parses(text, [&] {
-            TextCursor in(text);
-            act = perf::ChipActivity::parse(in);
-        }))
-        return;
-    std::ostringstream out;
-    act.serialize(out);
-    const std::string once = out.str();
-    TextCursor again(once);
-    std::ostringstream twice;
-    perf::ChipActivity::parse(again).serialize(twice);
-    EXPECT_EQ(twice.str(), once);
+    const uint64_t sum = store::hashBytes(body);
+    for (int i = 0; i < 8; ++i)
+        body += static_cast<char>(sum >> (8 * i));
+    return body;
+}
+
+/** `entry` with its checksum recomputed after a change to its body. */
+std::string
+resealed(const std::string &entry)
+{
+    return sealed(entry.substr(0, entry.size() - 8));
 }
 
 void
@@ -222,70 +238,117 @@ struct ScopedDir
 
 } // namespace
 
-TEST(FuzzParsers, SnapshotText)
+TEST(FuzzParsers, StoreEntry)
 {
+    const std::string key = "vectoradd#fuzz";
     const ActivitySnapshot &snap = tracedSnapshot();
     ASSERT_FALSE(snap.kernels.empty());
     ASSERT_FALSE(snap.kernels[0].samples.empty());
-    const std::string text = snap.serialize();
-    ASSERT_EQ(ActivitySnapshot::parse(text).serialize(), text);
+    const std::string entry = store::encodeEntry(key, snap);
+    ASSERT_EQ(checkEntry(entry, key), store::EntryMatch::this_key);
+    EXPECT_EQ(checkEntry(entry, "another key"),
+              store::EntryMatch::other_key);
+    const std::size_t words = entry.size() / 8;
+
+    // Truncation at every byte, and at every word with the checksum
+    // recomputed, so the decoder's own bounds see the short record.
+    for (std::size_t n = 0; n < entry.size(); ++n) {
+        EXPECT_EQ(checkEntry(entry.substr(0, n), key),
+                  store::EntryMatch::corrupt)
+            << n;
+        if (n % 8 == 0 && n > 0) {
+            EXPECT_EQ(checkEntry(sealed(entry.substr(0, n - 8)), key),
+                      store::EntryMatch::corrupt)
+                << n;
+        }
+    }
+
+    // Single-bit flips: every bit of the leading words (the header,
+    // the first kernel and its activity's counts), then random ones,
+    // each as written (the checksum catches it) and resealed.
     SplitMix64 rng(fuzz_seed);
-    forEachMutant(text, rng, mutants_per_input, checkSnapshot);
+    auto flipped = [&](std::size_t bit) {
+        std::string m = entry;
+        m[bit / 8] = static_cast<char>(m[bit / 8] ^ (1 << (bit % 8)));
+        return m;
+    };
+    std::vector<std::size_t> bits;
+    for (std::size_t bit = 0; bit < std::min<std::size_t>(words, 40) * 64;
+         ++bit)
+        bits.push_back(bit);
+    for (int i = 0; i < 2 * mutants_per_input; ++i)
+        bits.push_back(rng.nextBounded((entry.size() - 8) * 8));
+    for (std::size_t bit : bits) {
+        const std::string m = flipped(bit);
+        EXPECT_EQ(checkEntry(m, key), store::EntryMatch::corrupt) << bit;
+        checkEntry(resealed(m), key);
+    }
+
+    // Lengths and counts up to 2^64-1 in every leading word and in
+    // random ones, resealed.
+    std::vector<std::size_t> at;
+    for (std::size_t w = 3; w < std::min<std::size_t>(words - 1, 160); ++w)
+        at.push_back(w);
+    for (int i = 0; i < mutants_per_input / 2; ++i)
+        at.push_back(3 + rng.nextBounded(words - 4));
+    for (std::size_t w : at)
+        for (uint64_t v : {~uint64_t{0}, ~uint64_t{0} - 7, uint64_t{1} << 63,
+                           uint64_t{1} << 32, uint64_t{1} << 20,
+                           (uint64_t{1} << 20) + 1,
+                           static_cast<uint64_t>(words)}) {
+            std::string m = entry;
+            for (int i = 0; i < 8; ++i)
+                m[w * 8 + i] = static_cast<char>(v >> (8 * i));
+            checkEntry(resealed(m), key);
+        }
+
+    // An entry of the earlier text format, and the golden anchors.
+    EXPECT_EQ(checkEntry("gpusimpow-store-entry v2\nkey " +
+                             std::to_string(key.size()) +
+                             " fnv1a 0000000000000000\n" + key + "\n",
+                         key),
+              store::EntryMatch::corrupt);
     for (const std::string &golden : goldenCorpus())
-        forEachMutant(golden, rng, golden_mutants, checkSnapshot);
+        forEachMutant(golden, rng, golden_mutants,
+                      [&](const std::string &m) { checkEntry(m, key); });
 }
 
-TEST(FuzzParsers, ChipActivityRecord)
+TEST(FuzzParsers, StoreFetchCountsEveryRejection)
 {
-    std::ostringstream record;
-    tracedSnapshot().kernels.at(0).perf.activity.serialize(record);
-    SplitMix64 rng(fuzz_seed + 1);
-    forEachMutant(record.str(), rng, mutants_per_input,
-                  checkChipActivity);
-    for (const std::string &golden : goldenCorpus())
-        forEachMutant(golden, rng, golden_mutants, checkChipActivity);
-}
-
-TEST(FuzzParsers, StoreEntry)
-{
+    // Through the store: each mutant written at the key's entry name
+    // and fetched is a snapshot that round-trips, or a miss counted
+    // once as corrupt.
     QuietLogs quiet;
     ScopedDir scoped;
-    const std::filesystem::path &dir = scoped.path;
     const std::string key = "vectoradd#fuzz";
-    std::filesystem::path entry;
-    std::string text;
-    {
-        store::SweepStore store(dir);
-        ASSERT_TRUE(store.put(key, tracedSnapshot()));
-        for (const auto &de : std::filesystem::directory_iterator(dir))
-            if (de.path().extension() == ".entry")
-                entry = de.path();
-        std::ifstream in(entry, std::ios::binary);
-        text.assign(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>());
-    }
-    ASSERT_FALSE(text.empty());
-    SplitMix64 rng(fuzz_seed + 2);
-    // Each mutant is written at the key's entry name and fetched: a
-    // snapshot that round-trips, or a miss counted once as corrupt.
+    const std::string entry = store::encodeEntry(key, tracedSnapshot());
+    store::SweepStore store(scoped.path);
+    ASSERT_TRUE(store.put(key, tracedSnapshot()));
+    std::filesystem::path path;
+    for (const auto &de : std::filesystem::directory_iterator(scoped.path))
+        if (de.path().extension() == ".entry")
+            path = de.path();
     obs::Counter &corrupt =
         obs::Registry::instance().counter("store/corrupt");
-    store::SweepStore store(dir);
-    forEachMutant(text, rng, mutants_per_input,
-                  [&](const std::string &m) {
+    SplitMix64 rng(fuzz_seed + 2);
+    for (int i = 0; i < mutants_per_input / 4; ++i) {
+        std::string m = entry;
+        const std::size_t bit = rng.nextBounded(entry.size() * 8);
+        m[bit / 8] = static_cast<char>(m[bit / 8] ^ (1 << (bit % 8)));
+        if (i % 2)
+            m = resealed(m);
         {
-            std::ofstream out(entry, std::ios::binary | std::ios::trunc);
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
             out << m;
         }
         const uint64_t corrupt0 = corrupt.value();
-        if (auto snap = store.fetch(key)) {
-            const std::string once = snap->serialize();
-            EXPECT_EQ(ActivitySnapshot::parse(once).serialize(), once);
+        if (auto fetched = store.fetch(key)) {
+            EXPECT_EQ(store::encodeEntry(key, *fetched), m);
             EXPECT_EQ(corrupt.value(), corrupt0);
         } else {
             EXPECT_EQ(corrupt.value() - corrupt0, 1u);
         }
-    });
+    }
 }
 
 TEST(FuzzParsers, SweepRequest)

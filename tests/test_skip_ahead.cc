@@ -35,9 +35,9 @@
 #include <string>
 #include <vector>
 
-#include "common/strutil.hh"
 #include "config/gpu_config.hh"
 #include "perf/gpu.hh"
+#include "row_text.hh"
 #include "workloads/workload.hh"
 
 using namespace gpusimpow;
@@ -108,21 +108,6 @@ struct Fnv1a
     }
 };
 
-/** The record's text, checked to parse back to the same bytes, so
- *  every kernel and interval of every workload crosses the parser. */
-std::string
-serialized(const perf::ChipActivity &act)
-{
-    std::ostringstream out;
-    act.serialize(out);
-    const std::string text = out.str();
-    TextCursor in(text);
-    std::ostringstream again;
-    perf::ChipActivity::parse(in).serialize(again);
-    EXPECT_EQ(again.str(), text);
-    return text;
-}
-
 std::string
 intervalBounds(double t0, double t1)
 {
@@ -163,7 +148,7 @@ computeDigests(const std::string &chip, const GpuConfig &cfg)
                     sampler = [&](const perf::ChipActivity &delta,
                                   double t0, double t1) {
                         fnv.add(intervalBounds(t0, t1));
-                        fnv.add(serialized(delta));
+                        fnv.add(test::activityText(delta));
                         ++intervals;
                     };
                 }
@@ -173,7 +158,7 @@ computeDigests(const std::string &chip, const GpuConfig &cfg)
                 std::ostringstream cycles;
                 cycles << "cycles " << r.cycles << '\n';
                 fnv.add(cycles.str());
-                fnv.add(serialized(r.activity));
+                fnv.add(test::activityText(r.activity));
 
                 std::ostringstream key;
                 key << chip << ' ' << wl->name() << ' ' << leg.mode << ' '

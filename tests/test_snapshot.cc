@@ -2,10 +2,10 @@
  * @file
  * Tests of the two-phase simulation flow at the Simulator level:
  * capture plus replay must equal runKernel, traced intervals must
- * match the scalar evaluator, snapshots must survive serialization
- * and reject malformed text, and the cache key must collapse exactly
+ * match the scalar evaluator, and the cache key must collapse exactly
  * the timing-invariant axes and split everything else. Sweep rows
- * against full simulation are test_differential's.
+ * against full simulation are test_differential's; the stored form
+ * of a snapshot is test_store's.
  */
 
 #include <gtest/gtest.h>
@@ -13,25 +13,20 @@
 #include <algorithm>
 #include <cstddef>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
-#include "common/strutil.hh"
 #include "power/compiled.hh"
 #include "power_tree_reference.hh"
 #include "row_text.hh"
-#include "sim/session.hh"
 #include "sim/simulator.hh"
 #include "sim/snapshot.hh"
 #include "sim/sweep.hh"
 #include "workloads/workload.hh"
 
 using namespace gpusimpow;
-using sim::EngineOptions;
 using sim::Scenario;
-using sim::SweepSession;
 using sim::SweepSpec;
 
 namespace {
@@ -45,38 +40,6 @@ prepareWorkload(Simulator &sim, const std::string &name)
 }
 
 } // namespace
-
-TEST(ActivitySerialization, RoundTripsBitExactly)
-{
-    Simulator sim(GpuConfig::gt240());
-    auto launches = prepareWorkload(sim, "vectoradd");
-    ASSERT_FALSE(launches.empty());
-    KernelSnapshot snap = sim.capturePerf(launches[0].prog,
-                                          launches[0].launch);
-
-    std::ostringstream out;
-    snap.perf.activity.serialize(out);
-    const std::string text = out.str();
-    TextCursor in(text);
-    perf::ChipActivity parsed = perf::ChipActivity::parse(in);
-    EXPECT_EQ(in.next(), ""); // the record ends where the text does
-
-    EXPECT_EQ(parsed.elapsed_s, snap.perf.activity.elapsed_s);
-    EXPECT_EQ(parsed.shader_cycles, snap.perf.activity.shader_cycles);
-    EXPECT_EQ(parsed.gpu_busy_cycles,
-              snap.perf.activity.gpu_busy_cycles);
-    EXPECT_EQ(parsed.cluster_busy_cycles,
-              snap.perf.activity.cluster_busy_cycles);
-    ASSERT_EQ(parsed.cores.size(), snap.perf.activity.cores.size());
-    // Spot-check through format(), which renders every counter.
-    EXPECT_EQ(parsed.format(), snap.perf.activity.format());
-}
-
-TEST(ActivitySerialization, RejectsSchemaMismatch)
-{
-    TextCursor in("chip-activity 0 0 3 2\nmem 0 0\n");
-    EXPECT_THROW(perf::ChipActivity::parse(in), FatalError);
-}
 
 TEST(Snapshot, CaptureReplayMatchesRunKernelWithTrace)
 {
@@ -179,182 +142,6 @@ TEST(Snapshot, BatchKeysMatchPerScenarioKeys)
     // Out of expansion order, equal views are no longer adjacent.
     std::reverse(scenarios.begin(), scenarios.end());
     EXPECT_EQ(unitCount(scenarios), 8u);
-}
-
-TEST(Snapshot, SerializationRejectsGarbage)
-{
-    EXPECT_THROW(ActivitySnapshot::parse("not a snapshot"),
-                 FatalError);
-    EXPECT_THROW(ActivitySnapshot::parse(
-                     "gpusimpow-activity-snapshot v99\n"),
-                 FatalError);
-    // Negative counts must not wrap through strtoull into 2^64-1...
-    EXPECT_THROW(ActivitySnapshot::parse(
-                     "gpusimpow-activity-snapshot v1\n"
-                     "workload vectoradd\nscale -1\n"),
-                 FatalError);
-    // ...and absurd counts must hit the malformed-record fatal(),
-    // not an uncaught length_error out of reserve().
-    EXPECT_THROW(ActivitySnapshot::parse(
-                     "gpusimpow-activity-snapshot v1\n"
-                     "workload vectoradd\nscale 1\nwith_trace 0\n"
-                     "sample_interval_s 0x0p+0\nverified 1\n"
-                     "kernels 9999999999999999\n"),
-                 FatalError);
-}
-
-namespace {
-
-/** Minimal kernel-less snapshot text with substitutable header
- *  fields, for targeted malformed-input probes. */
-std::string
-snapshotHeader(const std::string &scale, const std::string &with_trace,
-               const std::string &interval)
-{
-    return "gpusimpow-activity-snapshot v1\n"
-           "workload vectoradd\n"
-           "scale " + scale + "\n"
-           "with_trace " + with_trace + "\n"
-           "sample_interval_s " + interval + "\n"
-           "verified 0\nkernels 0\n";
-}
-
-} // namespace
-
-TEST(Snapshot, ParserRejectsOutOfRangeScale)
-{
-    // The 32-bit boundary itself is a legal scale...
-    EXPECT_EQ(ActivitySnapshot::parse(
-                  snapshotHeader("4294967295", "0", "0x0p+0")).scale,
-              4294967295u);
-    // ...but one past it used to truncate silently to 0 through
-    // static_cast<unsigned>; it must be a parse error instead.
-    EXPECT_THROW(ActivitySnapshot::parse(
-                     snapshotHeader("4294967296", "0", "0x0p+0")),
-                 FatalError);
-    EXPECT_THROW(ActivitySnapshot::parse(
-                     snapshotHeader("18446744073709551615", "0",
-                                    "0x0p+0")),
-                 FatalError);
-}
-
-TEST(Snapshot, ParserRejectsNonBooleanFlags)
-{
-    EXPECT_THROW(ActivitySnapshot::parse(
-                     snapshotHeader("1", "2", "0x0p+0")),
-                 FatalError);
-}
-
-TEST(Snapshot, ParserRejectsInvalidSampleInterval)
-{
-    EXPECT_THROW(ActivitySnapshot::parse(
-                     snapshotHeader("1", "0", "-0x1p-10")),
-                 FatalError);
-    EXPECT_THROW(ActivitySnapshot::parse(
-                     snapshotHeader("1", "0", "nan")),
-                 FatalError);
-    EXPECT_THROW(ActivitySnapshot::parse(
-                     snapshotHeader("1", "0", "inf")),
-                 FatalError);
-    // A traced snapshot sampled at 0 is self-contradictory; the
-    // same interval on an untraced snapshot is the legal default.
-    EXPECT_THROW(ActivitySnapshot::parse(
-                     snapshotHeader("1", "1", "0x0p+0")),
-                 FatalError);
-    EXPECT_NO_THROW(ActivitySnapshot::parse(
-        snapshotHeader("1", "0", "0x0p+0")));
-}
-
-TEST(Snapshot, ParseErrorsReportTextPosition)
-{
-    // A bad token deep in the text must be located for the reader: a
-    // corrupt store entry or hand-edited snapshot is only diagnosable
-    // if the error names where the parse stopped.
-    try {
-        ActivitySnapshot::parse(snapshotHeader("1", "2", "0x0p+0"));
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        std::string msg = e.what();
-        // The bad with_trace flag sits on line 4 of the header.
-        EXPECT_NE(msg.find("line 4"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("column "), std::string::npos) << msg;
-        EXPECT_NE(msg.find("byte offset "), std::string::npos) << msg;
-    }
-
-    // Truncated input: the position points at the end of the text.
-    const std::string truncated =
-        "gpusimpow-activity-snapshot v1\nworkload vectoradd\n";
-    try {
-        ActivitySnapshot::parse(truncated);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        std::string msg = e.what();
-        EXPECT_NE(msg.find("line "), std::string::npos) << msg;
-        EXPECT_NE(msg.find(strformat("byte offset %zu",
-                                     truncated.size())),
-                  std::string::npos)
-            << msg;
-    }
-}
-
-TEST(Snapshot, ParserRejectsInvalidSamplesAndTimes)
-{
-    // Corrupt individual lines of a genuine traced snapshot, so
-    // everything around the probed field stays structurally valid.
-    Scenario scenario;
-    scenario.config = GpuConfig::gt240();
-    scenario.workload = "vectoradd";
-    EngineOptions opt;
-    opt.with_trace = true;
-    SweepSession session(opt);
-    Simulator sim(scenario.config);
-    ActivitySnapshot captured;
-    session.runScenario(scenario, sim, &captured);
-    ASSERT_FALSE(captured.kernels.empty());
-    ASSERT_FALSE(captured.kernels[0].samples.empty());
-    const std::string text = captured.serialize();
-    ASSERT_NO_THROW(ActivitySnapshot::parse(text)); // control
-
-    auto corrupt_line = [&](const char *marker,
-                            const std::string &replacement) {
-        std::size_t pos = text.find(marker);
-        EXPECT_NE(pos, std::string::npos) << marker;
-        std::size_t eol = text.find('\n', pos + 1);
-        std::string t = text;
-        t.replace(pos + 1, eol - pos - 1, replacement);
-        return t;
-    };
-    // A sample interval running backwards (t1 < t0).
-    EXPECT_THROW(ActivitySnapshot::parse(corrupt_line(
-                     "\nsample ", "sample 0x1p+0 0x1p-1")),
-                 FatalError);
-    // Non-finite and negative sample bounds.
-    EXPECT_THROW(ActivitySnapshot::parse(corrupt_line(
-                     "\nsample ", "sample nan 0x1p-1")),
-                 FatalError);
-    EXPECT_THROW(ActivitySnapshot::parse(corrupt_line(
-                     "\nsample ", "sample -0x1p-1 0x1p+0")),
-                 FatalError);
-    // Negative kernel time_s.
-    EXPECT_THROW(ActivitySnapshot::parse(corrupt_line(
-                     "\nperf ", "perf 1 1 -0x1p+0")),
-                 FatalError);
-    // Non-boolean kernel flags.
-    EXPECT_THROW(ActivitySnapshot::parse(corrupt_line(
-                     "\nflags ", "flags 2 0")),
-                 FatalError);
-    // Non-finite activity elapsed_s.
-    EXPECT_THROW(ActivitySnapshot::parse(corrupt_line(
-                     "\ntotals ", "totals 1 1 1 inf")),
-                 FatalError);
-}
-
-TEST(ActivitySerialization, RejectsImplausibleCounts)
-{
-    TextCursor in("chip-activity 9999999999999999 0 46 10\n");
-    EXPECT_THROW(perf::ChipActivity::parse(in), FatalError);
-    TextCursor neg("chip-activity -4 0 46 10\n");
-    EXPECT_THROW(perf::ChipActivity::parse(neg), FatalError);
 }
 
 TEST(TimingFingerprint, CollapsesEveryPowerOnlyAxis)

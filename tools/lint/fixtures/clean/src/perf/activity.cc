@@ -1,4 +1,4 @@
-// Fixture: serializer embedding the schema counts, hex-float doubles.
+// Fixture: a text serializer writing doubles as hex floats.
 #include <ostream>
 
 void

@@ -14,9 +14,13 @@ single source of truth:
   * dotCountersRow() must never be called with a hard-coded integer
     count — the row length comes from core_activity_fields /
     mem_activity_fields (or a variable derived from them);
-  * the file implementing ChipActivity::serialize/parse must embed
-    both field-count constants (the schema check that detects
-    writer/reader drift).
+  * the store record's activity layout (activityRecord in
+    src/store/entry.cc, which both the writer and the reader run)
+    must carry both field-count constants as record fields
+    (`io.constant(core_activity_fields, ...)`), so the reader's
+    schema check detects writer/reader drift. A tree holding
+    src/store/entry.cc must define it, so a rename cannot leave this
+    check with nothing to check.
 """
 
 from __future__ import annotations
@@ -127,13 +131,17 @@ def _check_row_length_literals(files, findings):
                     "the call tracks the X-macro layout" % args[2]))
 
 
+_CODEC_FNS = ("activityRecord",)
+_CODEC_FILE = "src/store/entry.cc"
+
+
 def _check_serializer_embeds_counts(files, findings):
+    defined = set()
     for path, sf in sorted(files.items()):
-        # Only the *implementation* file is bound by the schema-embed
-        # contract: a definition has a `{` after its parameter list,
-        # a call site a `;`/`,`/operator instead.
-        has_ser = None
-        for m in re.finditer(r"\bChipActivity::(serialize|parse)\s*\(",
+        # Only definitions are bound by the schema-embed contract: a
+        # definition has a `{` after its parameter list, a call site a
+        # `;`/`,`/operator instead.
+        for m in re.finditer(r"\b(%s)\s*\(" % "|".join(_CODEC_FNS),
                              sf.code):
             close = matching_paren(sf.code, sf.code.find("(", m.start()))
             if close < 0:
@@ -141,19 +149,27 @@ def _check_serializer_embeds_counts(files, findings):
             j = close + 1
             while j < len(sf.code) and sf.code[j] not in "{;,)":
                 j += 1
-            if j < len(sf.code) and sf.code[j] == "{":
-                has_ser = m
-                break
-        if not has_ser:
-            continue
-        for const in ("core_activity_fields", "mem_activity_fields"):
-            if not re.search(r"\b%s\b" % const, sf.code):
+            if j >= len(sf.code) or sf.code[j] != "{":
+                continue
+            end = matching_brace(sf.code, j)
+            body = sf.code[j:end if end >= 0 else len(sf.code)]
+            defined.add(m.group(1))
+            for const in ("core_activity_fields", "mem_activity_fields"):
+                if not re.search(r"\bconstant\s*\(\s*(?:perf::)?%s\b"
+                                 % const, body):
+                    findings.append(Finding(
+                        path, line_of_offset(sf.code, m.start()), RULE,
+                        "%s does not carry %s as a record field "
+                        "(constant(%s, ...)) — the record schema check "
+                        "cannot detect field-count drift"
+                        % (m.group(1), const, const)))
+    if _CODEC_FILE in files:
+        for fn in _CODEC_FNS:
+            if fn not in defined:
                 findings.append(Finding(
-                    path, line_of_offset(sf.code, has_ser.start()),
-                    RULE,
-                    "ChipActivity::serialize/parse implementation does "
-                    "not reference %s — the record schema check "
-                    "cannot detect field-count drift" % const))
+                    _CODEC_FILE, 1, RULE,
+                    "%s is not defined: the schema-embed check has no "
+                    "activity codec to check" % fn))
 
 
 def check(files):
