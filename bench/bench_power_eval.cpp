@@ -35,7 +35,6 @@
 
 using namespace gpusimpow;
 using power::BatchedPowerEvaluator;
-using power::CompiledPowerModel;
 using power::GpuPowerModel;
 
 namespace {
@@ -131,9 +130,9 @@ runBench(FILE *out, bool json)
                 std::make_unique<GpuPowerModel>(vcfg));
         }
     }
-    std::vector<const CompiledPowerModel *> variants;
+    std::vector<const GpuPowerModel *> variants;
     for (const auto &m : variant_models)
-        variants.push_back(&m->compiled());
+        variants.push_back(m.get());
     const std::size_t n_variants = variants.size();
 
     BatchedPowerEvaluator evaluator(variants);

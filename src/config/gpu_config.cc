@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <functional>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -282,8 +283,39 @@ validate(const GpuConfig &cfg)
     const auto &c = cfg.core;
     if (cfg.clusters == 0 || cfg.cores_per_cluster == 0)
         fatal("GPU must have at least one cluster and core");
-    if (c.warp_size == 0 || c.max_threads % c.warp_size != 0)
+    if (c.warp_size == 0 || c.max_threads == 0 ||
+        c.max_threads % c.warp_size != 0)
         fatal("max_threads must be a positive multiple of warp_size");
+    // Counts and sizes the models divide by, size arrays with or
+    // schedule by: zero divides by zero or never issues.
+    const std::pair<const char *, unsigned> positive[] = {
+        {"core.max_blocks", c.max_blocks},
+        {"core.scoreboard_entries", c.scoreboard_entries},
+        {"core.issue_width", c.issue_width},
+        {"core.regfile_regs", c.regfile_regs},
+        {"core.regfile_banks", c.regfile_banks},
+        {"core.operand_collectors", c.operand_collectors},
+        {"core.ibuffer_slots", c.ibuffer_slots},
+        {"core.icache_bytes", c.icache_bytes},
+        {"core.icache_assoc", c.icache_assoc},
+        {"core.smem_banks", c.smem_banks},
+        {"core.l1d_assoc", c.l1d_assoc},
+        {"core.line_bytes", c.line_bytes},
+        {"core.const_cache_bytes", c.const_cache_bytes},
+        {"core.const_cache_assoc", c.const_cache_assoc},
+        {"core.sagu_count", c.sagu_count},
+        {"noc.link_bits", cfg.noc.link_bits},
+        {"l2.slices", cfg.l2.present ? cfg.l2.slices : 1},
+        {"l2.assoc", cfg.l2.present ? cfg.l2.assoc : 1},
+        {"l2.line_bytes", cfg.l2.present ? cfg.l2.line_bytes : 1},
+        {"dram.channel_bits", cfg.dram.channel_bits},
+        {"dram.banks", cfg.dram.banks},
+        {"dram.row_bytes", cfg.dram.row_bytes},
+        {"dram.burst_length", cfg.dram.burst_length},
+    };
+    for (const auto &[field, value] : positive)
+        if (value == 0)
+            fatal(field, " must be positive");
     if (c.int_lanes == 0 || c.fp_lanes == 0 || c.sfu_units == 0)
         fatal("execution unit counts must be positive");
     if (c.warp_size % 8 != 0)
@@ -300,6 +332,9 @@ validate(const GpuConfig &cfg)
         fatal("at least one DRAM channel is required");
     if (cfg.clocks.uncore_hz <= 0 || cfg.clocks.shader_to_uncore <= 0)
         fatal("clock rates must be positive");
+    if (!(cfg.clocks.dram_hz > 0.0))
+        fatal("clocks.dram_hz must be positive, got ",
+              cfg.clocks.dram_hz);
     if (cfg.core.sched_policy != "rr" && cfg.core.sched_policy != "gto")
         fatal("unknown sched_policy '", cfg.core.sched_policy,
               "' (expected rr or gto)");

@@ -178,7 +178,7 @@ constexpr unsigned mem_activity_fields =
 /**
  * Compile-time index of every core counter in the X-macro declaration
  * order — the layout contract between the activity records and the
- * compiled power model's dense coefficient rows (power/compiled.hh).
+ * power model's dense coefficient rows (power/chip_power.hh).
  */
 struct CoreCounterIndex
 {

@@ -12,7 +12,7 @@ namespace gpusimpow {
 namespace power {
 
 BatchedPowerEvaluator::BatchedPowerEvaluator(
-    std::vector<const CompiledPowerModel *> variants)
+    std::vector<const GpuPowerModel *> variants)
     : _variants(std::move(variants))
 {
     GSP_ASSERT(!_variants.empty(),
@@ -72,7 +72,7 @@ BatchedPowerEvaluator::BatchedPowerEvaluator(
     _core_quads.reserve(n_quads * rows_per_variant);
     _mem_quads.reserve(n_quads * rows_per_variant);
     for (std::size_t q = 0; q < n_quads; ++q) {
-        std::array<const CompiledPowerModel *, 4> ms = {};
+        std::array<const GpuPowerModel *, 4> ms = {};
         for (unsigned j = 0; j < 4; ++j)
             if (q * 4 + j < n_variants)
                 ms[j] = _variants[q * 4 + j];
@@ -119,7 +119,7 @@ BatchedPowerEvaluator::BatchedPowerEvaluator(
     _static_blocks.reserve(n_variants);
 
     for (std::size_t v = 0; v < n_variants; ++v) {
-        const CompiledPowerModel &m = *_variants[v];
+        const GpuPowerModel &m = *_variants[v];
         GSP_ASSERT(m._n_cores == _n_cores,
                    "batched variants must share the activity shape");
         _core_base_scaled.push_back(m._core_base_dyn_w *
@@ -130,7 +130,7 @@ BatchedPowerEvaluator::BatchedPowerEvaluator(
                                 m._base_power_scale);
         // At the nominal temperature the static half of an
         // evaluation is activity-independent: take it once.
-        CompiledPowerModel::Eval nominal;
+        GpuPowerModel::Eval nominal;
         m.leakageAt(nullptr, nominal);
         _static_blocks.push_back(std::move(nominal.blocks));
     }
@@ -222,9 +222,9 @@ BatchedPowerEvaluator::Totals
 BatchedPowerEvaluator::assemble(const perf::ChipActivity &act,
                                 std::size_t li, std::size_t v,
                                 const Workspace &ws, double *bd,
-                                CompiledPowerModel::Eval *ev) const
+                                GpuPowerModel::Eval *ev) const
 {
-    const CompiledPowerModel &m = *_variants[v];
+    const GpuPowerModel &m = *_variants[v];
     const std::size_t row_stride = rowStride();
     const double *q = ws.mem_prod.data() + li * row_stride + v;
     const double gpu_busy_frac = ws.gpu_busy_frac;
@@ -330,7 +330,7 @@ BatchedPowerEvaluator::assemble(const perf::ChipActivity &act,
                             total_dram_cycles
                       : 0.0;
     da.row_open_frac = std::min(1.0, 4.0 * util);
-    t.dram_w = m._dram->compute(da).total();
+    t.dram_w = m._dram.compute(da).total();
 
     if (ev) {
         analytic_dyn += noc_dyn;
@@ -401,7 +401,7 @@ BatchedPowerEvaluator::evaluate(
 void
 BatchedPowerEvaluator::evaluateNominal(
     const perf::ChipActivity &act, Workspace &ws,
-    std::span<CompiledPowerModel::Eval> out) const
+    std::span<GpuPowerModel::Eval> out) const
 {
     GSP_ASSERT(out.size() == _variants.size(),
                "one Eval per variant: ", out.size(), " for ",
@@ -410,8 +410,8 @@ BatchedPowerEvaluator::evaluateNominal(
     products(&one, 1, ws);
     fractions(act, ws);
     for (std::size_t v = 0; v < _variants.size(); ++v) {
-        const CompiledPowerModel &m = *_variants[v];
-        CompiledPowerModel::Eval &ev = out[v];
+        const GpuPowerModel &m = *_variants[v];
+        GpuPowerModel::Eval &ev = out[v];
         ev.core_dyn.resize(std::size_t(_n_cores) * kCoreComponents);
         ws.block_dyn.assign(m._blocks.size(), 0.0);
         assemble(act, 0, v, ws, ws.block_dyn.data(), &ev);

@@ -1,7 +1,7 @@
 /**
  * @file
- * The power evaluator: many activity intervals x many compiled power
- * models in one pass, in the GATSPI spirit of turning per-node power
+ * The power evaluator: many activity intervals x many power models
+ * in one pass, in the GATSPI spirit of turning per-node power
  * evaluation into dense array kernels. It computes every power number
  * the simulator reports — traced interval rows, whole-kernel
  * evaluations, single runs and governor probes (a batch of one).
@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "perf/activity.hh"
-#include "power/compiled.hh"
+#include "power/chip_power.hh"
 
 namespace gpusimpow {
 namespace power {
@@ -36,7 +36,7 @@ namespace power {
 /**
  * One variant's per-interval outputs over a kernel's sample list —
  * exactly the values the trace loops consume, split the same way as
- * CompiledPowerModel::Eval.
+ * GpuPowerModel::Eval.
  */
 struct BatchedKernelPower
 {
@@ -100,7 +100,7 @@ class BatchedPowerEvaluator
     };
 
     explicit BatchedPowerEvaluator(
-        std::vector<const CompiledPowerModel *> variants);
+        std::vector<const GpuPowerModel *> variants);
 
     /** Number of stacked variants. */
     std::size_t variants() const { return _variants.size(); }
@@ -121,12 +121,12 @@ class BatchedPowerEvaluator
      * Evaluate one interval at the nominal junction temperature for
      * every variant: out[v] (out.size() == variants()) receives the
      * totals, the block split and the per-component detail
-     * CompiledPowerModel::assembleReport() builds the report from.
+     * GpuPowerModel::assembleReport() builds the report from.
      * The Evals' vectors are reused, so a caller evaluating many
      * intervals into the same Evals performs no allocation.
      */
     void evaluateNominal(const perf::ChipActivity &act, Workspace &ws,
-                         std::span<CompiledPowerModel::Eval> out) const;
+                         std::span<GpuPowerModel::Eval> out) const;
 
   private:
     /**
@@ -154,7 +154,7 @@ class BatchedPowerEvaluator
         double dram_w = 0.0;
     };
 
-    std::vector<const CompiledPowerModel *> _variants;
+    std::vector<const GpuPowerModel *> _variants;
     unsigned _n_cores = 0;
     /** Variant count rounded up to a whole number of quad lanes;
      *  padding lanes carry all-zero coefficients and their outputs
@@ -204,7 +204,7 @@ class BatchedPowerEvaluator
      */
     Totals assemble(const perf::ChipActivity &act, std::size_t li,
                     std::size_t v, const Workspace &ws, double *bd,
-                    CompiledPowerModel::Eval *ev) const;
+                    GpuPowerModel::Eval *ev) const;
 };
 
 } // namespace power

@@ -38,8 +38,8 @@ struct ComponentStatics
  * counter in X-macro declaration order (perf::CoreCounterIndex).
  * The per-interval dynamic energy of a component is the dot product
  * of its row with the interval's counter vector — the flat form
- * power::BatchedPowerEvaluator evaluates from the compiled power
- * model (power/compiled.hh).
+ * power::BatchedPowerEvaluator evaluates from the flat chip power
+ * model (power/chip_power.hh).
  */
 struct CoreDynCoefficients
 {
@@ -64,7 +64,7 @@ class CorePowerModel
      * WCU, register file, execution units, and LDSTU — the circuit
      * models' per-access energies with the fitted dynamic scales and
      * the clock-distribution overhead folded in. This is the
-     * coefficient-extraction half of the compiled power pipeline;
+     * coefficient-extraction half of the flat chip power model;
      * the legacy tree path evaluated the same products term by term.
      */
     void dynCoefficients(CoreDynCoefficients &out) const;

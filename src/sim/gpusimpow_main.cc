@@ -679,20 +679,15 @@ runTool(const Options &opt)
         return 0;
     }
 
+    // The trace CSV opens before the run, like the observability
+    // files: a bad path must fail before the simulation.
     bool tracing = !opt.trace_file.empty();
-    sim::ScenarioResult result =
-        sim::SweepSession(
-            sim::EngineOptions().withTrace(tracing, opt.sample_us * 1e-6))
-            .runScenario(scenario, sim);
-
     std::ofstream trace_out;
     std::vector<std::string> thermal_blocks;
     if (cfg.thermal.enabled)
         thermal_blocks = sim.powerModel().thermalBlocks().names;
     if (tracing) {
-        trace_out.open(opt.trace_file);
-        if (!trace_out)
-            fatal("cannot open trace file '", opt.trace_file, "'");
+        trace_out = openObsFile(opt.trace_file, "--trace");
         trace_out << "kernel,t0_s,t1_s,dynamic_w,static_w,dram_w";
         if (cfg.thermal.enabled) {
             trace_out << ",tmax_k";
@@ -702,6 +697,10 @@ runTool(const Options &opt)
         }
         trace_out << '\n';
     }
+    sim::ScenarioResult result =
+        sim::SweepSession(
+            sim::EngineOptions().withTrace(tracing, opt.sample_us * 1e-6))
+            .runScenario(scenario, sim);
 
     std::printf("%s on %s (%u cores, %u nm", opt.workload.c_str(),
                 cfg.name.c_str(), cfg.numCores(), cfg.tech.node_nm);

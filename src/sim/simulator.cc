@@ -149,7 +149,7 @@ Simulator::marchDeferred()
         for (std::size_t i = 0; i < m.bp.size(); ++i)
             powers[i] = m.bp[i].dynamic_w +
                         m.bp[i].sub_leak_w *
-                            _power->compiled().subLeakScaleAt(
+                            _power->subLeakScaleAt(
                                 _thermal_state.temps_k[i]) +
                         m.bp[i].fixed_w;
         _network->advance(_thermal_state, powers, m.time_s);
@@ -291,7 +291,6 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
                         !batched->static_blocks.empty()),
                    "batched power rows lack the per-block split "
                    "the thermal march needs");
-        const power::CompiledPowerModel &cpm = _power->compiled();
         if (keep) {
             run.trace.reserve(snap.samples.size());
             run.thermal.trace.reserve(snap.samples.size());
@@ -309,8 +308,9 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
             _block_powers.assign(blocks.size(), 0.0);
             double chip_static = 0.0;
             for (std::size_t i = 0; i < blocks.size(); ++i) {
-                double leak = block_static[i].sub_leak_w *
-                              cpm.subLeakScaleAt(_thermal_state.temps_k[i]);
+                double leak =
+                    block_static[i].sub_leak_w *
+                    _power->subLeakScaleAt(_thermal_state.temps_k[i]);
                 // The DRAM board block's fixed share is the
                 // per-interval DRAM power (the rows keep it out of
                 // the static split).
@@ -357,7 +357,7 @@ Simulator::replayKernel(const KernelSnapshot &snap, sim::RowDetail detail)
 KernelRun
 Simulator::beginReplay(const KernelSnapshot &snap,
                        const power::BatchedKernelPower *batched,
-                       const power::CompiledPowerModel::Eval &nominal,
+                       const power::GpuPowerModel::Eval &nominal,
                        sim::RowDetail detail)
 {
     const bool keep = detail == sim::RowDetail::kernels;
@@ -365,7 +365,7 @@ Simulator::beginReplay(const KernelSnapshot &snap,
     if (!_cfg.thermal.enabled) {
         run.card_w = nominal.cardW();
         if (keep)
-            run.report = _power->compiled().assembleReport(nominal);
+            run.report = _power->assembleReport(nominal);
         return run;
     }
     // Thermal: the steady solves run at the measured power split
@@ -407,7 +407,7 @@ Simulator::dieMax(const thermal::SteadyResult &steady) const
 
 void
 Simulator::finishThermal(KernelRun &run,
-                         power::CompiledPowerModel::Eval &ev,
+                         power::GpuPowerModel::Eval &ev,
                          const thermal::SteadyResult &steady,
                          bool with_trace, bool throttled, bool keep)
 {
@@ -427,12 +427,11 @@ Simulator::finishThermal(KernelRun &run,
     // be ~180x-inflated garbage, so the report falls back to the
     // nominal junction temperature and the outcome is flagged through
     // converged == false instead.
-    const power::CompiledPowerModel &cpm = _power->compiled();
     if (steady.converged)
-        cpm.rescaleLeakageAt(steady.temps_k, ev);
+        _power->rescaleLeakageAt(steady.temps_k, ev);
     run.card_w = ev.cardW();
     if (keep)
-        run.report = cpm.assembleReport(ev);
+        run.report = _power->assembleReport(ev);
 
     ThermalResult &th = run.thermal;
     th.enabled = true;
@@ -458,7 +457,7 @@ Simulator::steadyLane(const std::vector<power::BlockPower> &bp,
     // Consecutive solves target nearby operating points (governor
     // bisect probes, kernels of one scenario), so each one starts
     // from the last converged solution instead of ambient.
-    return {&bp, freq_ratio, _power->compiled().nominalLeakFactor(),
+    return {&bp, freq_ratio, _power->nominalLeakFactor(),
             _steady_warm.empty() ? nullptr : &_steady_warm};
 }
 
@@ -595,11 +594,10 @@ Simulator::govern(const KernelSnapshot &snap, const Clamp &clamp)
 ReplayGroup::ReplayGroup(std::vector<Simulator *> sims)
     : _sims(std::move(sims)), _row_of(_sims.size())
 {
-    std::vector<const power::CompiledPowerModel *> models;
+    std::vector<const power::GpuPowerModel *> models;
     for (std::size_t j = 0; j < _sims.size(); ++j) {
         // Simulators on one power model share its evaluator row.
-        const power::CompiledPowerModel *model =
-            &_sims[j]->powerModel().compiled();
+        const power::GpuPowerModel *model = &_sims[j]->powerModel();
         _row_of[j] = static_cast<std::size_t>(
             std::find(models.begin(), models.end(), model) -
             models.begin());

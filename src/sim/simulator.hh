@@ -38,6 +38,7 @@
 #include "config/gpu_config.hh"
 #include "perf/gpu.hh"
 #include "perf/kernel.hh"
+#include "power/batched.hh"
 #include "power/chip_power.hh"
 #include "sim/snapshot.hh"
 #include "thermal/thermal.hh"
@@ -327,7 +328,7 @@ class Simulator
      *  group's nominal one, whose leakage a thermal kernel then
      *  rescales to its solved temperatures. The governor's steady
      *  probes read its block split. */
-    power::CompiledPowerModel::Eval _eval;
+    power::GpuPowerModel::Eval _eval;
 
     friend class ReplayGroup;
 
@@ -344,7 +345,7 @@ class Simulator
      */
     KernelRun beginReplay(const KernelSnapshot &snap,
                           const power::BatchedKernelPower *batched,
-                          const power::CompiledPowerModel::Eval &nominal,
+                          const power::GpuPowerModel::Eval &nominal,
                           sim::RowDetail detail);
     /** The begun kernel's steady lane: its measured block split at
      *  the configured clock, warm-started from this scenario's last
@@ -398,7 +399,7 @@ class Simulator
      * and is then destroyed never marches at all.
      */
     void finishThermal(KernelRun &run,
-                       power::CompiledPowerModel::Eval &ev,
+                       power::GpuPowerModel::Eval &ev,
                        const thermal::SteadyResult &steady,
                        bool with_trace, bool throttled, bool keep);
 };
@@ -463,7 +464,7 @@ class ReplayGroup
     std::unique_ptr<const power::BatchedPowerEvaluator> _evaluator;
     power::BatchedPowerEvaluator::Workspace _ws;
     /** Nominal whole-kernel evaluation per evaluator row. */
-    std::vector<power::CompiledPowerModel::Eval> _nominal;
+    std::vector<power::GpuPowerModel::Eval> _nominal;
     std::vector<const perf::ChipActivity *> _acts;
     std::vector<power::BatchedKernelPower> _rows;
     thermal::SteadyScratch _steady;

@@ -128,7 +128,7 @@ struct BlockPower
  *         + sub_leak_w * tech::tempLeakFactorAt(T) / nominal_leak_factor
  *         + fixed_w
  *
- * which is CompiledPowerModel::subLeakScaleAt() applied to the
+ * which is GpuPowerModel::subLeakScaleAt() applied to the
  * leakage share. A block without subthreshold leakage (the DRAM
  * block) takes 0.0 for that term, the same value for any finite T.
  */
@@ -140,7 +140,7 @@ struct SteadyLane
     /** Clock ratio the dynamic share follows. */
     double freq_ratio = 1.0;
     /** tech::tempLeakFactorAt() of the lane power model's nominal
-     *  junction temperature (CompiledPowerModel::nominalLeakFactor). */
+     *  junction temperature (GpuPowerModel::nominalLeakFactor). */
     double nominal_leak_factor = 1.0;
     /**
      * Optional block temperatures (BlockSet order) to start from —

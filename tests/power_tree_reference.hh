@@ -10,12 +10,12 @@
  *    temperatures. The production evaluator (evaluateNominal,
  *    evaluate rows, rescaleLeakageAt) must match it bit for bit.
  *  - PowerReference::treeBlockPowers(): the thermal block split
- *    computed the way the pre-compiled GpuPowerModel::blockPowers()
- *    did — string-path find() lookups and recursive subtree totals
+ *    computed the way GpuPowerModel::blockPowers() did before the
+ *    flat model — string-path find() lookups and recursive subtree totals
  *    over a report tree, with the folded L2 shares moved back to the
  *    L2 block and the base powers re-derived from the configuration.
  *
- * CompiledPowerModel befriends PowerReference so the oracles run on
+ * GpuPowerModel befriends PowerReference so the oracles run on
  * the model's own coefficient rows and static vectors. Deliberately
  * *not* part of the production library.
  */
@@ -34,7 +34,6 @@
 #include "perf/activity.hh"
 #include "power/batched.hh"
 #include "power/chip_power.hh"
-#include "power/compiled.hh"
 #include "power/report.hh"
 
 namespace gpusimpow {
@@ -65,7 +64,7 @@ struct PowerReference
 
     /** The core dynamic-energy rows (X-macro counter order). */
     static const CoreDynCoefficients &
-    coreCoefficients(const CompiledPowerModel &m)
+    coreCoefficients(const GpuPowerModel &m)
     {
         return m._core_coeff;
     }
@@ -75,9 +74,9 @@ struct PowerReference
      * (BlockSet order; null or empty evaluates at nominal).
      */
     static void
-    evaluate(const CompiledPowerModel &m, const perf::ChipActivity &act,
+    evaluate(const GpuPowerModel &m, const perf::ChipActivity &act,
              const std::vector<double> *temps,
-             CompiledPowerModel::Eval &out)
+             GpuPowerModel::Eval &out)
     {
         GSP_ASSERT(act.cores.size() == m._n_cores,
                    "activity record does not match configuration");
@@ -231,18 +230,18 @@ struct PowerReference
                                 total_dram_cycles
                           : 0.0;
         da.row_open_frac = std::min(1.0, 4.0 * util);
-        out.dram_w = m._dram->compute(da).total();
+        out.dram_w = m._dram.compute(da).total();
         out.blocks[m._blocks.dramIndex()].fixed_w = out.dram_w;
 
         leakage(m, temps, out);
     }
 
     /** evaluate() into a fresh Eval. */
-    static CompiledPowerModel::Eval
-    evaluate(const CompiledPowerModel &m, const perf::ChipActivity &act,
+    static GpuPowerModel::Eval
+    evaluate(const GpuPowerModel &m, const perf::ChipActivity &act,
              const std::vector<double> &temps = {})
     {
-        CompiledPowerModel::Eval ev;
+        GpuPowerModel::Eval ev;
         evaluate(m, act, &temps, ev);
         return ev;
     }
@@ -257,8 +256,7 @@ struct PowerReference
                     const PowerReport &rep, const perf::ChipActivity &act,
                     const std::vector<double> &temps = {})
     {
-        thermal::BlockSet set = model.thermalBlocks();
-        const CompiledPowerModel &cpm = model.compiled();
+        const thermal::BlockSet &set = model.thermalBlocks();
         std::vector<BlockPower> bp(set.size());
 
         double elapsed = rep.elapsed_s > 0.0 ? rep.elapsed_s : 1.0;
@@ -271,7 +269,7 @@ struct PowerReference
 
         double r_l2 = 1.0;
         if (set.has_l2 && !temps.empty())
-            r_l2 = cpm.subLeakScaleAt(temps[set.l2Index()]);
+            r_l2 = model.subLeakScaleAt(temps[set.l2Index()]);
         // Per-core folded L2 shares: subs scaled at the L2 block's
         // temperature (that is where the share physically heats).
         double l2_dyn_share = 0.0, l2_sub_share = 0.0,
@@ -279,11 +277,11 @@ struct PowerReference
         if (set.has_l2) {
             double mem[perf::mem_activity_fields];
             perf::countersToRow(act.mem, mem);
-            l2_dyn_share = dotCountersRow(mem, cpm._l2_share_coeff.data(),
+            l2_dyn_share = dotCountersRow(mem, model._l2_share_coeff.data(),
                                           perf::mem_activity_fields) /
                            elapsed;
-            l2_sub_share = cpm._l2_share.sub_leakage_w * r_l2;
-            l2_gate_share = cpm._l2_share.gate_leakage_w;
+            l2_sub_share = model._l2_share.sub_leakage_w * r_l2;
+            l2_gate_share = model._l2_share.gate_leakage_w;
         }
 
         for (unsigned i = 0; i < n_cores; ++i) {
@@ -328,8 +326,8 @@ struct PowerReference
     /** The leakage half of evaluate(): sub_scale, core_sub,
      *  uncore_sub, every block's sub_leak_w and static_w. */
     static void
-    leakage(const CompiledPowerModel &m, const std::vector<double> *temps,
-            CompiledPowerModel::Eval &out)
+    leakage(const GpuPowerModel &m, const std::vector<double> *temps,
+            GpuPowerModel::Eval &out)
     {
         out.sub_scale.assign(m._blocks.size(), 1.0);
         if (temps && !temps->empty()) {
@@ -407,10 +405,10 @@ namespace testref {
 
 /** The production nominal evaluation of act: model's evaluator, a
  *  batch of one. */
-inline CompiledPowerModel::Eval
+inline GpuPowerModel::Eval
 evaluateNominal(const GpuPowerModel &model, const perf::ChipActivity &act)
 {
-    CompiledPowerModel::Eval ev;
+    GpuPowerModel::Eval ev;
     BatchedPowerEvaluator::Workspace ws;
     model.evaluator().evaluateNominal(act, ws, {&ev, 1});
     return ev;
@@ -418,8 +416,8 @@ evaluateNominal(const GpuPowerModel &model, const perf::ChipActivity &act)
 
 /** Bit-identity of two evaluations, every field. */
 inline void
-expectSameEval(const CompiledPowerModel::Eval &got,
-               const CompiledPowerModel::Eval &want)
+expectSameEval(const GpuPowerModel::Eval &got,
+               const GpuPowerModel::Eval &want)
 {
     EXPECT_EQ(got.dynamic_w, want.dynamic_w);
     EXPECT_EQ(got.static_w, want.static_w);

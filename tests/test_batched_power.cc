@@ -25,7 +25,6 @@
 #include "perf/activity.hh"
 #include "power/batched.hh"
 #include "power/chip_power.hh"
-#include "power/compiled.hh"
 #include "power_tree_reference.hh"
 
 using namespace gpusimpow;
@@ -85,12 +84,12 @@ variantModels(const GpuConfig &base)
     return models;
 }
 
-std::vector<const CompiledPowerModel *>
-compiledOf(const std::vector<std::unique_ptr<GpuPowerModel>> &models)
+std::vector<const GpuPowerModel *>
+pointersOf(const std::vector<std::unique_ptr<GpuPowerModel>> &models)
 {
-    std::vector<const CompiledPowerModel *> out;
+    std::vector<const GpuPowerModel *> out;
     for (const auto &m : models)
-        out.push_back(&m->compiled());
+        out.push_back(m.get());
     return out;
 }
 
@@ -98,7 +97,7 @@ compiledOf(const std::vector<std::unique_ptr<GpuPowerModel>> &models)
  *  reference for every (variant, interval) pair. */
 void
 expectBatchedMatchesScalar(
-    const std::vector<const CompiledPowerModel *> &variants,
+    const std::vector<const GpuPowerModel *> &variants,
     const std::vector<perf::ChipActivity> &acts, bool want_blocks,
     BatchedPowerEvaluator::Workspace &ws, const std::string &tag)
 {
@@ -112,14 +111,14 @@ expectBatchedMatchesScalar(
     evaluator.evaluate(ptrs, want_blocks, ws, batched);
     ASSERT_EQ(batched.size(), variants.size());
 
-    CompiledPowerModel::Eval ev;
+    GpuPowerModel::Eval ev;
     for (std::size_t v = 0; v < variants.size(); ++v) {
         SCOPED_TRACE("variant " + std::to_string(v));
         const BatchedKernelPower &bp = batched[v];
         ASSERT_EQ(bp.n_intervals, acts.size());
         ASSERT_EQ(bp.dynamic_w.size(), acts.size());
         ASSERT_EQ(bp.dram_w.size(), acts.size());
-        const std::size_t n_blocks = variants[v]->blocks().size();
+        const std::size_t n_blocks = variants[v]->thermalBlocks().size();
         ASSERT_EQ(bp.static_blocks.size(), n_blocks);
         if (want_blocks) {
             ASSERT_EQ(bp.n_blocks, n_blocks);
@@ -135,7 +134,7 @@ expectBatchedMatchesScalar(
             PowerReference::evaluate(*variants[v], acts[i], nullptr, ev);
             EXPECT_EQ(bp.dynamic_w[i], ev.dynamic_w);
             EXPECT_EQ(bp.dram_w[i], ev.dram_w);
-            const std::size_t dram = variants[v]->blocks().dramIndex();
+            const std::size_t dram = variants[v]->thermalBlocks().dramIndex();
             for (std::size_t b = 0; b < n_blocks; ++b) {
                 if (want_blocks) {
                     EXPECT_EQ(bp.block_dynamic_w[i * n_blocks + b],
@@ -170,7 +169,7 @@ TEST(BatchedPower, RandomizedBitIdentityAcrossChipsNodesOps)
 
     for (const GpuConfig &base : chips) {
         auto models = variantModels(base);
-        auto variants = compiledOf(models);
+        auto variants = pointersOf(models);
         // Interval counts straddling the internal tile size,
         // including the empty batch and a lone interval.
         for (std::size_t n : {std::size_t(0), std::size_t(1),
@@ -193,7 +192,7 @@ TEST(BatchedPower, DegenerateIntervalsTakeGuardPaths)
 {
     GpuConfig cfg = GpuConfig::gtx580();
     auto models = variantModels(cfg);
-    auto variants = compiledOf(models);
+    auto variants = pointersOf(models);
     BatchedPowerEvaluator::Workspace ws;
 
     perf::ChipActivity idle;
@@ -224,7 +223,7 @@ TEST(BatchedPower, ThermalRescaleOfStaticsMatchesScalarMarch)
     // cannot hide behind it.
     GpuConfig cfg = GpuConfig::gt240();
     auto models = variantModels(cfg);
-    auto variants = compiledOf(models);
+    auto variants = pointersOf(models);
     BatchedPowerEvaluator::Workspace ws;
     SplitMix64 rng(0x7E3A11ULL);
 
@@ -234,19 +233,19 @@ TEST(BatchedPower, ThermalRescaleOfStaticsMatchesScalarMarch)
     std::vector<BatchedKernelPower> batched;
     evaluator.evaluate(ptrs, true, ws, batched);
 
-    CompiledPowerModel::Eval nominal, at;
+    GpuPowerModel::Eval nominal, at;
     for (std::size_t v = 0; v < variants.size(); ++v) {
         SCOPED_TRACE("variant " + std::to_string(v));
-        const CompiledPowerModel &cpm = *variants[v];
-        std::vector<double> temps(cpm.blocks().size());
+        const GpuPowerModel &model = *variants[v];
+        std::vector<double> temps(model.thermalBlocks().size());
         for (double &t : temps)
             t = rng.uniform(310.0, 400.0);
-        PowerReference::evaluate(cpm, acts[0], nullptr, nominal);
-        PowerReference::evaluate(cpm, acts[0], &temps, at);
+        PowerReference::evaluate(model, acts[0], nullptr, nominal);
+        PowerReference::evaluate(model, acts[0], &temps, at);
         const BatchedKernelPower &bp = batched[v];
         for (std::size_t b = 0; b < temps.size(); ++b) {
             SCOPED_TRACE("block " + std::to_string(b));
-            double scale = cpm.subLeakScaleAt(temps[b]);
+            double scale = model.subLeakScaleAt(temps[b]);
             // What the scalar march feeds the RC network...
             double scalar_leak = nominal.blocks[b].sub_leak_w * scale;
             // ...is bit-identical to the batched march's input.
@@ -273,8 +272,8 @@ TEST(BatchedPower, WorkspaceReuseAcrossShapesIsIdempotent)
     GpuConfig small = GpuConfig::gt240();
     auto big_models = variantModels(big);
     auto small_models = variantModels(small);
-    auto big_variants = compiledOf(big_models);
-    auto small_variants = compiledOf(small_models);
+    auto big_variants = pointersOf(big_models);
+    auto small_variants = pointersOf(small_models);
 
     std::vector<perf::ChipActivity> big_acts;
     for (int i = 0; i < 40; ++i)
@@ -318,9 +317,9 @@ expectSameTree(const PowerNode &got, const PowerNode &want,
  *  assembled report. */
 void
 expectNominalMatchesScalar(
-    const std::vector<const CompiledPowerModel *> &variants,
+    const std::vector<const GpuPowerModel *> &variants,
     const perf::ChipActivity &act, BatchedPowerEvaluator::Workspace &ws,
-    std::vector<CompiledPowerModel::Eval> &evs, const std::string &tag)
+    std::vector<GpuPowerModel::Eval> &evs, const std::string &tag)
 {
     SCOPED_TRACE(tag);
     BatchedPowerEvaluator evaluator(variants);
@@ -328,11 +327,11 @@ expectNominalMatchesScalar(
     evaluator.evaluateNominal(act, ws, evs);
     for (std::size_t v = 0; v < variants.size(); ++v) {
         SCOPED_TRACE("variant " + std::to_string(v));
-        const CompiledPowerModel &cpm = *variants[v];
-        CompiledPowerModel::Eval ref = PowerReference::evaluate(cpm, act);
+        const GpuPowerModel &model = *variants[v];
+        GpuPowerModel::Eval ref = PowerReference::evaluate(model, act);
         testref::expectSameEval(evs[v], ref);
-        PowerReport got = cpm.assembleReport(evs[v]);
-        PowerReport want = cpm.assembleReport(ref);
+        PowerReport got = model.assembleReport(evs[v]);
+        PowerReport want = model.assembleReport(ref);
         EXPECT_EQ(got.dram_w, want.dram_w);
         EXPECT_EQ(got.short_circuit_w, want.short_circuit_w);
         EXPECT_EQ(got.elapsed_s, want.elapsed_s);
@@ -386,11 +385,11 @@ TEST(BatchedPower, NominalEvalsMatchScalarReferencePerVariant)
     // workspace also serves traced rows in between.
     SplitMix64 rng(0x40A11E7AULL);
     BatchedPowerEvaluator::Workspace ws;
-    std::vector<CompiledPowerModel::Eval> evs;
+    std::vector<GpuPowerModel::Eval> evs;
     for (const GpuConfig &base :
          {GpuConfig::gt240(), GpuConfig::gtx580()}) {
         auto models = variantModels(base);
-        auto variants = compiledOf(models);
+        auto variants = pointersOf(models);
         perf::ChipActivity idle;
         idle.cores.resize(base.numCores());
         idle.cluster_busy_cycles.assign(base.clusters, 0);

@@ -1,9 +1,11 @@
 /**
  * @file
  * Production-vs-oracle and flat-vs-tree equivalence of one
- * evaluation: the evaluator's nominal output (GpuPowerModel's
+ * evaluation of the flat power model GpuPowerModel builds (the suite
+ * keeps its "CompiledPower" name from the class that once held the
+ * flat arrays): the evaluator's nominal output (the model's own
  * evaluator, a batch of one), rescaled to block temperatures by
- * CompiledPowerModel::rescaleLeakageAt, must be *bit-identical* to
+ * GpuPowerModel::rescaleLeakageAt, must be *bit-identical* to
  * the scalar reference evaluator (tests/power_tree_reference.hh),
  * and the hierarchical PowerReport assembled from it must reproduce
  * the flat totals and per-thermal-block splits exactly. This suite
@@ -18,18 +20,25 @@
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/random.hh"
 #include "perf/activity.hh"
 #include "power/batched.hh"
 #include "power/chip_power.hh"
-#include "power/compiled.hh"
 #include "power/report.hh"
 #include "power_tree_reference.hh"
 
 using namespace gpusimpow;
 using namespace gpusimpow::power;
+
+// The model's evaluator points at the model itself: a copy or a move
+// would leave the evaluator reading the source object.
+static_assert(!std::is_copy_constructible_v<GpuPowerModel> &&
+              !std::is_copy_assignable_v<GpuPowerModel>);
+static_assert(!std::is_move_constructible_v<GpuPowerModel> &&
+              !std::is_move_assignable_v<GpuPowerModel>);
 
 namespace {
 
@@ -73,17 +82,16 @@ expectEquivalent(const GpuConfig &cfg, const GpuPowerModel &model,
                  const std::string &tag)
 {
     SCOPED_TRACE(tag);
-    const CompiledPowerModel &cpm = model.compiled();
 
     // The production evaluation: nominal through the evaluator, then
     // the leakage rescale thermal rows apply at block temperatures.
-    CompiledPowerModel::Eval ev = testref::evaluateNominal(model, act);
+    GpuPowerModel::Eval ev = testref::evaluateNominal(model, act);
     PowerReport rep;
     if (temps.empty()) {
         rep = model.evaluate(act);
     } else {
-        cpm.rescaleLeakageAt(temps, ev);
-        rep = cpm.assembleReport(ev);
+        model.rescaleLeakageAt(temps, ev);
+        rep = model.assembleReport(ev);
     }
 
     // Production vs the scalar reference evaluator: bit-identical in
@@ -91,7 +99,7 @@ expectEquivalent(const GpuConfig &cfg, const GpuPowerModel &model,
     {
         SCOPED_TRACE("vs scalar reference");
         testref::expectSameEval(ev,
-                                PowerReference::evaluate(cpm, act, temps));
+                                PowerReference::evaluate(model, act, temps));
     }
 
     // Flat totals vs recursive tree totals: bit-identical.
@@ -237,10 +245,10 @@ TEST(CompiledPower, EvalWorkspaceReuseIsIdempotent)
     // rescale in between must not leak into the next nominal one.
     const BatchedPowerEvaluator &evaluator = model.evaluator();
     BatchedPowerEvaluator::Workspace ws;
-    CompiledPowerModel::Eval reused;
+    GpuPowerModel::Eval reused;
     evaluator.evaluateNominal(a, ws, {&reused, 1});
     std::vector<double> hot(model.thermalBlocks().size(), 380.0);
-    model.compiled().rescaleLeakageAt(hot, reused);
+    model.rescaleLeakageAt(hot, reused);
     evaluator.evaluateNominal(b, ws, {&reused, 1}); // overwrite with b
     evaluator.evaluateNominal(a, ws, {&reused, 1}); // and back to a
 
@@ -256,9 +264,9 @@ TEST(CompiledPower, NominalTemperatureVectorMatchesPlainEvaluate)
 
     std::vector<double> nominal(model.thermalBlocks().size(),
                                 cfg.tech.temperature);
-    CompiledPowerModel::Eval plain = testref::evaluateNominal(model, act);
-    CompiledPowerModel::Eval at_nominal = plain;
-    model.compiled().rescaleLeakageAt(nominal, at_nominal);
+    GpuPowerModel::Eval plain = testref::evaluateNominal(model, act);
+    GpuPowerModel::Eval at_nominal = plain;
+    model.rescaleLeakageAt(nominal, at_nominal);
     EXPECT_EQ(plain.dynamic_w, at_nominal.dynamic_w);
     EXPECT_EQ(plain.static_w, at_nominal.static_w);
     for (std::size_t i = 0; i < plain.blocks.size(); ++i) {
@@ -276,7 +284,7 @@ TEST(CompiledPower, CoefficientRowsMatchCounterLayout)
     GpuConfig cfg = GpuConfig::gt240();
     GpuPowerModel model(cfg);
     const CoreDynCoefficients &c =
-        PowerReference::coreCoefficients(model.compiled());
+        PowerReference::coreCoefficients(model);
 
     perf::ChipActivity act;
     act.cores.resize(cfg.numCores());
@@ -285,7 +293,7 @@ TEST(CompiledPower, CoefficientRowsMatchCounterLayout)
     act.elapsed_s = 1e-3;
     act.cores[0].int_lane_ops = 1000000;
 
-    CompiledPowerModel::Eval ev = testref::evaluateNominal(model, act);
+    GpuPowerModel::Eval ev = testref::evaluateNominal(model, act);
     double expected =
         1000000.0 *
         c.eu[perf::CoreCounterIndex::int_lane_ops] / act.elapsed_s;

@@ -111,6 +111,76 @@ TEST(GpuConfig, ValidationCatchesBadGeometry)
     EXPECT_THROW(GpuConfig::fromXml(c.toXml()), FatalError);
 }
 
+TEST(GpuConfig, ValidationRejectsZeroCountsAndSizes)
+{
+    // Each field at zero divides by zero, fails an assertion or never
+    // issues somewhere in the models; fromXml must reject it and name
+    // the field instead. The L2 geometry ("l2." fields) is only read
+    // when an L2 is present.
+    struct Field
+    {
+        const char *name;
+        void (*zero)(GpuConfig &);
+    };
+    const Field fields[] = {
+        {"clocks.dram_hz", [](GpuConfig &c) { c.clocks.dram_hz = 0.0; }},
+        {"noc.link_bits", [](GpuConfig &c) { c.noc.link_bits = 0; }},
+        {"l2.slices", [](GpuConfig &c) { c.l2.slices = 0; }},
+        {"l2.assoc", [](GpuConfig &c) { c.l2.assoc = 0; }},
+        {"l2.line_bytes", [](GpuConfig &c) { c.l2.line_bytes = 0; }},
+        {"max_threads", [](GpuConfig &c) { c.core.max_threads = 0; }},
+        {"core.max_blocks", [](GpuConfig &c) { c.core.max_blocks = 0; }},
+        {"core.scoreboard_entries",
+         [](GpuConfig &c) { c.core.scoreboard_entries = 0; }},
+        {"core.issue_width", [](GpuConfig &c) { c.core.issue_width = 0; }},
+        {"core.regfile_regs",
+         [](GpuConfig &c) { c.core.regfile_regs = 0; }},
+        {"core.regfile_banks",
+         [](GpuConfig &c) { c.core.regfile_banks = 0; }},
+        {"core.operand_collectors",
+         [](GpuConfig &c) { c.core.operand_collectors = 0; }},
+        {"core.ibuffer_slots",
+         [](GpuConfig &c) { c.core.ibuffer_slots = 0; }},
+        {"core.icache_bytes",
+         [](GpuConfig &c) { c.core.icache_bytes = 0; }},
+        {"core.icache_assoc",
+         [](GpuConfig &c) { c.core.icache_assoc = 0; }},
+        {"core.smem_banks", [](GpuConfig &c) { c.core.smem_banks = 0; }},
+        {"core.l1d_assoc", [](GpuConfig &c) { c.core.l1d_assoc = 0; }},
+        {"core.line_bytes", [](GpuConfig &c) { c.core.line_bytes = 0; }},
+        {"core.const_cache_bytes",
+         [](GpuConfig &c) { c.core.const_cache_bytes = 0; }},
+        {"core.const_cache_assoc",
+         [](GpuConfig &c) { c.core.const_cache_assoc = 0; }},
+        {"core.sagu_count", [](GpuConfig &c) { c.core.sagu_count = 0; }},
+        {"dram.channel_bits",
+         [](GpuConfig &c) { c.dram.channel_bits = 0; }},
+        {"dram.banks", [](GpuConfig &c) { c.dram.banks = 0; }},
+        {"dram.row_bytes", [](GpuConfig &c) { c.dram.row_bytes = 0; }},
+        {"dram.burst_length",
+         [](GpuConfig &c) { c.dram.burst_length = 0; }},
+    };
+    for (const GpuConfig &preset : {GpuConfig::gt240(), GpuConfig::gtx580()}) {
+        for (const Field &f : fields) {
+            SCOPED_TRACE(preset.name + " " + f.name);
+            GpuConfig c = preset;
+            f.zero(c);
+            if (std::string(f.name).starts_with("l2.") && !c.l2.present) {
+                EXPECT_NO_THROW(GpuConfig::fromXml(c.toXml()));
+                continue;
+            }
+            try {
+                GpuConfig::fromXml(c.toXml());
+                ADD_FAILURE() << "zero accepted";
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find(f.name),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
 TEST(GpuConfig, ValidationRejectsMoreThan64WarpsPerCore)
 {
     // The presets sit well under the limit.

@@ -296,6 +296,28 @@ TEST(Service, BadRequestGetsAnErrorFrame)
     EXPECT_TRUE(retry.ok) << retry.error;
 }
 
+TEST(Service, ZeroedConfigFieldGetsAnErrorFrame)
+{
+    // A zero L2 slice count would divide by zero while the power
+    // model is built; validation turns it into the job's error.
+    ScopedServer server(
+        std::make_shared<SweepSession>(EngineOptions().withJobs(1)));
+
+    GpuConfig cfg = GpuConfig::gtx580();
+    cfg.l2.slices = 0;
+    SweepClient::JobResult job =
+        SweepClient("127.0.0.1", server.port())
+            .submitJob(smallRequest().withConfigXml(cfg.toXml()));
+    EXPECT_FALSE(job.ok);
+    EXPECT_NE(job.error.find("l2.slices"), std::string::npos)
+        << job.error;
+
+    // The server survives; the next job on it succeeds.
+    SweepClient::JobResult next =
+        SweepClient("127.0.0.1", server.port()).submitJob(smallRequest());
+    EXPECT_TRUE(next.ok) << next.error;
+}
+
 TEST(Service, FinishedHandlersAreJoinedWhileTheServerRuns)
 {
     ScopedDir dir("reap");

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "power/compiled.hh"
 #include "power_tree_reference.hh"
 #include "row_text.hh"
 #include "sim/simulator.hh"
@@ -72,9 +71,7 @@ TEST(Snapshot, TracedRowsMatchTheScalarEvaluatorOnBothChips)
     for (const GpuConfig &cfg : {GpuConfig::gt240(), GpuConfig::gtx580()}) {
         ASSERT_FALSE(cfg.thermal.enabled);
         Simulator sim(cfg);
-        const power::CompiledPowerModel &cpm =
-            sim.powerModel().compiled();
-        power::CompiledPowerModel::Eval ev;
+        power::GpuPowerModel::Eval ev;
         std::size_t intervals = 0;
         for (const workloads::KernelLaunch &kl :
              prepareWorkload(sim, "blackscholes")) {
@@ -84,7 +81,8 @@ TEST(Snapshot, TracedRowsMatchTheScalarEvaluatorOnBothChips)
             ASSERT_EQ(run.trace.size(), snap.samples.size());
             for (std::size_t i = 0; i < snap.samples.size(); ++i) {
                 power::PowerReference::evaluate(
-                    cpm, snap.samples[i].delta, nullptr, ev);
+                    sim.powerModel(), snap.samples[i].delta, nullptr,
+                    ev);
                 EXPECT_EQ(run.trace[i].dynamic_w, ev.dynamic_w)
                     << cfg.name << " " << kl.label << " @" << i;
                 EXPECT_EQ(run.trace[i].dram_w, ev.dram_w)

@@ -318,8 +318,7 @@ TEST(ThermalPower, BlockPowersPartitionTheReportExactly)
         ASSERT_EQ(bp.size(), set.size());
         // The production split is the scalar reference's, bit for bit.
         std::vector<power::BlockPower> ref =
-            power::PowerReference::evaluate(model.compiled(),
-                                            run.perf.activity)
+            power::PowerReference::evaluate(model, run.perf.activity)
                 .blocks;
         for (std::size_t b = 0; b < set.size(); ++b) {
             EXPECT_EQ(bp[b].dynamic_w, ref[b].dynamic_w) << b;
@@ -368,10 +367,10 @@ power::PowerReport
 reportAt(const power::GpuPowerModel &model, const perf::ChipActivity &act,
          const std::vector<double> &temps)
 {
-    power::CompiledPowerModel::Eval ev =
+    power::GpuPowerModel::Eval ev =
         power::testref::evaluateNominal(model, act);
-    model.compiled().rescaleLeakageAt(temps, ev);
-    return model.compiled().assembleReport(ev);
+    model.rescaleLeakageAt(temps, ev);
+    return model.assembleReport(ev);
 }
 
 } // namespace
@@ -1035,7 +1034,7 @@ TEST(ThermalSolver, WarmStartConvergesToTheSameFixedPoint)
                 auto at = [&](const std::vector<double> *start) {
                     return thermal::SteadyLane{
                         &bp, ratio,
-                        model.compiled().nominalLeakFactor(), start};
+                        model.nominalLeakFactor(), start};
                 };
                 SCOPED_TRACE(::testing::Message()
                              << base.name << " " << cooling
@@ -1100,7 +1099,7 @@ struct ConstrainedGtx580
     thermal::SteadyLane lane(double ratio,
                              const std::vector<double> *warm = nullptr) const
     {
-        return {&bp, ratio, model.compiled().nominalLeakFactor(), warm};
+        return {&bp, ratio, model.nominalLeakFactor(), warm};
     }
 
     /** A clock ratio whose solve spends the whole budget, found by
@@ -1254,7 +1253,7 @@ TEST(ThermalSolver, OneLaneMatchesTheScalarReferenceOnEveryNetwork)
             SCOPED_TRACE(::testing::Message()
                          << base.name << " ratio " << ratio);
             thermal::SteadyLane lane{&bp, ratio,
-                                     model.compiled().nominalLeakFactor(),
+                                     model.nominalLeakFactor(),
                                      prev.empty() ? nullptr : &prev};
             thermal::SteadyResult got = net.solveSteady(lane);
             expectSameSteady(

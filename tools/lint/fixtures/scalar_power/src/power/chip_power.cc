@@ -3,7 +3,7 @@ namespace power {
 
 // A scalar evaluator kept next to the batched one: flagged.
 void
-CompiledPowerModel::evaluateImpl(const ChipActivity &act, Eval &out) const
+GpuPowerModel::evaluateImpl(const ChipActivity &act, Eval &out) const
 {
     double counters[core_activity_fields];
     countersToRow(act.cores[0], counters);

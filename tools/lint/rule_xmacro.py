@@ -1,8 +1,8 @@
 """X-macro counter-layout contract.
 
 The activity counter layout (perf/activity.hh) is the ABI between the
-performance simulator, the snapshot serialization, and the compiled /
-batched power evaluators: coefficients are dense rows indexed in the
+performance simulator, the store record, and the flat power model
+with its batched evaluator: coefficients are dense rows indexed in the
 X-macro declaration order. This rule enforces that the contract has a
 single source of truth:
 
