@@ -31,7 +31,10 @@ main()
             Simulator sim(cfg);
             auto wl = workloads::makeWorkload("matmul", 2);
             auto seq = wl->prepare(sim.gpu());
-            KernelRun run = sim.runKernel(seq[0].prog, seq[0].launch);
+            KernelSnapshot snap =
+                sim.capturePerf(seq[0].prog, seq[0].launch);
+            KernelRun run = ReplayGroup({&sim}).replay(
+                snap, sim::RowDetail::kernels)[0];
             if (!wl->verify(sim.gpu()))
                 fatal("matmul verification failed");
             double total = run.report.totalPower() + run.report.dram_w;

@@ -67,7 +67,10 @@ main()
             Simulator sim(cfg);
             auto wl = workloads::makeWorkload("blackscholes");
             auto seq = wl->prepare(sim.gpu());
-            KernelRun run = sim.runKernel(seq[0].prog, seq[0].launch);
+            KernelSnapshot snap =
+                sim.capturePerf(seq[0].prog, seq[0].launch);
+            KernelRun run = ReplayGroup({&sim}).replay(
+                snap, sim::RowDetail::kernels)[0];
             const power::PowerNode *rf =
                 run.report.gpu.find("Cores/Core0/Register File");
             GSP_ASSERT(rf != nullptr, "missing RF node");

@@ -32,8 +32,10 @@ main()
                 Simulator sim(cfg);
                 auto wl = workloads::makeWorkload(wl_name);
                 auto seq = wl->prepare(sim.gpu());
-                KernelRun run =
-                    sim.runKernel(seq[0].prog, seq[0].launch);
+                KernelSnapshot snap =
+                    sim.capturePerf(seq[0].prog, seq[0].launch);
+                KernelRun run = ReplayGroup({&sim}).replay(
+                    snap, sim::RowDetail::kernels)[0];
                 if (!wl->verify(sim.gpu()))
                     fatal(wl_name, " verification failed");
                 std::printf("%-14s %-8s %10lu %10.1f %12.2f\n",

@@ -27,7 +27,8 @@ measureVariant(Simulator &sim, measure::VirtualHardware &hw,
                measure::Testbed &testbed, const perf::KernelProgram &prog,
                const perf::LaunchConfig &lc, double &out_time_s)
 {
-    KernelRun run = sim.runKernel(prog, lc);
+    KernelRun run = ReplayGroup({&sim}).replay(
+        sim.capturePerf(prog, lc), sim::RowDetail::kernels)[0];
     out_time_s = run.perf.time_s;
     double level = hw.cardPower(prog.name, run.report.dynamicPower(),
                                 run.report.dram_w);

@@ -48,7 +48,9 @@ main()
             perf::LaunchConfig lc;
             lc.grid = {blocks, 1};
             lc.block = {256, 1};
-            KernelRun run = sim.runKernel(prog, lc, true, 20e-6);
+            KernelSnapshot snap = sim.capturePerf(prog, lc, true, 20e-6);
+            KernelRun run = ReplayGroup({&sim}).replay(
+                snap, sim::RowDetail::kernels)[0];
             // Average modeled dynamic power over the kernel.
             double dyn = run.report.dynamicPower();
             double dram = run.report.dram_w;

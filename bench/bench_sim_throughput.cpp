@@ -41,9 +41,11 @@ BM_SimulateOccupancyKernel(benchmark::State &state)
     perf::LaunchConfig lc;
     lc.grid = {12, 1};
     lc.block = {256, 1};
+    ReplayGroup group({&sim});
     uint64_t cycles = 0;
     for (auto _ : state) {
-        KernelRun run = sim.runKernel(prog, lc);
+        const KernelRun &run = group.replay(sim.capturePerf(prog, lc),
+                                            sim::RowDetail::kernels)[0];
         cycles += run.perf.cycles;
         benchmark::DoNotOptimize(run.perf.cycles);
     }

@@ -58,8 +58,10 @@ main()
         auto wl = workloads::makeWorkload("blackscholes");
         auto launches = wl->prepare(sim.gpu());
         GSP_ASSERT(launches.size() == 1, "blackscholes has one kernel");
+        KernelSnapshot snap =
+            sim.capturePerf(launches[0].prog, launches[0].launch);
         KernelRun run =
-            sim.runKernel(launches[0].prog, launches[0].launch);
+            ReplayGroup({&sim}).replay(snap, sim::RowDetail::kernels)[0];
         if (!wl->verify(sim.gpu()))
             fatal("blackscholes verification failed");
 

@@ -188,7 +188,9 @@ main()
                     "time[us]", "power[W]", "energy[mJ]", "txn/warp-ld");
 
         for (Variant &v : variants) {
-            KernelRun run = sim.runKernel(v.prog, lc);
+            KernelSnapshot snap = sim.capturePerf(v.prog, lc);
+            KernelRun run = ReplayGroup({&sim}).replay(
+                snap, sim::RowDetail::kernels)[0];
             // Check the result: sum all partials on the host.
             unsigned outputs =
                 v.per_block_output ? lc.grid.count() : total_threads;

@@ -33,7 +33,9 @@ main(int argc, char **argv)
         auto launches = wl->prepare(sim.gpu());
 
         for (const auto &kl : launches) {
-            KernelRun run = sim.runKernel(kl.prog, kl.launch);
+            KernelSnapshot snap = sim.capturePerf(kl.prog, kl.launch);
+            KernelRun run = ReplayGroup({&sim}).replay(
+                snap, sim::RowDetail::kernels)[0];
             double total = run.report.totalPower();
             std::printf("== %s on %s: %.2f W total (%.2f W static, "
                         "%.2f W dynamic, %.2f W DRAM) over %.0f us ==\n",

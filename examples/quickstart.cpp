@@ -31,9 +31,12 @@ main()
         auto wl = workloads::makeWorkload("vectoradd");
         auto launches = wl->prepare(sim.gpu());
 
-        // 3. Run each kernel and evaluate power.
+        // 3. Run each kernel: time it on the cycle-level GPU, then
+        //    evaluate its power from that capture.
         for (const auto &kl : launches) {
-            KernelRun run = sim.runKernel(kl.prog, kl.launch);
+            KernelSnapshot snap = sim.capturePerf(kl.prog, kl.launch);
+            KernelRun run = ReplayGroup({&sim}).replay(
+                snap, sim::RowDetail::kernels)[0];
             std::printf("kernel %-14s %8lu cycles  %8.3f us  "
                         "%6.2f W dynamic  %6.2f W total\n",
                         kl.label.c_str(),

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bitutil.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "config/xml.hh"
@@ -14,6 +15,9 @@
 namespace gpusimpow {
 
 namespace {
+
+/** Slowest DRAM command clock validate() accepts, Hz. */
+constexpr double min_dram_hz = 1e6;
 
 /**
  * Single-definition parameter binder: the schema below is declared
@@ -276,6 +280,23 @@ describe(GpuConfig &cfg, ParamIo &io)
     });
 }
 
+/**
+ * fatal() unless `size` bytes in `line`-byte lines of `assoc` ways
+ * make at least one set and a power-of-two number of them, as the
+ * timing model's set indexing (perf::CacheModel) needs. `fields`
+ * names the configuration fields the geometry comes from.
+ */
+void
+checkCacheGeometry(const char *fields, unsigned size, unsigned line,
+                   unsigned assoc)
+{
+    const uint64_t sets = size / (static_cast<uint64_t>(line) * assoc);
+    if (!isPow2(sets))
+        fatal(fields, ": ", size, " bytes in ", line, "-byte lines, ",
+              assoc, " ways make ", sets,
+              " sets; a cache needs a power-of-two number of sets");
+}
+
 /** Basic cross-field sanity checks; fatal() on user errors. */
 void
 validate(const GpuConfig &cfg)
@@ -332,9 +353,41 @@ validate(const GpuConfig &cfg)
         fatal("at least one DRAM channel is required");
     if (cfg.clocks.uncore_hz <= 0 || cfg.clocks.shader_to_uncore <= 0)
         fatal("clock rates must be positive");
-    if (!(cfg.clocks.dram_hz > 0.0))
-        fatal("clocks.dram_hz must be positive, got ",
-              cfg.clocks.dram_hz);
+    // A DRAM access lasts tens of DRAM cycles; at a few Hz one access
+    // outlasts the timing core's cycle bound and the run panics.
+    if (!(cfg.clocks.dram_hz >= min_dram_hz))
+        fatal("clocks.dram_hz must be at least ", min_dram_hz,
+              " Hz, got ", cfg.clocks.dram_hz);
+    // Geometries the timing model's caches and the power model's
+    // arrays are built from: each must give whole sets and entries.
+    // The instruction and constant caches have 64-byte lines
+    // (perf::Core).
+    checkCacheGeometry("core.icache_bytes, core.icache_assoc",
+                       c.icache_bytes, 64, c.icache_assoc);
+    checkCacheGeometry("core.const_cache_bytes, core.const_cache_assoc",
+                       c.const_cache_bytes, 64, c.const_cache_assoc);
+    if (c.lOneDBytes() > 0)
+        checkCacheGeometry("core.smem_l1_bytes - core.smem_bytes, "
+                           "core.line_bytes, core.l1d_assoc",
+                           c.lOneDBytes(), c.line_bytes, c.l1d_assoc);
+    if (cfg.l2.present)
+        checkCacheGeometry("l2.total_bytes / l2.slices, l2.line_bytes, "
+                           "l2.assoc",
+                           cfg.l2.total_bytes / cfg.l2.slices,
+                           cfg.l2.line_bytes, cfg.l2.assoc);
+    if (c.regfile_regs / (4ull * c.regfile_banks) == 0)
+        fatal("core.regfile_regs ", c.regfile_regs,
+              " must fill one 128-bit entry (4 registers) in each of "
+              "core.regfile_banks ", c.regfile_banks, " banks");
+    if (c.smem_l1_bytes / (4ull * c.smem_banks) == 0)
+        fatal("core.smem_l1_bytes ", c.smem_l1_bytes,
+              " must hold one 4-byte word in each of core.smem_banks ",
+              c.smem_banks, " banks");
+    // The memory system moves a line as bursts of this many bytes.
+    if (cfg.dram.channel_bits / 8 * cfg.dram.burst_length == 0)
+        fatal("dram.channel_bits ", cfg.dram.channel_bits,
+              " / 8 * dram.burst_length ", cfg.dram.burst_length,
+              " (the bytes of one burst) must be positive");
     if (cfg.core.sched_policy != "rr" && cfg.core.sched_policy != "gto")
         fatal("unknown sched_policy '", cfg.core.sched_policy,
               "' (expected rr or gto)");

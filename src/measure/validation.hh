@@ -74,8 +74,8 @@ class ValidationHarness
     /**
      * Validate one kernel (already simulated).
      * @param label Fig. 6 bar name
-     * @param run the simulator result, traced (runKernel with
-     *        with_trace = true)
+     * @param run the simulator result, replayed from a traced
+     *        capture (with_trace = true)
      * @param repeatable false for kernels that process data in
      *        place and cannot be re-run (the mergeSort3 artifact)
      */

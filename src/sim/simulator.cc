@@ -170,36 +170,6 @@ Simulator::applyFreqScale(double freq_scale)
     _power = std::make_shared<const power::GpuPowerModel>(_cfg);
 }
 
-KernelRun
-Simulator::runKernel(const perf::KernelProgram &prog,
-                     const perf::LaunchConfig &launch, bool with_trace,
-                     double sample_interval_s, bool repeatable)
-{
-    // The throttling governor is the only power-to-timing feedback in
-    // the simulator; everything else runs the two phases back to
-    // back — which is exactly what makes a memoized replay of the
-    // power phase bit-identical to a full run.
-    const bool governed = _cfg.thermal.enabled && _cfg.thermal.throttle;
-    perf::GlobalMemory entry;
-    if (governed)
-        entry = gpu().globalMem();
-    KernelSnapshot snap =
-        capturePerf(prog, launch, with_trace, sample_interval_s);
-    snap.repeatable = repeatable;
-    if (!governed)
-        return replayKernel(snap);
-    // Each clamp re-captures the kernel from its entry memory; the
-    // next kernel starts from the nominal run's exit memory.
-    perf::GlobalMemory exit = gpu().globalMem();
-    KernelRun run = govern(snap, [&](double freq_scale) {
-        gpu().globalMem() = entry;
-        return capturePerf(prog, launch, with_trace, sample_interval_s,
-                           freq_scale);
-    });
-    gpu().globalMem() = std::move(exit);
-    return run;
-}
-
 KernelSnapshot
 Simulator::capturePerf(const perf::KernelProgram &prog,
                        const perf::LaunchConfig &launch,
@@ -342,16 +312,6 @@ Simulator::evaluateSamples(const KernelSnapshot &snap,
         }
     }
     return run;
-}
-
-KernelRun
-Simulator::replayKernel(const KernelSnapshot &snap, sim::RowDetail detail)
-{
-    if (_cfg.thermal.enabled && _cfg.thermal.throttle)
-        fatal("cannot replay a snapshot under a throttling governor: "
-              "its power-to-clock feedback changes timing; govern the "
-              "kernel instead");
-    return std::move(ReplayGroup({this}).replay(snap, detail).front());
 }
 
 KernelRun
@@ -647,6 +607,11 @@ ReplayGroup::begin(const KernelSnapshot &snap, sim::RowDetail detail)
 std::vector<KernelRun> &
 ReplayGroup::replay(const KernelSnapshot &snap, sim::RowDetail detail)
 {
+    for (const Simulator *member : _sims)
+        if (member->_cfg.thermal.enabled && member->_cfg.thermal.throttle)
+            fatal("cannot replay a snapshot under a throttling governor: "
+                  "its power-to-clock feedback changes timing; govern "
+                  "the kernel instead");
     evaluate(snap);
     GSP_TRACE_SPAN("sim/replay");
     begin(snap, detail);

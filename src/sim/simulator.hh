@@ -9,9 +9,9 @@
  * Every kernel runs in two phases: capturePerf() times it on the
  * cycle-level GPU into a KernelSnapshot, and a ReplayGroup (below)
  * evaluates power and thermal behavior from that snapshot. The group
- * is the one replay body: a single run, replayKernel() and
- * SweepSession::runScenario replay through a group of one, and a
- * sweep replays every member of a work unit through one group.
+ * is the one replay body: SweepSession::runScenario replays through a
+ * group of one, and a sweep replays every member of a work unit
+ * through one group.
  * Under a throttling governor the power phase is govern(), the one
  * power-to-timing feedback: it measures the kernel's nominal
  * snapshot, and every clock it clamps to, through the first half of a
@@ -196,26 +196,6 @@ class Simulator
     const GpuConfig &config() const { return _cfg; }
 
     /**
-     * Run one kernel and evaluate its power (and, when enabled, its
-     * thermal behavior): a capture followed by a replay, or, under
-     * the throttling governor, by govern(). A governed kernel's clamps
-     * re-capture it on this Simulator's GPU from a copy of its entry
-     * memory; the next kernel starts from the nominal run's exit
-     * memory.
-     * @param prog kernel program
-     * @param launch launch geometry
-     * @param with_trace also produce a sampled power waveform
-     * @param sample_interval_s trace sampling period
-     * @param repeatable the kernel may be re-executed for a
-     *        measurement (see govern())
-     */
-    KernelRun runKernel(const perf::KernelProgram &prog,
-                        const perf::LaunchConfig &launch,
-                        bool with_trace = false,
-                        double sample_interval_s = 20e-6,
-                        bool repeatable = true);
-
-    /**
      * Phase 1 of the two-phase flow: run the kernel on the
      * performance simulator only, capturing every counter the power
      * and thermal phases consume — the whole-kernel activity, timing,
@@ -265,22 +245,6 @@ class Simulator
      * so a metrics dump carries them even when nothing captured.
      */
     static void registerPerfCounters();
-
-    /**
-     * Phase 2: evaluate power (and thermal behavior, when enabled)
-     * from a phase-1 snapshot instead of running timing — a
-     * ReplayGroup of this one Simulator. For any configuration
-     * sharing the snapshot's timing fingerprint
-     * (sim::timingFingerprint) the result is bit-identical to
-     * runKernel() — the power-only axes (process node, supply scale,
-     * cooling solution) may differ freely between capture and replay.
-     * fatal() on throttle-governed configurations: the governor's
-     * power-to-clock feedback changes timing, which a replay cannot
-     * reproduce; run those kernels through govern().
-     * `detail` selects what the returned run keeps (sim::RowDetail).
-     */
-    KernelRun replayKernel(const KernelSnapshot &snap,
-                           sim::RowDetail detail = sim::RowDetail::kernels);
 
     /** Lowest freq_scale the throttling governor will clamp to. */
     static constexpr double min_throttle_freq_scale = 0.25;
@@ -408,9 +372,8 @@ class Simulator
  * The one replay body: phase 2 of every replayable kernel, for
  * Simulators that replay the same snapshot — power-only variants of
  * one timing fingerprint, or a single Simulator
- * (Simulator::replayKernel, SweepSession::runScenario). Each
- * Simulator carries its own thermal state across the kernels it
- * replays, exactly like a full run.
+ * (SweepSession::runScenario). Each Simulator carries its own thermal
+ * state across the kernels it replays, exactly like a full run.
  *
  * The group builds one evaluator over its distinct power models
  * (Simulators on one model share its row) and, per kernel, evaluates
@@ -430,13 +393,22 @@ class ReplayGroup
     /**
      * The Simulators must outlive the group and be replayable: a
      * throttle-governed one joins only the governor's own group of
-     * one (Simulator::measure), and Simulator::replayKernel() refuses
-     * it.
+     * one (Simulator::measure), and replay() refuses it.
      */
     explicit ReplayGroup(std::vector<Simulator *> sims);
 
-    /** Replay one kernel on every Simulator: element j is sims[j]'s
-     *  run, valid until the next call. */
+    /**
+     * Replay one kernel on every Simulator: element j is sims[j]'s
+     * run, valid until the next call. For any configuration sharing
+     * the snapshot's timing fingerprint (sim::timingFingerprint) the
+     * run is bit-identical to replaying a capture made under that
+     * configuration: the power-only axes (process node, supply
+     * scale, cooling solution) may differ freely between capture and
+     * replay. fatal() when a Simulator is throttle-governed: the
+     * governor's power-to-clock feedback changes timing, which a
+     * replay cannot reproduce; those kernels run through
+     * Simulator::govern().
+     */
     std::vector<KernelRun> &replay(const KernelSnapshot &snap,
                                    sim::RowDetail detail);
 

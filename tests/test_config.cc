@@ -10,6 +10,8 @@
 
 #include "common/logging.hh"
 #include "config/gpu_config.hh"
+#include "power/chip_power.hh"
+#include "sim/session.hh"
 
 using namespace gpusimpow;
 
@@ -176,6 +178,69 @@ TEST(GpuConfig, ValidationRejectsZeroCountsAndSizes)
                 EXPECT_NE(std::string(e.what()).find(f.name),
                           std::string::npos)
                     << e.what();
+            }
+        }
+    }
+}
+
+TEST(GpuConfig, SmallGeometryRunsOrIsRejectedByName)
+{
+    // Small or odd sizes the zero checks let through: each config
+    // either builds a power model and runs vectoradd, or fromXml
+    // rejects it and names the field. None may crash a model.
+    struct Field
+    {
+        const char *name;
+        void (*set)(GpuConfig &, unsigned);
+    };
+    const Field fields[] = {
+        {"clocks.dram_hz",
+         [](GpuConfig &c, unsigned v) { c.clocks.dram_hz = v; }},
+        {"core.regfile_regs",
+         [](GpuConfig &c, unsigned v) { c.core.regfile_regs = v; }},
+        {"core.icache_bytes",
+         [](GpuConfig &c, unsigned v) { c.core.icache_bytes = v; }},
+        {"core.icache_assoc",
+         [](GpuConfig &c, unsigned v) { c.core.icache_assoc = v; }},
+        {"core.smem_bytes",
+         [](GpuConfig &c, unsigned v) { c.core.smem_bytes = v; }},
+        {"core.l1d_assoc",
+         [](GpuConfig &c, unsigned v) { c.core.l1d_assoc = v; }},
+        {"core.line_bytes",
+         [](GpuConfig &c, unsigned v) { c.core.line_bytes = v; }},
+        {"core.const_cache_bytes",
+         [](GpuConfig &c, unsigned v) { c.core.const_cache_bytes = v; }},
+        {"core.const_cache_assoc",
+         [](GpuConfig &c, unsigned v) { c.core.const_cache_assoc = v; }},
+        {"l2.total_bytes",
+         [](GpuConfig &c, unsigned v) { c.l2.total_bytes = v; }},
+        {"l2.assoc", [](GpuConfig &c, unsigned v) { c.l2.assoc = v; }},
+        {"l2.line_bytes",
+         [](GpuConfig &c, unsigned v) { c.l2.line_bytes = v; }},
+        {"dram.channel_bits",
+         [](GpuConfig &c, unsigned v) { c.dram.channel_bits = v; }},
+    };
+    sim::SweepSession session;
+    for (const GpuConfig &preset : {GpuConfig::gt240(), GpuConfig::gtx580()}) {
+        for (const Field &f : fields) {
+            for (unsigned value : {1u, 3u}) {
+                SCOPED_TRACE(preset.name + " " + f.name + " " +
+                             std::to_string(value));
+                GpuConfig c = preset;
+                f.set(c, value);
+                sim::Scenario s;
+                try {
+                    s.config = GpuConfig::fromXml(c.toXml());
+                } catch (const FatalError &e) {
+                    EXPECT_NE(std::string(e.what()).find(f.name),
+                              std::string::npos)
+                        << e.what();
+                    continue;
+                }
+                power::GpuPowerModel model(s.config);
+                EXPECT_GT(model.area(), 0.0);
+                s.workload = "vectoradd";
+                EXPECT_TRUE(session.runScenario(s).verified);
             }
         }
     }

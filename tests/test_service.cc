@@ -318,6 +318,27 @@ TEST(Service, ZeroedConfigFieldGetsAnErrorFrame)
     EXPECT_TRUE(next.ok) << next.error;
 }
 
+TEST(Service, SubByteDramChannelGetsAnErrorFrame)
+{
+    // A 3-bit DRAM channel moves 0-byte bursts: the memory system
+    // would divide by zero in the job's capture and kill the server.
+    ScopedServer server(
+        std::make_shared<SweepSession>(EngineOptions().withJobs(1)));
+
+    GpuConfig cfg = GpuConfig::gt240();
+    cfg.dram.channel_bits = 3;
+    SweepClient::JobResult job =
+        SweepClient("127.0.0.1", server.port())
+            .submitJob(smallRequest().withConfigXml(cfg.toXml()));
+    EXPECT_FALSE(job.ok);
+    EXPECT_NE(job.error.find("dram.channel_bits"), std::string::npos)
+        << job.error;
+
+    SweepClient::JobResult next =
+        SweepClient("127.0.0.1", server.port()).submitJob(smallRequest());
+    EXPECT_TRUE(next.ok) << next.error;
+}
+
 TEST(Service, FinishedHandlersAreJoinedWhileTheServerRuns)
 {
     ScopedDir dir("reap");

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "kernel_loop.hh"
 #include "measure/validation.hh"
 #include "obs/metrics.hh"
 #include "sim/simulator.hh"
@@ -21,7 +22,7 @@ TEST(SimulatorFacade, RunsAndReports)
     Simulator sim(GpuConfig::gt240());
     auto wl = workloads::makeWorkload("vectoradd");
     auto seq = wl->prepare(sim.gpu());
-    KernelRun run = sim.runKernel(seq[0].prog, seq[0].launch);
+    KernelRun run = test::runKernel(sim, seq[0].prog, seq[0].launch);
     EXPECT_GT(run.perf.cycles, 0u);
     EXPECT_GT(run.perf.instructions, 0u);
     EXPECT_NEAR(run.report.staticPower(), 17.9, 0.3);
@@ -67,7 +68,7 @@ TEST(SimulatorFacade, TraceCoversKernelDuration)
     perf::LaunchConfig lc;
     lc.grid = {12, 1};
     lc.block = {256, 1};
-    KernelRun run = sim.runKernel(prog, lc, true, 10e-6);
+    KernelRun run = test::runKernel(sim, prog, lc, true, 10e-6);
     ASSERT_FALSE(run.trace.empty());
     EXPECT_NEAR(run.trace.front().t0, 0.0, 1e-9);
     EXPECT_NEAR(run.trace.back().t1, run.perf.time_s, 11e-6);
@@ -100,8 +101,8 @@ TEST(EndToEnd, ValidationErrorWithinBand)
         cfg, sim.powerModel().staticPower(), 0x5EED);
     auto wl = workloads::makeWorkload("vectoradd");
     auto seq = wl->prepare(sim.gpu());
-    KernelRun run = sim.runKernel(seq[0].prog, seq[0].launch, true,
-                                  20e-6);
+    KernelRun run =
+        test::runKernel(sim, seq[0].prog, seq[0].launch, true, 20e-6);
     auto v = harness.validate(seq[0].label, run, true);
     EXPECT_GT(v.measTotal(), 15.0);
     EXPECT_LT(std::fabs(v.relError()), 0.35);
@@ -119,7 +120,7 @@ TEST(EndToEnd, XmlConfiguredGpuRuns)
     Simulator sim(cfg);
     auto wl = workloads::makeWorkload("vectoradd");
     auto seq = wl->prepare(sim.gpu());
-    KernelRun run = sim.runKernel(seq[0].prog, seq[0].launch);
+    KernelRun run = test::runKernel(sim, seq[0].prog, seq[0].launch);
     EXPECT_TRUE(wl->verify(sim.gpu()));
     EXPECT_GT(run.perf.cycles, 0u);
 }
@@ -137,10 +138,10 @@ TEST(EndToEnd, EnergyPerOpMethodologyRecoversConstants)
     lc.block = {512, 1};
     const unsigned iters = 300;
 
-    auto run31 = sim.runKernel(
-        workloads::makeIntMicrobench(iters, 31, sink), lc);
-    auto run1 = sim.runKernel(
-        workloads::makeIntMicrobench(iters, 1, sink), lc);
+    auto run31 = test::runKernel(
+        sim, workloads::makeIntMicrobench(iters, 31, sink), lc);
+    auto run1 = test::runKernel(
+        sim, workloads::makeIntMicrobench(iters, 1, sink), lc);
     // Identical timing by construction.
     EXPECT_NEAR(static_cast<double>(run31.perf.cycles),
                 static_cast<double>(run1.perf.cycles),

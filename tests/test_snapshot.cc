@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests of the two-phase simulation flow at the Simulator level:
- * capture plus replay must equal runKernel, traced intervals must
- * match the scalar evaluator, and the cache key must collapse exactly
- * the timing-invariant axes and split everything else. Sweep rows
+ * Tests of the two-phase simulation flow at the Simulator level: a
+ * capture replayed on another Simulator must equal the capturing
+ * Simulator's own run, traced intervals must match the scalar
+ * evaluator, and the cache key must collapse exactly the
+ * timing-invariant axes and split everything else. Sweep rows
  * against full simulation are test_differential's; the stored form
  * of a snapshot is test_store's.
  */
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "kernel_loop.hh"
 #include "power_tree_reference.hh"
 #include "row_text.hh"
 #include "sim/simulator.hh"
@@ -45,9 +47,9 @@ TEST(Snapshot, CaptureReplayMatchesRunKernelWithTrace)
     GpuConfig cfg = GpuConfig::gt240();
     Simulator live(cfg);
     auto live_launches = prepareWorkload(live, "vectoradd");
-    KernelRun direct = live.runKernel(live_launches[0].prog,
-                                      live_launches[0].launch,
-                                      /*with_trace=*/true);
+    KernelRun direct = test::runKernel(live, live_launches[0].prog,
+                                       live_launches[0].launch,
+                                       /*with_trace=*/true);
 
     Simulator staged(cfg);
     auto staged_launches = prepareWorkload(staged, "vectoradd");
@@ -55,7 +57,7 @@ TEST(Snapshot, CaptureReplayMatchesRunKernelWithTrace)
                                              staged_launches[0].launch,
                                              /*with_trace=*/true);
     EXPECT_FALSE(snap.samples.empty());
-    KernelRun replayed = staged.replayKernel(snap);
+    KernelRun replayed = test::replayKernel(staged, snap);
 
     EXPECT_TRUE(test::sameText(
         test::kernelText({live_launches[0].label, true, direct}),
@@ -77,7 +79,7 @@ TEST(Snapshot, TracedRowsMatchTheScalarEvaluatorOnBothChips)
              prepareWorkload(sim, "blackscholes")) {
             KernelSnapshot snap = sim.capturePerf(
                 kl.prog, kl.launch, /*with_trace=*/true, 5e-7);
-            KernelRun run = sim.replayKernel(snap);
+            KernelRun run = test::replayKernel(sim, snap);
             ASSERT_EQ(run.trace.size(), snap.samples.size());
             for (std::size_t i = 0; i < snap.samples.size(); ++i) {
                 power::PowerReference::evaluate(
@@ -249,10 +251,18 @@ TEST(Scenario, ReplayableExactlyWithoutGovernor)
 
 TEST(Snapshot, ReplayKernelRejectsGovernedConfig)
 {
+    // ReplayGroup::replay refuses a throttle-governed Simulator, alone
+    // or beside a replayable one; only govern() measures it.
     GpuConfig cfg = GpuConfig::gt240();
     cfg.thermal.applyCooling("stock");
+    Simulator replayable(cfg);
     cfg.thermal.throttle = true;
-    Simulator sim(cfg);
+    Simulator governed(cfg);
     KernelSnapshot snap;
-    EXPECT_THROW(sim.replayKernel(snap), FatalError);
+    EXPECT_THROW(
+        ReplayGroup({&governed}).replay(snap, sim::RowDetail::kernels),
+        FatalError);
+    EXPECT_THROW(ReplayGroup({&replayable, &governed})
+                     .replay(snap, sim::RowDetail::summary),
+                 FatalError);
 }

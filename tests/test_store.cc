@@ -477,6 +477,54 @@ TEST(Store, GarbageEntryAndStrayTempFileAreTolerated)
     ASSERT_NE(reopened.fetch("good"), nullptr);
 }
 
+TEST(Store, OlderFormatEntriesArePrunedByThePut)
+{
+    // A directory written before the current record keeps entries
+    // under names no lookup reaches. Opening the store reads no file;
+    // its first put deletes the regular files under entry names that
+    // lack the record's magic, and nothing else.
+    ScopedDir dir("prune");
+    {
+        SweepStore store(dir.path);
+        ASSERT_TRUE(store.put("current", makeSnapshot("vectoradd", 1)));
+    }
+    const auto current = entryPath(dir.path, "current");
+    const auto v2 = dir.path / "e7c328ce53ef7c34e.entry";
+    const auto shorter = dir.path / "e00000000000000aa-1.entry";
+    const auto tmp = dir.path / ".put-1-0.tmp";
+    const auto unrelated = dir.path / "notes.txt";
+    const auto subdir = dir.path / "e00000000000000bb.entry";
+    std::ofstream(v2, std::ios::binary) << textEntry(
+        "gpusimpow-store-entry v2", "k",
+        test::snapshotText(makeSnapshot("vectoradd", 1)));
+    std::ofstream(shorter, std::ios::binary) << "gpusimpow";
+    std::ofstream(tmp) << "partial entry the crash never renamed";
+    std::ofstream(unrelated) << "not the store's";
+    std::filesystem::create_directory(subdir);
+
+    obs::Counter &pruned =
+        obs::Registry::instance().counter("store/pruned");
+    const uint64_t pruned0 = pruned.value();
+    SweepStore reopened(dir.path);
+    EXPECT_TRUE(std::filesystem::exists(v2));
+    ASSERT_TRUE(reopened.put("next", makeSnapshot("matmul", 2)));
+    EXPECT_EQ(pruned.value() - pruned0, 2u);
+    EXPECT_FALSE(std::filesystem::exists(v2));
+    EXPECT_FALSE(std::filesystem::exists(shorter));
+    EXPECT_TRUE(std::filesystem::exists(current));
+    EXPECT_TRUE(std::filesystem::exists(tmp));
+    EXPECT_TRUE(std::filesystem::exists(unrelated));
+    EXPECT_TRUE(std::filesystem::is_directory(subdir));
+    EXPECT_NE(reopened.fetch("current"), nullptr);
+    EXPECT_NE(reopened.fetch("next"), nullptr);
+
+    // Once per store instance: a later put leaves new files alone.
+    std::ofstream(v2, std::ios::binary) << "gpusimpow";
+    ASSERT_TRUE(reopened.put("last", makeSnapshot("matmul", 3)));
+    EXPECT_EQ(pruned.value() - pruned0, 2u);
+    EXPECT_TRUE(std::filesystem::exists(v2));
+}
+
 TEST(Store, ChecksumMismatchIsAMissAtFetch)
 {
     ScopedDir dir("tamper");

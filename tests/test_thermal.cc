@@ -16,6 +16,7 @@
 
 #include "common/logging.hh"
 #include "config/gpu_config.hh"
+#include "kernel_loop.hh"
 #include "obs/metrics.hh"
 #include "power/chip_power.hh"
 #include "power_tree_reference.hh"
@@ -478,8 +479,8 @@ TEST(ThermalLoop, TransientWaveformTracksTheKernel)
     auto wl = workloads::makeWorkload("matmul", 2);
     auto launches = wl->prepare(sim.gpu());
     ASSERT_FALSE(launches.empty());
-    KernelRun run = sim.runKernel(launches[0].prog,
-                                  launches[0].launch, true, 2e-6);
+    KernelRun run = test::runKernel(sim, launches[0].prog,
+                                    launches[0].launch, true, 2e-6);
 
     ASSERT_FALSE(run.trace.empty());
     ASSERT_EQ(run.thermal.trace.size(), run.trace.size());
@@ -506,10 +507,10 @@ TEST(ThermalLoop, ThermalStateCarriesAcrossKernels)
     Simulator sim(cfg);
     auto wl = workloads::makeWorkload("matmul", 1);
     auto launches = wl->prepare(sim.gpu());
-    KernelRun first = sim.runKernel(launches[0].prog,
-                                    launches[0].launch, true, 2e-6);
-    KernelRun second = sim.runKernel(launches[0].prog,
-                                     launches[0].launch, true, 2e-6);
+    KernelRun first = test::runKernel(sim, launches[0].prog,
+                                      launches[0].launch, true, 2e-6);
+    KernelRun second = test::runKernel(sim, launches[0].prog,
+                                       launches[0].launch, true, 2e-6);
     // The second kernel starts where the first ended: warmer than
     // ambient, continuing the heating trajectory.
     EXPECT_GT(second.thermal.trace.front().temps_k[0],
@@ -543,9 +544,10 @@ TEST(ThermalLoop, UntracedKernelsCarryIntoTracedKernel)
         auto wl = workloads::makeWorkload("matmul", 1);
         auto launches = wl->prepare(sim.gpu());
         for (int k = 0; k < 2; ++k)
-            sim.runKernel(launches[0].prog, launches[0].launch, false);
-        KernelRun traced = sim.runKernel(launches[0].prog,
-                                         launches[0].launch, true, 2e-6);
+            test::runKernel(sim, launches[0].prog, launches[0].launch,
+                            false);
+        KernelRun traced = test::runKernel(sim, launches[0].prog,
+                                           launches[0].launch, true, 2e-6);
         expectTraceEnds(
             traced,
             {0x1.3e006e2685942p+8, 0x1.3e006ec033d18p+8,
@@ -571,9 +573,9 @@ TEST(ThermalLoop, UntracedKernelsCarryIntoTracedKernel)
         // Replayed on a Simulator of their own, from ambient.
         Simulator replay(cfg);
         for (int k = 0; k < untraced; ++k)
-            replay.replayKernel(plain);
+            test::replayKernel(replay, plain);
         expectTraceEnds(
-            replay.replayKernel(with_samples),
+            test::replayKernel(replay, with_samples),
             {0x1.3e0d4123294b9p+8, 0x1.3e0d5e398cc7dp+8,
              0x1.3e0d7b4a2a41p+8, 0x1.3e0d977e8195ep+8,
              0x1.3e00a1ba7b76bp+8, 0x1.3e1d55f490effp+8,
@@ -599,12 +601,12 @@ TEST(ThermalThrottle, UntracedGovernedKernelsCarryIntoTracedKernel)
     auto wl = workloads::makeWorkload("matmul", 1);
     auto launches = wl->prepare(sim.gpu());
     for (int k = 0; k < 2; ++k) {
-        KernelRun run = sim.runKernel(launches[0].prog,
-                                      launches[0].launch, false);
+        KernelRun run = test::runKernel(sim, launches[0].prog,
+                                        launches[0].launch, false);
         EXPECT_TRUE(run.thermal.throttled);
     }
-    KernelRun traced = sim.runKernel(launches[0].prog,
-                                     launches[0].launch, true, 2e-6);
+    KernelRun traced = test::runKernel(sim, launches[0].prog,
+                                       launches[0].launch, true, 2e-6);
     EXPECT_TRUE(traced.thermal.throttled);
     expectTraceEnds(
         traced,
@@ -745,6 +747,33 @@ TEST(ThermalThrottle, NonRepeatableKernelsThrottleAnalytically)
         EXPECT_NEAR(dram_j, rep_dram_j, 1e-9 * rep_dram_j) << k.label;
     }
     EXPECT_TRUE(stretched) << "no non-repeatable kernel throttled";
+
+    // The stretch keeps the nominal cycle count, which only a
+    // core-clock-bound kernel would; DRAM keeps its own clock. Pin
+    // its accuracy: re-captured from its entry memory at the clock
+    // the governor settled on, each stretched kernel runs within 0.1%
+    // of its stretched time.
+    Simulator recapture(cfg);
+    auto workload = workloads::makeWorkload(s.workload, s.scale);
+    auto launches = workload->prepare(recapture.gpu());
+    ASSERT_EQ(launches.size(), r.kernels.size());
+    for (std::size_t i = 0; i < launches.size(); ++i) {
+        const workloads::KernelLaunch &kl = launches[i];
+        const KernelRun &run = r.kernels[i].run;
+        perf::GlobalMemory entry = recapture.gpu().globalMem();
+        recapture.capturePerf(kl.prog, kl.launch);
+        if (kl.repeatable || !run.thermal.throttled)
+            continue;
+        perf::GlobalMemory exit = recapture.gpu().globalMem();
+        recapture.gpu().globalMem() = std::move(entry);
+        KernelSnapshot clamped = recapture.capturePerf(
+            kl.prog, kl.launch, false, opt.sample_interval_s,
+            run.thermal.op.freq_scale);
+        recapture.gpu().globalMem() = std::move(exit);
+        EXPECT_NEAR(run.perf.time_s, clamped.perf.time_s,
+                    1e-3 * clamped.perf.time_s)
+            << kl.label << " at x" << run.thermal.op.freq_scale;
+    }
 
     // The trace never feeds the governor: an untraced run clamps to
     // the same clocks and reports the same bits. Only the traces

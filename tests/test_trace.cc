@@ -12,6 +12,7 @@
 
 #include <cmath>
 
+#include "kernel_loop.hh"
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
 
@@ -29,7 +30,8 @@ tracedRun(const GpuConfig &cfg, const std::string &workload,
     auto launches = wl->prepare(sim.gpu());
     EXPECT_FALSE(launches.empty());
     const auto &kl = launches.front();
-    return sim.runKernel(kl.prog, kl.launch, true, sample_interval_s);
+    return test::runKernel(sim, kl.prog, kl.launch, true,
+                           sample_interval_s);
 }
 
 /** Structural invariants every trace must satisfy. */

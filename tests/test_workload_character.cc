@@ -16,6 +16,7 @@
 #include <set>
 
 #include "common/logging.hh"
+#include "kernel_loop.hh"
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
 
@@ -62,7 +63,7 @@ class WorkloadCharacter : public ::testing::Test
             auto wl = workloads::makeWorkload(wl_name);
             auto seq = wl->prepare(sim.gpu());
             for (const auto &kl : seq) {
-                KernelRun run = sim.runKernel(kl.prog, kl.launch);
+                KernelRun run = test::runKernel(sim, kl.prog, kl.launch);
                 CoreActivity total;
                 for (const auto &c : run.perf.activity.cores)
                     total += c;

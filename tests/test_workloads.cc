@@ -12,6 +12,7 @@
 
 #include "common/logging.hh"
 
+#include "kernel_loop.hh"
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
 
@@ -33,7 +34,7 @@ TEST_P(WorkloadRun, VerifiesAgainstHostReference)
     auto seq = wl->prepare(sim.gpu());
     ASSERT_FALSE(seq.empty());
     for (const auto &kl : seq) {
-        KernelRun run = sim.runKernel(kl.prog, kl.launch);
+        KernelRun run = test::runKernel(sim, kl.prog, kl.launch);
         EXPECT_GT(run.perf.cycles, 0u);
         EXPECT_GT(run.report.dynamicPower(), 0.0) << kl.label;
     }
