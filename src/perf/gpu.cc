@@ -9,7 +9,9 @@ namespace perf {
 
 namespace {
 
-/** Hard cap against runaway kernels (simulator bug guard). */
+/** Hard cap against runaway kernels. A valid but starved
+ *  configuration reaches it too (a DRAM clock at validate()'s floor),
+ *  so reaching it fails the run, not the process. */
 constexpr uint64_t max_shader_cycles = 2000000000ull;
 
 } // namespace
@@ -236,8 +238,8 @@ Gpu::run(const KernelProgram &prog, const LaunchConfig &launch,
         if (!active)
             break;
         if (cycle > max_shader_cycles)
-            GSP_PANIC("kernel ", prog.name, " exceeded ",
-                      max_shader_cycles, " shader cycles — livelock?");
+            fatal("kernel ", prog.name, " exceeded ", max_shader_cycles,
+                  " shader cycles — livelock?");
     }
 
     _memsys.updateDramCounters();

@@ -145,8 +145,11 @@ class GpuPowerModel
      * evaluateNominal() turns an activity interval into chip totals,
      * the per-thermal-block split and the component detail, with no
      * allocation once the caller's Eval and Workspace are sized.
-     * evaluate() and staticReport() assemble their reports from it;
-     * replays evaluate through a ReplayGroup's evaluator instead.
+     * evaluate() and staticReport() assemble their reports from it,
+     * and the throttling governor measures each clock through it
+     * (Simulator::measure). Replays evaluate through a ReplayGroup's
+     * evaluator over all of the group's models instead; a batch of
+     * one gives the same bits as either.
      */
     const BatchedPowerEvaluator &evaluator() const { return *_evaluator; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -71,6 +72,40 @@ timingModelBuilds()
     return c;
 }
 
+/** The power model a Simulator builds when none is shared with it. */
+std::shared_ptr<const power::GpuPowerModel>
+buildModel(const GpuConfig &cfg)
+{
+    GSP_TRACE_SPAN("sim/setup");
+    return std::make_shared<const power::GpuPowerModel>(cfg);
+}
+
+/**
+ * Evaluate one kernel on `evaluator`: its traced intervals into
+ * `rows` (when it has samples; true then) and its whole-kernel
+ * activity at the nominal temperature into `nominal`, one Eval per
+ * variant.
+ */
+bool
+evaluateKernel(const power::BatchedPowerEvaluator &evaluator,
+               const KernelSnapshot &snap, bool want_blocks,
+               power::BatchedPowerEvaluator::Workspace &ws,
+               std::vector<power::BatchedKernelPower> &rows,
+               std::span<power::GpuPowerModel::Eval> nominal)
+{
+    const bool sampled = snap.with_trace && !snap.samples.empty();
+    if (sampled) {
+        std::vector<const perf::ChipActivity *> acts;
+        acts.reserve(snap.samples.size());
+        for (const ActivitySample &a : snap.samples)
+            acts.push_back(&a.delta);
+        evaluator.evaluate(acts, want_blocks, ws, rows);
+    }
+    GSP_TRACE_SPAN("power/nominal_eval");
+    evaluator.evaluateNominal(snap.perf.activity, ws, nominal);
+    return sampled;
+}
+
 } // namespace
 
 void
@@ -107,14 +142,9 @@ Simulator::Simulator(const GpuConfig &cfg) : Simulator(cfg, nullptr, nullptr)
 Simulator::Simulator(const GpuConfig &cfg,
                      std::shared_ptr<const power::GpuPowerModel> power,
                      std::shared_ptr<const thermal::ThermalNetwork> network)
-    : _cfg(cfg), _power(std::move(power)),
-      _nominal_freq_scale(cfg.clocks.freq_scale),
+    : _cfg(cfg), _power(power ? std::move(power) : buildModel(cfg)),
       _network(std::move(network))
 {
-    if (!_power) {
-        GSP_TRACE_SPAN("sim/setup");
-        _power = std::make_shared<const power::GpuPowerModel>(_cfg);
-    }
     // A replay group needs every variant's network before its first
     // kernel, so it is built here rather than on first thermal use.
     if (_cfg.thermal.enabled && !_network)
@@ -129,11 +159,7 @@ Simulator::gpu()
 {
     if (!_gpu) {
         GSP_TRACE_SPAN("sim/setup");
-        // At the configured clock, whatever the power model's clamp:
-        // a capture names its own clock (capturePerf).
-        GpuConfig nominal = _cfg;
-        nominal.clocks.freq_scale = _nominal_freq_scale;
-        _gpu = std::make_unique<perf::Gpu>(nominal);
+        _gpu = std::make_unique<perf::Gpu>(_cfg);
         timingModelBuilds().add(1);
     }
     return *_gpu;
@@ -157,26 +183,13 @@ Simulator::marchDeferred()
     _deferred_marches.clear();
 }
 
-void
-Simulator::applyFreqScale(double freq_scale)
-{
-    GSP_ASSERT(_deferred_marches.empty(),
-               "deferred marches must run on the model they were "
-               "queued under");
-    _cfg.clocks.freq_scale = freq_scale;
-    // The power model caches V^2*f scales and clock-derived rates;
-    // rebuild it at the clamped clock (the die geometry, and with it
-    // the thermal network, is frequency-invariant).
-    _power = std::make_shared<const power::GpuPowerModel>(_cfg);
-}
-
 KernelSnapshot
 Simulator::capturePerf(const perf::KernelProgram &prog,
                        const perf::LaunchConfig &launch,
                        bool with_trace, double sample_interval_s)
 {
     return capturePerf(prog, launch, with_trace, sample_interval_s,
-                       _nominal_freq_scale);
+                       _cfg.clocks.freq_scale);
 }
 
 KernelSnapshot
@@ -328,10 +341,9 @@ Simulator::beginReplay(const KernelSnapshot &snap,
             run.report = _power->assembleReport(nominal);
         return run;
     }
-    // Thermal: the steady solves run at the measured power split
-    // (the group's lockstep solve, or the governor's probes), then
-    // finishThermal() rescales the leakage of this simulator's own
-    // copy of the evaluation.
+    // Thermal: the group's lockstep solve runs at the measured power
+    // split, then finishThermal() rescales the leakage of this
+    // simulator's own copy of the evaluation.
     _eval = nominal;
     return run;
 }
@@ -349,8 +361,8 @@ Simulator::finishReplay(KernelRun &run,
 {
     if (steady.converged)
         _steady_warm = steady.temps_k;
-    finishThermal(run, _eval, steady, snap.with_trace, false,
-                  detail == sim::RowDetail::kernels);
+    finishThermal(run, *_power, _cfg.clocks.freq_scale, steady,
+                  snap.with_trace, false, detail == sim::RowDetail::kernels);
 }
 
 double
@@ -366,8 +378,8 @@ Simulator::dieMax(const thermal::SteadyResult &steady) const
 }
 
 void
-Simulator::finishThermal(KernelRun &run,
-                         power::GpuPowerModel::Eval &ev,
+Simulator::finishThermal(KernelRun &run, const power::GpuPowerModel &model,
+                         double freq_scale,
                          const thermal::SteadyResult &steady,
                          bool with_trace, bool throttled, bool keep)
 {
@@ -376,7 +388,7 @@ Simulator::finishThermal(KernelRun &run,
     // kernel) under the nominal split; with a trace the sampler
     // already did, sample by sample.
     if (!with_trace) {
-        _deferred_marches.push_back({ev.blocks, run.perf.time_s});
+        _deferred_marches.push_back({_eval.blocks, run.perf.time_s});
         if (_deferred_marches.size() >= max_deferred_marches)
             marchDeferred();
     }
@@ -388,10 +400,10 @@ Simulator::finishThermal(KernelRun &run,
     // nominal junction temperature and the outcome is flagged through
     // converged == false instead.
     if (steady.converged)
-        _power->rescaleLeakageAt(steady.temps_k, ev);
-    run.card_w = ev.cardW();
+        model.rescaleLeakageAt(steady.temps_k, _eval);
+    run.card_w = _eval.cardW();
     if (keep)
-        run.report = _power->assembleReport(ev);
+        run.report = model.assembleReport(_eval);
 
     ThermalResult &th = run.thermal;
     th.enabled = true;
@@ -400,7 +412,7 @@ Simulator::finishThermal(KernelRun &run,
     th.iterations = steady.iterations;
     th.t_max_k = dieMax(steady);
     th.heatsink_k = steady.heatsink_k;
-    th.op = {_cfg.tech.vdd_scale, _cfg.clocks.freq_scale};
+    th.op = {_cfg.tech.vdd_scale, freq_scale};
     if (keep) {
         th.block_names = _network->blocks().names;
         th.block_temps_k = steady.temps_k;
@@ -433,13 +445,15 @@ Simulator::solveSteady(const std::vector<power::BlockPower> &bp,
 }
 
 KernelRun
-Simulator::measure(const KernelSnapshot &snap)
+Simulator::measure(const KernelSnapshot &snap,
+                   const power::GpuPowerModel &model)
 {
-    ReplayGroup group({this});
-    group.evaluate(snap);
+    power::BatchedPowerEvaluator::Workspace ws;
+    std::vector<power::BatchedKernelPower> rows;
+    const bool sampled = evaluateKernel(model.evaluator(), snap, true, ws,
+                                        rows, {&_eval, 1});
     GSP_TRACE_SPAN("sim/replay");
-    group.begin(snap, sim::RowDetail::kernels);
-    return std::move(group._runs.front());
+    return evaluateSamples(snap, sampled ? &rows.front() : nullptr, true);
 }
 
 KernelRun
@@ -447,19 +461,17 @@ Simulator::govern(const KernelSnapshot &snap, const Clamp &clamp)
 {
     GSP_ASSERT(_cfg.thermal.enabled && _cfg.thermal.throttle,
                "govern() needs a throttle-governed configuration");
-    // The governor snapshots the carried state below, and the
-    // deferred kernels ran under the model a restore would replace.
-    marchDeferred();
-    // Every kernel starts at the configured operating point; the
-    // governor re-decides the clamp from this kernel's own power.
-    if (_cfg.clocks.freq_scale != _nominal_freq_scale)
-        applyFreqScale(_nominal_freq_scale);
-
     // Every measurement marches the transient state from the kernel's
-    // entry state: snapshot it, restore it before each re-measure.
+    // entry state: bring it up to date, snapshot it, and restore it
+    // before each re-measure.
+    marchDeferred();
     const thermal::ThermalNetwork::State entry_state = _thermal_state;
 
-    KernelRun run = measure(snap);
+    // Every kernel starts at the configured clock on _power; a clamp
+    // measures on a model of its own clock, local to this kernel.
+    double f_meas = _cfg.clocks.freq_scale; // clock bp was measured at
+    std::unique_ptr<const power::GpuPowerModel> clamp_model;
+    KernelRun run = measure(snap, *_power);
     // The measurement's nominal-temperature block split drives the
     // steady solves, and finishThermal() rescales _eval's leakage
     // into the report.
@@ -485,7 +497,6 @@ Simulator::govern(const KernelSnapshot &snap, const Clamp &clamp)
             obs::Registry::instance().counter(
                 "sim/governor_rounds",
                 "throttle-governor refinement rounds executed");
-        double f_meas = _nominal_freq_scale; // clock bp was measured at
         for (int round = 0; round < max_governor_rounds; ++round) {
             c_rounds.add(1);
             // Largest clock whose modeled steady state respects the
@@ -513,7 +524,10 @@ Simulator::govern(const KernelSnapshot &snap, const Clamp &clamp)
                 steady = solveSteady(bp, 1.0);
                 break;
             }
-            applyFreqScale(f_new);
+            GpuConfig clamp_cfg = _cfg;
+            clamp_cfg.clocks.freq_scale = f_new;
+            clamp_model =
+                std::make_unique<const power::GpuPowerModel>(clamp_cfg);
             if (snap.repeatable) {
                 clamped = clamp(f_new);
             } else {
@@ -534,7 +548,7 @@ Simulator::govern(const KernelSnapshot &snap, const Clamp &clamp)
                 }
             }
             _thermal_state = entry_state;
-            run = measure(clamped);
+            run = measure(clamped, *clamp_model);
             // Either way the new point is a measurement at f_new;
             // verify it and keep iterating until it truly holds —
             // near the leakage-stability boundary the linear clock
@@ -547,7 +561,8 @@ Simulator::govern(const KernelSnapshot &snap, const Clamp &clamp)
         }
     }
 
-    finishThermal(run, _eval, steady, snap.with_trace, throttled, true);
+    finishThermal(run, clamp_model ? *clamp_model : *_power, f_meas, steady,
+                  snap.with_trace, throttled, true);
     return run;
 }
 
@@ -580,30 +595,6 @@ ReplayGroup::ReplayGroup(std::vector<Simulator *> sims)
     _runs.resize(_sims.size());
 }
 
-void
-ReplayGroup::evaluate(const KernelSnapshot &snap)
-{
-    if (snap.with_trace && !snap.samples.empty()) {
-        _acts.clear();
-        _acts.reserve(snap.samples.size());
-        for (const ActivitySample &a : snap.samples)
-            _acts.push_back(&a.delta);
-        _evaluator->evaluate(_acts, _want_blocks, _ws, _rows);
-    }
-    GSP_TRACE_SPAN("power/nominal_eval");
-    _evaluator->evaluateNominal(snap.perf.activity, _ws, _nominal);
-}
-
-void
-ReplayGroup::begin(const KernelSnapshot &snap, sim::RowDetail detail)
-{
-    const bool rows = snap.with_trace && !snap.samples.empty();
-    for (std::size_t j = 0; j < _sims.size(); ++j)
-        _runs[j] = _sims[j]->beginReplay(
-            snap, rows ? &_rows[_row_of[j]] : nullptr,
-            _nominal[_row_of[j]], detail);
-}
-
 std::vector<KernelRun> &
 ReplayGroup::replay(const KernelSnapshot &snap, sim::RowDetail detail)
 {
@@ -612,9 +603,13 @@ ReplayGroup::replay(const KernelSnapshot &snap, sim::RowDetail detail)
             fatal("cannot replay a snapshot under a throttling governor: "
                   "its power-to-clock feedback changes timing; govern "
                   "the kernel instead");
-    evaluate(snap);
+    const bool sampled =
+        evaluateKernel(*_evaluator, snap, _want_blocks, _ws, _rows, _nominal);
     GSP_TRACE_SPAN("sim/replay");
-    begin(snap, detail);
+    for (std::size_t j = 0; j < _sims.size(); ++j)
+        _runs[j] = _sims[j]->beginReplay(
+            snap, sampled ? &_rows[_row_of[j]] : nullptr,
+            _nominal[_row_of[j]], detail);
     for (const auto &[net, members] : _net_groups) {
         _lanes.clear();
         for (std::size_t j : members)

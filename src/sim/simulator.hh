@@ -14,8 +14,9 @@
  * through one group.
  * Under a throttling governor the power phase is govern(), the one
  * power-to-timing feedback: it measures the kernel's nominal
- * snapshot, and every clock it clamps to, through the first half of a
- * group of one. A clamped measurement is a re-capture of the kernel
+ * snapshot on the Simulator's power model, and every clock it clamps
+ * to on a model of that clock, each through the model's own
+ * evaluator. A clamped measurement is a re-capture of the kernel
  * from its entry device memory, or, for a kernel that may not re-run,
  * the nominal snapshot stretched analytically.
  *
@@ -160,8 +161,10 @@ struct KernelRun
  * The cycle-level GPU (the activity producer) is built on first use
  * — gpu() or capturePerf() — so a Simulator that only replays
  * snapshots or answers static/area queries never pays for one.
- * A Simulator serves one scenario: device memory, a governor clamp
- * and the carried thermal state all live as long as it does.
+ * A Simulator serves one scenario: device memory and the carried
+ * thermal state live as long as it does. Its configuration and power
+ * model never change; a governor clamp is a model local to one
+ * govern() call.
  */
 class Simulator
 {
@@ -176,8 +179,9 @@ class Simulator
      * from that model's thermalBlocks() and cfg.thermal —
      * this is how a sweep job shares one model per power-relevant
      * configuration and one network per (model, cooling) across all
-     * its Simulators and workers. A governor clamp still rebuilds a
-     * private model (applyFreqScale); the network is clock-invariant.
+     * its Simulators and workers. A governor clamp builds a model of
+     * its own for the one kernel it clamps; the network is
+     * clock-invariant.
      */
     Simulator(const GpuConfig &cfg,
               std::shared_ptr<const power::GpuPowerModel> power,
@@ -191,8 +195,8 @@ class Simulator
     /** The power model (static/area queries). */
     const power::GpuPowerModel &powerModel() const { return *_power; }
 
-    /** Configuration in use (freq_scale reflects a live throttling
-     *  clamp until the next kernel). */
+    /** The configuration, at the configured clock (a throttling
+     *  clamp shows only in the kernel's ThermalResult::op). */
     const GpuConfig &config() const { return _cfg; }
 
     /**
@@ -255,12 +259,10 @@ class Simulator
     static constexpr std::size_t max_deferred_marches = 64;
 
   private:
-    GpuConfig _cfg;
+    const GpuConfig _cfg;
     std::unique_ptr<perf::Gpu> _gpu;
-    std::shared_ptr<const power::GpuPowerModel> _power;
+    const std::shared_ptr<const power::GpuPowerModel> _power;
 
-    /** Configured (pre-throttle) core-clock scale. */
-    double _nominal_freq_scale;
     /** Thermal network (null without thermal), shared through the
      *  constructor or built by it; its blocks() are the
      *  decomposition every per-block vector here follows. */
@@ -276,9 +278,9 @@ class Simulator
         std::vector<power::BlockPower> bp;
         double time_s = 0.0;
     };
-    /** Untraced kernels in execution order, each marched with the
-     *  power model current when it ran (no model rebuild happens
-     *  while the queue is non-empty). */
+    /** Untraced kernels in execution order, marched on _power: the
+     *  leakage scale does not depend on the clock, so a governed
+     *  kernel's clamp leaves its march unchanged. */
     std::vector<DeferredMarch> _deferred_marches;
     /** Per-block power scratch of the transient thermal march. */
     std::vector<double> _block_powers;
@@ -288,10 +290,10 @@ class Simulator
     std::vector<double> _steady_warm;
     /** Buffers of the steady solves, reused across them. */
     thermal::SteadyScratch _steady_scratch;
-    /** The replay path's whole-kernel evaluation: a copy of the
-     *  group's nominal one, whose leakage a thermal kernel then
-     *  rescales to its solved temperatures. The governor's steady
-     *  probes read its block split. */
+    /** The whole-kernel evaluation whose leakage a thermal kernel
+     *  rescales to its solved temperatures: a copy of the replay
+     *  group's nominal one, or the governor's measurement (whose
+     *  block split its steady probes read). */
     power::GpuPowerModel::Eval _eval;
 
     friend class ReplayGroup;
@@ -321,10 +323,6 @@ class Simulator
     /** Bring _thermal_state up to date: march every deferred kernel
      *  in order, with the arithmetic an eager march would use. */
     void marchDeferred();
-    /** Rebuild the power model at a clamped (or restored) clock;
-     *  callers march the deferred kernels first. The GPU keeps its
-     *  clock: a clamped capture names its own (capturePerf). */
-    void applyFreqScale(double freq_scale);
     /** Evaluate the per-interval power (and, with thermal on, march
      *  the transient state) over a snapshot's samples from `batched`,
      *  the replay group's rows (null only without samples);
@@ -334,10 +332,11 @@ class Simulator
     KernelRun evaluateSamples(const KernelSnapshot &snap,
                               const power::BatchedKernelPower *batched,
                               bool keep);
-    /** One governor measurement of a snapshot on the current (possibly
-     *  clamped) power model: the begin half of a replay group of this
-     *  Simulator, leaving the nominal evaluation in _eval. */
-    KernelRun measure(const KernelSnapshot &snap);
+    /** One governor measurement of a snapshot on `model` (_power, or
+     *  a clamp's model) through the model's own evaluator: the
+     *  samples and, in _eval, the nominal whole-kernel evaluation. */
+    KernelRun measure(const KernelSnapshot &snap,
+                      const power::GpuPowerModel &model);
     /** The steady lane of a block split at a clock ratio, on this
      *  Simulator's power model and warm start. */
     thermal::SteadyLane steadyLane(const std::vector<power::BlockPower> &bp,
@@ -350,21 +349,21 @@ class Simulator
     /** Hottest steady-state die-block temperature (DRAM excluded). */
     double dieMax(const thermal::SteadyResult &steady) const;
     /**
-     * Shared tail of every thermal kernel: card_w at the solved
-     * temperatures and the ThermalResult scalars, plus (with `keep`)
-     * the report tree and the block temperatures. A traced kernel
-     * has already marched the transient state sample by sample; an
-     * untraced one still owes a march over its whole span. Nothing
-     * in the kernel's own result depends on that march, so it is
-     * queued in _deferred_marches and applied only when the state is
-     * next read — by a traced kernel (evaluateSamples) or a governed
-     * one (govern) — or when the queue reaches
-     * max_deferred_marches. A Simulator that replays untraced kernels
-     * and is then destroyed never marches at all.
+     * Shared tail of every thermal kernel: _eval's leakage rescaled
+     * to the solved temperatures, card_w and the ThermalResult
+     * scalars, plus (with `keep`) the report tree and the block
+     * temperatures. `model` evaluated _eval at core-clock scale
+     * `freq_scale`. A traced kernel has already marched the transient
+     * state sample by sample; an untraced one still owes a march over
+     * its whole span. Nothing in the kernel's own result depends on
+     * that march, so it is queued in _deferred_marches and applied
+     * only when the state is next read — by a traced kernel
+     * (evaluateSamples) or a governed one (govern) — or when the
+     * queue reaches max_deferred_marches. A Simulator that replays
+     * untraced kernels and is then destroyed never marches at all.
      */
-    void finishThermal(KernelRun &run,
-                       power::GpuPowerModel::Eval &ev,
-                       const thermal::SteadyResult &steady,
+    void finishThermal(KernelRun &run, const power::GpuPowerModel &model,
+                       double freq_scale, const thermal::SteadyResult &steady,
                        bool with_trace, bool throttled, bool keep);
 };
 
@@ -382,18 +381,15 @@ class Simulator
  * network solve the kernel's steady states in one lockstep batch, in
  * Simulator order. A variant's result does not depend on the others
  * beside it, so a group of one gives the same bits as a group of
- * many. The throttling governor measures each clock it tries through
- * a private group of one, of which it runs only the first half
- * (evaluate() and begin()); its own steady probes take the place of
- * the lockstep solve.
+ * many, and as the model's own evaluator (GpuPowerModel::evaluator),
+ * through which the throttling governor measures each clock it tries.
  */
 class ReplayGroup
 {
   public:
     /**
-     * The Simulators must outlive the group and be replayable: a
-     * throttle-governed one joins only the governor's own group of
-     * one (Simulator::measure), and replay() refuses it.
+     * The Simulators must outlive the group and be replayable:
+     * replay() refuses a throttle-governed one.
      */
     explicit ReplayGroup(std::vector<Simulator *> sims);
 
@@ -413,16 +409,6 @@ class ReplayGroup
                                    sim::RowDetail detail);
 
   private:
-    friend class Simulator;
-
-    /** Evaluate one kernel for every distinct power model: its traced
-     *  intervals (when it has samples) and its whole-kernel activity
-     *  at the nominal temperature. */
-    void evaluate(const KernelSnapshot &snap);
-    /** Each Simulator's beginReplay() of the evaluated kernel into
-     *  _runs: everything before the steady solves. */
-    void begin(const KernelSnapshot &snap, sim::RowDetail detail);
-
     std::vector<Simulator *> _sims;
     /** Simulator -> its power model's row of the evaluator. */
     std::vector<std::size_t> _row_of;
@@ -437,7 +423,6 @@ class ReplayGroup
     power::BatchedPowerEvaluator::Workspace _ws;
     /** Nominal whole-kernel evaluation per evaluator row. */
     std::vector<power::GpuPowerModel::Eval> _nominal;
-    std::vector<const perf::ChipActivity *> _acts;
     std::vector<power::BatchedKernelPower> _rows;
     thermal::SteadyScratch _steady;
     std::vector<thermal::SteadyLane> _lanes;

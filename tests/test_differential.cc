@@ -183,7 +183,8 @@ expectSchedule(const SweepResult &r, const SweepSpec &spec,
         models.insert(power_view.toXml());
     }
     const sim::SweepTelemetry &t = r.telemetry();
-    // The governor builds a model per clock it probes.
+    // Each governor clamp adds a model of its own clock, so only an
+    // ungoverned run builds exactly one per power-relevant config.
     if (t.governed == 0) {
         EXPECT_EQ(t.metrics.counter("power/model_builds"), models.size());
     }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -214,6 +215,38 @@ TEST(DvfsPower, PeakDynamicScalesRoughlyWithV2F)
         scaled.peakDynamicPower() / nom.peakDynamicPower();
     EXPECT_LT(ratio, 1.0);
     EXPECT_GT(ratio, 0.9 * 0.9 * 0.8 * 0.9);
+}
+
+TEST(DvfsPower, StaticScalarsIgnoreTheCoreClock)
+{
+    // Static power is what measured power extrapolates to at a zero
+    // core clock, so nothing static may depend on the clock. The
+    // throttling governor relies on it: its clamp models only measure
+    // a kernel, while the Simulator's own model keeps the thermal
+    // scalars, the deferred marches and the scenario columns.
+    for (const GpuConfig &preset :
+         {GpuConfig::gt240(), GpuConfig::gtx580()}) {
+        for (unsigned node : {40u, 28u}) {
+            GpuConfig nominal = preset;
+            nominal.tech.node_nm = node;
+            const power::GpuPowerModel ref(nominal);
+            for (double f : {0.25, 0.407, 0.8, 1.0}) {
+                SCOPED_TRACE(preset.name + " " + std::to_string(node) +
+                             " nm x" + std::to_string(f));
+                GpuConfig clamped = nominal;
+                clamped.clocks.freq_scale = f;
+                const power::GpuPowerModel m(clamped);
+                EXPECT_EQ(m.staticPower(), ref.staticPower());
+                EXPECT_EQ(m.area(), ref.area());
+                EXPECT_EQ(m.techNode().vdd, ref.techNode().vdd);
+                EXPECT_EQ(m.nominalLeakFactor(), ref.nominalLeakFactor());
+                for (double t : {300.0, 350.0, 400.0})
+                    EXPECT_EQ(m.subLeakScaleAt(t), ref.subLeakScaleAt(t))
+                        << t << " K";
+                EXPECT_EQ(m.thermalBlocks(), ref.thermalBlocks());
+            }
+        }
+    }
 }
 
 // --- Sweep axis ------------------------------------------------------

@@ -5,7 +5,8 @@
  * concurrent clients deduplicated onto one capture, TCP_NODELAY on
  * both ends of a connection, finished connection handlers joined
  * while the server runs, stop() ending an idle server at once, and
- * the error/shutdown paths of the wire protocol. Served tables on a warm store against local rows, in
+ * the error/shutdown paths of the wire protocol (a job that fails in
+ * validation or in its capture gets an error frame). Served tables on a warm store against local rows, in
  * every thermal mode, are test_differential's service leg.
  */
 
@@ -332,6 +333,34 @@ TEST(Service, SubByteDramChannelGetsAnErrorFrame)
             .submitJob(smallRequest().withConfigXml(cfg.toXml()));
     EXPECT_FALSE(job.ok);
     EXPECT_NE(job.error.find("dram.channel_bits"), std::string::npos)
+        << job.error;
+
+    SweepClient::JobResult next =
+        SweepClient("127.0.0.1", server.port()).submitJob(smallRequest());
+    EXPECT_TRUE(next.ok) << next.error;
+}
+
+TEST(Service, LivelockBoundGetsAnErrorFrame)
+{
+    // A 1 MHz DRAM clock passes validation, but it starves a large
+    // vectoradd until the capture reaches the shader-cycle bound.
+    // Reaching it fails the job, not the server.
+    ScopedServer server(
+        std::make_shared<SweepSession>(EngineOptions().withJobs(1)));
+
+    GpuConfig cfg = GpuConfig::gt240();
+    cfg.clocks.dram_hz = 1e6;
+    SweepClient::JobResult job =
+        SweepClient("127.0.0.1", server.port())
+            .submitJob(SweepRequest()
+                           .withConfigXml(cfg.toXml())
+                           .withWorkloads("vectoradd")
+                           .withScale(160));
+    EXPECT_FALSE(job.ok);
+    EXPECT_NE(job.error.find("kernel vectorAdd"), std::string::npos)
+        << job.error;
+    EXPECT_NE(job.error.find("2000000000 shader cycles"),
+              std::string::npos)
         << job.error;
 
     SweepClient::JobResult next =

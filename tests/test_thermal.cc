@@ -13,6 +13,7 @@
 #include <cmath>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include "common/logging.hh"
 #include "config/gpu_config.hh"
@@ -591,9 +592,9 @@ TEST(ThermalLoop, UntracedKernelsCarryIntoTracedKernel)
 
 TEST(ThermalThrottle, UntracedGovernedKernelsCarryIntoTracedKernel)
 {
-    // Governed kernels march at their clamped clock: the carried
-    // state must reach the next kernel before it restores the
-    // nominal clock.
+    // Governed untraced kernels defer their marches at their clamped
+    // clocks: the carried state must reach the next governed kernel,
+    // traced, whose measurements march from it.
     GpuConfig cfg = GpuConfig::gtx580();
     cfg.thermal.applyCooling("constrained");
     cfg.thermal.throttle = true;
@@ -861,6 +862,28 @@ TEST(ThermalThrottle, StockCoolingDoesNotThrottleTheAnchors)
         EXPECT_FALSE(r.throttled) << base.name;
         EXPECT_TRUE(r.thermal_converged) << base.name;
         EXPECT_DOUBLE_EQ(r.min_freq_scale, 1.0) << base.name;
+    }
+}
+
+TEST(ThermalThrottle, ClampModelsAreLocalToTheirKernel)
+{
+    // A Simulator's power model never changes: each clamp builds a
+    // model of its own clock for the kernel it clamps, and the next
+    // kernel starts on the Simulator's model without rebuilding it.
+    // One model for the scenario, plus one per clamp.
+    GpuConfig cfg = GpuConfig::gtx580();
+    cfg.thermal.applyCooling("constrained");
+    cfg.thermal.throttle = true;
+    obs::Counter &builds =
+        obs::Registry::instance().counter("power/model_builds");
+    for (const auto &[workload, expected] :
+         {std::pair<const char *, uint64_t>{"matmul", 3},
+          {"kmeans", 3},
+          {"mergesort", 7}}) {
+        const uint64_t builds0 = builds.value();
+        sim::ScenarioResult r = runScenario(cfg, workload);
+        EXPECT_TRUE(r.throttled) << workload;
+        EXPECT_EQ(builds.value() - builds0, expected) << workload;
     }
 }
 
